@@ -26,8 +26,7 @@ class FDStarAlgebra:
     """
 
     def __init__(self, structure: np.ndarray, unit: np.ndarray,
-                 star: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-                 _validated: bool = False):
+                 star: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         structure = np.asarray(structure, dtype=complex)
         n = structure.shape[0]
         if structure.shape != (n, n, n):
@@ -41,13 +40,19 @@ class FDStarAlgebra:
         self.tol = tol
         # left-multiplication matrices L_i = L(e_i), cached for speed
         self._left = np.ascontiguousarray(structure.transpose(0, 2, 1))
-        if not _validated:
-            self._validate()
+        self._validate()
 
     # --- arithmetic ---
 
     def mult(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        return self.left_mult(x) @ y
+
+    def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """P[p, q] = X[:, p] Y[:, q]: every product of a column of X with a
+        column of Y, as a (cols X, cols Y, dim) array."""
+        n = self.dim
+        XC = (X.T @ self.structure.reshape(n, n * n)).reshape(-1, n, n)
+        return Y.T @ XC
 
     def star(self, x: np.ndarray) -> np.ndarray:
         return self.star_matrix @ np.conj(x)
@@ -58,7 +63,8 @@ class FDStarAlgebra:
 
     def right_mult(self, y: np.ndarray) -> np.ndarray:
         """Matrix of x -> x y over the basis."""
-        return np.einsum("j,ijk->ki", y, self.structure)
+        n = self.dim
+        return (self._left.reshape(n * n, n) @ y).reshape(n, n).T
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.left_mult(x), self.unit)
@@ -77,10 +83,10 @@ class FDStarAlgebra:
     def _validate(self):
         c, n = self.structure, self.dim
         eps = self.tol.eps_rank * max(1.0, np.abs(c).max(initial=0.0)) ** 2 * n
-        assoc = np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c)
-        bad = np.abs(assoc).max(initial=0.0)
+        assoc = np.abs(associator(c))
+        bad = assoc.max(initial=0.0)
         if bad > eps:
-            i, j, k, _ = np.unravel_index(np.abs(assoc).argmax(), assoc.shape)
+            i, j, k, _ = np.unravel_index(assoc.argmax(), assoc.shape)
             raise NotAssociative(
                 f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}), residual {bad:.3e}")
         lm = self.left_mult(self.unit)
@@ -93,14 +99,34 @@ class FDStarAlgebra:
         sig = self.star_matrix
         if np.abs(sig @ np.conj(sig) - eye).max() > eps:
             raise BadStar("star is not involutive on the basis")
-        # (ab)* = b* a*
-        for i in range(n):
-            for j in range(n):
-                lhs = self.star(self.mult(self.basis_element(i), self.basis_element(j)))
-                rhs = self.mult(self.star(self.basis_element(j)),
-                                self.star(self.basis_element(i)))
-                if np.abs(lhs - rhs).max() > eps:
-                    raise BadStar(f"(e{i} e{j})* != e{j}* e{i}*")
+        # (ab)* = b* a*: (e_i e_j)* = sigma conj(c[i, j]), e_j* = sigma[:, j]
+        lhs = np.conj(c) @ sig.T
+        rhs = self.products(sig, sig).transpose(1, 0, 2)
+        bad_ij = _first_violation(lhs - rhs, eps)
+        if bad_ij is not None:
+            i, j = bad_ij
+            raise BadStar(f"(e{i} e{j})* != e{j}* e{i}*")
+
+
+def associator(c: np.ndarray) -> np.ndarray:
+    """a[i, j, k, :] = (e_i e_j) e_k - e_i (e_j e_k) for the structure
+    tensor c, as two GEMMs on c.reshape(n*n, n)."""
+    n = c.shape[0]
+    flat = c.reshape(n * n, n)
+    a = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
+    # sum_m c[j,k,m] c[i,m,l], computed in (j, k, i, l) order
+    a -= (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(
+        n, n, n, n).transpose(2, 0, 1, 3)
+    return a
+
+
+def _first_violation(resid: np.ndarray, eps: float) -> tuple[int, ...] | None:
+    """Index of the first row resid[..., :], in row-major order, holding an
+    entry above eps in absolute value; None when there is none."""
+    bad = np.abs(resid).max(axis=-1) > eps
+    if not bad.any():
+        return None
+    return tuple(int(k) for k in np.unravel_index(bad.argmax(), bad.shape))
 
 
 def build_algebra(structure, unit, star, tol: Tolerance = DEFAULT_TOL,
@@ -142,12 +168,12 @@ class AntiAlgebraMap:
         S = np.asarray(matrix, dtype=complex)
         n = A.dim
         eps = A.tol.eps_eig * max(1.0, np.abs(S).max()) ** 2 * n
-        for i in range(n):
-            for j in range(n):
-                lhs = S @ A.structure[i, j]
-                rhs = A.mult(S[:, j], S[:, i])
-                if np.abs(lhs - rhs).max() > eps:
-                    raise NotAntiMap(f"S(e{i} e{j}) != S(e{j}) S(e{i})")
+        lhs = A.structure @ S.T                       # S(e_i e_j)
+        rhs = A.products(S, S).transpose(1, 0, 2)     # S(e_j) S(e_i)
+        bad = _first_violation(lhs - rhs, eps)
+        if bad is not None:
+            i, j = bad
+            raise NotAntiMap(f"S(e{i} e{j}) != S(e{j}) S(e{i})")
         # S(S(a)*)* = a, i.e. sigma conj(S) conj(sigma) S = id
         comp = A.star_matrix @ np.conj(S) @ np.conj(A.star_matrix) @ S
         if np.abs(comp - np.eye(n)).max() > eps:
@@ -186,12 +212,11 @@ def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
     eps = A.tol.eps_eig * max(1.0, np.abs(K).max()) ** 2 * n
     if np.abs(K @ np.conj(K) - np.eye(n)).max() > eps:
         raise NotAntiMap("conjugation is not involutive")
-    for i in range(n):
-        for j in range(n):
-            lhs = K @ np.conj(A.structure[i, j])
-            rhs = A.mult(K[:, i], K[:, j])
-            if np.abs(lhs - rhs).max() > eps:
-                raise NotAntiMap(f"conjugation is not multiplicative at (e{i}, e{j})")
+    lhs = np.conj(A.structure) @ K.T                  # conj(e_i e_j)
+    bad = _first_violation(lhs - A.products(K, K), eps)
+    if bad is not None:
+        i, j = bad
+        raise NotAntiMap(f"conjugation is not multiplicative at (e{i}, e{j})")
     basis = fixed_space_of_antilinear(K, A.tol)
     if basis.shape[1] != n:
         raise NotAntiMap(
@@ -211,7 +236,7 @@ def check_cstar(A: FDStarAlgebra) -> tuple[np.ndarray, bool]:
     """Gram matrix G[i,j] = tau(e_i* e_j) of the regular trace form, and
     whether it is Hermitian positive definite (iff A admits a C*-norm)."""
     t = A.regular_trace()
-    G = np.einsum("ai,ajk,k->ij", A.star_matrix, A.structure, t)
+    G = A.star_matrix.T @ (A.structure @ t)
     scale = max(1.0, np.abs(G).max(initial=0.0))
     if np.abs(G - dagger(G)).max(initial=0.0) > A.tol.eps_eig * scale:
         return G, False
@@ -271,17 +296,19 @@ class SeparabilityIdempotent:
     pairs: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def verify(self, eps: float = 1e-8) -> None:
-        A = self.algebra
-        total = sum(A.mult(x, y) for x, y in self.pairs)
+        A, n, c = self.algebra, self.algebra.dim, self.algebra.structure
+        X = np.array([x for x, _ in self.pairs], dtype=complex).reshape(-1, n)
+        Y = np.array([y for _, y in self.pairs], dtype=complex).reshape(-1, n)
+        Z = X.T @ Y          # sum_m x_m (x) y_m as an n x n matrix
+        total = Z.reshape(-1) @ c.reshape(n * n, n)
         if np.abs(total - A.unit).max() > eps:
             raise BadDualStructure(
                 f"sum x_m y_m misses the unit by {np.abs(total - A.unit).max():.3e}")
-        for i in range(A.dim):
-            e = A.basis_element(i)
-            lhs = sum(np.outer(A.mult(e, x), y) for x, y in self.pairs)
-            rhs = sum(np.outer(x, A.mult(y, e)) for x, y in self.pairs)
-            if np.abs(lhs - rhs).max() > eps:
-                raise BadDualStructure(f"centrality identity fails at basis e{i}")
+        lhs = np.tensordot(c, Z, axes=(1, 0))                      # (e_i x) (x) y
+        rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)   # x (x) (y e_i)
+        bad = _first_violation((lhs - rhs).reshape(n, -1), eps)
+        if bad is not None:
+            raise BadDualStructure(f"centrality identity fails at basis e{bad[0]}")
 
 
 def orthonormal_basis(A: FDStarAlgebra, gram: np.ndarray,

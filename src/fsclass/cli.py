@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -266,7 +265,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    os.environ.setdefault("FSCLASS_THREADS", "1")  # serial; cap respected
     try:
         tol = _tolerance(args)
         built = _build(args.kind, args.input, tol)

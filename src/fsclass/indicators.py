@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      RealForm, SeparabilityIdempotent)
+                      RealForm, SeparabilityIdempotent, real_form_from_S)
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension)
@@ -254,7 +254,7 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
                 E: SeparabilityIdempotent) -> IndicatorReport:
     """Indicators and classification for each irreducible, with the
     agreement sigma = nu enforced."""
-    R = _real_form(A, dual.S)
+    R = real_form_from_S(A, dual.S)
     rows = []
     for idx, (V, mult) in enumerate(parts):
         nu_f, raw = fs_indicator_formula(V, dual.S, dual.g, E)
@@ -270,8 +270,3 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
         rows.append(IndicatorRow(idx, V.dim, mult, nu_f, raw, nu_t,
                                  sig.sigma, endo))
     return IndicatorReport(A.dim, rows)
-
-
-def _real_form(A: FDStarAlgebra, S: AntiAlgebraMap) -> RealForm:
-    from .algebra import real_form_from_S
-    return real_form_from_S(A, S)

@@ -169,9 +169,3 @@ def load_groupoid_v1(path: str) -> dict:
             raise SchemaError(f"compose[{idx}] arrow index out of range")
         triples.append((t["a"], t["b"], t["ab"]))
     return {"objects": m, "arrows": arrows, "compose": triples}
-
-
-def load_involution_v1(path: str) -> np.ndarray:
-    doc = _load(path)
-    _require_fields(doc, {"perm"})
-    return np.asarray(doc["perm"], dtype=int)

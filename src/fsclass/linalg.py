@@ -7,7 +7,7 @@ mutated in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -60,12 +60,14 @@ def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Singular values at most eps_rank times max(1, largest) are treated as
     zero; the absolute floor keeps numerically-zero matrices from reading
-    as full rank.  The zero and empty matrices are handled.
+    as full rank.  The zero and empty matrices are handled.  When m has at
+    least as many rows as columns the thin SVD is used: its right factor is
+    still square, and the unused left factor shrinks to rows x columns.
     """
     m = np.asarray(m, dtype=complex)
     if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
         return np.eye(m.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     cutoff = tol.eps_rank * max(1.0, s[0])
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
@@ -126,7 +128,7 @@ def real_nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
         return np.eye(m.shape[1])
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     cutoff = tol.eps_rank * s[0]
     rank = int(np.sum(s > cutoff))
     return vh[rank:].T
@@ -145,7 +147,3 @@ def fixed_space_of_antilinear(k: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np
     big = antilinear_real_matrix(k) - np.eye(2 * n)
     basis = real_nullspace(big, tol)
     return basis[:n] + 1j * basis[n:]
-
-
-def stack_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    return np.vstack([np.asarray(b, dtype=complex) for b in blocks])

@@ -7,8 +7,6 @@ gram H making it a *-representation: rho(a*) = H^{-1} rho(a)^dagger H.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -57,8 +55,9 @@ class Representation:
         scale = max(1.0, float(np.abs(self.rho).max(initial=0.0))) ** 2
         eps = tol.eps_eig * scale * max(1, d)
         # homomorphism and unit
-        prod = np.einsum("iab,jbc->ijac", self.rho, self.rho)
-        via = np.einsum("ijk,kab->ijab", A.structure, self.rho)
+        prod = self.rho[:, None] @ self.rho[None, :]
+        via = (A.structure.reshape(n * n, n) @ self.rho.reshape(n, d * d)
+               ).reshape(n, n, d, d)
         if np.abs(prod - via).max(initial=0.0) > eps:
             raise NotStarRep("rho(e_i e_j) != rho(e_i) rho(e_j)")
         if np.abs(self.apply(A.unit) - np.eye(d)).max() > eps:
@@ -69,10 +68,11 @@ class Representation:
             raise NotStarRep("gram is not Hermitian")
         if d and np.linalg.eigvalsh((H + dagger(H)) / 2).min() <= 0:
             raise NotStarRep("gram is not positive definite")
-        # star compatibility: rho(a)^dagger H = H rho(a*)
-        star_rho = np.einsum("ki,kab->iab", np.conj(A.star_matrix), self.rho)
-        lhs = np.einsum("iba,bc->iac", np.conj(self.rho), H)
-        rhs = np.einsum("ab,ibc->iac", H, star_rho)
+        # star compatibility: rho(a)^dagger H = H rho(a*), where
+        # rho(e_i*) = sum_k sigma[k, i] rho(e_k)
+        star_rho = np.tensordot(A.star_matrix, self.rho, axes=(0, 0))
+        lhs = np.conj(self.rho).transpose(0, 2, 1) @ H
+        rhs = H @ star_rho
         if np.abs(lhs - rhs).max(initial=0.0) > eps * max(
                 1.0, float(np.abs(H).max(initial=0.0))):
             raise NotStarRep("rho(a)^dagger H != H rho(a*)")
@@ -94,7 +94,7 @@ def restrict(V: Representation, basis: np.ndarray,
     gram-orthonormal so that the restricted gram is the identity)."""
     B = basis
     P = dagger(B) @ V.gram
-    rho = np.einsum("ab,ibc,cd->iad", P, V.rho, B)
+    rho = P @ V.rho @ B
     return Representation(V.algebra, rho, None, check=check)
 
 
@@ -126,8 +126,7 @@ def _commutant_basis(V: Representation) -> list[np.ndarray]:
 
     def certify(mats: list[np.ndarray]) -> bool:
         for M in mats:
-            resid = np.einsum("ab,ibc->iac", M, V.rho) - np.einsum(
-                "iab,bc->iac", V.rho, M)
+            resid = M @ V.rho - V.rho @ M
             if np.abs(resid).max(initial=0.0) > eps * (1 + np.abs(M).max()):
                 return False
         return True
@@ -271,14 +270,3 @@ def conjugate_representation(V: Representation, R: RealForm,
     rho_j = np.einsum("ji,jab->iab", np.conj(R.conj_matrix), np.conj(V.rho))
     H_j = (V.gram @ V.apply(g)).T
     return Representation(A, rho_j, H_j)
-
-
-@dataclass(frozen=True)
-class DecompositionSummary:
-    dims: tuple[int, ...]
-    multiplicities: tuple[int, ...]
-
-    @staticmethod
-    def of(parts: list[tuple[Representation, int]]) -> "DecompositionSummary":
-        return DecompositionSummary(tuple(p.dim for p, _ in parts),
-                                    tuple(m for _, m in parts))

@@ -5,7 +5,7 @@ from fsclass.errors import NegativeSpectrum, NotHermitian, SingularInput
 from fsclass.linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues,
                             dagger, fixed_space_of_antilinear, make_rng,
                             matrix_function, nullspace, polar_unitary,
-                            sqrtm_psd)
+                            real_nullspace, sqrtm_psd)
 
 
 def test_tolerance_defaults():
@@ -88,3 +88,47 @@ def test_fixed_space_of_quaternionic_map_is_empty():
     # j with j conj(j) = -1 has no fixed vectors
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert fixed_space_of_antilinear(j).shape[1] == 0
+
+
+def _with_singular_values(rng, rows, cols, svals, complex_):
+    """rows x cols matrix with the given leading singular values."""
+    def unitary(k):
+        z = rng.standard_normal((k, k))
+        if complex_:
+            z = z + 1j * rng.standard_normal((k, k))
+        return np.linalg.qr(z)[0]
+    s = np.zeros((rows, cols))
+    s[np.arange(len(svals)), np.arange(len(svals))] = svals
+    return unitary(rows) @ s @ unitary(cols)
+
+
+SHAPES = {
+    "tall": (12, 5, [3.0, 2.0, 1.0, 0.5, 0.1]),
+    "tall_rank_deficient": (12, 5, [4.0, 1.0, 1e-12]),
+    "wide": (3, 7, [2.0, 1.0, 0.5]),
+    "wide_rank_deficient": (4, 7, [5.0, 1e-3]),
+    "square": (6, 6, [1.0] * 6),
+    "square_rank_deficient": (6, 6, [1e3, 2.0, 1.0, 1e-11]),
+    "zero": (4, 3, []),
+    "empty_rows": (0, 3, []),
+    "empty_cols": (3, 0, []),
+}
+
+
+@pytest.mark.parametrize("complex_", [True, False])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_thin_svd_nullspace_matches_full_svd(name, complex_):
+    rows, cols, svals = SHAPES[name]
+    m = _with_singular_values(make_rng(11), rows, cols, svals, complex_)
+    kernel = nullspace if complex_ else real_nullspace
+    ker = kernel(m)
+    full_rank = 0
+    cutoff = DEFAULT_TOL.eps_rank
+    if m.size and np.abs(m).max() > 0:
+        s = np.linalg.svd(m, full_matrices=True, compute_uv=False)
+        cutoff *= max(1.0, s[0])
+        full_rank = int(np.sum(s > cutoff))
+    assert ker.shape == (cols, cols - full_rank)
+    assert np.allclose(dagger(ker) @ ker, np.eye(ker.shape[1]), atol=1e-12)
+    resid = m @ ker
+    assert (np.linalg.norm(resid, 2) if resid.size else 0.0) <= cutoff

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from fsclass import (decompose, group_algebra, intertwiners,
-                     regular_representation)
+from fsclass import (FDStarAlgebra, decompose, full_report, group_algebra,
+                     intertwiners, regular_representation,
+                     separability_idempotent)
+from fsclass.algebra import AntiAlgebraMap, DualStructureData
 from fsclass.errors import NotStarRep
 from fsclass.reps import (Representation, conjugate_representation,
                           dual_representation, restrict)
 
-from conftest import build_m2, load_group, m2_dual_structures
+from conftest import (build_m2, classical_oracle, load_group,
+                      m2_dual_structures)
 
 
 def test_regular_representation_is_a_star_rep():
@@ -105,3 +108,29 @@ def test_conjugate_representation_matches_dual_through_riesz():
     T = V.gram.T
     for i in range(A.dim):
         assert np.allclose(T @ J.rho[i], D.rho[i] @ T, atol=1e-9)
+
+
+def _rebased_q8(seed):
+    """C[Q8] on the basis f_j = sum_i U[i, j] e_g_i for a seeded random
+    complex unitary U: the star matrix gets non-real entries."""
+    G = load_group("q8")
+    A, dual, _ = group_algebra(G)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    U, _ = np.linalg.qr(z)
+    Uinv = np.linalg.inv(U)
+    c = np.einsum("ia,jb,ijk,ck->abc", U, U, A.structure, Uinv, optimize=True)
+    B = FDStarAlgebra(c, Uinv @ A.unit, Uinv @ A.star_matrix @ np.conj(U))
+    S = AntiAlgebraMap.validated(B, Uinv @ dual.S.matrix @ U)
+    return G, U, B, DualStructureData.validated(B, S, Uinv @ dual.g)
+
+
+def test_complex_star_regression_rebased_q8():
+    G, U, B, dual = _rebased_q8(seed=5)
+    assert np.abs(B.star_matrix.imag).max() > 0.1
+    parts = decompose(regular_representation(B))
+    assert sorted(V.dim for V, _ in parts) == [1, 1, 1, 1, 2]
+    report = full_report(B, dual, parts, separability_idempotent(B))
+    for (V, _), row in zip(parts, report.rows):
+        chi = V.character() @ np.linalg.inv(U)   # chi on the group basis
+        assert row.nu_formula == round(classical_oracle(G, chi).real)
