@@ -219,7 +219,7 @@ def _cmd_duality(args, built) -> str:
     E = separability_idempotent(A)
     report = full_report(A, dual, parts, E)
     C = dualize(A)
-    cd = compact_decompose(C, seed=args.seed)
+    cd = compact_decompose(C, parts=parts)
     varsigma = dual.S.matrix.T
     gamma_vec = dual.g
     n_ok = 0

@@ -18,7 +18,7 @@ from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, NotHopf, NotStarRep,
                      UnexpectedDimension)
-from .linalg import DEFAULT_TOL, Tolerance, dagger, nullspace
+from .linalg import DEFAULT_TOL, Tolerance, dagger, kron_system, nullspace
 from .reps import Representation, decompose, regular_representation
 
 
@@ -160,14 +160,23 @@ class CompactDecomposition:
     dual_algebra: FDStarAlgebra
 
 
-def compact_decompose(C: FDStarCoalgebra, seed: int = 0) -> CompactDecomposition:
+def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
+                      parts: list[tuple[Representation, int]] | None = None
+                      ) -> CompactDecomposition:
     """Matrix-coalgebra block decomposition of a compact *-coalgebra, with
-    the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk."""
+    the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk.
+
+    parts is a decomposition the caller already has of the regular
+    representation of the dual algebra (of A itself when C = dualize(A));
+    without it, that representation is decomposed here with the seed.
+    Either way each block is validated as a representation of the dual
+    algebra and as a corepresentation of C."""
     B = dualize_co(C)
     G, ok = check_cstar(B)
     if not ok:
         raise NotCompact("dual algebra admits no C*-norm")
-    parts = decompose(regular_representation(B), seed=seed)
+    if parts is None:
+        parts = decompose(regular_representation(B), seed=seed)
     n = C.dim
     blocks = []
     unitarized = []
@@ -289,14 +298,15 @@ def phi_module(C: FDStarCoalgebra, V: Corepresentation) -> Representation:
 def invariant_gram(A: FDStarAlgebra, rho: np.ndarray) -> np.ndarray:
     """Hermitian positive H with rho(a)^dagger H = H rho(a*); requires the
     solution space to contain a definite element (dim 1 when irreducible)."""
-    n, d = rho.shape[0], rho.shape[1]
+    d = rho.shape[1]
     eye = np.eye(d)
-    rows = []
-    for i in range(n):
-        star_i = A.star_matrix[:, i]
-        rho_star = np.tensordot(star_i, rho, axes=(0, 0))
-        rows.append(np.kron(dagger(rho[i]), eye) - np.kron(eye, rho_star.T))
-    ker = nullspace(np.vstack(rows), A.tol)
+    # rho(e_i*), one tensordot per i: a single batched product would round
+    # differently and so change the system the nullspace is taken of
+    rho_star = np.stack([np.tensordot(A.star_matrix[:, i], rho, axes=(0, 0))
+                         for i in range(rho.shape[0])])
+    system = kron_system(np.conj(rho).transpose(0, 2, 1), eye,
+                         eye, rho_star.transpose(0, 2, 1))
+    ker = nullspace(system, A.tol)
     for j in range(ker.shape[1]):
         H = ker[:, j].reshape(d, d)
         H = (H + dagger(H)) / 2.0

@@ -22,7 +22,7 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension)
-from .linalg import dagger, fixed_space_of_antilinear, nullspace
+from .linalg import dagger, fixed_space_of_antilinear, kron_system, nullspace
 from .reps import Representation, dual_representation, intertwiners
 
 
@@ -88,19 +88,29 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
     return DualStructureData.validated(A, S, g)
 
 
+def formula_element(A: FDStarAlgebra, S: AntiAlgebraMap, g: np.ndarray,
+                    E: SeparabilityIdempotent) -> np.ndarray:
+    """z = sum_m S(x_m) g y_m over the separability pairs, so that
+    nu(V) = chi_V(z) for every V."""
+    n = A.dim
+    X = np.array([x for x, _ in E.pairs], dtype=complex).reshape(-1, n).T
+    Y = np.array([y for _, y in E.pairs], dtype=complex).reshape(-1, n).T
+    U = A.right_mult(g) @ S.matrix @ X          # columns S(x_m) g
+    return (U @ Y.T).reshape(-1) @ A.structure.reshape(n * n, n)
+
+
+def _nu_formula(V: Representation, z: np.ndarray) -> tuple[int, complex]:
+    total = V.char_value(z)
+    return _round_indicator(total, V.algebra.tol.eps_round), total
+
+
 def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
                          E: SeparabilityIdempotent) -> tuple[int, complex]:
     """nu(V) = sum_m chi_V(S(x_m) g y_m) over the separability pairs.
 
     Returns (rounded indicator, raw value).
     """
-    A = V.algebra
-    chi = V.character()
-    total = 0.0 + 0.0j
-    for x, y in E.pairs:
-        a = A.mult(A.mult(S.apply(x), g), y)
-        total += chi @ a
-    return _round_indicator(complex(total), A.tol.eps_round), complex(total)
+    return _nu_formula(V, formula_element(V.algebra, S, g, E))
 
 
 def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
@@ -130,10 +140,8 @@ def _antilinear_self_intertwiners(V: Representation,
     d = V.dim
     rho_bar = np.einsum("ji,jab->iab", R.conj_matrix, V.rho)
     eye = np.eye(d)
-    rows = []
-    for i in range(A.dim):
-        rows.append(np.kron(eye, np.conj(V.rho[i]).T) - np.kron(rho_bar[i], eye))
-    ker = nullspace(np.vstack(rows), A.tol)
+    system = kron_system(eye, np.conj(V.rho).transpose(0, 2, 1), rho_bar, eye)
+    ker = nullspace(system, A.tol)
     return [ker[:, j].reshape(d, d) for j in range(ker.shape[1])]
 
 
@@ -255,9 +263,10 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
     """Indicators and classification for each irreducible, with the
     agreement sigma = nu enforced."""
     R = real_form_from_S(A, dual.S)
+    z = formula_element(A, dual.S, dual.g, E)
     rows = []
     for idx, (V, mult) in enumerate(parts):
-        nu_f, raw = fs_indicator_formula(V, dual.S, dual.g, E)
+        nu_f, raw = _nu_formula(V, z)
         nu_t = fs_indicator_trace(V, dual.S, dual.g)
         sig = classify_sigma(V, R)
         endo = endo_real_dimension(V, R)

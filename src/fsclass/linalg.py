@@ -73,6 +73,23 @@ def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def kron_system(a, b, c, d) -> np.ndarray:
+    """The blocks kron(a_i, b_i) - kron(c_i, d_i) stacked over i, one block
+    of rows per i: the linear system of a Sylvester-type identity such as
+    F x_i = y_i F, in the row-major vec(F) coordinates.  Each operand is a
+    stack of matrices indexed by i or a single matrix shared by every i.
+    Entry for entry, the products and the difference are those np.kron
+    gives, so the matrix is the same as the per-i stack built with it.
+    """
+    def kron(x, y):
+        p = x[..., :, None, :, None] * y[..., None, :, None, :]
+        *lead, r, s, t, u = p.shape
+        return p.reshape(*lead, r * s, t * u)
+    out = kron(a, b)
+    out -= kron(c, d)
+    return out.reshape(-1, out.shape[-1])
+
+
 def matrix_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Apply a real function to a Hermitian psd matrix through its

@@ -13,11 +13,15 @@ import scipy.linalg
 from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm
 from .errors import DegenerateSplit, InternalConsistency, NotStarRep
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
-                     make_rng, nullspace, random_complex)
+                     kron_system, make_rng, nullspace, random_complex)
 
 
 class Representation:
-    """Matrices rho(e_i) plus an invariant Hermitian positive gram."""
+    """Matrices rho(e_i) plus an invariant Hermitian positive gram.
+
+    `validated` records whether the axioms have been checked: construction
+    with check=True checks them, check=False leaves that to the caller.
+    """
 
     def __init__(self, algebra: FDStarAlgebra, rho: np.ndarray,
                  gram: np.ndarray | None = None, check: bool = True):
@@ -28,6 +32,7 @@ class Representation:
         if gram is None:
             gram = np.eye(self.dim, dtype=complex)
         self.gram = np.asarray(gram, dtype=complex)
+        self.validated = False
         if check:
             self._validate()
 
@@ -76,6 +81,7 @@ class Representation:
         if np.abs(lhs - rhs).max(initial=0.0) > eps * max(
                 1.0, float(np.abs(H).max(initial=0.0))):
             raise NotStarRep("rho(a)^dagger H != H rho(a*)")
+        self.validated = True
 
 
 def regular_representation(A: FDStarAlgebra) -> Representation:
@@ -102,13 +108,10 @@ def intertwiners(
         rho_v: np.ndarray, rho_w: np.ndarray,
         tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of {F : F rho_v(e_i) = rho_w(e_i) F}, each of shape (dW, dV)."""
-    n, dv = rho_v.shape[0], rho_v.shape[1]
-    dw = rho_w.shape[1]
-    rows = []
-    eye_v, eye_w = np.eye(dv), np.eye(dw)
-    for i in range(n):
-        rows.append(np.kron(eye_w, rho_v[i].T) - np.kron(rho_w[i], eye_v))
-    ker = nullspace(np.vstack(rows), tol)
+    dv, dw = rho_v.shape[1], rho_w.shape[1]
+    system = kron_system(np.eye(dw), rho_v.transpose(0, 2, 1),
+                         rho_w, np.eye(dv))
+    ker = nullspace(system, tol)
     return [ker[:, j].reshape(dw, dv) for j in range(ker.shape[1])]
 
 
@@ -204,8 +207,10 @@ def _split_once(V: Representation, comm: list[np.ndarray],
 def decompose(V: Representation, seed: int = 0,
               max_tries: int = 8) -> list[tuple[Representation, int]]:
     """Full decomposition into pairwise inequivalent irreducibles with
-    multiplicities, sorted by (dimension, character fingerprint)."""
-    V._validate()
+    multiplicities, sorted by (dimension, character fingerprint).  V is
+    validated here unless it already was."""
+    if not V.validated:
+        V._validate()
     tol = V.algebra.tol
     leaves: list[Representation] = []
     stack = [V]

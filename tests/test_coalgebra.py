@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fsclass import (compact_decompose, corep_indicator, cqg_indicator,
-                     decompose, dualize, dualize_co, gamma, group_algebra,
-                     group_weak_hopf, regular_representation)
+                     decompose, drinfeld_double, dualize, dualize_co, gamma,
+                     group_algebra, group_weak_hopf, regular_representation)
 from fsclass.coalgebra import FDStarCoalgebra, phi_module
-from fsclass.errors import BadVarsigma, NotCompact, NotHopf
+from fsclass.errors import BadVarsigma, NotCompact, NotHopf, NotStarRep
 
 from conftest import build_m2, load_group
 
@@ -56,6 +56,25 @@ def test_compact_decompose_rejects_non_compact():
     A = FDStarAlgebra(c, unit, np.eye(3))
     with pytest.raises(NotCompact):
         compact_decompose(dualize(A))
+
+
+def test_compact_decompose_reuses_the_algebra_decomposition():
+    for A in (drinfeld_double(load_group("s3"))[0].algebra,
+              group_algebra(load_group("q8"))[0]):
+        C = dualize(A)
+        fresh = compact_decompose(C, seed=3)
+        given = compact_decompose(
+            C, parts=decompose(regular_representation(A), seed=3))
+        assert len(given.blocks) == len(fresh.blocks)
+        for a, b in zip(given.blocks, fresh.blocks):
+            np.testing.assert_array_equal(a.coeff, b.coeff)
+        np.testing.assert_array_equal(given.E.matrix, fresh.E.matrix)
+    # blocks are still validated against the dual algebra: C[S3] irreps
+    # are no representations of C[Z6]
+    s3, z6 = (group_algebra(load_group(name))[0] for name in ("s3", "z6"))
+    parts = decompose(regular_representation(s3))
+    with pytest.raises(NotStarRep):
+        compact_decompose(dualize(z6), parts=parts)
 
 
 def test_corepresentation_character_pairs_with_counit():

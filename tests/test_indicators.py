@@ -41,6 +41,24 @@ def test_both_indicator_methods_match_classical_sum(name):
         assert abs(raw - expect) < 1e-9
 
 
+def test_formula_element_matches_the_per_pair_sum():
+    """chi_V(z), z built once, against the per-pair loop
+    sum_m chi_V(S(x_m) g y_m) over trace-orthonormal separability pairs."""
+    from fsclass import separability_idempotent
+    M2, S1, S2 = m2_dual_structures()
+    irreps = [V for V, _ in decompose(regular_representation(M2))]
+    d4, d4_dual, _ = group_algebra(load_group("d4"))
+    for A, dual in ((d4, d4_dual), (M2, canonical_g(M2, S1, irreps)),
+                    (M2, canonical_g(M2, S2, irreps))):
+        E = separability_idempotent(A)
+        for V, _ in decompose(regular_representation(A)):
+            loop = sum(V.char_value(A.mult(A.mult(dual.S.apply(x), dual.g), y))
+                       for x, y in E.pairs)
+            nu, raw = fs_indicator_formula(V, dual.S, dual.g, E)
+            assert abs(raw - loop) < 1e-12
+            assert nu == round(loop.real)
+
+
 def test_q8_has_one_quaternionic_irrep():
     _, A, dual, E, parts = pipeline("q8")
     R = real_form_from_S(A, dual.S)

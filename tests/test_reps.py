@@ -134,3 +134,27 @@ def test_complex_star_regression_rebased_q8():
     for (V, _), row in zip(parts, report.rows):
         chi = V.character() @ np.linalg.inv(U)   # chi on the group basis
         assert row.nu_formula == round(classical_oracle(G, chi).real)
+
+
+def test_decompose_validates_an_unchecked_input():
+    A, _, _ = group_algebra(load_group("s3"))
+    rho = regular_representation(A).rho.copy()
+    rho[1, 0, 0] += 0.5
+    V = Representation(A, rho, check=False)
+    assert not V.validated
+    with pytest.raises(NotStarRep):
+        decompose(V)
+
+
+def test_decompose_does_not_revalidate_a_checked_input(monkeypatch):
+    calls = []
+    validate = Representation._validate
+
+    def counted(self):
+        calls.append(self.dim)
+        validate(self)
+    monkeypatch.setattr(Representation, "_validate", counted)
+    A, _, _ = group_algebra(load_group("s3"))
+    parts = decompose(regular_representation(A))
+    assert calls == [6]
+    assert sorted(V.dim for V, _ in parts) == [1, 1, 2]

@@ -8,7 +8,8 @@ the same message, so the same reported (i, j) or e{i}.
 import numpy as np
 import pytest
 
-from fsclass import FDStarAlgebra, group_algebra, group_weak_hopf
+from fsclass import (FDStarAlgebra, drinfeld_double, group_algebra,
+                     group_weak_hopf)
 from fsclass.algebra import (AntiAlgebraMap, SeparabilityIdempotent,
                              real_form_from_conjugation)
 from fsclass.constructors import WeakHopfData
@@ -198,13 +199,62 @@ def test_separability_verify_reports_the_loop_index():
                     SeparabilityIdempotent(A, pairs).verify)
 
 
+def _rebased_hopf(W, P):
+    """The Hopf data of W on the basis f_j = sum_i P[i, j] e_i."""
+    Pinv = np.linalg.inv(P)
+    n, A = W.dim, W.algebra
+    c = np.einsum("ia,jb,ijk,ck->abc", P, P, A.structure, Pinv, optimize=True)
+    B = FDStarAlgebra(c, Pinv @ A.unit, Pinv @ A.star_matrix @ np.conj(P))
+    Dt = np.einsum("ia,ijk,bj,ck->abc", P, W.delta_tensor(), Pinv, Pinv,
+                   optimize=True)
+    S = AntiAlgebraMap.validated(B, Pinv @ W.S.matrix @ P)
+    return B, Dt.reshape(n, n * n).T, P.T @ W.counit, S
+
+
+def _transported_delta(W, p, q, t):
+    """(T (x) T) Delta T^-1 for T = 1 + t E_pq with counit[p] = 0: still
+    coassociative and counital, but T is no algebra map."""
+    n = W.dim
+    T = np.eye(n, dtype=complex)
+    T[p, q] += t
+    return np.kron(T, T) @ W.Delta @ np.linalg.inv(T)
+
+
+def _check_weak_hopf(W, Delta, counit=None, A=None, S=None):
+    A = W.algebra if A is None else A
+    counit = W.counit if counit is None else counit
+    S = W.S if S is None else S
+    assert_same(AxiomViolation, loop_weak_hopf(A, Delta, counit),
+                WeakHopfData, A, Delta, counit, S)
+
+
 def test_weak_hopf_reports_the_loop_check():
     W, _ = group_weak_hopf(load_group("s3"))
     for pos in _positions(W.Delta.shape, 6, seed=4):
         Delta = W.Delta.copy()
         Delta[pos] += 0.5
-        assert_same(AxiomViolation, loop_weak_hopf(W.algebra, Delta, W.counit),
-                    WeakHopfData, W.algebra, Delta, W.counit, W.S)
+        _check_weak_hopf(W, Delta)
+    # D(S3): Delta is not group-like, and dim 36 leaves most of c and Delta 0
+    D, _ = drinfeld_double(load_group("s3"))
+    for pos in _positions(D.Delta.shape, 6, seed=5):
+        Delta = D.Delta.copy()
+        Delta[pos] += 0.5
+        _check_weak_hopf(D, Delta)
+    p = int(np.flatnonzero(D.counit == 0)[0])
+    Delta = _transported_delta(D, p, p + 1, 0.5)
+    expected = loop_weak_hopf(D.algebra, Delta, D.counit)
+    assert expected == "comultiplication is not multiplicative"
+    _check_weak_hopf(D, Delta)
+    # C[S3] on a seeded real orthogonal basis: c and Delta are dense
+    Q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
+    B, Delta, counit, S = _rebased_hopf(W, Q)
+    assert np.count_nonzero(Delta) > Delta.size // 2
+    assert loop_weak_hopf(B, Delta, counit) is None
+    WeakHopfData(B, Delta, counit, S)
+    for pos in _positions(Delta.shape, 6, seed=7):
+        bad = Delta.copy()
+        bad[pos] += 0.5
+        _check_weak_hopf(W, bad, counit, B, S)
     # matrix coalgebra on M2: coassociative and counital, not multiplicative
     A, _, _ = m2_dual_structures()
     Delta = np.zeros((16, 4), dtype=complex)
@@ -218,3 +268,12 @@ def test_weak_hopf_reports_the_loop_check():
     assert expected == "comultiplication is not multiplicative"
     assert_same(AxiomViolation, expected,
                 WeakHopfData, A, Delta, counit, transpose)
+
+
+def test_weak_hopf_support_checks_catch_one_entry_at_dim_64():
+    W, _ = drinfeld_double(load_group("q8"))
+    assert W.dim == 64
+    Delta = W.Delta.copy()
+    Delta[_positions(Delta.shape, 1, seed=8)[0]] += 1e-3
+    with pytest.raises(AxiomViolation):
+        WeakHopfData(W.algebra, Delta, W.counit, W.S)
