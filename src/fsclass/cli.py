@@ -141,6 +141,10 @@ def _cmd_verify(args, built) -> str:
 def _parts(args, built):
     if "parts" in built:
         return built["parts"]
+    if built["A"] is None:
+        raise SchemaError("this kind carries no algebra to decompose; "
+                          "use kinds group, scheme, groupoid, double or "
+                          "algebra")
     return decompose(regular_representation(built["A"]), seed=args.seed)
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import AntiAlgebraMap, DualStructureData, FDStarAlgebra
+from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
+                      associator_residual)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
                      NonUniqueHaar, NotInvolution)
 from .linalg import DEFAULT_TOL, Tolerance, nullspace
@@ -389,28 +390,20 @@ def _regroup(m: sp.csr_array, n: int, order: tuple[int, int, int, int]
     return sp.csr_array((m.data, (a * n + b, c * n + d)), shape=(n * n, n * n))
 
 
-def _support_associator(c: np.ndarray) -> sp.csr_array:
-    """The associator (e_i e_j) e_k - e_i (e_j e_k) of the structure tensor
-    c as a sparse [(i, j), (k, l)] matrix, from two sparse products over
-    the support of c."""
-    n = c.shape[0]
-    flat = _sparse(c, 2)
-    # sum_m c[j,k,m] c[i,m,l], computed in (j, k, i, l) order
-    right = _regroup(flat @ _sparse(c.transpose(1, 0, 2), 1), n, (2, 0, 1, 3))
-    return flat @ _sparse(c, 1) - right
-
-
 @dataclass
 class WeakHopfData:
     """A *-algebra with comultiplication, counit and antipode.  Delta is
     stored as an n^2 x n matrix whose column i is vec(Delta(e_i)) with
     tensor index (j, k) flattened to j*n + k.
 
-    Coassociativity and multiplicativity are checked with sparse products
-    over the support of the structure tensor c and of Delta, so their cost
-    scales with nnz(c) and nnz(Delta), not with n^6.  Both sides of each
-    identity vanish off that support, so the largest stored residual is the
-    dense one.
+    Construction validates coassociativity, the counit laws and
+    multiplicativity of Delta.  Coassociativity is associativity of the dual
+    product Delta.reshape(n, n, n), checked by `associator_residual` (on the
+    index table when that product is monomial, as for groups, groupoids and
+    doubles).  Multiplicativity is checked with sparse products over the
+    support of the structure tensor c and of Delta, so its cost scales with
+    nnz(c) and nnz(Delta), not with n^6; both sides of that identity vanish
+    off the support, so the largest stored residual is the dense one.
     """
 
     algebra: FDStarAlgebra
@@ -439,8 +432,7 @@ class WeakHopfData:
         eps = A.tol.eps_eig * max(1, n)
         Dt = self.delta_tensor()
         # coassociative iff the dual (convolution) product is associative
-        coassoc = _support_associator(self.Delta.reshape(n, n, n))
-        if np.abs(coassoc.data).max(initial=0.0) > eps:
+        if associator_residual(self.Delta.reshape(n, n, n))[0] > eps:
             raise AxiomViolation("comultiplication is not coassociative")
         eye = np.eye(n)
         left = np.einsum("j,ijk->ik", self.counit, Dt)

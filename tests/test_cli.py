@@ -107,3 +107,33 @@ def test_output_flag_and_determinism(tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_irreps_of_a_coalgebra_exits_2(capsys):
+    code, out, err = run(capsys, "irreps", data_path("m2_coalgebra.json"),
+                         "--kind", "coalgebra")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+CONTRACT_INPUTS = [("z3.json", "group"), ("z3.json", "double"),
+                   ("c5_scheme.json", "scheme"),
+                   ("pair2_groupoid.json", "groupoid"),
+                   ("m2_algebra.json", "algebra"),
+                   ("m2_coalgebra.json", "coalgebra")]
+
+
+def test_every_command_and_kind_keeps_the_exit_code_contract(capsys):
+    """Exit 0, 2 or 3, never an exception; a failure prints one JSON
+    object with error and message to stderr."""
+    for name, kind in CONTRACT_INPUTS:
+        for command in ("verify", "irreps", "indicators", "classify",
+                        "duality"):
+            code, _, err = run(capsys, command, data_path(name),
+                               "--kind", kind)
+            assert code in (0, 2, 3), (command, kind)
+            if code:
+                msg = json.loads(err)
+                assert isinstance(msg, dict)
+                assert set(msg) == {"error", "message"}, (command, kind)

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fsclass import (FDStarAlgebra, decompose, full_report, group_algebra,
-                     intertwiners, regular_representation,
+from fsclass import (FDStarAlgebra, decompose, drinfeld_double, full_report,
+                     group_algebra, intertwiners, regular_representation,
                      separability_idempotent)
-from fsclass.algebra import AntiAlgebraMap, DualStructureData
+from fsclass.algebra import AntiAlgebraMap, DualStructureData, check_cstar
 from fsclass.errors import NotStarRep
+from fsclass.linalg import Tolerance
 from fsclass.reps import (Representation, conjugate_representation,
                           dual_representation, restrict)
 
@@ -158,3 +161,68 @@ def test_decompose_does_not_revalidate_a_checked_input(monkeypatch):
     parts = decompose(regular_representation(A))
     assert calls == [6]
     assert sorted(V.dim for V, _ in parts) == [1, 1, 2]
+
+
+def _left_mult_stack(A):
+    return np.stack([A.left_mult(A.basis_element(i)) for i in range(A.dim)])
+
+
+def test_regular_representation_is_the_left_mult_stack():
+    _, _, B, _ = _rebased_q8(seed=5)
+    for A in (group_algebra(load_group("s3"))[0],
+              drinfeld_double(load_group("s3"))[0].algebra, build_m2(), B):
+        assert np.array_equal(regular_representation(A).rho,
+                              _left_mult_stack(A))
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except NotStarRep as exc:
+        return str(exc)
+    return None
+
+
+def test_regular_representation_rejects_what_the_loose_algebra_accepts():
+    """C[S3] with one entry of c added to or scaled, built with a loose
+    eps_rank so that the algebra accepts it: the regular representation
+    must reject it as the per-pair homomorphism check does."""
+    A = group_algebra(load_group("s3"))[0]
+    loose = Tolerance(eps_rank=0.1)
+    rng = np.random.default_rng(11)
+    nz = np.argwhere(A.structure != 0)
+    hom = "rho(e_i e_j) != rho(e_i) rho(e_j)"
+    seen = []
+    for t in range(12):
+        c = A.structure.copy()
+        if t % 2 == 0:
+            c[tuple(rng.integers(0, A.dim, 3))] += 0.5
+        else:
+            c[tuple(nz[rng.integers(len(nz))])] *= 1.5
+        B = FDStarAlgebra(c, A.unit, A.star_matrix, loose)
+        assert B.associativity_residual > 0.1
+
+        def reference():
+            G, ok = check_cstar(B)
+            if not ok:
+                raise NotStarRep(
+                    "regular representation is not a *-representation: "
+                    "trace form is not positive definite")
+            Representation(B, _left_mult_stack(B), G)
+        expected = _outcome(reference)
+        assert expected is not None
+        assert _outcome(lambda: regular_representation(B)) == expected
+        if expected == hom:
+            seen.append(t % 2)
+    assert sorted(set(seen)) == [0, 1]
+
+
+def test_regular_representation_of_a_double_stays_small():
+    tracemalloc.start()
+    try:
+        W, _ = drinfeld_double(load_group("q8"))
+        regular_representation(W.algebra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

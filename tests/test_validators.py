@@ -3,21 +3,26 @@
 Each reference below is the earlier per-basis-pair loop (or einsum) form
 of one check, returning the message it raised first.  For one corrupted
 entry of each input, the validator must raise the same exception type with
-the same message, so the same reported (i, j) or e{i}.
+the same message, so the same reported (i, j) or e{i}.  The associativity
+kernel is also compared with the dense associator, on monomial inputs
+(index-table path) and on dense ones.
 """
 import numpy as np
 import pytest
 
-from fsclass import (FDStarAlgebra, drinfeld_double, group_algebra,
-                     group_weak_hopf)
+from fsclass import (FDStarAlgebra, GroupoidData, drinfeld_double,
+                     group_algebra, group_weak_hopf, groupoid_weak_hopf,
+                     scheme_from_matrices, table_algebra)
+from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, SeparabilityIdempotent,
+                             associator, associator_residual,
                              real_form_from_conjugation)
 from fsclass.constructors import WeakHopfData
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadStar,
                             NotAntiMap, NotAssociative)
 from fsclass.linalg import DEFAULT_TOL as TOL
 
-from conftest import build_m2, load_group, m2_dual_structures
+from conftest import build_m2, data_path, load_group, m2_dual_structures
 
 
 def _mult(c, x, y):
@@ -277,3 +282,87 @@ def test_weak_hopf_support_checks_catch_one_entry_at_dim_64():
     Delta[_positions(Delta.shape, 1, seed=8)[0]] += 1e-3
     with pytest.raises(AxiomViolation):
         WeakHopfData(W.algebra, Delta, W.counit, W.S)
+
+
+def dense_residual(c):
+    """The dense associator's max |entry| and its first (i, j, k)."""
+    a = np.abs(associator(c))
+    i, j, k, _ = np.unravel_index(a.argmax(), a.shape)
+    return float(a.max()), (int(i), int(j), int(k))
+
+
+def is_monomial(c):
+    return bool((np.count_nonzero(c, axis=2) <= 1).all())
+
+
+def _monomial_inputs():
+    """name -> (algebra, Delta reshaped to n x n x n) of monomial inputs."""
+    W, _ = group_weak_hopf(load_group("s3"))
+    D, _ = drinfeld_double(load_group("s3"))
+    d = fio.load_groupoid_v1(data_path("pair3_groupoid.json"))
+    P, _ = groupoid_weak_hopf(
+        GroupoidData.validated(d["objects"], d["arrows"], d["compose"]))
+    co = fio.load_coalgebra_v1(data_path("m2_coalgebra.json"))
+    out = {}
+    for name, A, Delta in (("C[S3]", W.algebra, W.Delta),
+                           ("D(S3)", D.algebra, D.Delta),
+                           ("pair3", P.algebra, P.Delta),
+                           ("M2", build_m2(), co["Delta"])):
+        n = A.dim
+        out[name] = (A, np.asarray(Delta, dtype=complex).reshape(n, n, n))
+    return out
+
+
+def test_associator_residual_matches_dense_on_clean_tensors():
+    for name, (A, dual) in _monomial_inputs().items():
+        for c in (A.structure, dual):
+            assert is_monomial(c), name
+            assert associator_residual(c) == dense_residual(c), name
+
+
+def _monomial_corruptions(c, count, seed):
+    """One nonzero of c scaled by 1.5, multiplied by 1j or moved to
+    another k, at seeded positions; each result is still monomial."""
+    rng = np.random.default_rng(seed)
+    nz = np.argwhere(c != 0)
+    n = c.shape[0]
+    for t in range(count):
+        i, j, k = nz[rng.integers(len(nz))]
+        bad = c.copy()
+        if t % 3 == 0:
+            bad[i, j, k] *= 1.5
+        elif t % 3 == 1:
+            bad[i, j, k] *= 1j
+        else:
+            bad[i, j, (k + 1 + rng.integers(n - 1)) % n] = bad[i, j, k]
+            bad[i, j, k] = 0
+        assert is_monomial(bad)
+        yield bad
+
+
+def test_associator_residual_on_monomial_corruptions():
+    inputs = _monomial_inputs()
+    # the loop reference is n^5: three corruptions of the dim-36 D(S3)
+    for name, count in (("C[S3]", 6), ("pair3", 6), ("M2", 6), ("D(S3)", 3)):
+        A = inputs[name][0]
+        for bad in _monomial_corruptions(A.structure, count, seed=9):
+            assert associator_residual(bad) == dense_residual(bad), name
+            assert_same(NotAssociative, loop_assoc(bad),
+                        FDStarAlgebra, bad, A.unit, A.star_matrix)
+
+
+def test_associator_residual_on_dense_inputs():
+    A = group_algebra(load_group("q8"))[0]
+    rng = np.random.default_rng(10)
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    U = np.linalg.qr(z)[0]
+    rebased = np.einsum("ia,jb,ijk,ck->abc", U, U, A.structure,
+                        np.linalg.inv(U), optimize=True)
+    mats = fio.load_scheme_v1(data_path("petersen_scheme.json"))["matrices"]
+    petersen = table_algebra(scheme_from_matrices(mats))[0].structure
+    for c in (rebased, petersen):
+        assert not is_monomial(c)
+        bad = c.copy()
+        bad[1, 2, 0] += 0.5
+        for t in (c, bad):
+            assert associator_residual(t) == dense_residual(t)
