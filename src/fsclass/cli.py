@@ -48,9 +48,9 @@ def _derive_scheme_star(p: np.ndarray) -> np.ndarray:
     return star
 
 
-def _build(kind: str, path: str, tol: Tolerance) -> dict:
+def _build(kind: str, path: str, tol: Tolerance, seed: int) -> dict:
     """Builds whatever the kind supports: algebra A, dual structure, weak
-    Hopf data W, coalgebra C."""
+    Hopf data W, coalgebra C.  A scheme is decomposed here, with seed."""
     out = {"A": None, "dual": None, "W": None, "C": None, "checks": []}
     ck = out["checks"]
     if kind == "group":
@@ -71,7 +71,7 @@ def _build(kind: str, path: str, tol: Tolerance) -> dict:
             ck.append("table algebra axioms")
         A, S, _, _ = table_algebra(T, tol)
         ck += ["algebra axioms", "star axioms", "central element v"]
-        parts = decompose(regular_representation(A))
+        parts = decompose(regular_representation(A), seed=seed)
         out["A"] = A
         out["dual"] = canonical_g(A, S, [V for V, _ in parts])
         out["parts"] = parts
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         tol = _tolerance(args)
-        built = _build(args.kind, args.input, tol)
+        built = _build(args.kind, args.input, tol, args.seed)
         text = COMMANDS[args.command](args, built)
     except AgreementFailure as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},

@@ -90,11 +90,10 @@ class Corepresentation:
     c_{ij}, with Delta(c_ij) = sum_k c_ik (x) c_kj and eps(c_ij) = d_ij."""
 
     def __init__(self, C: FDStarCoalgebra, coeff: np.ndarray,
-                 gram: np.ndarray | None = None, check: bool = True):
+                 check: bool = True):
         self.coalgebra = C
         self.coeff = np.asarray(coeff, dtype=complex)
         self.dim = self.coeff.shape[0]
-        self.gram = gram
         if check:
             self._validate()
 

@@ -22,7 +22,7 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension)
-from .linalg import dagger, fixed_space_of_antilinear, kron_system, nullspace
+from .linalg import dagger, fixed_space_of_antilinear
 from .reps import Representation, dual_representation, intertwiners
 
 
@@ -136,13 +136,8 @@ def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
 def _antilinear_self_intertwiners(V: Representation,
                                   R: RealForm) -> list[np.ndarray]:
     """Basis of {F : F conj(rho(a)) = rho(abar) F for all a}."""
-    A = V.algebra
-    d = V.dim
     rho_bar = np.einsum("ji,jab->iab", R.conj_matrix, V.rho)
-    eye = np.eye(d)
-    system = kron_system(eye, np.conj(V.rho).transpose(0, 2, 1), rho_bar, eye)
-    ker = nullspace(system, A.tol)
-    return [ker[:, j].reshape(d, d) for j in range(ker.shape[1])]
+    return intertwiners(np.conj(V.rho), rho_bar, V.algebra.tol)
 
 
 @dataclass

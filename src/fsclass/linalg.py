@@ -58,19 +58,23 @@ def is_hermitian(a: np.ndarray, eps: float) -> bool:
 def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of ker(m), as the columns of the returned matrix.
 
-    Singular values at most eps_rank times max(1, largest) are treated as
-    zero; the absolute floor keeps numerically-zero matrices from reading
-    as full rank.  The zero and empty matrices are handled.  When m has at
-    least as many rows as columns the thin SVD is used: its right factor is
-    still square, and the unused left factor shrinks to rows x columns.
+    The rank is `svd_rank` of the singular values.  The zero and empty
+    matrices are handled.  When m has at least as many rows as columns the
+    thin SVD is used: its right factor is still square, and the unused left
+    factor shrinks to rows x columns.
     """
     m = np.asarray(m, dtype=complex)
     if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
         return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    cutoff = tol.eps_rank * max(1.0, s[0])
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    return vh[svd_rank(s, tol):].conj().T
+
+
+def svd_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Numerical rank from non-empty descending singular values s: the
+    number above eps_rank times max(1, largest).  The absolute floor keeps
+    a numerically-zero matrix from reading as full rank."""
+    return int(np.sum(s > tol.eps_rank * max(1.0, s[0])))
 
 
 def kron_system(a, b, c, d) -> np.ndarray:

@@ -13,7 +13,8 @@ import scipy.linalg
 from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm
 from .errors import DegenerateSplit, InternalConsistency, NotStarRep
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
-                     kron_system, make_rng, nullspace, random_complex)
+                     kron_system, make_rng, nullspace, random_complex,
+                     svd_rank)
 
 
 class Representation:
@@ -88,6 +89,12 @@ class Representation:
                ).reshape(n, n, d, d)
         return float(np.abs(prod - via).max(initial=0.0))
 
+    def commutant(self) -> np.ndarray:
+        """Basis of End_A(V) = {M : M rho(e_i) = rho(e_i) M}, as a (k, d, d)
+        stack, solved from the full intertwiner system.  Subclasses that
+        know it in closed form override this."""
+        return np.array(intertwiners(self.rho, self.rho, self.algebra.tol))
+
 
 class RegularRepresentation(Representation):
     """Left regular representation rho(e_i) = L(e_i), with the regular
@@ -101,6 +108,10 @@ class RegularRepresentation(Representation):
 
     def _hom_residual(self) -> float:
         return self.algebra.associativity_residual
+
+    def commutant(self) -> np.ndarray:
+        """End_A(A) is right multiplication: R(e_j)[k, i] = c[i, j, k]."""
+        return self.algebra.structure.transpose(1, 2, 0)
 
 
 def regular_representation(A: FDStarAlgebra) -> RegularRepresentation:
@@ -133,83 +144,21 @@ def intertwiners(
     return [ker[:, j].reshape(dw, dv) for j in range(ker.shape[1])]
 
 
-def _commutant_basis(V: Representation) -> list[np.ndarray]:
-    """Basis of End_A(V) = {M : M rho(e_i) = rho(e_i) M}.
+def _split_once(V: Representation, comm: np.ndarray,
+                rng) -> list[tuple[Representation, np.ndarray]] | None:
+    """One eigen-split of V by a random gram-Hermitian element of its
+    commutant comm, a (k, d, d) stack spanning End_A(V).
 
-    For large algebras the full stacked system is expensive, so we first
-    try the commutant of a few random algebra elements and certify each
-    candidate against the whole basis, falling back to the full system.
+    Returns (piece, commutant of the piece) pairs, each piece a
+    gram-identity subrepresentation on the H-orthonormal basis B of an
+    eigenvalue cluster, or None when the chosen element fails to separate
+    (caller retries with a fresh element).  The H-orthogonal projection
+    B P, P = B^dagger H, onto a piece lies in End_A(V), so the piece's
+    commutant is P End_A(V) B: the span of P comm B, orthonormalised with
+    the rank rule of `nullspace`.
     """
-    A, d = V.algebra, V.dim
-    tol = A.tol
-    scale = max(1.0, float(np.abs(V.rho).max(initial=0.0)))
-    eps = tol.eps_eig * scale * max(1, d)
-
-    def certify(mats: list[np.ndarray]) -> bool:
-        for M in mats:
-            resid = M @ V.rho - V.rho @ M
-            if np.abs(resid).max(initial=0.0) > eps * (1 + np.abs(M).max()):
-                return False
-        return True
-
-    rng = make_rng(20260826)
-    for _ in range(3):
-        g1 = V.apply(random_complex(rng, (A.dim,)))
-        g2 = V.apply(random_complex(rng, (A.dim,)))
-        try:
-            mats = _commutant_of_pair(g1, g2, tol)
-        except np.linalg.LinAlgError:
-            continue
-        if certify(mats):
-            return mats
-    return intertwiners(V.rho, V.rho, tol)
-
-
-def _commutant_of_pair(g1: np.ndarray, g2: np.ndarray,
-                       tol: Tolerance) -> list[np.ndarray]:
-    """Joint commutant of two matrices.
-
-    Anything commuting with g1 preserves its eigenspaces, so the commutant
-    of g1 alone is spanned by P E_pq P^{-1} over within-cluster index pairs;
-    commutation with g2 is then a small linear system on those parameters.
-    """
-    d = g1.shape[0]
-    w, P = np.linalg.eig(g1)
-    Pinv = np.linalg.inv(P)
-    order = np.argsort(w.real + 1e-3 * w.imag)
-    clusters = []
-    cur = [order[0]]
-    eps_w = tol.eps_eig * 100 * (1 + np.abs(w).max())
-    for a, b in zip(order, order[1:]):
-        if abs(w[b] - w[a]) <= eps_w:
-            cur.append(b)
-        else:
-            clusters.append(cur)
-            cur = [b]
-    clusters.append(cur)
-    params = []
-    for idx in clusters:
-        for p in idx:
-            for q in idx:
-                params.append(np.outer(P[:, p], Pinv[q, :]))
-    cols = np.stack([(M @ g2 - g2 @ M).reshape(-1) for M in params], axis=1)
-    scale = max(1.0, float(np.abs(cols).max(initial=0.0)))
-    ker = nullspace(cols / scale, tol)
-    stack = np.stack(params)
-    return [np.tensordot(ker[:, j], stack, axes=(0, 0))
-            for j in range(ker.shape[1])]
-
-
-def _split_once(V: Representation, comm: list[np.ndarray],
-                rng) -> list[Representation] | None:
-    """One eigen-split of V by a random Hermitian element of its commutant.
-
-    Returns gram-identity subrepresentations, or None when the chosen
-    element fails to separate (caller retries with a fresh element).
-    """
-    A, d, H = V.algebra, V.dim, V.gram
-    coeffs = rng.standard_normal(len(comm))
-    M = sum(c * T for c, T in zip(coeffs, comm))
+    A, H = V.algebra, V.gram
+    M = np.tensordot(random_complex(rng, len(comm)), comm, axes=(0, 0))
     Hinv = np.linalg.inv(H)
     M = (M + Hinv @ dagger(M) @ H) / 2.0  # gram-Hermitian
     vals, vecs = scipy.linalg.eigh(H @ M, H)  # vecs are H-orthonormal
@@ -218,7 +167,12 @@ def _split_once(V: Representation, comm: list[np.ndarray],
         return None
     out = []
     for idx in clusters:
-        out.append(restrict(V, vecs[:, idx]))
+        B = vecs[:, idx]
+        P = dagger(B) @ H
+        flat = (P @ comm @ B).reshape(len(comm), -1)
+        u, s, _ = np.linalg.svd(flat.T, full_matrices=False)
+        k = svd_rank(s, A.tol)
+        out.append((restrict(V, B), u[:, :k].T.reshape(k, len(idx), len(idx))))
     return out
 
 
@@ -226,17 +180,22 @@ def decompose(V: Representation, seed: int = 0,
               max_tries: int = 8) -> list[tuple[Representation, int]]:
     """Full decomposition into pairwise inequivalent irreducibles with
     multiplicities, sorted by (dimension, character fingerprint).  V is
-    validated here unless it already was."""
+    validated here unless it already was.
+
+    The commutant is taken once, from `V.commutant()`.  A piece whose
+    commutant is one-dimensional is irreducible; any other is split by
+    `_split_once` (at most max_tries seeded draws), and its parts get
+    their commutants by compression, not by a new solve.
+    """
     if not V.validated:
         V._validate()
     tol = V.algebra.tol
     leaves: list[Representation] = []
-    stack = [V]
+    stack = [(V, V.commutant())]
     while stack:
-        W = stack.pop()
+        W, comm = stack.pop()
         if W.dim == 0:
             continue
-        comm = _commutant_basis(W)
         if len(comm) == 1:
             leaves.append(W)
             continue

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+import fsclass.cli
 from fsclass.cli import main
 
 from conftest import data_path
@@ -82,7 +83,8 @@ def test_groupoid_and_double_kinds(capsys):
 
 def test_broken_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad_group.json"
-    doc = json.load(open(data_path("z2.json")))
+    with open(data_path("z2.json")) as fh:
+        doc = json.load(fh)
     doc["table"] = [[0, 0], [1, 1]]
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(bad), "--kind", "group")
@@ -137,3 +139,17 @@ def test_every_command_and_kind_keeps_the_exit_code_contract(capsys):
                 msg = json.loads(err)
                 assert isinstance(msg, dict)
                 assert set(msg) == {"error", "message"}, (command, kind)
+
+
+def test_scheme_decomposes_with_the_command_seed(capsys, monkeypatch):
+    seeds = []
+    decompose = fsclass.cli.decompose
+
+    def recorded(V, seed=0, **kw):
+        seeds.append(seed)
+        return decompose(V, seed=seed, **kw)
+    monkeypatch.setattr(fsclass.cli, "decompose", recorded)
+    code, _, _ = run(capsys, "irreps", data_path("petersen_scheme.json"),
+                     "--kind", "scheme", "--seed", "5")
+    assert code == 0
+    assert seeds == [5]

@@ -5,14 +5,17 @@ import pytest
 
 from fsclass import (FDStarAlgebra, decompose, drinfeld_double, full_report,
                      group_algebra, intertwiners, regular_representation,
-                     separability_idempotent)
+                     scheme_from_matrices, separability_idempotent,
+                     table_algebra)
+from fsclass import io as fio
+from fsclass import reps
 from fsclass.algebra import AntiAlgebraMap, DualStructureData, check_cstar
 from fsclass.errors import NotStarRep
-from fsclass.linalg import Tolerance
+from fsclass.linalg import Tolerance, nullspace
 from fsclass.reps import (Representation, conjugate_representation,
                           dual_representation, restrict)
 
-from conftest import (build_m2, classical_oracle, load_group,
+from conftest import (build_m2, classical_oracle, data_path, load_group,
                       m2_dual_structures)
 
 
@@ -55,13 +58,19 @@ def test_decompose_m2_single_irrep():
     assert V.dim == 2 and mult == 2
 
 
+def _petersen():
+    mats = fio.load_scheme_v1(data_path("petersen_scheme.json"))["matrices"]
+    return table_algebra(scheme_from_matrices(mats))[0]
+
+
 def test_decompose_is_seed_independent():
-    A, _, _ = group_algebra(load_group("q8"))
-    fps = []
-    for seed in range(3):
-        parts = decompose(regular_representation(A), seed=seed)
-        fps.append(tuple(p.fingerprint() for p, _ in parts))
-    assert fps[0] == fps[1] == fps[2]
+    for A in (group_algebra(load_group("q8"))[0],
+              drinfeld_double(load_group("s3"))[0].algebra, _petersen()):
+        fps = []
+        for seed in range(3):
+            parts = decompose(regular_representation(A), seed=seed)
+            fps.append(tuple((p.fingerprint(), m) for p, m in parts))
+        assert fps[0] == fps[1] == fps[2]
 
 
 def test_irreducible_leaves_have_trivial_self_hom():
@@ -113,6 +122,13 @@ def test_conjugate_representation_matches_dual_through_riesz():
         assert np.allclose(T @ J.rho[i], D.rho[i] @ T, atol=1e-9)
 
 
+def _rebase(A, U):
+    """A on the basis f_j = sum_i U[i, j] e_i."""
+    Uinv = np.linalg.inv(U)
+    c = np.einsum("ia,jb,ijk,ck->abc", U, U, A.structure, Uinv, optimize=True)
+    return FDStarAlgebra(c, Uinv @ A.unit, Uinv @ A.star_matrix @ np.conj(U))
+
+
 def _rebased_q8(seed):
     """C[Q8] on the basis f_j = sum_i U[i, j] e_g_i for a seeded random
     complex unitary U: the star matrix gets non-real entries."""
@@ -122,8 +138,7 @@ def _rebased_q8(seed):
     z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     U, _ = np.linalg.qr(z)
     Uinv = np.linalg.inv(U)
-    c = np.einsum("ia,jb,ijk,ck->abc", U, U, A.structure, Uinv, optimize=True)
-    B = FDStarAlgebra(c, Uinv @ A.unit, Uinv @ A.star_matrix @ np.conj(U))
+    B = _rebase(A, U)
     S = AntiAlgebraMap.validated(B, Uinv @ dual.S.matrix @ U)
     return G, U, B, DualStructureData.validated(B, S, Uinv @ dual.g)
 
@@ -226,3 +241,92 @@ def test_regular_representation_of_a_double_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def _commutant_inputs():
+    s3 = group_algebra(load_group("s3"))[0]
+    skew = np.eye(6) + 0.3 * np.random.default_rng(7).standard_normal((6, 6))
+    return {"s3": s3, "s3_skewed": _rebase(s3, skew),
+            "double_s3": drinfeld_double(load_group("s3"))[0].algebra,
+            "m2": build_m2(), "q8_rebased": _rebased_q8(seed=5)[2],
+            "petersen": _petersen()}
+
+
+def test_regular_commutant_is_right_multiplication():
+    for name, A in _commutant_inputs().items():
+        V = regular_representation(A)
+        comm = V.commutant()
+        scale = np.abs(V.rho).max() * np.abs(comm).max()
+        for M in comm:
+            assert np.abs(M @ V.rho - V.rho @ M).max() < 1e-12 * scale, name
+        s = np.linalg.svd(comm.reshape(A.dim, -1), compute_uv=False)
+        assert s[-1] > 1e-6 * s[0], name
+
+
+def _center(A):
+    """Basis of the centre: x with sum_i x_i (c[i, j] - c[j, i]) = 0."""
+    c = A.structure
+    system = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0)
+    return nullspace(system.reshape(A.dim ** 2, A.dim))
+
+
+def test_compressed_commutants_match_the_solved_ones(monkeypatch):
+    """The first split of the regular representation is by a random
+    central element, so its pieces are isotypic with commutants M_d; each
+    piece of every split gets P End_A(V) B, which must be an orthonormal
+    basis of the commutant solved from scratch.  C[S3] on a skewed basis
+    has a non-scalar gram, so P = B^dagger H differs from B^dagger."""
+    split, draw = reps._split_once, reps.random_complex
+    seen = []
+
+    def checked(V, comm, rng):
+        parts = split(V, comm, rng)
+        for W, c in parts or []:
+            solved = intertwiners(W.rho, W.rho, W.algebra.tol)
+            assert len(c) == len(solved)
+            flat = c.reshape(len(c), -1)
+            assert np.allclose(flat.conj() @ flat.T, np.eye(len(c)),
+                               atol=1e-10)
+            assert np.abs(c @ W.rho[:, None] - W.rho[:, None] @ c
+                          ).max() < 1e-9
+            seen.append(len(c))
+        return parts
+    monkeypatch.setattr(reps, "_split_once", checked)
+    inputs = _commutant_inputs()
+    H = regular_representation(inputs["s3_skewed"]).gram
+    assert np.abs(H - H[0, 0] * np.eye(6)).max() > 0.1
+    for name in ("s3", "s3_skewed", "double_s3", "q8_rebased"):
+        A = inputs[name]
+        Z = _center(A)
+        assert 1 < Z.shape[1] < A.dim
+        first = [True]
+
+        def first_central(rng, shape):
+            if first:
+                first.pop()
+                return Z @ draw(rng, Z.shape[1])
+            return draw(rng, shape)
+        monkeypatch.setattr(reps, "random_complex", first_central)
+        parts = decompose(regular_representation(A))
+        assert sum(V.dim * m for V, m in parts) == A.dim
+        assert all(m == V.dim for V, m in parts)
+    assert {1, 4, 9} <= set(seen)
+
+
+def test_decompose_a_non_regular_representation():
+    """C[S3] regular (+) its 2-dim irreducible, with a block-diagonal gram:
+    the default commutant is solved, and the 2-dim irreducible appears
+    three times."""
+    A = group_algebra(load_group("s3"))[0]
+    R = regular_representation(A)
+    X = next(V for V, _ in decompose(R) if V.dim == 2)
+    rho = np.zeros((A.dim, 8, 8), dtype=complex)
+    rho[:, :6, :6], rho[:, 6:, 6:] = R.rho, X.rho
+    gram = np.zeros((8, 8), dtype=complex)
+    gram[:6, :6], gram[6:, 6:] = R.gram, X.gram
+    V = Representation(A, rho, gram)
+    assert len(V.commutant()) == 1 + 1 + 3 * 3
+    parts = decompose(V)
+    assert [V.dim for V, _ in parts] == [1, 1, 2]
+    assert [m for _, m in parts] == [1, 1, 3]
+    assert parts[2][0].fingerprint() == X.fingerprint()
