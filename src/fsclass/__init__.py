@@ -19,8 +19,8 @@ from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            weak_hopf_indicator)
 from .errors import AgreementFailure, FSClassError
 from .indicators import (IndicatorReport, canonical_g, classify_sigma,
-                         endo_real_dimension, fs_indicator_formula,
-                         fs_indicator_trace, full_report)
+                         fs_indicator_formula, fs_indicator_trace,
+                         full_report)
 from .linalg import DEFAULT_TOL, Tolerance
 from .reps import (Representation, conjugate_representation, decompose,
                    dual_representation, intertwiners, regular_representation)

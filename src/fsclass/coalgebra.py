@@ -18,8 +18,9 @@ from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, NotHopf, NotStarRep,
                      UnexpectedDimension)
-from .linalg import DEFAULT_TOL, Tolerance, dagger, kron_system, nullspace
-from .reps import Representation, decompose, regular_representation
+from .linalg import DEFAULT_TOL, Tolerance, dagger
+from .reps import (Representation, decompose, intertwiners,
+                   regular_representation)
 
 
 class FDStarCoalgebra:
@@ -107,6 +108,8 @@ class Corepresentation:
 
     def _validate(self):
         C, d = self.coalgebra, self.dim
+        if self.coeff.shape != (d, d, C.dim):
+            raise AxiomViolation("coefficients must have shape (d, d, dim_C)")
         Dt = C.delta_tensor()
         eps = C.tol.eps_eig * max(1, d) * max(
             1.0, float(np.abs(self.coeff).max(initial=0.0))) ** 2
@@ -166,11 +169,11 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk.
 
     parts is a decomposition the caller already has of the regular
-    representation of the dual algebra (of A itself when C = dualize(A));
-    without it, that representation is decomposed here with the seed.
-    Either way each block is validated as a representation of the dual
-    algebra and as a corepresentation of C."""
-    B = dualize_co(C)
+    representation of the dual algebra (of A itself when C = dualize(A)),
+    and the algebra it lives on is taken as the dual; without it,
+    dualize_co(C) is decomposed here with the seed.  Either way each block
+    is validated as a corepresentation of C."""
+    B = dualize_co(C) if parts is None else parts[0][0].algebra
     G, ok = check_cstar(B)
     if not ok:
         raise NotCompact("dual algebra admits no C*-norm")
@@ -297,24 +300,15 @@ def phi_module(C: FDStarCoalgebra, V: Corepresentation) -> Representation:
 def invariant_gram(A: FDStarAlgebra, rho: np.ndarray) -> np.ndarray:
     """Hermitian positive H with rho(a)^dagger H = H rho(a*); requires the
     solution space to contain a definite element (dim 1 when irreducible)."""
-    d = rho.shape[1]
-    eye = np.eye(d)
-    # rho(e_i*), one tensordot per i: a single batched product would round
-    # differently and so change the system the nullspace is taken of
-    rho_star = np.stack([np.tensordot(A.star_matrix[:, i], rho, axes=(0, 0))
-                         for i in range(rho.shape[0])])
-    system = kron_system(np.conj(rho).transpose(0, 2, 1), eye,
-                         eye, rho_star.transpose(0, 2, 1))
-    ker = nullspace(system, A.tol)
-    for j in range(ker.shape[1]):
-        H = ker[:, j].reshape(d, d)
-        H = (H + dagger(H)) / 2.0
+    rho_star = np.tensordot(A.star_matrix, rho, axes=(0, 0))
+    for K in intertwiners(rho_star, np.conj(rho).transpose(0, 2, 1), A.tol):
+        H = (K + dagger(K)) / 2.0
         vals = np.linalg.eigvalsh(H)
         if vals.min() > A.tol.eps_eig:
             return H
         if vals.max() < -A.tol.eps_eig:
             return -H
-        Hi = (ker[:, j].reshape(d, d) - dagger(ker[:, j].reshape(d, d))) / 2j
+        Hi = (K - dagger(K)) / 2j
         vals = np.linalg.eigvalsh(Hi)
         if vals.min() > A.tol.eps_eig:
             return Hi

@@ -595,14 +595,9 @@ def haar_integral(W: WeakHopfData) -> np.ndarray:
 
 
 def weak_hopf_indicator(W: WeakHopfData, V,
-                        g: np.ndarray | None = None) -> tuple[int, complex]:
-    """nu(V) = (chi(g)/chi(1)) chi(Lam_(1) Lam_(2)); g defaults to the
-    canonical distinguished element of the antipode."""
-    if g is None:
-        from .indicators import canonical_g
-        from .reps import decompose, regular_representation
-        parts = decompose(regular_representation(W.algebra))
-        g = canonical_g(W.algebra, W.S, [X for X, _ in parts]).g
+                        g: np.ndarray) -> tuple[int, complex]:
+    """nu(V) = (chi(g)/chi(1)) chi(Lam_(1) Lam_(2)) for a distinguished
+    element g of the antipode, such as `canonical_g(...).g`."""
     return W.indicator(V, g)
 
 

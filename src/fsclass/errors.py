@@ -9,20 +9,6 @@ class FSClassError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- linear algebra kernel ---
-
-class SingularInput(FSClassError):
-    """Matrix is singular (smallest singular value below the rank tolerance)."""
-
-
-class NotHermitian(FSClassError):
-    pass
-
-
-class NegativeSpectrum(FSClassError):
-    pass
-
-
 # --- algebra construction / validation ---
 
 class NotAssociative(FSClassError):

@@ -133,13 +133,6 @@ def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
     return _round_indicator(complex(np.trace(T)), A.tol.eps_round)
 
 
-def _antilinear_self_intertwiners(V: Representation,
-                                  R: RealForm) -> list[np.ndarray]:
-    """Basis of {F : F conj(rho(a)) = rho(abar) F for all a}."""
-    rho_bar = np.einsum("ji,jab->iab", R.conj_matrix, V.rho)
-    return intertwiners(np.conj(V.rho), rho_bar, V.algebra.tol)
-
-
 @dataclass
 class SigmaResult:
     sigma: int
@@ -157,7 +150,9 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
     """
     A = V.algebra
     d = V.dim
-    hom = _antilinear_self_intertwiners(V, R)
+    # basis of {F : F conj(rho(a)) = rho(abar) F for all a}
+    rho_bar = np.einsum("ji,jab->iab", R.conj_matrix, V.rho)
+    hom = intertwiners(np.conj(V.rho), rho_bar, A.tol)
     if not hom:
         return SigmaResult(0, None, None, None)
     if len(hom) > 1:
@@ -192,14 +187,6 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
         if np.abs(j @ np.conj(j) + np.eye(d)).max() > A.tol.eps_round * 10:
             raise InternalConsistency("j conj(j) != -I for sigma = -1")
     return SigmaResult(sigma, float(alpha), j, witness)
-
-
-def endo_real_dimension(V: Representation, R: RealForm) -> int:
-    """Real dimension of the commutant of the real form acting on V viewed
-    as a real vector space: 2 for complex type, 4 for real or quaternionic."""
-    lin = intertwiners(V.rho, V.rho, V.algebra.tol)
-    anti = _antilinear_self_intertwiners(V, R)
-    return 2 * len(lin) + 2 * len(anti)
 
 
 @dataclass
@@ -256,7 +243,11 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
                 parts: list[tuple[Representation, int]],
                 E: SeparabilityIdempotent) -> IndicatorReport:
     """Indicators and classification for each irreducible, with the
-    agreement sigma = nu enforced."""
+    agreement sigma = nu enforced.
+
+    endo_real_dim is the real dimension of the commutant of the real form
+    on V: the complex scalars (End_A(V) for an irreducible V) plus, when
+    sigma != 0, the antilinear self-intertwiners, one more complex line."""
     R = real_form_from_S(A, dual.S)
     z = formula_element(A, dual.S, dual.g, E)
     rows = []
@@ -264,7 +255,6 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
         nu_f, raw = _nu_formula(V, z)
         nu_t = fs_indicator_trace(V, dual.S, dual.g)
         sig = classify_sigma(V, R)
-        endo = endo_real_dimension(V, R)
         if nu_f != nu_t:
             raise AgreementFailure(
                 f"irrep {idx}: formula indicator {nu_f} != trace indicator {nu_t}")
@@ -272,5 +262,5 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
             raise AgreementFailure(
                 f"irrep {idx}: sigma {sig.sigma} != indicator {nu_f}")
         rows.append(IndicatorRow(idx, V.dim, mult, nu_f, raw, nu_t,
-                                 sig.sigma, endo))
+                                 sig.sigma, 4 if sig.sigma else 2))
     return IndicatorReport(A.dim, rows)

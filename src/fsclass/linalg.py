@@ -1,5 +1,6 @@
-"""Dense complex matrix kernel: nullspaces, Hermitian functional calculus,
-polar decomposition, eigenvalue clustering and seeded randomness.
+"""Dense complex matrix kernel: nullspaces and numerical rank, the
+Kronecker system of intertwiner-type identities, fixed spaces of antilinear
+maps, eigenvalue clustering and seeded randomness.
 
 All functions are pure; matrices are numpy complex arrays and are never
 mutated in place.
@@ -7,11 +8,8 @@ mutated in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .errors import NegativeSpectrum, NotHermitian, SingularInput
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,6 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
-
-
-def is_hermitian(a: np.ndarray, eps: float) -> bool:
-    scale = max(1.0, np.abs(a).max(initial=0.0))
-    return bool(np.abs(a - dagger(a)).max(initial=0.0) <= eps * scale)
 
 
 def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -94,41 +87,6 @@ def kron_system(a, b, c, d) -> np.ndarray:
     return out.reshape(-1, out.shape[-1])
 
 
-def matrix_function(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
-                    tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Apply a real function to a Hermitian psd matrix through its
-    eigendecomposition.  Small negative eigenvalues (within eps_eig) are
-    clamped to zero; genuinely negative spectrum is an error.
-    """
-    a = np.asarray(a, dtype=complex)
-    scale = max(1.0, np.abs(a).max(initial=0.0))
-    if not is_hermitian(a, tol.eps_rank * 10):
-        raise NotHermitian(f"matrix deviates from Hermitian by "
-                           f"{np.abs(a - dagger(a)).max():.3e}")
-    vals, vecs = np.linalg.eigh((a + dagger(a)) / 2.0)
-    if vals.min(initial=0.0) < -tol.eps_eig * scale:
-        raise NegativeSpectrum(f"eigenvalue {vals.min():.3e} below -eps_eig")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * fn(vals)) @ dagger(vecs)
-
-
-def sqrtm_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    return matrix_function(a, np.sqrt, tol)
-
-
-def polar_unitary(f: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Unitary factor u = f |f|^(-1) of an invertible matrix, where
-    |f| = (f^* f)^(1/2)."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape[0] != f.shape[1]:
-        raise SingularInput("polar_unitary requires a square matrix")
-    s = np.linalg.svd(f, compute_uv=False)
-    if s[-1] <= tol.eps_rank * max(1.0, s[0]):
-        raise SingularInput(f"smallest singular value {s[-1]:.3e} below tolerance")
-    absf = sqrtm_psd(dagger(f) @ f, tol)
-    return f @ np.linalg.inv(absf)
-
-
 def cluster_eigenvalues(vals: np.ndarray, eps: float) -> list[np.ndarray]:
     """Group sorted real eigenvalues into clusters; two values belong to the
     same cluster when |a - b| <= eps * (1 + |a|).  Returns lists of indices
@@ -145,14 +103,13 @@ def cluster_eigenvalues(vals: np.ndarray, eps: float) -> list[np.ndarray]:
 
 
 def real_nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Nullspace of a real matrix, orthonormal columns, real arithmetic."""
+    """Nullspace of a real matrix, orthonormal columns, real arithmetic;
+    the rank is `svd_rank` of the singular values, as in `nullspace`."""
     m = np.asarray(m, dtype=float)
     if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
         return np.eye(m.shape[1])
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    cutoff = tol.eps_rank * s[0]
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].T
+    return vh[svd_rank(s, tol):].T
 
 
 def antilinear_real_matrix(k: np.ndarray) -> np.ndarray:

@@ -234,11 +234,12 @@ def decompose(V: Representation, seed: int = 0,
 def dual_representation(V: Representation, S: AntiAlgebraMap,
                         g: np.ndarray) -> Representation:
     """D(V): rho_D(a) = rho(S(a))^T on the dual space, with the gram induced
-    by the pairing, H_D = (rho(g) H^{-1})^T."""
+    by the pairing, H_D = (rho(g) H^{-1})^T.  Built unchecked: it is a
+    *-representation whenever V is one and (S, g) is a dual structure."""
     A = V.algebra
     rho_d = np.einsum("ji,jab->iba", S.matrix, V.rho)
     H_d = (V.apply(g) @ np.linalg.inv(V.gram)).T
-    return Representation(A, rho_d, H_d)
+    return Representation(A, rho_d, H_d, check=False)
 
 
 def conjugate_representation(V: Representation, R: RealForm,

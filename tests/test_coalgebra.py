@@ -4,8 +4,8 @@ import pytest
 from fsclass import (compact_decompose, corep_indicator, cqg_indicator,
                      decompose, drinfeld_double, dualize, dualize_co, gamma,
                      group_algebra, group_weak_hopf, regular_representation)
-from fsclass.coalgebra import FDStarCoalgebra, phi_module
-from fsclass.errors import BadVarsigma, NotCompact, NotHopf, NotStarRep
+from fsclass.coalgebra import FDStarCoalgebra, invariant_gram, phi_module
+from fsclass.errors import AxiomViolation, BadVarsigma, NotCompact, NotHopf
 
 from conftest import build_m2, load_group
 
@@ -69,12 +69,18 @@ def test_compact_decompose_reuses_the_algebra_decomposition():
         for a, b in zip(given.blocks, fresh.blocks):
             np.testing.assert_array_equal(a.coeff, b.coeff)
         np.testing.assert_array_equal(given.E.matrix, fresh.E.matrix)
-    # blocks are still validated against the dual algebra: C[S3] irreps
-    # are no representations of C[Z6]
-    s3, z6 = (group_algebra(load_group(name))[0] for name in ("s3", "z6"))
-    parts = decompose(regular_representation(s3))
-    with pytest.raises(NotStarRep):
-        compact_decompose(dualize(z6), parts=parts)
+
+
+@pytest.mark.parametrize("of, on", [("s3", "z6"), ("q8", "d4"),
+                                    ("z6", "s3"), ("z3", "s3")])
+def test_compact_decompose_rejects_parts_of_another_algebra(of, on):
+    # the parts' algebra is taken as the dual, so the blocks are caught as
+    # corepresentations of C: C[Q8] and C[D4] share dimension and irrep
+    # dimensions, and C[Z3] has the wrong dimension
+    A, B = (group_algebra(load_group(name))[0] for name in (of, on))
+    parts = decompose(regular_representation(A))
+    with pytest.raises(AxiomViolation):
+        compact_decompose(dualize(B), parts=parts)
 
 
 def test_corepresentation_character_pairs_with_counit():
@@ -133,3 +139,14 @@ def test_phi_module_is_a_valid_star_rep():
         V = phi_module(C, b)
         V._validate()
         assert V.dim == b.dim
+
+
+def test_invariant_gram_of_a_non_unitary_irrep():
+    # conjugating the unitary 2-dim irrep of C[S3] by a non-unitary P moves
+    # its invariant gram from I to P^dagger P, up to a positive scale
+    A = group_algebra(load_group("s3"))[0]
+    V = next(V for V, _ in decompose(regular_representation(A)) if V.dim == 2)
+    P = np.array([[1.0, 2.0 + 1.0j], [0.0, 0.5]])
+    H = invariant_gram(A, np.linalg.inv(P) @ V.rho @ P)
+    want = P.conj().T @ P
+    assert np.allclose(H / np.trace(H), want / np.trace(want), atol=1e-12)

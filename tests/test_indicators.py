@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from fsclass import (canonical_g, classify_sigma, decompose,
-                     fs_indicator_formula, fs_indicator_trace, full_report,
-                     group_algebra, regular_representation)
-from fsclass.algebra import real_form_from_S
-from fsclass.indicators import _round_indicator, endo_real_dimension
+import fsclass.indicators
+from fsclass import (Representation, canonical_g, classify_sigma, decompose,
+                     drinfeld_double, fs_indicator_formula,
+                     fs_indicator_trace, full_report, group_algebra,
+                     regular_representation)
+from fsclass.algebra import real_form_from_S, separability_idempotent
+from fsclass.indicators import _round_indicator
 
-from conftest import classical_oracle, load_group, m2_dual_structures
+from conftest import (GROUP_FILES, classical_oracle, load_group,
+                      m2_dual_structures)
 
 
 def pipeline(name):
@@ -98,13 +101,62 @@ def test_sigma_witnesses_are_valid():
 
 def test_endo_real_dimension_by_type():
     _, A, dual, E, parts = pipeline("q8")
-    R = real_form_from_S(A, dual.S)
-    for V, _ in parts:
-        assert endo_real_dimension(V, R) == 4
+    for row in full_report(A, dual, parts, E).rows:
+        assert row.endo_real_dim == 4
     _, A, dual, E, parts = pipeline("z3")
-    R = real_form_from_S(A, dual.S)
-    dims = sorted(endo_real_dimension(V, R) for V, _ in parts)
+    dims = sorted(r.endo_real_dim for r in full_report(A, dual, parts, E).rows)
     assert dims == [2, 2, 4]
+
+
+def _sum_nu_dim(A, dual, E):
+    rows = full_report(A, dual, decompose(regular_representation(A)), E).rows
+    return sum(r.nu_formula * r.dim for r in rows)
+
+
+@pytest.mark.parametrize("name", GROUP_FILES)
+def test_sum_of_indicators_is_the_trace_of_the_antipode(name, group_pipelines):
+    # Linchenko-Montgomery: sum_V nu(V) dim V = Tr(S).  On C[G], S(g) = g^-1
+    # fixes the involutions; on D(G), S(delta_g h) = delta_(h^-1 g^-1 h) h^-1
+    # fixes the pairs with h^2 = 1 and h g h = g^-1.
+    G = load_group(name)
+    t, inv, n = G.table, G.inverse, G.order
+    A, dual, E = group_pipelines[name]
+    involutions = sum(t[g, g] == 0 for g in range(n))
+    assert np.trace(dual.S.matrix).real == involutions
+    assert _sum_nu_dim(A, dual, E) == involutions
+    if n > 8:
+        return
+    W, dual_d = drinfeld_double(G)
+    fixed = sum(t[h, h] == 0 and t[t[h, g], h] == inv[g]
+                for g in range(n) for h in range(n))
+    assert np.trace(dual_d.S.matrix).real == fixed
+    assert _sum_nu_dim(W.algebra, dual_d,
+                       separability_idempotent(W.algebra)) == fixed
+
+
+def test_full_report_solves_twice_per_irreducible(monkeypatch):
+    # Hom(V, D(V)) and the antilinear self-intertwiners; End_A(V) is not
+    # solved and D(V) is not validated again
+    W, dual = drinfeld_double(load_group("s3"))
+    A = W.algebra
+    parts = decompose(regular_representation(A))
+    E = separability_idempotent(A)
+    calls = {"solve": 0, "validate": 0}
+    solve = fsclass.indicators.intertwiners
+    validate = Representation._validate
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+    monkeypatch.setattr(fsclass.indicators, "intertwiners", counted_solve)
+    monkeypatch.setattr(Representation, "_validate", counted_validate)
+    rows = full_report(A, dual, parts, E).rows
+    assert len(rows) == 8
+    assert calls == {"solve": 16, "validate": 0}
 
 
 def test_canonical_g_for_group_algebra_is_unit():

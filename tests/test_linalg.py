@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from fsclass.errors import NegativeSpectrum, NotHermitian, SingularInput
 from fsclass.linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues,
                             dagger, fixed_space_of_antilinear, kron_system,
-                            make_rng, matrix_function, nullspace,
-                            polar_unitary, real_nullspace, sqrtm_psd)
+                            make_rng, nullspace, real_nullspace)
 
 
 def test_tolerance_defaults():
@@ -41,34 +39,6 @@ def test_nullspace_of_numerically_zero_matrix_is_everything():
 
 def test_nullspace_full_rank():
     assert nullspace(np.eye(3)).shape == (3, 0)
-
-
-def test_sqrtm_psd():
-    h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    r = sqrtm_psd(h)
-    assert np.allclose(r @ r, h)
-
-
-def test_matrix_function_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        matrix_function(np.array([[0.0, 1.0], [0.0, 0.0]]), np.sqrt)
-
-
-def test_sqrtm_rejects_negative():
-    with pytest.raises(NegativeSpectrum):
-        sqrtm_psd(np.diag([1.0, -1.0]))
-
-
-def test_polar_unitary_example():
-    f = np.array([[0.0, 2.0], [1.0, 0.0]])
-    u = polar_unitary(f)
-    assert np.allclose(u, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(u @ dagger(u), np.eye(2))
-
-
-def test_polar_unitary_rejects_singular():
-    with pytest.raises(SingularInput):
-        polar_unitary(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_cluster_eigenvalues():
@@ -143,8 +113,8 @@ def test_kron_system_matches_the_per_index_kron_stack():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rv, rw, rb = stack(dv), stack(dw), stack(dv)
     ev, ew = np.eye(dv), np.eye(dw)
-    # the three systems: intertwiners (F rho_v = rho_w F), antilinear
-    # self-intertwiners and invariant grams, with their operand order and sign
+    # intertwiners (F rho_v = rho_w F), the same system for the antilinear
+    # self-intertwiners, and the identity operands in the other places
     cases = [
         ((ew, rv.transpose(0, 2, 1), rw, ev),
          [np.kron(ew, rv[i].T) - np.kron(rw[i], ev) for i in range(n)]),
