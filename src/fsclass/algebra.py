@@ -353,16 +353,15 @@ def orthonormal_basis(A: FDStarAlgebra, gram: np.ndarray,
 def separability_idempotent(A: FDStarAlgebra,
                             rotation: np.ndarray | None = None
                             ) -> SeparabilityIdempotent:
-    """Separability idempotent sum e_i (x) e_i^* v^{-1} built from a basis
-    orthonormal for the regular trace form; v = sum e_i e_i^* is central."""
+    """Separability idempotent sum x_j (x) x_j^* v^{-1} over the columns of a
+    basis B orthonormal for the trace form; v = vec(B B*^T) . c is central."""
     G, ok = check_cstar(A)
     if not ok:
         raise NotCStar("no separability idempotent: algebra is not C*-able")
     B = orthonormal_basis(A, G, rotation)
-    cols = [B[:, j] for j in range(A.dim)]
-    v = sum(A.mult(x, A.star(x)) for x in cols)
-    vinv = A.inverse(v)
-    pairs = [(x, A.mult(A.star(x), vinv)) for x in cols]
+    Bs = A.star(B)
+    vinv = A.inverse((B @ Bs.T).ravel() @ A.structure.reshape(-1, A.dim))
+    pairs = list(zip(B.T, (A.right_mult(vinv) @ Bs).T))
     E = SeparabilityIdempotent(A, pairs)
     E.verify(eps=A.tol.eps_eig * 100 * max(1.0, float(np.abs(vinv).max())))
     return E

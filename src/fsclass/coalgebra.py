@@ -22,6 +22,8 @@ from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .reps import (Representation, decompose, intertwiners,
                    regular_representation)
 
+Parts = list[tuple[Representation, int]]
+
 
 class FDStarCoalgebra:
     """Coalgebra with an antilinear co-involution.  Delta is an n^2 x n
@@ -49,16 +51,19 @@ class FDStarCoalgebra:
     def star(self, c: np.ndarray) -> np.ndarray:
         return self.star_matrix @ np.conj(c)
 
+    def _coassociativity_residual(self) -> float:
+        # coassociative iff the dual (convolution) product is associative
+        return associator_residual(self.Delta.reshape((self.dim,) * 3))[0]
+
     def _validate(self):
         n, Dt = self.dim, self.delta_tensor()
         eps = self.tol.eps_eig * max(1, n) * max(
             1.0, float(np.abs(Dt).max(initial=0.0))) ** 2
-        # coassociative iff the dual (convolution) product is associative
-        if associator_residual(self.Delta.reshape(n, n, n))[0] > eps:
+        if self._coassociativity_residual() > eps:
             raise AxiomViolation("comultiplication is not coassociative")
-        eye = np.eye(n)
-        if np.abs(np.einsum("j,ijk->ik", self.counit, Dt) - eye).max() > eps or \
-                np.abs(np.einsum("k,ijk->ij", self.counit, Dt) - eye).max() > eps:
+        eye, e = np.eye(n), self.counit  # (e (x) id) Delta, (id (x) e) Delta
+        if np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max() > eps \
+                or np.abs(e @ self.Delta.reshape(n, n, n) - eye).max() > eps:
             raise AxiomViolation("counit law fails")
         st = self.star_matrix
         if np.abs(st @ np.conj(st) - eye).max() > eps:
@@ -70,17 +75,31 @@ class FDStarCoalgebra:
             raise AxiomViolation("star does not reverse the comultiplication")
 
 
+class _DualCoalgebra(FDStarCoalgebra):
+    """The coalgebra dualize(A), which keeps A."""
+
+    def __init__(self, A: FDStarAlgebra):
+        self.algebra, n = A, A.dim
+        super().__init__(A.structure.reshape(n * n, n), A.unit,
+                         dagger(A.star_matrix), A.tol)
+
+    def _coassociativity_residual(self) -> float:
+        return self.algebra.associativity_residual
+
+
 def dualize(A: FDStarAlgebra) -> FDStarCoalgebra:
     """The dual coalgebra on the same basis: comultiplication transposes the
-    product, counit is the unit, star comes from <a*, c> = conj<a, c*>."""
-    n = A.dim
-    Delta = A.structure.reshape(n * n, n)
-    return FDStarCoalgebra(Delta, A.unit, dagger(A.star_matrix), A.tol)
+    product, counit is the unit, star comes from <a*, c> = conj<a, c*>.
+    Delta.reshape(n, n, n) is A.structure, so the coassociativity residual
+    is A's associativity residual, compared with the coalgebra threshold."""
+    return _DualCoalgebra(A)
 
 
 def dualize_co(C: FDStarCoalgebra) -> FDStarAlgebra:
     """The dual algebra: convolution product, counit as unit.  Round trip
-    with dualize is the identity on the nose."""
+    with dualize is the identity on the nose: dualize_co(dualize(A)) is A."""
+    if isinstance(C, _DualCoalgebra):
+        return C.algebra
     n = C.dim
     structure = C.Delta.reshape(n, n, n)
     return FDStarAlgebra(structure, C.counit, dagger(C.star_matrix), C.tol)
@@ -110,11 +129,13 @@ class Corepresentation:
         C, d = self.coalgebra, self.dim
         if self.coeff.shape != (d, d, C.dim):
             raise AxiomViolation("coefficients must have shape (d, d, dim_C)")
-        Dt = C.delta_tensor()
+        n, c = C.dim, self.coeff
         eps = C.tol.eps_eig * max(1, d) * max(
-            1.0, float(np.abs(self.coeff).max(initial=0.0))) ** 2
-        lhs = np.einsum("ijm,mab->ijab", self.coeff, Dt)
-        rhs = np.einsum("ika,kjb->ijab", self.coeff, self.coeff)
+            1.0, float(np.abs(c).max(initial=0.0))) ** 2
+        # Delta(c_ij) at (a, b), and sum_k c_ik[a] c_kj[b] at ((i, a), (j, b))
+        lhs = (c.reshape(d * d, n) @ C.Delta.T).reshape(d, d, n, n)
+        rhs = (c.transpose(0, 2, 1).reshape(d * n, d) @ c.reshape(d, d * n)
+               ).reshape(d, n, d, n).transpose(0, 2, 1, 3)
         if np.abs(lhs - rhs).max(initial=0.0) > eps:
             raise AxiomViolation("Delta(c_ij) != sum_k c_ik (x) c_kj")
         if np.abs(self.coeff @ C.counit - np.eye(d)).max() > eps:
@@ -132,15 +153,14 @@ class CoseparabilityIdempotent:
         return complex(c @ self.matrix @ d)
 
     def verify(self) -> None:
-        C, E = self.coalgebra, self.matrix
-        Dt = C.delta_tensor()
+        C, E, n = self.coalgebra, self.matrix, self.coalgebra.dim
         eps = C.tol.eps_eig * 100 * max(1.0, float(np.abs(E).max(initial=0.0)))
-        counit = np.einsum("ijk,jk->i", Dt, E)
-        if np.abs(counit - C.counit).max() > eps:
+        if np.abs(E.ravel() @ C.Delta - C.counit).max() > eps:
             raise AxiomViolation("E(c_(1), c_(2)) != eps(c)")
-        # c_(1) E(c_(2), d) = E(c, d_(1)) d_(2) on basis pairs
-        lhs = np.einsum("iak,kd->ida", Dt, E)
-        rhs = np.einsum("dpa,ip->ida", Dt, E)
+        # c_(1) E(c_(2), d) = E(c, d_(1)) d_(2) on basis pairs (e_i, e_d), at
+        # e_a: sum_k Dt[i, a, k] E[k, d] = sum_p E[i, p] Dt[d, p, a], as [a, d, i]
+        lhs = E.T @ C.Delta.reshape(n, n, n)
+        rhs = (E @ C.Delta.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
         if np.abs(lhs - rhs).max(initial=0.0) > eps:
             raise AxiomViolation("coseparability centrality identity fails")
         st = C.star_matrix
@@ -158,71 +178,54 @@ class CoseparabilityIdempotent:
 class CompactDecomposition:
     blocks: list[Corepresentation]
     E: CoseparabilityIdempotent
-    irreps: list[tuple[Representation, int]]   # of the dual algebra, unitarized
+    irreps: Parts   # of the dual algebra, unitarized
     dual_algebra: FDStarAlgebra
 
 
 def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
-                      parts: list[tuple[Representation, int]] | None = None
-                      ) -> CompactDecomposition:
+                      parts: Parts | None = None) -> CompactDecomposition:
     """Matrix-coalgebra block decomposition of a compact *-coalgebra, with
     the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk.
 
     parts is a decomposition the caller already has of the regular
-    representation of the dual algebra (of A itself when C = dualize(A)),
-    and the algebra it lives on is taken as the dual; without it,
-    dualize_co(C) is decomposed here with the seed.  Either way each block
-    is validated as a corepresentation of C."""
-    B = dualize_co(C) if parts is None else parts[0][0].algebra
+    representation of the dual algebra, which must be dualize_co(C) itself
+    (A when C = dualize(A)); without it, dualize_co(C) is decomposed here
+    with the seed.  Each block is checked as a corepresentation of C, which
+    is entry for entry the homomorphism and unit residuals of rho_u, and
+    rho_u for the star alone."""
+    B = dualize_co(C)
+    if parts is not None and parts[0][0].algebra is not B:
+        raise AxiomViolation("parts do not decompose the dual algebra of C")
     G, ok = check_cstar(B)
     if not ok:
         raise NotCompact("dual algebra admits no C*-norm")
     if parts is None:
         parts = decompose(regular_representation(B), seed=seed)
     n = C.dim
-    blocks = []
-    unitarized = []
-    cols = []
-    e_rows = []
+    blocks, unitarized, cols, swap, weight = [], [], [], [], []
     for V, mult in parts:
         # unitarize: gram H = L L^dagger, rho' = L^dagger rho L^{-dagger}
         L = np.linalg.cholesky((V.gram + dagger(V.gram)) / 2.0)
         R = dagger(L)
-        Rinv = np.linalg.inv(R)
-        rho_u = R @ V.rho @ Rinv
-        W = Representation(B, rho_u, None)
+        rho_u = R @ V.rho @ np.linalg.inv(R)
+        W = Representation(B, rho_u, None, check=False)
+        W._validate(hom=False)
         unitarized.append((W, mult))
-        coeff = np.ascontiguousarray(rho_u.transpose(1, 2, 0))
-        blocks.append(Corepresentation(C, coeff))
+        blocks.append(Corepresentation(C, rho_u.transpose(1, 2, 0).copy()))
+        # matrix elements (i, j), row-major, and where each (j, i) is
         d = W.dim
-        for i in range(d):
-            for j in range(d):
-                cols.append(rho_u[:, i, j])
-                e_rows.append((len(blocks) - 1, d, i, j))
-    P = np.stack(cols, axis=1)
+        cols.append(rho_u.reshape(len(rho_u), d * d))
+        swap += list(len(swap) + np.arange(d * d).reshape(d, d).T.ravel())
+        weight += [1.0 / d] * (d * d)
+    P = np.concatenate(cols, axis=1)
     if P.shape != (n, n):
         raise InternalConsistency("matrix elements do not span the dual")
-    # E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a; the 1/n_a makes the
-    # counit identity E(c_(1), c_(2)) = eps(c) hold on d-dim blocks
-    E_block = np.zeros((n, n), dtype=complex)
-    for a, (ba, da, i, j) in enumerate(e_rows):
-        for b, (bb, db, k, l) in enumerate(e_rows):
-            if ba == bb and i == l and j == k:
-                E_block[a, b] = 1.0 / da
+    # E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a, in the basis P of matrix
+    # elements; the 1/n_a makes E(c_(1), c_(2)) = eps(c) hold on d-dim blocks
     Pinv = np.linalg.inv(P)
-    E_mat = Pinv.T @ E_block @ Pinv
-    E = CoseparabilityIdempotent(C, E_mat)
+    E = CoseparabilityIdempotent(C, (Pinv.T[:, swap] * weight) @ Pinv)
     E.verify()
     return CompactDecomposition(blocks, E, unitarized, B)
-
-
-def _varsigma_to_dual_S(C: FDStarCoalgebra,
-                        varsigma: np.ndarray) -> AntiAlgebraMap:
-    B = dualize_co(C)
-    try:
-        return AntiAlgebraMap.validated(B, np.asarray(varsigma, dtype=complex).T)
-    except NotAntiMap as exc:
-        raise BadVarsigma(str(exc)) from exc
 
 
 def gamma(C: FDStarCoalgebra, varsigma: np.ndarray,
@@ -236,8 +239,11 @@ def gamma(C: FDStarCoalgebra, varsigma: np.ndarray,
 def gamma_full(C: FDStarCoalgebra, varsigma: np.ndarray, seed: int = 0
                ) -> tuple[np.ndarray, DualStructureData, FDStarAlgebra]:
     from .indicators import canonical_g
-    S = _varsigma_to_dual_S(C, varsigma)
     B = dualize_co(C)
+    try:
+        S = AntiAlgebraMap.validated(B, np.asarray(varsigma, dtype=complex).T)
+    except NotAntiMap as exc:
+        raise BadVarsigma(str(exc)) from exc
     parts = decompose(regular_representation(B), seed=seed)
     dual = canonical_g(B, S, [V for V, _ in parts])
     return dual.g, dual, B
@@ -247,14 +253,16 @@ def corep_indicator(C: FDStarCoalgebra, V: Corepresentation,
                     varsigma: np.ndarray, gamma_vec: np.ndarray,
                     E: CoseparabilityIdempotent) -> float:
     """nu(V) = gamma(t_(2)) E(varsigma(t_(1)), t_(3)) for t the character
-    of an irreducible corepresentation."""
-    t = V.character()
-    Dt = C.delta_tensor()
-    # Delta^2(t)[a, b, c]
-    T = np.einsum("i,imc,mab->abc", t, Dt, Dt, optimize=True)
-    vs = np.asarray(varsigma, dtype=complex)
-    val = complex(np.einsum("abc,ma,mc,b->", T, vs, E.matrix, gamma_vec,
-                            optimize=True))
+    of an irreducible corepresentation.
+
+    It is linear in t: nu(V) = t . w, w[i] = sum_{m,c} Dt[i, m, c] Y[m, c],
+    Y[m, c] = sum_{a,b} Dt[m, a, b] gamma_b (varsigma^T E)[a, c] for
+    Dt = C.delta_tensor().  Each factor is one n^3 contraction on the
+    contiguous C.Delta, and Delta^2(t) is never formed."""
+    n = C.dim
+    vsE = np.asarray(varsigma, dtype=complex).T @ E.matrix
+    Y = (np.asarray(gamma_vec) @ C.Delta.reshape(n, n, n)).T @ vsE
+    val = complex(V.character() @ (Y.ravel() @ C.Delta))
     if abs(val.imag) > C.tol.eps_round * (1 + abs(val)):
         raise UnexpectedDimension(f"corep indicator {val} is not real")
     return val.real
@@ -273,11 +281,10 @@ def cqg_indicator(H: WeakHopfData, V: Corepresentation,
     # dagger-coalgebra structure c -> S(c)* on the underlying coalgebra
     K = A.star_matrix @ np.conj(S_mat)
     C = FDStarCoalgebra(H.Delta, H.counit, K, A.tol)
-    gamma_vec, _, B = gamma_full(C, S_mat, seed=seed)
+    gamma_vec, dual, B = gamma_full(C, S_mat, seed=seed)
     # Haar functional = Haar integral of the dual Hopf algebra
     Delta_B = A.structure.reshape(n * n, n)
-    S_B = AntiAlgebraMap.validated(B, S_mat.T)
-    dual_hopf = WeakHopfData(B, Delta_B, A.unit, S_B)
+    dual_hopf = WeakHopfData(B, Delta_B, A.unit, dual.S)
     h = dual_hopf.haar_integral()
     t = V.character()
     z = np.einsum("jk,jkl->l", H.delta_of(t), A.structure)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from fsclass import (compact_decompose, corep_indicator, cqg_indicator,
-                     decompose, drinfeld_double, dualize, dualize_co, gamma,
-                     group_algebra, group_weak_hopf, regular_representation)
+from fsclass import (Representation, compact_decompose, corep_indicator,
+                     cqg_indicator, decompose, drinfeld_double, dualize,
+                     dualize_co, gamma, group_algebra, group_weak_hopf,
+                     regular_representation)
 from fsclass.coalgebra import FDStarCoalgebra, invariant_gram, phi_module
-from fsclass.errors import AxiomViolation, BadVarsigma, NotCompact, NotHopf
+from fsclass.errors import (AxiomViolation, BadVarsigma, NotCompact, NotHopf,
+                            NotStarRep)
 
-from conftest import build_m2, load_group
+from conftest import GROUP_FILES, build_m2, data_path, load_group
 
 
 def group_coalgebra(name):
@@ -72,11 +74,11 @@ def test_compact_decompose_reuses_the_algebra_decomposition():
 
 
 @pytest.mark.parametrize("of, on", [("s3", "z6"), ("q8", "d4"),
-                                    ("z6", "s3"), ("z3", "s3")])
+                                    ("z6", "s3"), ("z3", "s3"), ("s3", "s3")])
 def test_compact_decompose_rejects_parts_of_another_algebra(of, on):
-    # the parts' algebra is taken as the dual, so the blocks are caught as
-    # corepresentations of C: C[Q8] and C[D4] share dimension and irrep
-    # dimensions, and C[Z3] has the wrong dimension
+    # the parts must decompose the dual algebra of C itself; C[Q8] and C[D4]
+    # share dimension and irrep dimensions, C[Z3] has the wrong dimension, and
+    # a second C[S3] is equal data but not the algebra C was built from
     A, B = (group_algebra(load_group(name))[0] for name in (of, on))
     parts = decompose(regular_representation(A))
     with pytest.raises(AxiomViolation):
@@ -150,3 +152,69 @@ def test_invariant_gram_of_a_non_unitary_irrep():
     H = invariant_gram(A, np.linalg.inv(P) @ V.rho @ P)
     want = P.conj().T @ P
     assert np.allclose(H / np.trace(H), want / np.trace(want), atol=1e-12)
+
+
+def test_compact_decompose_checks_the_star_of_each_block():
+    # a gram that is not invariant unitarizes the 2-dim irreducible of C[S3]
+    # into a rho_u that is still a homomorphism (so a corepresentation) but
+    # not a *-representation
+    A = group_algebra(load_group("s3"))[0]
+    parts = decompose(regular_representation(A))
+    V, mult = parts[-1]
+    assert V.dim == 2
+    bent = Representation(A, V.rho, np.diag([1.0, 4.0]), check=False)
+    with pytest.raises(NotStarRep, match=r"rho\(a\)\^dagger H"):
+        compact_decompose(dualize(A), parts=parts[:-1] + [(bent, mult)])
+
+
+@pytest.mark.parametrize("name", GROUP_FILES)
+def test_sum_of_corep_indicators_is_the_trace_of_the_antipode(name):
+    # the coalgebra side of Linchenko-Montgomery: sum_V nu(V) dim V = Tr(S)
+    # over the irreducible corepresentations of C[G]* and, for |G| <= 8,
+    # of D(G)*; nu(V) as `fsclass duality` computes it
+    G = load_group(name)
+    t, inv, n = G.table, G.inverse, G.order
+    A, dual, _ = group_algebra(G)
+    algebras = [(A, dual, sum(t[g, g] == 0 for g in range(n)))]
+    if n <= 8:
+        W, dual_d = drinfeld_double(G)
+        fixed = sum(t[h, h] == 0 and t[t[h, g], h] == inv[g]
+                    for g in range(n) for h in range(n))
+        algebras.append((W.algebra, dual_d, fixed))
+    for A, dual, trace_S in algebras:
+        C = dualize(A)
+        cd = compact_decompose(C, parts=decompose(regular_representation(A)))
+        total = sum(corep_indicator(C, b, dual.S.matrix.T, dual.g, cd.E)
+                    * b.dim for b in cd.blocks)
+        assert abs(total - trace_S) < 1e-9
+
+
+def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
+    # on D(S3): associativity for the algebra and for the weak Hopf Delta,
+    # none for dualize; no Representation homomorphism residual in
+    # compact_decompose, and one Corepresentation check per block
+    import fsclass.algebra
+    import fsclass.coalgebra
+    import fsclass.constructors
+    from fsclass.cli import main
+    from fsclass.coalgebra import Corepresentation
+    calls = {"associator": 0, "hom": 0, "corep": 0, "rep": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+    for module in (fsclass.algebra, fsclass.coalgebra, fsclass.constructors):
+        monkeypatch.setattr(module, "associator_residual", counted(
+            "associator", module.associator_residual))
+    monkeypatch.setattr(Representation, "_hom_residual", counted(
+        "hom", Representation._hom_residual))
+    monkeypatch.setattr(Representation, "_validate", counted(
+        "rep", Representation._validate))
+    monkeypatch.setattr(Corepresentation, "_validate", counted(
+        "corep", Corepresentation._validate))
+    assert main(["duality", data_path("s3.json"), "--kind", "double"]) == 0
+    assert capsys.readouterr().out == "algebra/coalgebra indicators agree: 8/8\n"
+    # the star axioms: the regular representation, then each of the 8 blocks
+    assert calls == {"associator": 2, "hom": 0, "corep": 8, "rep": 9}
