@@ -25,8 +25,9 @@ class FDStarAlgebra:
     Construction validates associativity, the unit and the star axioms.
     The associativity residual max |(e_i e_j) e_k - e_i (e_j e_k)| is kept
     as `associativity_residual`: the regular representation reuses it as
-    its homomorphism residual.  Immutable after construction; all methods
-    are pure.
+    its homomorphism residual.  `table` is `monomial_table(structure)`,
+    computed once and read by every product identity checked against A.
+    Immutable after construction; all methods are pure.
     """
 
     def __init__(self, structure: np.ndarray, unit: np.ndarray,
@@ -87,7 +88,8 @@ class FDStarAlgebra:
     def _validate(self):
         c, n = self.structure, self.dim
         eps = self.tol.eps_rank * max(1.0, np.abs(c).max(initial=0.0)) ** 2 * n
-        bad, (i, j, k) = associator_residual(c)
+        self.table = monomial_table(c)
+        bad, (i, j, k) = associator_residual(c, self.table)
         self.associativity_residual = bad
         if bad > eps:
             raise NotAssociative(
@@ -103,9 +105,7 @@ class FDStarAlgebra:
         if np.abs(sig @ np.conj(sig) - eye).max() > eps:
             raise BadStar("star is not involutive on the basis")
         # (ab)* = b* a*: (e_i e_j)* = sigma conj(c[i, j]), e_j* = sigma[:, j]
-        lhs = np.conj(c) @ sig.T
-        rhs = self.products(sig, sig).transpose(1, 0, 2)
-        bad_ij = _first_violation(lhs - rhs, eps)
+        bad_ij = _first_violation(product_map_residual(self, sig, conj=True), eps)
         if bad_ij is not None:
             i, j = bad_ij
             raise BadStar(f"(e{i} e{j})* != e{j}* e{i}*")
@@ -123,39 +123,72 @@ def associator(c: np.ndarray) -> np.ndarray:
     return a
 
 
-def associator_residual(c: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+def monomial_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Index table (T, v) of a monomial structure tensor, e_i e_j =
+    v[i, j] e_T[i, j] (T = 0, v = 0 where the product vanishes); None when
+    some product has two or more nonzero coefficients."""
+    if not (np.count_nonzero(c, axis=2) <= 1).all():
+        return None
+    T = np.abs(c).argmax(axis=2)
+    return T, np.take_along_axis(c, T[..., None], axis=2)[..., 0]
+
+
+def _monomial_gap(at_a, a, at_b, b) -> np.ndarray:
+    """max |a e_at_a - b e_at_b| over the coordinates, elementwise: |a - b|
+    where the positions agree, max(|a|, |b|) where they differ."""
+    return np.where(at_a == at_b, np.abs(a - b),
+                    np.maximum(np.abs(a), np.abs(b)))
+
+
+def associator_residual(c: np.ndarray, table: tuple | None = None
+                        ) -> tuple[float, tuple[int, int, int]]:
     """max over i, j, k, l of |associator(c)[i, j, k, l]|, and the first
     (i, j, k), in row-major order, where it is reached.
 
-    When c is monomial (every e_i e_j is a multiple v[i, j] of one basis
-    element e_T[i, j]) the two products are read off the index table T:
+    `table` is `monomial_table(c)`, computed here when not given.  When c is
+    monomial the two products are read off the index table:
     (e_i e_j) e_k = v[i, j] v[T[i, j], k] e_T[T[i, j], k] and
     e_i (e_j e_k) = v[j, k] v[i, T[j, k]] e_T[i, T[j, k]], in O(n^3) and
     with no n^4 array.  Each sum of the dense associator then has one
     nonzero term, so both paths give the same residual and index.  Any
     other c goes through the dense associator.
     """
-    if (np.count_nonzero(c, axis=2) <= 1).all():
-        T = np.abs(c).argmax(axis=2)
-        v = np.take_along_axis(c, T[..., None], axis=2)[..., 0]
+    table = monomial_table(c) if table is None else table
+    if table is not None:
+        T, v = table
         rows = np.arange(c.shape[0])[:, None, None]
-        left_at, left = T[T], v[:, :, None] * v[T]
-        right_at, right = T[rows, T], v * v[rows, T]
-        resid = np.where(left_at == right_at, np.abs(left - right),
-                         np.maximum(np.abs(left), np.abs(right)))
+        resid = _monomial_gap(T[T], v[:, :, None] * v[T],
+                              T[rows, T], v * v[rows, T])
     else:
         resid = np.abs(associator(c)).max(axis=3)
     i, j, k = np.unravel_index(resid.argmax(), resid.shape)
     return float(resid[i, j, k]), (int(i), int(j), int(k))
 
 
+def product_map_residual(A: FDStarAlgebra, M: np.ndarray, conj: bool = False,
+                         reverse: bool = True) -> np.ndarray:
+    """r[i, j] = max_l |M(x_ij) - M(e_a) M(e_b)|_l, x_ij = e_i e_j (conjugated
+    when conj), (a, b) = (j, i) if reverse else (i, j).  Read off index arrays
+    in O(n^2) when A.table exists and M(e_i) = m[i] e_P[i] (one nonzero per
+    column: sigma, S and K of groups, groupoids, doubles); else dense GEMMs."""
+    n = A.dim
+    if A.table is not None and (np.count_nonzero(M, axis=0) <= 1).all():
+        T, v = A.table
+        P = np.abs(M).argmax(axis=0)
+        m = M[P, np.arange(n)]
+        a, b = np.ogrid[:n, :n][::-1] if reverse else np.ogrid[:n, :n]
+        return _monomial_gap(P[T], (np.conj(v) if conj else v) * m[T],
+                             T[P[a], P[b]], m[b] * (m[a] * v[P[a], P[b]]))
+    lhs = (np.conj(A.structure) if conj else A.structure) @ M.T
+    rhs = A.products(M, M)
+    return np.abs(lhs - (rhs.transpose(1, 0, 2) if reverse else rhs)).max(axis=2)
+
+
 def _first_violation(resid: np.ndarray, eps: float) -> tuple[int, ...] | None:
-    """Index of the first row resid[..., :], in row-major order, holding an
-    entry above eps in absolute value; None when there is none."""
-    bad = np.abs(resid).max(axis=-1) > eps
-    if not bad.any():
-        return None
-    return tuple(int(k) for k in np.unravel_index(bad.argmax(), bad.shape))
+    """Index of the first entry of resid, in row-major order, above eps;
+    None when there is none."""
+    bad = np.argwhere(resid > eps)
+    return tuple(int(k) for k in bad[0]) if len(bad) else None
 
 
 def build_algebra(structure, unit, star, tol: Tolerance = DEFAULT_TOL,
@@ -197,9 +230,7 @@ class AntiAlgebraMap:
         S = np.asarray(matrix, dtype=complex)
         n = A.dim
         eps = A.tol.eps_eig * max(1.0, np.abs(S).max()) ** 2 * n
-        lhs = A.structure @ S.T                       # S(e_i e_j)
-        rhs = A.products(S, S).transpose(1, 0, 2)     # S(e_j) S(e_i)
-        bad = _first_violation(lhs - rhs, eps)
+        bad = _first_violation(product_map_residual(A, S), eps)
         if bad is not None:
             i, j = bad
             raise NotAntiMap(f"S(e{i} e{j}) != S(e{j}) S(e{i})")
@@ -241,8 +272,8 @@ def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
     eps = A.tol.eps_eig * max(1.0, np.abs(K).max()) ** 2 * n
     if np.abs(K @ np.conj(K) - np.eye(n)).max() > eps:
         raise NotAntiMap("conjugation is not involutive")
-    lhs = np.conj(A.structure) @ K.T                  # conj(e_i e_j)
-    bad = _first_violation(lhs - A.products(K, K), eps)
+    bad = _first_violation(
+        product_map_residual(A, K, conj=True, reverse=False), eps)
     if bad is not None:
         i, j = bad
         raise NotAntiMap(f"conjugation is not multiplicative at (e{i}, e{j})")
@@ -335,7 +366,7 @@ class SeparabilityIdempotent:
                 f"sum x_m y_m misses the unit by {np.abs(total - A.unit).max():.3e}")
         lhs = np.tensordot(c, Z, axes=(1, 0))                      # (e_i x) (x) y
         rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)   # x (x) (y e_i)
-        bad = _first_violation((lhs - rhs).reshape(n, -1), eps)
+        bad = _first_violation(np.abs(lhs - rhs).reshape(n, -1).max(axis=1), eps)
         if bad is not None:
             raise BadDualStructure(f"centrality identity fails at basis e{bad[0]}")
 

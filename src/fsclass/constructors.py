@@ -43,16 +43,16 @@ class GroupTable:
         for i in range(n):
             if t[i, inv[i]] != 0 or t[inv[i], i] != 0:
                 raise BadGroup(f"inverse of element {i} is wrong")
-        # associativity via the permutation test: rows and columns must be
-        # permutations, and (ij)k = i(jk)
-        for i in range(n):
-            for j in range(n):
-                if not np.array_equal(np.sort(t[i]), np.arange(n)):
-                    raise BadGroup(f"row {i} is not a permutation")
-                lhs = t[t[i, j]]
-                rhs = t[i][t[j]]
-                if not np.array_equal(lhs, rhs):
-                    raise BadGroup(f"associativity fails at ({i}, {j})")
+        # rows must be permutations and (ij)k = i(jk); the first failing
+        # row i is reported, its permutation test before its (i, j)
+        row_bad = (np.sort(t, axis=1) != np.arange(n)).any(axis=1)
+        assoc_bad = (t[t] != t[np.arange(n)[:, None, None], t]).any(axis=2)
+        i = int((row_bad | assoc_bad.any(axis=1)).argmax())
+        if row_bad[i]:
+            raise BadGroup(f"row {i} is not a permutation")
+        if assoc_bad[i].any():
+            raise BadGroup(
+                f"associativity fails at ({i}, {int(assoc_bad[i].argmax())})")
         return GroupTable(n, t, inv)
 
     def conjugate(self, h: int, g: int) -> int:
@@ -374,12 +374,6 @@ def disjoint_union_groupoid(groups: list[GroupTable]) -> GroupoidData:
 
 # --- weak Hopf algebras ---
 
-def _sparse(t: np.ndarray, rows: int) -> sp.csr_array:
-    """The tensor t as a sparse matrix: its first `rows` axes flatten into
-    the row index, the remaining axes into the column index."""
-    return sp.csr_array(t.reshape(int(np.prod(t.shape[:rows])), -1))
-
-
 def _regroup(m: sp.csr_array, n: int, order: tuple[int, int, int, int]
              ) -> sp.csr_array:
     """m indexed as [(x0, x1), (x2, x3)], each x in range(n), re-indexed as
@@ -403,7 +397,8 @@ class WeakHopfData:
     doubles).  Multiplicativity is checked with sparse products over the
     support of the structure tensor c and of Delta, so its cost scales with
     nnz(c) and nnz(Delta), not with n^6; both sides of that identity vanish
-    off the support, so the largest stored residual is the dense one.
+    off the support, so the largest stored residual is the dense one.  Its
+    six sparse operands permute one nonzero coordinate list of c and of Dt.
     """
 
     algebra: FDStarAlgebra
@@ -443,12 +438,15 @@ class WeakHopfData:
         # sum_pqrs Dt[i,p,q] Dt[j,r,s] c[p,r,a] c[q,s,b] = (X Y^T)[(a,i),(b,j)]
         # for X[(a,i),(q,r)] = sum_p c[p,r,a] Dt[i,p,q] and
         # Y[(b,j),(q,r)] = sum_s c[q,s,b] Dt[j,r,s]
-        c = A.structure
-        lhs = _sparse(c, 2) @ _sparse(Dt, 1)
-        X = _regroup(_sparse(c.transpose(1, 2, 0), 2)
-                     @ _sparse(Dt.transpose(1, 0, 2), 1), n, (1, 2, 3, 0))
-        Y = _regroup(_sparse(c.transpose(0, 2, 1), 2)
-                     @ _sparse(Dt.transpose(2, 0, 1), 1), n, (1, 2, 0, 3))
+        (ci, cj, ck), (di, dj, dk) = np.nonzero(A.structure), np.nonzero(Dt)
+        cv, dv = A.structure[ci, cj, ck], Dt[di, dj, dk]
+
+        def cd(x, y, z, u, v, w):   # c as [(x, y), z] times Dt as [u, (v, w)]
+            return (sp.csr_array((cv, (x * n + y, z)), shape=(n * n, n))
+                    @ sp.csr_array((dv, (u, v * n + w)), shape=(n, n * n)))
+        lhs = cd(ci, cj, ck, di, dj, dk)
+        X = _regroup(cd(cj, ck, ci, dj, di, dk), n, (1, 2, 3, 0))
+        Y = _regroup(cd(ci, ck, cj, dk, di, dj), n, (1, 2, 0, 3))
         rhs = _regroup(X @ Y.T, n, (1, 3, 0, 2))
         if np.abs((lhs - rhs).data).max(initial=0.0) > eps * 10:
             raise AxiomViolation("comultiplication is not multiplicative")

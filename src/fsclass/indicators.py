@@ -177,12 +177,12 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
         if W.shape[1] != d:
             raise InternalConsistency("fixed space of j has the wrong dimension")
         witness = W
-        Winv = np.linalg.inv(W)
-        for k in range(R.real_basis.shape[1]):
-            m = Winv @ V.apply(R.real_basis[:, k]) @ W
-            if np.abs(m.imag).max() > A.tol.eps_round * (1 + np.abs(m).max()):
-                raise InternalConsistency(
-                    "real form does not act by real matrices in the j-fixed basis")
+        # m[k] = W^-1 rho(r_k) W for every real basis vector r_k of A0
+        m = np.linalg.inv(W) @ np.tensordot(R.real_basis, V.rho, axes=(0, 0)) @ W
+        tol = A.tol.eps_round * (1 + np.abs(m).max(axis=(1, 2)))
+        if (np.abs(m.imag).max(axis=(1, 2)) > tol).any():
+            raise InternalConsistency(
+                "real form does not act by real matrices in the j-fixed basis")
     else:
         if np.abs(j @ np.conj(j) + np.eye(d)).max() > A.tol.eps_round * 10:
             raise InternalConsistency("j conj(j) != -I for sigma = -1")

@@ -87,3 +87,18 @@ def scheme_mats():
         d = fio.load_scheme_v1(data_path(name + ".json"))
         out[name] = d["matrices"]
     return out
+
+
+def diagonal_rescaling(n, seed):
+    """Seeded d with random phases and magnitudes in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.random(n))
+
+
+def rescaled(A, d):
+    """A on the basis f_i = d[i] e_i: still monomial when A is, with
+    non-unit structure constants; a linear map M of A becomes
+    M * d[None, :] / d[:, None]."""
+    c = A.structure * d[:, None, None] * d[None, :, None] / d[None, None, :]
+    return FDStarAlgebra(c, A.unit / d,
+                         A.star_matrix * np.conj(d)[None, :] / d[:, None])

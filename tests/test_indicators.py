@@ -6,11 +6,12 @@ from fsclass import (Representation, canonical_g, classify_sigma, decompose,
                      drinfeld_double, fs_indicator_formula,
                      fs_indicator_trace, full_report, group_algebra,
                      regular_representation)
-from fsclass.algebra import real_form_from_S, separability_idempotent
+from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
+                             real_form_from_S, separability_idempotent)
 from fsclass.indicators import _round_indicator
 
-from conftest import (GROUP_FILES, classical_oracle, load_group,
-                      m2_dual_structures)
+from conftest import (GROUP_FILES, classical_oracle, diagonal_rescaling,
+                      load_group, m2_dual_structures, rescaled)
 
 
 def pipeline(name):
@@ -132,6 +133,33 @@ def test_sum_of_indicators_is_the_trace_of_the_antipode(name, group_pipelines):
     assert np.trace(dual_d.S.matrix).real == fixed
     assert _sum_nu_dim(W.algebra, dual_d,
                        separability_idempotent(W.algebra)) == fixed
+
+
+def _answers(A, dual, E):
+    rows = full_report(A, dual, decompose(regular_representation(A)), E).rows
+    return sorted((r.dim, r.multiplicity, r.nu_formula, r.nu_trace, r.sigma)
+                  for r in rows)
+
+
+@pytest.mark.parametrize("name, double", [("s3", False), ("q8", False),
+                                          ("s3", True)])
+def test_answers_do_not_depend_on_basis_rescaling(name, double):
+    # f_i = d[i] e_i with random phases and magnitudes in [0.5, 2]: the
+    # structure constants stay monomial, so the index-table checks run on
+    # non-unit values
+    G = load_group(name)
+    if double:
+        W, dual = drinfeld_double(G)
+        A, E = W.algebra, separability_idempotent(W.algebra)
+    else:
+        A, dual, E = group_algebra(G)
+    d = diagonal_rescaling(A.dim, seed=16)
+    B = rescaled(A, d)
+    assert B.table is not None
+    S = AntiAlgebraMap.validated(B, dual.S.matrix * d / d[:, None])
+    dual_b = DualStructureData.validated(B, S, dual.g / d)
+    assert _answers(B, dual_b, separability_idempotent(B)) == \
+        _answers(A, dual, E)
 
 
 def test_full_report_solves_twice_per_irreducible(monkeypatch):

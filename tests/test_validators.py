@@ -4,25 +4,27 @@ Each reference below is the earlier per-basis-pair loop (or einsum) form
 of one check, returning the message it raised first.  For one corrupted
 entry of each input, the validator must raise the same exception type with
 the same message, so the same reported (i, j) or e{i}.  The associativity
-kernel is also compared with the dense associator, on monomial inputs
-(index-table path) and on dense ones.
+kernel and the product-map kernel are also compared with their dense
+forms, on monomial inputs (index-table path) and on dense ones.
 """
 import numpy as np
 import pytest
 
-from fsclass import (FDStarAlgebra, GroupoidData, drinfeld_double,
-                     group_algebra, group_weak_hopf, groupoid_weak_hopf,
-                     scheme_from_matrices, table_algebra)
+from fsclass import (FDStarAlgebra, GroupoidData, GroupTable,
+                     drinfeld_double, group_algebra, group_weak_hopf,
+                     groupoid_weak_hopf, scheme_from_matrices, table_algebra)
 from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, SeparabilityIdempotent,
                              associator, associator_residual,
-                             real_form_from_conjugation)
+                             product_map_residual, real_form_from_conjugation,
+                             real_form_from_S)
 from fsclass.constructors import WeakHopfData
-from fsclass.errors import (AxiomViolation, BadDualStructure, BadStar,
-                            NotAntiMap, NotAssociative)
+from fsclass.errors import (AxiomViolation, BadDualStructure, BadGroup,
+                            BadStar, NotAntiMap, NotAssociative)
 from fsclass.linalg import DEFAULT_TOL as TOL
 
-from conftest import build_m2, data_path, load_group, m2_dual_structures
+from conftest import (build_m2, data_path, diagonal_rescaling, load_group,
+                      m2_dual_structures, rescaled)
 
 
 def _mult(c, x, y):
@@ -366,3 +368,159 @@ def test_associator_residual_on_dense_inputs():
         bad[1, 2, 0] += 0.5
         for t in (c, bad):
             assert associator_residual(t) == dense_residual(t)
+
+
+def loop_group(t):
+    """The per-(i, j) loop GroupTable.validated ran after its identity and
+    inverse checks: row i's permutation test, then associativity at (i, j)."""
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            if not np.array_equal(np.sort(t[i]), np.arange(n)):
+                return f"row {i} is not a permutation"
+            if not np.array_equal(t[t[i, j]], t[i][t[j]]):
+                return f"associativity fails at ({i}, {j})"
+    return None
+
+
+def test_group_table_reports_the_loop_index():
+    rng = np.random.default_rng(11)
+    for name in ("s3", "q8", "s4"):
+        G = load_group(name)
+        n, inv = G.order, G.inverse
+        for t_ in range(8):
+            # entries off row 0, column 0 and g g^-1, so that the identity
+            # and inverse checks still pass
+            p = int(rng.integers(1, n))
+            q1, q2 = (int(q) for q in rng.choice(
+                [q for q in range(1, n) if q != inv[p]], 2, replace=False))
+            t = G.table.copy()
+            if t_ % 2:      # the row stays a permutation
+                t[p, q1], t[p, q2] = t[p, q2], t[p, q1]
+            else:           # a repeated entry
+                t[p, q1] = t[p, q2]
+            assert_same(BadGroup, loop_group(t), GroupTable.validated, n, t, inv)
+
+
+def dense_map_residual(A, M, conj, reverse):
+    """max_l |M(x_ij) - M(e_a) M(e_b)| from the dense lhs and rhs forms."""
+    c = A.structure
+    lhs = np.einsum("ijk,lk->ijl", np.conj(c) if conj else c, M)
+    rhs = np.einsum("pi,qj,pqk->ijk", M, M, c)          # M(e_i) M(e_j)
+    return np.abs(lhs - (rhs.transpose(1, 0, 2) if reverse else rhs)).max(axis=2)
+
+
+def _product_maps(A, S):
+    """(M, conj, reverse) for the star, the antipode and K = sigma conj(S)."""
+    K = A.star_matrix @ np.conj(S)
+    return ((A.star_matrix, True, True), (S, False, True), (K, True, False))
+
+
+def _monomial_map(M):
+    return bool((np.count_nonzero(M, axis=0) <= 1).all())
+
+
+def test_product_map_residual_matches_dense_forms():
+    inputs = _monomial_inputs()
+    M2, S1, S2 = m2_dual_structures()
+    antipodes = {"C[S3]": inputs["C[S3]"][0].star_matrix,
+                 "D(S3)": drinfeld_double(load_group("s3"))[1].S.matrix,
+                 "pair3": inputs["pair3"][0].star_matrix}
+    cases = [(inputs[k][0], S) for k, S in antipodes.items()]
+    cases += [(M2, S1.matrix), (M2, S2.matrix)]
+    for A, S in cases:
+        assert A.table is not None
+        for M, conj, reverse in _product_maps(A, S):
+            assert _monomial_map(M)
+            r = product_map_residual(A, M, conj, reverse)
+            assert np.array_equal(r, dense_map_residual(A, M, conj, reverse))
+    # D(S3) on a rescaled basis: the index-table path on non-unit values
+    W, dual = drinfeld_double(load_group("s3"))
+    d = diagonal_rescaling(W.dim, seed=12)
+    B = rescaled(W.algebra, d)
+    assert B.table is not None
+    for M, conj, reverse in _product_maps(B, dual.S.matrix * d / d[:, None]):
+        assert _monomial_map(M)
+        r = product_map_residual(B, M, conj, reverse)
+        assert np.abs(r - dense_map_residual(B, M, conj, reverse)).max() < 1e-14
+
+
+def _involutive_corruptions(M, seed):
+    """Monomial corruptions of a monomial M with M conj(M) = 1 that keep
+    that identity, so the product check decides: the pair of entries of a
+    2-cycle scaled by z and 1/conj(z) for z = 1.5, 1j, and two 2-cycles
+    re-paired (entries moved to other rows)."""
+    rng = np.random.default_rng(seed)
+    n = M.shape[0]
+    P = np.abs(M).argmax(axis=0)
+    moved = [b for b in range(n) if P[b] != b]
+    for z in (1.5, 1j):
+        b = moved[rng.integers(len(moved))]
+        bad = M.copy()
+        bad[P[b], b] *= z
+        bad[b, P[b]] /= np.conj(z)
+        yield bad
+    b = moved[rng.integers(len(moved))]
+    b2 = next(x for x in rng.permutation(moved) if x not in (b, P[b]))
+    a, a2 = P[b], P[b2]
+    bad = M.copy()
+    for x, y in ((b, a2), (a2, b), (b2, a), (a, b2)):
+        bad[:, x] = 0
+        bad[y, x] = 1.0
+    yield bad
+
+
+def test_product_map_corruptions_report_the_loop_index():
+    W, dual = drinfeld_double(load_group("s3"))
+    A = W.algebra
+    for sig in _involutive_corruptions(A.star_matrix, seed=13):
+        assert _monomial_map(sig)
+        assert_same(BadStar, loop_star(A.structure, sig),
+                    FDStarAlgebra, A.structure, A.unit, sig)
+    K = A.star_matrix @ np.conj(dual.S.matrix)
+    for bad in _involutive_corruptions(K, seed=14):
+        assert _monomial_map(bad)
+        assert_same(NotAntiMap, loop_conjugation(A, bad),
+                    real_form_from_conjugation, A, bad)
+    S = dual.S.matrix
+    for t_, pos in enumerate(np.argwhere(S != 0)[[3, 10, 17, 24, 31, 35]]):
+        bad = S.copy()
+        i, j = pos
+        if t_ % 3 == 0:
+            bad[i, j] *= 1.5
+        elif t_ % 3 == 1:
+            bad[i, j] *= 1j
+        else:
+            bad[(i + 1 + t_) % W.dim, j], bad[i, j] = bad[i, j], 0
+        assert _monomial_map(bad)
+        assert_same(NotAntiMap, loop_anti_map(A, bad),
+                    AntiAlgebraMap.validated, A, bad)
+
+
+def test_product_identities_take_the_index_table_path(monkeypatch):
+    # monomial inputs make no dense products call; a rebased C[Q8] and the
+    # Petersen scheme (non-monomial structure tensors) still do
+    calls = []
+    products = FDStarAlgebra.products
+
+    def counted(self, X, Y):
+        calls.append(self.dim)
+        return products(self, X, Y)
+    monkeypatch.setattr(FDStarAlgebra, "products", counted)
+    W, dual = drinfeld_double(load_group("s3"))
+    real_form_from_S(W.algebra, dual.S)
+    assert calls == []
+    A, dual, _ = group_algebra(load_group("q8"))
+    rng = np.random.default_rng(15)
+    U = np.linalg.qr(rng.standard_normal((8, 8))
+                     + 1j * rng.standard_normal((8, 8)))[0]
+    Uinv = np.linalg.inv(U)
+    c = np.einsum("ia,jb,ijk,ck->abc", U, U, A.structure, Uinv, optimize=True)
+    B = FDStarAlgebra(c, Uinv @ A.unit, Uinv @ A.star_matrix @ np.conj(U))
+    assert B.table is None
+    real_form_from_S(B, Uinv @ dual.S.matrix @ U)
+    assert calls == [8, 8, 8]
+    mats = fio.load_scheme_v1(data_path("petersen_scheme.json"))["matrices"]
+    P = table_algebra(scheme_from_matrices(mats))[0]
+    assert P.table is None
+    assert calls[3:] == [P.dim, P.dim]
