@@ -25,9 +25,12 @@ class FDStarAlgebra:
     Construction validates associativity, the unit and the star axioms.
     The associativity residual max |(e_i e_j) e_k - e_i (e_j e_k)| is kept
     as `associativity_residual`: the regular representation reuses it as
-    its homomorphism residual.  `table` is `monomial_table(structure)`,
+    its homomorphism residual.  The star-reversal residual
+    max |(e_i e_j)* - e_j* e_i*| is kept as `star_reversal_residual`: the
+    dual coalgebra reuses it.  `table` is `monomial_table(structure)`,
     computed once and read by every product identity checked against A.
-    Immutable after construction; all methods are pure.
+    Immutable after construction (`_left` is read-only, so the regular
+    representation shares it); all methods are pure.
     """
 
     def __init__(self, structure: np.ndarray, unit: np.ndarray,
@@ -45,6 +48,7 @@ class FDStarAlgebra:
         self.tol = tol
         # left-multiplication matrices L_i = L(e_i), cached for speed
         self._left = np.ascontiguousarray(structure.transpose(0, 2, 1))
+        self._left.flags.writeable = False
         self._validate()
 
     # --- arithmetic ---
@@ -87,8 +91,10 @@ class FDStarAlgebra:
 
     def _validate(self):
         c, n = self.structure, self.dim
-        eps = self.tol.eps_rank * max(1.0, np.abs(c).max(initial=0.0)) ** 2 * n
         self.table = monomial_table(c)
+        # the largest |c| is the largest |v| when c is monomial
+        coeffs = c if self.table is None else self.table[1]
+        eps = self.tol.eps_rank * max(1.0, np.abs(coeffs).max(initial=0.0)) ** 2 * n
         bad, (i, j, k) = associator_residual(c, self.table)
         self.associativity_residual = bad
         if bad > eps:
@@ -105,7 +111,9 @@ class FDStarAlgebra:
         if np.abs(sig @ np.conj(sig) - eye).max() > eps:
             raise BadStar("star is not involutive on the basis")
         # (ab)* = b* a*: (e_i e_j)* = sigma conj(c[i, j]), e_j* = sigma[:, j]
-        bad_ij = _first_violation(product_map_residual(self, sig, conj=True), eps)
+        resid = product_map_residual(self, sig, conj=True)
+        self.star_reversal_residual = float(resid.max(initial=0.0))
+        bad_ij = _first_violation(resid, eps)
         if bad_ij is not None:
             i, j = bad_ij
             raise BadStar(f"(e{i} e{j})* != e{j}* e{i}*")
@@ -126,18 +134,89 @@ def associator(c: np.ndarray) -> np.ndarray:
 def monomial_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Index table (T, v) of a monomial structure tensor, e_i e_j =
     v[i, j] e_T[i, j] (T = 0, v = 0 where the product vanishes); None when
-    some product has two or more nonzero coefficients."""
-    if not (np.count_nonzero(c, axis=2) <= 1).all():
+    some product has two or more nonzero coefficients.  Reads the one
+    boolean mask c != 0, with no float copy of c."""
+    mask = c != 0
+    if not (np.count_nonzero(mask, axis=2) <= 1).all():
         return None
-    T = np.abs(c).argmax(axis=2)
+    T = mask.argmax(axis=2)
     return T, np.take_along_axis(c, T[..., None], axis=2)[..., 0]
 
 
 def _monomial_gap(at_a, a, at_b, b) -> np.ndarray:
     """max |a e_at_a - b e_at_b| over the coordinates, elementwise: |a - b|
     where the positions agree, max(|a|, |b|) where they differ."""
-    return np.where(at_a == at_b, np.abs(a - b),
-                    np.maximum(np.abs(a), np.abs(b)))
+    same = at_a == at_b
+    if same.all():
+        return np.abs(a - b)
+    return np.where(same, np.abs(a - b), np.maximum(np.abs(a), np.abs(b)))
+
+
+def _ragged(counts: np.ndarray, rows: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths of the rows `rows` of a CSR layout with row lengths
+    `counts`, and the positions of their entries, row after row."""
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    starts, lengths = ptr.take(rows), counts.take(rows)
+    skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return lengths, np.arange(len(skip)) + skip
+
+
+def table_associator_residual(table: tuple[np.ndarray, np.ndarray]
+                              ) -> tuple[float, tuple[int, int, int]]:
+    """`associator_residual` of the monomial tensor with index table
+    (T, v), visiting only the triples where a side is nonzero.
+
+    (e_i e_j) e_k = v[i, j] v[m, k] e_T[m, k], m = T[i, j], can be nonzero
+    only where v[i, j] and v[m, k] are: for each nonzero pair (i, j), k
+    runs over the nonzeros of row m of v, which visits those triples in
+    row-major order.  e_i (e_j e_k) = v[j, k] v[i, m] e_T[i, m],
+    m = T[j, k], is read at the same triples.  Off both supports both
+    sides vanish, and each product is formed as in the dense associator
+    (one nonzero term per sum), so the maximum and its first (i, j, k) are
+    the dense ones.
+
+    A triple where only e_i (e_j e_k) is nonzero breaks associativity, so
+    only a faulty table has one (a product set to zero, say).  Those
+    triples are enumerated from the columns of v only when an O(n^2) count
+    says they exist: the triples where the right side can be nonzero
+    outnumber those among the visited ones.  Where every product is
+    nonzero (group algebras: n^3 triples) enumerating the right side as
+    well would double the cost for nothing.
+    """
+    T, v = table
+    n = len(T)
+    Tf, vf, nz = T.ravel(), v.ravel(), (v != 0).ravel()
+    pi, pj = np.nonzero(v)            # the nonzero pairs, row-major: CSR of v
+    pf = pi * n + pj
+    pm, pv = Tf.take(pf), vf.take(pf)
+    # left side: k over row m = T[i, j] of v, at CSR positions `at`
+    cnt, at = _ragged(np.count_nonzero(v, axis=1), pm)
+    k = pj.take(at)
+    jk = np.repeat(pj * n, cnt) + k
+    im = np.repeat(pi * n, cnt) + Tf.take(jk)
+    right = vf.take(jk) * vf.take(im)
+    resid = _monomial_gap(pm.take(at), np.repeat(pv, cnt) * pv.take(at),
+                          Tf.take(im), right)
+    # right side alone: i over column m = T[j, k] of v, off the left support
+    col_nnz, extra = np.count_nonzero(v, axis=0), None
+    if col_nnz.take(pm).sum() > np.count_nonzero(right):
+        col_cnt, at = _ragged(col_nnz, pm)
+        i, jk = np.nonzero(v.T)[1].take(at), np.repeat(pf, col_cnt)
+        ij = i * n + jk // n
+        off = ~(nz.take(ij) & nz.take(Tf.take(ij) * n + jk % n))
+        i, jk = i[off], jk[off]
+        resid = np.concatenate(
+            (resid, np.abs(vf.take(jk) * vf.take(i * n + Tf.take(jk)))))
+        extra = i * n * n + jk
+    bad = float(resid.max(initial=0.0))
+    if bad == 0:
+        return bad, (0, 0, 0)
+    flat = np.repeat(pf * n, cnt) + k     # i n^2 + j n + k, in visiting order
+    if extra is not None:
+        flat = np.concatenate((flat, extra))
+    i, j, k = np.unravel_index(int(flat[resid == bad].min()), (n, n, n))
+    return bad, (int(i), int(j), int(k))
 
 
 def associator_residual(c: np.ndarray, table: tuple | None = None
@@ -146,21 +225,15 @@ def associator_residual(c: np.ndarray, table: tuple | None = None
     (i, j, k), in row-major order, where it is reached.
 
     `table` is `monomial_table(c)`, computed here when not given.  When c is
-    monomial the two products are read off the index table:
-    (e_i e_j) e_k = v[i, j] v[T[i, j], k] e_T[T[i, j], k] and
-    e_i (e_j e_k) = v[j, k] v[i, T[j, k]] e_T[i, T[j, k]], in O(n^3) and
-    with no n^4 array.  Each sum of the dense associator then has one
-    nonzero term, so both paths give the same residual and index.  Any
-    other c goes through the dense associator.
+    monomial, `table_associator_residual` reads both products off the index
+    table, only on the triples where one of them is nonzero (n^2 of the n^3
+    for a Drinfeld double, all n^3 for a group algebra); any other c goes
+    through the dense associator.
     """
     table = monomial_table(c) if table is None else table
     if table is not None:
-        T, v = table
-        rows = np.arange(c.shape[0])[:, None, None]
-        resid = _monomial_gap(T[T], v[:, :, None] * v[T],
-                              T[rows, T], v * v[rows, T])
-    else:
-        resid = np.abs(associator(c)).max(axis=3)
+        return table_associator_residual(table)
+    resid = np.abs(associator(c)).max(axis=3)
     i, j, k = np.unravel_index(resid.argmax(), resid.shape)
     return float(resid[i, j, k]), (int(i), int(j), int(k))
 

@@ -55,6 +55,13 @@ class FDStarCoalgebra:
         # coassociative iff the dual (convolution) product is associative
         return associator_residual(self.Delta.reshape((self.dim,) * 3))[0]
 
+    def _star_reversal_residual(self) -> float:
+        # Delta(c*) = (c_(2))* (x) (c_(1))* on basis elements
+        st, Dt = self.star_matrix, self.delta_tensor()
+        lhs = np.tensordot(st, Dt, axes=(0, 0))
+        rhs = st @ np.conj(Dt).transpose(0, 2, 1) @ st.T
+        return float(np.abs(lhs - rhs).max(initial=0.0))
+
     def _validate(self):
         n, Dt = self.dim, self.delta_tensor()
         eps = self.tol.eps_eig * max(1, n) * max(
@@ -68,10 +75,7 @@ class FDStarCoalgebra:
         st = self.star_matrix
         if np.abs(st @ np.conj(st) - eye).max() > eps:
             raise AxiomViolation("coalgebra star is not involutive")
-        # Delta(c*) = (c_(2))* (x) (c_(1))* on basis elements
-        lhs = np.tensordot(st, Dt, axes=(0, 0))
-        rhs = st @ np.conj(Dt).transpose(0, 2, 1) @ st.T
-        if np.abs(lhs - rhs).max(initial=0.0) > eps:
+        if self._star_reversal_residual() > eps:
             raise AxiomViolation("star does not reverse the comultiplication")
 
 
@@ -86,12 +90,19 @@ class _DualCoalgebra(FDStarCoalgebra):
     def _coassociativity_residual(self) -> float:
         return self.algebra.associativity_residual
 
+    def _star_reversal_residual(self) -> float:
+        return self.algebra.star_reversal_residual
+
 
 def dualize(A: FDStarAlgebra) -> FDStarCoalgebra:
     """The dual coalgebra on the same basis: comultiplication transposes the
     product, counit is the unit, star comes from <a*, c> = conj<a, c*>.
     Delta.reshape(n, n, n) is A.structure, so the coassociativity residual
-    is A's associativity residual, compared with the coalgebra threshold."""
+    is A's associativity residual, compared with the coalgebra threshold.
+    Likewise the star-reversal residual: with Dt[i, j, k] = c[j, k, i] and
+    star dagger(sigma), |Delta(e_a*) - (e_a(2))* (x) (e_a(1))*| at (j, k)
+    is |((e_j e_k)* - e_k* e_j*)_a| entry for entry, so its maximum is A's
+    `star_reversal_residual`."""
     return _DualCoalgebra(A)
 
 

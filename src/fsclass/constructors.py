@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      associator_residual)
+                      associator_residual, monomial_table)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
                      NonUniqueHaar, NotInvolution)
 from .linalg import DEFAULT_TOL, Tolerance, nullspace
@@ -374,6 +374,18 @@ def disjoint_union_groupoid(groups: list[GroupTable]) -> GroupoidData:
 
 # --- weak Hopf algebras ---
 
+def _coordinates(c: np.ndarray, table: tuple | None
+                 ) -> tuple[np.ndarray, ...]:
+    """(i, j, k, c[i, j, k]) over the nonzero entries of c, row-major: read
+    off the index table `monomial_table(c)` when there is one."""
+    if table is None:
+        i, j, k = np.nonzero(c)
+        return i, j, k, c[i, j, k]
+    T, v = table
+    i, j = np.nonzero(v)
+    return i, j, T[i, j], v[i, j]
+
+
 def _regroup(m: sp.csr_array, n: int, order: tuple[int, int, int, int]
              ) -> sp.csr_array:
     """m indexed as [(x0, x1), (x2, x3)], each x in range(n), re-indexed as
@@ -392,13 +404,16 @@ class WeakHopfData:
 
     Construction validates coassociativity, the counit laws and
     multiplicativity of Delta.  Coassociativity is associativity of the dual
-    product Delta.reshape(n, n, n), checked by `associator_residual` (on the
-    index table when that product is monomial, as for groups, groupoids and
-    doubles).  Multiplicativity is checked with sparse products over the
+    product D = Delta.reshape(n, n, n), checked by `associator_residual`
+    on D's index table when D is monomial (groups, groupoids and doubles:
+    only the triples where a side is nonzero are visited) and on the dense
+    associator otherwise.  The counit laws are two GEMMs of the counit with
+    Delta.  Multiplicativity is checked with sparse products over the
     support of the structure tensor c and of Delta, so its cost scales with
     nnz(c) and nnz(Delta), not with n^6; both sides of that identity vanish
     off the support, so the largest stored residual is the dense one.  Its
-    six sparse operands permute one nonzero coordinate list of c and of Dt.
+    six sparse operands permute one coordinate list of c and one of Delta,
+    read off `A.table` and D's table where those exist.
     """
 
     algebra: FDStarAlgebra
@@ -425,21 +440,21 @@ class WeakHopfData:
     def _validate(self):
         A, n = self.algebra, self.dim
         eps = A.tol.eps_eig * max(1, n)
-        Dt = self.delta_tensor()
+        D = self.Delta.reshape(n, n, n)       # D[j, k, i] = Dt[i, j, k]
+        table = monomial_table(D)
         # coassociative iff the dual (convolution) product is associative
-        if associator_residual(self.Delta.reshape(n, n, n))[0] > eps:
+        if associator_residual(D, table)[0] > eps:
             raise AxiomViolation("comultiplication is not coassociative")
-        eye = np.eye(n)
-        left = np.einsum("j,ijk->ik", self.counit, Dt)
-        right = np.einsum("k,ijk->ij", self.counit, Dt)
-        if np.abs(left - eye).max() > eps or np.abs(right - eye).max() > eps:
+        eye, e = np.eye(n), self.counit   # (e (x) id) Delta, (id (x) e) Delta
+        if np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max() > eps \
+                or np.abs(e @ D - eye).max() > eps:
             raise AxiomViolation("counit law fails")
         # Delta(e_i) Delta(e_j) at e_a (x) e_b is
         # sum_pqrs Dt[i,p,q] Dt[j,r,s] c[p,r,a] c[q,s,b] = (X Y^T)[(a,i),(b,j)]
         # for X[(a,i),(q,r)] = sum_p c[p,r,a] Dt[i,p,q] and
         # Y[(b,j),(q,r)] = sum_s c[q,s,b] Dt[j,r,s]
-        (ci, cj, ck), (di, dj, dk) = np.nonzero(A.structure), np.nonzero(Dt)
-        cv, dv = A.structure[ci, cj, ck], Dt[di, dj, dk]
+        ci, cj, ck, cv = _coordinates(A.structure, A.table)
+        dj, dk, di, dv = _coordinates(D, table)
 
         def cd(x, y, z, u, v, w):   # c as [(x, y), z] times Dt as [u, (v, w)]
             return (sp.csr_array((cv, (x * n + y, z)), shape=(n * n, n))
@@ -543,46 +558,45 @@ def groupoid_weak_hopf(Gd: GroupoidData,
     return W, DualStructureData.validated(A, S, unit)
 
 
+def double_product_table(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Index table (T, v) of the product of D(G) on the basis
+    delta_g (x) h, index g * |G| + h, in the form of `monomial_table`:
+    (delta_g x h)(delta_g' x h') = delta_g x hh' if g = h g' h^{-1}, else 0."""
+    m, t, inv = G.order, G.table, G.inverse
+    g, h, g2, h2 = np.ix_(*[np.arange(m)] * 4)
+    hit = np.broadcast_to(g2 == t[t[inv[h], g], h], (m,) * 4)
+    T = np.where(hit, g * m + t[h, h2], 0)
+    return T.reshape(m * m, m * m), hit.reshape(m * m, m * m).astype(complex)
+
+
 def drinfeld_double(G: GroupTable,
                     tol: Tolerance = DEFAULT_TOL
                     ) -> tuple[WeakHopfData, DualStructureData]:
-    """D(G) on the basis delta_g (x) h, index g * |G| + h."""
+    """D(G) on the basis delta_g (x) h, index g * |G| + h, with
+    (delta_g x h)* = delta_{h^-1 g h} x h^-1,
+    S(delta_g x h) = delta_{h^-1 g^-1 h} x h^-1 and
+    Delta(delta_g x h) = sum_{ab = g} (delta_a x h) (x) (delta_b x h)."""
     m = G.order
     n = m * m
     t, inv = G.table, G.inverse
-
-    def idx(g, h):
-        return g * m + h
-
+    T, v = double_product_table(G)
+    i, j = np.nonzero(v)
     c = np.zeros((n, n, n), dtype=complex)
-    for g in range(m):
-        for h in range(m):
-            for h2 in range(m):
-                # (delta_g x h)(delta_{g'} x h') nonzero iff g = h g' h^{-1}
-                g2 = t[t[inv[h], g], h]
-                c[idx(g, h), idx(g2, h2), idx(g, t[h, h2])] = 1.0
-    unit = np.zeros(n, dtype=complex)
-    for g in range(m):
-        unit[idx(g, 0)] = 1.0
+    c[i, j, T[i, j]] = v[i, j]
+    g, h = np.ix_(np.arange(m), np.arange(m))
     sigma = np.zeros((n, n), dtype=complex)
+    sigma[t[t[inv[h], g], h] * m + inv[h], g * m + h] = 1.0
     S_mat = np.zeros((n, n), dtype=complex)
-    for g in range(m):
-        for h in range(m):
-            ghg = t[t[inv[h], g], h]            # h^{-1} g h
-            sigma[idx(ghg, inv[h]), idx(g, h)] = 1.0
-            sginv = t[t[inv[h], inv[g]], h]     # h^{-1} g^{-1} h
-            S_mat[idx(sginv, inv[h]), idx(g, h)] = 1.0
+    S_mat[t[t[inv[h], inv[g]], h] * m + inv[h], g * m + h] = 1.0
+    unit = np.zeros(n, dtype=complex)
+    unit[np.arange(m) * m] = 1.0
     A = FDStarAlgebra(c, unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, S_mat)
+    a = np.arange(m)[:, None, None]                 # a b = g for b = a^-1 g
     Delta = np.zeros((n * n, n), dtype=complex)
-    for g in range(m):
-        for h in range(m):
-            for a in range(m):
-                b = t[inv[a], g]                # ab = g
-                Delta[idx(a, h) * n + idx(b, h), idx(g, h)] = 1.0
+    Delta[(a * m + h) * n + t[inv[a], g] * m + h, g * m + h] = 1.0
     counit = np.zeros(n, dtype=complex)
-    for h in range(m):
-        counit[idx(0, h)] = 1.0
+    counit[:m] = 1.0
     W = WeakHopfData(A, Delta, counit, S)
     return W, DualStructureData.validated(A, S, unit)
 

@@ -116,12 +116,14 @@ class RegularRepresentation(Representation):
 
 
 def regular_representation(A: FDStarAlgebra) -> RegularRepresentation:
+    """The left regular *-representation; its rho is A's own read-only
+    stack of left-multiplication matrices, shared, not copied."""
     from .algebra import check_cstar
     G, ok = check_cstar(A)
     if not ok:
         raise NotStarRep("regular representation is not a *-representation: "
                          "trace form is not positive definite")
-    return RegularRepresentation(A, A._left.copy(), G)
+    return RegularRepresentation(A, A._left, G)
 
 
 def restrict(V: Representation, basis: np.ndarray,

@@ -18,6 +18,7 @@ from fsclass import io as fio
 from fsclass.algebra import associator_residual
 from fsclass.errors import AxiomViolation
 from fsclass.linalg import DEFAULT_TOL as TOL
+from fsclass.linalg import Tolerance
 
 from conftest import data_path, load_group, m2_dual_structures
 
@@ -239,3 +240,47 @@ def test_dualize_reuses_the_associativity_residual():
         assert dualize_co(C) is A
         assert measured == associator_residual(A.structure)[0]
         assert measured == A.associativity_residual
+
+
+def einsum_star_reversal(C):
+    """max |Delta(e_a*) - (e_a(2))* (x) (e_a(1))*| from the einsum forms of
+    `einsum_coalgebra`."""
+    Dt, st = C.delta_tensor(), C.star_matrix
+    lhs = np.einsum("ij,iab->jab", st, Dt)
+    rhs = np.einsum("pb,iab,qa->ipq", st, np.conj(Dt), st)
+    return float(np.abs(lhs - rhs).max())
+
+
+def test_dualize_reuses_the_star_reversal_residual():
+    # D(S3) (index table), C[Q8] on a complex unitary basis (dense, with a
+    # non-real star) and M2
+    q8, d_q8, _ = group_algebra(load_group("q8"))
+    z = np.random.default_rng(12).standard_normal((8, 8, 2)) @ [1, 1j]
+    q8u = _rebased(q8, d_q8.S, np.linalg.qr(z)[0])[0]
+    assert np.abs(q8u.star_matrix.imag).max() > 0.1 and q8u.table is None
+    for A in (drinfeld_double(load_group("s3"))[0].algebra, q8u,
+              m2_dual_structures()[0]):
+        C = dualize(A)
+        want = einsum_star_reversal(C)
+        assert C._star_reversal_residual() == A.star_reversal_residual
+        assert abs(A.star_reversal_residual - want) <= 1e-14
+        assert abs(FDStarCoalgebra._star_reversal_residual(C) - want) <= 1e-14
+
+
+def test_dualize_rejects_the_star_the_loose_algebra_accepts():
+    # C[S3] with (e_g)* = -e_g at an involution g: sigma stays involutive,
+    # (ab)* = b* a* fails by 2, which an algebra built with eps_rank = 0.5
+    # accepts; the dual coalgebra compares the same residual with its own
+    # threshold, as the einsum form does
+    G = load_group("s3")
+    A = group_algebra(G)[0]
+    g = next(g for g in range(1, G.order) if G.inverse[g] == g)
+    sig = A.star_matrix.copy()
+    sig[g, g] = -1.0
+    B = FDStarAlgebra(A.structure, A.unit, sig, Tolerance(eps_rank=0.5))
+    assert B.star_reversal_residual == 2.0
+    n = B.dim
+    expected = einsum_coalgebra(B.structure.reshape(n * n, n), B.unit,
+                                np.conj(sig).T)
+    assert expected == "star does not reverse the comultiplication"
+    assert_same(expected, dualize, B)

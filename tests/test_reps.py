@@ -190,6 +190,17 @@ def test_regular_representation_is_the_left_mult_stack():
                               _left_mult_stack(A))
 
 
+def test_regular_representation_shares_the_read_only_left_mult_stack():
+    A = drinfeld_double(load_group("s3"))[0].algebra
+    V = regular_representation(A)
+    assert V.rho is A._left
+    with pytest.raises(ValueError, match="read-only"):
+        V.rho[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        A._left += 1.0
+    assert np.array_equal(V.rho, _left_mult_stack(A))
+
+
 def _outcome(fn):
     try:
         fn()

@@ -5,20 +5,28 @@ of one check, returning the message it raised first.  For one corrupted
 entry of each input, the validator must raise the same exception type with
 the same message, so the same reported (i, j) or e{i}.  The associativity
 kernel and the product-map kernel are also compared with their dense
-forms, on monomial inputs (index-table path) and on dense ones.
+forms, on monomial inputs (index-table path) and on dense ones, and the
+index-table kernel past the dense cap with a sparse reference.
 """
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import fsclass.algebra
 from fsclass import (FDStarAlgebra, GroupoidData, GroupTable,
-                     drinfeld_double, group_algebra, group_weak_hopf,
-                     groupoid_weak_hopf, scheme_from_matrices, table_algebra)
+                     drinfeld_double, group_algebra, group_from_permutations,
+                     group_weak_hopf, groupoid_weak_hopf, scheme_from_matrices,
+                     table_algebra)
 from fsclass import io as fio
-from fsclass.algebra import (AntiAlgebraMap, SeparabilityIdempotent,
-                             associator, associator_residual,
-                             product_map_residual, real_form_from_conjugation,
-                             real_form_from_S)
-from fsclass.constructors import WeakHopfData
+from fsclass.algebra import (DENSE_DIM_CAP, AntiAlgebraMap,
+                             SeparabilityIdempotent, associator,
+                             associator_residual, product_map_residual,
+                             real_form_from_conjugation, real_form_from_S,
+                             table_associator_residual)
+from fsclass.constructors import WeakHopfData, double_product_table
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadGroup,
                             BadStar, NotAntiMap, NotAssociative)
 from fsclass.linalg import DEFAULT_TOL as TOL
@@ -277,6 +285,47 @@ def test_weak_hopf_reports_the_loop_check():
                 WeakHopfData, A, Delta, counit, transpose)
 
 
+def _pair3_weak_hopf():
+    d = fio.load_groupoid_v1(data_path("pair3_groupoid.json"))
+    return groupoid_weak_hopf(
+        GroupoidData.validated(d["objects"], d["arrows"], d["compose"]))[0]
+
+
+def _delta_corruptions(Delta, kinds, seed):
+    """Delta with one nonzero scaled by 1.5, multiplied by 1j, moved to
+    another e_i of its row or set to zero (kind t % 4 = 0, 1, 2, 3 for t
+    in kinds) at seeded entries: Delta.reshape(n, n, n) stays monomial."""
+    rng = np.random.default_rng(seed)
+    nz = np.argwhere(Delta != 0)
+    n = Delta.shape[1]
+    for t in kinds:
+        r, i = nz[rng.integers(len(nz))]
+        bad = Delta.copy()
+        if t % 4 == 0:
+            bad[r, i] *= 1.5
+        elif t % 4 == 1:
+            bad[r, i] *= 1j
+        elif t % 4 == 2:
+            bad[r, (i + 1 + rng.integers(n - 1)) % n] = bad[r, i]
+            bad[r, i] = 0
+        else:
+            bad[r, i] = 0
+        yield bad
+
+
+def test_weak_hopf_monomial_delta_corruptions_report_the_loop_check():
+    # the loop reference takes about a second at dim 36: on D(S3) only the
+    # two kinds that change the support, a moved and a zeroed entry
+    D, _ = drinfeld_double(load_group("s3"))
+    messages = set()
+    for W, kinds, seed in ((D, (2, 3), 19), (_pair3_weak_hopf(), range(8), 20)):
+        for bad in _delta_corruptions(W.Delta, kinds, seed):
+            assert is_monomial(bad.reshape((W.dim,) * 3))
+            messages.add(loop_weak_hopf(W.algebra, bad, W.counit))
+            _check_weak_hopf(W, bad)
+    assert "comultiplication is not coassociative" in messages
+
+
 def test_weak_hopf_support_checks_catch_one_entry_at_dim_64():
     W, _ = drinfeld_double(load_group("q8"))
     assert W.dim == 64
@@ -301,9 +350,7 @@ def _monomial_inputs():
     """name -> (algebra, Delta reshaped to n x n x n) of monomial inputs."""
     W, _ = group_weak_hopf(load_group("s3"))
     D, _ = drinfeld_double(load_group("s3"))
-    d = fio.load_groupoid_v1(data_path("pair3_groupoid.json"))
-    P, _ = groupoid_weak_hopf(
-        GroupoidData.validated(d["objects"], d["arrows"], d["compose"]))
+    P = _pair3_weak_hopf()
     co = fio.load_coalgebra_v1(data_path("m2_coalgebra.json"))
     out = {}
     for name, A, Delta in (("C[S3]", W.algebra, W.Delta),
@@ -351,6 +398,121 @@ def test_associator_residual_on_monomial_corruptions():
             assert associator_residual(bad) == dense_residual(bad), name
             assert_same(NotAssociative, loop_assoc(bad),
                         FDStarAlgebra, bad, A.unit, A.star_matrix)
+
+
+def _zeroed_products(c, count, seed):
+    """c with one nonzero product e_i e_j set to zero, at seeded pairs: then
+    e_i (e_j e_k) is nonzero at triples where (e_i e_j) e_k vanishes."""
+    rng = np.random.default_rng(seed)
+    nz = np.argwhere(c != 0)
+    for _ in range(count):
+        bad = c.copy()
+        bad[tuple(nz[rng.integers(len(nz))])] = 0
+        yield bad
+
+
+def _right_only(c):
+    """Whether e_i (e_j e_k) != 0 = (e_i e_j) e_k for some (i, j, k)."""
+    left = np.einsum("ijm,mkl->ijkl", c, c) != 0
+    right = np.einsum("jkm,iml->ijkl", c, c) != 0
+    return bool((right.any(axis=3) & ~left.any(axis=3)).any())
+
+
+def test_associator_residual_on_zeroed_products():
+    inputs = _monomial_inputs()
+    # the loop reference is n^5: one corruption of the dim-36 D(S3)
+    for name, count in (("C[S3]", 4), ("pair3", 4), ("M2", 4), ("D(S3)", 1)):
+        A = inputs[name][0]
+        for bad in _zeroed_products(A.structure, count, seed=16):
+            assert is_monomial(bad) and _right_only(bad), name
+            assert associator_residual(bad) == dense_residual(bad), name
+            assert_same(NotAssociative, loop_assoc(bad),
+                        FDStarAlgebra, bad, A.unit, A.star_matrix)
+
+
+def sparse_associator_residual(T, v):
+    """The associator's max |entry| and first (i, j, k), from sparse
+    products of the structure tensor, one i at a time: for fixed i,
+    (e_i e_j) e_k at e_l is (c_i c_flat)[j, (k, l)] and e_i (e_j e_k) is
+    (c_pairs c_i)[(j, k), l], with c_i[j, m] = c[i, j, m]."""
+    n = len(T)
+    i, j = np.nonzero(v)
+    pairs = sp.csr_array((v[i, j], (i * n + j, T[i, j])), shape=(n * n, n))
+    flat = sp.csr_array((v[i, j], (i, j * n + T[i, j])), shape=(n, n * n))
+    best, first = 0.0, (0, 0, 0)
+    for a in range(n):
+        c_a = pairs[a * n:(a + 1) * n]
+        diff = ((c_a @ flat).reshape((n * n, n)) - pairs @ c_a).tocoo()
+        r = np.zeros(n * n)
+        np.maximum.at(r, diff.row, np.abs(diff.data))
+        if r.max() > best:
+            best, (j, k) = float(r.max()), divmod(int(r.argmax()), n)
+            first = (a, j, k)
+    return best, first
+
+
+def _table_corruptions(T, v, seed):
+    """(T, v) with one nonzero product scaled by 1.5, multiplied by 1j,
+    moved to another basis element or set to zero, at seeded pairs."""
+    rng = np.random.default_rng(seed)
+    nz = np.argwhere(v != 0)
+    n = len(T)
+    for t in range(4):
+        i, j = nz[rng.integers(len(nz))]
+        bad_T, bad_v = T.copy(), v.copy()
+        if t == 0:
+            bad_v[i, j] *= 1.5
+        elif t == 1:
+            bad_v[i, j] *= 1j
+        elif t == 2:
+            bad_T[i, j] = (T[i, j] + 1 + rng.integers(n - 1)) % n
+        else:
+            bad_T[i, j], bad_v[i, j] = 0, 0
+        yield bad_T, bad_v
+
+
+def test_associator_kernel_past_the_dense_cap():
+    # D(A4), n = 144, from its index table alone: the dense tensor would be
+    # one n^3 complex array, and the kernel peaks below an eighth of that
+    A4 = group_from_permutations([[1, 2, 0, 3], [1, 0, 3, 2]])
+    T, v = double_product_table(A4)
+    n = len(T)
+    assert A4.order == 12 and n > DENSE_DIM_CAP
+    cube = n ** 3 * np.dtype(complex).itemsize
+    for k, (bad_T, bad_v) in enumerate(
+            [(T, v)] + list(_table_corruptions(T, v, seed=17))):
+        tracemalloc.start()
+        try:
+            got = table_associator_residual((bad_T, bad_v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube / 8
+        assert got == sparse_associator_residual(bad_T, bad_v)
+        assert (got[0] == 0) == (k == 0)
+
+
+def test_full_support_enumerates_the_right_side_only_when_needed(monkeypatch):
+    # on C[S4] every product is nonzero, so the left side's triples are all
+    # n^3 and cover the right side's: enumerating those again would double
+    # the cost for nothing.  With a product set to zero they are needed.
+    A = group_algebra(load_group("s4"))[0]
+    calls = []
+    ragged = fsclass.algebra._ragged
+    monkeypatch.setattr(fsclass.algebra, "_ragged",
+                        lambda *args: calls.append(1) or ragged(*args))
+    assert associator_residual(A.structure, A.table) == (0.0, (0, 0, 0))
+    assert len(calls) == 1
+    for bad in _zeroed_products(A.structure, 2, seed=18):
+        assert associator_residual(bad) == dense_residual(bad)
+    assert len(calls) == 5
+    monkeypatch.undo()
+    times = []
+    for _ in range(30):
+        start = time.perf_counter()
+        associator_residual(A.structure, A.table)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1e-3
 
 
 def test_associator_residual_on_dense_inputs():
