@@ -8,7 +8,7 @@ stored as the matrix sigma with (e_i)^* = sum_k sigma[k,i] e_k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,20 @@ from .linalg import DEFAULT_TOL, Tolerance, dagger, fixed_space_of_antilinear
 DENSE_DIM_CAP = 128
 
 
+def dense_dim(n: int) -> int:
+    """n, or ValueError when a dense n x n x n tensor would pass the cap."""
+    if n > DENSE_DIM_CAP:
+        raise ValueError(f"dimension {n} exceeds the dense cap {DENSE_DIM_CAP}")
+    return n
+
+
 class FDStarAlgebra:
     """Associative unital *-algebra from a dense structure tensor.
+
+    Only this module reads the storage (`structure`, `_left`); other
+    modules use the methods: the contraction kernels `multiply` (the product
+    map m: A (x) A -> A) and `of_products` (its transpose), the L and R
+    stacks, `coordinates` and the multiplications below.
 
     Construction validates associativity, the unit and the star axioms.
     The associativity residual max |(e_i e_j) e_k - e_i (e_j e_k)| is kept
@@ -39,9 +51,7 @@ class FDStarAlgebra:
         n = structure.shape[0]
         if structure.shape != (n, n, n):
             raise ValueError("structure tensor must be n x n x n")
-        if n > DENSE_DIM_CAP:
-            raise ValueError(f"dimension {n} exceeds the dense cap {DENSE_DIM_CAP}")
-        self.dim = n
+        self.dim = dense_dim(n)
         self.structure = structure
         self.unit = np.asarray(unit, dtype=complex).reshape(n)
         self.star_matrix = np.asarray(star, dtype=complex).reshape(n, n)
@@ -52,6 +62,29 @@ class FDStarAlgebra:
         self._validate()
 
     # --- arithmetic ---
+
+    def multiply(self, Z: np.ndarray) -> np.ndarray:
+        """m(Z) = sum_jk Z[j, k] e_j e_k, Z in A (x) A as an n x n matrix."""
+        return Z.reshape(-1) @ self.structure.reshape(self.dim ** 2, -1)
+
+    def of_products(self, X: np.ndarray) -> np.ndarray:
+        """X(e_i e_j) for every pair (i, j), as (n, n, ...), for X a vector
+        or an (n, ...) map: the transpose of `multiply`."""
+        n = self.dim
+        flat = self.structure.reshape(n * n, n) @ X.reshape(n, -1)
+        return flat.reshape(n, n, *X.shape[1:])
+
+    def left_stack(self) -> np.ndarray:
+        """L(e_i) for every i: A's own read-only (n, n, n) stack."""
+        return self._left
+
+    def right_stack(self) -> np.ndarray:
+        """R(e_j)[k, i] = c[i, j, k] for every j, as an (n, n, n) view."""
+        return self.structure.transpose(1, 2, 0)
+
+    def coordinates(self) -> tuple[np.ndarray, ...]:
+        """`nonzero_coordinates` of the structure tensor."""
+        return nonzero_coordinates(self.structure, self.table)
 
     def mult(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.left_mult(x) @ y
@@ -141,6 +174,18 @@ def monomial_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     T = mask.argmax(axis=2)
     return T, np.take_along_axis(c, T[..., None], axis=2)[..., 0]
+
+
+def nonzero_coordinates(c: np.ndarray, table: tuple | None
+                        ) -> tuple[np.ndarray, ...]:
+    """(i, j, k, c[i, j, k]) over the nonzero entries of c, row-major: read
+    off the index table `monomial_table(c)` when there is one."""
+    if table is None:
+        i, j, k = np.nonzero(c)
+        return i, j, k, c[i, j, k]
+    T, v = table
+    i, j = np.nonzero(v)
+    return i, j, T[i, j], v[i, j]
 
 
 def _monomial_gap(at_a, a, at_b, b) -> np.ndarray:
@@ -252,7 +297,8 @@ def product_map_residual(A: FDStarAlgebra, M: np.ndarray, conj: bool = False,
         a, b = np.ogrid[:n, :n][::-1] if reverse else np.ogrid[:n, :n]
         return _monomial_gap(P[T], (np.conj(v) if conj else v) * m[T],
                              T[P[a], P[b]], m[b] * (m[a] * v[P[a], P[b]]))
-    lhs = (np.conj(A.structure) if conj else A.structure) @ M.T
+    # conj(c) @ X = conj(c @ conj(X)): no conjugated copy of c
+    lhs = np.conj(A.of_products(np.conj(M.T))) if conj else A.of_products(M.T)
     rhs = A.products(M, M)
     return np.abs(lhs - (rhs.transpose(1, 0, 2) if reverse else rhs)).max(axis=2)
 
@@ -277,9 +323,7 @@ def build_algebra(structure, unit, star, tol: Tolerance = DEFAULT_TOL,
     else:
         if dim is None:
             raise ValueError("dim is required for sparse structure input")
-        n = dim
-        if n > DENSE_DIM_CAP:
-            raise ValueError(f"dimension {n} exceeds the dense cap {DENSE_DIM_CAP}")
+        n = dense_dim(dim)
         dense = np.zeros((n, n, n), dtype=complex)
         for i, j, k, v in structure:
             dense[i, j, k] += v
@@ -369,7 +413,7 @@ def check_cstar(A: FDStarAlgebra) -> tuple[np.ndarray, bool]:
     """Gram matrix G[i,j] = tau(e_i* e_j) of the regular trace form, and
     whether it is Hermitian positive definite (iff A admits a C*-norm)."""
     t = A.regular_trace()
-    G = A.star_matrix.T @ (A.structure @ t)
+    G = A.star_matrix.T @ A.of_products(t)
     scale = max(1.0, np.abs(G).max(initial=0.0))
     if np.abs(G - dagger(G)).max(initial=0.0) > A.tol.eps_eig * scale:
         return G, False
@@ -422,24 +466,21 @@ class DualStructureData:
 
 @dataclass(frozen=True)
 class SeparabilityIdempotent:
-    """Pairs (x_m, y_m) with sum x_m y_m = 1 and the centrality identity
-    sum (a x_m) (x) y_m = sum x_m (x) (y_m a)."""
+    """E = sum_jk tensor[j, k] e_j (x) e_k = sum_m x_m (x) y_m, with m(E) = 1
+    and the centrality identity sum (a x_m) (x) y_m = sum x_m (x) (y_m a)."""
 
     algebra: FDStarAlgebra
-    pairs: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    tensor: np.ndarray
 
     def verify(self, eps: float = 1e-8) -> None:
-        A, n, c = self.algebra, self.algebra.dim, self.algebra.structure
-        X = np.array([x for x, _ in self.pairs], dtype=complex).reshape(-1, n)
-        Y = np.array([y for _, y in self.pairs], dtype=complex).reshape(-1, n)
-        Z = X.T @ Y          # sum_m x_m (x) y_m as an n x n matrix
-        total = Z.reshape(-1) @ c.reshape(n * n, n)
+        A, Z, c = self.algebra, self.tensor, self.algebra.structure
+        total = A.multiply(Z)
         if np.abs(total - A.unit).max() > eps:
             raise BadDualStructure(
                 f"sum x_m y_m misses the unit by {np.abs(total - A.unit).max():.3e}")
         lhs = np.tensordot(c, Z, axes=(1, 0))                      # (e_i x) (x) y
         rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)   # x (x) (y e_i)
-        bad = _first_violation(np.abs(lhs - rhs).reshape(n, -1).max(axis=1), eps)
+        bad = _first_violation(np.abs(lhs - rhs).reshape(A.dim, -1).max(axis=1), eps)
         if bad is not None:
             raise BadDualStructure(f"centrality identity fails at basis e{bad[0]}")
 
@@ -458,15 +499,14 @@ def separability_idempotent(A: FDStarAlgebra,
                             rotation: np.ndarray | None = None
                             ) -> SeparabilityIdempotent:
     """Separability idempotent sum x_j (x) x_j^* v^{-1} over the columns of a
-    basis B orthonormal for the trace form; v = vec(B B*^T) . c is central."""
+    basis B orthonormal for the trace form; v = m(B B*^T) is central."""
     G, ok = check_cstar(A)
     if not ok:
         raise NotCStar("no separability idempotent: algebra is not C*-able")
     B = orthonormal_basis(A, G, rotation)
     Bs = A.star(B)
-    vinv = A.inverse((B @ Bs.T).ravel() @ A.structure.reshape(-1, A.dim))
-    pairs = list(zip(B.T, (A.right_mult(vinv) @ Bs).T))
-    E = SeparabilityIdempotent(A, pairs)
+    vinv = A.inverse(A.multiply(B @ Bs.T))
+    E = SeparabilityIdempotent(A, B @ (A.right_mult(vinv) @ Bs).T)
     E.verify(eps=A.tol.eps_eig * 100 * max(1.0, float(np.abs(vinv).max())))
     return E
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      associator_residual, check_cstar)
+                      associator_residual, check_cstar, dense_dim)
 from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, NotHopf, NotStarRep,
@@ -30,11 +30,12 @@ class FDStarCoalgebra:
     matrix; column i is vec(Delta(e_i)) with index (j, k) -> j*n + k.
     The star acts by c* = star_matrix @ conj(c)."""
 
+    algebra: FDStarAlgebra | None = None   # dualize_co(self), once built
+
     def __init__(self, Delta: np.ndarray, counit: np.ndarray,
                  star: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         self.counit = np.asarray(counit, dtype=complex)
-        n = self.counit.shape[0]
-        self.dim = n
+        self.dim = n = dense_dim(self.counit.shape[0])
         self.Delta = np.asarray(Delta, dtype=complex).reshape(n * n, n)
         self.star_matrix = np.asarray(star, dtype=complex).reshape(n, n)
         self.tol = tol
@@ -43,10 +44,6 @@ class FDStarCoalgebra:
     def delta_tensor(self) -> np.ndarray:
         n = self.dim
         return self.Delta.T.reshape(n, n, n)  # Dt[i, j, k] coeff of e_j (x) e_k
-
-    def delta_of(self, c: np.ndarray) -> np.ndarray:
-        n = self.dim
-        return (self.Delta @ c).reshape(n, n)
 
     def star(self, c: np.ndarray) -> np.ndarray:
         return self.star_matrix @ np.conj(c)
@@ -107,13 +104,13 @@ def dualize(A: FDStarAlgebra) -> FDStarCoalgebra:
 
 
 def dualize_co(C: FDStarCoalgebra) -> FDStarAlgebra:
-    """The dual algebra: convolution product, counit as unit.  Round trip
-    with dualize is the identity on the nose: dualize_co(dualize(A)) is A."""
-    if isinstance(C, _DualCoalgebra):
-        return C.algebra
-    n = C.dim
-    structure = C.Delta.reshape(n, n, n)
-    return FDStarAlgebra(structure, C.counit, dagger(C.star_matrix), C.tol)
+    """The dual algebra: convolution product, counit as unit.  Built once
+    per coalgebra and kept as C.algebra, so the round trip with dualize is
+    the identity on the nose: dualize_co(dualize(A)) is A."""
+    if C.algebra is None:
+        C.algebra = FDStarAlgebra(C.Delta.reshape((C.dim,) * 3), C.counit,
+                                  dagger(C.star_matrix), C.tol)
+    return C.algebra
 
 
 class Corepresentation:
@@ -193,25 +190,29 @@ class CompactDecomposition:
     dual_algebra: FDStarAlgebra
 
 
+def _dual_parts(C: FDStarCoalgebra, parts: Parts | None, seed: int) -> Parts:
+    """parts, a decomposition of the regular representation of
+    dualize_co(C) itself (A when C = dualize(A)), or one made with seed."""
+    B = dualize_co(C)
+    if parts is None:
+        return decompose(regular_representation(B), seed=seed)
+    if parts[0][0].algebra is not B:
+        raise AxiomViolation("parts do not decompose the dual algebra of C")
+    return parts
+
+
 def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
                       parts: Parts | None = None) -> CompactDecomposition:
     """Matrix-coalgebra block decomposition of a compact *-coalgebra, with
     the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk.
 
-    parts is a decomposition the caller already has of the regular
-    representation of the dual algebra, which must be dualize_co(C) itself
-    (A when C = dualize(A)); without it, dualize_co(C) is decomposed here
-    with the seed.  Each block is checked as a corepresentation of C, which
-    is entry for entry the homomorphism and unit residuals of rho_u, and
-    rho_u for the star alone."""
+    parts is as for `_dual_parts`.  Each block is checked as a
+    corepresentation of C, which is entry for entry the homomorphism and
+    unit residuals of rho_u, and rho_u for the star alone."""
     B = dualize_co(C)
-    if parts is not None and parts[0][0].algebra is not B:
-        raise AxiomViolation("parts do not decompose the dual algebra of C")
-    G, ok = check_cstar(B)
-    if not ok:
+    if not check_cstar(B)[1]:
         raise NotCompact("dual algebra admits no C*-norm")
-    if parts is None:
-        parts = decompose(regular_representation(B), seed=seed)
+    parts = _dual_parts(C, parts, seed)
     n = C.dim
     blocks, unitarized, cols, swap, weight = [], [], [], [], []
     for V, mult in parts:
@@ -247,15 +248,17 @@ def gamma(C: FDStarCoalgebra, varsigma: np.ndarray,
     return gamma_full(C, varsigma, seed)[0]
 
 
-def gamma_full(C: FDStarCoalgebra, varsigma: np.ndarray, seed: int = 0
+def gamma_full(C: FDStarCoalgebra, varsigma: np.ndarray, seed: int = 0,
+               parts: Parts | None = None
                ) -> tuple[np.ndarray, DualStructureData, FDStarAlgebra]:
+    """gamma, its (S, g) and dualize_co(C); parts as for `_dual_parts`."""
     from .indicators import canonical_g
     B = dualize_co(C)
     try:
         S = AntiAlgebraMap.validated(B, np.asarray(varsigma, dtype=complex).T)
     except NotAntiMap as exc:
         raise BadVarsigma(str(exc)) from exc
-    parts = decompose(regular_representation(B), seed=seed)
+    parts = _dual_parts(C, parts, seed)
     dual = canonical_g(B, S, [V for V, _ in parts])
     return dual.g, dual, B
 
@@ -279,31 +282,26 @@ def corep_indicator(C: FDStarCoalgebra, V: Corepresentation,
     return val.real
 
 
-def cqg_indicator(H: WeakHopfData, V: Corepresentation,
-                  seed: int = 0) -> float:
-    """nu(V) = (gamma(t)/eps(t)) h(t_(1) t_(2)) for an irreducible corep of
-    a finite-dimensional Hopf *-algebra; h is the dual Haar integral."""
-    A = H.algebra
-    n = H.dim
-    D1 = H.delta_of(A.unit)
-    if np.abs(D1 - np.outer(A.unit, A.unit)).max() > A.tol.eps_eig:
+def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
+    """nu(V) = (gamma(t)/eps(t)) h(t_(1) t_(2)) for each block V, character
+    t, of dec, the compact decomposition of the coalgebra of the Hopf
+    *-algebra H with star c -> S(c)*; h is the Haar integral of the dual
+    Hopf algebra (dualize_co(C), dualize(A)).  h(t_(1) t_(2)) = t . w."""
+    A, C = H.algebra, dec.E.coalgebra
+    if np.abs(H.delta_of(A.unit) - np.outer(A.unit, A.unit)).max() > A.tol.eps_eig:
         raise NotHopf("Delta(1) != 1 (x) 1")
-    S_mat = H.S.matrix
-    # dagger-coalgebra structure c -> S(c)* on the underlying coalgebra
-    K = A.star_matrix @ np.conj(S_mat)
-    C = FDStarCoalgebra(H.Delta, H.counit, K, A.tol)
-    gamma_vec, dual, B = gamma_full(C, S_mat, seed=seed)
-    # Haar functional = Haar integral of the dual Hopf algebra
-    Delta_B = A.structure.reshape(n * n, n)
-    dual_hopf = WeakHopfData(B, Delta_B, A.unit, dual.S)
-    h = dual_hopf.haar_integral()
-    t = V.character()
-    z = np.einsum("jk,jkl->l", H.delta_of(t), A.structure)
-    eps_t = complex(H.counit @ t)
-    val = complex((gamma_vec @ t) / eps_t * (h @ z))
-    if abs(val.imag) > A.tol.eps_round * (1 + abs(val)):
-        raise UnexpectedDimension(f"CQG indicator {val} is not real")
-    return val.real
+    if not (np.array_equal(C.Delta, H.Delta) and np.array_equal(C.counit, H.counit)
+            and np.allclose(C.star_matrix, A.star_matrix @ np.conj(H.S.matrix))):
+        raise AxiomViolation("dec is not of H's coalgebra with star S(c)*")
+    gamma_vec, dual, B = gamma_full(C, H.S.matrix, parts=dec.irreps)
+    h = WeakHopfData(B, dualize(A).Delta, A.unit, dual.S).haar_integral()
+    w = A.of_products(h).ravel() @ H.Delta
+    t = np.array([V.character() for V in dec.blocks])
+    vals = (t @ gamma_vec) / (t @ H.counit) * (t @ w)
+    bad = np.abs(vals.imag) > A.tol.eps_round * (1 + np.abs(vals))
+    if bad.any():
+        raise UnexpectedDimension(f"CQG indicator {vals[bad][0]} is not real")
+    return [float(v) for v in vals.real]
 
 
 def phi_module(C: FDStarCoalgebra, V: Corepresentation) -> Representation:

@@ -13,7 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      associator_residual, monomial_table)
+                      SeparabilityIdempotent, associator_residual, check_cstar,
+                      central_positive_invertible, monomial_table,
+                      nonzero_coordinates)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
                      NonUniqueHaar, NotInvolution)
 from .linalg import DEFAULT_TOL, Tolerance, nullspace
@@ -98,11 +100,10 @@ def group_from_permutations(gens: list[list[int]]) -> GroupTable:
 def group_algebra(G: GroupTable,
                   tol: Tolerance = DEFAULT_TOL
                   ) -> tuple[FDStarAlgebra, DualStructureData,
-                             "SeparabilityIdempotent"]:
+                             SeparabilityIdempotent]:
     """C[G] with (e_g)* = e_{g^{-1}}, antipode S(e_g) = e_{g^{-1}},
     distinguished element g = 1, and the Haar-derived separability
     idempotent (1/n) sum_g g^{-1} (x) g."""
-    from .algebra import SeparabilityIdempotent
     n = G.order
     c = np.zeros((n, n, n), dtype=complex)
     c[np.arange(n)[:, None], np.arange(n)[None, :], G.table] = 1.0
@@ -112,14 +113,7 @@ def group_algebra(G: GroupTable,
     unit[0] = 1.0
     A = FDStarAlgebra(c, unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
-    pairs = []
-    for g in range(n):
-        x = np.zeros(n, dtype=complex)
-        x[G.inverse[g]] = 1.0 / n
-        y = np.zeros(n, dtype=complex)
-        y[g] = 1.0
-        pairs.append((x, y))
-    E = SeparabilityIdempotent(A, pairs)
+    E = SeparabilityIdempotent(A, sigma / n)
     E.verify()
     return A, DualStructureData.validated(A, S, unit), E
 
@@ -130,8 +124,7 @@ def group_weak_hopf(G: GroupTable, tol: Tolerance = DEFAULT_TOL
     A, dual, _ = group_algebra(G, tol)
     n = G.order
     Delta = np.zeros((n * n, n), dtype=complex)
-    for g in range(n):
-        Delta[g * n + g, g] = 1.0
+    Delta[np.arange(n) * (n + 1), np.arange(n)] = 1.0
     W = WeakHopfData(A, Delta, np.ones(n, dtype=complex), dual.S)
     return W, dual
 
@@ -185,13 +178,11 @@ class TableAlgebraData:
 def table_algebra(T: TableAlgebraData,
                   tol: Tolerance = DEFAULT_TOL
                   ) -> tuple[FDStarAlgebra, AntiAlgebraMap,
-                             "SeparabilityIdempotent", np.ndarray]:
+                             SeparabilityIdempotent, np.ndarray]:
     """The table algebra with (b_i)* = b_{i*}, the linear antipode
     S(b_i) = b_{i*}, the separability idempotent
     E = sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1} and its central element
     v = sum_i (1/p_(i i*)^0) b_{i*} b_i."""
-    from .algebra import (SeparabilityIdempotent, central_positive_invertible,
-                          check_cstar)
     r = T.rank
     sigma = np.zeros((r, r), dtype=complex)
     sigma[T.involution, np.arange(r)] = 1.0
@@ -203,15 +194,9 @@ def table_algebra(T: TableAlgebraData,
     G, ok = check_cstar(A)
     if not ok or not central_positive_invertible(A, v, G):
         raise AxiomViolation("v is not central positive invertible")
-    vinv = A.inverse(v)
-    pairs = []
-    for i in range(r):
-        x = np.zeros(r, dtype=complex)
-        x[T.involution[i]] = 1.0 / T.kappa(i)
-        y = np.zeros(r, dtype=complex)
-        y[i] = 1.0
-        pairs.append((x, A.mult(y, vinv)))
-    E = SeparabilityIdempotent(A, pairs)
+    kappa = T.p[np.arange(r), T.involution, 0]
+    # column i of sigma is b_{i*}, column i of R(v^{-1}) is b_i v^{-1}
+    E = SeparabilityIdempotent(A, (sigma / kappa) @ A.right_mult(A.inverse(v)).T)
     E.verify()
     return A, S, E, v
 
@@ -374,18 +359,6 @@ def disjoint_union_groupoid(groups: list[GroupTable]) -> GroupoidData:
 
 # --- weak Hopf algebras ---
 
-def _coordinates(c: np.ndarray, table: tuple | None
-                 ) -> tuple[np.ndarray, ...]:
-    """(i, j, k, c[i, j, k]) over the nonzero entries of c, row-major: read
-    off the index table `monomial_table(c)` when there is one."""
-    if table is None:
-        i, j, k = np.nonzero(c)
-        return i, j, k, c[i, j, k]
-    T, v = table
-    i, j = np.nonzero(v)
-    return i, j, T[i, j], v[i, j]
-
-
 def _regroup(m: sp.csr_array, n: int, order: tuple[int, int, int, int]
              ) -> sp.csr_array:
     """m indexed as [(x0, x1), (x2, x3)], each x in range(n), re-indexed as
@@ -453,8 +426,8 @@ class WeakHopfData:
         # sum_pqrs Dt[i,p,q] Dt[j,r,s] c[p,r,a] c[q,s,b] = (X Y^T)[(a,i),(b,j)]
         # for X[(a,i),(q,r)] = sum_p c[p,r,a] Dt[i,p,q] and
         # Y[(b,j),(q,r)] = sum_s c[q,s,b] Dt[j,r,s]
-        ci, cj, ck, cv = _coordinates(A.structure, A.table)
-        dj, dk, di, dv = _coordinates(D, table)
+        ci, cj, ck, cv = A.coordinates()
+        dj, dk, di, dv = nonzero_coordinates(D, table)
 
         def cd(x, y, z, u, v, w):   # c as [(x, y), z] times Dt as [u, (v, w)]
             return (sp.csr_array((cv, (x * n + y, z)), shape=(n * n, n))
@@ -469,30 +442,22 @@ class WeakHopfData:
     def counit_target_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrices of eps_L(a) = eps(1_(1) a) 1_(2) and
         eps_R(a) = 1_(1) eps(a 1_(2))."""
-        A, n = self.algebra, self.dim
+        A = self.algebra
         D1 = self.delta_of(A.unit)           # D1[j, k]
-        eps_jk = np.einsum("jik,k->ji", A.structure, self.counit)    # eps(e_j e_i)
-        EL = np.einsum("jk,ji->ki", D1, eps_jk)
-        ER = np.einsum("jk,ik->ji", D1, eps_jk)
-        return EL, ER
+        eps_jk = A.of_products(self.counit)  # eps(e_j e_i) at [j, i]
+        return D1.T @ eps_jk, D1 @ eps_jk.T
 
     def haar_integral(self) -> np.ndarray:
         """The unique two-sided Haar integral: eps_L(Lam) = eps_R(Lam) = 1,
         a Lam = eps_L(a) Lam and Lam a = Lam eps_R(a) for all a."""
         A, n = self.algebra, self.dim
         EL, ER = self.counit_target_maps()
-        rows = [EL, ER]
-        rhs = [A.unit, A.unit]
-        for i in range(n):
-            e = A.basis_element(i)
-            L = A.left_mult(e) - A.left_mult(EL @ e)
-            R = A.right_mult(e) - A.right_mult(ER @ e)
-            rows.append(L)
-            rhs.append(np.zeros(n))
-            rows.append(R)
-            rhs.append(np.zeros(n))
-        M = np.vstack(rows)
-        b = np.concatenate(rhs)
+        # L(e_i) - L(eps_L(e_i)) and R(e_i) - R(eps_R(e_i)), row blocks by i
+        Ls, Rs = A.left_stack(), A.right_stack()
+        L = Ls - np.tensordot(EL, Ls, axes=(0, 0))
+        R = Rs - np.tensordot(ER, Rs, axes=(0, 0))
+        M = np.vstack((EL, ER, np.stack((L, R), axis=1).reshape(-1, n)))
+        b = np.concatenate((A.unit, A.unit, np.zeros(2 * n * n)))
         lam, *_ = np.linalg.lstsq(M, b, rcond=None)
         resid = np.abs(M @ lam - b).max(initial=0.0)
         if resid > A.tol.eps_eig * 100:
@@ -506,12 +471,12 @@ class WeakHopfData:
                   tau: np.ndarray | None = None) -> tuple[int, complex]:
         """nu_tau(V) = (chi(g)/chi(1)) * chi(tau(Lam_(1)) Lam_(2)); tau
         defaults to the identity (untwisted indicator)."""
-        A, n = self.algebra, self.dim
+        A = self.algebra
         lam = self.haar_integral()
         dl = self.delta_of(lam)
         if tau is not None:
             dl = tau @ dl   # acts on the first leg
-        z = np.einsum("jk,jkl->l", dl, A.structure)
+        z = A.multiply(dl)
         chi = V.character()
         val = complex((chi @ g) / (chi @ A.unit) * (chi @ z))
         s = int(round(val.real))
@@ -551,8 +516,7 @@ def groupoid_weak_hopf(Gd: GroupoidData,
     A = FDStarAlgebra(c, unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
     Delta = np.zeros((n * n, n), dtype=complex)
-    for a in range(n):
-        Delta[a * n + a, a] = 1.0
+    Delta[np.arange(n) * (n + 1), np.arange(n)] = 1.0
     counit = np.ones(n, dtype=complex)
     W = WeakHopfData(A, Delta, counit, S)
     return W, DualStructureData.validated(A, S, unit)

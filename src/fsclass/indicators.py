@@ -90,13 +90,9 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
 
 def formula_element(A: FDStarAlgebra, S: AntiAlgebraMap, g: np.ndarray,
                     E: SeparabilityIdempotent) -> np.ndarray:
-    """z = sum_m S(x_m) g y_m over the separability pairs, so that
-    nu(V) = chi_V(z) for every V."""
-    n = A.dim
-    X = np.array([x for x, _ in E.pairs], dtype=complex).reshape(-1, n).T
-    Y = np.array([y for _, y in E.pairs], dtype=complex).reshape(-1, n).T
-    U = A.right_mult(g) @ S.matrix @ X          # columns S(x_m) g
-    return (U @ Y.T).reshape(-1) @ A.structure.reshape(n * n, n)
+    """z = m((R_g S (x) id) E) = sum_m S(x_m) g y_m for E = sum_m x_m (x) y_m,
+    so that nu(V) = chi_V(z) for every V."""
+    return A.multiply(A.right_mult(g) @ S.matrix @ E.tensor)
 
 
 def _nu_formula(V: Representation, z: np.ndarray) -> tuple[int, complex]:
@@ -106,7 +102,7 @@ def _nu_formula(V: Representation, z: np.ndarray) -> tuple[int, complex]:
 
 def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
                          E: SeparabilityIdempotent) -> tuple[int, complex]:
-    """nu(V) = sum_m chi_V(S(x_m) g y_m) over the separability pairs.
+    """nu(V) = sum_m chi_V(S(x_m) g y_m) for E = sum_m x_m (x) y_m.
 
     Returns (rounded indicator, raw value).
     """

@@ -1,8 +1,8 @@
 """JSON input formats.
 
 Each kind has a fixed field set; unknown fields are rejected.  Loaders only
-parse and shape-check; the algebraic axioms are enforced by the builders
-they feed.
+parse, shape-check and apply the dense cap before allocating; the algebraic
+axioms are enforced by the constructors they feed.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from .algebra import dense_dim
 from .errors import SchemaError
 
 
@@ -71,6 +72,7 @@ def load_algebra_v1(path: str) -> dict:
     n = doc["dim"]
     if not isinstance(n, int) or n < 1:
         raise SchemaError("dim must be a positive integer")
+    dense_dim(n)
     unit = _complex_vector(doc["unit"], n, "unit")
     c = np.zeros((n, n, n), dtype=complex)
     for i, j, k, v in _sparse_entries(doc["structure"], ("i", "j", "k"), n,
@@ -90,6 +92,7 @@ def load_coalgebra_v1(path: str) -> dict:
     n = doc["dim"]
     if not isinstance(n, int) or n < 1:
         raise SchemaError("dim must be a positive integer")
+    dense_dim(n)
     counit = _complex_vector(doc["counit"], n, "counit")
     D = np.zeros((n * n, n), dtype=complex)
     for i, j, k, v in _sparse_entries(doc["Delta"], ("i", "j", "k"), n, "Delta"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm
+from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm, check_cstar
 from .errors import DegenerateSplit, InternalConsistency, NotStarRep
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
                      kron_system, make_rng, nullspace, random_complex,
@@ -47,9 +47,8 @@ class Representation:
     def char_value(self, x: np.ndarray) -> complex:
         return complex(self.character() @ x)
 
-    def fingerprint(self, eps_round: float | None = None) -> tuple:
-        eps = self.algebra.tol.eps_round if eps_round is None else eps_round
-        chi = self.character() / eps
+    def fingerprint(self) -> tuple:
+        chi = self.character() / self.algebra.tol.eps_round
         return (self.dim,) + tuple(
             (int(round(z.real)), int(round(z.imag))) for z in chi)
 
@@ -84,10 +83,8 @@ class Representation:
 
     def _hom_residual(self) -> float:
         """max |rho(e_i) rho(e_j) - rho(e_i e_j)| over all i, j."""
-        A, n, d = self.algebra, self.algebra.dim, self.dim
         prod = self.rho[:, None] @ self.rho[None, :]
-        via = (A.structure.reshape(n * n, n) @ self.rho.reshape(n, d * d)
-               ).reshape(n, n, d, d)
+        via = self.algebra.of_products(self.rho)
         return float(np.abs(prod - via).max(initial=0.0))
 
     def commutant(self) -> np.ndarray:
@@ -112,28 +109,26 @@ class RegularRepresentation(Representation):
 
     def commutant(self) -> np.ndarray:
         """End_A(A) is right multiplication: R(e_j)[k, i] = c[i, j, k]."""
-        return self.algebra.structure.transpose(1, 2, 0)
+        return self.algebra.right_stack()
 
 
 def regular_representation(A: FDStarAlgebra) -> RegularRepresentation:
     """The left regular *-representation; its rho is A's own read-only
     stack of left-multiplication matrices, shared, not copied."""
-    from .algebra import check_cstar
     G, ok = check_cstar(A)
     if not ok:
         raise NotStarRep("regular representation is not a *-representation: "
                          "trace form is not positive definite")
-    return RegularRepresentation(A, A._left, G)
+    return RegularRepresentation(A, A.left_stack(), G)
 
 
-def restrict(V: Representation, basis: np.ndarray,
-             check: bool = False) -> Representation:
+def restrict(V: Representation, basis: np.ndarray) -> Representation:
     """Subrepresentation on the column span of basis (columns must be
     gram-orthonormal so that the restricted gram is the identity)."""
     B = basis
     P = dagger(B) @ V.gram
     rho = P @ V.rho @ B
-    return Representation(V.algebra, rho, None, check=check)
+    return Representation(V.algebra, rho, None, check=False)
 
 
 def intertwiners(
@@ -145,6 +140,9 @@ def intertwiners(
                          rho_w, np.eye(dv))
     ker = nullspace(system, tol)
     return [ker[:, j].reshape(dw, dv) for j in range(ker.shape[1])]
+
+
+SPLIT_TRIES = 8
 
 
 def _split_once(V: Representation, comm: np.ndarray,
@@ -179,15 +177,15 @@ def _split_once(V: Representation, comm: np.ndarray,
     return out
 
 
-def decompose(V: Representation, seed: int = 0,
-              max_tries: int = 8) -> list[tuple[Representation, int]]:
+def decompose(V: Representation,
+              seed: int = 0) -> list[tuple[Representation, int]]:
     """Full decomposition into pairwise inequivalent irreducibles with
     multiplicities, sorted by (dimension, character fingerprint).  V is
     validated here unless it already was.
 
     The commutant is taken once, from `V.commutant()`.  A piece whose
     commutant is one-dimensional is irreducible; any other is split by
-    `_split_once` (at most max_tries seeded draws), and its parts get
+    `_split_once` (at most SPLIT_TRIES seeded draws), and its parts get
     their commutants by compression, not by a new solve.
     """
     if not V.validated:
@@ -203,7 +201,7 @@ def decompose(V: Representation, seed: int = 0,
             leaves.append(W)
             continue
         parts = None
-        for t in range(max_tries):
+        for t in range(SPLIT_TRIES):
             parts = _split_once(W, comm, make_rng(seed + 1000 * t + 17 * W.dim))
             if parts is not None:
                 break

@@ -133,3 +133,81 @@ def test_dual_structure_validation():
     with pytest.raises(BadDualStructure):
         DualStructureData.validated(A, S2, A.unit)   # S2^2 != id
     DualStructureData.validated(A, S1, A.unit)       # S1^2 = id
+
+
+def _storage_reads(path):
+    """(enclosing class, line) of every `.structure` or `._left` attribute
+    in the module at path."""
+    import ast
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("structure",
+                                                             "_left"):
+            found.append((cls, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+    with open(path) as fh:
+        visit(ast.parse(fh.read()), None)
+    return found
+
+
+def test_only_the_algebra_module_reads_the_structure_tensor():
+    """Outside algebra.py only _DualCoalgebra, whose Delta is the product
+    tensor by definition, reads `.structure` or `._left`."""
+    import glob
+    import os
+
+    import fsclass
+    src = os.path.dirname(fsclass.__file__)
+    assert _storage_reads(os.path.join(src, "algebra.py"))
+    for path in glob.glob(os.path.join(src, "*.py")):
+        name = os.path.basename(path)
+        if name == "algebra.py":
+            continue
+        for cls, line in _storage_reads(path):
+            assert (name, cls) == ("coalgebra.py", "_DualCoalgebra"), \
+                f"{name}:{line} reads the structure tensor"
+
+
+def _kernel_algebras(scheme_mats):
+    """M2, the C5 scheme, C[Q8] rebased by a seeded complex unitary (a
+    dense, non-monomial tensor) and D(S3)."""
+    from fsclass import (FDStarAlgebra, drinfeld_double, scheme_from_matrices,
+                         table_algebra)
+    q8 = group_algebra(load_group("q8"))[0]
+    rng = np.random.default_rng(21)
+    U = np.linalg.qr(rng.standard_normal((8, 8))
+                     + 1j * rng.standard_normal((8, 8)))[0]
+    Uinv = np.linalg.inv(U)
+    c = np.einsum("ia,jb,ijk,ck->abc", U, U, q8.structure, Uinv, optimize=True)
+    rebased = FDStarAlgebra(c, Uinv @ q8.unit, Uinv @ q8.star_matrix @ np.conj(U))
+    assert rebased.table is None
+    return [build_m2(),
+            table_algebra(scheme_from_matrices(scheme_mats["c5_scheme"]))[0],
+            rebased, drinfeld_double(load_group("s3"))[0].algebra]
+
+
+def test_product_kernels_match_einsum(scheme_mats):
+    """multiply(Z) = sum_jk Z[j, k] c[j, k] and of_products(X)[i, j] =
+    X(e_i e_j), against einsum, for vector and matrix operands; the sums
+    run in another order, so the bound is a few ulps per term."""
+    rng = np.random.default_rng(22)
+    for A in _kernel_algebras(scheme_mats):
+        n, c = A.dim, A.structure
+
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def close(got, want, operand):
+            bound = 8 * n * np.finfo(float).eps * np.abs(c).max() * np.abs(
+                operand).max()
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= bound, n
+
+        Z = rand(n, n)
+        close(A.multiply(Z), np.einsum("jk,jkl->l", Z, c), Z)
+        for X in (rand(n), rand(n, 3), rand(n, 2, 2)):
+            close(A.of_products(X), np.einsum("ijk,k...->ij...", c, X), X)

@@ -153,3 +153,21 @@ def test_scheme_decomposes_with_the_command_seed(capsys, monkeypatch):
                      "--kind", "scheme", "--seed", "5")
     assert code == 0
     assert seeds == [5]
+
+
+def test_a_declared_dim_past_the_dense_cap_exits_2(tmp_path, capsys):
+    """The loaders refuse the dim before allocating an n^3 array: exit 2
+    with the cap message FDStarAlgebra gives, not a MemoryError.  The
+    unit or counit has the declared length, so only the size is wrong."""
+    n = 100000
+    fields = {"algebra": ("unit", "structure"), "coalgebra": ("counit", "Delta")}
+    for kind, (vector, tensor) in fields.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"dim": n, vector: [[0, 0]] * n,
+                                    tensor: [], "star": []}))
+        code, out, err = run(capsys, "verify", str(path), "--kind", kind)
+        assert code == 2, kind
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "dimension 100000 exceeds the dense cap 128"}

@@ -26,6 +26,19 @@ def test_dualize_round_trip():
     assert np.allclose(B.star_matrix, A.star_matrix)
 
 
+def test_dualize_co_is_built_once_per_coalgebra():
+    """A coalgebra given directly keeps its dual algebra, so a decomposition
+    of it is accepted as parts, and the dense cap holds as for algebras."""
+    C0 = dualize(build_m2())
+    C = FDStarCoalgebra(C0.Delta, C0.counit, C0.star_matrix)
+    B = dualize_co(C)
+    assert dualize_co(C) is B
+    dec = compact_decompose(C, parts=decompose(regular_representation(B)))
+    assert len(dec.blocks) == 1
+    with pytest.raises(ValueError, match="exceeds the dense cap 128"):
+        FDStarCoalgebra(np.zeros(0), np.zeros(129), np.zeros(0))
+
+
 def test_group_coalgebra_delta_is_diagonal():
     A, _, C = group_coalgebra("z3")
     Dt = C.delta_tensor()
@@ -121,8 +134,28 @@ def test_cqg_indicator_sign_pattern_z4():
     dec = compact_decompose(C)
     # h(t_(1) t_(2)) detects whether the group element squares to the
     # identity; for the dual of C[Z4] the coreps are the points of Z4
-    vals = sorted(cqg_indicator(W, b) for b in dec.blocks)
+    vals = sorted(cqg_indicator(W, dec))
     assert np.allclose(vals, [0.0, 0.0, 1.0, 1.0])
+    # a decomposition of another coalgebra, dualize(C[Z4]), is refused
+    with pytest.raises(AxiomViolation):
+        cqg_indicator(W, compact_decompose(dualize(W.algebra)))
+
+
+def test_cqg_indicator_double_s3_reuses_the_decomposition(monkeypatch):
+    """One value per block of D(S3)'s coalgebra, 6 x 0 and 12 x 1, from
+    the decomposition it is given: decompose is not called again."""
+    import fsclass.coalgebra
+    W, _ = drinfeld_double(load_group("s3"))
+    K = W.algebra.star_matrix @ np.conj(W.S.matrix)
+    dec = compact_decompose(FDStarCoalgebra(W.Delta, W.counit, K,
+                                            W.algebra.tol))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose called although dec was given")
+    monkeypatch.setattr(fsclass.coalgebra, "decompose", refuse)
+    vals = cqg_indicator(W, dec)
+    assert len(vals) == len(dec.blocks) == 18
+    assert np.allclose(sorted(vals), [0.0] * 6 + [1.0] * 12, atol=1e-9)
 
 
 def test_cqg_indicator_requires_hopf():
@@ -131,7 +164,7 @@ def test_cqg_indicator_requires_hopf():
     C = dualize(W.algebra)
     dec = compact_decompose(C)
     with pytest.raises(NotHopf):
-        cqg_indicator(W, dec.blocks[0])
+        cqg_indicator(W, dec)
 
 
 def test_phi_module_is_a_valid_star_rep():

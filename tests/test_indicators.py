@@ -47,7 +47,8 @@ def test_both_indicator_methods_match_classical_sum(name):
 
 def test_formula_element_matches_the_per_pair_sum():
     """chi_V(z), z built once, against the per-pair loop
-    sum_m chi_V(S(x_m) g y_m) over trace-orthonormal separability pairs."""
+    sum_m chi_V(S(x_m) g y_m) over the pairs (e_j, row j of E.tensor) of
+    the trace-orthonormal separability idempotent."""
     from fsclass import separability_idempotent
     M2, S1, S2 = m2_dual_structures()
     irreps = [V for V, _ in decompose(regular_representation(M2))]
@@ -57,7 +58,7 @@ def test_formula_element_matches_the_per_pair_sum():
         E = separability_idempotent(A)
         for V, _ in decompose(regular_representation(A)):
             loop = sum(V.char_value(A.mult(A.mult(dual.S.apply(x), dual.g), y))
-                       for x, y in E.pairs)
+                       for x, y in zip(np.eye(A.dim), E.tensor))
             nu, raw = fs_indicator_formula(V, dual.S, dual.g, E)
             assert abs(raw - loop) < 1e-12
             assert nu == round(loop.real)

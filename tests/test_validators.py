@@ -195,23 +195,29 @@ def _m2_pairs():
     return pairs
 
 
+def _tensor(pairs):
+    """sum_m x_m (x) y_m as the coefficient matrix SeparabilityIdempotent
+    stores."""
+    return sum(np.outer(x, y) for x, y in pairs)
+
+
 def test_separability_verify_reports_the_loop_index():
     A = build_m2()
-    SeparabilityIdempotent(A, _m2_pairs()).verify()
+    SeparabilityIdempotent(A, _tensor(_m2_pairs())).verify()
     # E_11 (E_11 + E_22) / 2 = E_11 / 2 keeps the unit and breaks centrality
     pairs = _m2_pairs()
     pairs[0] = (pairs[0][0], pairs[0][1] + np.array([0, 0, 0, 1.0]))
     expected = loop_separability(A, pairs)
     assert expected.startswith("centrality")
     assert_same(BadDualStructure, expected,
-                SeparabilityIdempotent(A, pairs).verify)
+                SeparabilityIdempotent(A, _tensor(pairs)).verify)
     for m, side, k in _positions((4, 2, 4), 8, seed=3):
         pairs = _m2_pairs()
         x, y = (v.copy() for v in pairs[m])
         (x, y)[side][k] += 0.5
         pairs[m] = (x, y)
         assert_same(BadDualStructure, loop_separability(A, pairs),
-                    SeparabilityIdempotent(A, pairs).verify)
+                    SeparabilityIdempotent(A, _tensor(pairs)).verify)
 
 
 def _rebased_hopf(W, P):
