@@ -9,6 +9,7 @@ stored as the matrix sigma with (e_i)^* = sum_k sigma[k,i] e_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +42,9 @@ class FDStarAlgebra:
     max |(e_i e_j)* - e_j* e_i*| is kept as `star_reversal_residual`: the
     dual coalgebra reuses it.  `table` is `monomial_table(structure)`,
     computed once and read by every product identity checked against A.
-    Immutable after construction (`_left` is read-only, so the regular
-    representation shares it); all methods are pure.
+    `trace_form` is `check_cstar(A)`, kept.  Immutable after construction
+    (`_left` and the trace-form Gram are read-only, so the regular
+    representation shares them); all methods are pure.
     """
 
     def __init__(self, structure: np.ndarray, unit: np.ndarray,
@@ -119,6 +121,14 @@ class FDStarAlgebra:
     def regular_trace(self) -> np.ndarray:
         """Vector t with tau(x) = t . x, tau = trace of left multiplication."""
         return np.einsum("iaa->i", self._left)
+
+    @cached_property
+    def trace_form(self) -> tuple[np.ndarray, bool]:
+        """`check_cstar(self)`, kept: the read-only Gram of the regular
+        trace form and whether it is positive definite."""
+        G, ok = check_cstar(self)
+        G.flags.writeable = False
+        return G, ok
 
     # --- validation ---
 
@@ -422,14 +432,12 @@ def check_cstar(A: FDStarAlgebra) -> tuple[np.ndarray, bool]:
     return G, ok
 
 
-def is_positive_element(A: FDStarAlgebra, x: np.ndarray,
-                        gram: np.ndarray | None = None) -> bool:
+def is_positive_element(A: FDStarAlgebra, x: np.ndarray) -> bool:
     """Positivity (x = a* a for some a), decided in the regular
-    *-representation: G L(x) must be Hermitian psd."""
-    if gram is None:
-        gram, ok = check_cstar(A)
-        if not ok:
-            raise NotCStar("positivity test requires a C*-able algebra")
+    *-representation: G L(x) must be Hermitian psd, G = A.trace_form."""
+    gram, ok = A.trace_form
+    if not ok:
+        raise NotCStar("positivity test requires a C*-able algebra")
     M = gram @ A.left_mult(x)
     scale = max(1.0, np.abs(M).max(initial=0.0))
     if np.abs(M - dagger(M)).max(initial=0.0) > A.tol.eps_eig * scale * 10:
@@ -500,7 +508,7 @@ def separability_idempotent(A: FDStarAlgebra,
                             ) -> SeparabilityIdempotent:
     """Separability idempotent sum x_j (x) x_j^* v^{-1} over the columns of a
     basis B orthonormal for the trace form; v = m(B B*^T) is central."""
-    G, ok = check_cstar(A)
+    G, ok = A.trace_form
     if not ok:
         raise NotCStar("no separability idempotent: algebra is not C*-able")
     B = orthonormal_basis(A, G, rotation)
@@ -512,13 +520,13 @@ def separability_idempotent(A: FDStarAlgebra,
 
 
 def central_positive_invertible(A: FDStarAlgebra, v: np.ndarray,
-                                gram: np.ndarray, eps: float = 1e-8) -> bool:
+                                eps: float = 1e-8) -> bool:
     """Check that v is central, positive in the regular *-representation
     and invertible."""
     comm = A.left_mult(v) - A.right_mult(v)
     if np.abs(comm).max() > eps * (1 + np.abs(v).max()):
         return False
-    if not is_positive_element(A, v, gram):
+    if not is_positive_element(A, v):
         return False
     s = np.linalg.svd(A.left_mult(v), compute_uv=False)
     return bool(s[-1] > A.tol.eps_rank * max(1.0, s[0]))

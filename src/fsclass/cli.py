@@ -11,19 +11,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 
 from . import io as fio
-from .algebra import (build_algebra, check_cstar, real_form_from_S,
-                      separability_idempotent)
+from .algebra import (DualStructureData, build_algebra, dense_dim,
+                      real_form_from_S, separability_idempotent)
 from .coalgebra import (FDStarCoalgebra, compact_decompose, corep_indicator,
                         dualize)
 from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            drinfeld_double, group_algebra, groupoid_weak_hopf,
                            scheme_from_matrices, table_algebra)
 from .errors import AgreementFailure, FSClassError, SchemaError
-from .indicators import canonical_g, classify_sigma, full_report
+from .indicators import (IndicatorReport, canonical_g, classify_sigma,
+                         full_report)
 from .linalg import Tolerance
 from .reps import decompose, regular_representation
 
@@ -48,62 +50,80 @@ def _derive_scheme_star(p: np.ndarray) -> np.ndarray:
     return star
 
 
-def _build(kind: str, path: str, tol: Tolerance, seed: int) -> dict:
-    """Builds whatever the kind supports: algebra A, dual structure, weak
-    Hopf data W, coalgebra C.  A scheme is decomposed here, with seed."""
-    out = {"A": None, "dual": None, "W": None, "C": None, "checks": []}
-    ck = out["checks"]
-    if kind == "group":
-        d = fio.load_group_v1(path)
-        G = GroupTable.validated(d["order"], d["table"], d["inverse"])
-        ck.append("group axioms")
-        A, dual, _ = group_algebra(G, tol)
-        out["A"], out["dual"] = A, dual
-        ck += ["algebra axioms", "star axioms", "dual structure (S, g)"]
-    elif kind == "scheme":
-        d = fio.load_scheme_v1(path)
-        if "matrices" in d:
-            T = scheme_from_matrices(d["matrices"])
-            ck.append("scheme axioms (partition, transpose-closure, "
-                      "intersection numbers)")
+class Run:
+    """One command's pipeline over one input.  The constructor loads and
+    validates the input and builds whatever the kind supports: the algebra
+    A, its dual structure, weak Hopf data W or a coalgebra C, and the names
+    of the checks that passed.  The decomposition and the indicator report
+    are computed on first use and kept; a scheme's dual structure needs the
+    decomposition, so a scheme is decomposed here, with seed."""
+
+    def __init__(self, kind: str, path: str, tol: Tolerance, seed: int):
+        self.seed = seed
+        self.A = self.W = self.C = self._dual = None
+        ck = self.checks = []
+        if kind in ("group", "double"):
+            d = fio.load_group_v1(path)
+            dense_dim(d["order"] ** (2 if kind == "double" else 1))
+            G = GroupTable.validated(d["order"], d["table"], d["inverse"])
+            ck.append("group axioms")
+            if kind == "group":
+                self.A, self._dual, _ = group_algebra(G, tol)
+                ck += ["algebra axioms", "star axioms", "dual structure (S, g)"]
+            else:
+                self.W, self._dual = drinfeld_double(G, tol)
+        elif kind == "scheme":
+            d = fio.load_scheme_v1(path)
+            if "matrices" in d:
+                T = scheme_from_matrices(d["matrices"])
+                ck.append("scheme axioms (partition, transpose-closure, "
+                          "intersection numbers)")
+            else:
+                T = TableAlgebraData.validated(d["p"], _derive_scheme_star(d["p"]))
+                ck.append("table algebra axioms")
+            self.A, S, _, _ = table_algebra(T, tol)
+            ck += ["algebra axioms", "star axioms", "central element v"]
+            self._dual = canonical_g(self.A, S, [V for V, _ in self.parts])
+            ck.append("dual structure (S, g)")
+        elif kind == "groupoid":
+            d = fio.load_groupoid_v1(path)
+            Gd = GroupoidData.validated(d["objects"], d["arrows"], d["compose"])
+            ck.append("groupoid axioms")
+            self.W, self._dual = groupoid_weak_hopf(Gd, tol)
+        elif kind == "algebra":
+            d = fio.load_algebra_v1(path)
+            self.A = build_algebra(d["structure"], d["unit"], d["star"], tol)
+            ck += ["algebra axioms", "star axioms"]
+        elif kind == "coalgebra":
+            d = fio.load_coalgebra_v1(path)
+            self.C = FDStarCoalgebra(d["Delta"], d["counit"], d["star"], tol)
+            ck += ["coassociativity", "counit laws", "co-star axiom"]
         else:
-            T = TableAlgebraData.validated(d["p"], _derive_scheme_star(d["p"]))
-            ck.append("table algebra axioms")
-        A, S, _, _ = table_algebra(T, tol)
-        ck += ["algebra axioms", "star axioms", "central element v"]
-        parts = decompose(regular_representation(A), seed=seed)
-        out["A"] = A
-        out["dual"] = canonical_g(A, S, [V for V, _ in parts])
-        out["parts"] = parts
-        out["table"] = T
-        ck.append("dual structure (S, g)")
-    elif kind == "groupoid":
-        d = fio.load_groupoid_v1(path)
-        Gd = GroupoidData.validated(d["objects"], d["arrows"], d["compose"])
-        ck.append("groupoid axioms")
-        W, dual = groupoid_weak_hopf(Gd, tol)
-        out["A"], out["dual"], out["W"] = W.algebra, dual, W
-        ck += ["algebra axioms", "star axioms", "comultiplication axioms",
-               "dual structure (S, g)"]
-    elif kind == "double":
-        d = fio.load_group_v1(path)
-        G = GroupTable.validated(d["order"], d["table"], d["inverse"])
-        ck.append("group axioms")
-        W, dual = drinfeld_double(G, tol)
-        out["A"], out["dual"], out["W"] = W.algebra, dual, W
-        ck += ["algebra axioms", "star axioms", "comultiplication axioms",
-               "dual structure (S, g)"]
-    elif kind == "algebra":
-        d = fio.load_algebra_v1(path)
-        out["A"] = build_algebra(d["structure"], d["unit"], d["star"], tol)
-        ck += ["algebra axioms", "star axioms"]
-    elif kind == "coalgebra":
-        d = fio.load_coalgebra_v1(path)
-        out["C"] = FDStarCoalgebra(d["Delta"], d["counit"], d["star"], tol)
-        ck += ["coassociativity", "counit laws", "co-star axiom"]
-    else:
-        raise SchemaError(f"unknown kind {kind!r}")
-    return out
+            raise SchemaError(f"unknown kind {kind!r}")
+        if self.W is not None:
+            self.A = self.W.algebra
+            ck += ["algebra axioms", "star axioms", "comultiplication axioms",
+                   "dual structure (S, g)"]
+
+    @property
+    def dual(self) -> DualStructureData:
+        if self._dual is None:
+            raise SchemaError("this kind carries no canonical dual structure; "
+                              "use kinds group, scheme, groupoid or double")
+        return self._dual
+
+    @cached_property
+    def parts(self) -> list:
+        if self.A is None:
+            raise SchemaError("this kind carries no algebra to decompose; "
+                              "use kinds group, scheme, groupoid, double or "
+                              "algebra")
+        return decompose(regular_representation(self.A), seed=self.seed)
+
+    @cached_property
+    def report(self) -> IndicatorReport:
+        return full_report(self.A, self.dual, self.parts,
+                           separability_idempotent(self.A))
 
 
 def _cvec(v: np.ndarray) -> list:
@@ -124,35 +144,23 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_verify(args, built) -> str:
-    lines = [f"{name}: ok" for name in built["checks"]]
-    A = built["A"]
-    if A is not None:
-        _, ok = check_cstar(A)
+def _cmd_verify(args, run: Run) -> str:
+    lines = [f"{name}: ok" for name in run.checks]
+    if run.A is not None:
+        ok = run.A.trace_form[1]
         lines.append(f"C*-norm (positive trace form): {'ok' if ok else 'FAIL'}")
-    if built["W"] is not None:
-        built["W"].haar_integral()
+    if run.W is not None:
+        run.W.haar_integral()
         lines.append("Haar integral: ok")
     if args.format == "json":
         return json.dumps({"checks": lines}, indent=2, sort_keys=True)
     return "\n".join(lines)
 
 
-def _parts(args, built):
-    if "parts" in built:
-        return built["parts"]
-    if built["A"] is None:
-        raise SchemaError("this kind carries no algebra to decompose; "
-                          "use kinds group, scheme, groupoid, double or "
-                          "algebra")
-    return decompose(regular_representation(built["A"]), seed=args.seed)
-
-
-def _cmd_irreps(args, built) -> str:
-    parts = _parts(args, built)
+def _cmd_irreps(args, run: Run) -> str:
     rows = [{"index": i, "dim": V.dim, "multiplicity": m,
              "character": _cvec(V.character())}
-            for i, (V, m) in enumerate(parts)]
+            for i, (V, m) in enumerate(run.parts)]
     if args.format == "json":
         return json.dumps({"irreps": rows}, indent=2, sort_keys=True)
     if args.format == "csv":
@@ -164,36 +172,20 @@ def _cmd_irreps(args, built) -> str:
         for r in rows)
 
 
-def _require_dual(built):
-    if built["dual"] is None:
-        raise SchemaError("this kind carries no canonical dual structure; "
-                          "use kinds group, scheme, groupoid or double")
-    return built["dual"]
-
-
-def _cmd_indicators(args, built) -> str:
-    dual = _require_dual(built)
-    A = built["A"]
-    parts = _parts(args, built)
-    E = separability_idempotent(A)
-    report = full_report(A, dual, parts, E)
+def _cmd_indicators(args, run: Run) -> str:
+    report = run.report
     if args.format == "json":
         return report.to_json()
     if args.format == "csv":
         return report.to_csv()
-    lines = []
-    for r in report.rows:
-        d = r.as_dict()
-        lines.append(f"irrep {r.index}: dim {r.dim}, nu {r.nu_formula:+d}, "
-                     f"sigma {r.sigma:+d}, {d['type']}")
-    return "\n".join(lines)
+    return "\n".join(f"irrep {r.index}: dim {r.dim}, nu {r.nu_formula:+d}, "
+                     f"sigma {r.sigma:+d}, {r.as_dict()['type']}"
+                     for r in report.rows)
 
 
-def _cmd_classify(args, built) -> str:
-    dual = _require_dual(built)
-    A = built["A"]
-    parts = _parts(args, built)
-    R = real_form_from_S(A, dual.S)
+def _cmd_classify(args, run: Run) -> str:
+    dual, parts = run.dual, run.parts
+    R = real_form_from_S(run.A, dual.S)
     rows = []
     for i, (V, m) in enumerate(parts):
         res = classify_sigma(V, R)
@@ -216,24 +208,14 @@ def _cmd_classify(args, built) -> str:
     return "\n".join(lines)
 
 
-def _cmd_duality(args, built) -> str:
-    dual = _require_dual(built)
-    A = built["A"]
-    parts = _parts(args, built)
-    E = separability_idempotent(A)
-    report = full_report(A, dual, parts, E)
+def _cmd_duality(args, run: Run) -> str:
+    A, dual, report = run.A, run.dual, run.report
     C = dualize(A)
-    cd = compact_decompose(C, parts=parts)
+    cd = compact_decompose(C, parts=run.parts)
     varsigma = dual.S.matrix.T
-    gamma_vec = dual.g
-    n_ok = 0
-    pairs = []
-    for i, block in enumerate(cd.blocks):
-        cval = corep_indicator(C, block, varsigma, gamma_vec, cd.E)
-        aval = report.rows[i].nu_formula
-        pairs.append((cval, aval))
-        if abs(cval - aval) <= A.tol.eps_round:
-            n_ok += 1
+    pairs = [(corep_indicator(C, block, varsigma, dual.g, cd.E), row.nu_formula)
+             for block, row in zip(cd.blocks, report.rows)]
+    n_ok = sum(abs(cval - aval) <= A.tol.eps_round for cval, aval in pairs)
     total = len(cd.blocks)
     if n_ok != total:
         raise AgreementFailure(
@@ -271,8 +253,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         tol = _tolerance(args)
-        built = _build(args.kind, args.input, tol, args.seed)
-        text = COMMANDS[args.command](args, built)
+        run = Run(args.kind, args.input, tol, args.seed)
+        text = COMMANDS[args.command](args, run)
     except AgreementFailure as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)

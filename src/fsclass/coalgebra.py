@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      associator_residual, check_cstar, dense_dim)
+                      associator_residual, dense_dim)
 from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, NotHopf, NotStarRep,
@@ -210,7 +210,7 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     corepresentation of C, which is entry for entry the homomorphism and
     unit residuals of rho_u, and rho_u for the star alone."""
     B = dualize_co(C)
-    if not check_cstar(B)[1]:
+    if not B.trace_form[1]:
         raise NotCompact("dual algebra admits no C*-norm")
     parts = _dual_parts(C, parts, seed)
     n = C.dim

@@ -8,12 +8,13 @@ family carries (antipode, distinguished element, comultiplication).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      SeparabilityIdempotent, associator_residual, check_cstar,
+                      SeparabilityIdempotent, associator_residual,
                       central_positive_invertible, monomial_table,
                       nonzero_coordinates)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
@@ -191,8 +192,7 @@ def table_algebra(T: TableAlgebraData,
     A = FDStarAlgebra(T.p.astype(complex), unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
     v = table_central_element(T)
-    G, ok = check_cstar(A)
-    if not ok or not central_positive_invertible(A, v, G):
+    if not A.trace_form[1] or not central_positive_invertible(A, v):
         raise AxiomViolation("v is not central positive invertible")
     kappa = T.p[np.arange(r), T.involution, 0]
     # column i of sigma is b_{i*}, column i of R(v^{-1}) is b_i v^{-1}
@@ -449,7 +449,12 @@ class WeakHopfData:
 
     def haar_integral(self) -> np.ndarray:
         """The unique two-sided Haar integral: eps_L(Lam) = eps_R(Lam) = 1,
-        a Lam = eps_L(a) Lam and Lam a = Lam eps_R(a) for all a."""
+        a Lam = eps_L(a) Lam and Lam a = Lam eps_R(a) for all a.  Solved
+        on first use and kept, read-only."""
+        return self._haar
+
+    @cached_property
+    def _haar(self) -> np.ndarray:
         A, n = self.algebra, self.dim
         EL, ER = self.counit_target_maps()
         # L(e_i) - L(eps_L(e_i)) and R(e_i) - R(eps_R(e_i)), row blocks by i
@@ -465,6 +470,7 @@ class WeakHopfData:
         ker = nullspace(M, A.tol)
         if ker.shape[1] > 0:
             raise NonUniqueHaar("Haar integral is not unique")
+        lam.flags.writeable = False
         return lam
 
     def indicator(self, V, g: np.ndarray,

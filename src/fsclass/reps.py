@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm, check_cstar
+from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm
 from .errors import DegenerateSplit, InternalConsistency, NotStarRep
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
                      kron_system, make_rng, nullspace, random_complex,
@@ -115,7 +115,7 @@ class RegularRepresentation(Representation):
 def regular_representation(A: FDStarAlgebra) -> RegularRepresentation:
     """The left regular *-representation; its rho is A's own read-only
     stack of left-multiplication matrices, shared, not copied."""
-    G, ok = check_cstar(A)
+    G, ok = A.trace_form
     if not ok:
         raise NotStarRep("regular representation is not a *-representation: "
                          "trace form is not positive definite")

@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 
 import fsclass.cli
+from fsclass import cyclic_group
 from fsclass.cli import main
 
 from conftest import data_path
@@ -171,3 +174,63 @@ def test_a_declared_dim_past_the_dense_cap_exits_2(tmp_path, capsys):
         assert json.loads(err) == {
             "error": "ValueError",
             "message": "dimension 100000 exceeds the dense cap 128"}
+
+
+def test_group_and_double_orders_past_the_dense_cap_exit_2_before_allocating(
+        tmp_path, capsys):
+    """The order (group) or the order squared (double) is checked against
+    the cap right after loading, before the group table is validated, so
+    neither the order^3 associativity check nor D(G)'s structure tensor is
+    allocated."""
+    for order, kind, dim in [(12, "double", 144), (200, "group", 200)]:
+        G = cyclic_group(order)
+        path = tmp_path / f"z{order}.json"
+        path.write_text(json.dumps({"order": order, "table": G.table.tolist(),
+                                    "inverse": G.inverse.tolist()}))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, out, err = run(capsys, "verify", str(path), "--kind", kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, kind
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"dimension {dim} exceeds the dense cap 128"}
+        assert peak - base < 10 * 2**20, (kind, peak - base)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Wraps `name` in every fsclass module that imports it; the returned
+    list gets one entry per call."""
+    calls = []
+    fn = getattr(fsclass, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("fsclass") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_duality_on_a_double_builds_each_derived_quantity_once(
+        capsys, monkeypatch):
+    counts = {name: _count_calls(monkeypatch, name)
+              for name in ("check_cstar", "decompose",
+                           "separability_idempotent")}
+    code, _, _ = run(capsys, "duality", data_path("s3.json"), "--kind", "double")
+    assert code == 0
+    assert {name: len(c) for name, c in counts.items()} == {
+        "check_cstar": 1, "decompose": 1, "separability_idempotent": 1}
+
+
+def test_duality_on_a_scheme_computes_the_trace_form_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "check_cstar")
+    code, _, _ = run(capsys, "duality", data_path("petersen_scheme.json"),
+                     "--kind", "scheme")
+    assert code == 0
+    assert len(calls) == 1

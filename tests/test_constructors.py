@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from fsclass import (GroupTable, cyclic_group, decompose, drinfeld_double,
-                     group_algebra, group_from_permutations, group_weak_hopf,
-                     groupoid_weak_hopf, haar_integral, pair_groupoid,
-                     regular_representation, scheme_from_matrices,
-                     table_algebra, table_indicator, twisted_indicator,
-                     weak_hopf_indicator)
+import fsclass.constructors
+from fsclass import (GroupTable, WeakHopfData, cyclic_group, decompose,
+                     drinfeld_double, group_algebra, group_from_permutations,
+                     group_weak_hopf, groupoid_weak_hopf, haar_integral,
+                     pair_groupoid, regular_representation,
+                     scheme_from_matrices, table_algebra, table_indicator,
+                     twisted_indicator, weak_hopf_indicator)
 from fsclass.constructors import (TableAlgebraData, check_involution_perm,
                                   disjoint_union_groupoid,
                                   table_central_element)
@@ -168,3 +169,25 @@ def test_twisted_indicator_z3_inversion_all_real():
     for V, _ in decompose(regular_representation(A)):
         s, _ = twisted_indicator(G, tau, V)
         assert s == 1
+
+
+def test_weak_hopf_indicator_solves_for_the_haar_integral_once(monkeypatch):
+    """The Haar integral depends on W alone: over the 8 irreducibles of
+    D(S3) it is solved once, and every value equals the one a fresh W
+    (a fresh solve) gives."""
+    W, dual = drinfeld_double(load_group("s3"))
+    parts = decompose(regular_representation(W.algebra))
+    fresh = [weak_hopf_indicator(WeakHopfData(W.algebra, W.Delta, W.counit,
+                                              W.S), V, dual.g)
+             for V, _ in parts]
+    solves = []
+    nullspace = fsclass.constructors.nullspace
+
+    def counted(*args):
+        solves.append(1)
+        return nullspace(*args)
+    monkeypatch.setattr(fsclass.constructors, "nullspace", counted)
+    values = [weak_hopf_indicator(W, V, dual.g) for V, _ in parts]
+    assert len(parts) == 8
+    assert len(solves) == 1
+    assert values == fresh
