@@ -1,8 +1,9 @@
 """Runs the CLI over a fixed matrix of inputs, in-process, and writes every
-run's exit code, stdout and stderr to one JSON file, so that two versions of
-the source can be compared with a plain diff.
+run's exit code, stdout and stderr to one JSON file; compares two such
+files.
 
     python3 scripts/cli_matrix.py <src-dir> <out.json>
+    python3 scripts/cli_matrix.py compare <a.json> <b.json>
 
 <src-dir> is the directory that holds the `fsclass` package (`src` of a
 checkout).  The matrix is the commands verify, irreps, indicators, classify
@@ -10,12 +11,21 @@ and duality, each with `--format json`, over every file in data/ as its own
 kind plus the Drinfeld doubles of z2, z3, z4, s3 and q8, under seeds 0
 and 5: 260 runs.  BLAS is pinned to one thread so that repeated runs agree
 to the last bit.
+
+`compare` checks that both files hold the same runs, with equal exit codes,
+stderr and output fields (dims, multiplicities, nu, sigma, labels, verify
+lines, duality counts), except that characters and `nu_formula_raw` need
+only agree within TOL and a changed classify witness (`real_basis`,
+`quaternion_map`) is listed, not failed: a witness is one valid choice
+among many.  It exits 1 on any other difference.
 """
 import contextlib
 import io
 import json
 import os
 import sys
+
+import numpy as np
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
@@ -65,7 +75,68 @@ def main(src: str, out_path: str) -> int:
     return 0
 
 
+TOL = 1e-12
+NUMERIC = {"character", "nu_formula_raw"}
+WITNESSES = {"real_basis", "quaternion_map"}
+
+
+def _differences(a, b, path: str, out: dict) -> None:
+    """Walks two parsed outputs and files every difference under out:
+    "numeric" (the largest deviation per key), "witness" or "fail"."""
+    key = path.rsplit(".", 1)[-1]
+    if key in NUMERIC:
+        x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if x.shape != y.shape:
+            out["fail"].append(path)
+            return
+        worst = float(np.abs(x - y).max(initial=0.0))
+        out["numeric"][key] = max(out["numeric"].get(key, 0.0), worst)
+        if worst > TOL:
+            out["fail"].append(f"{path} off by {worst:.2e}")
+    elif key in WITNESSES:
+        if a != b:
+            out["witness"].append(path)
+    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in sorted(a):
+            _differences(a[k], b[k], f"{path}.{k}", out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _differences(x, y, f"{path}[{i}]", out)
+    elif a != b:
+        out["fail"].append(path)
+
+
+def compare(a_path: str, b_path: str) -> int:
+    with open(a_path) as fh:
+        a = json.load(fh)
+    with open(b_path) as fh:
+        b = json.load(fh)
+    out = {"numeric": {}, "witness": [], "fail": []}
+    for run in sorted(a.keys() | b.keys()):
+        if run not in a or run not in b:
+            out["fail"].append(f"{run}: only in one file")
+            continue
+        (code_a, stdout_a, err_a), (code_b, stdout_b, err_b) = a[run], b[run]
+        if code_a != code_b or err_a != err_b:
+            out["fail"].append(f"{run}: exit code or stderr")
+        elif stdout_a != stdout_b:
+            parsed = [json.loads(s) if code_a == 0 else s
+                      for s in (stdout_a, stdout_b)]
+            _differences(*parsed, run, out)
+    same = sum(a[r] == b.get(r) for r in a)
+    print(f"{len(a)} runs, {same} byte-identical")
+    for key, dev in sorted(out["numeric"].items()):
+        print(f"largest {key} deviation: {dev:.2e}")
+    for path in out["witness"]:
+        print(f"witness changed: {path}")
+    for path in out["fail"]:
+        print(f"FAIL: {path}")
+    return 1 if out["fail"] else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     sys.exit(main(sys.argv[1], sys.argv[2]))

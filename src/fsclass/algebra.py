@@ -503,17 +503,24 @@ def orthonormal_basis(A: FDStarAlgebra, gram: np.ndarray,
     return B
 
 
+def central_sum(A: FDStarAlgebra, B: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_j b_j a b_j^* over the columns b_j of B.  Central when B is
+    orthonormal for the trace form: sum_j b_j (x) b_j^* then commutes with
+    every element of A."""
+    return A.multiply(A.right_mult(a) @ B @ A.star(B).T)
+
+
 def separability_idempotent(A: FDStarAlgebra,
                             rotation: np.ndarray | None = None
                             ) -> SeparabilityIdempotent:
     """Separability idempotent sum x_j (x) x_j^* v^{-1} over the columns of a
-    basis B orthonormal for the trace form; v = m(B B*^T) is central."""
+    basis B orthonormal for the trace form; v = `central_sum` at a = 1."""
     G, ok = A.trace_form
     if not ok:
         raise NotCStar("no separability idempotent: algebra is not C*-able")
     B = orthonormal_basis(A, G, rotation)
     Bs = A.star(B)
-    vinv = A.inverse(A.multiply(B @ Bs.T))
+    vinv = A.inverse(central_sum(A, B, A.unit))
     E = SeparabilityIdempotent(A, B @ (A.right_mult(vinv) @ Bs).T)
     E.verify(eps=A.tol.eps_eig * 100 * max(1.0, float(np.abs(vinv).max())))
     return E

@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm
-from .errors import DegenerateSplit, InternalConsistency, NotStarRep
+from .algebra import (AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum,
+                      orthonormal_basis)
+from .errors import DegenerateSplit, NotCStar, NotStarRep
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
                      kron_system, make_rng, nullspace, random_complex,
                      svd_rank)
@@ -146,26 +147,21 @@ SPLIT_TRIES = 8
 
 
 def _split_once(V: Representation, comm: np.ndarray,
-                rng) -> list[tuple[Representation, np.ndarray]] | None:
-    """One eigen-split of V by a random gram-Hermitian element of its
+                M: np.ndarray) -> list[tuple[Representation, np.ndarray]]:
+    """Eigen-split of V by the gram-Hermitian part of M, an element of its
     commutant comm, a (k, d, d) stack spanning End_A(V).
 
-    Returns (piece, commutant of the piece) pairs, each piece a
-    gram-identity subrepresentation on the H-orthonormal basis B of an
-    eigenvalue cluster, or None when the chosen element fails to separate
-    (caller retries with a fresh element).  The H-orthogonal projection
+    Returns a (piece, commutant of the piece) pair for every eigenvalue
+    cluster, each piece a gram-identity subrepresentation on the
+    H-orthonormal basis B of its cluster.  The H-orthogonal projection
     B P, P = B^dagger H, onto a piece lies in End_A(V), so the piece's
     commutant is P End_A(V) B: the span of P comm B, orthonormalised with
     the rank rule of `nullspace`.
     """
     A, H = V.algebra, V.gram
-    M = np.tensordot(random_complex(rng, len(comm)), comm, axes=(0, 0))
-    Hinv = np.linalg.inv(H)
-    M = (M + Hinv @ dagger(M) @ H) / 2.0  # gram-Hermitian
-    vals, vecs = scipy.linalg.eigh(H @ M, H)  # vecs are H-orthonormal
+    HM = H @ M
+    vals, vecs = scipy.linalg.eigh((HM + dagger(HM)) / 2.0, H)
     clusters = cluster_eigenvalues(vals, A.tol.eps_eig * max(1.0, np.abs(vals).max()))
-    if len(clusters) < 2:
-        return None
     out = []
     for idx in clusters:
         B = vecs[:, idx]
@@ -183,53 +179,48 @@ def decompose(V: Representation,
     multiplicities, sorted by (dimension, character fingerprint).  V is
     validated here unless it already was.
 
-    The commutant is taken once, from `V.commutant()`.  A piece whose
-    commutant is one-dimensional is irreducible; any other is split by
-    `_split_once` (at most SPLIT_TRIES seeded draws), and its parts get
-    their commutants by compression, not by a new solve.
+    The commutant is taken once, from `V.commutant()`; when it is
+    one-dimensional V is irreducible.  Otherwise V is split once by rho(z),
+    z = `central_sum` of a random self-adjoint a over a trace-form
+    orthonormal basis, so a reducible V needs a positive definite trace
+    form.  The eigenspaces of rho(z) are the isotypic blocks (one cluster:
+    V is isotypic).  In a block W whose commutant has dimension k > 1, one
+    random split gives a piece L of multiplicity m = dim W / dim L.  A
+    piece with a commutant of dimension > 1 is redrawn in the block, and
+    k != m^2 (W not isotypic) redraws z; both share the bound SPLIT_TRIES.
     """
     if not V.validated:
         V._validate()
-    tol = V.algebra.tol
-    leaves: list[Representation] = []
-    stack = [(V, V.commutant())]
-    while stack:
-        W, comm = stack.pop()
-        if W.dim == 0:
-            continue
-        if len(comm) == 1:
-            leaves.append(W)
-            continue
-        parts = None
-        for t in range(SPLIT_TRIES):
-            parts = _split_once(W, comm, make_rng(seed + 1000 * t + 17 * W.dim))
-            if parts is not None:
+    comm = V.commutant()
+    if len(comm) == 1:
+        return [(V, 1)]
+    A = V.algebra
+    G, ok = A.trace_form
+    if not ok:
+        raise NotCStar("cannot split a reducible representation: the trace "
+                       "form of its algebra is not positive definite")
+    B = orthonormal_basis(A, G)
+    rng, redraws = make_rng(seed), 0
+    while redraws <= SPLIT_TRIES:
+        r = random_complex(rng, A.dim)
+        z = central_sum(A, B, r + A.star(r))
+        result = []
+        for W, cW in _split_once(V, comm, V.apply(z)):
+            L, cL = W, cW
+            while len(cL) > 1 and redraws <= SPLIT_TRIES:
+                M = np.tensordot(random_complex(rng, len(cW)), cW, axes=(0, 0))
+                L, cL = _split_once(W, cW, M)[0]
+                redraws += len(cL) > 1
+            m, rest = divmod(W.dim, L.dim)
+            if len(cL) > 1 or rest or len(cW) != m * m:
                 break
-        if parts is None:
-            raise DegenerateSplit(
-                f"could not split a {W.dim}-dim representation with "
-                f"commutant dimension {len(comm)}")
-        stack.extend(parts)
-    # group equivalent leaves
-    groups: list[list[Representation]] = []
-    for L in leaves:
-        placed = False
-        for grp in groups:
-            if L.dim != grp[0].dim:
-                continue
-            hom = intertwiners(L.rho, grp[0].rho, tol)
-            if len(hom) == 1:
-                grp.append(L)
-                placed = True
-                break
-            if len(hom) > 1:
-                raise InternalConsistency(
-                    "hom space between putative irreducibles has dim > 1")
-        if not placed:
-            groups.append([L])
-    result = [(grp[0], len(grp)) for grp in groups]
-    result.sort(key=lambda p: p[0].fingerprint())
-    return result
+            result.append((L, m))
+        else:
+            return sorted(result, key=lambda p: p[0].fingerprint())
+        redraws += 1
+    raise DegenerateSplit(
+        f"could not split a {V.dim}-dim representation with commutant "
+        f"dimension {len(comm)} in {SPLIT_TRIES} redraws")
 
 
 def dual_representation(V: Representation, S: AntiAlgebraMap,

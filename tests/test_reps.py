@@ -10,7 +10,7 @@ from fsclass import (FDStarAlgebra, decompose, drinfeld_double, full_report,
 from fsclass import io as fio
 from fsclass import reps
 from fsclass.algebra import AntiAlgebraMap, DualStructureData, check_cstar
-from fsclass.errors import NotStarRep
+from fsclass.errors import DegenerateSplit, NotCStar, NotStarRep
 from fsclass.linalg import Tolerance, nullspace
 from fsclass.reps import (Representation, conjugate_representation,
                           dual_representation, restrict)
@@ -65,7 +65,9 @@ def _petersen():
 
 def test_decompose_is_seed_independent():
     for A in (group_algebra(load_group("q8"))[0],
-              drinfeld_double(load_group("s3"))[0].algebra, _petersen()):
+              drinfeld_double(load_group("s3"))[0].algebra, _petersen(),
+              drinfeld_double(load_group("q8"))[0].algebra,
+              _rebased_q8(seed=5)[2]):
         fps = []
         for seed in range(3):
             parts = decompose(regular_representation(A), seed=seed)
@@ -282,17 +284,18 @@ def _center(A):
 
 
 def test_compressed_commutants_match_the_solved_ones(monkeypatch):
-    """The first split of the regular representation is by a random
-    central element, so its pieces are isotypic with commutants M_d; each
-    piece of every split gets P End_A(V) B, which must be an orthonormal
-    basis of the commutant solved from scratch.  C[S3] on a skewed basis
-    has a non-scalar gram, so P = B^dagger H differs from B^dagger."""
-    split, draw = reps._split_once, reps.random_complex
-    seen = []
+    """The first split of the regular representation is by a central
+    element, so its pieces are the isotypic blocks, with commutants M_d;
+    the split inside each block gives its leaves.  Every piece gets
+    P End_A(V) B, which must be an orthonormal basis of the commutant
+    solved from scratch.  C[S3] on a skewed basis has a non-scalar gram,
+    so P = B^dagger H differs from B^dagger."""
+    split = reps._split_once
+    calls = []
 
-    def checked(V, comm, rng):
-        parts = split(V, comm, rng)
-        for W, c in parts or []:
+    def checked(V, comm, M):
+        parts = split(V, comm, M)
+        for W, c in parts:
             solved = intertwiners(W.rho, W.rho, W.algebra.tol)
             assert len(c) == len(solved)
             flat = c.reshape(len(c), -1)
@@ -300,7 +303,7 @@ def test_compressed_commutants_match_the_solved_ones(monkeypatch):
                                atol=1e-10)
             assert np.abs(c @ W.rho[:, None] - W.rho[:, None] @ c
                           ).max() < 1e-9
-            seen.append(len(c))
+        calls.append([len(c) for _, c in parts])
         return parts
     monkeypatch.setattr(reps, "_split_once", checked)
     inputs = _commutant_inputs()
@@ -308,20 +311,86 @@ def test_compressed_commutants_match_the_solved_ones(monkeypatch):
     assert np.abs(H - H[0, 0] * np.eye(6)).max() > 0.1
     for name in ("s3", "s3_skewed", "double_s3", "q8_rebased"):
         A = inputs[name]
-        Z = _center(A)
-        assert 1 < Z.shape[1] < A.dim
-        first = [True]
-
-        def first_central(rng, shape):
-            if first:
-                first.pop()
-                return Z @ draw(rng, Z.shape[1])
-            return draw(rng, shape)
-        monkeypatch.setattr(reps, "random_complex", first_central)
+        calls.clear()
         parts = decompose(regular_representation(A))
         assert sum(V.dim * m for V, m in parts) == A.dim
         assert all(m == V.dim for V, m in parts)
-    assert {1, 4, 9} <= set(seen)
+        # one block per irreducible, of commutant M_d, then one split in
+        # each block of dimension > 1, whose pieces are irreducible
+        blocks, *inner = calls
+        assert sorted(blocks) == sorted(m * m for _, m in parts), name
+        assert len(inner) == sum(m > 1 for _, m in parts), name
+        assert all(k == 1 for leaves in inner for k in leaves), name
+
+
+def test_regular_decomposition_solves_no_intertwiners(monkeypatch):
+    """Multiplicities are read off the isotypic blocks, so no leaf is
+    compared with another by an intertwiner solve."""
+    solve = reps.intertwiners
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return solve(*args, **kw)
+    monkeypatch.setattr(reps, "intertwiners", counted)
+    for A in (group_algebra(load_group("s3"))[0],
+              drinfeld_double(load_group("s3"))[0].algebra):
+        parts = decompose(regular_representation(A))
+        assert sum(V.dim ** 2 for V, _ in parts) == A.dim
+    assert calls == []
+
+
+def test_a_zero_central_draw_is_redrawn(monkeypatch):
+    """a = 0 gives z = 0 and a single eigenvalue cluster; the block is not
+    isotypic (k != m^2), so the central element is redrawn, and the parts
+    equal those of an unforced run."""
+    A = drinfeld_double(load_group("s3"))[0].algebra
+    V = regular_representation(A)
+    expected = decompose(V)
+    draw, central, split = reps.random_complex, reps.central_sum, reps._split_once
+    zs, first_split = [], []
+
+    def zero_first(rng, shape):
+        x = draw(rng, shape)
+        return 0 * x if not zs else x
+
+    def recorded(A, B, a):
+        zs.append(central(A, B, a))
+        return zs[-1]
+
+    def split_recorded(W, comm, M):
+        parts = split(W, comm, M)
+        if not first_split:
+            first_split.append((M, len(parts)))
+        return parts
+    monkeypatch.setattr(reps, "random_complex", zero_first)
+    monkeypatch.setattr(reps, "central_sum", recorded)
+    monkeypatch.setattr(reps, "_split_once", split_recorded)
+    parts = decompose(V)
+    assert len(zs) == 2
+    assert not zs[0].any() and zs[1].any()
+    M, clusters = first_split[0]
+    assert not M.any() and clusters == 1
+    assert [(W.fingerprint(), m) for W, m in parts] == \
+        [(W.fingerprint(), m) for W, m in expected]
+    for (W, _), (X, _) in zip(parts, expected):
+        assert np.abs(W.character() - X.character()).max() < 1e-10
+
+
+def test_a_reducible_representation_needs_a_positive_trace_form():
+    """span{1, x} with x^2 = 0 and x* = x: its trace form is singular.  An
+    irreducible representation still decomposes, with no trace form read;
+    a reducible one raises NotCStar, since no central element splits it."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    A = FDStarAlgebra(c, [1.0, 0.0], np.eye(2))
+    assert not check_cstar(A)[1]
+    one = Representation(A, [[[1.0]], [[0.0]]])
+    assert decompose(one) == [(one, 1)]
+    two = Representation(A, np.stack([np.eye(2), np.zeros((2, 2))]))
+    assert len(two.commutant()) == 4
+    with pytest.raises(NotCStar):
+        decompose(two)
 
 
 def test_decompose_a_non_regular_representation():
@@ -341,3 +410,18 @@ def test_decompose_a_non_regular_representation():
     assert [V.dim for V, _ in parts] == [1, 1, 2]
     assert [m for _, m in parts] == [1, 1, 3]
     assert parts[2][0].fingerprint() == X.fingerprint()
+
+
+def test_central_redraws_share_the_split_bound(monkeypatch):
+    """A central element that never splits (z = 0 every time) is redrawn
+    SPLIT_TRIES times, then DegenerateSplit is raised."""
+    calls = []
+
+    def zero(A, B, a):
+        calls.append(1)
+        return np.zeros(A.dim, dtype=complex)
+    monkeypatch.setattr(reps, "central_sum", zero)
+    A = group_algebra(load_group("s3"))[0]
+    with pytest.raises(DegenerateSplit):
+        decompose(regular_representation(A))
+    assert len(calls) == reps.SPLIT_TRIES + 1

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import fsclass.algebra
-from fsclass import (FDStarAlgebra, GroupoidData, GroupTable,
+from fsclass import (FDStarAlgebra, GroupoidData, GroupTable, cyclic_group,
                      drinfeld_double, group_algebra, group_from_permutations,
                      group_weak_hopf, groupoid_weak_hopf, scheme_from_matrices,
                      table_algebra)
@@ -568,6 +568,19 @@ def test_group_table_reports_the_loop_index():
             else:           # a repeated entry
                 t[p, q1] = t[p, q2]
             assert_same(BadGroup, loop_group(t), GroupTable.validated, n, t, inv)
+
+
+def test_group_table_validation_has_no_order_cubed_temporary():
+    """Associativity is checked a row at a time: an order-300 table costs
+    a few order^2 arrays, not two order^3 int64 arrays of 216 MB."""
+    tracemalloc.start()
+    try:
+        G = cyclic_group(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 300
+    assert peak < 10 * 2**20
 
 
 def dense_map_residual(A, M, conj, reverse):
