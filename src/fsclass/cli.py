@@ -24,8 +24,7 @@ from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            drinfeld_double, group_algebra, groupoid_weak_hopf,
                            scheme_from_matrices, table_algebra)
 from .errors import AgreementFailure, FSClassError, SchemaError
-from .indicators import (IndicatorReport, canonical_g, classify_sigma,
-                         full_report)
+from .indicators import IndicatorReport, classify_sigma, full_report
 from .linalg import Tolerance
 from .reps import decompose, regular_representation
 
@@ -55,8 +54,7 @@ class Run:
     validates the input and builds whatever the kind supports: the algebra
     A, its dual structure, weak Hopf data W or a coalgebra C, and the names
     of the checks that passed.  The decomposition and the indicator report
-    are computed on first use and kept; a scheme's dual structure needs the
-    decomposition, so a scheme is decomposed here, with seed."""
+    are computed on first use and kept."""
 
     def __init__(self, kind: str, path: str, tol: Tolerance, seed: int):
         self.seed = seed
@@ -83,7 +81,8 @@ class Run:
                 ck.append("table algebra axioms")
             self.A, S, _, _ = table_algebra(T, tol)
             ck += ["algebra axioms", "star axioms", "central element v"]
-            self._dual = canonical_g(self.A, S, [V for V, _ in self.parts])
+            # S(b_i) = b_{i*} squares to the identity: the canonical g is 1
+            self._dual = DualStructureData.validated(self.A, S, self.A.unit)
             ck.append("dual structure (S, g)")
         elif kind == "groupoid":
             d = fio.load_groupoid_v1(path)

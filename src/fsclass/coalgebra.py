@@ -157,9 +157,6 @@ class CoseparabilityIdempotent:
     coalgebra: FDStarCoalgebra
     matrix: np.ndarray
 
-    def value(self, c: np.ndarray, d: np.ndarray) -> complex:
-        return complex(c @ self.matrix @ d)
-
     def verify(self) -> None:
         C, E, n = self.coalgebra, self.matrix, self.coalgebra.dim
         eps = C.tol.eps_eig * 100 * max(1.0, float(np.abs(E).max(initial=0.0)))

@@ -36,6 +36,28 @@ def _require_fields(doc: dict, required: set[str],
         raise SchemaError(f"unknown fields: {sorted(unknown)}")
 
 
+def _index(v, n: int, what: str) -> int:
+    """v as an index into range(n): a JSON integer, not a bool or a float."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+        raise SchemaError(f"{what} must be an integer in [0, {n})")
+    return v
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(f"{what} must be a list")
+    return x
+
+
+def _integers(x, what: str) -> np.ndarray:
+    """Nested lists of JSON integers (no bools, floats or strings) as an
+    int array; ragged nesting leaves lists as entries and is refused too."""
+    a = np.asarray(x, dtype=object)
+    if not all(type(v) is int for v in a.flat):
+        raise SchemaError(f"{what} must hold integers only")
+    return a.astype(int)
+
+
 def _complex_vector(entries, n: int, what: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != n:
         raise SchemaError(f"{what} must be a list of {n} [re, im] pairs")
@@ -48,20 +70,13 @@ def _complex_vector(entries, n: int, what: str) -> np.ndarray:
 
 
 def _sparse_entries(entries, keys: tuple[str, ...], n: int, what: str):
-    if not isinstance(entries, list):
-        raise SchemaError(f"{what} must be a list of objects")
-    for idx, ent in enumerate(entries):
+    for idx, ent in enumerate(_list(entries, what)):
         if not isinstance(ent, dict):
             raise SchemaError(f"{what}[{idx}] must be an object")
         want = set(keys) | {"re", "im"}
         if set(ent) != want:
             raise SchemaError(f"{what}[{idx}] must have fields {sorted(want)}")
-        pos = []
-        for k in keys:
-            v = ent[k]
-            if not isinstance(v, int) or not (0 <= v < n):
-                raise SchemaError(f"{what}[{idx}].{k} out of range")
-            pos.append(v)
+        pos = [_index(ent[k], n, f"{what}[{idx}].{k}") for k in keys]
         yield (*pos, complex(float(ent["re"]), float(ent["im"])))
 
 
@@ -109,17 +124,13 @@ def load_group_v1(path: str) -> dict:
     n = doc["order"]
     if not isinstance(n, int) or n < 1:
         raise SchemaError("order must be a positive integer")
-    table = np.asarray(doc["table"], dtype=object)
-    try:
-        table = table.astype(int)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("table must be an integer matrix") from exc
+    table = _integers(doc["table"], "table")
     if table.shape != (n, n):
         raise SchemaError("table must be order x order")
-    inverse = np.asarray(doc["inverse"])
+    inverse = _integers(doc["inverse"], "inverse")
     if inverse.shape != (n,):
         raise SchemaError("inverse must be a list of length order")
-    return {"order": n, "table": table, "inverse": inverse.astype(int)}
+    return {"order": n, "table": table, "inverse": inverse}
 
 
 def load_scheme_v1(path: str) -> dict:
@@ -134,7 +145,8 @@ def load_scheme_v1(path: str) -> dict:
     if not isinstance(r, int) or r < 1:
         raise SchemaError("classes must be a positive integer")
     if "matrices" in doc:
-        mats = [np.asarray(m, dtype=int) for m in doc["matrices"]]
+        mats = [_integers(m, "matrices")
+                for m in _list(doc["matrices"], "matrices")]
         if len(mats) != r:
             raise SchemaError("number of matrices must equal classes")
         size = mats[0].shape
@@ -157,18 +169,16 @@ def load_groupoid_v1(path: str) -> dict:
     if not isinstance(m, int) or m < 1:
         raise SchemaError("objects must be a positive integer")
     arrows = []
-    for idx, a in enumerate(doc["arrows"]):
+    for idx, a in enumerate(_list(doc["arrows"], "arrows")):
         if not isinstance(a, dict) or set(a) != {"src", "tgt"}:
             raise SchemaError(f"arrows[{idx}] must have fields src, tgt")
-        if not (0 <= a["src"] < m and 0 <= a["tgt"] < m):
-            raise SchemaError(f"arrows[{idx}] endpoint out of range")
-        arrows.append((a["src"], a["tgt"]))
+        arrows.append(tuple(_index(a[k], m, f"arrows[{idx}].{k}")
+                            for k in ("src", "tgt")))
     n = len(arrows)
     triples = []
-    for idx, t in enumerate(doc["compose"]):
+    for idx, t in enumerate(_list(doc["compose"], "compose")):
         if not isinstance(t, dict) or set(t) != {"a", "b", "ab"}:
             raise SchemaError(f"compose[{idx}] must have fields a, b, ab")
-        if not all(0 <= t[k] < n for k in ("a", "b", "ab")):
-            raise SchemaError(f"compose[{idx}] arrow index out of range")
-        triples.append((t["a"], t["b"], t["ab"]))
+        triples.append(tuple(_index(t[k], n, f"compose[{idx}].{k}")
+                             for k in ("a", "b", "ab")))
     return {"objects": m, "arrows": arrows, "compose": triples}

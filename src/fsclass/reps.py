@@ -14,8 +14,7 @@ from .algebra import (AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum,
                       orthonormal_basis)
 from .errors import DegenerateSplit, NotCStar, NotStarRep
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
-                     kron_system, make_rng, nullspace, random_complex,
-                     svd_rank)
+                     kron_system, make_rng, nullspace, random_complex)
 
 
 class Representation:
@@ -146,31 +145,16 @@ def intertwiners(
 SPLIT_TRIES = 8
 
 
-def _split_once(V: Representation, comm: np.ndarray,
-                M: np.ndarray) -> list[tuple[Representation, np.ndarray]]:
-    """Eigen-split of V by the gram-Hermitian part of M, an element of its
-    commutant comm, a (k, d, d) stack spanning End_A(V).
-
-    Returns a (piece, commutant of the piece) pair for every eigenvalue
-    cluster, each piece a gram-identity subrepresentation on the
-    H-orthonormal basis B of its cluster.  The H-orthogonal projection
-    B P, P = B^dagger H, onto a piece lies in End_A(V), so the piece's
-    commutant is P End_A(V) B: the span of P comm B, orthonormalised with
-    the rank rule of `nullspace`.
-    """
-    A, H = V.algebra, V.gram
-    HM = H @ M
-    vals, vecs = scipy.linalg.eigh((HM + dagger(HM)) / 2.0, H)
-    clusters = cluster_eigenvalues(vals, A.tol.eps_eig * max(1.0, np.abs(vals).max()))
-    out = []
-    for idx in clusters:
-        B = vecs[:, idx]
-        P = dagger(B) @ H
-        flat = (P @ comm @ B).reshape(len(comm), -1)
-        u, s, _ = np.linalg.svd(flat.T, full_matrices=False)
-        k = svd_rank(s, A.tol)
-        out.append((restrict(V, B), u[:, :k].T.reshape(k, len(idx), len(idx))))
-    return out
+def _eigenspaces(X: np.ndarray, H: np.ndarray | None,
+                 tol: Tolerance) -> list[np.ndarray]:
+    """H-orthonormal bases of the eigenspaces of the H-Hermitian part of
+    H^{-1} X (H = None: the identity), one per eigenvalue cluster, in
+    ascending order."""
+    X = (X + dagger(X)) / 2.0
+    # numpy's standard solver: less call overhead on the many small blocks
+    vals, vecs = np.linalg.eigh(X) if H is None else scipy.linalg.eigh(X, H)
+    eps = tol.eps_eig * max(1.0, np.abs(vals).max())
+    return [vecs[:, idx] for idx in cluster_eigenvalues(vals, eps)]
 
 
 def decompose(V: Representation,
@@ -180,44 +164,51 @@ def decompose(V: Representation,
     validated here unless it already was.
 
     The commutant is taken once, from `V.commutant()`; when it is
-    one-dimensional V is irreducible.  Otherwise V is split once by rho(z),
-    z = `central_sum` of a random self-adjoint a over a trace-form
-    orthonormal basis, so a reducible V needs a positive definite trace
-    form.  The eigenspaces of rho(z) are the isotypic blocks (one cluster:
-    V is isotypic).  In a block W whose commutant has dimension k > 1, one
-    random split gives a piece L of multiplicity m = dim W / dim L.  A
-    piece with a commutant of dimension > 1 is redrawn in the block, and
-    k != m^2 (W not isotypic) redraws z; both share the bound SPLIT_TRIES.
+    one-dimensional V is irreducible.  Otherwise each attempt draws a
+    central z = `central_sum` of a random self-adjoint a over a trace-form
+    orthonormal basis b_j (a reducible V needs a positive definite trace
+    form) and a random M in the commutant.  Each eigenspace W of rho(z)
+    gives the piece L, the first eigenspace of M compressed onto W.  The
+    pairing <x, y> = sum_j x(b_j) y(b_j^*) makes irreducible characters
+    orthonormal, so <chi_L, chi_L> = 1 and <chi_V, chi_L> = dim W / dim L,
+    each within eps_round times the integer, prove W = L^m with L
+    irreducible; otherwise z and M are redrawn, at most SPLIT_TRIES times.
     """
     if not V.validated:
         V._validate()
     comm = V.commutant()
     if len(comm) == 1:
         return [(V, 1)]
-    A = V.algebra
+    A, H, tol = V.algebra, V.gram, V.algebra.tol
     G, ok = A.trace_form
     if not ok:
         raise NotCStar("cannot split a reducible representation: the trace "
                        "form of its algebra is not positive definite")
     B = orthonormal_basis(A, G)
-    rng, redraws = make_rng(seed), 0
-    while redraws <= SPLIT_TRIES:
+    Bs = A.star(B)
+    chi_V = V.character()
+
+    def pairs_to(x: np.ndarray, y: np.ndarray, k: int) -> bool:
+        return abs((x @ B) @ (y @ Bs) - k) <= tol.eps_round * k
+
+    rng = make_rng(seed)
+    for _ in range(SPLIT_TRIES + 1):
         r = random_complex(rng, A.dim)
         z = central_sum(A, B, r + A.star(r))
+        # the commutant of a regular representation is a transposed view,
+        # which einsum reads in place
+        HM = H @ np.einsum("k,kab->ab", random_complex(rng, len(comm)), comm)
         result = []
-        for W, cW in _split_once(V, comm, V.apply(z)):
-            L, cL = W, cW
-            while len(cL) > 1 and redraws <= SPLIT_TRIES:
-                M = np.tensordot(random_complex(rng, len(cW)), cW, axes=(0, 0))
-                L, cL = _split_once(W, cW, M)[0]
-                redraws += len(cL) > 1
-            m, rest = divmod(W.dim, L.dim)
-            if len(cL) > 1 or rest or len(cW) != m * m:
+        for BW in _eigenspaces(H @ V.apply(z), H, tol):
+            BL = BW @ _eigenspaces(dagger(BW) @ HM @ BW, None, tol)[0]
+            L = restrict(V, BL)
+            chi = L.character()
+            m, rest = divmod(BW.shape[1], L.dim)
+            if rest or not (pairs_to(chi, chi, 1) and pairs_to(chi_V, chi, m)):
                 break
             result.append((L, m))
         else:
             return sorted(result, key=lambda p: p[0].fingerprint())
-        redraws += 1
     raise DegenerateSplit(
         f"could not split a {V.dim}-dim representation with commutant "
         f"dimension {len(comm)} in {SPLIT_TRIES} redraws")

@@ -234,3 +234,47 @@ def test_duality_on_a_scheme_computes_the_trace_form_once(capsys, monkeypatch):
                      "--kind", "scheme")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_verify_on_a_scheme_decomposes_nothing(capsys, monkeypatch):
+    """A table algebra's canonical g is the unit, since S(b_i) = b_{i*}
+    squares to the identity, so building the scheme's dual structure needs
+    no decomposition."""
+    calls = _count_calls(monkeypatch, "decompose")
+    for name in ("petersen_scheme.json", "c5_scheme.json"):
+        code, out, _ = run(capsys, "verify", data_path(name), "--kind", "scheme")
+        assert code == 0
+        assert "dual structure (S, g): ok" in out
+    assert calls == []
+
+
+def test_non_list_containers_and_non_integer_indices_exit_2(tmp_path, capsys):
+    """Containers that are not lists and indices or table entries that are
+    not JSON integers (strings, floats, bools) are schema errors, not Python
+    exceptions or silent truncations."""
+    docs = {}
+    for kind, name in (("groupoid", "pair2_groupoid"), ("scheme", "c5_scheme"),
+                       ("group", "z3")):
+        with open(data_path(name + ".json")) as fh:
+            docs[kind] = json.load(fh)
+    groupoid, scheme, group = docs["groupoid"], docs["scheme"], docs["group"]
+    cases = [("groupoid", {**groupoid, "arrows": {"src": 0, "tgt": 0}}),
+             ("groupoid", {**groupoid, "compose": 3}),
+             ("scheme", {**scheme, "matrices": 5}),
+             ("scheme", {**scheme, "matrices": [[[0.5]]] * 3}),
+             ("group", {**group, "table": [[0.5] * 3] * 3}),
+             ("group", {**group, "inverse": ["0", "2", "1"]})]
+    for bad in ("0", 0.5, True):
+        arrows = [dict(a) for a in groupoid["arrows"]]
+        arrows[0]["src"] = bad
+        cases.append(("groupoid", {**groupoid, "arrows": arrows}))
+        compose = [dict(t) for t in groupoid["compose"]]
+        compose[0]["ab"] = bad
+        cases.append(("groupoid", {**groupoid, "compose": compose}))
+    for idx, (kind, doc) in enumerate(cases):
+        path = tmp_path / f"{idx}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), "--kind", kind)
+        assert code == 2, (idx, err)
+        assert out == ""
+        assert json.loads(err)["error"] == "SchemaError", (idx, err)

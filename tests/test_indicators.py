@@ -5,13 +5,16 @@ import fsclass.indicators
 from fsclass import (Representation, canonical_g, classify_sigma, decompose,
                      drinfeld_double, fs_indicator_formula,
                      fs_indicator_trace, full_report, group_algebra,
-                     regular_representation)
+                     regular_representation, scheme_from_matrices,
+                     table_algebra)
+from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
                              real_form_from_S, separability_idempotent)
 from fsclass.indicators import _round_indicator
 
-from conftest import (GROUP_FILES, classical_oracle, diagonal_rescaling,
-                      load_group, m2_dual_structures, rescaled)
+from conftest import (GROUP_FILES, classical_oracle, data_path,
+                      diagonal_rescaling, load_group, m2_dual_structures,
+                      rescaled)
 
 
 def pipeline(name):
@@ -192,6 +195,17 @@ def test_canonical_g_for_group_algebra_is_unit():
     _, A, dual, E, parts = pipeline("s3")
     got = canonical_g(A, dual.S, [V for V, _ in parts])
     assert np.allclose(got.g, A.unit, atol=1e-9)
+
+
+def test_canonical_g_for_a_table_algebra_is_unit():
+    """S(b_i) = b_{i*} squares to the identity, so the CLI takes g = 1 for a
+    scheme without decomposing it; the solved canonical g agrees."""
+    for name in ("c5_scheme.json", "petersen_scheme.json"):
+        mats = fio.load_scheme_v1(data_path(name))["matrices"]
+        A, S, _, _ = table_algebra(scheme_from_matrices(mats))
+        parts = decompose(regular_representation(A))
+        got = canonical_g(A, S, [V for V, _ in parts])
+        assert np.abs(got.g - A.unit).max() < 1e-12, name
 
 
 def test_canonical_g_for_twisted_m2_dual():

@@ -9,9 +9,10 @@ from fsclass import (FDStarAlgebra, decompose, drinfeld_double, full_report,
                      table_algebra)
 from fsclass import io as fio
 from fsclass import reps
-from fsclass.algebra import AntiAlgebraMap, DualStructureData, check_cstar
+from fsclass.algebra import (AntiAlgebraMap, DualStructureData, check_cstar,
+                             orthonormal_basis)
 from fsclass.errors import DegenerateSplit, NotCStar, NotStarRep
-from fsclass.linalg import Tolerance, nullspace
+from fsclass.linalg import Tolerance
 from fsclass.reps import (Representation, conjugate_representation,
                           dual_representation, restrict)
 
@@ -276,51 +277,130 @@ def test_regular_commutant_is_right_multiplication():
         assert s[-1] > 1e-6 * s[0], name
 
 
-def _center(A):
-    """Basis of the centre: x with sum_i x_i (c[i, j] - c[j, i]) = 0."""
-    c = A.structure
-    system = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0)
-    return nullspace(system.reshape(A.dim ** 2, A.dim))
+def _attempts(monkeypatch) -> list[dict]:
+    """Records each attempt of `decompose`: its central element z, the
+    dimensions of the eigenspaces of rho(z) and the pieces restricted from
+    them."""
+    central, eig, restrict = reps.central_sum, reps._eigenspaces, reps.restrict
+    attempts = []
+
+    def central_recorded(A, B, a):
+        attempts.append({"z": central(A, B, a), "blocks": [], "pieces": []})
+        return attempts[-1]["z"]
+
+    def eig_recorded(X, H, tol):
+        spaces = eig(X, H, tol)
+        if H is not None:
+            attempts[-1]["blocks"] = [W.shape[1] for W in spaces]
+        return spaces
+
+    def restrict_recorded(V, basis):
+        attempts[-1]["pieces"].append(restrict(V, basis))
+        return attempts[-1]["pieces"][-1]
+    monkeypatch.setattr(reps, "central_sum", central_recorded)
+    monkeypatch.setattr(reps, "_eigenspaces", eig_recorded)
+    monkeypatch.setattr(reps, "restrict", restrict_recorded)
+    return attempts
 
 
-def test_compressed_commutants_match_the_solved_ones(monkeypatch):
-    """The first split of the regular representation is by a central
-    element, so its pieces are the isotypic blocks, with commutants M_d;
-    the split inside each block gives its leaves.  Every piece gets
-    P End_A(V) B, which must be an orthonormal basis of the commutant
-    solved from scratch.  C[S3] on a skewed basis has a non-scalar gram,
-    so P = B^dagger H differs from B^dagger."""
-    split = reps._split_once
-    calls = []
+def _pairing(A, x, y):
+    """sum_j x(b_j) y(b_j^*) over a trace-form orthonormal basis b_j."""
+    B = orthonormal_basis(A, A.trace_form[0])
+    return complex((x @ B) @ (y @ A.star(B)))
 
-    def checked(V, comm, M):
-        parts = split(V, comm, M)
-        for W, c in parts:
-            solved = intertwiners(W.rho, W.rho, W.algebra.tol)
-            assert len(c) == len(solved)
-            flat = c.reshape(len(c), -1)
-            assert np.allclose(flat.conj() @ flat.T, np.eye(len(c)),
-                               atol=1e-10)
-            assert np.abs(c @ W.rho[:, None] - W.rho[:, None] @ c
-                          ).max() < 1e-9
-        calls.append([len(c) for _, c in parts])
-        return parts
-    monkeypatch.setattr(reps, "_split_once", checked)
+
+def _same_parts(parts, expected):
+    assert [(W.fingerprint(), m) for W, m in parts] == \
+        [(W.fingerprint(), m) for W, m in expected]
+    for (W, _), (X, _) in zip(parts, expected):
+        assert np.abs(W.character() - X.character()).max() < 1e-10
+
+
+def test_the_central_split_gives_the_isotypic_blocks(monkeypatch):
+    """The eigenspaces of rho(z) in the regular representation are the
+    isotypic blocks, of dimension m^2, one per irreducible; each piece is
+    irreducible, its commutant solved from scratch being the scalars.  C[S3]
+    on a skewed basis has a non-scalar gram, so P = B^dagger H differs from
+    B^dagger."""
+    attempts = _attempts(monkeypatch)
     inputs = _commutant_inputs()
     H = regular_representation(inputs["s3_skewed"]).gram
     assert np.abs(H - H[0, 0] * np.eye(6)).max() > 0.1
     for name in ("s3", "s3_skewed", "double_s3", "q8_rebased"):
         A = inputs[name]
-        calls.clear()
+        attempts.clear()
         parts = decompose(regular_representation(A))
         assert sum(V.dim * m for V, m in parts) == A.dim
         assert all(m == V.dim for V, m in parts)
-        # one block per irreducible, of commutant M_d, then one split in
-        # each block of dimension > 1, whose pieces are irreducible
-        blocks, *inner = calls
+        assert len(attempts) == 1, name
+        blocks = attempts[0]["blocks"]
         assert sorted(blocks) == sorted(m * m for _, m in parts), name
-        assert len(inner) == sum(m > 1 for _, m in parts), name
-        assert all(k == 1 for leaves in inner for k in leaves), name
+        for V, _ in parts:
+            assert len(intertwiners(V.rho, V.rho, A.tol)) == 1, name
+            assert abs(_pairing(A, V.character(), V.character()) - 1) < 1e-10
+
+
+def test_restrict_runs_once_per_irreducible(monkeypatch):
+    """Only the piece kept in each block is restricted from V: no block is
+    restricted whole."""
+    attempts = _attempts(monkeypatch)
+    for A in (drinfeld_double(load_group("s3"))[0].algebra,
+              _rebased_q8(seed=5)[2]):
+        attempts.clear()
+        parts = decompose(regular_representation(A))
+        assert [len(t["pieces"]) for t in attempts] == [len(parts)]
+        assert sorted(L.dim for L in attempts[0]["pieces"]) == \
+            sorted(V.dim for V, _ in parts)
+
+
+def test_a_zero_central_draw_is_redrawn(monkeypatch):
+    """a = 0 gives z = 0 and a single eigenspace, the whole of V; its piece
+    L is irreducible but <chi_V, chi_L> = dim L != dim V / dim L, so z is
+    redrawn, and the parts equal those of an unforced run."""
+    A = drinfeld_double(load_group("s3"))[0].algebra
+    V = regular_representation(A)
+    expected = decompose(V)
+    draw, draws = reps.random_complex, []
+
+    def zero_first(rng, shape):
+        draws.append(draw(rng, shape))
+        return 0 * draws[-1] if len(draws) == 1 else draws[-1]
+    monkeypatch.setattr(reps, "random_complex", zero_first)
+    attempts = _attempts(monkeypatch)
+    parts = decompose(V)
+    assert len(attempts) == 2
+    assert not attempts[0]["z"].any() and attempts[1]["z"].any()
+    assert attempts[0]["blocks"] == [A.dim]
+    [L] = attempts[0]["pieces"]
+    assert abs(_pairing(A, L.character(), L.character()) - 1) < 1e-10
+    assert abs(_pairing(A, V.character(), L.character()) - L.dim) < 1e-10
+    _same_parts(parts, expected)
+
+
+def test_a_zero_commutant_draw_is_redrawn(monkeypatch):
+    """M = 0 on the first attempt leaves each block W = L^m whole, so the
+    first block with m > 1 gives <chi_W, chi_W> = m^2 != 1: z and M are
+    redrawn, and the parts equal those of an unforced run."""
+    A = drinfeld_double(load_group("s3"))[0].algebra
+    V = regular_representation(A)
+    expected = decompose(V)
+    draw, draws = reps.random_complex, []
+
+    def zero_second(rng, shape):
+        draws.append(draw(rng, shape))
+        return 0 * draws[-1] if len(draws) == 2 else draws[-1]
+    monkeypatch.setattr(reps, "random_complex", zero_second)
+    attempts = _attempts(monkeypatch)
+    parts = decompose(V)
+    assert len(attempts) == 2
+    first = attempts[0]
+    dims = [W.dim for W in first["pieces"]]
+    assert dims == first["blocks"][:len(dims)]
+    *whole, W = first["pieces"]
+    m = round(W.dim ** 0.5)
+    assert m > 1 and all(X.dim == 1 for X in whole)
+    assert abs(_pairing(A, W.character(), W.character()) - m * m) < 1e-9
+    _same_parts(parts, expected)
 
 
 def test_regular_decomposition_solves_no_intertwiners(monkeypatch):
@@ -338,43 +418,6 @@ def test_regular_decomposition_solves_no_intertwiners(monkeypatch):
         parts = decompose(regular_representation(A))
         assert sum(V.dim ** 2 for V, _ in parts) == A.dim
     assert calls == []
-
-
-def test_a_zero_central_draw_is_redrawn(monkeypatch):
-    """a = 0 gives z = 0 and a single eigenvalue cluster; the block is not
-    isotypic (k != m^2), so the central element is redrawn, and the parts
-    equal those of an unforced run."""
-    A = drinfeld_double(load_group("s3"))[0].algebra
-    V = regular_representation(A)
-    expected = decompose(V)
-    draw, central, split = reps.random_complex, reps.central_sum, reps._split_once
-    zs, first_split = [], []
-
-    def zero_first(rng, shape):
-        x = draw(rng, shape)
-        return 0 * x if not zs else x
-
-    def recorded(A, B, a):
-        zs.append(central(A, B, a))
-        return zs[-1]
-
-    def split_recorded(W, comm, M):
-        parts = split(W, comm, M)
-        if not first_split:
-            first_split.append((M, len(parts)))
-        return parts
-    monkeypatch.setattr(reps, "random_complex", zero_first)
-    monkeypatch.setattr(reps, "central_sum", recorded)
-    monkeypatch.setattr(reps, "_split_once", split_recorded)
-    parts = decompose(V)
-    assert len(zs) == 2
-    assert not zs[0].any() and zs[1].any()
-    M, clusters = first_split[0]
-    assert not M.any() and clusters == 1
-    assert [(W.fingerprint(), m) for W, m in parts] == \
-        [(W.fingerprint(), m) for W, m in expected]
-    for (W, _), (X, _) in zip(parts, expected):
-        assert np.abs(W.character() - X.character()).max() < 1e-10
 
 
 def test_a_reducible_representation_needs_a_positive_trace_form():

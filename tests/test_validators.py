@@ -8,6 +8,7 @@ kernel and the product-map kernel are also compared with their dense
 forms, on monomial inputs (index-table path) and on dense ones, and the
 index-table kernel past the dense cap with a sparse reference.
 """
+import re
 import time
 import tracemalloc
 
@@ -28,7 +29,7 @@ from fsclass.algebra import (DENSE_DIM_CAP, AntiAlgebraMap,
                              table_associator_residual)
 from fsclass.constructors import WeakHopfData, double_product_table
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadGroup,
-                            BadStar, NotAntiMap, NotAssociative)
+                            BadGroupoid, BadStar, NotAntiMap, NotAssociative)
 from fsclass.linalg import DEFAULT_TOL as TOL
 
 from conftest import (build_m2, data_path, diagonal_rescaling, load_group,
@@ -295,6 +296,37 @@ def _pair3_weak_hopf():
     d = fio.load_groupoid_v1(data_path("pair3_groupoid.json"))
     return groupoid_weak_hopf(
         GroupoidData.validated(d["objects"], d["arrows"], d["compose"]))[0]
+
+
+def _one_object(table):
+    """Triples (a, b, table[a][b]) of a one-object groupoid."""
+    return [(a, b, ab) for a, row in enumerate(table) for b, ab in enumerate(row)]
+
+
+def test_groupoid_validation_rejects_each_broken_axiom():
+    """One corruption per rejection of `GroupoidData.validated`: the pair
+    groupoid on two objects with one composite dropped or sent to an arrow
+    with other ends, and one-object compositions that are not associative
+    (a b = -a - b mod 3), have no identity (a b = a) or have a non-invertible
+    arrow (a b = max(a, b))."""
+    d = fio.load_groupoid_v1(data_path("pair2_groupoid.json"))
+    arrows, compose = d["arrows"], d["compose"]
+    a, b, ab = compose[0]
+    wrong = next(x for x in range(len(arrows)) if arrows[x] != arrows[ab])
+    loop = [(0, 0)] * 3
+    cases = [
+        (arrows, compose[1:], f"composability of ({a}, {b}) disagrees"),
+        (arrows, [(a, b, wrong)] + compose[1:], f"composite of ({a}, {b}) "
+         "has wrong ends"),
+        (loop, _one_object([[(-x - y) % 3 for y in range(3)]
+                            for x in range(3)]), "not associative"),
+        (loop[:2], _one_object([[0, 0], [1, 1]]), "no identity arrow"),
+        (loop[:2], _one_object([[0, 1], [1, 1]]), "has no inverse"),
+    ]
+    GroupoidData.validated(d["objects"], arrows, compose)
+    for arr, triples, message in cases:
+        with pytest.raises(BadGroupoid, match=re.escape(message)):
+            GroupoidData.validated(1 + max(max(x) for x in arr), arr, triples)
 
 
 def _delta_corruptions(Delta, kinds, seed):
