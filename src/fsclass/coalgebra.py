@@ -16,8 +16,8 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       associator_residual, dense_dim)
 from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
-                     NotAntiMap, NotCompact, NotHopf, NotStarRep,
-                     UnexpectedDimension)
+                     NotAntiMap, NotCompact, NotHopf, NotStarRep)
+from .indicators import _real_indicator, canonical_g
 from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .reps import (Representation, decompose, intertwiners,
                    regular_representation)
@@ -249,7 +249,6 @@ def gamma_full(C: FDStarCoalgebra, varsigma: np.ndarray, seed: int = 0,
                parts: Parts | None = None
                ) -> tuple[np.ndarray, DualStructureData, FDStarAlgebra]:
     """gamma, its (S, g) and dualize_co(C); parts as for `_dual_parts`."""
-    from .indicators import canonical_g
     B = dualize_co(C)
     try:
         S = AntiAlgebraMap.validated(B, np.asarray(varsigma, dtype=complex).T)
@@ -273,10 +272,8 @@ def corep_indicator(C: FDStarCoalgebra, V: Corepresentation,
     n = C.dim
     vsE = np.asarray(varsigma, dtype=complex).T @ E.matrix
     Y = (np.asarray(gamma_vec) @ C.Delta.reshape(n, n, n)).T @ vsE
-    val = complex(V.character() @ (Y.ravel() @ C.Delta))
-    if abs(val.imag) > C.tol.eps_round * (1 + abs(val)):
-        raise UnexpectedDimension(f"corep indicator {val} is not real")
-    return val.real
+    return float(_real_indicator(V.character() @ (Y.ravel() @ C.Delta),
+                                 C.tol.eps_round))
 
 
 def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
@@ -295,10 +292,7 @@ def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
     w = A.of_products(h).ravel() @ H.Delta
     t = np.array([V.character() for V in dec.blocks])
     vals = (t @ gamma_vec) / (t @ H.counit) * (t @ w)
-    bad = np.abs(vals.imag) > A.tol.eps_round * (1 + np.abs(vals))
-    if bad.any():
-        raise UnexpectedDimension(f"CQG indicator {vals[bad][0]} is not real")
-    return [float(v) for v in vals.real]
+    return [float(v) for v in _real_indicator(vals, A.tol.eps_round)]
 
 
 def phi_module(C: FDStarCoalgebra, V: Corepresentation) -> Representation:

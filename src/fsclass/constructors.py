@@ -19,6 +19,7 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       nonzero_coordinates)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
                      NonUniqueHaar, NotInvolution)
+from .indicators import _round_indicator
 from .linalg import DEFAULT_TOL, Tolerance, nullspace
 
 
@@ -145,10 +146,6 @@ class TableAlgebraData:
     def rank(self) -> int:
         return self.p.shape[0]
 
-    def kappa(self, i: int) -> float:
-        """p_{i i*}^0, the valency-style normalizer for basis element i."""
-        return float(self.p[i, self.involution[i], 0].real)
-
     @staticmethod
     def validated(p, involution, eps: float = 1e-9) -> "TableAlgebraData":
         p = np.asarray(p, dtype=float)
@@ -202,37 +199,28 @@ def table_algebra(T: TableAlgebraData,
     return A, S, E, v
 
 
+def _basis_sum(T: TableAlgebraData, tau: np.ndarray) -> np.ndarray:
+    """sum_i b_tau(i) b_i / p_(i i*)^0, as a coefficient vector."""
+    i = np.arange(T.rank)
+    return (T.p[tau, i] / T.p[i, T.involution, 0][:, None]).sum(axis=0)
+
+
 def table_central_element(T: TableAlgebraData) -> np.ndarray:
     """v = sum_i (1 / p_(i i*)^0) b_{i*} b_i, central positive invertible."""
-    r = T.rank
-    v = np.zeros(r, dtype=complex)
-    for i in range(r):
-        v += T.p[T.involution[i], i, :] / T.kappa(i)
-    return v
+    return _basis_sum(T, T.involution)
 
 
 def table_indicator(T: TableAlgebraData, chi: np.ndarray,
-                    tau: np.ndarray | None = None,
-                    eps_round: float = 1e-6) -> tuple[int, complex]:
+                    tau: np.ndarray | None = None) -> tuple[int, complex]:
     """Indicator of the irreducible character chi of a table algebra:
-    sigma = sum_i chi(b_tau(i) b_i) / p_(i i*)^0 divided by chi(v)/chi(1);
-    tau is an optional involution of the index set (default identity)."""
-    r = T.rank
+    sum_i chi(b_tau(i) b_i) / p_(i i*)^0 divided by chi(v)/chi(1); tau is
+    an optional involution of the index set (default identity).  Returns
+    (nu, raw) with raw the undivided sum."""
     chi = np.asarray(chi, dtype=complex)
-    if tau is None:
-        tau = np.arange(r)
-    raw = 0.0 + 0.0j
-    for i in range(r):
-        raw += (chi @ T.p[tau[i], i, :]) / T.kappa(i)
-    v = table_central_element(T)
-    unit = np.zeros(r)
-    unit[0] = 1.0
-    norm = (chi @ v) / (chi @ unit)
-    sigma = complex(raw / norm)
-    s = int(round(sigma.real))
-    if abs(sigma - s) > eps_round or s not in (-1, 0, 1):
-        raise AxiomViolation(f"table indicator {sigma} is not in {{-1, 0, 1}}")
-    return s, complex(raw)
+    tau = np.arange(T.rank) if tau is None else np.asarray(tau)
+    raw = complex(chi @ _basis_sum(T, tau))
+    norm = (chi @ table_central_element(T)) / chi[0]
+    return _round_indicator(raw / norm, DEFAULT_TOL.eps_round), raw
 
 
 def scheme_from_matrices(mats: list[np.ndarray]) -> TableAlgebraData:
@@ -474,22 +462,18 @@ class WeakHopfData:
         lam.flags.writeable = False
         return lam
 
-    def indicator(self, V, g: np.ndarray,
-                  tau: np.ndarray | None = None) -> tuple[int, complex]:
-        """nu_tau(V) = (chi(g)/chi(1)) * chi(tau(Lam_(1)) Lam_(2)); tau
-        defaults to the identity (untwisted indicator)."""
+    @cached_property
+    def _haar_product(self) -> np.ndarray:
+        """Lam_(1) Lam_(2) = m(Delta(Lam)), formed on first use and kept:
+        nu(V) is a multiple of its character."""
+        return self.algebra.multiply(self.delta_of(self.haar_integral()))
+
+    def indicator(self, V, g: np.ndarray) -> tuple[int, complex]:
+        """nu(V) = (chi(g)/chi(1)) * chi(Lam_(1) Lam_(2)), and its raw value."""
         A = self.algebra
-        lam = self.haar_integral()
-        dl = self.delta_of(lam)
-        if tau is not None:
-            dl = tau @ dl   # acts on the first leg
-        z = A.multiply(dl)
         chi = V.character()
-        val = complex((chi @ g) / (chi @ A.unit) * (chi @ z))
-        s = int(round(val.real))
-        if abs(val - s) > A.tol.eps_round or s not in (-1, 0, 1):
-            raise AxiomViolation(f"weak Hopf indicator {val} not in {{-1, 0, 1}}")
-        return s, val
+        raw = complex((chi @ g) / (chi @ A.unit) * (chi @ self._haar_product))
+        return _round_indicator(raw, A.tol.eps_round), raw
 
 
 def check_involution_perm(G: GroupTable, perm) -> np.ndarray:
@@ -500,10 +484,8 @@ def check_involution_perm(G: GroupTable, perm) -> np.ndarray:
         raise NotInvolution("not a permutation")
     if not np.array_equal(p[p], np.arange(n)):
         raise NotInvolution("does not square to the identity")
-    for i in range(n):
-        for j in range(n):
-            if p[G.table[i, j]] != G.table[p[i], p[j]]:
-                raise NotInvolution("not a group automorphism")
+    if (p[G.table] != G.table[np.ix_(p, p)]).any():
+        raise NotInvolution("not a group automorphism")
     return p
 
 
@@ -585,14 +567,13 @@ def weak_hopf_indicator(W: WeakHopfData, V,
 
 
 def twisted_indicator(G: GroupTable, tau, V) -> tuple[int, complex]:
-    """Twisted indicator sigma_tau(V) = (1/|G|) sum_h chi(tau(h) h) of an
-    involutive automorphism tau, computed through the Hopf-algebra Haar
-    integral of C[G]; V must be a representation of the group algebra."""
+    """Twisted indicator sigma_tau(V) = chi(z), z = (1/|G|) sum_h e_tau(h)h,
+    of an involutive automorphism tau, and its raw value; z is
+    tau(Lam_(1)) Lam_(2) for the Haar integral Lam = (1/|G|) sum_h e_h of
+    C[G].  V must be a representation of the group algebra."""
     perm = check_involution_perm(G, tau)
     if V.algebra.dim != G.order:
         raise BadGroup("representation does not live over C[G]")
-    W, dual = group_weak_hopf(G, V.algebra.tol)
     n = G.order
-    tau_mat = np.zeros((n, n))
-    tau_mat[perm, np.arange(n)] = 1.0
-    return W.indicator(V, dual.g, tau_mat)
+    raw = V.char_value(np.bincount(G.table[perm, np.arange(n)], minlength=n) / n)
+    return _round_indicator(raw, V.algebra.tol.eps_round), raw

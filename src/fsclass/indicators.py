@@ -26,15 +26,27 @@ from .linalg import dagger, fixed_space_of_antilinear
 from .reps import Representation, dual_representation, intertwiners
 
 
-def _round_indicator(value: complex, eps_round: float) -> int:
-    if abs(value.imag) > eps_round:
-        raise ComplexResult(f"indicator value {value} is not real")
-    r = int(round(value.real))
-    if abs(value.real - r) > eps_round:
-        raise ComplexResult(f"indicator value {value.real} is not near an integer")
-    if r not in (-1, 0, 1):
-        raise UnexpectedDimension(f"indicator {r} outside {{-1, 0, +1}}")
-    return r
+def _real_indicator(raw, eps_round: float):
+    """Re raw, for raw values of any shape; `ComplexResult` when some
+    |Im raw| > eps_round.  The realness half of `_round_indicator`, for the
+    indicators that return raw reals."""
+    raw = np.asarray(raw)
+    bad = ~(np.abs(raw.imag) <= eps_round)
+    if bad.any():
+        raise ComplexResult(f"indicator value {raw[bad][0]} is not real")
+    return raw.real
+
+
+def _round_indicator(raw: complex, eps_round: float) -> int:
+    """The one rule that turns a raw indicator value into nu: nu =
+    round(Re raw) when |raw - nu| <= eps_round, else `ComplexResult`;
+    `UnexpectedDimension` when nu is not -1, 0 or +1."""
+    nu = np.rint(_real_indicator(raw, eps_round))
+    if not abs(raw - nu) <= eps_round:
+        raise ComplexResult(f"indicator value {raw} is not near an integer")
+    if nu not in (-1, 0, 1):
+        raise UnexpectedDimension(f"indicator {nu:.0f} outside {{-1, 0, +1}}")
+    return int(nu)
 
 
 def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,

@@ -7,6 +7,7 @@ axioms are enforced by the constructors they feed.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -43,6 +44,13 @@ def _index(v, n: int, what: str) -> int:
     return v
 
 
+def _number(v, what: str) -> float:
+    """v as a float: a finite JSON integer or float, not a bool."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise SchemaError(f"{what} must be a finite number")
+    return float(v)
+
+
 def _list(x, what: str) -> list:
     if not isinstance(x, list):
         raise SchemaError(f"{what} must be a list")
@@ -65,7 +73,7 @@ def _complex_vector(entries, n: int, what: str) -> np.ndarray:
     for idx, pair in enumerate(entries):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError(f"{what}[{idx}] must be an [re, im] pair")
-        out[idx] = complex(float(pair[0]), float(pair[1]))
+        out[idx] = complex(*(_number(x, f"{what}[{idx}]") for x in pair))
     return out
 
 
@@ -77,7 +85,8 @@ def _sparse_entries(entries, keys: tuple[str, ...], n: int, what: str):
         if set(ent) != want:
             raise SchemaError(f"{what}[{idx}] must have fields {sorted(want)}")
         pos = [_index(ent[k], n, f"{what}[{idx}].{k}") for k in keys]
-        yield (*pos, complex(float(ent["re"]), float(ent["im"])))
+        yield (*pos, complex(*(_number(ent[k], f"{what}[{idx}].{k}")
+                               for k in ("re", "im"))))
 
 
 def load_algebra_v1(path: str) -> dict:
@@ -85,7 +94,7 @@ def load_algebra_v1(path: str) -> dict:
     doc = _load(path)
     _require_fields(doc, {"dim", "unit", "structure", "star"})
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("dim must be a positive integer")
     dense_dim(n)
     unit = _complex_vector(doc["unit"], n, "unit")
@@ -105,7 +114,7 @@ def load_coalgebra_v1(path: str) -> dict:
     doc = _load(path)
     _require_fields(doc, {"dim", "counit", "Delta", "star"})
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("dim must be a positive integer")
     dense_dim(n)
     counit = _complex_vector(doc["counit"], n, "counit")
@@ -122,7 +131,7 @@ def load_group_v1(path: str) -> dict:
     doc = _load(path)
     _require_fields(doc, {"order", "table", "inverse"})
     n = doc["order"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("order must be a positive integer")
     table = _integers(doc["table"], "table")
     if table.shape != (n, n):
@@ -142,7 +151,7 @@ def load_scheme_v1(path: str) -> dict:
     else:
         _require_fields(doc, {"classes", "p"})
     r = doc["classes"]
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise SchemaError("classes must be a positive integer")
     if "matrices" in doc:
         mats = [_integers(m, "matrices")
@@ -156,17 +165,18 @@ def load_scheme_v1(path: str) -> dict:
             if not np.isin(m, (0, 1)).all():
                 raise SchemaError("matrices must be 0/1")
         return {"classes": r, "matrices": mats}
-    p = np.asarray(doc["p"], dtype=float)
+    p = np.asarray(doc["p"], dtype=object)
     if p.shape != (r, r, r):
         raise SchemaError("p must be classes^3 nested lists")
-    return {"classes": r, "p": p}
+    return {"classes": r,
+            "p": np.array([_number(v, "p") for v in p.flat]).reshape(p.shape)}
 
 
 def load_groupoid_v1(path: str) -> dict:
     doc = _load(path)
     _require_fields(doc, {"objects", "arrows", "compose"})
     m = doc["objects"]
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise SchemaError("objects must be a positive integer")
     arrows = []
     for idx, a in enumerate(_list(doc["arrows"], "arrows")):

@@ -54,11 +54,13 @@ def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     The rank is `svd_rank` of the singular values.  The zero and empty
     matrices are handled.  When m has at least as many rows as columns the
     thin SVD is used: its right factor is still square, and the unused left
-    factor shrinks to rows x columns.
+    factor shrinks to rows x columns.  Real input is solved in real
+    arithmetic and gives a real basis; complex input a complex one.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, float), copy=False)
     if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
-        return np.eye(m.shape[1], dtype=complex)
+        return np.eye(m.shape[1], dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vh[svd_rank(s, tol):].conj().T
 
@@ -102,16 +104,6 @@ def cluster_eigenvalues(vals: np.ndarray, eps: float) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def real_nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Nullspace of a real matrix, orthonormal columns, real arithmetic;
-    the rank is `svd_rank` of the singular values, as in `nullspace`."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
-        return np.eye(m.shape[1])
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vh[svd_rank(s, tol):].T
-
-
 def antilinear_real_matrix(k: np.ndarray) -> np.ndarray:
     """Realification of the antilinear map x -> k @ conj(x) acting on
     stacked (Re x, Im x) coordinates."""
@@ -123,5 +115,5 @@ def fixed_space_of_antilinear(k: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np
     """Real basis (complex columns) of {x : k @ conj(x) = x}."""
     n = k.shape[0]
     big = antilinear_real_matrix(k) - np.eye(2 * n)
-    basis = real_nullspace(big, tol)
+    basis = nullspace(big, tol)
     return basis[:n] + 1j * basis[n:]

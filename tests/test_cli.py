@@ -278,3 +278,52 @@ def test_non_list_containers_and_non_integer_indices_exit_2(tmp_path, capsys):
         assert code == 2, (idx, err)
         assert out == ""
         assert json.loads(err)["error"] == "SchemaError", (idx, err)
+
+
+def test_non_numbers_and_non_finite_values_exit_2(tmp_path, capsys):
+    """Every number a loader reads (unit, counit, the re/im of a structure,
+    star or Delta entry, a scheme's p) must be a finite JSON integer or
+    float: objects, lists, strings, bools, NaN and infinities are schema
+    errors, not TypeErrors, bare ValueErrors or silent conversions.  A
+    count (dim, order, classes, objects) must not be a bool either."""
+    docs = {}
+    for name in ("m2_algebra", "m2_coalgebra"):
+        with open(data_path(name + ".json")) as fh:
+            docs[name] = json.load(fh)
+    algebra, coalgebra = docs["m2_algebra"], docs["m2_coalgebra"]
+    scheme = {"classes": 1, "p": [[[1]]]}
+    controls = [("algebra", algebra), ("coalgebra", coalgebra),
+                ("scheme", scheme),
+                ("group", {"order": 1, "table": [[0]], "inverse": [0]}),
+                ("groupoid", {"objects": 1, "arrows": [{"src": 0, "tgt": 0}],
+                              "compose": [{"a": 0, "b": 0, "ab": 0}]})]
+    bad_values = [{}, [1], "x", "1", True, float("nan"), float("inf"),
+                  -float("inf"), 10 ** 400]
+    cases = [("scheme", {"classes": 1, "p": {"a": 1}}),
+             ("scheme", {"classes": True, "p": [[[1]]]}),
+             ("group", {"order": True, "table": [[0]], "inverse": [0]}),
+             ("groupoid", {"objects": True, "arrows": [{"src": 0, "tgt": 0}],
+                           "compose": [{"a": 0, "b": 0, "ab": 0}]})]
+    for bad in bad_values:
+        cases.append(("scheme", {"classes": 1, "p": [[[bad]]]}))
+        for kind, doc, vector, entries in (
+                ("algebra", algebra, "unit", "structure"),
+                ("algebra", algebra, "unit", "star"),
+                ("coalgebra", coalgebra, "counit", "Delta")):
+            vec = [list(pair) for pair in doc[vector]]
+            vec[0][0] = bad
+            cases.append((kind, {**doc, vector: vec}))
+            for field in ("re", "im"):
+                ents = [dict(e) for e in doc[entries]]
+                ents[0][field] = bad
+                cases.append((kind, {**doc, entries: ents}))
+    for idx, (kind, doc) in enumerate(controls + cases):
+        path = tmp_path / f"{idx}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), "--kind", kind)
+        if idx < len(controls):
+            assert code == 0, (idx, err)
+            continue
+        assert code == 2, (idx, err)
+        assert out == ""
+        assert json.loads(err)["error"] == "SchemaError", (idx, err)

@@ -191,3 +191,63 @@ def test_weak_hopf_indicator_solves_for_the_haar_integral_once(monkeypatch):
     assert len(parts) == 8
     assert len(solves) == 1
     assert values == fresh
+
+
+def test_twisted_indicator_builds_no_weak_hopf_data(monkeypatch):
+    """sigma_tau(V) is chi of the closed form (1/|G|) sum_h e_tau(h)h: over
+    the 5 irreducibles of C[S4] no WeakHopfData is built and no Haar
+    integral is solved."""
+    G = load_group("s4")
+    A, _, _ = group_algebra(G)
+    parts = decompose(regular_representation(A))
+    built, solves = [], []
+    validate = WeakHopfData._validate
+    nullspace = fsclass.constructors.nullspace
+    monkeypatch.setattr(WeakHopfData, "_validate",
+                        lambda self: built.append(1) or validate(self))
+    monkeypatch.setattr(fsclass.constructors, "nullspace",
+                        lambda *a: solves.append(1) or nullspace(*a))
+    for V, _ in parts:
+        s, _ = twisted_indicator(G, np.arange(G.order), V)
+        assert s == round(classical_oracle(G, V.character()).real)
+    assert len(parts) == 5
+    assert built == [] and solves == []
+
+
+@pytest.mark.parametrize("name, tau", [("z3", [0, 2, 1]), ("z4", None),
+                                       ("q8", None), ("s3", None)])
+def test_twisted_indicator_equals_the_haar_route(name, tau):
+    """The closed form equals chi(m((tau (x) id) Delta(Lam))) through the
+    Hopf-algebra Haar integral of C[G], the route it replaces."""
+    G = load_group(name)
+    perm = np.arange(G.order) if tau is None else np.array(tau)
+    W, dual = group_weak_hopf(G)
+    tau_mat = np.zeros((G.order, G.order))
+    tau_mat[perm, np.arange(G.order)] = 1.0
+    z = W.algebra.multiply(tau_mat @ W.delta_of(haar_integral(W)))
+    for V, _ in decompose(regular_representation(W.algebra)):
+        chi = V.character()
+        want = (chi @ dual.g) / (chi @ W.algebra.unit) * (chi @ z)
+        _, raw = twisted_indicator(G, perm, V)
+        assert abs(raw - want) < 1e-12
+
+
+def test_weak_hopf_indicator_forms_the_haar_product_once(monkeypatch):
+    """Lam_(1) Lam_(2) depends on W alone: over the 8 irreducibles of D(S3)
+    Delta(Lam) is formed once, and every raw value is
+    (chi(g)/chi(1)) chi(m(Delta(Lam)))."""
+    W, dual = drinfeld_double(load_group("s3"))
+    parts = decompose(regular_representation(W.algebra))
+    lam = W.haar_integral()
+    z = W.algebra.multiply(W.delta_of(lam))
+    formed = []
+    delta_of = WeakHopfData.delta_of
+    monkeypatch.setattr(WeakHopfData, "delta_of",
+                        lambda self, x: formed.append(1) or delta_of(self, x))
+    for V, _ in parts:
+        chi = V.character()
+        _, raw = weak_hopf_indicator(W, V, dual.g)
+        want = (chi @ dual.g) / (chi @ W.algebra.unit) * (chi @ z)
+        assert abs(raw - want) < 1e-12
+    assert len(parts) == 8
+    assert len(formed) == 1

@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import fsclass.indicators
-from fsclass import (Representation, canonical_g, classify_sigma, decompose,
-                     drinfeld_double, fs_indicator_formula,
+from fsclass import (Corepresentation, FDStarCoalgebra, Representation,
+                     canonical_g, classify_sigma, compact_decompose,
+                     corep_indicator, cqg_indicator, decompose,
+                     drinfeld_double, dualize, fs_indicator_formula,
                      fs_indicator_trace, full_report, group_algebra,
-                     regular_representation, scheme_from_matrices,
-                     table_algebra)
+                     group_weak_hopf, regular_representation,
+                     scheme_from_matrices, table_algebra, table_indicator,
+                     twisted_indicator, weak_hopf_indicator)
 from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
                              real_form_from_S, separability_idempotent)
-from fsclass.indicators import _round_indicator
+from fsclass.indicators import _real_indicator, _round_indicator
 
 from conftest import (GROUP_FILES, classical_oracle, data_path,
                       diagonal_rescaling, load_group, m2_dual_structures,
@@ -33,6 +38,68 @@ def test_round_indicator_accepts_only_near_integers():
         _round_indicator(1.0 + 0.5j, 1e-6)
     with pytest.raises(UnexpectedDimension):
         _round_indicator(2.0 + 0j, 1e-6)
+
+
+def test_the_rule_measures_the_complex_distance():
+    """|raw - nu| <= eps_round is a disc: a corner of the old box
+    |Re raw - nu|, |Im raw| <= eps_round is refused, and so is NaN."""
+    from fsclass.errors import ComplexResult
+    assert _round_indicator(1.0 + 0.7e-6 + 0.7e-6j, 1e-6) == 1
+    for raw in (1.0 + 0.9e-6 + 0.9e-6j, complex(np.nan, 0.0),
+                complex(0.0, np.nan)):
+        with pytest.raises(ComplexResult):
+            _round_indicator(raw, 1e-6)
+    assert _real_indicator(0.5 + 0.9e-6j, 1e-6) == 0.5
+    with pytest.raises(ComplexResult, match="not real"):
+        _real_indicator(np.array([1.0, 0.5 + 2e-6j]), 1e-6)
+
+
+def _scaled(V, factor):
+    """V with every rho(e_i) times factor, unchecked: character factor chi_V."""
+    return Representation(V.algebra, V.rho * factor, V.gram, check=False)
+
+
+@pytest.mark.parametrize("factor, message", [(1.1, "not near an integer"),
+                                             (1 + 0.1j, "not real")])
+def test_every_indicator_rounds_by_one_rule(scheme_mats, factor, message):
+    """One raw value 0.1 off an integer raises ComplexResult from the
+    formula, weak Hopf, table and twisted indicators alike; the corep and
+    CQG indicators, which return raw reals, raise it when the value is 0.1
+    off the real line and return it otherwise."""
+    from fsclass.errors import ComplexResult
+    G = load_group("s3")
+    W, dual = group_weak_hopf(G)
+    A = W.algebra
+    E = separability_idempotent(A)
+    V = next(V for V, _ in decompose(regular_representation(A))
+             if np.allclose(V.character(), 1.0))   # the trivial character
+    T = scheme_from_matrices(scheme_mats["c5_scheme"])
+    chi = decompose(regular_representation(table_algebra(T)[0]))[0][0].character()
+    calls = [lambda: fs_indicator_formula(V, dual.S, dual.g, E),
+             lambda: fs_indicator_formula(_scaled(V, factor), dual.S, dual.g, E),
+             lambda: weak_hopf_indicator(W, _scaled(V, factor), dual.g),
+             lambda: table_indicator(T, factor * chi),
+             lambda: twisted_indicator(G, np.arange(G.order), _scaled(V, factor))]
+    assert calls[0]()[0] == 1
+    for call in calls[1:]:
+        with pytest.raises(ComplexResult, match=message):
+            call()
+    C = dualize(A)
+    cd = compact_decompose(C)
+    block = Corepresentation(C, cd.blocks[0].coeff * factor, check=False)
+    K = A.star_matrix @ np.conj(W.S.matrix)
+    dec = compact_decompose(FDStarCoalgebra(W.Delta, W.counit, K, A.tol))
+    dec = replace(dec, blocks=[Corepresentation(b.coalgebra, b.coeff * factor,
+                                                check=False)
+                               for b in dec.blocks])
+    raw = [lambda: [corep_indicator(C, block, dual.S.matrix.T, dual.g, cd.E)],
+           lambda: cqg_indicator(W, dec)]
+    for call in raw:
+        if factor.imag:
+            with pytest.raises(ComplexResult, match=message):
+                call()
+        else:
+            assert max(abs(v) for v in call()) == pytest.approx(1.1)
 
 
 @pytest.mark.parametrize("name", ["z3", "z4", "z5", "s3", "q8", "d4"])

@@ -570,6 +570,31 @@ def test_associator_residual_on_dense_inputs():
             assert associator_residual(t) == dense_residual(t)
 
 
+def test_dense_associator_residual_in_cubic_memory():
+    """The dense path takes associator(c) one n^3 slab at a time: on random
+    dense tensors it gives the (i, j, k) and, to rounding, the residual of
+    the whole n^4 associator (the slab products are the same sums, but BLAS
+    may tile them differently when n is not a multiple of its block), and
+    at n = 64 it peaks below a sixteenth of one n^4 complex array (that
+    array is 268 MB; two of them were built before)."""
+    rng = np.random.default_rng(19)
+    for n in (5, 17, 24):
+        c = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+        assert not is_monomial(c)
+        got, want = associator_residual(c), dense_residual(c)
+        assert got[1] == want[1]
+        assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0)
+    n = 64
+    c = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    tracemalloc.start()
+    try:
+        associator_residual(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n ** 4 * np.dtype(complex).itemsize / 16
+
+
 def loop_group(t):
     """The per-(i, j) loop GroupTable.validated ran after its identity and
     inverse checks: row i's permutation test, then associativity at (i, j)."""
