@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      SeparabilityIdempotent, associator_residual,
+                      SeparabilityIdempotent, _ragged, associator_residual,
                       central_positive_invertible, monomial_table,
                       nonzero_coordinates)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
@@ -348,14 +347,70 @@ def disjoint_union_groupoid(groups: list[GroupTable]) -> GroupoidData:
 
 # --- weak Hopf algebras ---
 
-def _regroup(m: sp.csr_array, n: int, order: tuple[int, int, int, int]
-             ) -> sp.csr_array:
-    """m indexed as [(x0, x1), (x2, x3)], each x in range(n), re-indexed as
-    [(x_o0, x_o1), (x_o2, x_o3)] for order = (o0, o1, o2, o3)."""
-    m = m.tocoo()
-    x = (*np.divmod(m.row, n), *np.divmod(m.col, n))
+def _coo_sum(i, j, v, size: int) -> tuple[np.ndarray, ...]:
+    """The coordinate list (i, j, v), every index below size, with the
+    values at equal (i, j) summed, in row-major order."""
+    key = i * size + j
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    key = key[start]
+    return key // size, key % size, np.add.reduceat(v[order], start)
+
+
+def _coo_product(a: tuple, b: tuple, size: int) -> tuple[np.ndarray, ...]:
+    """The product of two matrices given as coordinate lists (i, j, v),
+    every index below size, as a coordinate list with repeated (i, j):
+    each entry (i, k, x) of a meets the entries (k, j, y) of b, found in
+    b's rows sorted by k (a stable sort, which does almost no work on the
+    row-major lists `_coo_sum` returns).  `_coo_sum` adds up the repeats."""
+    ai, ak, av = a
+    order = np.argsort(b[0], kind="stable")
+    bk, bj, bv = (x[order] for x in b)
+    lengths, at = _ragged(np.bincount(bk, minlength=size), ak)
+    return np.repeat(ai, lengths), bj[at], np.repeat(av, lengths) * bv[at]
+
+
+def _regroup(m: tuple, n: int, order: tuple[int, int, int, int]) -> tuple:
+    """The coordinate list m indexed as [(x0, x1), (x2, x3)], each x in
+    range(n), re-indexed as [(x_o0, x_o1), (x_o2, x_o3)] for
+    order = (o0, o1, o2, o3)."""
+    x = (*np.divmod(m[0], n), *np.divmod(m[1], n))
     a, b, c, d = (x[k] for k in order)
-    return sp.csr_array((m.data, (a * n + b, c * n + d)), shape=(n * n, n * n))
+    return a * n + b, c * n + d, m[2]
+
+
+def _multiplicativity_residual(A: FDStarAlgebra, D: np.ndarray,
+                               table: tuple | None) -> float:
+    """max |Delta(e_i) Delta(e_j) - Delta(e_i e_j)| over all i, j and
+    coordinates, for the dual product D = Delta.reshape(n, n, n) with
+    index table `monomial_table(D)`, on coordinate lists of c and D.
+
+    Delta(e_i) Delta(e_j) at e_a (x) e_b is
+    sum_pqrs Dt[i,p,q] Dt[j,r,s] c[p,r,a] c[q,s,b] = (X Y^T)[(a,i),(b,j)]
+    for X[(a,i),(q,r)] = sum_p c[p,r,a] Dt[i,p,q] and
+    Y[(b,j),(q,r)] = sum_s c[q,s,b] Dt[j,r,s]; both sides vanish off
+    their supports, so the largest entry of lhs - rhs on the union of the
+    supports is the dense residual.
+    """
+    n = A.dim
+    size = n * n
+    ci, cj, ck, cv = A.coordinates()
+    dj, dk, di, dv = nonzero_coordinates(D, table)
+
+    def cd(x, y, z, u, v, w):   # c as [(x, y), z] times Dt as [u, (v, w)]
+        return _coo_product((x * n + y, z, cv), (u, v * n + w, dv), size)
+
+    def summed(m, order):        # m regrouped, in row-major order
+        return _coo_sum(*_regroup(m, n, order), size)
+    lhs = cd(ci, cj, ck, di, dj, dk)
+    X = summed(cd(cj, ck, ci, dj, di, dk), (1, 2, 3, 0))
+    Yt = summed(cd(ci, ck, cj, dk, di, dj), (0, 3, 1, 2))
+    i, j, r = _regroup(_coo_product(X, Yt, size), n, (1, 3, 0, 2))
+    gap = _coo_sum(*map(np.concatenate, zip(lhs, (i, j, -r))), size)[2]
+    return float(np.abs(gap).max(initial=0.0))
 
 
 @dataclass
@@ -370,12 +425,11 @@ class WeakHopfData:
     on D's index table when D is monomial (groups, groupoids and doubles:
     only the triples where a side is nonzero are visited) and on the dense
     associator otherwise.  The counit laws are two GEMMs of the counit with
-    Delta.  Multiplicativity is checked with sparse products over the
-    support of the structure tensor c and of Delta, so its cost scales with
-    nnz(c) and nnz(Delta), not with n^6; both sides of that identity vanish
-    off the support, so the largest stored residual is the dense one.  Its
-    six sparse operands permute one coordinate list of c and one of Delta,
-    read off `A.table` and D's table where those exist.
+    Delta.  Multiplicativity is `_multiplicativity_residual`: products of
+    coordinate lists of the structure tensor c and of Delta, so its cost
+    scales with nnz(c) and nnz(Delta), not with n^6.  Its operands permute
+    one coordinate list of c and one of Delta, read off `A.table` and D's
+    table where those exist.
     """
 
     algebra: FDStarAlgebra
@@ -411,21 +465,7 @@ class WeakHopfData:
         if np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max() > eps \
                 or np.abs(e @ D - eye).max() > eps:
             raise AxiomViolation("counit law fails")
-        # Delta(e_i) Delta(e_j) at e_a (x) e_b is
-        # sum_pqrs Dt[i,p,q] Dt[j,r,s] c[p,r,a] c[q,s,b] = (X Y^T)[(a,i),(b,j)]
-        # for X[(a,i),(q,r)] = sum_p c[p,r,a] Dt[i,p,q] and
-        # Y[(b,j),(q,r)] = sum_s c[q,s,b] Dt[j,r,s]
-        ci, cj, ck, cv = A.coordinates()
-        dj, dk, di, dv = nonzero_coordinates(D, table)
-
-        def cd(x, y, z, u, v, w):   # c as [(x, y), z] times Dt as [u, (v, w)]
-            return (sp.csr_array((cv, (x * n + y, z)), shape=(n * n, n))
-                    @ sp.csr_array((dv, (u, v * n + w)), shape=(n, n * n)))
-        lhs = cd(ci, cj, ck, di, dj, dk)
-        X = _regroup(cd(cj, ck, ci, dj, di, dk), n, (1, 2, 3, 0))
-        Y = _regroup(cd(ci, ck, cj, dk, di, dj), n, (1, 2, 0, 3))
-        rhs = _regroup(X @ Y.T, n, (1, 3, 0, 2))
-        if np.abs((lhs - rhs).data).max(initial=0.0) > eps * 10:
+        if _multiplicativity_residual(A, D, table) > eps * 10:
             raise AxiomViolation("comultiplication is not multiplicative")
 
     def counit_target_maps(self) -> tuple[np.ndarray, np.ndarray]:

@@ -15,14 +15,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       RealForm, SeparabilityIdempotent, real_form_from_S)
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension)
-from .linalg import dagger, fixed_space_of_antilinear
+from .linalg import dagger, fixed_space_of_antilinear, pencil_eigh
 from .reps import Representation, dual_representation, intertwiners
 
 
@@ -78,7 +77,7 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
         gt = gt * (np.conj(phase) / abs(phase))
         M = V.gram @ gt
         M = (M + dagger(M)) / 2.0
-        vals = scipy.linalg.eigh(M, V.gram, eigvals_only=True)
+        vals = pencil_eigh(M, V.gram, vals_only=True)
         if vals.min() <= A.tol.eps_eig * max(1.0, vals.max()):
             raise BadDualStructure(
                 "twisted intertwiner is not positive in the invariant metric")

@@ -1,6 +1,6 @@
 """Dense complex matrix kernel: nullspaces and numerical rank, the
 Kronecker system of intertwiner-type identities, fixed spaces of antilinear
-maps, eigenvalue clustering and seeded randomness.
+maps, Hermitian pencils, eigenvalue clustering and seeded randomness.
 
 All functions are pure; matrices are numpy complex arrays and are never
 mutated in place.
@@ -87,6 +87,24 @@ def kron_system(a, b, c, d) -> np.ndarray:
     out = kron(a, b)
     out -= kron(c, d)
     return out.reshape(-1, out.shape[-1])
+
+
+def pencil_eigh(X: np.ndarray, H: np.ndarray, vals_only: bool = False):
+    """Ascending eigenvalues and H-orthonormal eigenvectors (the columns
+    of V, V^dagger H V = I) of the Hermitian pencil X v = lam H v, H
+    positive definite; vals_only=True returns the eigenvalues alone.
+
+    With the Cholesky factor H = L L^dagger the pencil is the standard
+    problem for L^{-1} X L^{-dagger}, whose unitary eigenvectors W give
+    V = L^{-dagger} W (Golub-Van Loan, Matrix Computations, 8.7; LAPACK's
+    zhegv makes the same reduction).
+    """
+    Li = np.linalg.inv(np.linalg.cholesky(H))
+    C = Li @ X @ dagger(Li)
+    if vals_only:
+        return np.linalg.eigvalsh(C)
+    vals, W = np.linalg.eigh(C)
+    return vals, dagger(Li) @ W
 
 
 def cluster_eigenvalues(vals: np.ndarray, eps: float) -> list[np.ndarray]:

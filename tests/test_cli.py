@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -327,3 +329,16 @@ def test_non_numbers_and_non_finite_values_exit_2(tmp_path, capsys):
         assert code == 2, (idx, err)
         assert out == ""
         assert json.loads(err)["error"] == "SchemaError", (idx, err)
+
+
+def test_importing_fsclass_and_its_cli_loads_no_scipy():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    code = ("import sys, fsclass, fsclass.cli; print(fsclass.__file__); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0].startswith(src)
+    assert out[1] == "[]"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fsclass.linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues,
                             dagger, fixed_space_of_antilinear, kron_system,
-                            make_rng, nullspace)
+                            make_rng, nullspace, pencil_eigh)
 
 
 def test_tolerance_defaults():
@@ -130,3 +131,29 @@ def test_kron_system_matches_the_per_index_kron_stack():
         want = np.vstack(blocks)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _hermitian_pencil(rng, n, cond):
+    """A complex Hermitian X and a positive definite H = Q diag(s) Q^dagger
+    with condition number cond, Q a random unitary."""
+    def gaussian():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = gaussian()
+    Q = np.linalg.qr(gaussian())[0]
+    H = (Q * np.logspace(0, np.log10(cond), n)) @ dagger(Q)
+    return (X + dagger(X)) / 2, (H + dagger(H)) / 2
+
+
+@pytest.mark.parametrize("n, cond", [(1, 1.0), (5, 10.0), (12, 1e4),
+                                     (36, 1e4)])
+def test_pencil_eigh_matches_scipy(n, cond):
+    X, H = _hermitian_pencil(np.random.default_rng(n), n, cond)
+    assert np.linalg.cond(H) == pytest.approx(cond, rel=1e-6)
+    vals, V = pencil_eigh(X, H)
+    ref = scipy.linalg.eigh(X, H, eigvals_only=True)
+    scale = np.abs(ref).max()
+    assert np.abs(vals - ref).max() <= 1e-10 * scale
+    only = pencil_eigh(X, H, vals_only=True)
+    assert np.abs(only - ref).max() <= 1e-10 * scale
+    assert np.abs(dagger(V) @ H @ V - np.eye(n)).max() <= 1e-10
+    assert np.abs(X @ V - H @ V * vals).max() <= 1e-10 * scale

@@ -6,7 +6,9 @@ entry of each input, the validator must raise the same exception type with
 the same message, so the same reported (i, j) or e{i}.  The associativity
 kernel and the product-map kernel are also compared with their dense
 forms, on monomial inputs (index-table path) and on dense ones, and the
-index-table kernel past the dense cap with a sparse reference.
+index-table kernel past the dense cap with a sparse reference.  The
+coordinate-list multiplicativity kernel is compared with the `scipy.sparse`
+products it replaced.
 """
 import re
 import time
@@ -24,10 +26,12 @@ from fsclass import (FDStarAlgebra, GroupoidData, GroupTable, cyclic_group,
 from fsclass import io as fio
 from fsclass.algebra import (DENSE_DIM_CAP, AntiAlgebraMap,
                              SeparabilityIdempotent, associator,
-                             associator_residual, product_map_residual,
-                             real_form_from_conjugation, real_form_from_S,
-                             table_associator_residual)
-from fsclass.constructors import WeakHopfData, double_product_table
+                             associator_residual, monomial_table,
+                             product_map_residual, real_form_from_conjugation,
+                             real_form_from_S, table_associator_residual)
+from fsclass.constructors import (WeakHopfData, _coo_product, _coo_sum,
+                                  _multiplicativity_residual,
+                                  double_product_table)
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadGroup,
                             BadGroupoid, BadStar, NotAntiMap, NotAssociative)
 from fsclass.linalg import DEFAULT_TOL as TOL
@@ -250,6 +254,20 @@ def _check_weak_hopf(W, Delta, counit=None, A=None, S=None):
                 WeakHopfData, A, Delta, counit, S)
 
 
+def _m2_matrix_coalgebra():
+    """M2 with the matrix coalgebra Delta(e_ij) = sum_k e_ik (x) e_kj, its
+    counit and the transpose as antipode."""
+    A, _, _ = m2_dual_structures()
+    Delta = np.zeros((16, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                Delta[(2 * i + k) * 4 + 2 * k + j, 2 * i + j] = 1.0
+    counit = np.array([1, 0, 0, 1], dtype=complex)
+    transpose = AntiAlgebraMap.validated(A, A.star_matrix.real)
+    return A, Delta, counit, transpose
+
+
 def test_weak_hopf_reports_the_loop_check():
     W, _ = group_weak_hopf(load_group("s3"))
     for pos in _positions(W.Delta.shape, 6, seed=4):
@@ -278,14 +296,7 @@ def test_weak_hopf_reports_the_loop_check():
         bad[pos] += 0.5
         _check_weak_hopf(W, bad, counit, B, S)
     # matrix coalgebra on M2: coassociative and counital, not multiplicative
-    A, _, _ = m2_dual_structures()
-    Delta = np.zeros((16, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                Delta[(2 * i + k) * 4 + 2 * k + j, 2 * i + j] = 1.0
-    counit = np.array([1, 0, 0, 1], dtype=complex)
-    transpose = AntiAlgebraMap.validated(A, A.star_matrix.real)
+    A, Delta, counit, transpose = _m2_matrix_coalgebra()
     expected = loop_weak_hopf(A, Delta, counit)
     assert expected == "comultiplication is not multiplicative"
     assert_same(AxiomViolation, expected,
@@ -371,6 +382,87 @@ def test_weak_hopf_support_checks_catch_one_entry_at_dim_64():
     Delta[_positions(Delta.shape, 1, seed=8)[0]] += 1e-3
     with pytest.raises(AxiomViolation):
         WeakHopfData(W.algebra, Delta, W.counit, W.S)
+
+
+def sparse_multiplicativity_residual(A, Delta):
+    """max |Delta(e_i) Delta(e_j) - Delta(e_i e_j)| from `scipy.sparse` CSR
+    products over the nonzeros of c and Delta, regrouped as in the
+    coordinate-list kernel."""
+    n = A.dim
+    ci, cj, ck = np.nonzero(A.structure)
+    cv = A.structure[ci, cj, ck]
+    dj, dk, di = np.nonzero(Delta.reshape(n, n, n))
+    dv = Delta.reshape(n, n, n)[dj, dk, di]
+
+    def regroup(m, order):
+        m = m.tocoo()
+        x = (*np.divmod(m.row, n), *np.divmod(m.col, n))
+        a, b, c, d = (x[k] for k in order)
+        return sp.csr_array((m.data, (a * n + b, c * n + d)),
+                            shape=(n * n, n * n))
+
+    def cd(x, y, z, u, v, w):
+        return (sp.csr_array((cv, (x * n + y, z)), shape=(n * n, n))
+                @ sp.csr_array((dv, (u, v * n + w)), shape=(n, n * n)))
+    lhs = cd(ci, cj, ck, di, dj, dk)
+    X = regroup(cd(cj, ck, ci, dj, di, dk), (1, 2, 3, 0))
+    Y = regroup(cd(ci, ck, cj, dk, di, dj), (1, 2, 0, 3))
+    rhs = regroup(X @ Y.T, (1, 3, 0, 2))
+    return float(np.abs((lhs - rhs).data).max(initial=0.0))
+
+
+def _dense_of(m, rows, cols):
+    out = np.zeros((rows, cols), dtype=complex)
+    np.add.at(out, m[:2], m[2])
+    return out
+
+
+def test_coordinate_list_product_matches_the_dense_product():
+    rng = np.random.default_rng(21)
+    size = 12
+
+    def coo(rows, cols, nnz):
+        # few distinct coordinates, so most of them repeat
+        i, j = rng.integers(rows, size=nnz), rng.integers(cols, size=nnz)
+        return i, j, rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    empty = (np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))
+    cases = [(coo(7, 9, 40), coo(9, 5, 30)), (coo(12, 12, 200),
+                                              coo(12, 12, 200)),
+             (coo(1, 3, 6), coo(3, 1, 6)), (empty, coo(6, 4, 10)),
+             (coo(4, 6, 10), empty), (empty, empty)]
+    for a, b in cases:
+        expected = _dense_of(a, size, size) @ _dense_of(b, size, size)
+        raw = _coo_product(a, b, size)
+        assert np.allclose(_dense_of(raw, size, size), expected, atol=1e-12)
+        i, j, v = _coo_sum(*raw, size)
+        key = i * size + j
+        assert (np.diff(key) > 0).all()
+        assert np.allclose(_dense_of((i, j, v), size, size), expected,
+                           atol=1e-12)
+        assert set(zip(i, j)) >= set(zip(*np.nonzero(expected)))
+
+
+def test_multiplicativity_residual_matches_the_sparse_products():
+    W, _ = group_weak_hopf(load_group("s3"))
+    Q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
+    B, rebased, _, _ = _rebased_hopf(W, Q)
+    D, _ = drinfeld_double(load_group("s3"))
+    p = int(np.flatnonzero(D.counit == 0)[0])
+    corrupt = D.Delta.copy()
+    corrupt[_positions(corrupt.shape, 1, seed=22)[0]] += 0.5
+    m2, m2_delta, _, _ = _m2_matrix_coalgebra()
+    P = _pair3_weak_hopf()
+    cases = [(D.algebra, D.Delta), (P.algebra, P.Delta), (W.algebra, W.Delta),
+             (B, rebased), (m2, m2_delta),
+             (D.algebra, _transported_delta(D, p, p + 1, 0.5)),
+             (D.algebra, corrupt)]
+    for k, (A, Delta) in enumerate(cases):
+        n = A.dim
+        Dn = Delta.reshape(n, n, n)
+        got = _multiplicativity_residual(A, Dn, monomial_table(Dn))
+        expected = sparse_multiplicativity_residual(A, Delta)
+        assert abs(got - expected) <= 1e-15, k
+        assert (expected > 1e-6) == (k >= 4), k
 
 
 def dense_residual(c):
