@@ -130,6 +130,13 @@ class FDStarAlgebra:
         G.flags.writeable = False
         return G, ok
 
+    @cached_property
+    def separability_idempotent(self) -> "SeparabilityIdempotent":
+        """`separability_idempotent(self)`, kept, with a read-only tensor."""
+        E = separability_idempotent(self)
+        E.tensor.flags.writeable = False
+        return E
+
     # --- validation ---
 
     def _validate(self):
@@ -520,10 +527,10 @@ def central_sum(A: FDStarAlgebra, B: np.ndarray, a: np.ndarray) -> np.ndarray:
 def separability_idempotent(A: FDStarAlgebra,
                             rotation: np.ndarray | None = None
                             ) -> SeparabilityIdempotent:
-    """Separability idempotent sum_j b_j (x) b_j^* over the columns b_j of a
-    basis B orthonormal for the regular trace form.  Its product
-    sum_j b_j b_j^* is 1 for any such basis: on a block M_d it is
-    sum_ij (1/d) f_ij f_ji."""
+    """The one symmetric separability idempotent (Aguiar 2000), sum_j b_j
+    (x) b_j^* over the columns b_j of a basis B orthonormal for the regular
+    trace form.  Its product sum_j b_j b_j^* is 1 for any such basis: on a
+    block M_d it is sum_ij (1/d) f_ij f_ji."""
     G, ok = A.trace_form
     if not ok:
         raise NotCStar("no separability idempotent: algebra is not C*-able")

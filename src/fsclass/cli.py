@@ -17,8 +17,8 @@ import numpy as np
 
 from . import io as fio
 from .algebra import (DualStructureData, build_algebra, dense_dim,
-                      real_form_from_S, separability_idempotent)
-from .coalgebra import (FDStarCoalgebra, compact_decompose, corep_indicator,
+                      real_form_from_S)
+from .coalgebra import (FDStarCoalgebra, compact_decompose, corep_indicators,
                         dualize)
 from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            drinfeld_double, group_algebra, groupoid_weak_hopf,
@@ -122,7 +122,7 @@ class Run:
     @cached_property
     def report(self) -> IndicatorReport:
         return full_report(self.A, self.dual, self.parts,
-                           separability_idempotent(self.A))
+                           self.A.separability_idempotent)
 
 
 def _cvec(v: np.ndarray) -> list:
@@ -211,9 +211,8 @@ def _cmd_duality(args, run: Run) -> str:
     A, dual, report = run.A, run.dual, run.report
     C = dualize(A)
     cd = compact_decompose(C, parts=run.parts)
-    varsigma = dual.S.matrix.T
-    pairs = [(corep_indicator(C, block, varsigma, dual.g, cd.E), row.nu_formula)
-             for block, row in zip(cd.blocks, report.rows)]
+    co = corep_indicators(C, cd.blocks, dual.S.matrix.T, dual.g, cd.E)
+    pairs = [(cval, row.nu_formula) for cval, row in zip(co, report.rows)]
     n_ok = sum(abs(cval - aval) <= A.tol.eps_round for cval, aval in pairs)
     total = len(cd.blocks)
     if n_ok != total:

@@ -183,8 +183,7 @@ class CoseparabilityIdempotent:
 class CompactDecomposition:
     blocks: list[Corepresentation]
     E: CoseparabilityIdempotent
-    irreps: Parts   # of the dual algebra, unitarized
-    dual_algebra: FDStarAlgebra
+    irreps: Parts   # of dualize_co(E.coalgebra), unitarized
 
 
 def _dual_parts(C: FDStarCoalgebra, parts: Parts | None, seed: int) -> Parts:
@@ -201,7 +200,8 @@ def _dual_parts(C: FDStarCoalgebra, parts: Parts | None, seed: int) -> Parts:
 def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
                       parts: Parts | None = None) -> CompactDecomposition:
     """Matrix-coalgebra block decomposition of a compact *-coalgebra, with
-    the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk.
+    the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a:
+    the kept separability idempotent of dualize_co(C), A for dualize(A).
 
     parts is as for `_dual_parts`.  Each block is checked as a
     corepresentation of C, which is entry for entry the homomorphism and
@@ -210,8 +210,7 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     if not B.trace_form[1]:
         raise NotCompact("dual algebra admits no C*-norm")
     parts = _dual_parts(C, parts, seed)
-    n = C.dim
-    blocks, unitarized, cols, swap, weight = [], [], [], [], []
+    blocks, unitarized = [], []
     for V, mult in parts:
         # unitarize: gram H = L L^dagger, rho' = L^dagger rho L^{-dagger}
         L = np.linalg.cholesky((V.gram + dagger(V.gram)) / 2.0)
@@ -221,20 +220,11 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
         W._validate(hom=False)
         unitarized.append((W, mult))
         blocks.append(Corepresentation(C, rho_u.transpose(1, 2, 0).copy()))
-        # matrix elements (i, j), row-major, and where each (j, i) is
-        d = W.dim
-        cols.append(rho_u.reshape(len(rho_u), d * d))
-        swap += list(len(swap) + np.arange(d * d).reshape(d, d).T.ravel())
-        weight += [1.0 / d] * (d * d)
-    P = np.concatenate(cols, axis=1)
-    if P.shape != (n, n):
+    if sum(W.dim ** 2 for W, _ in unitarized) != C.dim:
         raise InternalConsistency("matrix elements do not span the dual")
-    # E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a, in the basis P of matrix
-    # elements; the 1/n_a makes E(c_(1), c_(2)) = eps(c) hold on d-dim blocks
-    Pinv = np.linalg.inv(P)
-    E = CoseparabilityIdempotent(C, (Pinv.T[:, swap] * weight) @ Pinv)
+    E = CoseparabilityIdempotent(C, B.separability_idempotent.tensor)
     E.verify()
-    return CompactDecomposition(blocks, E, unitarized, B)
+    return CompactDecomposition(blocks, E, unitarized)
 
 
 def gamma(C: FDStarCoalgebra, varsigma: np.ndarray,
@@ -263,17 +253,24 @@ def corep_indicator(C: FDStarCoalgebra, V: Corepresentation,
                     varsigma: np.ndarray, gamma_vec: np.ndarray,
                     E: CoseparabilityIdempotent) -> float:
     """nu(V) = gamma(t_(2)) E(varsigma(t_(1)), t_(3)) for t the character
-    of an irreducible corepresentation.
+    of an irreducible corepresentation: `corep_indicators` of V alone."""
+    return corep_indicators(C, [V], varsigma, gamma_vec, E)[0]
 
-    It is linear in t: nu(V) = t . w, w[i] = sum_{m,c} Dt[i, m, c] Y[m, c],
-    Y[m, c] = sum_{a,b} Dt[m, a, b] gamma_b (varsigma^T E)[a, c] for
-    Dt = C.delta_tensor().  Each factor is one n^3 contraction on the
-    contiguous C.Delta, and Delta^2(t) is never formed."""
+
+def corep_indicators(C: FDStarCoalgebra, blocks: list[Corepresentation],
+                     varsigma: np.ndarray, gamma_vec: np.ndarray,
+                     E: CoseparabilityIdempotent) -> list[float]:
+    """`corep_indicator` of each block, in order: nu(V) = t . w for the
+    character t, w[i] = sum_{m,c} Dt[i, m, c] Y[m, c],
+    Y[m, c] = sum_{a,b} Dt[m, a, b] gamma_b (varsigma^T E)[a, c],
+    Dt = C.delta_tensor(): w is formed once, by two n^3 contractions on
+    the contiguous C.Delta, and Delta^2(t) is never formed."""
     n = C.dim
     vsE = np.asarray(varsigma, dtype=complex).T @ E.matrix
     Y = (np.asarray(gamma_vec) @ C.Delta.reshape(n, n, n)).T @ vsE
-    return float(_real_indicator(V.character() @ (Y.ravel() @ C.Delta),
-                                 C.tol.eps_round))
+    t = np.array([V.character() for V in blocks])
+    return [float(v) for v in
+            _real_indicator(t @ (Y.ravel() @ C.Delta), C.tol.eps_round)]
 
 
 def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:

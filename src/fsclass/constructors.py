@@ -17,9 +17,9 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       central_positive_invertible, monomial_table,
                       nonzero_coordinates)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
-                     NonUniqueHaar, NotInvolution)
+                     NotInvolution)
 from .indicators import _round_indicator
-from .linalg import DEFAULT_TOL, Tolerance, nullspace
+from .linalg import DEFAULT_TOL, Tolerance
 
 
 # --- finite groups ---
@@ -478,27 +478,27 @@ class WeakHopfData:
 
     def haar_integral(self) -> np.ndarray:
         """The unique two-sided Haar integral: eps_L(Lam) = eps_R(Lam) = 1,
-        a Lam = eps_L(a) Lam and Lam a = Lam eps_R(a) for all a.  Solved
-        on first use and kept, read-only."""
+        a Lam = eps_L(a) Lam and Lam a = Lam eps_R(a) for all a, checked
+        (else `NoHaar`) on the Lam with tau(y Lam) = eps(y), tau the regular
+        trace (Larson-Sweedler 1969).  Any Lam' that passes equals it:
+        Lam' Lam = eps_L(Lam') Lam = Lam and Lam' Lam = Lam' eps_R(Lam) = Lam'.
+        Computed on first use and kept, read-only."""
         return self._haar
 
     @cached_property
     def _haar(self) -> np.ndarray:
-        A, n = self.algebra, self.dim
+        A = self.algebra
+        try:
+            lam = np.linalg.solve(A.of_products(A.regular_trace()), self.counit)
+        except np.linalg.LinAlgError as exc:
+            raise NoHaar("regular trace form is singular") from exc
         EL, ER = self.counit_target_maps()
-        # L(e_i) - L(eps_L(e_i)) and R(e_i) - R(eps_R(e_i)), row blocks by i
-        Ls, Rs = A.left_stack(), A.right_stack()
-        L = Ls - np.tensordot(EL, Ls, axes=(0, 0))
-        R = Rs - np.tensordot(ER, Rs, axes=(0, 0))
-        M = np.vstack((EL, ER, np.stack((L, R), axis=1).reshape(-1, n)))
-        b = np.concatenate((A.unit, A.unit, np.zeros(2 * n * n)))
-        lam, *_ = np.linalg.lstsq(M, b, rcond=None)
-        resid = np.abs(M @ lam - b).max(initial=0.0)
-        if resid > A.tol.eps_eig * 100:
-            raise NoHaar(f"Haar integral system is inconsistent, residual {resid:.3e}")
-        ker = nullspace(M, A.tol)
-        if ker.shape[1] > 0:
-            raise NonUniqueHaar("Haar integral is not unique")
+        # row i of X is e_i Lam, of EL.T @ X eps_L(e_i) Lam; Y likewise for R
+        X, Y = A.left_stack() @ lam, A.right_stack() @ lam
+        resid = max(np.abs(d).max() for d in (
+            EL @ lam - A.unit, ER @ lam - A.unit, X - EL.T @ X, Y - ER.T @ Y))
+        if not resid <= A.tol.eps_eig * 100:
+            raise NoHaar(f"Haar integral identities fail, residual {resid:.3e}")
         lam.flags.writeable = False
         return lam
 
@@ -595,7 +595,7 @@ def drinfeld_double(G: GroupTable,
 
 
 def haar_integral(W: WeakHopfData) -> np.ndarray:
-    """The unique two-sided Haar integral of W (linear solve)."""
+    """The unique two-sided Haar integral of W (closed form, checked)."""
     return W.haar_integral()
 
 

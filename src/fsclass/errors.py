@@ -94,10 +94,6 @@ class NoHaar(FSClassError):
     pass
 
 
-class NonUniqueHaar(FSClassError):
-    pass
-
-
 class NotHopf(FSClassError):
     pass
 

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import fsclass.cli
 from fsclass import cyclic_group
@@ -228,6 +229,28 @@ def test_duality_on_a_double_builds_each_derived_quantity_once(
     assert code == 0
     assert {name: len(c) for name, c in counts.items()} == {
         "check_cstar": 1, "decompose": 1, "separability_idempotent": 1}
+
+
+@pytest.mark.parametrize("name, kind", [("s3.json", "double"),
+                                        ("q8.json", "group"),
+                                        ("petersen_scheme.json", "scheme"),
+                                        ("pair3_groupoid.json", "groupoid")])
+def test_duality_builds_one_separability_idempotent(capsys, monkeypatch, name,
+                                                     kind):
+    """The report's E is the coseparability idempotent of the dual
+    coalgebra: one `duality` builds one E, and compact_decompose verifies
+    that same array."""
+    built = _count_calls(monkeypatch, "separability_idempotent")
+    decs = []
+    compact_decompose = fsclass.cli.compact_decompose
+    monkeypatch.setattr(fsclass.cli, "compact_decompose",
+                        lambda *a, **k: decs.append(compact_decompose(*a, **k))
+                        or decs[-1])
+    code, _, _ = run(capsys, "duality", data_path(name), "--kind", kind)
+    assert code == 0
+    assert len(built) == len(decs) == 1
+    E = decs[0].E
+    assert E.matrix is E.coalgebra.algebra.separability_idempotent.tensor
 
 
 def test_duality_on_a_scheme_computes_the_trace_form_once(capsys, monkeypatch):

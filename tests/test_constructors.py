@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-import fsclass.constructors
-from fsclass import (GroupTable, WeakHopfData, cyclic_group, decompose,
-                     drinfeld_double, group_algebra, group_from_permutations,
-                     group_weak_hopf, groupoid_weak_hopf, haar_integral,
-                     pair_groupoid, regular_representation,
+from fsclass import (FDStarAlgebra, GroupTable, WeakHopfData, cyclic_group,
+                     decompose, drinfeld_double, group_algebra,
+                     group_from_permutations, group_weak_hopf,
+                     groupoid_weak_hopf, haar_integral, pair_groupoid,
+                     regular_representation,
                      scheme_from_matrices, table_algebra, table_indicator,
                      twisted_indicator, weak_hopf_indicator)
 from fsclass.constructors import (TableAlgebraData, check_involution_perm,
@@ -171,47 +171,49 @@ def test_twisted_indicator_z3_inversion_all_real():
         assert s == 1
 
 
+def _count_regular_traces(monkeypatch) -> list:
+    """One entry per call of FDStarAlgebra.regular_trace, which the closed
+    form of the Haar integral reads once."""
+    calls = []
+    regular_trace = FDStarAlgebra.regular_trace
+    monkeypatch.setattr(FDStarAlgebra, "regular_trace",
+                        lambda self: calls.append(1) or regular_trace(self))
+    return calls
+
+
 def test_weak_hopf_indicator_solves_for_the_haar_integral_once(monkeypatch):
     """The Haar integral depends on W alone: over the 8 irreducibles of
-    D(S3) it is solved once, and every value equals the one a fresh W
-    (a fresh solve) gives."""
+    D(S3) its closed form, one n x n solve, is computed once, and every
+    value equals the one a fresh W (a fresh solve) gives."""
     W, dual = drinfeld_double(load_group("s3"))
     parts = decompose(regular_representation(W.algebra))
     fresh = [weak_hopf_indicator(WeakHopfData(W.algebra, W.Delta, W.counit,
                                               W.S), V, dual.g)
              for V, _ in parts]
-    solves = []
-    nullspace = fsclass.constructors.nullspace
-
-    def counted(*args):
-        solves.append(1)
-        return nullspace(*args)
-    monkeypatch.setattr(fsclass.constructors, "nullspace", counted)
+    traces = _count_regular_traces(monkeypatch)
     values = [weak_hopf_indicator(W, V, dual.g) for V, _ in parts]
     assert len(parts) == 8
-    assert len(solves) == 1
+    assert len(traces) == 1
     assert values == fresh
 
 
 def test_twisted_indicator_builds_no_weak_hopf_data(monkeypatch):
     """sigma_tau(V) is chi of the closed form (1/|G|) sum_h e_tau(h)h: over
     the 5 irreducibles of C[S4] no WeakHopfData is built and no Haar
-    integral is solved."""
+    integral is computed."""
     G = load_group("s4")
     A, _, _ = group_algebra(G)
     parts = decompose(regular_representation(A))
-    built, solves = [], []
+    built = []
     validate = WeakHopfData._validate
-    nullspace = fsclass.constructors.nullspace
     monkeypatch.setattr(WeakHopfData, "_validate",
                         lambda self: built.append(1) or validate(self))
-    monkeypatch.setattr(fsclass.constructors, "nullspace",
-                        lambda *a: solves.append(1) or nullspace(*a))
+    traces = _count_regular_traces(monkeypatch)
     for V, _ in parts:
         s, _ = twisted_indicator(G, np.arange(G.order), V)
         assert s == round(classical_oracle(G, V.character()).real)
     assert len(parts) == 5
-    assert built == [] and solves == []
+    assert built == [] and traces == []
 
 
 @pytest.mark.parametrize("name, tau", [("z3", [0, 2, 1]), ("z4", None),
