@@ -494,15 +494,21 @@ class SeparabilityIdempotent:
     algebra: FDStarAlgebra
     tensor: np.ndarray
 
-    def verify(self, eps: float = 1e-8) -> None:
+    @cached_property
+    def residuals(self) -> tuple[float, np.ndarray]:
+        """|m(E) - 1| and, per e_i, max |(e_i x_m) (x) y_m - x_m (x) (y_m e_i)|:
+        the one kernel of both identities, run on first use and kept."""
         A, Z, c = self.algebra, self.tensor, self.algebra.structure
-        total = A.multiply(Z)
-        if np.abs(total - A.unit).max() > eps:
-            raise BadDualStructure(
-                f"sum x_m y_m misses the unit by {np.abs(total - A.unit).max():.3e}")
         lhs = np.tensordot(c, Z, axes=(1, 0))                      # (e_i x) (x) y
         rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)   # x (x) (y e_i)
-        bad = _first_violation(np.abs(lhs - rhs).reshape(A.dim, -1).max(axis=1), eps)
+        return (float(np.abs(A.multiply(Z) - A.unit).max()),
+                np.abs(lhs - rhs).reshape(A.dim, -1).max(axis=1))
+
+    def verify(self, eps: float = 1e-8) -> None:
+        unit_gap, central = self.residuals
+        if unit_gap > eps:
+            raise BadDualStructure(f"sum x_m y_m misses the unit by {unit_gap:.3e}")
+        bad = _first_violation(central, eps)
         if bad is not None:
             raise BadDualStructure(f"centrality identity fails at basis e{bad[0]}")
 

@@ -66,7 +66,7 @@ class Run:
             G = GroupTable.validated(d["order"], d["table"], d["inverse"])
             ck.append("group axioms")
             if kind == "group":
-                self.A, self._dual, _ = group_algebra(G, tol)
+                self.A, self._dual = group_algebra(G, tol)
                 ck += ["algebra axioms", "star axioms", "dual structure (S, g)"]
             else:
                 self.W, self._dual = drinfeld_double(G, tol)
@@ -79,7 +79,7 @@ class Run:
             else:
                 T = TableAlgebraData.validated(d["p"], _derive_scheme_star(d["p"]))
                 ck.append("table algebra axioms")
-            self.A, S, _, _ = table_algebra(T, tol)
+            self.A, S, _ = table_algebra(T, tol)
             ck += ["algebra axioms", "star axioms", "central element v"]
             # S(b_i) = b_{i*} squares to the identity: the canonical g is 1
             self._dual = DualStructureData.validated(self.A, S, self.A.unit)

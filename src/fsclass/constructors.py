@@ -13,9 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      SeparabilityIdempotent, _ragged, associator_residual,
-                      central_positive_invertible, monomial_table,
-                      nonzero_coordinates)
+                      _ragged, associator_residual, central_positive_invertible,
+                      monomial_table, nonzero_coordinates)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
                      NotInvolution)
 from .indicators import _round_indicator
@@ -99,13 +98,11 @@ def group_from_permutations(gens: list[list[int]]) -> GroupTable:
     return GroupTable.validated(n, table, inv)
 
 
-def group_algebra(G: GroupTable,
-                  tol: Tolerance = DEFAULT_TOL
-                  ) -> tuple[FDStarAlgebra, DualStructureData,
-                             SeparabilityIdempotent]:
-    """C[G] with (e_g)* = e_{g^{-1}}, antipode S(e_g) = e_{g^{-1}},
-    distinguished element g = 1, and the Haar-derived separability
-    idempotent (1/n) sum_g g^{-1} (x) g."""
+def group_algebra(G: GroupTable, tol: Tolerance = DEFAULT_TOL
+                  ) -> tuple[FDStarAlgebra, DualStructureData]:
+    """C[G] with (e_g)* = e_{g^{-1}}, antipode S(e_g) = e_{g^{-1}} and
+    distinguished element g = 1; the kept `A.separability_idempotent`, whose
+    residuals are measured once, is (1/n) sum_g g^{-1} (x) g."""
     n = G.order
     c = np.zeros((n, n, n), dtype=complex)
     c[np.arange(n)[:, None], np.arange(n)[None, :], G.table] = 1.0
@@ -115,15 +112,13 @@ def group_algebra(G: GroupTable,
     unit[0] = 1.0
     A = FDStarAlgebra(c, unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
-    E = SeparabilityIdempotent(A, sigma / n)
-    E.verify()
-    return A, DualStructureData.validated(A, S, unit), E
+    return A, DualStructureData.validated(A, S, unit)
 
 
 def group_weak_hopf(G: GroupTable, tol: Tolerance = DEFAULT_TOL
                     ) -> tuple["WeakHopfData", DualStructureData]:
     """C[G] as a Hopf algebra: Delta(e_g) = e_g (x) e_g, eps = 1."""
-    A, dual, _ = group_algebra(G, tol)
+    A, dual = group_algebra(G, tol)
     n = G.order
     Delta = np.zeros((n * n, n), dtype=complex)
     Delta[np.arange(n) * (n + 1), np.arange(n)] = 1.0
@@ -173,14 +168,12 @@ class TableAlgebraData:
         return TableAlgebraData(p, star)
 
 
-def table_algebra(T: TableAlgebraData,
-                  tol: Tolerance = DEFAULT_TOL
-                  ) -> tuple[FDStarAlgebra, AntiAlgebraMap,
-                             SeparabilityIdempotent, np.ndarray]:
+def table_algebra(T: TableAlgebraData, tol: Tolerance = DEFAULT_TOL
+                  ) -> tuple[FDStarAlgebra, AntiAlgebraMap, np.ndarray]:
     """The table algebra with (b_i)* = b_{i*}, the linear antipode
-    S(b_i) = b_{i*}, the separability idempotent
-    E = sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1} and its central element
-    v = sum_i (1/p_(i i*)^0) b_{i*} b_i."""
+    S(b_i) = b_{i*} and the central element v = sum_i (1/p_(i i*)^0) b_{i*} b_i;
+    the kept `A.separability_idempotent`, whose residuals are measured once,
+    is sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1}."""
     r = T.rank
     sigma = np.zeros((r, r), dtype=complex)
     sigma[T.involution, np.arange(r)] = 1.0
@@ -191,11 +184,7 @@ def table_algebra(T: TableAlgebraData,
     v = table_central_element(T)
     if not A.trace_form[1] or not central_positive_invertible(A, v):
         raise AxiomViolation("v is not central positive invertible")
-    kappa = T.p[np.arange(r), T.involution, 0]
-    # column i of sigma is b_{i*}, column i of R(v^{-1}) is b_i v^{-1}
-    E = SeparabilityIdempotent(A, (sigma / kappa) @ A.right_mult(A.inverse(v)).T)
-    E.verify()
-    return A, S, E, v
+    return A, S, v
 
 
 def _basis_sum(T: TableAlgebraData, tau: np.ndarray) -> np.ndarray:

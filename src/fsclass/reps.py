@@ -82,16 +82,25 @@ class Representation:
         self.validated = True
 
     def _hom_residual(self) -> float:
-        """max |rho(e_i) rho(e_j) - rho(e_i e_j)| over all i, j."""
-        prod = self.rho[:, None] @ self.rho[None, :]
-        via = self.algebra.of_products(self.rho)
-        return float(np.abs(prod - via).max(initial=0.0))
+        """`hom_residual` of rho over the product of its algebra."""
+        return hom_residual(self.rho, self.algebra.of_products)
 
     def commutant(self) -> np.ndarray:
         """Basis of End_A(V) = {M : M rho(e_i) = rho(e_i) M}, as a (k, d, d)
         stack, solved from the full intertwiner system.  Subclasses that
         know it in closed form override this."""
         return np.array(intertwiners(self.rho, self.rho, self.algebra.tol))
+
+
+def hom_residual(rho: np.ndarray, of_products) -> float:
+    """max |rho(e_i) rho(e_j) - rho(e_i e_j)| over all i, j, the n^2 products
+    as one GEMM.  of_products(X) = X(e_i e_j) for X (n, d^2): `A.of_products`,
+    or `C.Delta.dot` for the dual algebra of a coalgebra C, left unbuilt."""
+    n, d = rho.shape[:2]
+    prod = rho.reshape(n * d, d) @ rho.transpose(1, 0, 2).reshape(d, n * d)
+    via = of_products(rho.reshape(n, d * d)).reshape(n, n, d, d)
+    gap = prod.reshape(n, d, n, d).transpose(0, 2, 1, 3) - via
+    return float(np.abs(gap).max(initial=0.0))
 
 
 class RegularRepresentation(Representation):

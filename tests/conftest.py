@@ -1,10 +1,11 @@
 import os
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from fsclass import (FDStarAlgebra, AntiAlgebraMap, GroupTable,
-                     group_algebra)
+                     SeparabilityIdempotent, group_algebra)
 from fsclass import io as fio
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -74,10 +75,50 @@ def groups():
     return {name: load_group(name) for name in GROUP_FILES}
 
 
+def haar_separability(A):
+    """(1/n) sum_g g^{-1} (x) g = sigma / n on C[G], the closed form
+    `group_algebra` once built beside the kept E, verified: an E built
+    independently of `A.separability_idempotent`."""
+    E = SeparabilityIdempotent(A, A.star_matrix / A.dim)
+    E.verify()
+    return E
+
+
+def table_separability(A, T, v):
+    """sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1} = (sigma / kappa) R(v^-1)^T
+    on the table algebra A of T with central element v, the closed form
+    `table_algebra` once built beside the kept E, verified."""
+    kappa = T.p[np.arange(T.rank), T.involution, 0]
+    # column i of sigma is b_{i*}, column i of R(v^{-1}) is b_i v^{-1}
+    E = SeparabilityIdempotent(
+        A, (A.star_matrix / kappa) @ A.right_mult(A.inverse(v)).T)
+    E.verify()
+    return E
+
+
+def count_centrality_kernels(monkeypatch) -> tuple[list, list]:
+    """One entry per SeparabilityIdempotent built, and one per run of its
+    `residuals` kernel, the only evaluation of the centrality identity."""
+    built, kernels = [], []
+    init = SeparabilityIdempotent.__init__
+    kernel = SeparabilityIdempotent.residuals.func
+    counted = cached_property(lambda E: kernels.append(1) or kernel(E))
+    counted.__set_name__(SeparabilityIdempotent, "residuals")
+    monkeypatch.setattr(SeparabilityIdempotent, "residuals", counted)
+    monkeypatch.setattr(SeparabilityIdempotent, "__init__",
+                        lambda E, *a: built.append(1) or init(E, *a))
+    return built, kernels
+
+
 @pytest.fixture(scope="session")
 def group_pipelines(groups):
-    """(A, dual, E) for every corpus group, built once."""
-    return {name: group_algebra(G) for name, G in groups.items()}
+    """(A, dual, E) for every corpus group, built once; E is the closed form
+    `haar_separability(A)`."""
+    out = {}
+    for name, G in groups.items():
+        A, dual = group_algebra(G)
+        out[name] = (A, dual, haar_separability(A))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,8 @@ from fsclass.coalgebra import FDStarCoalgebra, gamma
 from fsclass.constructors import disjoint_union_groupoid
 from fsclass.linalg import make_rng
 
-from conftest import (GROUP_FILES, classical_oracle, load_group,
-                      m2_dual_structures)
+from conftest import (GROUP_FILES, classical_oracle, haar_separability,
+                      load_group, m2_dual_structures)
 
 
 class Instance:
@@ -44,9 +44,10 @@ def _build_corpus():
     out = []
     for name in GROUP_FILES:
         G = load_group(name)
-        A, dual, E = group_algebra(G)
+        A, dual = group_algebra(G)
         parts = decompose(regular_representation(A))
-        out.append(Instance(name, A, dual, parts, G=G, haar_E=E))
+        out.append(Instance(name, A, dual, parts, G=G,
+                            haar_E=haar_separability(A)))
     for m in (2, 3, 4):
         W, dual = groupoid_weak_hopf(pair_groupoid(m))
         parts = decompose(regular_representation(W.algebra))
@@ -64,10 +65,10 @@ def _build_corpus():
     for sname in ("c5_scheme", "petersen_scheme"):
         d = fio.load_scheme_v1(data_path(sname + ".json"))
         T = scheme_from_matrices(d["matrices"])
-        A, S, E, v = table_algebra(T)
+        A, S, _ = table_algebra(T)
         parts = decompose(regular_representation(A))
         dual = canonical_g(A, S, [V for V, _ in parts])
-        out.append(Instance(sname, A, dual, parts, T=T, table_E=E))
+        out.append(Instance(sname, A, dual, parts, T=T))
     A, S1, S2 = m2_dual_structures()
     parts = decompose(regular_representation(A))
     irr = [V for V, _ in parts]

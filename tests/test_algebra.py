@@ -68,7 +68,7 @@ def test_anti_map_rejects_identity_on_noncommutative():
 
 
 def test_real_form_of_group_algebra_is_real_span():
-    A, dual, _ = group_algebra(load_group("s3"))
+    A, dual = group_algebra(load_group("s3"))
     R = real_form_from_S(A, dual.S)
     # conjugation is entrywise: fixed space is the real span of the basis
     assert np.allclose(R.conj_matrix, np.eye(6))

@@ -13,7 +13,7 @@ import fsclass.cli
 from fsclass import cyclic_group
 from fsclass.cli import main
 
-from conftest import data_path
+from conftest import count_centrality_kernels, data_path
 
 
 def run(capsys, *argv):
@@ -251,6 +251,59 @@ def test_duality_builds_one_separability_idempotent(capsys, monkeypatch, name,
     assert len(built) == len(decs) == 1
     E = decs[0].E
     assert E.matrix is E.coalgebra.algebra.separability_idempotent.tensor
+
+
+@pytest.mark.parametrize("name, kind", [("s4.json", "group"),
+                                        ("petersen_scheme.json", "scheme"),
+                                        ("pair3_groupoid.json", "groupoid"),
+                                        ("s3.json", "double")])
+def test_each_command_evaluates_the_centrality_identity_at_most_once(
+        capsys, monkeypatch, name, kind):
+    """verify, irreps and classify build no E; indicators and duality build
+    the kept one and run the centrality kernel once, which the
+    coseparability check of duality reads instead of running it again."""
+    built, kernels = count_centrality_kernels(monkeypatch)
+    counts = {}
+    for command in ("verify", "irreps", "classify", "indicators", "duality"):
+        code, _, _ = run(capsys, command, data_path(name), "--kind", kind)
+        assert code == 0
+        counts[command] = (len(built), len(kernels))
+        built.clear()
+        kernels.clear()
+    assert counts == {"verify": (0, 0), "irreps": (0, 0), "classify": (0, 0),
+                      "indicators": (1, 1), "duality": (1, 1)}
+
+
+def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
+    """A part scaled by 1.1 keeps the star axiom but is no corepresentation;
+    a copy of the kept E off by 1e-3 in one entry fails the coseparability
+    check.  Both make duality exit 2 and name the failed check."""
+    from fsclass import Representation
+    from fsclass.coalgebra import CoseparabilityIdempotent
+    compact_decompose = fsclass.cli.compact_decompose
+
+    def scaled_first_part(C, parts):
+        (V, m), *rest = parts
+        bad = Representation(V.algebra, 1.1 * V.rho, V.gram, check=False)
+        return compact_decompose(C, parts=[(bad, m)] + rest)
+    monkeypatch.setattr(fsclass.cli, "compact_decompose", scaled_first_part)
+    code, out, err = run(capsys, "duality", data_path("s3.json"),
+                         "--kind", "double")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "AxiomViolation",
+                               "message": "Delta(c_ij) != sum_k c_ik (x) c_kj"}
+    monkeypatch.setattr(fsclass.cli, "compact_decompose", compact_decompose)
+
+    class OffByOne(CoseparabilityIdempotent):
+        def __init__(self, C, matrix):
+            super().__init__(C, matrix.copy())
+            self.matrix[0, 1] += 1e-3
+    monkeypatch.setattr(fsclass.coalgebra, "CoseparabilityIdempotent", OffByOne)
+    code, out, err = run(capsys, "duality", data_path("s3.json"),
+                         "--kind", "double")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "AxiomViolation",
+                               "message": "E(c_(1), c_(2)) != eps(c)"}
 
 
 def test_duality_on_a_scheme_computes_the_trace_form_once(capsys, monkeypatch):

@@ -9,11 +9,12 @@ from fsclass.coalgebra import FDStarCoalgebra, invariant_gram, phi_module
 from fsclass.errors import (AxiomViolation, BadVarsigma, NotCompact, NotHopf,
                             NotStarRep)
 
-from conftest import GROUP_FILES, build_m2, data_path, load_group
+from conftest import (GROUP_FILES, build_m2, count_centrality_kernels,
+                      data_path, load_group)
 
 
 def group_coalgebra(name):
-    A, dual, _ = group_algebra(load_group(name))
+    A, dual = group_algebra(load_group(name))
     return A, dual, dualize(A)
 
 
@@ -108,10 +109,10 @@ def test_corepresentation_character_pairs_with_counit():
 
 def test_corep_indicators_match_algebra_side_q8():
     G = load_group("q8")
-    A, dual, E = group_algebra(G)
+    A, dual = group_algebra(G)
     parts = decompose(regular_representation(A))
     from fsclass import full_report
-    rows = full_report(A, dual, parts, E).rows
+    rows = full_report(A, dual, parts, A.separability_idempotent).rows
     C = dualize(A)
     dec = compact_decompose(C)
     vs = dual.S.matrix.T
@@ -207,7 +208,7 @@ def test_sum_of_corep_indicators_is_the_trace_of_the_antipode(name):
     # of D(G)*; nu(V) as `fsclass duality` computes it
     G = load_group(name)
     t, inv, n = G.table, G.inverse, G.order
-    A, dual, _ = group_algebra(G)
+    A, dual = group_algebra(G)
     algebras = [(A, dual, sum(t[g, g] == 0 for g in range(n)))]
     if n <= 8:
         W, dual_d = drinfeld_double(G)
@@ -225,13 +226,17 @@ def test_sum_of_corep_indicators_is_the_trace_of_the_antipode(name):
 def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
     # on D(S3): associativity for the algebra and for the weak Hopf Delta,
     # none for dualize; no Representation homomorphism residual in
-    # compact_decompose, and one Corepresentation check per block
+    # compact_decompose, and one Corepresentation check per block, each one
+    # run of the homomorphism kernel over Delta; the centrality kernel runs
+    # once, for the kept E, and the coseparability check reads its result
     import fsclass.algebra
     import fsclass.coalgebra
     import fsclass.constructors
+    import fsclass.reps
     from fsclass.cli import main
     from fsclass.coalgebra import Corepresentation
-    calls = {"associator": 0, "hom": 0, "corep": 0, "rep": 0}
+    calls = {"associator": 0, "hom": 0, "corep": 0, "rep": 0,
+             "hom kernel": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kw):
@@ -247,7 +252,13 @@ def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
         "rep", Representation._validate))
     monkeypatch.setattr(Corepresentation, "_validate", counted(
         "corep", Corepresentation._validate))
+    for module in (fsclass.reps, fsclass.coalgebra):
+        monkeypatch.setattr(module, "hom_residual", counted(
+            "hom kernel", module.hom_residual))
+    built, kernels = count_centrality_kernels(monkeypatch)
     assert main(["duality", data_path("s3.json"), "--kind", "double"]) == 0
     assert capsys.readouterr().out == "algebra/coalgebra indicators agree: 8/8\n"
     # the star axioms: the regular representation, then each of the 8 blocks
-    assert calls == {"associator": 2, "hom": 0, "corep": 8, "rep": 9}
+    assert calls == {"associator": 2, "hom": 0, "corep": 8, "rep": 9,
+                     "hom kernel": 8}
+    assert len(built) == len(kernels) == 1

@@ -114,9 +114,9 @@ def _coalgebras():
     dual structure of M2 and C[S3] on a seeded non-orthogonal basis, where
     varsigma is not symmetric and the associativity residual is not 0."""
     W, d_s3 = drinfeld_double(load_group("s3"))
-    q8, d_q8, _ = group_algebra(load_group("q8"))
+    q8, d_q8 = group_algebra(load_group("q8"))
     M2, _, S2 = m2_dual_structures()
-    s3, d, _ = group_algebra(load_group("s3"))
+    s3, d = group_algebra(load_group("s3"))
     P = np.eye(6) + 0.3 * np.random.default_rng(11).standard_normal((6, 6))
     return {"D(S3)": (W.algebra, d_s3), "C[Q8]": (q8, d_q8),
             "M2": _with_canonical_g(M2, S2),
@@ -254,7 +254,7 @@ def einsum_star_reversal(C):
 def test_dualize_reuses_the_star_reversal_residual():
     # D(S3) (index table), C[Q8] on a complex unitary basis (dense, with a
     # non-real star) and M2
-    q8, d_q8, _ = group_algebra(load_group("q8"))
+    q8, d_q8 = group_algebra(load_group("q8"))
     z = np.random.default_rng(12).standard_normal((8, 8, 2)) @ [1, 1j]
     q8u = _rebased(q8, d_q8.S, np.linalg.qr(z)[0])[0]
     assert np.abs(q8u.star_matrix.imag).max() > 0.1 and q8u.table is None

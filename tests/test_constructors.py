@@ -13,7 +13,8 @@ from fsclass.constructors import (TableAlgebraData, check_involution_perm,
                                   table_central_element)
 from fsclass.errors import AxiomViolation, BadGroup, NotInvolution
 
-from conftest import classical_oracle, load_group
+from conftest import (classical_oracle, haar_separability, load_group,
+                      table_separability)
 
 
 # --- groups ---
@@ -37,8 +38,9 @@ def test_bad_group_table_rejected():
 
 
 def test_group_algebra_idempotent_verifies():
-    A, dual, E = group_algebra(load_group("d4"))
-    E.verify()
+    A, dual = group_algebra(load_group("d4"))
+    A.separability_idempotent.verify()
+    haar_separability(A)
     assert np.allclose(dual.g, A.unit)
 
 
@@ -53,8 +55,9 @@ def test_group_weak_hopf_haar_is_uniform():
 
 def test_c5_scheme_table_algebra(scheme_mats):
     T = scheme_from_matrices(scheme_mats["c5_scheme"])
-    A, S, E, v = table_algebra(T)
-    E.verify()
+    A, S, v = table_algebra(T)
+    A.separability_idempotent.verify()
+    table_separability(A, T, v)
     parts = decompose(regular_representation(A))
     assert sorted(p.dim for p, _ in parts) == [1, 1, 1]
     raws = []
@@ -68,7 +71,7 @@ def test_c5_scheme_table_algebra(scheme_mats):
 
 def test_petersen_scheme_all_real(scheme_mats):
     T = scheme_from_matrices(scheme_mats["petersen_scheme"])
-    A, S, E, v = table_algebra(T)
+    A, S, v = table_algebra(T)
     parts = decompose(regular_representation(A))
     for V, _ in parts:
         s, _ = table_indicator(T, V.character())
@@ -78,7 +81,7 @@ def test_petersen_scheme_all_real(scheme_mats):
 def test_one_dim_table_characters_never_quaternionic(scheme_mats):
     for name in ("c5_scheme", "petersen_scheme"):
         T = scheme_from_matrices(scheme_mats[name])
-        A, _, _, _ = table_algebra(T)
+        A, _, _ = table_algebra(T)
         for V, _ in decompose(regular_representation(A)):
             if V.dim == 1:
                 s, _ = table_indicator(T, V.character())
@@ -155,7 +158,7 @@ def test_check_involution_perm_rejects_non_automorphism():
 
 def test_twisted_indicator_identity_twist_matches_classical():
     G = load_group("z4")
-    A, dual, E = group_algebra(G)
+    A, dual = group_algebra(G)
     parts = decompose(regular_representation(A))
     for V, _ in parts:
         s, _ = twisted_indicator(G, np.arange(4), V)
@@ -164,7 +167,7 @@ def test_twisted_indicator_identity_twist_matches_classical():
 
 def test_twisted_indicator_z3_inversion_all_real():
     G = load_group("z3")
-    A, dual, E = group_algebra(G)
+    A, dual = group_algebra(G)
     tau = [0, 2, 1]
     for V, _ in decompose(regular_representation(A)):
         s, _ = twisted_indicator(G, tau, V)
@@ -202,7 +205,7 @@ def test_twisted_indicator_builds_no_weak_hopf_data(monkeypatch):
     the 5 irreducibles of C[S4] no WeakHopfData is built and no Haar
     integral is computed."""
     G = load_group("s4")
-    A, _, _ = group_algebra(G)
+    A, _ = group_algebra(G)
     parts = decompose(regular_representation(A))
     built = []
     validate = WeakHopfData._validate

@@ -18,15 +18,15 @@ from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
 from fsclass.indicators import _real_indicator, _round_indicator
 
 from conftest import (GROUP_FILES, classical_oracle, data_path,
-                      diagonal_rescaling, load_group, m2_dual_structures,
-                      rescaled)
+                      diagonal_rescaling, haar_separability, load_group,
+                      m2_dual_structures, rescaled)
 
 
 def pipeline(name):
     G = load_group(name)
-    A, dual, E = group_algebra(G)
+    A, dual = group_algebra(G)
     parts = decompose(regular_representation(A))
-    return G, A, dual, E, parts
+    return G, A, dual, haar_separability(A), parts
 
 
 def test_round_indicator_accepts_only_near_integers():
@@ -122,7 +122,7 @@ def test_formula_element_matches_the_per_pair_sum():
     from fsclass import separability_idempotent
     M2, S1, S2 = m2_dual_structures()
     irreps = [V for V, _ in decompose(regular_representation(M2))]
-    d4, d4_dual, _ = group_algebra(load_group("d4"))
+    d4, d4_dual = group_algebra(load_group("d4"))
     for A, dual in ((d4, d4_dual), (M2, canonical_g(M2, S1, irreps)),
                     (M2, canonical_g(M2, S2, irreps))):
         E = separability_idempotent(A)
@@ -223,7 +223,8 @@ def test_answers_do_not_depend_on_basis_rescaling(name, double):
         W, dual = drinfeld_double(G)
         A, E = W.algebra, separability_idempotent(W.algebra)
     else:
-        A, dual, E = group_algebra(G)
+        A, dual = group_algebra(G)
+        E = haar_separability(A)
     d = diagonal_rescaling(A.dim, seed=16)
     B = rescaled(A, d)
     assert B.table is not None
@@ -269,7 +270,7 @@ def test_canonical_g_for_a_table_algebra_is_unit():
     scheme without decomposing it; the solved canonical g agrees."""
     for name in ("c5_scheme.json", "petersen_scheme.json"):
         mats = fio.load_scheme_v1(data_path(name))["matrices"]
-        A, S, _, _ = table_algebra(scheme_from_matrices(mats))
+        A, S, _ = table_algebra(scheme_from_matrices(mats))
         parts = decompose(regular_representation(A))
         got = canonical_g(A, S, [V for V, _ in parts])
         assert np.abs(got.g - A.unit).max() < 1e-12, name

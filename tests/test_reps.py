@@ -21,7 +21,7 @@ from conftest import (build_m2, classical_oracle, data_path, load_group,
 
 
 def test_regular_representation_is_a_star_rep():
-    A, _, _ = group_algebra(load_group("s3"))
+    A, _ = group_algebra(load_group("s3"))
     V = regular_representation(A)
     assert V.dim == 6
     # left multiplication by the unit is the identity
@@ -37,13 +37,13 @@ def test_representation_rejects_non_homomorphism():
 
 
 def test_character_of_regular_rep_is_dim_at_unit():
-    A, _, _ = group_algebra(load_group("z4"))
+    A, _ = group_algebra(load_group("z4"))
     V = regular_representation(A)
     assert np.isclose(V.char_value(A.unit), 4.0)
 
 
 def test_decompose_group_algebra_dimensions():
-    A, _, _ = group_algebra(load_group("s3"))
+    A, _ = group_algebra(load_group("s3"))
     parts = decompose(regular_representation(A))
     dims = sorted(p.dim for p, _ in parts)
     mults = [m for p, m in sorted(parts, key=lambda q: q[0].dim)]
@@ -77,14 +77,14 @@ def test_decompose_is_seed_independent():
 
 
 def test_irreducible_leaves_have_trivial_self_hom():
-    A, _, _ = group_algebra(load_group("d4"))
+    A, _ = group_algebra(load_group("d4"))
     parts = decompose(regular_representation(A))
     for V, _ in parts:
         assert len(intertwiners(V.rho, V.rho, A.tol)) == 1
 
 
 def test_intertwiners_between_inequivalent_irreps_vanish():
-    A, _, _ = group_algebra(load_group("s3"))
+    A, _ = group_algebra(load_group("s3"))
     parts = decompose(regular_representation(A))
     for i, (V, _) in enumerate(parts):
         for j, (W, _) in enumerate(parts):
@@ -93,7 +93,7 @@ def test_intertwiners_between_inequivalent_irreps_vanish():
 
 
 def test_restrict_orthonormalizes_gram():
-    A, _, _ = group_algebra(load_group("z2"))
+    A, _ = group_algebra(load_group("z2"))
     V = regular_representation(A)
     basis = np.array([[1.0], [1.0]], dtype=complex)
     W = restrict(V, basis)
@@ -112,7 +112,7 @@ def test_dual_representation_is_valid_and_antiequivalent():
 
 
 def test_conjugate_representation_matches_dual_through_riesz():
-    A, dual, _ = group_algebra(load_group("z3"))
+    A, dual = group_algebra(load_group("z3"))
     from fsclass.algebra import real_form_from_S
     R = real_form_from_S(A, dual.S)
     V = decompose(regular_representation(A))[0][0]
@@ -136,7 +136,7 @@ def _rebased_q8(seed):
     """C[Q8] on the basis f_j = sum_i U[i, j] e_g_i for a seeded random
     complex unitary U: the star matrix gets non-real entries."""
     G = load_group("q8")
-    A, dual, _ = group_algebra(G)
+    A, dual = group_algebra(G)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     U, _ = np.linalg.qr(z)
@@ -158,7 +158,7 @@ def test_complex_star_regression_rebased_q8():
 
 
 def test_decompose_validates_an_unchecked_input():
-    A, _, _ = group_algebra(load_group("s3"))
+    A, _ = group_algebra(load_group("s3"))
     rho = regular_representation(A).rho.copy()
     rho[1, 0, 0] += 0.5
     V = Representation(A, rho, check=False)
@@ -175,7 +175,7 @@ def test_decompose_does_not_revalidate_a_checked_input(monkeypatch):
         calls.append(self.dim)
         validate(self)
     monkeypatch.setattr(Representation, "_validate", counted)
-    A, _, _ = group_algebra(load_group("s3"))
+    A, _ = group_algebra(load_group("s3"))
     parts = decompose(regular_representation(A))
     assert calls == [6]
     assert sorted(V.dim for V, _ in parts) == [1, 1, 2]
