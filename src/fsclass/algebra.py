@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
-                     NotAssociative, NotCStar)
+                     NotAssociative, NotCStar, require)
 from .linalg import DEFAULT_TOL, Tolerance, dagger, fixed_space_of_antilinear
 
 DENSE_DIM_CAP = 128
@@ -147,26 +147,21 @@ class FDStarAlgebra:
         eps = self.tol.eps_rank * max(1.0, np.abs(coeffs).max(initial=0.0)) ** 2 * n
         bad, (i, j, k) = associator_residual(c, self.table)
         self.associativity_residual = bad
-        if bad > eps:
-            raise NotAssociative(
-                f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}), residual {bad:.3e}")
-        lm = self.left_mult(self.unit)
-        rm = self.right_mult(self.unit)
+        require(NotAssociative, f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})",
+                bad, eps)
+        # column i: |1 e_i - e_i| and |e_i 1 - e_i|
         eye = np.eye(n)
-        if np.abs(lm - eye).max() > eps or np.abs(rm - eye).max() > eps:
-            i = int(np.abs(lm - eye).max(axis=0).argmax())
-            raise BadUnit(f"unit axiom fails on basis element e{i}")
+        require(BadUnit, "unit axiom fails on basis element e{}", np.maximum(
+            np.abs(self.left_mult(self.unit) - eye).max(axis=0),
+            np.abs(self.right_mult(self.unit) - eye).max(axis=0)), eps)
         # a** = a
         sig = self.star_matrix
-        if np.abs(sig @ np.conj(sig) - eye).max() > eps:
-            raise BadStar("star is not involutive on the basis")
+        require(BadStar, "star is not involutive on the basis",
+                np.abs(sig @ np.conj(sig) - eye).max(), eps)
         # (ab)* = b* a*: (e_i e_j)* = sigma conj(c[i, j]), e_j* = sigma[:, j]
         resid = product_map_residual(self, sig, conj=True)
         self.star_reversal_residual = float(resid.max(initial=0.0))
-        bad_ij = _first_violation(resid, eps)
-        if bad_ij is not None:
-            i, j = bad_ij
-            raise BadStar(f"(e{i} e{j})* != e{j}* e{i}*")
+        require(BadStar, "(e{0} e{1})* != e{1}* e{0}*", resid, eps)
 
 
 def associator(c: np.ndarray) -> np.ndarray:
@@ -277,7 +272,9 @@ def table_associator_residual(table: tuple[np.ndarray, np.ndarray]
     flat = np.repeat(pf * n, cnt) + k     # i n^2 + j n + k, in visiting order
     if extra is not None:
         flat = np.concatenate((flat, extra))
-    i, j, k = np.unravel_index(int(flat[resid == bad].min()), (n, n, n))
+    # the first NaN when there is one, as in the dense argmax
+    at = np.isnan(resid) if np.isnan(bad) else resid == bad
+    i, j, k = np.unravel_index(int(flat[at].min()), (n, n, n))
     return bad, (int(i), int(j), int(k))
 
 
@@ -327,13 +324,6 @@ def product_map_residual(A: FDStarAlgebra, M: np.ndarray, conj: bool = False,
     return np.abs(lhs - (rhs.transpose(1, 0, 2) if reverse else rhs)).max(axis=2)
 
 
-def _first_violation(resid: np.ndarray, eps: float) -> tuple[int, ...] | None:
-    """Index of the first entry of resid, in row-major order, above eps;
-    None when there is none."""
-    bad = np.argwhere(resid > eps)
-    return tuple(int(k) for k in bad[0]) if len(bad) else None
-
-
 def build_algebra(structure, unit, star, tol: Tolerance = DEFAULT_TOL,
                   dim: int | None = None) -> FDStarAlgebra:
     """Validated algebra from either a dense tensor or sparse triples.
@@ -371,14 +361,12 @@ class AntiAlgebraMap:
         S = np.asarray(matrix, dtype=complex)
         n = A.dim
         eps = A.tol.eps_eig * max(1.0, np.abs(S).max()) ** 2 * n
-        bad = _first_violation(product_map_residual(A, S), eps)
-        if bad is not None:
-            i, j = bad
-            raise NotAntiMap(f"S(e{i} e{j}) != S(e{j}) S(e{i})")
+        require(NotAntiMap, "S(e{0} e{1}) != S(e{1}) S(e{0})",
+                product_map_residual(A, S), eps)
         # S(S(a)*)* = a, i.e. sigma conj(S) conj(sigma) S = id
         comp = A.star_matrix @ np.conj(S) @ np.conj(A.star_matrix) @ S
-        if np.abs(comp - np.eye(n)).max() > eps:
-            raise NotAntiMap("S(S(a)*)* != a on the basis")
+        require(NotAntiMap, "S(S(a)*)* != a on the basis",
+                np.abs(comp - np.eye(n)).max(), eps)
         return AntiAlgebraMap(S)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -411,13 +399,10 @@ def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
     K = np.asarray(K, dtype=complex)
     n = A.dim
     eps = A.tol.eps_eig * max(1.0, np.abs(K).max()) ** 2 * n
-    if np.abs(K @ np.conj(K) - np.eye(n)).max() > eps:
-        raise NotAntiMap("conjugation is not involutive")
-    bad = _first_violation(
-        product_map_residual(A, K, conj=True, reverse=False), eps)
-    if bad is not None:
-        i, j = bad
-        raise NotAntiMap(f"conjugation is not multiplicative at (e{i}, e{j})")
+    require(NotAntiMap, "conjugation is not involutive",
+            np.abs(K @ np.conj(K) - np.eye(n)).max(), eps)
+    require(NotAntiMap, "conjugation is not multiplicative at (e{}, e{})",
+            product_map_residual(A, K, conj=True, reverse=False), eps)
     basis = fixed_space_of_antilinear(K, A.tol)
     if basis.shape[1] != n:
         raise NotAntiMap(
@@ -477,12 +462,13 @@ class DualStructureData:
             ginv = A.inverse(g)
         except np.linalg.LinAlgError as exc:
             raise BadDualStructure("g is not invertible") from exc
-        if np.abs(S.apply(g) - ginv).max() > eps * (1 + np.abs(ginv).max()):
-            raise BadDualStructure("S(g) != g^{-1}")
+        require(BadDualStructure, "S(g) != g^{{-1}}",
+                np.abs(S.apply(g) - ginv).max(), eps * (1 + np.abs(ginv).max()))
         Lg, Rginv = A.left_mult(g), A.right_mult(ginv)
         conj_g = Rginv @ Lg
-        if np.abs(S.squared() - conj_g).max() > eps * (1 + np.abs(conj_g).max()):
-            raise BadDualStructure("S^2 is not conjugation by g")
+        require(BadDualStructure, "S^2 is not conjugation by g",
+                np.abs(S.squared() - conj_g).max(),
+                eps * (1 + np.abs(conj_g).max()))
         return DualStructureData(S, g)
 
 
@@ -506,11 +492,9 @@ class SeparabilityIdempotent:
 
     def verify(self, eps: float = 1e-8) -> None:
         unit_gap, central = self.residuals
-        if unit_gap > eps:
-            raise BadDualStructure(f"sum x_m y_m misses the unit by {unit_gap:.3e}")
-        bad = _first_violation(central, eps)
-        if bad is not None:
-            raise BadDualStructure(f"centrality identity fails at basis e{bad[0]}")
+        require(BadDualStructure, "sum x_m y_m misses the unit", unit_gap, eps)
+        require(BadDualStructure, "centrality identity fails at basis e{}",
+                central, eps)
 
 
 def orthonormal_basis(A: FDStarAlgebra, gram: np.ndarray,

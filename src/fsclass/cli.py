@@ -23,7 +23,7 @@ from .coalgebra import (FDStarCoalgebra, compact_decompose, corep_indicators,
 from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            drinfeld_double, group_algebra, groupoid_weak_hopf,
                            scheme_from_matrices, table_algebra)
-from .errors import AgreementFailure, FSClassError, SchemaError
+from .errors import AgreementFailure, FSClassError, SchemaError, require
 from .indicators import IndicatorReport, classify_sigma, full_report
 from .linalg import Tolerance
 from .reps import decompose, regular_representation
@@ -213,12 +213,10 @@ def _cmd_duality(args, run: Run) -> str:
     cd = compact_decompose(C, parts=run.parts)
     co = corep_indicators(C, cd.blocks, dual.S.matrix.T, dual.g, cd.E)
     pairs = [(cval, row.nu_formula) for cval, row in zip(co, report.rows)]
-    n_ok = sum(abs(cval - aval) <= A.tol.eps_round for cval, aval in pairs)
-    total = len(cd.blocks)
-    if n_ok != total:
-        raise AgreementFailure(
-            f"algebra/coalgebra indicators agree on {n_ok}/{total} irreducibles: "
-            f"{pairs}")
+    gaps = np.array([abs(cval - aval) for cval, aval in pairs])
+    n_ok, total = int((gaps <= A.tol.eps_round).sum()), len(cd.blocks)
+    require(AgreementFailure, f"algebra/coalgebra indicators agree on "
+            f"{n_ok}/{total} irreducibles: {pairs}", gaps, A.tol.eps_round)
     msg = f"algebra/coalgebra indicators agree: {n_ok}/{total}"
     if args.format == "json":
         return json.dumps({"agree": n_ok, "total": total,

@@ -16,7 +16,7 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       SeparabilityIdempotent, associator_residual, dense_dim)
 from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
-                     NotAntiMap, NotCompact, NotHopf, NotStarRep)
+                     NotAntiMap, NotCompact, NotHopf, NotStarRep, require)
 from .indicators import _real_indicator, canonical_g
 from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .reps import (Representation, decompose, hom_residual, intertwiners,
@@ -63,17 +63,17 @@ class FDStarCoalgebra:
         n, Dt = self.dim, self.delta_tensor()
         eps = self.tol.eps_eig * max(1, n) * max(
             1.0, float(np.abs(Dt).max(initial=0.0))) ** 2
-        if self._coassociativity_residual() > eps:
-            raise AxiomViolation("comultiplication is not coassociative")
+        require(AxiomViolation, "comultiplication is not coassociative",
+                self._coassociativity_residual(), eps)
         eye, e = np.eye(n), self.counit  # (e (x) id) Delta, (id (x) e) Delta
-        if np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max() > eps \
-                or np.abs(e @ self.Delta.reshape(n, n, n) - eye).max() > eps:
-            raise AxiomViolation("counit law fails")
+        require(AxiomViolation, "counit law fails", np.maximum(
+            np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max(),
+            np.abs(e @ self.Delta.reshape(n, n, n) - eye).max()), eps)
         st = self.star_matrix
-        if np.abs(st @ np.conj(st) - eye).max() > eps:
-            raise AxiomViolation("coalgebra star is not involutive")
-        if self._star_reversal_residual() > eps:
-            raise AxiomViolation("star does not reverse the comultiplication")
+        require(AxiomViolation, "coalgebra star is not involutive",
+                np.abs(st @ np.conj(st) - eye).max(), eps)
+        require(AxiomViolation, "star does not reverse the comultiplication",
+                self._star_reversal_residual(), eps)
 
 
 class _DualCoalgebra(FDStarCoalgebra):
@@ -140,10 +140,10 @@ class Corepresentation:
             raise AxiomViolation("coefficients must have shape (d, d, dim_C)")
         eps = C.tol.eps_eig * max(1, d) * max(
             1.0, float(np.abs(self.coeff).max(initial=0.0))) ** 2
-        if hom_residual(self.dual_module_matrices(), C.Delta.dot) > eps:
-            raise AxiomViolation("Delta(c_ij) != sum_k c_ik (x) c_kj")
-        if np.abs(self.coeff @ C.counit - np.eye(d)).max() > eps:
-            raise AxiomViolation("eps(c_ij) != delta_ij")
+        require(AxiomViolation, "Delta(c_ij) != sum_k c_ik (x) c_kj",
+                hom_residual(self.dual_module_matrices(), C.Delta.dot), eps)
+        require(AxiomViolation, "eps(c_ij) != delta_ij",
+                np.abs(self.coeff @ C.counit - np.eye(d)).max(), eps)
 
 
 @dataclass
@@ -160,19 +160,19 @@ class CoseparabilityIdempotent:
         kept = vars(B).get("separability_idempotent")   # the kept E, if built
         sep = kept if kept and kept.tensor is E else SeparabilityIdempotent(B, E)
         unit_gap, central = sep.residuals
-        if unit_gap > eps:
-            raise AxiomViolation("E(c_(1), c_(2)) != eps(c)")
-        if central.max(initial=0.0) > eps:
-            raise AxiomViolation("coseparability centrality identity fails")
+        require(AxiomViolation, "E(c_(1), c_(2)) != eps(c)", unit_gap, eps)
+        require(AxiomViolation, "coseparability centrality identity fails",
+                central.max(initial=0.0), eps)
         st = C.star_matrix
         sym = st.T @ E @ st   # entry (i, j) = E(e_i*, e_j*)
-        if np.abs(sym - np.conj(E).T).max(initial=0.0) > eps:
-            raise AxiomViolation("E(c*, d*) != conj(E(d, c))")
+        require(AxiomViolation, "E(c*, d*) != conj(E(d, c))",
+                np.abs(sym - np.conj(E).T).max(initial=0.0), eps)
         Q = st.T @ E     # Q[i, j] = E(e_i*, e_j), Hermitian for the form above
         Q = (Q + dagger(Q)) / 2.0
-        if np.linalg.eigvalsh(Q).min() <= C.tol.eps_eig * max(
-                1.0, np.abs(Q).max()):
-            raise AxiomViolation("compactness form E(c*, c) is not positive")
+        # smallest eigenvalue > eps_eig * max(1, max |Q|)
+        require(AxiomViolation, "compactness form E(c*, c) is not positive",
+                -np.linalg.eigvalsh(Q).min(), -np.nextafter(
+                    C.tol.eps_eig * max(1.0, np.abs(Q).max()), np.inf))
 
 
 @dataclass
@@ -275,8 +275,8 @@ def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
     *-algebra H with star c -> S(c)*; h is the Haar integral of the dual
     Hopf algebra (dualize_co(C), dualize(A)).  h(t_(1) t_(2)) = t . w."""
     A, C = H.algebra, dec.E.coalgebra
-    if np.abs(H.delta_of(A.unit) - np.outer(A.unit, A.unit)).max() > A.tol.eps_eig:
-        raise NotHopf("Delta(1) != 1 (x) 1")
+    require(NotHopf, "Delta(1) != 1 (x) 1", np.abs(
+        H.delta_of(A.unit) - np.outer(A.unit, A.unit)).max(), A.tol.eps_eig)
     if not (np.array_equal(C.Delta, H.Delta) and np.array_equal(C.counit, H.counit)
             and np.allclose(C.star_matrix, A.star_matrix @ np.conj(H.S.matrix))):
         raise AxiomViolation("dec is not of H's coalgebra with star S(c)*")

@@ -16,7 +16,7 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       _ragged, associator_residual, central_positive_invertible,
                       monomial_table, nonzero_coordinates)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
-                     NotInvolution)
+                     NotInvolution, require)
 from .indicators import _round_indicator
 from .linalg import DEFAULT_TOL, Tolerance
 
@@ -151,20 +151,17 @@ class TableAlgebraData:
             raise AxiomViolation("basis involution is not a permutation")
         if not np.array_equal(star[star], np.arange(r)):
             raise AxiomViolation("basis involution does not square to identity")
-        if p.min() < -eps:
-            raise AxiomViolation("negative structure constant")
+        require(AxiomViolation, "negative structure constant", -p.min(), eps)
         # b_0 is the unit
-        if np.abs(p[0] - np.eye(r)).max() > eps or \
-                np.abs(p[:, 0, :] - np.eye(r)).max() > eps:
-            raise AxiomViolation("b_0 is not the identity")
+        require(AxiomViolation, "b_0 is not the identity", np.maximum(
+            np.abs(p[0] - np.eye(r)).max(), np.abs(p[:, 0, :] - np.eye(r)).max()),
+            eps)
         for i in range(r):
-            for j in range(r):
-                want = 0.0 if j != star[i] else p[i, star[i], 0]
-                if abs(p[i, j, 0] - want) > eps:
-                    raise AxiomViolation(
-                        "coefficient of b_0 in b_i b_j must vanish unless j = i*")
-            if p[i, star[i], 0] <= eps:
-                raise AxiomViolation(f"p_(i i*)^0 must be positive, i = {i}")
+            want = np.where(np.arange(r) == star[i], p[i, star[i], 0], 0.0)
+            require(AxiomViolation, "coefficient of b_0 in b_i b_j must vanish "
+                    "unless j = i*", np.abs(p[i, :, 0] - want), eps)
+            require(AxiomViolation, f"p_(i i*)^0 must be positive, i = {i}",
+                    -p[i, star[i], 0], -np.nextafter(eps, np.inf))
         return TableAlgebraData(p, star)
 
 
@@ -448,14 +445,14 @@ class WeakHopfData:
         D = self.Delta.reshape(n, n, n)       # D[j, k, i] = Dt[i, j, k]
         table = monomial_table(D)
         # coassociative iff the dual (convolution) product is associative
-        if associator_residual(D, table)[0] > eps:
-            raise AxiomViolation("comultiplication is not coassociative")
+        require(AxiomViolation, "comultiplication is not coassociative",
+                associator_residual(D, table)[0], eps)
         eye, e = np.eye(n), self.counit   # (e (x) id) Delta, (id (x) e) Delta
-        if np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max() > eps \
-                or np.abs(e @ D - eye).max() > eps:
-            raise AxiomViolation("counit law fails")
-        if _multiplicativity_residual(A, D, table) > eps * 10:
-            raise AxiomViolation("comultiplication is not multiplicative")
+        require(AxiomViolation, "counit law fails", np.maximum(
+            np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max(),
+            np.abs(e @ D - eye).max()), eps)
+        require(AxiomViolation, "comultiplication is not multiplicative",
+                _multiplicativity_residual(A, D, table), eps * 10)
 
     def counit_target_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrices of eps_L(a) = eps(1_(1) a) 1_(2) and
@@ -484,10 +481,10 @@ class WeakHopfData:
         EL, ER = self.counit_target_maps()
         # row i of X is e_i Lam, of EL.T @ X eps_L(e_i) Lam; Y likewise for R
         X, Y = A.left_stack() @ lam, A.right_stack() @ lam
-        resid = max(np.abs(d).max() for d in (
-            EL @ lam - A.unit, ER @ lam - A.unit, X - EL.T @ X, Y - ER.T @ Y))
-        if not resid <= A.tol.eps_eig * 100:
-            raise NoHaar(f"Haar integral identities fail, residual {resid:.3e}")
+        resid = np.max([np.abs(d).max() for d in (
+            EL @ lam - A.unit, ER @ lam - A.unit, X - EL.T @ X, Y - ER.T @ Y)])
+        require(NoHaar, "Haar integral identities fail", resid,
+                A.tol.eps_eig * 100)
         lam.flags.writeable = False
         return lam
 

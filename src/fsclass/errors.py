@@ -1,12 +1,32 @@
-"""Typed errors raised across the package.
+"""Typed errors raised across the package, and `require`, the one rule by
+which every numerical check passes or raises.
 
 Validation errors carry enough context (indices, residuals) to point at the
-first offending datum.
+first offending datum: a failed `require` names its residual and threshold.
 """
+import numpy as np
 
 
 class FSClassError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def require(error: type[FSClassError], text: str, residual,
+            threshold) -> None:
+    """Raise error unless residual <= threshold, so NaN fails.
+
+    Arrays are compared entry by entry, so an array residual passes when its
+    maximum does.  Only on failure is text formatted: its `{}` fields take
+    the first failing index in row-major order, and ` (residual R,
+    threshold T)`, the two numbers there, follows.  A lower bound value >=
+    bound is passed as -value against -bound, value > bound as -value
+    against -np.nextafter(bound, np.inf)."""
+    ok = np.asarray(residual) <= threshold
+    if not ok.all():
+        at = tuple(int(k) for k in np.argwhere(~ok)[0])
+        r, t = np.broadcast_arrays(residual, threshold)
+        raise error(f"{text.format(*at)} (residual {r[at]:.3e}, "
+                    f"threshold {t[at]:.3e})")
 
 
 # --- algebra construction / validation ---

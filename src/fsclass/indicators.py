@@ -20,7 +20,7 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       RealForm, SeparabilityIdempotent, real_form_from_S)
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
-                     UnexpectedDimension)
+                     UnexpectedDimension, require)
 from .linalg import dagger, fixed_space_of_antilinear, pencil_eigh
 from .reps import Representation, dual_representation, intertwiners
 
@@ -29,11 +29,9 @@ def _real_indicator(raw, eps_round: float):
     """Re raw, for raw values of any shape; `ComplexResult` when some
     |Im raw| > eps_round.  The realness half of `_round_indicator`, for the
     indicators that return raw reals."""
-    raw = np.asarray(raw)
-    bad = ~(np.abs(raw.imag) <= eps_round)
-    if bad.any():
-        raise ComplexResult(f"indicator value {raw[bad][0]} is not real")
-    return raw.real
+    require(ComplexResult, "indicator value is not real", np.abs(np.imag(raw)),
+            eps_round)
+    return np.real(raw)
 
 
 def _round_indicator(raw: complex, eps_round: float) -> int:
@@ -41,8 +39,8 @@ def _round_indicator(raw: complex, eps_round: float) -> int:
     round(Re raw) when |raw - nu| <= eps_round, else `ComplexResult`;
     `UnexpectedDimension` when nu is not -1, 0 or +1."""
     nu = np.rint(_real_indicator(raw, eps_round))
-    if not abs(raw - nu) <= eps_round:
-        raise ComplexResult(f"indicator value {raw} is not near an integer")
+    require(ComplexResult, "indicator value is not near an integer",
+            abs(raw - nu), eps_round)
     if nu not in (-1, 0, 1):
         raise UnexpectedDimension(f"indicator {nu:.0f} outside {{-1, 0, +1}}")
     return int(nu)
@@ -71,16 +69,15 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
         gt = hom[0]
         M = V.gram @ gt
         phase = np.trace(M)
-        if abs(phase) < A.tol.eps_rank:
-            raise BadDualStructure("twisted intertwiner has trace zero in "
-                                   "the invariant metric")
+        require(BadDualStructure, "twisted intertwiner has trace zero in the "
+                "invariant metric", -abs(phase), -A.tol.eps_rank)
         gt = gt * (np.conj(phase) / abs(phase))
         M = V.gram @ gt
         M = (M + dagger(M)) / 2.0
         vals = pencil_eigh(M, V.gram, vals_only=True)
-        if vals.min() <= A.tol.eps_eig * max(1.0, vals.max()):
-            raise BadDualStructure(
-                "twisted intertwiner is not positive in the invariant metric")
+        require(BadDualStructure, "twisted intertwiner is not positive in the "
+                "invariant metric", -vals.min(),
+                -np.nextafter(A.tol.eps_eig * max(1.0, vals.max()), np.inf))
         gt = np.linalg.inv(V.gram) @ M
         scale = np.sqrt(np.trace(np.linalg.inv(gt)).real / np.trace(gt).real)
         blocks.append(scale * gt)
@@ -92,10 +89,9 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
     M = np.vstack(rows)
     b = np.concatenate(rhs)
     g, *_ = np.linalg.lstsq(M, b, rcond=None)
-    resid = np.abs(M @ g - b).max(initial=0.0)
-    if resid > A.tol.eps_eig * 100 * max(1.0, np.abs(b).max(initial=0.0)):
-        raise InternalConsistency(
-            f"block element does not glue, residual {resid:.3e}")
+    require(InternalConsistency, "block element does not glue",
+            np.abs(M @ g - b).max(initial=0.0),
+            A.tol.eps_eig * 100 * max(1.0, np.abs(b).max(initial=0.0)))
     return DualStructureData.validated(A, S, g)
 
 
@@ -132,11 +128,11 @@ def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
     basis = np.stack([F.reshape(-1) for F in hom], axis=1)
     images = np.stack([(F.T @ rho_g).reshape(-1) for F in hom], axis=1)
     T, res, *_ = np.linalg.lstsq(basis, images, rcond=None)
-    if res.size and res.max() > A.tol.eps_eig * 100:
-        raise InternalConsistency("involution does not preserve Hom(V, D(V))")
-    if np.abs(T @ T - np.eye(len(hom))).max() > A.tol.eps_round * 10:
-        raise InternalConsistency("duality map on Hom(V, D(V)) does not square "
-                                  "to the identity")
+    require(InternalConsistency, "involution does not preserve Hom(V, D(V))",
+            res.max(initial=0.0), A.tol.eps_eig * 100)
+    require(InternalConsistency, "duality map on Hom(V, D(V)) does not square "
+            "to the identity", np.abs(T @ T - np.eye(len(hom))).max(),
+            A.tol.eps_round * 10)
     return _round_indicator(complex(np.trace(T)), A.tol.eps_round)
 
 
@@ -169,13 +165,14 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
     F = hom[0]
     FFbar = F @ np.conj(F)
     alpha = complex(np.trace(FFbar)) / d
-    if abs(alpha.imag) > A.tol.eps_round * (1 + abs(alpha)):
-        raise InconsistentAlpha(f"F conj(F) has non-real trace {alpha}")
+    require(InconsistentAlpha, "F conj(F) has non-real trace",
+            abs(alpha.imag), A.tol.eps_round * (1 + abs(alpha)))
     alpha = alpha.real
-    if np.abs(FFbar - alpha * np.eye(d)).max() > A.tol.eps_round * (1 + abs(alpha)):
-        raise InconsistentAlpha("F conj(F) is not a scalar matrix")
-    if abs(alpha) < A.tol.eps_rank:
-        raise InconsistentAlpha("F conj(F) vanishes for a nonzero intertwiner")
+    require(InconsistentAlpha, "F conj(F) is not a scalar matrix",
+            np.abs(FFbar - alpha * np.eye(d)).max(),
+            A.tol.eps_round * (1 + abs(alpha)))
+    require(InconsistentAlpha, "F conj(F) vanishes for a nonzero intertwiner",
+            -abs(alpha), -A.tol.eps_rank)
     sigma = 1 if alpha > 0 else -1
     j = F / np.sqrt(abs(alpha))
     witness = None
@@ -186,13 +183,12 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
         witness = W
         # m[k] = W^-1 rho(r_k) W for every real basis vector r_k of A0
         m = np.linalg.inv(W) @ np.tensordot(R.real_basis, V.rho, axes=(0, 0)) @ W
-        tol = A.tol.eps_round * (1 + np.abs(m).max(axis=(1, 2)))
-        if (np.abs(m.imag).max(axis=(1, 2)) > tol).any():
-            raise InternalConsistency(
-                "real form does not act by real matrices in the j-fixed basis")
+        require(InternalConsistency, "real form does not act by real "
+                "matrices in the j-fixed basis", np.abs(m.imag).max(axis=(1, 2)),
+                A.tol.eps_round * (1 + np.abs(m).max(axis=(1, 2))))
     else:
-        if np.abs(j @ np.conj(j) + np.eye(d)).max() > A.tol.eps_round * 10:
-            raise InternalConsistency("j conj(j) != -I for sigma = -1")
+        require(InternalConsistency, "j conj(j) != -I for sigma = -1",
+                np.abs(j @ np.conj(j) + np.eye(d)).max(), A.tol.eps_round * 10)
     return SigmaResult(sigma, float(alpha), j, witness)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import (AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum,
                       orthonormal_basis)
-from .errors import DegenerateSplit, NotCStar, NotStarRep
+from .errors import DegenerateSplit, NotCStar, NotStarRep, require
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
                      kron_system, make_rng, nullspace, pencil_eigh,
                      random_complex)
@@ -61,24 +61,26 @@ class Representation:
         eps = tol.eps_eig * scale * max(1, d)
         # homomorphism and unit, unless hom=False: a caller that has checked
         # the same residuals another way
-        if hom and self._hom_residual() > eps:
-            raise NotStarRep("rho(e_i e_j) != rho(e_i) rho(e_j)")
-        if hom and np.abs(self.apply(A.unit) - np.eye(d)).max() > eps:
-            raise NotStarRep("rho(1) != I")
+        if hom:
+            require(NotStarRep, "rho(e_i e_j) != rho(e_i) rho(e_j)",
+                    self._hom_residual(), eps)
+            require(NotStarRep, "rho(1) != I",
+                    np.abs(self.apply(A.unit) - np.eye(d)).max(), eps)
         H = self.gram
-        if np.abs(H - dagger(H)).max(initial=0.0) > tol.eps_eig * max(
-                1.0, float(np.abs(H).max(initial=0.0))):
-            raise NotStarRep("gram is not Hermitian")
-        if d and np.linalg.eigvalsh((H + dagger(H)) / 2).min() <= 0:
-            raise NotStarRep("gram is not positive definite")
+        h_scale = max(1.0, float(np.abs(H).max(initial=0.0)))
+        require(NotStarRep, "gram is not Hermitian",
+                np.abs(H - dagger(H)).max(initial=0.0), tol.eps_eig * h_scale)
+        # smallest eigenvalue > 0 (none when d = 0)
+        require(NotStarRep, "gram is not positive definite",
+                -np.linalg.eigvalsh((H + dagger(H)) / 2).min(initial=np.inf),
+                -np.nextafter(0.0, 1.0))
         # star compatibility: rho(a)^dagger H = H rho(a*), where
         # rho(e_i*) = sum_k sigma[k, i] rho(e_k)
         star_rho = np.tensordot(A.star_matrix, self.rho, axes=(0, 0))
         lhs = np.conj(self.rho).transpose(0, 2, 1) @ H
         rhs = H @ star_rho
-        if np.abs(lhs - rhs).max(initial=0.0) > eps * max(
-                1.0, float(np.abs(H).max(initial=0.0))):
-            raise NotStarRep("rho(a)^dagger H != H rho(a*)")
+        require(NotStarRep, "rho(a)^dagger H != H rho(a*)",
+                np.abs(lhs - rhs).max(initial=0.0), eps * h_scale)
         self.validated = True
 
     def _hom_residual(self) -> float:

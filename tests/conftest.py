@@ -1,4 +1,5 @@
 import os
+import re
 from functools import cached_property
 
 import numpy as np
@@ -12,6 +13,19 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 GROUP_FILES = ["z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8",
                "s3", "s4", "d4", "q8"]
+
+
+CHECK_SUFFIX = re.compile(r"(.*) \(residual (\S+), threshold (\S+)\)", re.S)
+
+
+def check_text(message: str) -> str:
+    """The text of a failed `require` message, before its
+    ` (residual R, threshold T)` suffix; asserts that the suffix is there and
+    that R exceeds T (or is NaN)."""
+    m = CHECK_SUFFIX.fullmatch(message)
+    assert m, f"no residual suffix: {message!r}"
+    assert not float(m[2]) <= float(m[3]), message
+    return m[1]
 
 
 def data_path(name):

@@ -117,6 +117,33 @@ def test_output_flag_and_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dense", [False, True])
+def test_an_overflowing_algebra_exits_2_as_not_associative(
+        tmp_path, capsys, dense):
+    """e0 the unit, e1 e1 = 1e200 e2, e1 e2 = e2 e1 = 1e200 e1,
+    e2 e2 = 1e200 e2, identity star; dense adds e1 to e2 e2.  The products
+    overflow, so the associator is NaN, first at (e1 e1) e1, and the
+    threshold max(1, max |c|)^2 n is inf: NaN fails the check."""
+    def entry(i, j, k, v):
+        return {"i": i, "j": j, "k": k, "re": v, "im": 0.0}
+    structure = [entry(0, i, i, 1.0) for i in range(3)]
+    structure += [entry(i, 0, i, 1.0) for i in (1, 2)]
+    structure += [entry(1, 1, 2, 1e200), entry(1, 2, 1, 1e200),
+                  entry(2, 1, 1, 1e200), entry(2, 2, 2, 1e200)]
+    if dense:
+        structure.append(entry(2, 2, 1, 1.0))
+    path = tmp_path / "overflow_algebra.json"
+    path.write_text(json.dumps({
+        "dim": 3, "unit": [[1, 0], [0, 0], [0, 0]], "structure": structure,
+        "star": [{"i": i, "k": i, "re": 1.0, "im": 0.0} for i in range(3)]}))
+    code, out, err = run(capsys, "verify", str(path), "--kind", "algebra")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "NotAssociative",
+        "message": "(e1 e1) e1 != e1 (e1 e1) (residual nan, threshold inf)"}
+
+
 def test_irreps_of_a_coalgebra_exits_2(capsys):
     code, out, err = run(capsys, "irreps", data_path("m2_coalgebra.json"),
                          "--kind", "coalgebra")
@@ -291,7 +318,8 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
                          "--kind", "double")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "AxiomViolation",
-                               "message": "Delta(c_ij) != sum_k c_ik (x) c_kj"}
+                               "message": "Delta(c_ij) != sum_k c_ik (x) c_kj "
+                               "(residual 1.100e-01, threshold 1.210e-08)"}
     monkeypatch.setattr(fsclass.cli, "compact_decompose", compact_decompose)
 
     class OffByOne(CoseparabilityIdempotent):
@@ -303,7 +331,8 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
                          "--kind", "double")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "AxiomViolation",
-                               "message": "E(c_(1), c_(2)) != eps(c)"}
+                               "message": "E(c_(1), c_(2)) != eps(c) "
+                               "(residual 1.000e-03, threshold 1.000e-06)"}
 
 
 def test_duality_on_a_scheme_computes_the_trace_form_once(capsys, monkeypatch):

@@ -14,6 +14,8 @@ single kernel:
   separability idempotents the group and table algebra constructors built
   beside the kept one.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -136,8 +138,9 @@ def test_the_kept_e_is_checked_once_and_a_corrupted_copy_again(
         unit_gap, _ = coseparability_contraction_residuals(C, bad)
         eps = C.tol.eps_eig * 100 * max(1.0, np.abs(bad).max())
         assert unit_gap > eps, name
-        with pytest.raises(AxiomViolation, match=r"^E\(c_\(1\), c_\(2\)\) "
-                           r"!= eps\(c\)$"):
+        with pytest.raises(AxiomViolation, match="^" + re.escape(
+                f"E(c_(1), c_(2)) != eps(c) (residual {unit_gap:.3e}, "
+                f"threshold {eps:.3e})") + "$"):
             CoseparabilityIdempotent(C, bad).verify()
         assert (len(built), len(kernels)) == (1, 1), name
         assert dualize_co(C) is A
