@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
                      NotAssociative, NotCStar, require)
-from .linalg import DEFAULT_TOL, Tolerance, dagger, fixed_space_of_antilinear
+from .linalg import (DEFAULT_TOL, Tolerance, dagger, fixed_space_of_antilinear,
+                     gram_basis)
 
 DENSE_DIM_CAP = 128
 
@@ -42,9 +43,10 @@ class FDStarAlgebra:
     max |(e_i e_j)* - e_j* e_i*| is kept as `star_reversal_residual`: the
     dual coalgebra reuses it.  `table` is `monomial_table(structure)`,
     computed once and read by every product identity checked against A.
-    `trace_form` is `check_cstar(A)`, kept.  Immutable after construction
-    (`_left` and the trace-form Gram are read-only, so the regular
-    representation shares them); all methods are pure.
+    `trace_form` is `check_cstar(A)`, kept, and `orthonormal_basis` its
+    factored form.  Immutable after construction (`_left`, the trace-form
+    Gram and its basis are read-only, so the regular representation shares
+    them); all methods are pure.
     """
 
     def __init__(self, structure: np.ndarray, unit: np.ndarray,
@@ -129,6 +131,12 @@ class FDStarAlgebra:
         G, ok = check_cstar(self)
         G.flags.writeable = False
         return G, ok
+
+    @cached_property
+    def orthonormal_basis(self) -> np.ndarray:
+        """`gram_basis` of the trace form G, kept: b^dagger G b = I.  Read
+        it only when G is positive definite."""
+        return gram_basis(self.trace_form[0])
 
     @cached_property
     def separability_idempotent(self) -> "SeparabilityIdempotent":
@@ -497,34 +505,22 @@ class SeparabilityIdempotent:
                 central, eps)
 
 
-def orthonormal_basis(A: FDStarAlgebra, gram: np.ndarray,
-                      rotation: np.ndarray | None = None) -> np.ndarray:
-    """Columns b_j with b^dagger G b = I; optionally mixed by a unitary."""
-    R = np.linalg.cholesky((gram + dagger(gram)) / 2.0).conj().T
-    B = np.linalg.inv(R)
-    if rotation is not None:
-        B = B @ rotation
-    return B
-
-
-def central_sum(A: FDStarAlgebra, B: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_j b_j a b_j^* over the columns b_j of B.  Central when B is
-    orthonormal for the trace form: sum_j b_j (x) b_j^* then commutes with
+def central_sum(A: FDStarAlgebra, a: np.ndarray) -> np.ndarray:
+    """sum_j b_j a b_j^* over the trace-form orthonormal basis
+    `A.orthonormal_basis`: central, since sum_j b_j (x) b_j^* commutes with
     every element of A."""
+    B = A.orthonormal_basis
     return A.multiply(A.right_mult(a) @ B @ A.star(B).T)
 
 
-def separability_idempotent(A: FDStarAlgebra,
-                            rotation: np.ndarray | None = None
-                            ) -> SeparabilityIdempotent:
+def separability_idempotent(A: FDStarAlgebra) -> SeparabilityIdempotent:
     """The one symmetric separability idempotent (Aguiar 2000), sum_j b_j
-    (x) b_j^* over the columns b_j of a basis B orthonormal for the regular
-    trace form.  Its product sum_j b_j b_j^* is 1 for any such basis: on a
-    block M_d it is sum_ij (1/d) f_ij f_ji."""
-    G, ok = A.trace_form
-    if not ok:
+    (x) b_j^* over the trace-form orthonormal basis `A.orthonormal_basis`;
+    any other orthonormal basis gives the same E.  Its product
+    sum_j b_j b_j^* is 1: on a block M_d it is sum_ij (1/d) f_ij f_ji."""
+    if not A.trace_form[1]:
         raise NotCStar("no separability idempotent: algebra is not C*-able")
-    B = orthonormal_basis(A, G, rotation)
+    B = A.orthonormal_basis
     E = SeparabilityIdempotent(A, B @ A.star(B).T)
     E.verify(eps=A.tol.eps_eig * 100)
     return E

@@ -4,7 +4,8 @@
 
 Commands: verify, irreps, indicators, classify, duality.
 Kinds: algebra, group, scheme, groupoid, double, coalgebra.
-Exit codes: 0 success, 2 validation failure, 3 indicator disagreement.
+Exit codes: 0 success, 2 validation failure or an unreadable input or
+unwritable output file, 3 indicator disagreement.
 """
 from __future__ import annotations
 
@@ -134,13 +135,18 @@ def _cmat(m: np.ndarray) -> list:
 
 
 def _emit(args, text: str) -> None:
+    """Writes text to --output, or to stdout; an OSError names the path."""
     if not text.endswith("\n"):
         text += "\n"
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise type(exc)(f"cannot write {args.output}: "
+                        f"{exc.strerror or exc}") from exc
 
 
 def _cmd_verify(args, run: Run) -> str:
@@ -248,20 +254,22 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        tol = _tolerance(args)
-        run = Run(args.kind, args.input, tol, args.seed)
-        text = COMMANDS[args.command](args, run)
+        # an overflow shows as an inf or NaN residual, which its check
+        # refuses; numpy's warnings about it would only garble stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            run = Run(args.kind, args.input, _tolerance(args), args.seed)
+            text = COMMANDS[args.command](args, run)
+        _emit(args, text)
     except AgreementFailure as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")
         return 3
-    except (FSClassError, ValueError) as exc:
+    except (FSClassError, ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")
         return 2
-    _emit(args, text)
     return 0
 
 

@@ -208,10 +208,9 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     parts = _dual_parts(C, parts, seed)
     blocks, unitarized = [], []
     for V, mult in parts:
-        # unitarize: gram H = L L^dagger, rho' = L^dagger rho L^{-dagger}
-        L = np.linalg.cholesky((V.gram + dagger(V.gram)) / 2.0)
-        R = dagger(L)
-        rho_u = R @ V.rho @ np.linalg.inv(R)
+        # unitarize: rho' = Q^dagger H rho Q in V's orthonormal basis Q
+        Q = V.orthonormal_basis
+        rho_u = dagger(Q) @ V.gram @ V.rho @ Q
         W = Representation(B, rho_u, None, check=False)
         W._validate(hom=False)
         unitarized.append((W, mult))

@@ -265,6 +265,8 @@ class GroupoidData:
         n = len(src)
         comp = {}
         for a, b, ab in compose_triples:
+            if (a, b) in comp:
+                raise BadGroupoid(f"composite of ({a}, {b}) is given twice")
             comp[(a, b)] = ab
         for a in range(n):
             for b in range(n):

@@ -21,7 +21,7 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension, require)
-from .linalg import dagger, fixed_space_of_antilinear, pencil_eigh
+from .linalg import dagger, fixed_space_of_antilinear
 from .reps import Representation, dual_representation, intertwiners
 
 
@@ -74,7 +74,8 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
         gt = gt * (np.conj(phase) / abs(phase))
         M = V.gram @ gt
         M = (M + dagger(M)) / 2.0
-        vals = pencil_eigh(M, V.gram, vals_only=True)
+        Q = V.orthonormal_basis
+        vals = np.linalg.eigvalsh(dagger(Q) @ M @ Q)
         require(BadDualStructure, "twisted intertwiner is not positive in the "
                 "invariant metric", -vals.min(),
                 -np.nextafter(A.tol.eps_eig * max(1.0, vals.max()), np.inf))

@@ -1,9 +1,11 @@
 """Dense complex matrix kernel: nullspaces and numerical rank, the
 Kronecker system of intertwiner-type identities, fixed spaces of antilinear
-maps, Hermitian pencils, eigenvalue clustering and seeded randomness.
+maps, the orthonormal basis of a positive definite gram, eigenvalue
+clustering and seeded randomness.
 
 All functions are pure; matrices are numpy complex arrays and are never
-mutated in place.
+mutated in place.  `gram_basis` is the one Cholesky factorization: the
+owner of a gram (an algebra, a representation) calls it once and keeps it.
 """
 from __future__ import annotations
 
@@ -89,22 +91,13 @@ def kron_system(a, b, c, d) -> np.ndarray:
     return out.reshape(-1, out.shape[-1])
 
 
-def pencil_eigh(X: np.ndarray, H: np.ndarray, vals_only: bool = False):
-    """Ascending eigenvalues and H-orthonormal eigenvectors (the columns
-    of V, V^dagger H V = I) of the Hermitian pencil X v = lam H v, H
-    positive definite; vals_only=True returns the eigenvalues alone.
-
-    With the Cholesky factor H = L L^dagger the pencil is the standard
-    problem for L^{-1} X L^{-dagger}, whose unitary eigenvectors W give
-    V = L^{-dagger} W (Golub-Van Loan, Matrix Computations, 8.7; LAPACK's
-    zhegv makes the same reduction).
-    """
-    Li = np.linalg.inv(np.linalg.cholesky(H))
-    C = Li @ X @ dagger(Li)
-    if vals_only:
-        return np.linalg.eigvalsh(C)
-    vals, W = np.linalg.eigh(C)
-    return vals, dagger(Li) @ W
+def gram_basis(H: np.ndarray) -> np.ndarray:
+    """Read-only Q = L^{-dagger}, H = L L^dagger, so Q^dagger H Q = I.  The
+    pencil X v = lam H v is the standard problem for Q^dagger X Q, v = Q w
+    (Golub-Van Loan, Matrix Computations, 8.7; as LAPACK's zhegv does)."""
+    Q = np.linalg.inv(dagger(np.linalg.cholesky((H + dagger(H)) / 2.0)))
+    Q.flags.writeable = False
+    return Q
 
 
 def cluster_eigenvalues(vals: np.ndarray, eps: float) -> list[np.ndarray]:

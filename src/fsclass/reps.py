@@ -7,13 +7,14 @@ gram H making it a *-representation: rho(a*) = H^{-1} rho(a)^dagger H.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .algebra import (AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum,
-                      orthonormal_basis)
+from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum
 from .errors import DegenerateSplit, NotCStar, NotStarRep, require
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
-                     kron_system, make_rng, nullspace, pencil_eigh,
+                     gram_basis, kron_system, make_rng, nullspace,
                      random_complex)
 
 
@@ -36,6 +37,12 @@ class Representation:
         self.validated = False
         if check:
             self._validate()
+
+    @cached_property
+    def orthonormal_basis(self) -> np.ndarray:
+        """`gram_basis(H)`, kept: Q with Q^dagger H Q = I, in which rho is
+        Q^dagger H rho Q, unitary for the standard inner product."""
+        return gram_basis(self.gram)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.tensordot(x, self.rho, axes=(0, 0))
@@ -118,6 +125,10 @@ class RegularRepresentation(Representation):
     def _hom_residual(self) -> float:
         return self.algebra.associativity_residual
 
+    @property
+    def orthonormal_basis(self) -> np.ndarray:   # the trace form's, kept on A
+        return self.algebra.orthonormal_basis
+
     def commutant(self) -> np.ndarray:
         """End_A(A) is right multiplication: R(e_j)[k, i] = c[i, j, k]."""
         return self.algebra.right_stack()
@@ -156,14 +167,10 @@ def intertwiners(
 SPLIT_TRIES = 8
 
 
-def _eigenspaces(X: np.ndarray, H: np.ndarray | None,
-                 tol: Tolerance) -> list[np.ndarray]:
-    """H-orthonormal bases of the eigenspaces of the H-Hermitian part of
-    H^{-1} X (H = None: the identity), one per eigenvalue cluster, in
-    ascending order."""
-    X = (X + dagger(X)) / 2.0
-    # H = None skips the Cholesky reduction on the many small compressed blocks
-    vals, vecs = np.linalg.eigh(X) if H is None else pencil_eigh(X, H)
+def _eigenspaces(X: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
+    """Orthonormal bases of the eigenspaces of the Hermitian part of X, one
+    per eigenvalue cluster, in ascending order."""
+    vals, vecs = np.linalg.eigh((X + dagger(X)) / 2.0)
     eps = tol.eps_eig * max(1.0, np.abs(vals).max())
     return [vecs[:, idx] for idx in cluster_eigenvalues(vals, eps)]
 
@@ -176,14 +183,16 @@ def decompose(V: Representation,
 
     The commutant is taken once, from `V.commutant()`; when it is
     one-dimensional V is irreducible.  Otherwise each attempt draws a
-    central z = `central_sum` of a random self-adjoint a over a trace-form
-    orthonormal basis b_j (a reducible V needs a positive definite trace
-    form) and a random M in the commutant.  Each eigenspace W of rho(z)
-    gives the piece L, the first eigenspace of M compressed onto W.  The
-    pairing <x, y> = sum_j x(b_j) y(b_j^*) makes irreducible characters
-    orthonormal, so <chi_L, chi_L> = 1 and <chi_V, chi_L> = dim W / dim L,
-    each within eps_round times the integer, prove W = L^m with L
-    irreducible; otherwise z and M are redrawn, at most SPLIT_TRIES times.
+    central z = `central_sum` of a random self-adjoint a over the
+    trace-form orthonormal basis b_j (a reducible V needs a positive
+    definite trace form) and a random M in the commutant.  Each eigenspace
+    of Q^dagger H rho(z) Q, Q = `V.orthonormal_basis`, mapped back by Q is
+    an H-orthonormal basis of a block W, which gives the piece L, the first
+    eigenspace of M compressed onto W.  The pairing <x, y> =
+    sum_j x(b_j) y(b_j^*) makes irreducible characters orthonormal, so
+    <chi_L, chi_L> = 1 and <chi_V, chi_L> = dim W / dim L, each within
+    eps_round times the integer, prove W = L^m with L irreducible;
+    otherwise z and M are redrawn, at most SPLIT_TRIES times.
     """
     if not V.validated:
         V._validate()
@@ -191,12 +200,11 @@ def decompose(V: Representation,
     if len(comm) == 1:
         return [(V, 1)]
     A, H, tol = V.algebra, V.gram, V.algebra.tol
-    G, ok = A.trace_form
-    if not ok:
+    if not A.trace_form[1]:
         raise NotCStar("cannot split a reducible representation: the trace "
                        "form of its algebra is not positive definite")
-    B = orthonormal_basis(A, G)
-    Bs = A.star(B)
+    B, Q = A.orthonormal_basis, V.orthonormal_basis
+    Bs, QH = A.star(B), dagger(Q) @ H
     chi_V = V.character()
 
     def pairs_to(x: np.ndarray, y: np.ndarray, k: int) -> bool:
@@ -205,13 +213,14 @@ def decompose(V: Representation,
     rng = make_rng(seed)
     for _ in range(SPLIT_TRIES + 1):
         r = random_complex(rng, A.dim)
-        z = central_sum(A, B, r + A.star(r))
+        z = central_sum(A, r + A.star(r))
         # the commutant of a regular representation is a transposed view,
         # which einsum reads in place
         HM = H @ np.einsum("k,kab->ab", random_complex(rng, len(comm)), comm)
         result = []
-        for BW in _eigenspaces(H @ V.apply(z), H, tol):
-            BL = BW @ _eigenspaces(dagger(BW) @ HM @ BW, None, tol)[0]
+        for W in _eigenspaces(QH @ V.apply(z) @ Q, tol):
+            BW = Q @ W
+            BL = BW @ _eigenspaces(dagger(BW) @ HM @ BW, tol)[0]
             L = restrict(V, BL)
             chi = L.character()
             m, rest = divmod(BW.shape[1], L.dim)

@@ -18,7 +18,8 @@ from fsclass import (canonical_g, check_cstar, classify_sigma, compact_decompose
                      regular_representation, scheme_from_matrices,
                      separability_idempotent, table_algebra, table_indicator,
                      twisted_indicator, weak_hopf_indicator)
-from fsclass.algebra import real_form_from_conjugation, real_form_from_S
+from fsclass.algebra import (SeparabilityIdempotent, real_form_from_conjugation,
+                             real_form_from_S)
 from fsclass.coalgebra import FDStarCoalgebra, gamma
 from fsclass.constructors import disjoint_union_groupoid
 from fsclass.linalg import make_rng
@@ -160,8 +161,10 @@ def test_indicator_independent_of_separability_idempotent(corpus):
         A = inst.A
         U, _ = np.linalg.qr(rng.standard_normal((A.dim, A.dim))
                             + 1j * rng.standard_normal((A.dim, A.dim)))
-        idempotents = [separability_idempotent(A),
-                       separability_idempotent(A, rotation=U)]
+        B = A.orthonormal_basis @ U
+        rotated = SeparabilityIdempotent(A, B @ A.star(B).T)
+        rotated.verify(eps=A.tol.eps_eig * 100)
+        idempotents = [separability_idempotent(A), rotated]
         if "haar_E" in inst.extra:
             idempotents.append(inst.extra["haar_E"])
         for V in inst.irreps:

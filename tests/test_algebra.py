@@ -3,7 +3,7 @@ import pytest
 
 from fsclass import (build_algebra, check_cstar, is_positive_element,
                      real_form_from_S, separability_idempotent)
-from fsclass.algebra import AntiAlgebraMap, DualStructureData, orthonormal_basis
+from fsclass.algebra import AntiAlgebraMap, DualStructureData
 from fsclass.errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
                             NotAssociative, NotCStar)
 from conftest import build_m2, load_group, m2_dual_structures
@@ -122,8 +122,9 @@ def test_separability_idempotent_needs_cstar():
 def test_orthonormal_basis_is_gram_orthonormal():
     A = build_m2()
     G, _ = check_cstar(A)
-    B = orthonormal_basis(A, G)
+    B = A.orthonormal_basis
     assert np.allclose(B.conj().T @ G @ B, np.eye(4))
+    assert B is A.orthonormal_basis and not B.flags.writeable
 
 
 def test_dual_structure_validation():

@@ -117,10 +117,7 @@ def test_output_flag_and_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("dense", [False, True])
-def test_an_overflowing_algebra_exits_2_as_not_associative(
-        tmp_path, capsys, dense):
+def _overflow_algebra(tmp_path, dense: bool) -> str:
     """e0 the unit, e1 e1 = 1e200 e2, e1 e2 = e2 e1 = 1e200 e1,
     e2 e2 = 1e200 e2, identity star; dense adds e1 to e2 e2.  The products
     overflow, so the associator is NaN, first at (e1 e1) e1, and the
@@ -137,11 +134,70 @@ def test_an_overflowing_algebra_exits_2_as_not_associative(
     path.write_text(json.dumps({
         "dim": 3, "unit": [[1, 0], [0, 0], [0, 0]], "structure": structure,
         "star": [{"i": i, "k": i, "re": 1.0, "im": 0.0} for i in range(3)]}))
-    code, out, err = run(capsys, "verify", str(path), "--kind", "algebra")
+    return str(path)
+
+
+OVERFLOW_ERROR = {
+    "error": "NotAssociative",
+    "message": "(e1 e1) e1 != e1 (e1 e1) (residual nan, threshold inf)"}
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_an_overflowing_algebra_exits_2_as_not_associative(
+        tmp_path, capsys, dense):
+    """`_overflow_algebra`; the overflow raises no numpy warning, which
+    pytest would turn into an error."""
+    code, out, err = run(capsys, "verify", _overflow_algebra(tmp_path, dense),
+                         "--kind", "algebra")
     assert (code, out) == (2, "")
+    assert json.loads(err) == OVERFLOW_ERROR
+
+
+def _cli_process(*argv) -> subprocess.CompletedProcess:
+    """`python -m fsclass.cli argv` in a new process, on this checkout's
+    src."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "fsclass.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_an_overflowing_algebra_writes_one_json_line_to_stderr(tmp_path):
+    """In a real process, where numpy's warnings reach stderr, the whole of
+    stderr is the one JSON error line."""
+    proc = _cli_process("verify", _overflow_algebra(tmp_path, False),
+                        "--kind", "algebra")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == OVERFLOW_ERROR
+
+
+def test_an_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "indicators", data_path("q8.json"),
+                         "--kind", "group", "--output", str(missing))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
     assert json.loads(err) == {
-        "error": "NotAssociative",
-        "message": "(e1 e1) e1 != e1 (e1 e1) (residual nan, threshold inf)"}
+        "error": "FileNotFoundError",
+        "message": f"cannot write {missing}: No such file or directory"}
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_a_groupoid_pair_given_twice_exits_2(tmp_path, capsys, first):
+    """A bogus composite of (0, 0), before or after the true one, is
+    refused whichever entry comes first."""
+    with open(data_path("pair2_groupoid.json")) as fh:
+        doc = json.load(fh)
+    bogus = {"a": 0, "b": 0, "ab": 3}
+    doc["compose"].insert(0 if first else len(doc["compose"]), bogus)
+    path = tmp_path / "repeated_groupoid.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "indicators", str(path), "--kind", "groupoid")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "BadGroupoid", "message":
+                               "composite of (0, 0) is given twice"}
 
 
 def test_irreps_of_a_coalgebra_exits_2(capsys):
@@ -333,6 +389,27 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
     assert json.loads(err) == {"error": "AxiomViolation",
                                "message": "E(c_(1), c_(2)) != eps(c) "
                                "(residual 1.000e-03, threshold 1.000e-06)"}
+
+
+def test_each_command_factors_the_trace_form_once(capsys, monkeypatch):
+    """The algebra keeps the orthonormal basis of its trace form, which
+    the split of `decompose`, its central element and E all read: the
+    36 x 36 trace-form Gram of D(S3) is factored once per command."""
+    factored, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        factored.append(a.shape)
+        return cholesky(a)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    counts = {}
+    for command in ("indicators", "duality", "classify", "irreps"):
+        code, _, _ = run(capsys, command, data_path("s3.json"),
+                         "--kind", "double")
+        assert code == 0
+        counts[command] = factored.count((36, 36))
+        factored.clear()
+    assert counts == {"indicators": 1, "duality": 1, "classify": 1,
+                      "irreps": 1}
 
 
 def test_duality_on_a_scheme_computes_the_trace_form_once(capsys, monkeypatch):

@@ -9,8 +9,7 @@ from fsclass import (FDStarAlgebra, decompose, drinfeld_double, full_report,
                      table_algebra)
 from fsclass import io as fio
 from fsclass import reps
-from fsclass.algebra import (AntiAlgebraMap, DualStructureData, check_cstar,
-                             orthonormal_basis)
+from fsclass.algebra import AntiAlgebraMap, DualStructureData, check_cstar
 from fsclass.errors import DegenerateSplit, NotCStar, NotStarRep
 from fsclass.linalg import Tolerance
 from fsclass.reps import (Representation, conjugate_representation,
@@ -285,14 +284,14 @@ def _attempts(monkeypatch) -> list[dict]:
     central, eig, restrict = reps.central_sum, reps._eigenspaces, reps.restrict
     attempts = []
 
-    def central_recorded(A, B, a):
-        attempts.append({"z": central(A, B, a), "blocks": [], "pieces": []})
+    def central_recorded(A, a):
+        attempts.append({"z": central(A, a), "pieces": []})
         return attempts[-1]["z"]
 
-    def eig_recorded(X, H, tol):
-        spaces = eig(X, H, tol)
-        if H is not None:
-            attempts[-1]["blocks"] = [W.shape[1] for W in spaces]
+    def eig_recorded(X, tol):
+        spaces = eig(X, tol)
+        # the first split of an attempt is the one of rho(z)
+        attempts[-1].setdefault("blocks", [W.shape[1] for W in spaces])
         return spaces
 
     def restrict_recorded(V, basis):
@@ -306,7 +305,7 @@ def _attempts(monkeypatch) -> list[dict]:
 
 def _pairing(A, x, y):
     """sum_j x(b_j) y(b_j^*) over a trace-form orthonormal basis b_j."""
-    B = orthonormal_basis(A, A.trace_form[0])
+    B = A.orthonormal_basis
     return complex((x @ B) @ (y @ A.star(B)))
 
 
@@ -461,7 +460,7 @@ def test_central_redraws_share_the_split_bound(monkeypatch):
     SPLIT_TRIES times, then DegenerateSplit is raised."""
     calls = []
 
-    def zero(A, B, a):
+    def zero(A, a):
         calls.append(1)
         return np.zeros(A.dim, dtype=complex)
     monkeypatch.setattr(reps, "central_sum", zero)
