@@ -1,10 +1,10 @@
 """Finite-dimensional *-coalgebras and corepresentations.
 
-Everything is computed through the dual algebra: a coalgebra is stored by the
-transposed structure tensors, coreps become modules over the dual, and the
-canonical functional gamma is the distinguished element of the dual algebra
-read back as a functional.  There is no independent corep decomposition
-engine.
+Everything is computed through the dual algebra: a coalgebra is stored as
+its dual algebra and checked by that algebra's axioms, coreps become
+modules over the dual, and the canonical functional gamma is the
+distinguished element of the dual algebra read back as a functional.
+There is no independent corep decomposition engine.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      SeparabilityIdempotent, associator_residual, dense_dim)
+                      SeparabilityIdempotent, dense_dim)
 from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, NotHopf, NotStarRep, require)
@@ -28,18 +28,29 @@ Parts = list[tuple[Representation, int]]
 class FDStarCoalgebra:
     """Coalgebra with an antilinear co-involution.  Delta is an n^2 x n
     matrix; column i is vec(Delta(e_i)) with index (j, k) -> j*n + k.
-    The star acts by c* = star_matrix @ conj(c)."""
+    The star acts by c* = star_matrix @ conj(c).
 
-    algebra: FDStarAlgebra | None = None   # dualize_co(self), once built
+    Stored as `algebra`, the dual algebra FDStarAlgebra(Delta.reshape(n, n,
+    n), counit, dagger(star), tol), whose checks are the coalgebra axioms
+    entry for entry (see `dualize`): coassociativity fails as
+    `NotAssociative`, the counit laws as `BadUnit`, the co-star's
+    involution and reversal of Delta as `BadStar`.  The other attributes
+    are read-only views of it."""
 
     def __init__(self, Delta: np.ndarray, counit: np.ndarray,
                  star: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-        self.counit = np.asarray(counit, dtype=complex)
-        self.dim = n = dense_dim(self.counit.shape[0])
-        self.Delta = np.asarray(Delta, dtype=complex).reshape(n * n, n)
-        self.star_matrix = np.asarray(star, dtype=complex).reshape(n, n)
-        self.tol = tol
-        self._validate()
+        counit = np.asarray(counit, dtype=complex)
+        n = dense_dim(counit.shape[0])
+        self.algebra = FDStarAlgebra(
+            np.asarray(Delta, dtype=complex).reshape(n, n, n), counit,
+            dagger(np.asarray(star, dtype=complex).reshape(n, n)), tol)
+
+    Delta = property(lambda self: self.algebra.structure.reshape(
+        self.dim ** 2, self.dim))
+    counit = property(lambda self: self.algebra.unit)
+    star_matrix = property(lambda self: dagger(self.algebra.star_matrix))
+    dim = property(lambda self: self.algebra.dim)
+    tol = property(lambda self: self.algebra.tol)
 
     def delta_tensor(self) -> np.ndarray:
         n = self.dim
@@ -48,75 +59,34 @@ class FDStarCoalgebra:
     def star(self, c: np.ndarray) -> np.ndarray:
         return self.star_matrix @ np.conj(c)
 
-    def _coassociativity_residual(self) -> float:
-        # coassociative iff the dual (convolution) product is associative
-        return associator_residual(self.Delta.reshape((self.dim,) * 3))[0]
-
-    def _star_reversal_residual(self) -> float:
-        # Delta(c*) = (c_(2))* (x) (c_(1))* on basis elements
-        st, Dt = self.star_matrix, self.delta_tensor()
-        lhs = np.tensordot(st, Dt, axes=(0, 0))
-        rhs = st @ np.conj(Dt).transpose(0, 2, 1) @ st.T
-        return float(np.abs(lhs - rhs).max(initial=0.0))
-
-    def _validate(self):
-        n, Dt = self.dim, self.delta_tensor()
-        eps = self.tol.eps_eig * max(1, n) * max(
-            1.0, float(np.abs(Dt).max(initial=0.0))) ** 2
-        require(AxiomViolation, "comultiplication is not coassociative",
-                self._coassociativity_residual(), eps)
-        eye, e = np.eye(n), self.counit  # (e (x) id) Delta, (id (x) e) Delta
-        require(AxiomViolation, "counit law fails", np.maximum(
-            np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max(),
-            np.abs(e @ self.Delta.reshape(n, n, n) - eye).max()), eps)
-        st = self.star_matrix
-        require(AxiomViolation, "coalgebra star is not involutive",
-                np.abs(st @ np.conj(st) - eye).max(), eps)
-        require(AxiomViolation, "star does not reverse the comultiplication",
-                self._star_reversal_residual(), eps)
-
-
-class _DualCoalgebra(FDStarCoalgebra):
-    """The coalgebra dualize(A), which keeps A."""
-
-    def __init__(self, A: FDStarAlgebra):
-        self.algebra, n = A, A.dim
-        super().__init__(A.structure.reshape(n * n, n), A.unit,
-                         dagger(A.star_matrix), A.tol)
-
-    def _coassociativity_residual(self) -> float:
-        return self.algebra.associativity_residual
-
-    def _star_reversal_residual(self) -> float:
-        return self.algebra.star_reversal_residual
-
 
 def dualize(A: FDStarAlgebra) -> FDStarCoalgebra:
     """The dual coalgebra on the same basis: comultiplication transposes the
     product, counit is the unit, star comes from <a*, c> = conj<a, c*>.
-    Delta.reshape(n, n, n) is A.structure, so the coassociativity residual
-    is A's associativity residual, compared with the coalgebra threshold.
-    Likewise the star-reversal residual: with Dt[i, j, k] = c[j, k, i] and
-    star dagger(sigma), |Delta(e_a*) - (e_a(2))* (x) (e_a(1))*| at (j, k)
-    is |((e_j e_k)* - e_k* e_j*)_a| entry for entry, so its maximum is A's
-    `star_reversal_residual`."""
-    return _DualCoalgebra(A)
+    It keeps A as its dual algebra and checks nothing: A's checks are its
+    axioms.  Delta.reshape(n, n, n) is A.structure, so coassociativity is
+    A's associativity and the counit laws are A's unit laws.  With
+    Dt[i, j, k] = c[j, k, i] and star dagger(sigma),
+    |Delta(e_a*) - (e_a(2))* (x) (e_a(1))*| at (j, k) is
+    |((e_j e_k)* - e_k* e_j*)_a| entry for entry, so the star-reversal
+    residual is A's `star_reversal_residual`, and the co-star is involutive
+    exactly when sigma is."""
+    C = FDStarCoalgebra.__new__(FDStarCoalgebra)
+    C.algebra = A
+    return C
 
 
 def dualize_co(C: FDStarCoalgebra) -> FDStarAlgebra:
-    """The dual algebra: convolution product, counit as unit.  Built once
-    per coalgebra and kept as C.algebra, so the round trip with dualize is
-    the identity on the nose: dualize_co(dualize(A)) is A."""
-    if C.algebra is None:
-        C.algebra = FDStarAlgebra(C.Delta.reshape((C.dim,) * 3), C.counit,
-                                  dagger(C.star_matrix), C.tol)
+    """The dual algebra: convolution product, counit as unit.  It is the
+    algebra C is stored as, so dualize_co(dualize(A)) is A."""
     return C.algebra
 
 
 class Corepresentation:
     """Matrix corepresentation: coeff[i, j] in C^n are the matrix elements
     c_{ij}, with Delta(c_ij) = sum_k c_ik (x) c_kj, entry for entry the
-    `hom_residual` of the dual module over Delta.dot, and eps(c_ij) = d_ij."""
+    `hom_residual` of the dual module over the dual algebra, and
+    eps(c_ij) = d_ij."""
 
     def __init__(self, C: FDStarCoalgebra, coeff: np.ndarray,
                  check: bool = True):
@@ -141,7 +111,8 @@ class Corepresentation:
         eps = C.tol.eps_eig * max(1, d) * max(
             1.0, float(np.abs(self.coeff).max(initial=0.0))) ** 2
         require(AxiomViolation, "Delta(c_ij) != sum_k c_ik (x) c_kj",
-                hom_residual(self.dual_module_matrices(), C.Delta.dot), eps)
+                hom_residual(self.dual_module_matrices(),
+                             C.algebra.of_products), eps)
         require(AxiomViolation, "eps(c_ij) != delta_ij",
                 np.abs(self.coeff @ C.counit - np.eye(d)).max(), eps)
 
@@ -199,9 +170,11 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a:
     the kept separability idempotent of dualize_co(C), A for dualize(A).
 
-    parts is as for `_dual_parts`.  Each block is checked as a
-    corepresentation of C (`hom_residual` over C.Delta.dot), and rho_u for
-    the star alone; E.verify() reads the residuals of B's kept E."""
+    parts is as for `_dual_parts`.  Each unitarized rho_u is checked once,
+    as a *-representation of B: its homomorphism and unit residuals are,
+    entry for entry, the comultiplication and counit residuals of the block
+    as a corepresentation of C.  E.verify() reads the residuals of B's kept
+    E."""
     B = dualize_co(C)
     if not B.trace_form[1]:
         raise NotCompact("dual algebra admits no C*-norm")
@@ -211,10 +184,10 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
         # unitarize: rho' = Q^dagger H rho Q in V's orthonormal basis Q
         Q = V.orthonormal_basis
         rho_u = dagger(Q) @ V.gram @ V.rho @ Q
-        W = Representation(B, rho_u, None, check=False)
-        W._validate(hom=False)
+        W = Representation(B, rho_u)
         unitarized.append((W, mult))
-        blocks.append(Corepresentation(C, rho_u.transpose(1, 2, 0).copy()))
+        blocks.append(Corepresentation(C, rho_u.transpose(1, 2, 0).copy(),
+                                       check=False))
     if sum(W.dim ** 2 for W, _ in unitarized) != C.dim:
         raise InternalConsistency("matrix elements do not span the dual")
     E = CoseparabilityIdempotent(C, B.separability_idempotent.tensor)
@@ -259,7 +232,7 @@ def corep_indicators(C: FDStarCoalgebra, blocks: list[Corepresentation],
     character t, w[i] = sum_{m,c} Dt[i, m, c] Y[m, c],
     Y[m, c] = sum_{a,b} Dt[m, a, b] gamma_b (varsigma^T E)[a, c],
     Dt = C.delta_tensor(): w is formed once, by two n^3 contractions on
-    the contiguous C.Delta, and Delta^2(t) is never formed."""
+    C.Delta, and Delta^2(t) is never formed."""
     n = C.dim
     vsE = np.asarray(varsigma, dtype=complex).T @ E.matrix
     Y = (np.asarray(gamma_vec) @ C.Delta.reshape(n, n, n)).T @ vsE
@@ -270,15 +243,16 @@ def corep_indicators(C: FDStarCoalgebra, blocks: list[Corepresentation],
 
 def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
     """nu(V) = (gamma(t)/eps(t)) h(t_(1) t_(2)) for each block V, character
-    t, of dec, the compact decomposition of the coalgebra of the Hopf
-    *-algebra H with star c -> S(c)*; h is the Haar integral of the dual
-    Hopf algebra (dualize_co(C), dualize(A)).  h(t_(1) t_(2)) = t . w."""
+    t, of dec, the compact decomposition of H.coalgebra, the coalgebra of
+    the Hopf *-algebra H with star c -> S(c)*; h is the Haar integral of
+    the dual Hopf algebra (dualize_co(C), dualize(A)).
+    h(t_(1) t_(2)) = t . w."""
     A, C = H.algebra, dec.E.coalgebra
     require(NotHopf, "Delta(1) != 1 (x) 1", np.abs(
         H.delta_of(A.unit) - np.outer(A.unit, A.unit)).max(), A.tol.eps_eig)
-    if not (np.array_equal(C.Delta, H.Delta) and np.array_equal(C.counit, H.counit)
-            and np.allclose(C.star_matrix, A.star_matrix @ np.conj(H.S.matrix))):
-        raise AxiomViolation("dec is not of H's coalgebra with star S(c)*")
+    if C is not H.coalgebra:
+        raise AxiomViolation("dec is not of H.coalgebra, H's coalgebra with "
+                             "star S(c)*")
     gamma_vec, dual, B = gamma_full(C, H.S.matrix, parts=dec.irreps)
     h = WeakHopfData(B, dualize(A).Delta, A.unit, dual.S).haar_integral()
     w = A.of_products(h).ravel() @ H.Delta

@@ -456,6 +456,15 @@ class WeakHopfData:
         require(AxiomViolation, "comultiplication is not multiplicative",
                 _multiplicativity_residual(A, D, table), eps * 10)
 
+    @cached_property
+    def coalgebra(self) -> "FDStarCoalgebra":
+        """H's coalgebra (Delta, counit) with the star c -> S(c)*, built on
+        first use and kept: the coalgebra `cqg_indicator` reads."""
+        from .coalgebra import FDStarCoalgebra   # coalgebra imports this module
+        A = self.algebra
+        return FDStarCoalgebra(self.Delta, self.counit,
+                               A.star_matrix @ np.conj(self.S.matrix), A.tol)
+
     def counit_target_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrices of eps_L(a) = eps(1_(1) a) 1_(2) and
         eps_R(a) = 1_(1) eps(a 1_(2))."""

@@ -31,8 +31,10 @@ class Representation:
         self.algebra = algebra
         self.rho = rho
         self.dim = rho.shape[1]
-        if gram is None:
+        if gram is None:   # the identity is its own orthonormal basis
             gram = np.eye(self.dim, dtype=complex)
+            gram.flags.writeable = False
+            self.orthonormal_basis = gram
         self.gram = np.asarray(gram, dtype=complex)
         self.validated = False
         if check:
@@ -41,7 +43,8 @@ class Representation:
     @cached_property
     def orthonormal_basis(self) -> np.ndarray:
         """`gram_basis(H)`, kept: Q with Q^dagger H Q = I, in which rho is
-        Q^dagger H rho Q, unitary for the standard inner product."""
+        Q^dagger H rho Q, unitary for the standard inner product.  Built
+        without a gram, V keeps the read-only identity, which is H and Q."""
         return gram_basis(self.gram)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -59,20 +62,17 @@ class Representation:
         return (self.dim,) + tuple(
             (int(round(z.real)), int(round(z.imag))) for z in chi)
 
-    def _validate(self, hom: bool = True):
+    def _validate(self):
         A, n, d = self.algebra, self.algebra.dim, self.dim
         tol = A.tol
         if self.rho.shape != (n, d, d):
             raise NotStarRep("matrix block must have shape (dim_A, d, d)")
         scale = max(1.0, float(np.abs(self.rho).max(initial=0.0))) ** 2
         eps = tol.eps_eig * scale * max(1, d)
-        # homomorphism and unit, unless hom=False: a caller that has checked
-        # the same residuals another way
-        if hom:
-            require(NotStarRep, "rho(e_i e_j) != rho(e_i) rho(e_j)",
-                    self._hom_residual(), eps)
-            require(NotStarRep, "rho(1) != I",
-                    np.abs(self.apply(A.unit) - np.eye(d)).max(), eps)
+        require(NotStarRep, "rho(e_i e_j) != rho(e_i) rho(e_j)",
+                self._hom_residual(), eps)
+        require(NotStarRep, "rho(1) != I",
+                np.abs(self.apply(A.unit) - np.eye(d)).max(), eps)
         H = self.gram
         h_scale = max(1.0, float(np.abs(H).max(initial=0.0)))
         require(NotStarRep, "gram is not Hermitian",
@@ -104,7 +104,7 @@ class Representation:
 def hom_residual(rho: np.ndarray, of_products) -> float:
     """max |rho(e_i) rho(e_j) - rho(e_i e_j)| over all i, j, the n^2 products
     as one GEMM.  of_products(X) = X(e_i e_j) for X (n, d^2): `A.of_products`,
-    or `C.Delta.dot` for the dual algebra of a coalgebra C, left unbuilt."""
+    also for a corepresentation, through the dual algebra of its coalgebra."""
     n, d = rho.shape[:2]
     prod = rho.reshape(n * d, d) @ rho.transpose(1, 0, 2).reshape(d, n * d)
     via = of_products(rho.reshape(n, d * d)).reshape(n, n, d, d)

@@ -20,7 +20,7 @@ from fsclass import (canonical_g, check_cstar, classify_sigma, compact_decompose
                      twisted_indicator, weak_hopf_indicator)
 from fsclass.algebra import (SeparabilityIdempotent, real_form_from_conjugation,
                              real_form_from_S)
-from fsclass.coalgebra import FDStarCoalgebra, gamma
+from fsclass.coalgebra import gamma
 from fsclass.constructors import disjoint_union_groupoid
 from fsclass.linalg import make_rng
 
@@ -270,9 +270,7 @@ def test_cqg_haar_sign_pattern(corpus):
     for name in ("z2", "z4", "q8"):
         G = load_group(name)
         W, _ = group_weak_hopf(G)
-        K = W.algebra.star_matrix @ np.conj(W.S.matrix)
-        C = FDStarCoalgebra(W.Delta, W.counit, K, W.algebra.tol)
-        dec = compact_decompose(C)
+        dec = compact_decompose(W.coalgebra)
         for block, val in zip(dec.blocks, cqg_indicator(W, dec), strict=True):
             coeff = block.coeff[0, 0]
             g = int(np.argmax(np.abs(coeff)))

@@ -156,8 +156,9 @@ def _storage_reads(path):
 
 
 def test_only_the_algebra_module_reads_the_structure_tensor():
-    """Outside algebra.py only _DualCoalgebra, whose Delta is the product
-    tensor by definition, reads `.structure` or `._left`."""
+    """Outside algebra.py only FDStarCoalgebra, whose Delta is the product
+    tensor of its dual algebra by definition, reads `.structure` or
+    `._left`."""
     import glob
     import os
 
@@ -169,7 +170,7 @@ def test_only_the_algebra_module_reads_the_structure_tensor():
         if name == "algebra.py":
             continue
         for cls, line in _storage_reads(path):
-            assert (name, cls) == ("coalgebra.py", "_DualCoalgebra"), \
+            assert (name, cls) == ("coalgebra.py", "FDStarCoalgebra"), \
                 f"{name}:{line} reads the structure tensor"
 
 

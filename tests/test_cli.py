@@ -358,9 +358,10 @@ def test_each_command_evaluates_the_centrality_identity_at_most_once(
 
 
 def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
-    """A part scaled by 1.1 keeps the star axiom but is no corepresentation;
-    a copy of the kept E off by 1e-3 in one entry fails the coseparability
-    check.  Both make duality exit 2 and name the failed check."""
+    """A part scaled by 1.1 keeps the star axiom but is no homomorphism, so
+    its block is no corepresentation; a copy of the kept E off by 1e-3 in
+    one entry fails the coseparability check.  Both make duality exit 2 and
+    name the failed check."""
     from fsclass import Representation
     from fsclass.coalgebra import CoseparabilityIdempotent
     compact_decompose = fsclass.cli.compact_decompose
@@ -373,8 +374,8 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
     code, out, err = run(capsys, "duality", data_path("s3.json"),
                          "--kind", "double")
     assert (code, out) == (2, "")
-    assert json.loads(err) == {"error": "AxiomViolation",
-                               "message": "Delta(c_ij) != sum_k c_ik (x) c_kj "
+    assert json.loads(err) == {"error": "NotStarRep",
+                               "message": "rho(e_i e_j) != rho(e_i) rho(e_j) "
                                "(residual 1.100e-01, threshold 1.210e-08)"}
     monkeypatch.setattr(fsclass.cli, "compact_decompose", compact_decompose)
 
@@ -393,8 +394,10 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
 
 def test_each_command_factors_the_trace_form_once(capsys, monkeypatch):
     """The algebra keeps the orthonormal basis of its trace form, which
-    the split of `decompose`, its central element and E all read: the
-    36 x 36 trace-form Gram of D(S3) is factored once per command."""
+    the split of `decompose`, its central element and E all read, and a
+    part of the decomposition, whose gram is the identity, keeps that as
+    its basis: the 36 x 36 trace-form Gram of D(S3) is the one gram each
+    command factors."""
     factored, cholesky = [], np.linalg.cholesky
 
     def counted(a):
@@ -406,10 +409,10 @@ def test_each_command_factors_the_trace_form_once(capsys, monkeypatch):
         code, _, _ = run(capsys, command, data_path("s3.json"),
                          "--kind", "double")
         assert code == 0
-        counts[command] = factored.count((36, 36))
+        counts[command] = list(factored)
         factored.clear()
-    assert counts == {"indicators": 1, "duality": 1, "classify": 1,
-                      "irreps": 1}
+    assert counts == {command: [(36, 36)] for command in
+                      ("indicators", "duality", "classify", "irreps")}
 
 
 def test_duality_on_a_scheme_computes_the_trace_form_once(capsys, monkeypatch):
@@ -524,3 +527,49 @@ def test_importing_fsclass_and_its_cli_loads_no_scipy():
                          capture_output=True, text=True).stdout.splitlines()
     assert out[0].startswith(src)
     assert out[1] == "[]"
+
+
+TRACED_RUNS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, patch_cli
+from fsclass import cli
+
+def run_all():
+    out = []
+    for argv in json.loads(sys.argv[2]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        out.append([code, buf.getvalue()])
+    return out
+
+plain = run_all()
+tracer = Tracer(0, memory=False)
+patch_cli(tracer)
+traced = run_all()
+print(json.dumps({"plain": plain, "traced": traced,
+                  "spans": sorted({s["name"] for s in tracer.spans})}))
+"""
+
+
+def test_perfbench_trace_mode_leaves_the_cli_output_unchanged():
+    """perfbench's trace mode replaces each library name cli.py imports,
+    FDStarCoalgebra included, with a plain wrapper function, so the CLI
+    must call every such name as a plain call.  Run in a subprocess, since
+    the patch is process-wide: traced commands exit and print exactly as
+    untraced ones, and construction is recorded as a span."""
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    argvs = [["verify", data_path("m2_coalgebra.json"), "--kind", "coalgebra"],
+             ["duality", data_path("s3.json"), "--kind", "double"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUNS, os.path.join(root, "perfbench"),
+         json.dumps(argvs)], env=env, check=True, capture_output=True,
+        text=True)
+    got = json.loads(proc.stdout)
+    assert [code for code, _ in got["plain"]] == [0, 0]
+    assert got["traced"] == got["plain"]
+    assert "constructors.build" in got["spans"]

@@ -76,12 +76,6 @@ def bundled_runs() -> list[tuple[str, Run]]:
                   for g in DOUBLES]
 
 
-def hopf_coalgebra(W: WeakHopfData) -> FDStarCoalgebra:
-    """W's coalgebra with the star c -> S(c)*, as `cqg_indicator` takes it."""
-    K = W.algebra.star_matrix @ np.conj(W.S.matrix)
-    return FDStarCoalgebra(W.Delta, W.counit, K, W.algebra.tol)
-
-
 def hopf_inputs() -> list[tuple[str, WeakHopfData]]:
     """C[G] as a Hopf algebra for every bundled group, and the doubles."""
     out = [(f"C[{g}]", group_weak_hopf(load_group(g))[0]) for g in GROUP_FILES]
@@ -96,7 +90,7 @@ def coalgebras() -> list[tuple[str, FDStarCoalgebra]]:
     out = []
     for name, run in bundled_runs():
         out.append((name, run.C if run.A is None else dualize(run.A)))
-    return out + [(name + " with S(c)*", hopf_coalgebra(W))
+    return out + [(name + " with S(c)*", W.coalgebra)
                   for name, W in hopf_inputs()]
 
 
@@ -115,7 +109,7 @@ def test_haar_integral_is_the_solved_one():
     assert len(groupoids) == 4
     hopf, duals = hopf_inputs(), []
     for name, H in hopf:
-        C = hopf_coalgebra(H)
+        C = H.coalgebra
         _, dual, B = gamma_full(C, H.S.matrix, parts=compact_decompose(C).irreps)
         duals.append((f"dual of {name}",
                       WeakHopfData(B, dualize(H.algebra).Delta, H.algebra.unit,

@@ -2,13 +2,20 @@
 
 Each reference below is the earlier einsum form of one coalgebra check or
 of the corepresentation indicator.  The indicator must agree with it to
-1e-12; for one corrupted entry of E, of a block's coefficients or of the
-coalgebra data, the check must raise the same exception with the same
-message.
+1e-12; for one corrupted entry of E or of a block's coefficients, the check
+must raise the same exception with the same message.  A coalgebra is
+checked as its dual algebra: for one corrupted entry of the coalgebra data
+it must raise the error of that algebra for the axiom the einsum form
+reports broken.
 """
 import numpy as np
 import pytest
 
+import fsclass.algebra
+import fsclass.coalgebra
+import fsclass.constructors
+import fsclass.indicators
+import fsclass.reps
 from fsclass import (AntiAlgebraMap, CoseparabilityIdempotent,
                      Corepresentation, FDStarAlgebra, FDStarCoalgebra,
                      canonical_g, compact_decompose, corep_indicator,
@@ -16,9 +23,10 @@ from fsclass import (AntiAlgebraMap, CoseparabilityIdempotent,
                      group_algebra, regular_representation)
 from fsclass import io as fio
 from fsclass.algebra import associator_residual
-from fsclass.errors import AxiomViolation
+from fsclass.errors import (AxiomViolation, BadStar, BadUnit, FSClassError,
+                            NotAssociative, require)
 from fsclass.linalg import DEFAULT_TOL as TOL
-from fsclass.linalg import Tolerance
+from fsclass.linalg import dagger
 
 from conftest import check_text, data_path, load_group, m2_dual_structures
 
@@ -188,58 +196,93 @@ def _coalgebra_data():
             (C.Delta.copy(), C.counit.copy(), C.star_matrix.copy())]
 
 
-def test_coalgebra_reports_the_einsum_message():
+# the coalgebra axiom each einsum message names -> the error its dual
+# algebra raises for it
+DUAL_ERRORS = {"comultiplication is not coassociative": NotAssociative,
+               "counit law fails": BadUnit,
+               "coalgebra star is not involutive": BadStar,
+               "star does not reverse the comultiplication": BadStar}
+
+
+def assert_fails_as_its_dual_algebra(Delta, counit, star):
+    """FDStarCoalgebra(Delta, counit, star) raises the type and message of
+    FDStarAlgebra(Delta.reshape(n, n, n), counit, dagger(star)), the error
+    DUAL_ERRORS gives for the failure the einsum reference reports."""
+    reported = einsum_coalgebra(Delta, counit, star)
+    assert reported is not None, "corruption did not break the identity"
+    n = len(counit)
+    with pytest.raises(FSClassError) as want:
+        FDStarAlgebra(np.asarray(Delta).reshape(n, n, n), counit, dagger(star))
+    assert type(want.value) is DUAL_ERRORS[reported]
+    with pytest.raises(type(want.value)) as got:
+        FDStarCoalgebra(Delta, counit, star)
+    assert str(got.value) == str(want.value)
+
+
+def test_coalgebra_given_directly_fails_as_its_dual_algebra():
     # Delta(x) = a (x) x and x (x) a on span{a, b} are coassociative, and
     # eps = (1, 0) is a counit on one side only
     left, right = np.zeros((4, 2)), np.zeros((4, 2))
     left[[0, 1], [0, 1]] = right[[0, 2], [0, 1]] = 1.0
     for Delta in (left, right):
-        expected = einsum_coalgebra(Delta, np.array([1.0, 0.0]), np.eye(2))
-        assert expected == "counit law fails"
-        assert_same(expected, FDStarCoalgebra, Delta, [1.0, 0.0], np.eye(2))
+        assert einsum_coalgebra(Delta, np.array([1.0, 0.0]),
+                                np.eye(2)) == "counit law fails"
+        assert_fails_as_its_dual_algebra(Delta, np.array([1.0, 0.0]),
+                                         np.eye(2))
     for seed, (Delta, counit, star) in enumerate(_coalgebra_data()):
         assert einsum_coalgebra(Delta, counit, star) is None
         FDStarCoalgebra(Delta, counit, star)
         for pos in _positions(counit.shape, 3, seed=40 + seed):
             bad = counit.copy()
             bad[pos] += 0.5
-            assert_same(einsum_coalgebra(Delta, bad, star),
-                        FDStarCoalgebra, Delta, bad, star)
+            assert_fails_as_its_dual_algebra(Delta, bad, star)
         for pos in _positions(Delta.shape, 6, seed=50 + seed):
             bad = Delta.copy()
             bad[pos] += 0.5
-            assert_same(einsum_coalgebra(bad, counit, star),
-                        FDStarCoalgebra, bad, counit, star)
+            assert_fails_as_its_dual_algebra(bad, counit, star)
         for pos in _positions(star.shape, 3, seed=60 + seed):
             bad = star.copy()
             bad[pos] += 0.5
-            assert_same(einsum_coalgebra(Delta, counit, bad),
-                        FDStarCoalgebra, Delta, counit, bad)
+            assert_fails_as_its_dual_algebra(Delta, counit, bad)
 
 
 def test_corrupted_delta_given_directly_is_not_coassociative():
     # dualize reads coassociativity off the algebra it was given; a Delta
-    # handed to FDStarCoalgebra itself is still measured
+    # handed to FDStarCoalgebra itself is measured by the associativity
+    # check of the dual algebra it is stored as
     for Delta, counit, star in _coalgebra_data():
         n = len(counit)
         bad = Delta.copy()
         bad[n + 1, 0] += 0.5
         assert associator_residual(bad.reshape(n, n, n))[0] > 0.1
-        with pytest.raises(AxiomViolation,
-                           match="comultiplication is not coassociative"):
+        with pytest.raises(NotAssociative):
             FDStarCoalgebra(bad, counit, star)
 
 
-def test_dualize_reuses_the_associativity_residual():
+def _counted_requires(monkeypatch) -> list:
+    """Every later `require` call of the package, in order."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return require(*args)
+    for module in (fsclass.algebra, fsclass.coalgebra, fsclass.constructors,
+                   fsclass.indicators, fsclass.reps):
+        monkeypatch.setattr(module, "require", counted)
+    return calls
+
+
+def test_dualize_reuses_the_associativity_residual(monkeypatch):
     coalgebras = _coalgebras()
     assert coalgebras["C[S3] rebased"][0].associativity_residual > 0
+    checks = _counted_requires(monkeypatch)
     for A, _ in coalgebras.values():
         C = dualize(A)
-        measured = FDStarCoalgebra._coassociativity_residual(C)
-        assert C._coassociativity_residual() == A.associativity_residual
-        assert dualize_co(C) is A
-        assert measured == associator_residual(A.structure)[0]
-        assert measured == A.associativity_residual
+        assert C.algebra is A and dualize_co(C) is A
+        n = C.dim
+        assert associator_residual(C.Delta.reshape(n, n, n))[0] == \
+            A.associativity_residual
+    assert checks == []
 
 
 def einsum_star_reversal(C):
@@ -251,36 +294,36 @@ def einsum_star_reversal(C):
     return float(np.abs(lhs - rhs).max())
 
 
-def test_dualize_reuses_the_star_reversal_residual():
+def test_dualize_reuses_the_star_reversal_residual(monkeypatch):
     # D(S3) (index table), C[Q8] on a complex unitary basis (dense, with a
     # non-real star) and M2
     q8, d_q8 = group_algebra(load_group("q8"))
     z = np.random.default_rng(12).standard_normal((8, 8, 2)) @ [1, 1j]
     q8u = _rebased(q8, d_q8.S, np.linalg.qr(z)[0])[0]
     assert np.abs(q8u.star_matrix.imag).max() > 0.1 and q8u.table is None
-    for A in (drinfeld_double(load_group("s3"))[0].algebra, q8u,
-              m2_dual_structures()[0]):
+    algebras = (drinfeld_double(load_group("s3"))[0].algebra, q8u,
+                m2_dual_structures()[0])
+    checks = _counted_requires(monkeypatch)
+    for A in algebras:
         C = dualize(A)
-        want = einsum_star_reversal(C)
-        assert C._star_reversal_residual() == A.star_reversal_residual
-        assert abs(A.star_reversal_residual - want) <= 1e-14
-        assert abs(FDStarCoalgebra._star_reversal_residual(C) - want) <= 1e-14
+        assert C.algebra is A
+        assert abs(einsum_star_reversal(C) - A.star_reversal_residual) <= 1e-14
+    assert checks == []
 
 
-def test_dualize_rejects_the_star_the_loose_algebra_accepts():
+def test_a_star_that_does_not_reverse_delta_given_directly_is_bad_star():
     # C[S3] with (e_g)* = -e_g at an involution g: sigma stays involutive,
-    # (ab)* = b* a* fails by 2, which an algebra built with eps_rank = 0.5
-    # accepts; the dual coalgebra compares the same residual with its own
-    # threshold, as the einsum form does
+    # (ab)* = b* a* fails by 2.  The same data given directly as a
+    # coalgebra, at the default tolerance, fails the star-reversal check of
+    # its dual algebra with that residual, as the einsum form does
     G = load_group("s3")
     A = group_algebra(G)[0]
     g = next(g for g in range(1, G.order) if G.inverse[g] == g)
     sig = A.star_matrix.copy()
     sig[g, g] = -1.0
-    B = FDStarAlgebra(A.structure, A.unit, sig, Tolerance(eps_rank=0.5))
-    assert B.star_reversal_residual == 2.0
-    n = B.dim
-    expected = einsum_coalgebra(B.structure.reshape(n * n, n), B.unit,
-                                np.conj(sig).T)
-    assert expected == "star does not reverse the comultiplication"
-    assert_same(expected, dualize, B)
+    n = A.dim
+    Delta, star = A.structure.reshape(n * n, n), np.conj(sig).T
+    assert einsum_coalgebra(Delta, A.unit, star) == \
+        "star does not reverse the comultiplication"
+    with pytest.raises(BadStar, match=r"\(residual 2\.000e\+00, threshold"):
+        FDStarCoalgebra(Delta, A.unit, star)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fsclass.indicators
-from fsclass import (Corepresentation, FDStarCoalgebra, Representation,
+from fsclass import (Corepresentation, Representation,
                      canonical_g, classify_sigma, compact_decompose,
                      corep_indicator, cqg_indicator, decompose,
                      drinfeld_double, dualize, fs_indicator_formula,
@@ -87,8 +87,7 @@ def test_every_indicator_rounds_by_one_rule(scheme_mats, factor, message):
     C = dualize(A)
     cd = compact_decompose(C)
     block = Corepresentation(C, cd.blocks[0].coeff * factor, check=False)
-    K = A.star_matrix @ np.conj(W.S.matrix)
-    dec = compact_decompose(FDStarCoalgebra(W.Delta, W.counit, K, A.tol))
+    dec = compact_decompose(W.coalgebra)
     dec = replace(dec, blocks=[Corepresentation(b.coalgebra, b.coeff * factor,
                                                 check=False)
                                for b in dec.blocks])

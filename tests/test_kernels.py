@@ -6,7 +6,8 @@ single kernel:
 - `batched_hom_residual`: the n^2 batched products rho(e_i) rho(e_j) that
   `reps.hom_residual` forms as one GEMM;
 - `delta_contraction_residual`: the corepresentation check's own Delta
-  contraction, now `hom_residual` of the dual module over Delta;
+  contraction, now `hom_residual` of the dual module over the dual
+  algebra, whose `of_products` is the same GEMM as Delta.dot;
 - `coseparability_contraction_residuals`: the coseparability check's own
   counit and centrality contractions, now `SeparabilityIdempotent.residuals`
   over the dual algebra;
@@ -102,16 +103,18 @@ def test_corepresentation_check_matches_the_delta_contraction(algebras):
     rng = np.random.default_rng(71)
     for name, A in algebras.items():
         C = dualize(A)
-        # the same coalgebra given directly, with no dual algebra built
+        # the same coalgebra given directly, stored as its own dual algebra
         direct = FDStarCoalgebra(C.Delta.copy(), C.counit, C.star_matrix)
+        assert direct.algebra is not A, name
         for block in compact_decompose(C).blocks:
             for coeff in (block.coeff, _corrupted(block.coeff, rng)):
-                got = hom_residual(coeff.transpose(2, 0, 1), direct.Delta.dot)
+                rho = coeff.transpose(2, 0, 1)
+                got = hom_residual(rho, direct.algebra.of_products)
+                assert got == hom_residual(rho, direct.Delta.dot), name
                 want = delta_contraction_residual(direct, coeff)
                 bound = 1e-15 * max(1.0, np.abs(coeff).max()) ** 2
                 assert abs(got - want) <= bound, name
             Corepresentation(direct, block.coeff)
-        assert direct.algebra is None, name
 
 
 def test_coseparability_residuals_are_the_separability_residuals(algebras):
