@@ -8,15 +8,15 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       separability_idempotent)
 from .coalgebra import (Corepresentation, CoseparabilityIdempotent,
                         FDStarCoalgebra, compact_decompose, corep_indicator,
-                        cqg_indicator, dualize, dualize_co, gamma, phi_module)
+                        dualize, dualize_co, gamma, phi_module)
 from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
-                           WeakHopfData, check_involution_perm, cyclic_group,
-                           disjoint_union_groupoid, drinfeld_double,
-                           group_algebra, group_from_permutations,
-                           group_weak_hopf, groupoid_weak_hopf, haar_integral,
-                           pair_groupoid, scheme_from_matrices, table_algebra,
-                           table_indicator, twisted_indicator,
-                           weak_hopf_indicator)
+                           WeakHopfData, check_involution_perm, cqg_indicator,
+                           cyclic_group, disjoint_union_groupoid,
+                           drinfeld_double, group_algebra,
+                           group_from_permutations, group_weak_hopf,
+                           groupoid_weak_hopf, pair_groupoid,
+                           scheme_from_matrices, table_algebra,
+                           table_indicator, twisted_indicator)
 from .errors import AgreementFailure, FSClassError
 from .indicators import (IndicatorReport, canonical_g, classify_sigma,
                          fs_indicator_formula, fs_indicator_trace,

@@ -46,7 +46,9 @@ class FDStarAlgebra:
     `trace_form` is `check_cstar(A)`, kept, and `orthonormal_basis` its
     factored form.  Immutable after construction (`_left`, the trace-form
     Gram and its basis are read-only, so the regular representation shares
-    them); all methods are pure.
+    them); all methods are pure.  `_left` is built on first use, so an
+    algebra whose L stack nothing reads, such as the dual algebra a weak
+    Hopf coalgebra is stored as, never copies its n^3 tensor.
     """
 
     def __init__(self, structure: np.ndarray, unit: np.ndarray,
@@ -60,10 +62,14 @@ class FDStarAlgebra:
         self.unit = np.asarray(unit, dtype=complex).reshape(n)
         self.star_matrix = np.asarray(star, dtype=complex).reshape(n, n)
         self.tol = tol
-        # left-multiplication matrices L_i = L(e_i), cached for speed
-        self._left = np.ascontiguousarray(structure.transpose(0, 2, 1))
-        self._left.flags.writeable = False
         self._validate()
+
+    @cached_property
+    def _left(self) -> np.ndarray:
+        """The left-multiplication matrices L_i = L(e_i), read-only."""
+        left = np.ascontiguousarray(self.structure.transpose(0, 2, 1))
+        left.flags.writeable = False
+        return left
 
     # --- arithmetic ---
 
@@ -87,8 +93,15 @@ class FDStarAlgebra:
         return self.structure.transpose(1, 2, 0)
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
-        """`nonzero_coordinates` of the structure tensor."""
-        return nonzero_coordinates(self.structure, self.table)
+        """(i, j, k, c[i, j, k]) over the nonzero entries of the structure
+        tensor c, row-major: read off `table` when there is one."""
+        if self.table is None:
+            c = self.structure
+            i, j, k = np.nonzero(c)
+            return i, j, k, c[i, j, k]
+        T, v = self.table
+        i, j = np.nonzero(v)
+        return i, j, T[i, j], v[i, j]
 
     def mult(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.left_mult(x) @ y
@@ -157,11 +170,11 @@ class FDStarAlgebra:
         self.associativity_residual = bad
         require(NotAssociative, f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})",
                 bad, eps)
-        # column i: |1 e_i - e_i| and |e_i 1 - e_i|
-        eye = np.eye(n)
+        # row i: |1 e_i - e_i| and |e_i 1 - e_i|, read off c itself
+        eye, u = np.eye(n), self.unit
         require(BadUnit, "unit axiom fails on basis element e{}", np.maximum(
-            np.abs(self.left_mult(self.unit) - eye).max(axis=0),
-            np.abs(self.right_mult(self.unit) - eye).max(axis=0)), eps)
+            np.abs((u @ c.reshape(n, n * n)).reshape(n, n) - eye).max(axis=1),
+            np.abs(np.einsum("ijk,j->ik", c, u) - eye).max(axis=1)), eps)
         # a** = a
         sig = self.star_matrix
         require(BadStar, "star is not involutive on the basis",
@@ -194,18 +207,6 @@ def monomial_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     T = mask.argmax(axis=2)
     return T, np.take_along_axis(c, T[..., None], axis=2)[..., 0]
-
-
-def nonzero_coordinates(c: np.ndarray, table: tuple | None
-                        ) -> tuple[np.ndarray, ...]:
-    """(i, j, k, c[i, j, k]) over the nonzero entries of c, row-major: read
-    off the index table `monomial_table(c)` when there is one."""
-    if table is None:
-        i, j, k = np.nonzero(c)
-        return i, j, k, c[i, j, k]
-    T, v = table
-    i, j = np.nonzero(v)
-    return i, j, T[i, j], v[i, j]
 
 
 def _monomial_gap(at_a, a, at_b, b) -> np.ndarray:

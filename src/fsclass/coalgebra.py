@@ -14,10 +14,9 @@ import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       SeparabilityIdempotent, dense_dim)
-from .constructors import WeakHopfData
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
-                     NotAntiMap, NotCompact, NotHopf, NotStarRep, require)
-from .indicators import _real_indicator, canonical_g
+                     NotAntiMap, NotCompact, NotStarRep, require)
+from .indicators import _real_indicator, canonical_g, formula_element
 from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .reps import (Representation, decompose, hom_residual, intertwiners,
                    regular_representation)
@@ -229,36 +228,21 @@ def corep_indicators(C: FDStarCoalgebra, blocks: list[Corepresentation],
                      varsigma: np.ndarray, gamma_vec: np.ndarray,
                      E: CoseparabilityIdempotent) -> list[float]:
     """`corep_indicator` of each block, in order: nu(V) = t . w for the
-    character t, w[i] = sum_{m,c} Dt[i, m, c] Y[m, c],
-    Y[m, c] = sum_{a,b} Dt[m, a, b] gamma_b (varsigma^T E)[a, c],
-    Dt = C.delta_tensor(): w is formed once, by two n^3 contractions on
-    C.Delta, and Delta^2(t) is never formed."""
-    n = C.dim
-    vsE = np.asarray(varsigma, dtype=complex).T @ E.matrix
-    Y = (np.asarray(gamma_vec) @ C.Delta.reshape(n, n, n)).T @ vsE
+    character t and w the duality functional
+    w[i] = sum Dt[i, m, c] Dt[m, a, b] gamma_b (varsigma^T E)[a, c],
+    Dt = C.delta_tensor(): `formula_element` over the dual algebra
+    B = dualize_co(C), with varsigma^T as S, gamma as g and E as B's
+    separability idempotent.  w is formed once and Delta^2(t) never.
+
+    For C = dualize(A), gamma = g and varsigma = S^T, w is the z of A's
+    formula indicator, and t is chi_V for the blocks of `compact_decompose`
+    read off the regular representation's irreducibles: the duality
+    agreement compares chi_V . z with t_V . z, so it can fail only
+    through t_V != chi_V or rounding."""
+    w = formula_element(C.algebra, np.asarray(varsigma).T,
+                        np.asarray(gamma_vec), E.matrix)
     t = np.array([V.character() for V in blocks])
-    return [float(v) for v in
-            _real_indicator(t @ (Y.ravel() @ C.Delta), C.tol.eps_round)]
-
-
-def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
-    """nu(V) = (gamma(t)/eps(t)) h(t_(1) t_(2)) for each block V, character
-    t, of dec, the compact decomposition of H.coalgebra, the coalgebra of
-    the Hopf *-algebra H with star c -> S(c)*; h is the Haar integral of
-    the dual Hopf algebra (dualize_co(C), dualize(A)).
-    h(t_(1) t_(2)) = t . w."""
-    A, C = H.algebra, dec.E.coalgebra
-    require(NotHopf, "Delta(1) != 1 (x) 1", np.abs(
-        H.delta_of(A.unit) - np.outer(A.unit, A.unit)).max(), A.tol.eps_eig)
-    if C is not H.coalgebra:
-        raise AxiomViolation("dec is not of H.coalgebra, H's coalgebra with "
-                             "star S(c)*")
-    gamma_vec, dual, B = gamma_full(C, H.S.matrix, parts=dec.irreps)
-    h = WeakHopfData(B, dualize(A).Delta, A.unit, dual.S).haar_integral()
-    w = A.of_products(h).ravel() @ H.Delta
-    t = np.array([V.character() for V in dec.blocks])
-    vals = (t @ gamma_vec) / (t @ H.counit) * (t @ w)
-    return [float(v) for v in _real_indicator(vals, A.tol.eps_round)]
+    return [float(v) for v in _real_indicator(t @ w, C.tol.eps_round)]
 
 
 def phi_module(C: FDStarCoalgebra, V: Corepresentation) -> Representation:

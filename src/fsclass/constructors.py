@@ -3,7 +3,11 @@ schemes, groupoid algebras with their weak Hopf structure, and Drinfeld
 doubles of finite groups.
 
 All constructors return an FDStarAlgebra plus whatever extra structure the
-family carries (antipode, distinguished element, comultiplication).
+family carries (antipode, distinguished element, coalgebra).  Weak Hopf
+data is an algebra and an `FDStarCoalgebra` on the same basis, each
+checked by its own axioms, plus what joins them: a multiplicative Delta
+and the antipode.  `cqg_indicator`, the compact quantum group indicator,
+lives with it: it reads the Haar integral of the dual weak Hopf algebra.
 """
 from __future__ import annotations
 
@@ -13,11 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      _ragged, associator_residual, central_positive_invertible,
-                      monomial_table, nonzero_coordinates)
-from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar,
+                      _ragged, central_positive_invertible)
+from .coalgebra import (CompactDecomposition, FDStarCoalgebra, dualize,
+                        gamma_full)
+from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar, NotHopf,
                      NotInvolution, require)
-from .indicators import _round_indicator
+from .indicators import _real_indicator, _round_indicator
 from .linalg import DEFAULT_TOL, Tolerance
 
 
@@ -122,8 +127,7 @@ def group_weak_hopf(G: GroupTable, tol: Tolerance = DEFAULT_TOL
     n = G.order
     Delta = np.zeros((n * n, n), dtype=complex)
     Delta[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    W = WeakHopfData(A, Delta, np.ones(n, dtype=complex), dual.S)
-    return W, dual
+    return _weak_hopf(A, Delta, np.ones(n, dtype=complex), dual.S), dual
 
 
 # --- table algebras and association schemes ---
@@ -370,11 +374,11 @@ def _regroup(m: tuple, n: int, order: tuple[int, int, int, int]) -> tuple:
     return a * n + b, c * n + d, m[2]
 
 
-def _multiplicativity_residual(A: FDStarAlgebra, D: np.ndarray,
-                               table: tuple | None) -> float:
+def _multiplicativity_residual(A: FDStarAlgebra, D: tuple) -> float:
     """max |Delta(e_i) Delta(e_j) - Delta(e_i e_j)| over all i, j and
-    coordinates, for the dual product D = Delta.reshape(n, n, n) with
-    index table `monomial_table(D)`, on coordinate lists of c and D.
+    coordinates, for D = (j, k, i, Dt[i, j, k]) the `coordinates()` of the
+    coalgebra's dual algebra, whose structure tensor is
+    Delta.reshape(n, n, n), on D and the coordinate list of c.
 
     Delta(e_i) Delta(e_j) at e_a (x) e_b is
     sum_pqrs Dt[i,p,q] Dt[j,r,s] c[p,r,a] c[q,s,b] = (X Y^T)[(a,i),(b,j)]
@@ -386,7 +390,7 @@ def _multiplicativity_residual(A: FDStarAlgebra, D: np.ndarray,
     n = A.dim
     size = n * n
     ci, cj, ck, cv = A.coordinates()
-    dj, dk, di, dv = nonzero_coordinates(D, table)
+    dj, dk, di, dv = D
 
     def cd(x, y, z, u, v, w):   # c as [(x, y), z] times Dt as [u, (v, w)]
         return _coo_product((x * n + y, z, cv), (u, v * n + w, dv), size)
@@ -403,27 +407,29 @@ def _multiplicativity_residual(A: FDStarAlgebra, D: np.ndarray,
 
 @dataclass
 class WeakHopfData:
-    """A *-algebra with comultiplication, counit and antipode.  Delta is
-    stored as an n^2 x n matrix whose column i is vec(Delta(e_i)) with
-    tensor index (j, k) flattened to j*n + k.
+    """A *-algebra, a *-coalgebra on the same basis and an antipode.
 
-    Construction validates coassociativity, the counit laws and
-    multiplicativity of Delta.  Coassociativity is associativity of the dual
-    product D = Delta.reshape(n, n, n), checked by `associator_residual`
-    on D's index table when D is monomial (groups, groupoids and doubles:
-    only the triples where a side is nonzero are visited) and on the dense
-    associator otherwise.  The counit laws are two GEMMs of the counit with
-    Delta.  Multiplicativity is `_multiplicativity_residual`: products of
-    coordinate lists of the structure tensor c and of Delta, so its cost
-    scales with nnz(c) and nnz(Delta), not with n^6.  Its operands permute
-    one coordinate list of c and one of Delta, read off `A.table` and D's
-    table where those exist.
+    The coalgebra is an `FDStarCoalgebra`, checked when it was built as its
+    dual algebra: coassociativity fails as `NotAssociative`, the counit
+    laws as `BadUnit`, the co-star's involution and reversal of Delta as
+    `BadStar`.  The constructors below give it the co-star c -> S(c)*.
+    `Delta`, an n^2 x n matrix whose column i is vec(Delta(e_i)) with
+    tensor index (j, k) flattened to j*n + k, and `counit` are read-only
+    views of it.
+
+    Construction checks what joins the two: multiplicativity of Delta, by
+    `_multiplicativity_residual`: products of coordinate lists of the
+    structure tensor c and of Delta, so its cost scales with nnz(c) and
+    nnz(Delta), not with n^6.  Both lists are read off the index tables of
+    A and of the coalgebra's dual algebra where those exist.
     """
 
     algebra: FDStarAlgebra
-    Delta: np.ndarray
-    counit: np.ndarray
+    coalgebra: FDStarCoalgebra
     S: AntiAlgebraMap
+
+    Delta = property(lambda self: self.coalgebra.Delta)
+    counit = property(lambda self: self.coalgebra.counit)
 
     def __post_init__(self):
         self._validate()
@@ -432,38 +438,18 @@ class WeakHopfData:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def delta_tensor(self) -> np.ndarray:
-        n = self.dim
-        return self.Delta.T.reshape(n, n, n)  # Dt[i, j, k]
-
     def delta_of(self, x: np.ndarray) -> np.ndarray:
         """Delta(x) as an n x n coefficient matrix."""
         n = self.dim
         return (self.Delta @ x).reshape(n, n)
 
     def _validate(self):
-        A, n = self.algebra, self.dim
-        eps = A.tol.eps_eig * max(1, n)
-        D = self.Delta.reshape(n, n, n)       # D[j, k, i] = Dt[i, j, k]
-        table = monomial_table(D)
-        # coassociative iff the dual (convolution) product is associative
-        require(AxiomViolation, "comultiplication is not coassociative",
-                associator_residual(D, table)[0], eps)
-        eye, e = np.eye(n), self.counit   # (e (x) id) Delta, (id (x) e) Delta
-        require(AxiomViolation, "counit law fails", np.maximum(
-            np.abs(e @ self.Delta.reshape(n, n * n) - eye.ravel()).max(),
-            np.abs(e @ D - eye).max()), eps)
+        A, C = self.algebra, self.coalgebra
+        if C.dim != A.dim:
+            raise ValueError("algebra and coalgebra differ in dimension")
         require(AxiomViolation, "comultiplication is not multiplicative",
-                _multiplicativity_residual(A, D, table), eps * 10)
-
-    @cached_property
-    def coalgebra(self) -> "FDStarCoalgebra":
-        """H's coalgebra (Delta, counit) with the star c -> S(c)*, built on
-        first use and kept: the coalgebra `cqg_indicator` reads."""
-        from .coalgebra import FDStarCoalgebra   # coalgebra imports this module
-        A = self.algebra
-        return FDStarCoalgebra(self.Delta, self.counit,
-                               A.star_matrix @ np.conj(self.S.matrix), A.tol)
+                _multiplicativity_residual(A, C.algebra.coordinates()),
+                A.tol.eps_eig * max(1, A.dim) * 10)
 
     def counit_target_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrices of eps_L(a) = eps(1_(1) a) 1_(2) and
@@ -513,6 +499,13 @@ class WeakHopfData:
         return _round_indicator(raw, A.tol.eps_round), raw
 
 
+def _weak_hopf(A: FDStarAlgebra, Delta: np.ndarray, counit: np.ndarray,
+               S: AntiAlgebraMap) -> WeakHopfData:
+    """A with the coalgebra (Delta, counit) and the co-star c -> S(c)*."""
+    star = A.star_matrix @ np.conj(S.matrix)
+    return WeakHopfData(A, FDStarCoalgebra(Delta, counit, star, A.tol), S)
+
+
 def check_involution_perm(G: GroupTable, perm) -> np.ndarray:
     """An involutive automorphism of G given as a permutation of elements."""
     p = np.asarray(perm, dtype=int)
@@ -543,8 +536,7 @@ def groupoid_weak_hopf(Gd: GroupoidData,
     S = AntiAlgebraMap.validated(A, sigma.copy())
     Delta = np.zeros((n * n, n), dtype=complex)
     Delta[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    counit = np.ones(n, dtype=complex)
-    W = WeakHopfData(A, Delta, counit, S)
+    W = _weak_hopf(A, Delta, np.ones(n, dtype=complex), S)
     return W, DualStructureData.validated(A, S, unit)
 
 
@@ -587,20 +579,28 @@ def drinfeld_double(G: GroupTable,
     Delta[(a * m + h) * n + t[inv[a], g] * m + h, g * m + h] = 1.0
     counit = np.zeros(n, dtype=complex)
     counit[:m] = 1.0
-    W = WeakHopfData(A, Delta, counit, S)
+    W = _weak_hopf(A, Delta, counit, S)
     return W, DualStructureData.validated(A, S, unit)
 
 
-def haar_integral(W: WeakHopfData) -> np.ndarray:
-    """The unique two-sided Haar integral of W (closed form, checked)."""
-    return W.haar_integral()
-
-
-def weak_hopf_indicator(W: WeakHopfData, V,
-                        g: np.ndarray) -> tuple[int, complex]:
-    """nu(V) = (chi(g)/chi(1)) chi(Lam_(1) Lam_(2)) for a distinguished
-    element g of the antipode, such as `canonical_g(...).g`."""
-    return W.indicator(V, g)
+def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
+    """nu(V) = (gamma(t)/eps(t)) h(t_(1) t_(2)) for each block V, character
+    t, of dec, the compact decomposition of H.coalgebra, the coalgebra of
+    the Hopf *-algebra H with star c -> S(c)*; h is the Haar integral of
+    the dual Hopf algebra (dualize_co(C), dualize(A)), whose coalgebra
+    checks nothing: A's checks are its axioms.  h(t_(1) t_(2)) = t . w."""
+    A, C = H.algebra, dec.E.coalgebra
+    require(NotHopf, "Delta(1) != 1 (x) 1", np.abs(
+        H.delta_of(A.unit) - np.outer(A.unit, A.unit)).max(), A.tol.eps_eig)
+    if C is not H.coalgebra:
+        raise AxiomViolation("dec is not of H.coalgebra, H's coalgebra with "
+                             "star S(c)*")
+    gamma_vec, dual, B = gamma_full(C, H.S.matrix, parts=dec.irreps)
+    h = WeakHopfData(B, dualize(A), dual.S).haar_integral()
+    w = A.of_products(h).ravel() @ H.Delta
+    t = np.array([V.character() for V in dec.blocks])
+    vals = (t @ gamma_vec) / (t @ H.counit) * (t @ w)
+    return [float(v) for v in _real_indicator(vals, A.tol.eps_round)]
 
 
 def twisted_indicator(G: GroupTable, tau, V) -> tuple[int, complex]:

@@ -96,11 +96,13 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
     return DualStructureData.validated(A, S, g)
 
 
-def formula_element(A: FDStarAlgebra, S: AntiAlgebraMap, g: np.ndarray,
-                    E: SeparabilityIdempotent) -> np.ndarray:
-    """z = m((R_g S (x) id) E) = sum_m S(x_m) g y_m for E = sum_m x_m (x) y_m,
-    so that nu(V) = chi_V(z) for every V."""
-    return A.multiply(A.right_mult(g) @ S.matrix @ E.tensor)
+def formula_element(A: FDStarAlgebra, S: np.ndarray, g: np.ndarray,
+                    E: np.ndarray) -> np.ndarray:
+    """z = m((R_g S (x) id) E) = sum_m S(x_m) g y_m for the matrix S of an
+    anti-algebra map and the tensor E = sum_m x_m (x) y_m of a separability
+    idempotent, so that nu(V) = chi_V(z) for every V.  Over a coalgebra's
+    dual algebra it is the duality functional of `corep_indicators`."""
+    return A.multiply(A.right_mult(g) @ S @ E)
 
 
 def _nu_formula(V: Representation, z: np.ndarray) -> tuple[int, complex]:
@@ -114,7 +116,7 @@ def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
 
     Returns (rounded indicator, raw value).
     """
-    return _nu_formula(V, formula_element(V.algebra, S, g, E))
+    return _nu_formula(V, formula_element(V.algebra, S.matrix, g, E.tensor))
 
 
 def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
@@ -253,7 +255,7 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
     on V: the complex scalars (End_A(V) for an irreducible V) plus, when
     sigma != 0, the antilinear self-intertwiners, one more complex line."""
     R = real_form_from_S(A, dual.S)
-    z = formula_element(A, dual.S, dual.g, E)
+    z = formula_element(A, dual.S.matrix, dual.g, E.tensor)
     rows = []
     for idx, (V, mult) in enumerate(parts):
         nu_f, raw = _nu_formula(V, z)

@@ -8,11 +8,15 @@ import pytest
 from fsclass import (FDStarAlgebra, AntiAlgebraMap, GroupTable,
                      SeparabilityIdempotent, group_algebra)
 from fsclass import io as fio
+from fsclass.cli import Run
+from fsclass.errors import BadStar, BadUnit, NotAssociative
+from fsclass.linalg import DEFAULT_TOL as TOL
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 GROUP_FILES = ["z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8",
                "s3", "s4", "d4", "q8"]
+DOUBLES = ["z2", "z3", "z4", "s3", "q8", "d4"]
 
 
 CHECK_SUFFIX = re.compile(r"(.*) \(residual (\S+), threshold (\S+)\)", re.S)
@@ -28,8 +32,57 @@ def check_text(message: str) -> str:
     return m[1]
 
 
+def einsum_coalgebra(Delta, counit, star):
+    """The first coalgebra axiom that (Delta, counit, star) breaks, by the
+    einsum forms of the coalgebra checks, or None."""
+    n = len(counit)
+    Dt = Delta.T.reshape(n, n, n)
+    eps = TOL.eps_eig * max(1, n) * max(1.0, np.abs(Dt).max()) ** 2
+    coas1 = np.einsum("imc,mab->iabc", Dt, Dt)
+    coas2 = np.einsum("iam,mbc->iabc", Dt, Dt)
+    if np.abs(coas1 - coas2).max() > eps:
+        return "comultiplication is not coassociative"
+    eye = np.eye(n)
+    if np.abs(np.einsum("j,ijk->ik", counit, Dt) - eye).max() > eps or \
+            np.abs(np.einsum("k,ijk->ij", counit, Dt) - eye).max() > eps:
+        return "counit law fails"
+    if np.abs(star @ np.conj(star) - eye).max() > eps:
+        return "coalgebra star is not involutive"
+    lhs = np.einsum("ij,iab->jab", star, Dt)
+    rhs = np.einsum("pb,iab,qa->ipq", star, np.conj(Dt), star)
+    if np.abs(lhs - rhs).max() > eps:
+        return "star does not reverse the comultiplication"
+    return None
+
+
+# the coalgebra axiom each einsum message names -> the error its dual
+# algebra raises for it; the weak Hopf loop reference shares the first two
+DUAL_ERRORS = {"comultiplication is not coassociative": NotAssociative,
+               "counit law fails": BadUnit,
+               "coalgebra star is not involutive": BadStar,
+               "star does not reverse the comultiplication": BadStar}
+
+
 def data_path(name):
     return os.path.join(DATA, name)
+
+
+def kind_of(name: str) -> str:
+    for suffix in ("scheme", "groupoid", "algebra", "coalgebra"):
+        if name.endswith("_" + suffix + ".json"):
+            return suffix
+    return "group"
+
+
+def bundled_runs() -> list[tuple[str, Run]]:
+    """Every input file in data/ as its own kind (z3_inversion.json is a
+    twist, not an input), and the doubles of DOUBLES."""
+    out = [(f"{kind_of(name)} {name}", Run(kind_of(name), data_path(name),
+                                          TOL, 0))
+           for name in sorted(os.listdir(DATA)) if name != "z3_inversion.json"]
+    return out + [(f"double {g}",
+                   Run("double", data_path(g + ".json"), TOL, 0))
+                  for g in DOUBLES]
 
 
 def load_group(name):

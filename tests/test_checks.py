@@ -1,7 +1,10 @@
 """The one check rule: every numerical validation passes or raises through
-`errors.require`, which fails NaN and names its residual and threshold."""
+`errors.require`, which fails NaN and names its residual and threshold.
+And the package's own structure: every import at module level, none of
+them in a cycle."""
 import ast
 import glob
+import graphlib
 import os
 
 import numpy as np
@@ -139,3 +142,30 @@ def test_a_right_unit_failure_names_its_basis_element():
                        r"e1 \(residual 1\.000e\+00, threshold 2\.000e-09\)$"):
         FDStarAlgebra(c, [1.0, 0.0], np.eye(2))
 
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, wherever the import stands."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module else
+                      {alias.name for alias in node.names})
+    return found
+
+
+def test_imports_are_module_level_and_acyclic():
+    src = os.path.dirname(fsclass.__file__)
+    graph, local = {}, []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        local += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and node not in tree.body]
+        graph[name] = _package_imports(tree)
+    assert local == []
+    assert graph["cli"] >= {"coalgebra", "constructors", "io"}
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    assert order.index("coalgebra") < order.index("constructors")

@@ -8,8 +8,6 @@ matrix-element basis, and the Haar integral from a least-squares solve of
 its defining identities with a nullspace test for uniqueness.  On every
 bundled input the two must agree within 1e-14.
 """
-import os
-
 import numpy as np
 import pytest
 
@@ -18,14 +16,12 @@ from fsclass import (FDStarAlgebra, WeakHopfData, compact_decompose,
 from fsclass.algebra import AntiAlgebraMap
 from fsclass.cli import Run
 from fsclass.coalgebra import FDStarCoalgebra, gamma_full
+from fsclass.constructors import _weak_hopf
 from fsclass.errors import NoHaar
-from fsclass.linalg import DEFAULT_TOL as TOL
 from fsclass.linalg import nullspace
 
-from conftest import DATA, GROUP_FILES, data_path, load_group
-
-DOUBLES = ["z2", "z3", "z4", "s3", "q8", "d4"]
-
+from conftest import (DOUBLES, GROUP_FILES, TOL, bundled_runs, data_path,
+                      load_group)
 
 def matrix_unit_coseparability(dec) -> np.ndarray:
     """E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a in the basis P of the
@@ -57,23 +53,6 @@ def solved_haar(W: WeakHopfData) -> np.ndarray:
     assert np.abs(M @ lam - b).max() <= A.tol.eps_eig * 100
     assert nullspace(M, A.tol).shape[1] == 0
     return lam
-
-
-def kind_of(name: str) -> str:
-    for suffix in ("scheme", "groupoid", "algebra", "coalgebra"):
-        if name.endswith("_" + suffix + ".json"):
-            return suffix
-    return "group"
-
-
-def bundled_runs() -> list[tuple[str, Run]]:
-    """Every input file in data/ as its own kind (z3_inversion.json is a
-    twist, not an input), and the doubles of DOUBLES."""
-    out = [(f"{kind_of(name)} {name}", Run(kind_of(name), data_path(name),
-                                          TOL, 0))
-           for name in sorted(os.listdir(DATA)) if name != "z3_inversion.json"]
-    return out + [(f"double {g}", Run("double", data_path(g + ".json"), TOL, 0))
-                  for g in DOUBLES]
 
 
 def hopf_inputs() -> list[tuple[str, WeakHopfData]]:
@@ -112,8 +91,7 @@ def test_haar_integral_is_the_solved_one():
         C = H.coalgebra
         _, dual, B = gamma_full(C, H.S.matrix, parts=compact_decompose(C).irreps)
         duals.append((f"dual of {name}",
-                      WeakHopfData(B, dualize(H.algebra).Delta, H.algebra.unit,
-                                   dual.S)))
+                      WeakHopfData(B, dualize(H.algebra), dual.S)))
     for name, W in groupoids + hopf + duals:
         lam = W.haar_integral()
         assert np.abs(lam - solved_haar(W)).max() <= 1e-14, name
@@ -140,8 +118,8 @@ def sweedler() -> WeakHopfData:
     Delta[2, 0, 2] = Delta[1, 2, 2] = 1.0        # x (x) 1 + g (x) x
     Delta[3, 1, 3] = Delta[0, 3, 3] = 1.0        # gx (x) g + 1 (x) gx
     counit = np.array([1, 1, 0, 0], dtype=complex)
-    return WeakHopfData(A, Delta.reshape(n * n, n), counit,
-                        AntiAlgebraMap.validated(A, S))
+    return _weak_hopf(A, Delta.reshape(n * n, n), counit,
+                      AntiAlgebraMap.validated(A, S))
 
 
 def test_a_non_semisimple_hopf_algebra_has_no_haar_integral():

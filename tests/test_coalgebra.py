@@ -155,6 +155,26 @@ def test_cqg_indicator_double_s3_reuses_the_decomposition(monkeypatch):
     assert np.allclose(sorted(vals), [0.0] * 6 + [1.0] * 12, atol=1e-9)
 
 
+def test_weak_hopf_data_checks_each_associativity_once(monkeypatch):
+    """drinfeld_double(Q8) checks associativity twice, for A and for the
+    dual algebra its coalgebra is stored as, and W.coalgebra checks
+    nothing more.  cqg_indicator on D(S3) checks none: the dual Hopf
+    algebra it reads a Haar integral from keeps A as its coalgebra."""
+    import fsclass.algebra
+    calls = []
+    residual = fsclass.algebra.associator_residual
+    monkeypatch.setattr(fsclass.algebra, "associator_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    W, _ = drinfeld_double(load_group("q8"))
+    assert W.coalgebra.dim == 64
+    assert len(calls) == 2
+    W, _ = drinfeld_double(load_group("s3"))
+    dec = compact_decompose(W.coalgebra)
+    calls.clear()
+    cqg_indicator(W, dec)
+    assert calls == []
+
+
 def test_cqg_indicator_requires_hopf():
     from fsclass import groupoid_weak_hopf, pair_groupoid
     W, _ = groupoid_weak_hopf(pair_groupoid(2))
@@ -220,14 +240,14 @@ def test_sum_of_corep_indicators_is_the_trace_of_the_antipode(name):
 
 
 def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
-    # on D(S3): associativity for the algebra and for the weak Hopf Delta,
-    # none for dualize; compact_decompose checks each unitarized block once,
-    # as a representation, with one run of the homomorphism kernel, and
-    # builds its Corepresentation unchecked; the centrality kernel runs
-    # once, for the kept E, and the coseparability check reads its result
+    # on D(S3): associativity for the algebra and for the dual algebra of
+    # its weak Hopf coalgebra, none for dualize; compact_decompose checks
+    # each unitarized block once, as a representation, with one run of the
+    # homomorphism kernel, and builds its Corepresentation unchecked; the
+    # centrality kernel runs once, for the kept E, and the coseparability
+    # check reads its result
     import fsclass.algebra
     import fsclass.coalgebra
-    import fsclass.constructors
     import fsclass.reps
     from fsclass.cli import main
     from fsclass.coalgebra import Corepresentation
@@ -239,9 +259,8 @@ def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
             calls[key] += 1
             return fn(*args, **kw)
         return wrapper
-    for module in (fsclass.algebra, fsclass.constructors):
-        monkeypatch.setattr(module, "associator_residual", counted(
-            "associator", module.associator_residual))
+    monkeypatch.setattr(fsclass.algebra, "associator_residual", counted(
+        "associator", fsclass.algebra.associator_residual))
     monkeypatch.setattr(Representation, "_hom_residual", counted(
         "hom", Representation._hom_residual))
     monkeypatch.setattr(Representation, "_validate", counted(

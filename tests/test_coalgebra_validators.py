@@ -23,12 +23,13 @@ from fsclass import (AntiAlgebraMap, CoseparabilityIdempotent,
                      group_algebra, regular_representation)
 from fsclass import io as fio
 from fsclass.algebra import associator_residual
-from fsclass.errors import (AxiomViolation, BadStar, BadUnit, FSClassError,
+from fsclass.errors import (AxiomViolation, BadStar, FSClassError,
                             NotAssociative, require)
 from fsclass.linalg import DEFAULT_TOL as TOL
 from fsclass.linalg import dagger
 
-from conftest import check_text, data_path, load_group, m2_dual_structures
+from conftest import (DUAL_ERRORS, check_text, data_path, einsum_coalgebra,
+                      load_group, m2_dual_structures)
 
 
 def einsum_corep_indicator(C, V, varsigma, gamma_vec, E):
@@ -38,27 +39,6 @@ def einsum_corep_indicator(C, V, varsigma, gamma_vec, E):
     T = np.einsum("i,imc,mab->abc", V.character(), Dt, Dt, optimize=True)
     return complex(np.einsum("abc,ma,mc,b->", T, varsigma, E.matrix,
                              gamma_vec, optimize=True))
-
-
-def einsum_coalgebra(Delta, counit, star):
-    n = len(counit)
-    Dt = Delta.T.reshape(n, n, n)
-    eps = TOL.eps_eig * max(1, n) * max(1.0, np.abs(Dt).max()) ** 2
-    coas1 = np.einsum("imc,mab->iabc", Dt, Dt)
-    coas2 = np.einsum("iam,mbc->iabc", Dt, Dt)
-    if np.abs(coas1 - coas2).max() > eps:
-        return "comultiplication is not coassociative"
-    eye = np.eye(n)
-    if np.abs(np.einsum("j,ijk->ik", counit, Dt) - eye).max() > eps or \
-            np.abs(np.einsum("k,ijk->ij", counit, Dt) - eye).max() > eps:
-        return "counit law fails"
-    if np.abs(star @ np.conj(star) - eye).max() > eps:
-        return "coalgebra star is not involutive"
-    lhs = np.einsum("ij,iab->jab", star, Dt)
-    rhs = np.einsum("pb,iab,qa->ipq", star, np.conj(Dt), star)
-    if np.abs(lhs - rhs).max() > eps:
-        return "star does not reverse the comultiplication"
-    return None
 
 
 def einsum_corep(C, coeff):
@@ -194,14 +174,6 @@ def _coalgebra_data():
              np.asarray(co["counit"], dtype=complex),
              np.asarray(co["star"], dtype=complex).reshape(4, 4)),
             (C.Delta.copy(), C.counit.copy(), C.star_matrix.copy())]
-
-
-# the coalgebra axiom each einsum message names -> the error its dual
-# algebra raises for it
-DUAL_ERRORS = {"comultiplication is not coassociative": NotAssociative,
-               "counit law fails": BadUnit,
-               "coalgebra star is not involutive": BadStar,
-               "star does not reverse the comultiplication": BadStar}
 
 
 def assert_fails_as_its_dual_algebra(Delta, counit, star):

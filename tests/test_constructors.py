@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from fsclass import (FDStarAlgebra, GroupTable, WeakHopfData, cyclic_group,
-                     decompose, drinfeld_double, group_algebra,
+                     decompose, drinfeld_double, dualize, group_algebra,
                      group_from_permutations, group_weak_hopf,
-                     groupoid_weak_hopf, haar_integral, pair_groupoid,
+                     groupoid_weak_hopf, pair_groupoid,
                      regular_representation,
                      scheme_from_matrices, table_algebra, table_indicator,
-                     twisted_indicator, weak_hopf_indicator)
+                     twisted_indicator)
 from fsclass.constructors import (TableAlgebraData, check_involution_perm,
                                   disjoint_union_groupoid,
                                   table_central_element)
@@ -47,8 +47,15 @@ def test_group_algebra_idempotent_verifies():
 def test_group_weak_hopf_haar_is_uniform():
     G = load_group("s3")
     W, dual = group_weak_hopf(G)
-    lam = haar_integral(W)
+    lam = W.haar_integral()
     assert np.allclose(lam, np.full(6, 1.0 / 6.0))
+
+
+def test_weak_hopf_data_refuses_a_coalgebra_of_another_dimension():
+    W, _ = group_weak_hopf(load_group("s3"))
+    C = dualize(group_algebra(load_group("z3"))[0])
+    with pytest.raises(ValueError, match="differ in dimension"):
+        WeakHopfData(W.algebra, C, W.S)
 
 
 # --- table algebras and schemes ---
@@ -113,19 +120,19 @@ def test_table_central_element_of_group_case():
 def test_pair_groupoid_indicator_is_real(m):
     Gd = pair_groupoid(m)
     W, dual = groupoid_weak_hopf(Gd)
-    lam = haar_integral(W)
+    lam = W.haar_integral()
     parts = decompose(regular_representation(W.algebra))
     assert len(parts) == 1
     V = parts[0][0]
     assert V.dim == m
-    s, raw = weak_hopf_indicator(W, V, dual.g)
+    s, raw = W.indicator(V, dual.g)
     assert s == 1
 
 
 def test_pair_groupoid_haar_is_uniform_on_identities():
     Gd = pair_groupoid(3)
     W, _ = groupoid_weak_hopf(Gd)
-    lam = haar_integral(W)
+    lam = W.haar_integral()
     # Lam is uniform over the arrows with weight 1/m
     assert np.allclose(lam, np.full(Gd.n_arrows, 1.0 / 3.0))
 
@@ -135,7 +142,7 @@ def test_disjoint_union_groupoid_indicators():
     W, dual = groupoid_weak_hopf(Gd)
     parts = decompose(regular_representation(W.algebra))
     for V, _ in parts:
-        s, _ = weak_hopf_indicator(W, V, dual.g)
+        s, _ = W.indicator(V, dual.g)
         assert s == 1
 
 
@@ -144,7 +151,7 @@ def test_drinfeld_double_of_z2():
     parts = decompose(regular_representation(W.algebra))
     assert [p.dim for p, _ in parts] == [1, 1, 1, 1]
     for V, _ in parts:
-        s, _ = weak_hopf_indicator(W, V, dual.g)
+        s, _ = W.indicator(V, dual.g)
         assert s == 1
 
 
@@ -190,11 +197,10 @@ def test_weak_hopf_indicator_solves_for_the_haar_integral_once(monkeypatch):
     value equals the one a fresh W (a fresh solve) gives."""
     W, dual = drinfeld_double(load_group("s3"))
     parts = decompose(regular_representation(W.algebra))
-    fresh = [weak_hopf_indicator(WeakHopfData(W.algebra, W.Delta, W.counit,
-                                              W.S), V, dual.g)
+    fresh = [WeakHopfData(W.algebra, W.coalgebra, W.S).indicator(V, dual.g)
              for V, _ in parts]
     traces = _count_regular_traces(monkeypatch)
-    values = [weak_hopf_indicator(W, V, dual.g) for V, _ in parts]
+    values = [W.indicator(V, dual.g) for V, _ in parts]
     assert len(parts) == 8
     assert len(traces) == 1
     assert values == fresh
@@ -229,7 +235,7 @@ def test_twisted_indicator_equals_the_haar_route(name, tau):
     W, dual = group_weak_hopf(G)
     tau_mat = np.zeros((G.order, G.order))
     tau_mat[perm, np.arange(G.order)] = 1.0
-    z = W.algebra.multiply(tau_mat @ W.delta_of(haar_integral(W)))
+    z = W.algebra.multiply(tau_mat @ W.delta_of(W.haar_integral()))
     for V, _ in decompose(regular_representation(W.algebra)):
         chi = V.character()
         want = (chi @ dual.g) / (chi @ W.algebra.unit) * (chi @ z)
@@ -251,7 +257,7 @@ def test_weak_hopf_indicator_forms_the_haar_product_once(monkeypatch):
                         lambda self, x: formed.append(1) or delta_of(self, x))
     for V, _ in parts:
         chi = V.character()
-        _, raw = weak_hopf_indicator(W, V, dual.g)
+        _, raw = W.indicator(V, dual.g)
         want = (chi @ dual.g) / (chi @ W.algebra.unit) * (chi @ z)
         assert abs(raw - want) < 1e-12
     assert len(parts) == 8

@@ -11,7 +11,7 @@ from fsclass import (Corepresentation, Representation,
                      fs_indicator_trace, full_report, group_algebra,
                      group_weak_hopf, regular_representation,
                      scheme_from_matrices, table_algebra, table_indicator,
-                     twisted_indicator, weak_hopf_indicator)
+                     twisted_indicator)
 from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
                              real_form_from_S, separability_idempotent)
@@ -77,7 +77,7 @@ def test_every_indicator_rounds_by_one_rule(scheme_mats, factor, message):
     chi = decompose(regular_representation(table_algebra(T)[0]))[0][0].character()
     calls = [lambda: fs_indicator_formula(V, dual.S, dual.g, E),
              lambda: fs_indicator_formula(_scaled(V, factor), dual.S, dual.g, E),
-             lambda: weak_hopf_indicator(W, _scaled(V, factor), dual.g),
+             lambda: W.indicator(_scaled(V, factor), dual.g),
              lambda: table_indicator(T, factor * chi),
              lambda: twisted_indicator(G, np.arange(G.order), _scaled(V, factor))]
     assert calls[0]()[0] == 1

@@ -13,13 +13,17 @@ single kernel:
   over the dual algebra;
 - `haar_separability` and `table_separability` (conftest): the closed-form
   separability idempotents the group and table algebra constructors built
-  beside the kept one.
+  beside the kept one;
+- `two_contraction_functional`: the duality functional w of
+  `corep_indicators` as its own two n^3 contractions on Delta, now
+  `formula_element` over the dual algebra.
 """
 import re
 
 import numpy as np
 import pytest
 
+import fsclass.coalgebra
 from fsclass import (CoseparabilityIdempotent, Corepresentation,
                      FDStarAlgebra, FDStarCoalgebra, Representation,
                      SeparabilityIdempotent, compact_decompose, decompose,
@@ -27,12 +31,14 @@ from fsclass import (CoseparabilityIdempotent, Corepresentation,
                      regular_representation, scheme_from_matrices,
                      table_algebra)
 from fsclass import io as fio
+from fsclass.coalgebra import corep_indicators
 from fsclass.errors import AxiomViolation
+from fsclass.indicators import formula_element
 from fsclass.reps import hom_residual
 
-from conftest import (GROUP_FILES, count_centrality_kernels, data_path,
-                      haar_separability, load_group, m2_dual_structures,
-                      table_separability)
+from conftest import (GROUP_FILES, bundled_runs, count_centrality_kernels,
+                      data_path, haar_separability, load_group,
+                      m2_dual_structures, table_separability)
 
 
 def batched_hom_residual(V) -> float:
@@ -57,6 +63,15 @@ def coseparability_contraction_residuals(C, E) -> tuple[float, float]:
     lhs = E.T @ C.Delta.reshape(n, n, n)
     rhs = (E @ C.Delta.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
     return unit_gap, float(np.abs(lhs - rhs).max(initial=0.0))
+
+
+def two_contraction_functional(Delta, varsigma, gamma_vec, E) -> np.ndarray:
+    """w[i] = sum_{m,c} Dt[i, m, c] Y[m, c] with
+    Y[m, c] = sum_{a,b} Dt[m, a, b] gamma_b (varsigma^T E)[a, c], for the
+    n^2 x n matrix Delta = Dt.reshape(n, n * n).T."""
+    n = Delta.shape[1]
+    Y = (gamma_vec @ Delta.reshape(n, n, n)).T @ (varsigma.T @ E)
+    return Y.ravel() @ Delta
 
 
 def _algebras():
@@ -162,3 +177,40 @@ def test_closed_form_separability_idempotents_equal_the_kept_one(scheme_mats):
         gap = np.abs(table_separability(A, T, v).tensor
                      - A.separability_idempotent.tensor).max()
         assert gap <= 1e-15, name
+
+
+def test_duality_functional_matches_the_two_contractions(monkeypatch):
+    """On every bundled input with a dual structure, the w that
+    `corep_indicators` forms for gamma = g and varsigma = S^T, as
+    `duality` calls it, is A's formula element z, bit for bit.  Both
+    kernels agree within 1e-15 of the same sums over absolute values, also
+    for a seeded varsigma and gamma.  The block characters t_V of
+    `compact_decompose` are the characters chi_V they are read off."""
+    formed = []
+    monkeypatch.setattr(fsclass.coalgebra, "formula_element",
+                        lambda *args: formed.append(formula_element(*args))
+                        or formed[-1])
+    rng = np.random.default_rng(73)
+    runs = [(name, run) for name, run in bundled_runs()
+            if run._dual is not None]
+    assert len(runs) == 24
+    for name, run in runs:
+        A, dual = run.A, run.dual
+        C = dualize(A)
+        E = A.separability_idempotent.tensor
+        z = formula_element(A, dual.S.matrix, dual.g, E)
+        n = A.dim
+        x = rng.standard_normal((n, n + 1, 2)) @ [1, 1j]
+        for varsigma, gamma_vec in ((dual.S.matrix.T, dual.g),
+                                    (x[:, :n], x[:, n])):
+            w = formula_element(C.algebra, varsigma.T, gamma_vec, E)
+            want = two_contraction_functional(C.Delta, varsigma, gamma_vec, E)
+            scale = two_contraction_functional(
+                *map(np.abs, (C.Delta, varsigma, gamma_vec, E))).max()
+            assert np.abs(w - want).max() <= 1e-15 * max(1.0, scale), name
+        cd = compact_decompose(C, parts=run.parts)
+        corep_indicators(C, cd.blocks, dual.S.matrix.T, dual.g, cd.E)
+        assert np.array_equal(formed[-1], z), name
+        for block, (V, _) in zip(cd.blocks, run.parts, strict=True):
+            assert np.abs(block.character() - V.character()).max() <= \
+                1e-13, name

@@ -26,18 +26,19 @@ from fsclass import (FDStarAlgebra, GroupoidData, GroupTable, cyclic_group,
 from fsclass import io as fio
 from fsclass.algebra import (DENSE_DIM_CAP, AntiAlgebraMap,
                              SeparabilityIdempotent, associator,
-                             associator_residual, monomial_table,
-                             product_map_residual, real_form_from_conjugation,
-                             real_form_from_S, table_associator_residual)
-from fsclass.constructors import (WeakHopfData, _coo_product, _coo_sum,
-                                  _multiplicativity_residual,
+                             associator_residual, product_map_residual,
+                             real_form_from_conjugation, real_form_from_S,
+                             table_associator_residual)
+from fsclass.constructors import (_coo_product, _coo_sum,
+                                  _multiplicativity_residual, _weak_hopf,
                                   double_product_table)
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadGroup,
                             BadGroupoid, BadStar, NotAntiMap, NotAssociative)
 from fsclass.linalg import DEFAULT_TOL as TOL
 
-from conftest import (build_m2, check_text, data_path, diagonal_rescaling,
-                      load_group, m2_dual_structures, rescaled)
+from conftest import (DUAL_ERRORS, build_m2, check_text, data_path,
+                      diagonal_rescaling, einsum_coalgebra, load_group,
+                      m2_dual_structures, rescaled)
 
 
 def _mult(c, x, y):
@@ -240,8 +241,8 @@ def _rebased_hopf(W, P):
     n, A = W.dim, W.algebra
     c = np.einsum("ia,jb,ijk,ck->abc", P, P, A.structure, Pinv, optimize=True)
     B = FDStarAlgebra(c, Pinv @ A.unit, Pinv @ A.star_matrix @ np.conj(P))
-    Dt = np.einsum("ia,ijk,bj,ck->abc", P, W.delta_tensor(), Pinv, Pinv,
-                   optimize=True)
+    Dt = np.einsum("ia,ijk,bj,ck->abc", P, W.coalgebra.delta_tensor(), Pinv,
+                   Pinv, optimize=True)
     S = AntiAlgebraMap.validated(B, Pinv @ W.S.matrix @ P)
     return B, Dt.reshape(n, n * n).T, P.T @ W.counit, S
 
@@ -256,11 +257,24 @@ def _transported_delta(W, p, q, t):
 
 
 def _check_weak_hopf(W, Delta, counit=None, A=None, S=None):
+    """loop_weak_hopf decides that Delta is refused.  Its coassociativity
+    and counit failures are failures of the coalgebra with co-star S(c)*,
+    raised as the errors DUAL_ERRORS names.  A Delta that is only not
+    multiplicative fails first where einsum_coalgebra finds that co-star
+    broken, else with the multiplicativity message."""
     A = W.algebra if A is None else A
     counit = W.counit if counit is None else counit
     S = W.S if S is None else S
-    assert_same(AxiomViolation, loop_weak_hopf(A, Delta, counit),
-                WeakHopfData, A, Delta, counit, S)
+    expected = loop_weak_hopf(A, Delta, counit)
+    assert expected is not None, "corruption did not break the identity"
+    if expected == "comultiplication is not multiplicative":
+        star = A.star_matrix @ np.conj(S.matrix)
+        expected = einsum_coalgebra(Delta, counit, star) or expected
+    error = DUAL_ERRORS.get(expected, AxiomViolation)
+    with pytest.raises(error) as info:
+        _weak_hopf(A, Delta, counit, S)
+    if error is AxiomViolation:
+        assert check_text(str(info.value)) == expected
 
 
 def _m2_matrix_coalgebra():
@@ -289,27 +303,32 @@ def test_weak_hopf_reports_the_loop_check():
         Delta = D.Delta.copy()
         Delta[pos] += 0.5
         _check_weak_hopf(D, Delta)
+    # a transported Delta passes every coalgebra check, so it reaches the
+    # multiplicativity check
     p = int(np.flatnonzero(D.counit == 0)[0])
     Delta = _transported_delta(D, p, p + 1, 0.5)
     expected = loop_weak_hopf(D.algebra, Delta, D.counit)
     assert expected == "comultiplication is not multiplicative"
+    assert einsum_coalgebra(Delta, D.counit, D.coalgebra.star_matrix) is None
     _check_weak_hopf(D, Delta)
     # C[S3] on a seeded real orthogonal basis: c and Delta are dense
     Q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
     B, Delta, counit, S = _rebased_hopf(W, Q)
     assert np.count_nonzero(Delta) > Delta.size // 2
     assert loop_weak_hopf(B, Delta, counit) is None
-    WeakHopfData(B, Delta, counit, S)
+    _weak_hopf(B, Delta, counit, S)
     for pos in _positions(Delta.shape, 6, seed=7):
         bad = Delta.copy()
         bad[pos] += 0.5
         _check_weak_hopf(W, bad, counit, B, S)
-    # matrix coalgebra on M2: coassociative and counital, not multiplicative
+    # matrix coalgebra on M2: coassociative and counital, not
+    # multiplicative, and the co-star S(c)* does not reverse its Delta
     A, Delta, counit, transpose = _m2_matrix_coalgebra()
     expected = loop_weak_hopf(A, Delta, counit)
     assert expected == "comultiplication is not multiplicative"
-    assert_same(AxiomViolation, expected,
-                WeakHopfData, A, Delta, counit, transpose)
+    assert_same(BadStar, "(e0 e1)* != e1* e0*",
+                _weak_hopf, A, Delta, counit, transpose)
+    _check_weak_hopf(None, Delta, counit, A, transpose)
 
 
 def _pair3_weak_hopf():
@@ -389,8 +408,8 @@ def test_weak_hopf_support_checks_catch_one_entry_at_dim_64():
     assert W.dim == 64
     Delta = W.Delta.copy()
     Delta[_positions(Delta.shape, 1, seed=8)[0]] += 1e-3
-    with pytest.raises(AxiomViolation):
-        WeakHopfData(W.algebra, Delta, W.counit, W.S)
+    with pytest.raises(NotAssociative):
+        _weak_hopf(W.algebra, Delta, W.counit, W.S)
 
 
 def sparse_multiplicativity_residual(A, Delta):
@@ -451,6 +470,16 @@ def test_coordinate_list_product_matches_the_dense_product():
         assert set(zip(i, j)) >= set(zip(*np.nonzero(expected)))
 
 
+def _coordinates(Delta):
+    """(j, k, i, D[j, k, i]) over the nonzeros of D = Delta.reshape(n, n,
+    n), row-major: the `coordinates()` of an algebra with structure tensor
+    D, also for a Delta no coalgebra accepts."""
+    n = Delta.shape[1]
+    D = Delta.reshape(n, n, n)
+    j, k, i = np.nonzero(D)
+    return j, k, i, D[j, k, i]
+
+
 def test_multiplicativity_residual_matches_the_sparse_products():
     W, _ = group_weak_hopf(load_group("s3"))
     Q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
@@ -465,10 +494,11 @@ def test_multiplicativity_residual_matches_the_sparse_products():
              (B, rebased), (m2, m2_delta),
              (D.algebra, _transported_delta(D, p, p + 1, 0.5)),
              (D.algebra, corrupt)]
+    for H in (D, P, W):
+        assert all(np.array_equal(a, b) for a, b in zip(
+            _coordinates(H.Delta), H.coalgebra.algebra.coordinates()))
     for k, (A, Delta) in enumerate(cases):
-        n = A.dim
-        Dn = Delta.reshape(n, n, n)
-        got = _multiplicativity_residual(A, Dn, monomial_table(Dn))
+        got = _multiplicativity_residual(A, _coordinates(Delta))
         expected = sparse_multiplicativity_residual(A, Delta)
         assert abs(got - expected) <= 1e-15, k
         assert (expected > 1e-6) == (k >= 4), k
