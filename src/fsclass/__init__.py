@@ -6,9 +6,9 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
                       check_cstar, is_positive_element,
                       real_form_from_conjugation, real_form_from_S,
                       separability_idempotent)
-from .coalgebra import (Corepresentation, CoseparabilityIdempotent,
-                        FDStarCoalgebra, compact_decompose, corep_indicator,
-                        dualize, dualize_co, gamma, phi_module)
+from .coalgebra import (CoseparabilityIdempotent, FDStarCoalgebra,
+                        compact_decompose, corep_indicator, dualize,
+                        dualize_co)
 from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            WeakHopfData, check_involution_perm, cqg_indicator,
                            cyclic_group, disjoint_union_groupoid,

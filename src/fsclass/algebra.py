@@ -333,30 +333,11 @@ def product_map_residual(A: FDStarAlgebra, M: np.ndarray, conj: bool = False,
     return np.abs(lhs - (rhs.transpose(1, 0, 2) if reverse else rhs)).max(axis=2)
 
 
-def build_algebra(structure, unit, star, tol: Tolerance = DEFAULT_TOL,
-                  dim: int | None = None) -> FDStarAlgebra:
-    """Validated algebra from either a dense tensor or sparse triples.
-
-    Sparse form: structure is an iterable of (i, j, k, value); star is an
-    iterable of (i, k, value) meaning (e_i)^* has coefficient value on e_k.
-    """
-    if isinstance(structure, np.ndarray) and structure.ndim == 3:
-        dense = structure
-        n = dense.shape[0]
-    else:
-        if dim is None:
-            raise ValueError("dim is required for sparse structure input")
-        n = dense_dim(dim)
-        dense = np.zeros((n, n, n), dtype=complex)
-        for i, j, k, v in structure:
-            dense[i, j, k] += v
-    if isinstance(star, np.ndarray) and star.ndim == 2:
-        sig = star
-    else:
-        sig = np.zeros((n, n), dtype=complex)
-        for i, k, v in star:
-            sig[k, i] += v
-    return FDStarAlgebra(dense, unit, sig, tol)
+def build_algebra(structure, unit, star,
+                  tol: Tolerance = DEFAULT_TOL) -> FDStarAlgebra:
+    """Validated algebra from a dense structure tensor, unit and star
+    matrix; `io.load_algebra_v1` parses the sparse file format into them."""
+    return FDStarAlgebra(structure, unit, star, tol)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
 """Finite-dimensional *-coalgebras and corepresentations.
 
-Everything is computed through the dual algebra: a coalgebra is stored as
-its dual algebra and checked by that algebra's axioms, coreps become
-modules over the dual, and the canonical functional gamma is the
-distinguished element of the dual algebra read back as a functional.
-There is no independent corep decomposition engine.
+Everything is computed through the dual algebra B = dualize_co(C).  A
+coalgebra is stored as B and checked by B's axioms.  A corepresentation
+with matrix elements c_ij in C is stored as its dual module, the
+`Representation` of B with rho(e_m)[i, j] = c_ij[m], and checked by that
+module's axioms, entry for entry the corepresentation axioms at the
+threshold eps_eig max(1, d) max(1, |c|)^2:
+
+- Delta(c_ij) = sum_k c_ik (x) c_kj is rho(e_a e_b) = rho(e_a) rho(e_b);
+- eps(c_ij) = d_ij is rho(1) = I;
+- unitarity for the co-star, c_ij* = c_ji, is rho(a)^dagger = rho(a*).
+
+The canonical functional gamma is the distinguished element of B read back
+as a functional.  There is no independent corep decomposition engine.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, NotStarRep, require)
 from .indicators import _real_indicator, canonical_g, formula_element
 from .linalg import DEFAULT_TOL, Tolerance, dagger
-from .reps import (Representation, decompose, hom_residual, intertwiners,
+from .reps import (Representation, decompose, intertwiners,
                    regular_representation)
 
 Parts = list[tuple[Representation, int]]
@@ -81,55 +89,24 @@ def dualize_co(C: FDStarCoalgebra) -> FDStarAlgebra:
     return C.algebra
 
 
-class Corepresentation:
-    """Matrix corepresentation: coeff[i, j] in C^n are the matrix elements
-    c_{ij}, with Delta(c_ij) = sum_k c_ik (x) c_kj, entry for entry the
-    `hom_residual` of the dual module over the dual algebra, and
-    eps(c_ij) = d_ij."""
-
-    def __init__(self, C: FDStarCoalgebra, coeff: np.ndarray,
-                 check: bool = True):
-        self.coalgebra = C
-        self.coeff = np.asarray(coeff, dtype=complex)
-        self.dim = self.coeff.shape[0]
-        if check:
-            self._validate()
-
-    def character(self) -> np.ndarray:
-        """t_V = sum_i c_ii as an element of the coalgebra."""
-        return np.einsum("iim->m", self.coeff)
-
-    def dual_module_matrices(self) -> np.ndarray:
-        """rho(e^m)[i, j] = <e^m, c_ij>: the module over the dual algebra."""
-        return np.ascontiguousarray(self.coeff.transpose(2, 0, 1))
-
-    def _validate(self):
-        C, d = self.coalgebra, self.dim
-        if self.coeff.shape != (d, d, C.dim):
-            raise AxiomViolation("coefficients must have shape (d, d, dim_C)")
-        eps = C.tol.eps_eig * max(1, d) * max(
-            1.0, float(np.abs(self.coeff).max(initial=0.0))) ** 2
-        require(AxiomViolation, "Delta(c_ij) != sum_k c_ik (x) c_kj",
-                hom_residual(self.dual_module_matrices(),
-                             C.algebra.of_products), eps)
-        require(AxiomViolation, "eps(c_ij) != delta_ij",
-                np.abs(self.coeff @ C.counit - np.eye(d)).max(), eps)
-
-
 @dataclass
 class CoseparabilityIdempotent:
-    """Bilinear form E[i, j] = E(e_i, e_j); its counit and centrality residuals
-    are the `residuals` of E as a `SeparabilityIdempotent` of dualize_co(C)."""
+    """Bilinear form E[i, j] = E(e_i, e_j) on C, held as the
+    `SeparabilityIdempotent` of dualize_co(C) whose tensor it is: its counit
+    and centrality residuals are that idempotent's `residuals`."""
 
     coalgebra: FDStarCoalgebra
-    matrix: np.ndarray
+    idempotent: SeparabilityIdempotent
+
+    matrix = property(lambda self: self.idempotent.tensor)
 
     def verify(self) -> None:
-        C, E, B = self.coalgebra, self.matrix, dualize_co(self.coalgebra)
+        C, E = self.coalgebra, self.matrix
+        if self.idempotent.algebra is not dualize_co(C):
+            raise AxiomViolation("E is not an idempotent of the dual algebra "
+                                 "of C")
         eps = C.tol.eps_eig * 100 * max(1.0, float(np.abs(E).max(initial=0.0)))
-        kept = vars(B).get("separability_idempotent")   # the kept E, if built
-        sep = kept if kept and kept.tensor is E else SeparabilityIdempotent(B, E)
-        unit_gap, central = sep.residuals
+        unit_gap, central = self.idempotent.residuals
         require(AxiomViolation, "E(c_(1), c_(2)) != eps(c)", unit_gap, eps)
         require(AxiomViolation, "coseparability centrality identity fails",
                 central.max(initial=0.0), eps)
@@ -147,9 +124,14 @@ class CoseparabilityIdempotent:
 
 @dataclass
 class CompactDecomposition:
-    blocks: list[Corepresentation]
+    irreps: Parts   # of dualize_co(E.coalgebra), unitarized: the blocks
     E: CoseparabilityIdempotent
-    irreps: Parts   # of dualize_co(E.coalgebra), unitarized
+
+    @property
+    def blocks(self) -> list[Representation]:
+        """The irreducible corepresentations, each stored as its dual
+        module: W of each (W, multiplicity) in `irreps`."""
+        return [W for W, _ in self.irreps]
 
 
 def _dual_parts(C: FDStarCoalgebra, parts: Parts | None, seed: int) -> Parts:
@@ -169,37 +151,25 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     the coseparability idempotent E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a:
     the kept separability idempotent of dualize_co(C), A for dualize(A).
 
-    parts is as for `_dual_parts`.  Each unitarized rho_u is checked once,
-    as a *-representation of B: its homomorphism and unit residuals are,
-    entry for entry, the comultiplication and counit residuals of the block
-    as a corepresentation of C.  E.verify() reads the residuals of B's kept
-    E."""
+    parts is as for `_dual_parts`.  Each block is an irreducible
+    corepresentation of C stored as its dual module: the unitarized rho_u,
+    with c_ij[m] = rho_u(e_m)[i, j], checked once as a *-representation of
+    B, whose checks are the corepresentation axioms (see the module
+    docstring).  E holds B's kept separability idempotent, whose residuals
+    E.verify() reads."""
     B = dualize_co(C)
     if not B.trace_form[1]:
         raise NotCompact("dual algebra admits no C*-norm")
-    parts = _dual_parts(C, parts, seed)
-    blocks, unitarized = [], []
-    for V, mult in parts:
+    irreps = []
+    for V, mult in _dual_parts(C, parts, seed):
         # unitarize: rho' = Q^dagger H rho Q in V's orthonormal basis Q
         Q = V.orthonormal_basis
-        rho_u = dagger(Q) @ V.gram @ V.rho @ Q
-        W = Representation(B, rho_u)
-        unitarized.append((W, mult))
-        blocks.append(Corepresentation(C, rho_u.transpose(1, 2, 0).copy(),
-                                       check=False))
-    if sum(W.dim ** 2 for W, _ in unitarized) != C.dim:
+        irreps.append((Representation(B, dagger(Q) @ V.gram @ V.rho @ Q), mult))
+    if sum(W.dim ** 2 for W, _ in irreps) != C.dim:
         raise InternalConsistency("matrix elements do not span the dual")
-    E = CoseparabilityIdempotent(C, B.separability_idempotent.tensor)
+    E = CoseparabilityIdempotent(C, B.separability_idempotent)
     E.verify()
-    return CompactDecomposition(blocks, E, unitarized)
-
-
-def gamma(C: FDStarCoalgebra, varsigma: np.ndarray,
-          seed: int = 0) -> np.ndarray:
-    """The canonical positive functional gamma attached to an anti-coalgebra
-    map: the distinguished element of the dual algebra for S(a) = a o
-    varsigma, returned as a vector of values on the basis."""
-    return gamma_full(C, varsigma, seed)[0]
+    return CompactDecomposition(irreps, E)
 
 
 def gamma_full(C: FDStarCoalgebra, varsigma: np.ndarray, seed: int = 0,
@@ -216,15 +186,17 @@ def gamma_full(C: FDStarCoalgebra, varsigma: np.ndarray, seed: int = 0,
     return dual.g, dual, B
 
 
-def corep_indicator(C: FDStarCoalgebra, V: Corepresentation,
+def corep_indicator(C: FDStarCoalgebra, V: Representation,
                     varsigma: np.ndarray, gamma_vec: np.ndarray,
                     E: CoseparabilityIdempotent) -> float:
-    """nu(V) = gamma(t_(2)) E(varsigma(t_(1)), t_(3)) for t the character
-    of an irreducible corepresentation: `corep_indicators` of V alone."""
+    """nu(V) = gamma(t_(2)) E(varsigma(t_(1)), t_(3)) for t = sum_i c_ii,
+    the character of an irreducible corepresentation V stored as its dual
+    module (a block of `compact_decompose`): `corep_indicators` of V
+    alone."""
     return corep_indicators(C, [V], varsigma, gamma_vec, E)[0]
 
 
-def corep_indicators(C: FDStarCoalgebra, blocks: list[Corepresentation],
+def corep_indicators(C: FDStarCoalgebra, blocks: list[Representation],
                      varsigma: np.ndarray, gamma_vec: np.ndarray,
                      E: CoseparabilityIdempotent) -> list[float]:
     """`corep_indicator` of each block, in order: nu(V) = t . w for the
@@ -243,15 +215,6 @@ def corep_indicators(C: FDStarCoalgebra, blocks: list[Corepresentation],
                         np.asarray(gamma_vec), E.matrix)
     t = np.array([V.character() for V in blocks])
     return [float(v) for v in _real_indicator(t @ w, C.tol.eps_round)]
-
-
-def phi_module(C: FDStarCoalgebra, V: Corepresentation) -> Representation:
-    """Phi(V): the module over the dual algebra, with an invariant gram
-    solved for (unique up to scale for irreducible V)."""
-    B = dualize_co(C)
-    rho = V.dual_module_matrices()
-    H = invariant_gram(B, rho)
-    return Representation(B, rho, H)
 
 
 def invariant_gram(A: FDStarAlgebra, rho: np.ndarray) -> np.ndarray:

@@ -89,42 +89,41 @@ def _sparse_entries(entries, keys: tuple[str, ...], n: int, what: str):
                                for k in ("re", "im"))))
 
 
-def load_algebra_v1(path: str) -> dict:
-    """-> {dim, structure (n,n,n), unit (n,), star (n,n)}"""
+def _load_structure_v1(path: str, unit: str, tensor: str, place
+                       ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, unit, c, sigma) of an algebra or coalgebra file with fields dim,
+    `unit`, `tensor` and star: c[place(i, j, k)] is the value of the
+    `tensor` entry (i, j, k), sigma[k, i] that of the star entry (i, k)."""
     doc = _load(path)
-    _require_fields(doc, {"dim", "unit", "structure", "star"})
+    _require_fields(doc, {"dim", unit, tensor, "star"})
     n = doc["dim"]
     if type(n) is not int or n < 1:
         raise SchemaError("dim must be a positive integer")
     dense_dim(n)
-    unit = _complex_vector(doc["unit"], n, "unit")
+    u = _complex_vector(doc[unit], n, unit)
     c = np.zeros((n, n, n), dtype=complex)
-    for i, j, k, v in _sparse_entries(doc["structure"], ("i", "j", "k"), n,
-                                      "structure"):
-        c[i, j, k] += v
+    for i, j, k, v in _sparse_entries(doc[tensor], ("i", "j", "k"), n, tensor):
+        c[place(i, j, k)] += v
     sigma = np.zeros((n, n), dtype=complex)
     for i, k, v in _sparse_entries(doc["star"], ("i", "k"), n, "star"):
         sigma[k, i] += v
+    return n, u, c, sigma
+
+
+def load_algebra_v1(path: str) -> dict:
+    """-> {dim, structure (n,n,n), unit (n,), star (n,n)}"""
+    n, unit, c, sigma = _load_structure_v1(path, "unit", "structure",
+                                           lambda i, j, k: (i, j, k))
     return {"dim": n, "structure": c, "unit": unit, "star": sigma}
 
 
 def load_coalgebra_v1(path: str) -> dict:
     """-> {dim, Delta (n^2,n), counit (n,), star (n,n)}; Delta entry
     (i, j, k) is the coefficient of e_j (x) e_k in Delta(e_i)."""
-    doc = _load(path)
-    _require_fields(doc, {"dim", "counit", "Delta", "star"})
-    n = doc["dim"]
-    if type(n) is not int or n < 1:
-        raise SchemaError("dim must be a positive integer")
-    dense_dim(n)
-    counit = _complex_vector(doc["counit"], n, "counit")
-    D = np.zeros((n * n, n), dtype=complex)
-    for i, j, k, v in _sparse_entries(doc["Delta"], ("i", "j", "k"), n, "Delta"):
-        D[j * n + k, i] += v
-    sigma = np.zeros((n, n), dtype=complex)
-    for i, k, v in _sparse_entries(doc["star"], ("i", "k"), n, "star"):
-        sigma[k, i] += v
-    return {"dim": n, "Delta": D, "counit": counit, "star": sigma}
+    n, counit, c, sigma = _load_structure_v1(path, "counit", "Delta",
+                                             lambda i, j, k: (j, k, i))
+    return {"dim": n, "Delta": c.reshape(n * n, n), "counit": counit,
+            "star": sigma}
 
 
 def load_group_v1(path: str) -> dict:

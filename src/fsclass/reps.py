@@ -103,8 +103,9 @@ class Representation:
 
 def hom_residual(rho: np.ndarray, of_products) -> float:
     """max |rho(e_i) rho(e_j) - rho(e_i e_j)| over all i, j, the n^2 products
-    as one GEMM.  of_products(X) = X(e_i e_j) for X (n, d^2): `A.of_products`,
-    also for a corepresentation, through the dual algebra of its coalgebra."""
+    as one GEMM.  of_products(X) = X(e_i e_j) for X (n, d^2): `A.of_products`.
+    A corepresentation is stored as its dual module, so over the dual
+    algebra this is also its comultiplication check."""
     n, d = rho.shape[:2]
     prod = rho.reshape(n * d, d) @ rho.transpose(1, 0, 2).reshape(d, n * d)
     via = of_products(rho.reshape(n, d * d)).reshape(n, n, d, d)

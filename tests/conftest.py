@@ -63,6 +63,15 @@ DUAL_ERRORS = {"comultiplication is not coassociative": NotAssociative,
                "star does not reverse the comultiplication": BadStar}
 
 
+# the corepresentation axiom each einsum reference message names -> the
+# check text of the dual module the corepresentation is stored as, which
+# raises NotStarRep for it
+COREP_CHECKS = {"Delta(c_ij) != sum_k c_ik (x) c_kj":
+                "rho(e_i e_j) != rho(e_i) rho(e_j)",
+                "eps(c_ij) != delta_ij": "rho(1) != I",
+                "c_ij* != c_ji": "rho(a)^dagger H != H rho(a*)"}
+
+
 def data_path(name):
     return os.path.join(DATA, name)
 

@@ -20,7 +20,7 @@ from fsclass import (canonical_g, check_cstar, classify_sigma, compact_decompose
                      twisted_indicator)
 from fsclass.algebra import (SeparabilityIdempotent, real_form_from_conjugation,
                              real_form_from_S)
-from fsclass.coalgebra import gamma
+from fsclass.coalgebra import gamma_full
 from fsclass.constructors import disjoint_union_groupoid
 from fsclass.linalg import make_rng
 
@@ -258,7 +258,7 @@ def test_coalgebra_duality(corpus):
         C = dualize(A)
         dec = compact_decompose(C)
         vs = dual.S.matrix.T
-        gam = gamma(C, vs)
+        gam = gamma_full(C, vs)[0]
         for row, block in zip(report.rows, dec.blocks):
             cval = corep_indicator(C, block, vs, gam, dec.E)
             assert abs(cval - row.nu_formula) < 1e-6
@@ -272,7 +272,7 @@ def test_cqg_haar_sign_pattern(corpus):
         W, _ = group_weak_hopf(G)
         dec = compact_decompose(W.coalgebra)
         for block, val in zip(dec.blocks, cqg_indicator(W, dec), strict=True):
-            coeff = block.coeff[0, 0]
+            coeff = block.rho[:, 0, 0]   # c_00 of the 1-dim corepresentation
             g = int(np.argmax(np.abs(coeff)))
             expect = 1.0 if G.table[g, g] == 0 else 0.0
             assert abs(val - expect) < 1e-6

@@ -50,17 +50,6 @@ def test_build_rejects_bad_star():
         build_algebra(A.structure, A.unit, np.diag([1.0, 2.0]))
 
 
-def test_sparse_build_matches_dense():
-    A = z2_algebra()
-    triples = [(i, j, k, A.structure[i, j, k])
-               for i in range(2) for j in range(2) for k in range(2)
-               if A.structure[i, j, k] != 0]
-    star = [(i, k, A.star_matrix[k, i]) for i in range(2) for k in range(2)
-            if A.star_matrix[k, i] != 0]
-    B = build_algebra(triples, A.unit, star, dim=2)
-    assert np.allclose(B.structure, A.structure)
-
-
 def test_anti_map_rejects_identity_on_noncommutative():
     A = build_m2()
     with pytest.raises(NotAntiMap):

@@ -12,12 +12,11 @@ import pytest
 
 import fsclass
 import fsclass.errors
-from fsclass import (Corepresentation, FDStarAlgebra, Representation, dualize,
-                     group_algebra)
+from fsclass import FDStarAlgebra, Representation, dualize, group_algebra
 from fsclass.errors import (AxiomViolation, BadUnit, FSClassError, NotStarRep,
                             SchemaError, require)
 
-from conftest import check_text, load_group
+from conftest import COREP_CHECKS, check_text, load_group
 
 # (module, function, error) of each raise under an ordering comparison that
 # guards structure, not a residual: integer ranges and counts and the
@@ -122,14 +121,49 @@ def test_a_zero_gram_is_not_positive_definite():
 
 
 def test_a_nan_corep_coefficient_is_refused():
+    # a corepresentation is stored as its dual module, rho(e_m)[i, j] =
+    # c_ij[m], and fails that module's check for the comultiplication
     A = group_algebra(load_group("s3"))[0]
     C = dualize(A)
     coeff = np.ones((1, 1, C.dim), dtype=complex)   # the trivial character
-    Corepresentation(C, coeff)
+    Representation(C.algebra, coeff.transpose(2, 0, 1))
     coeff[0, 0, 2] = np.nan
-    with pytest.raises(AxiomViolation) as info:
-        Corepresentation(C, coeff)
-    assert check_text(str(info.value)) == "Delta(c_ij) != sum_k c_ik (x) c_kj"
+    with pytest.raises(NotStarRep) as info:
+        Representation(C.algebra, coeff.transpose(2, 0, 1))
+    assert check_text(str(info.value)) == \
+        COREP_CHECKS["Delta(c_ij) != sum_k c_ik (x) c_kj"]
+
+
+def _callers(path: str, name: str) -> set[tuple[str, str]]:
+    """(module, enclosing Class.function) of every call of `name` in the
+    module at path."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if called == name:
+                found.add((os.path.basename(path), ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    with open(path) as fh:
+        visit(ast.parse(fh.read()), ())
+    return found
+
+
+def test_the_homomorphism_kernel_has_one_caller():
+    """Every homomorphism check, a corepresentation's comultiplication
+    check included, goes through a Representation."""
+    src = os.path.dirname(fsclass.__file__)
+    found = set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        found |= _callers(path, "hom_residual")
+    assert found == {("reps.py", "Representation._hom_residual")}
 
 
 def test_a_right_unit_failure_names_its_basis_element():

@@ -333,7 +333,8 @@ def test_duality_builds_one_separability_idempotent(capsys, monkeypatch, name,
     assert code == 0
     assert len(built) == len(decs) == 1
     E = decs[0].E
-    assert E.matrix is E.coalgebra.algebra.separability_idempotent.tensor
+    assert E.idempotent is E.coalgebra.algebra.separability_idempotent
+    assert E.matrix is E.idempotent.tensor
 
 
 @pytest.mark.parametrize("name, kind", [("s4.json", "group"),
@@ -362,7 +363,7 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
     its block is no corepresentation; a copy of the kept E off by 1e-3 in
     one entry fails the coseparability check.  Both make duality exit 2 and
     name the failed check."""
-    from fsclass import Representation
+    from fsclass import Representation, SeparabilityIdempotent
     from fsclass.coalgebra import CoseparabilityIdempotent
     compact_decompose = fsclass.cli.compact_decompose
 
@@ -380,9 +381,11 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
     monkeypatch.setattr(fsclass.cli, "compact_decompose", compact_decompose)
 
     class OffByOne(CoseparabilityIdempotent):
-        def __init__(self, C, matrix):
-            super().__init__(C, matrix.copy())
-            self.matrix[0, 1] += 1e-3
+        def __init__(self, C, idempotent):
+            tensor = idempotent.tensor.copy()
+            tensor[0, 1] += 1e-3
+            super().__init__(C, SeparabilityIdempotent(idempotent.algebra,
+                                                       tensor))
     monkeypatch.setattr(fsclass.coalgebra, "CoseparabilityIdempotent", OffByOne)
     code, out, err = run(capsys, "duality", data_path("s3.json"),
                          "--kind", "double")

@@ -3,9 +3,9 @@ import pytest
 
 from fsclass import (Representation, compact_decompose, corep_indicator,
                      cqg_indicator, decompose, drinfeld_double, dualize,
-                     dualize_co, gamma, group_algebra, group_weak_hopf,
+                     dualize_co, group_algebra, group_weak_hopf,
                      regular_representation)
-from fsclass.coalgebra import FDStarCoalgebra, invariant_gram, phi_module
+from fsclass.coalgebra import FDStarCoalgebra, gamma_full, invariant_gram
 from fsclass.errors import (AxiomViolation, BadVarsigma, NotCompact, NotHopf,
                             NotStarRep)
 
@@ -83,7 +83,7 @@ def test_compact_decompose_reuses_the_algebra_decomposition():
             C, parts=decompose(regular_representation(A), seed=3))
         assert len(given.blocks) == len(fresh.blocks)
         for a, b in zip(given.blocks, fresh.blocks):
-            np.testing.assert_array_equal(a.coeff, b.coeff)
+            np.testing.assert_array_equal(a.rho, b.rho)
         np.testing.assert_array_equal(given.E.matrix, fresh.E.matrix)
 
 
@@ -116,7 +116,7 @@ def test_corep_indicators_match_algebra_side_q8():
     C = dualize(A)
     dec = compact_decompose(C)
     vs = dual.S.matrix.T
-    gam = gamma(C, vs)
+    gam = gamma_full(C, vs)[0]
     got = [round(corep_indicator(C, b, vs, gam, dec.E)) for b in dec.blocks]
     assert sorted(got) == sorted(r.sigma for r in rows)
 
@@ -124,7 +124,7 @@ def test_corep_indicators_match_algebra_side_q8():
 def test_gamma_rejects_non_anti_map():
     A, dual, C = group_coalgebra("z3")
     with pytest.raises(BadVarsigma):
-        gamma(C, np.diag([1.0, 2.0, 3.0]))
+        gamma_full(C, np.diag([1.0, 2.0, 3.0]))
 
 
 def test_cqg_indicator_sign_pattern_z4():
@@ -184,13 +184,18 @@ def test_cqg_indicator_requires_hopf():
         cqg_indicator(W, dec)
 
 
-def test_phi_module_is_a_valid_star_rep():
+def test_each_block_is_a_unitary_star_rep_of_the_dual_algebra():
+    # a block is a corepresentation stored as its dual module: a validated
+    # *-representation of dualize_co(C) whose invariant gram is a positive
+    # multiple of the identity
     A, _, C = group_coalgebra("s3")
     dec = compact_decompose(C)
+    assert dec.blocks == [W for W, _ in dec.irreps]
     for b in dec.blocks:
-        V = phi_module(C, b)
-        V._validate()
-        assert V.dim == b.dim
+        assert b.algebra is dualize_co(C) and b.validated
+        np.testing.assert_array_equal(b.gram, np.eye(b.dim))
+        H = invariant_gram(b.algebra, b.rho)
+        assert np.allclose(H / H[0, 0], np.eye(b.dim), atol=1e-12)
 
 
 def test_invariant_gram_of_a_non_unitary_irrep():
@@ -243,16 +248,13 @@ def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
     # on D(S3): associativity for the algebra and for the dual algebra of
     # its weak Hopf coalgebra, none for dualize; compact_decompose checks
     # each unitarized block once, as a representation, with one run of the
-    # homomorphism kernel, and builds its Corepresentation unchecked; the
+    # homomorphism kernel, and keeps that representation as the block; the
     # centrality kernel runs once, for the kept E, and the coseparability
     # check reads its result
     import fsclass.algebra
-    import fsclass.coalgebra
     import fsclass.reps
     from fsclass.cli import main
-    from fsclass.coalgebra import Corepresentation
-    calls = {"associator": 0, "hom": 0, "corep": 0, "rep": 0,
-             "hom kernel": 0}
+    calls = {"associator": 0, "hom": 0, "rep": 0, "hom kernel": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kw):
@@ -265,15 +267,11 @@ def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
         "hom", Representation._hom_residual))
     monkeypatch.setattr(Representation, "_validate", counted(
         "rep", Representation._validate))
-    monkeypatch.setattr(Corepresentation, "_validate", counted(
-        "corep", Corepresentation._validate))
-    for module in (fsclass.reps, fsclass.coalgebra):
-        monkeypatch.setattr(module, "hom_residual", counted(
-            "hom kernel", module.hom_residual))
+    monkeypatch.setattr(fsclass.reps, "hom_residual", counted(
+        "hom kernel", fsclass.reps.hom_residual))
     built, kernels = count_centrality_kernels(monkeypatch)
     assert main(["duality", data_path("s3.json"), "--kind", "double"]) == 0
     assert capsys.readouterr().out == "algebra/coalgebra indicators agree: 8/8\n"
     # the star axioms: the regular representation, then each of the 8 blocks
-    assert calls == {"associator": 2, "hom": 8, "corep": 0, "rep": 9,
-                     "hom kernel": 8}
+    assert calls == {"associator": 2, "hom": 8, "rep": 9, "hom kernel": 8}
     assert len(built) == len(kernels) == 1

@@ -2,11 +2,12 @@
 
 Each reference below is the earlier einsum form of one coalgebra check or
 of the corepresentation indicator.  The indicator must agree with it to
-1e-12; for one corrupted entry of E or of a block's coefficients, the check
-must raise the same exception with the same message.  A coalgebra is
-checked as its dual algebra: for one corrupted entry of the coalgebra data
-it must raise the error of that algebra for the axiom the einsum form
-reports broken.
+1e-12; for one corrupted entry of E, the check must raise the same
+exception with the same message.  A coalgebra is checked as its dual
+algebra, and a corepresentation as its dual module: for one corrupted entry
+of the coalgebra data or of a block's coefficients, it must raise the
+error of that algebra or module for the axiom the einsum form reports
+broken.
 """
 import numpy as np
 import pytest
@@ -16,20 +17,20 @@ import fsclass.coalgebra
 import fsclass.constructors
 import fsclass.indicators
 import fsclass.reps
-from fsclass import (AntiAlgebraMap, CoseparabilityIdempotent,
-                     Corepresentation, FDStarAlgebra, FDStarCoalgebra,
+from fsclass import (AntiAlgebraMap, CoseparabilityIdempotent, FDStarAlgebra,
+                     FDStarCoalgebra, Representation, SeparabilityIdempotent,
                      canonical_g, compact_decompose, corep_indicator,
                      decompose, drinfeld_double, dualize, dualize_co,
                      group_algebra, regular_representation)
 from fsclass import io as fio
 from fsclass.algebra import associator_residual
 from fsclass.errors import (AxiomViolation, BadStar, FSClassError,
-                            NotAssociative, require)
+                            NotAssociative, NotStarRep, require)
 from fsclass.linalg import DEFAULT_TOL as TOL
 from fsclass.linalg import dagger
 
-from conftest import (DUAL_ERRORS, check_text, data_path, einsum_coalgebra,
-                      load_group, m2_dual_structures)
+from conftest import (COREP_CHECKS, DUAL_ERRORS, check_text, data_path,
+                      einsum_coalgebra, load_group, m2_dual_structures)
 
 
 def einsum_corep_indicator(C, V, varsigma, gamma_vec, E):
@@ -50,6 +51,10 @@ def einsum_corep(C, coeff):
         return "Delta(c_ij) != sum_k c_ik (x) c_kj"
     if np.abs(coeff @ C.counit - np.eye(d)).max() > eps:
         return "eps(c_ij) != delta_ij"
+    # (c_ij)* = star_matrix conj(c_ij) at (j, i)
+    star = np.einsum("mk,ijk->jim", C.star_matrix, np.conj(coeff))
+    if np.abs(star - coeff).max() > eps:
+        return "c_ij* != c_ji"
     return None
 
 
@@ -72,11 +77,25 @@ def einsum_coseparability(C, E):
     return None
 
 
-def assert_same(expected, fn, *args):
+def assert_same(expected, fn, *args, error=AxiomViolation):
     assert expected is not None, "corruption did not break the identity"
-    with pytest.raises(AxiomViolation) as info:
+    with pytest.raises(error) as info:
         fn(*args)
     assert check_text(str(info.value)) == expected
+
+
+def coseparability(C, E):
+    """E as the coseparability idempotent of C: a separability idempotent
+    of its dual algebra."""
+    return CoseparabilityIdempotent(C, SeparabilityIdempotent(C.algebra, E))
+
+
+def assert_refused_as_module(C, coeff):
+    """The dual module of the corepresentation with matrix elements coeff
+    fails the check of the module that COREP_CHECKS gives for the axiom
+    `einsum_corep` reports broken."""
+    assert_same(COREP_CHECKS.get(einsum_corep(C, coeff)), Representation,
+                C.algebra, coeff.transpose(2, 0, 1), error=NotStarRep)
 
 
 def _positions(shape, count, seed):
@@ -140,7 +159,14 @@ def test_coseparability_verify_reports_the_einsum_message(decomposed):
     E[0, 0] = E[2, 1] = 1.0
     expected = einsum_coseparability(C, E)
     assert expected == "compactness form E(c*, c) is not positive"
-    assert_same(expected, CoseparabilityIdempotent(C, E).verify)
+    assert_same(expected, coseparability(C, E).verify)
+    # the kept E of an equal coalgebra given directly is not an idempotent
+    # of C's own dual algebra
+    direct = FDStarCoalgebra(C.Delta, C.counit, C.star_matrix)
+    with pytest.raises(AxiomViolation, match="^E is not an idempotent of "
+                       "the dual algebra of C$"):
+        CoseparabilityIdempotent(
+            C, direct.algebra.separability_idempotent).verify()
     for seed, (name, (C, _, cd)) in enumerate(decomposed.items()):
         assert einsum_coseparability(C, cd.E.matrix) is None
         for pos in _positions(cd.E.matrix.shape, 6, seed=20 + seed):
@@ -148,21 +174,30 @@ def test_coseparability_verify_reports_the_einsum_message(decomposed):
                 E = cd.E.matrix.copy()
                 E[pos] += delta
                 assert_same(einsum_coseparability(C, E),
-                            CoseparabilityIdempotent(C, E).verify)
+                            coseparability(C, E).verify)
 
 
 def test_corepresentation_reports_the_einsum_message(decomposed):
     for seed, (name, (C, _, cd)) in enumerate(decomposed.items()):
         for block in cd.blocks:
-            assert einsum_corep(C, block.coeff) is None
+            coeff = block.rho.transpose(1, 2, 0)   # c_ij[m] = rho(e_m)[i, j]
+            assert einsum_corep(C, coeff) is None
             # zero matrix elements are multiplicative but not counital
-            zero = np.zeros_like(block.coeff)
+            zero = np.zeros_like(coeff)
             assert einsum_corep(C, zero) == "eps(c_ij) != delta_ij"
-            assert_same(einsum_corep(C, zero), Corepresentation, C, zero)
-            for pos in _positions(block.coeff.shape, 3, seed=30 + seed):
-                coeff = block.coeff.copy()
-                coeff[pos] += 0.5
-                assert_same(einsum_corep(C, coeff), Corepresentation, C, coeff)
+            assert_refused_as_module(C, zero)
+            for pos in _positions(coeff.shape, 3, seed=30 + seed):
+                bad = coeff.copy()
+                bad[pos] += 0.5
+                assert_refused_as_module(C, bad)
+            if block.dim > 1:
+                # a non-unitary P keeps a corepresentation (Delta and eps
+                # hold) but breaks c_ij* = c_ji
+                P = np.eye(block.dim)
+                P[0, -1] = 2.0
+                bent = (np.linalg.inv(P) @ block.rho @ P).transpose(1, 2, 0)
+                assert einsum_corep(C, bent) == "c_ij* != c_ji"
+                assert_refused_as_module(C, bent)
 
 
 def _coalgebra_data():

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fsclass.constructors
 import fsclass.indicators
-from fsclass import (Corepresentation, Representation,
+from fsclass import (Representation,
                      canonical_g, classify_sigma, compact_decompose,
                      corep_indicator, cqg_indicator, decompose,
                      drinfeld_double, dualize, fs_indicator_formula,
@@ -61,7 +62,8 @@ def _scaled(V, factor):
 
 @pytest.mark.parametrize("factor, message", [(1.1, "not near an integer"),
                                              (1 + 0.1j, "not real")])
-def test_every_indicator_rounds_by_one_rule(scheme_mats, factor, message):
+def test_every_indicator_rounds_by_one_rule(scheme_mats, monkeypatch, factor,
+                                           message):
     """One raw value 0.1 off an integer raises ComplexResult from the
     formula, weak Hopf, table and twisted indicators alike; the corep and
     CQG indicators, which return raw reals, raise it when the value is 0.1
@@ -86,13 +88,16 @@ def test_every_indicator_rounds_by_one_rule(scheme_mats, factor, message):
             call()
     C = dualize(A)
     cd = compact_decompose(C)
-    block = Corepresentation(C, cd.blocks[0].coeff * factor, check=False)
+    block = _scaled(cd.blocks[0], factor)
     dec = compact_decompose(W.coalgebra)
-    dec = replace(dec, blocks=[Corepresentation(b.coalgebra, b.coeff * factor,
-                                                check=False)
-                               for b in dec.blocks])
+    # the blocks are scaled, while gamma is still read off the true ones
+    gamma_full = fsclass.constructors.gamma_full
+    monkeypatch.setattr(fsclass.constructors, "gamma_full",
+                        lambda C, vs, parts: gamma_full(C, vs, parts=dec.irreps))
+    scaled = replace(dec, irreps=[(_scaled(b, factor), m)
+                                  for b, m in dec.irreps])
     raw = [lambda: [corep_indicator(C, block, dual.S.matrix.T, dual.g, cd.E)],
-           lambda: cqg_indicator(W, dec)]
+           lambda: cqg_indicator(W, scaled)]
     for call in raw:
         if factor.imag:
             with pytest.raises(ComplexResult, match=message):

@@ -6,8 +6,9 @@ single kernel:
 - `batched_hom_residual`: the n^2 batched products rho(e_i) rho(e_j) that
   `reps.hom_residual` forms as one GEMM;
 - `delta_contraction_residual`: the corepresentation check's own Delta
-  contraction, now `hom_residual` of the dual module over the dual
-  algebra, whose `of_products` is the same GEMM as Delta.dot;
+  contraction, now `hom_residual` of the dual module the corepresentation
+  is stored as, over the dual algebra, whose `of_products` is the same
+  GEMM as Delta.dot;
 - `coseparability_contraction_residuals`: the coseparability check's own
   counit and centrality contractions, now `SeparabilityIdempotent.residuals`
   over the dual algebra;
@@ -24,8 +25,8 @@ import numpy as np
 import pytest
 
 import fsclass.coalgebra
-from fsclass import (CoseparabilityIdempotent, Corepresentation,
-                     FDStarAlgebra, FDStarCoalgebra, Representation,
+from fsclass import (CoseparabilityIdempotent, FDStarAlgebra,
+                     FDStarCoalgebra, Representation,
                      SeparabilityIdempotent, compact_decompose, decompose,
                      drinfeld_double, dualize, dualize_co, group_algebra,
                      regular_representation, scheme_from_matrices,
@@ -122,14 +123,15 @@ def test_corepresentation_check_matches_the_delta_contraction(algebras):
         direct = FDStarCoalgebra(C.Delta.copy(), C.counit, C.star_matrix)
         assert direct.algebra is not A, name
         for block in compact_decompose(C).blocks:
-            for coeff in (block.coeff, _corrupted(block.coeff, rng)):
+            coeff = block.rho.transpose(1, 2, 0)   # c_ij[m] = rho(e_m)[i, j]
+            for coeff in (coeff, _corrupted(coeff, rng)):
                 rho = coeff.transpose(2, 0, 1)
                 got = hom_residual(rho, direct.algebra.of_products)
                 assert got == hom_residual(rho, direct.Delta.dot), name
                 want = delta_contraction_residual(direct, coeff)
                 bound = 1e-15 * max(1.0, np.abs(coeff).max()) ** 2
                 assert abs(got - want) <= bound, name
-            Corepresentation(direct, block.coeff)
+            Representation(direct.algebra, block.rho)
 
 
 def test_coseparability_residuals_are_the_separability_residuals(algebras):
@@ -159,7 +161,8 @@ def test_the_kept_e_is_checked_once_and_a_corrupted_copy_again(
         with pytest.raises(AxiomViolation, match="^" + re.escape(
                 f"E(c_(1), c_(2)) != eps(c) (residual {unit_gap:.3e}, "
                 f"threshold {eps:.3e})") + "$"):
-            CoseparabilityIdempotent(C, bad).verify()
+            CoseparabilityIdempotent(
+                C, SeparabilityIdempotent(dualize_co(C), bad)).verify()
         assert (len(built), len(kernels)) == (1, 1), name
         assert dualize_co(C) is A
         monkeypatch.undo()
