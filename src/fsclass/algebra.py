@@ -3,8 +3,12 @@ constants, together with anti-algebra maps, real forms, dual-structure data
 and separability idempotents.
 
 Elements are coordinate vectors over the distinguished basis e_0..e_{n-1}
-with e_i e_j = sum_k c[i,j,k] e_k.  The *-involution is antilinear and is
-stored as the matrix sigma with (e_i)^* = sum_k sigma[k,i] e_k.
+with e_i e_j = sum_k c[i,j,k] e_k.  An algebra is stored either as that
+dense tensor c or, when every product is a multiple of one basis element
+(groups, groupoids, Drinfeld doubles and their dual coalgebras), as the
+index table (T, v) with e_i e_j = v[i, j] e_T[i, j]; see `FDStarAlgebra`.
+The *-involution is antilinear and is stored as the matrix sigma with
+(e_i)^* = sum_k sigma[k,i] e_k.
 """
 from __future__ import annotations
 
@@ -29,59 +33,134 @@ def dense_dim(n: int) -> int:
 
 
 class FDStarAlgebra:
-    """Associative unital *-algebra from a dense structure tensor.
+    """Associative unital *-algebra, stored in one of two forms:
 
-    Only this module reads the storage (`structure`, `_left`); other
-    modules use the methods: the contraction kernels `multiply` (the product
-    map m: A (x) A -> A) and `of_products` (its transpose), the L and R
-    stacks, `coordinates` and the multiplications below.
+    - monomial: the index table `table` = (T, v), e_i e_j = v[i, j]
+      e_T[i, j] (T = 0, v = 0 where the product vanishes).  The group,
+      groupoid and double constructors hand it over as it is, and a dense
+      tensor that `monomial_table` finds monomial is read through it too.
+      The dense `structure` is then a read-only view built on first read,
+      by tests and the dense fallbacks below only;
+    - dense (`table` is None): the n x n x n tensor `structure`, c, with
+      e_i e_j = sum_k c[i, j, k] e_k.
+
+    Only this module reads the storage (`structure`, `table`, `_left`);
+    other modules use the methods: the contraction kernels `multiply` (the
+    product map m: A (x) A -> A) and `of_products` (its transpose), the L
+    and R stacks, `coordinates`, the multiplications below and
+    `regular_star_residual`.  With a table, `of_products` is a gather,
+    v X[T]; `multiply`, `left_mult` and `right_mult` are O(n^2) scatters;
+    `regular_trace` and `coordinates` are read off it and the L stack is
+    filled from it.  Associativity is checked on the triples where a
+    product is nonzero (`table_associator_residual`).  The star-reversal
+    check, the regular representation's star check and the centrality
+    residuals of a separability idempotent compare coordinate lists of
+    O(n^2) entries when their other operand (sigma, the gram, E's tensor)
+    is monomial too; otherwise they run the dense forms.  Each entry they
+    compare is one product, as in the dense contractions, so with real
+    coefficients (every constructor's) the residuals are the dense ones
+    bit for bit.  Only `products`, which serves a non-monomial map, always
+    reads c.
 
     Construction validates associativity, the unit and the star axioms.
     The associativity residual max |(e_i e_j) e_k - e_i (e_j e_k)| is kept
     as `associativity_residual`: the regular representation reuses it as
     its homomorphism residual.  The star-reversal residual
     max |(e_i e_j)* - e_j* e_i*| is kept as `star_reversal_residual`: the
-    dual coalgebra reuses it.  `table` is `monomial_table(structure)`,
-    computed once and read by every product identity checked against A.
-    `trace_form` is `check_cstar(A)`, kept, and `orthonormal_basis` its
-    factored form.  Immutable after construction (`_left`, the trace-form
-    Gram and its basis are read-only, so the regular representation shares
-    them); all methods are pure.  `_left` is built on first use, so an
-    algebra whose L stack nothing reads, such as the dual algebra a weak
-    Hopf coalgebra is stored as, never copies its n^3 tensor.
+    dual coalgebra reuses it.  `trace_form` is `check_cstar(A)`, kept, and
+    `orthonormal_basis` its factored form.  Immutable after construction
+    (`_left`, the trace-form Gram and its basis are read-only, so the
+    regular representation shares them); all methods are pure.  `_left`
+    is built on first use, so an algebra whose L stack nothing reads, such
+    as the dual algebra a weak Hopf coalgebra is stored as, never forms it.
     """
 
-    def __init__(self, structure: np.ndarray, unit: np.ndarray,
-                 star: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-        structure = np.asarray(structure, dtype=complex)
-        n = structure.shape[0]
-        if structure.shape != (n, n, n):
-            raise ValueError("structure tensor must be n x n x n")
-        self.dim = dense_dim(n)
-        self.structure = structure
+    def __init__(self, structure: np.ndarray | tuple[np.ndarray, np.ndarray],
+                 unit: np.ndarray, star: np.ndarray,
+                 tol: Tolerance = DEFAULT_TOL):
+        """structure: the dense tensor c, or the index table (T, v) of a
+        monomial one."""
+        if isinstance(structure, tuple):
+            T, v = structure
+            v = np.asarray(v, dtype=complex)
+            n = v.shape[0]
+            if v.shape != (n, n) or np.shape(T) != (n, n):
+                raise ValueError("index table must be n x n")
+            T = np.where(v != 0, np.asarray(T, dtype=np.intp), 0)
+            if T.min(initial=0) < 0 or T.max(initial=0) >= n:
+                raise ValueError("index table entries must lie in range(n)")
+            self.dim = dense_dim(n)
+            self.table = T, v
+        else:
+            structure = np.asarray(structure, dtype=complex)
+            n = structure.shape[0]
+            if structure.shape != (n, n, n):
+                raise ValueError("structure tensor must be n x n x n")
+            self.dim = dense_dim(n)
+            self.structure = structure
+            self.table = monomial_table(structure)
         self.unit = np.asarray(unit, dtype=complex).reshape(n)
         self.star_matrix = np.asarray(star, dtype=complex).reshape(n, n)
         self.tol = tol
         self._validate()
 
     @cached_property
+    def structure(self) -> np.ndarray:
+        """The dense tensor c, built from the table on first read when the
+        algebra was given one; read-only."""
+        T, v = self.table
+        n = self.dim
+        c = np.zeros((n, n, n), dtype=complex)
+        i, j = np.nonzero(v)
+        c[i, j, T[i, j]] = v[i, j]
+        c.flags.writeable = False
+        return c
+
+    @cached_property
     def _left(self) -> np.ndarray:
         """The left-multiplication matrices L_i = L(e_i), read-only."""
-        left = np.ascontiguousarray(self.structure.transpose(0, 2, 1))
+        if self.table is None:
+            left = np.ascontiguousarray(self.structure.transpose(0, 2, 1))
+        else:
+            T, v = self.table
+            n = self.dim
+            left = np.zeros((n, n, n), dtype=complex)
+            i, j = np.nonzero(v)
+            left[i, T[i, j], j] = v[i, j]
         left.flags.writeable = False
         return left
+
+    @cached_property
+    def _injective(self) -> bool:
+        """Whether every row and every column of T is injective on the
+        support of v: then each entry of e_i Z and of Z e_i, for Z in
+        A (x) A, is one product."""
+        T, v = self.table
+        n = self.dim
+        i, j = np.nonzero(v)
+        k = T[i, j]
+        return all(np.bincount(key, minlength=n * n).max(initial=0) <= 1
+                   for key in (i * n + k, j * n + k))
 
     # --- arithmetic ---
 
     def multiply(self, Z: np.ndarray) -> np.ndarray:
         """m(Z) = sum_jk Z[j, k] e_j e_k, Z in A (x) A as an n x n matrix."""
-        return Z.reshape(-1) @ self.structure.reshape(self.dim ** 2, -1)
+        if self.table is None:
+            return Z.reshape(-1) @ self.structure.reshape(self.dim ** 2, -1)
+        T, v = self.table
+        return _scatter_add(T.ravel(), (Z.reshape(v.shape) * v).ravel(),
+                            self.dim)
 
     def of_products(self, X: np.ndarray) -> np.ndarray:
         """X(e_i e_j) for every pair (i, j), as (n, n, ...), for X a vector
         or an (n, ...) map: the transpose of `multiply`."""
         n = self.dim
-        flat = self.structure.reshape(n * n, n) @ X.reshape(n, -1)
+        if self.table is None:
+            flat = self.structure.reshape(n * n, n) @ X.reshape(n, -1)
+        else:
+            T, v = self.table
+            flat = v.reshape(n * n, 1) * X.reshape(n, -1)[T.ravel()]
         return flat.reshape(n, n, *X.shape[1:])
 
     def left_stack(self) -> np.ndarray:
@@ -90,7 +169,9 @@ class FDStarAlgebra:
 
     def right_stack(self) -> np.ndarray:
         """R(e_j)[k, i] = c[i, j, k] for every j, as an (n, n, n) view."""
-        return self.structure.transpose(1, 2, 0)
+        if self.table is None:
+            return self.structure.transpose(1, 2, 0)
+        return self._left.transpose(2, 1, 0)
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """(i, j, k, c[i, j, k]) over the nonzero entries of the structure
@@ -118,12 +199,21 @@ class FDStarAlgebra:
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x y over the basis."""
-        return np.tensordot(x, self._left, axes=(0, 0))
+        if self.table is None:
+            return np.tensordot(x, self._left, axes=(0, 0))
+        T, v = self.table   # x_i v[i, j] at (T[i, j], j)
+        n = self.dim
+        return _scatter_add((T * n + np.arange(n)).ravel(),
+                            (x[:, None] * v).ravel(), n * n).reshape(n, n)
 
     def right_mult(self, y: np.ndarray) -> np.ndarray:
         """Matrix of x -> x y over the basis."""
         n = self.dim
-        return (self._left.reshape(n * n, n) @ y).reshape(n, n).T
+        if self.table is None:
+            return (self._left.reshape(n * n, n) @ y).reshape(n, n).T
+        T, v = self.table   # v[i, j] y_j at (T[i, j], i)
+        return _scatter_add((T * n + np.arange(n)[:, None]).ravel(),
+                            (v * y).ravel(), n * n).reshape(n, n)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.left_mult(x), self.unit)
@@ -135,7 +225,31 @@ class FDStarAlgebra:
 
     def regular_trace(self) -> np.ndarray:
         """Vector t with tau(x) = t . x, tau = trace of left multiplication."""
-        return np.einsum("iaa->i", self._left)
+        if self.table is None:
+            return np.einsum("iaa->i", self._left)
+        T, v = self.table
+        return np.where(T == np.arange(self.dim), v, 0).sum(axis=1)
+
+    def regular_star_residual(self, H: np.ndarray) -> float:
+        """`star_residual` of the regular representation with gram H,
+        max |L(e_i)^dagger H - H L(e_i*)|.  Read off the table, as two
+        coordinate lists of n^2 entries, when sigma and H are monomial
+        (e_i* = s_i e_P[i]; H has one nonzero per row, at Qr[k], and per
+        column, at Qc[k]): row j of L(e_i)^dagger H is conj(v[i, j])
+        H[T[i, j]], one entry, at column Qr[T[i, j]], and column l of
+        H L(e_i*) is H[:, k] s_i v[P[i], l], k = T[P[i], l], one entry, at
+        row Qc[k].  Each is the one product of the dense entry, so the
+        residual is the dense one bit for bit."""
+        columns = [_monomial_columns(M) for M in (self.star_matrix, H, H.T)]
+        if self.table is None or any(x is None for x in columns):
+            return star_residual(self._left, self.star_matrix, H)
+        (T, v), ((P, s), (Qc, hc), (Qr, hr)) = self.table, columns
+        n = self.dim
+        i, j = np.divmod(np.arange(n * n), n)
+        k = T[P].ravel()                      # [i, l], l = j
+        lhs = (i, j * n + Qr[T].ravel(), (np.conj(v) * hr[T]).ravel())
+        rhs = (i, Qc[k] * n + j, hc[k] * (s[:, None] * v[P]).ravel())
+        return float(_coo_gap(lhs, rhs, n * n)[1].max(initial=0.0))
 
     @cached_property
     def trace_form(self) -> tuple[np.ndarray, bool]:
@@ -161,20 +275,24 @@ class FDStarAlgebra:
     # --- validation ---
 
     def _validate(self):
-        c, n = self.structure, self.dim
-        self.table = monomial_table(c)
-        # the largest |c| is the largest |v| when c is monomial
-        coeffs = c if self.table is None else self.table[1]
+        n, table = self.dim, self.table
+        eye, u = np.eye(n), self.unit
+        # row j of left and of right: 1 e_j and e_j 1
+        if table is None:
+            c = coeffs = self.structure
+            left = (u @ c.reshape(n, n * n)).reshape(n, n)
+            right = np.einsum("ijk,j->ik", c, u)
+        else:   # the largest |c| is the largest |v|
+            c, coeffs = None, table[1]
+            left, right = self.left_mult(u).T, self.right_mult(u).T
         eps = self.tol.eps_rank * max(1.0, np.abs(coeffs).max(initial=0.0)) ** 2 * n
-        bad, (i, j, k) = associator_residual(c, self.table)
+        bad, (i, j, k) = associator_residual(c, table)
         self.associativity_residual = bad
         require(NotAssociative, f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})",
                 bad, eps)
-        # row i: |1 e_i - e_i| and |e_i 1 - e_i|, read off c itself
-        eye, u = np.eye(n), self.unit
         require(BadUnit, "unit axiom fails on basis element e{}", np.maximum(
-            np.abs((u @ c.reshape(n, n * n)).reshape(n, n) - eye).max(axis=1),
-            np.abs(np.einsum("ijk,j->ik", c, u) - eye).max(axis=1)), eps)
+            np.abs(left - eye).max(axis=1), np.abs(right - eye).max(axis=1)),
+            eps)
         # a** = a
         sig = self.star_matrix
         require(BadStar, "star is not involutive on the basis",
@@ -209,6 +327,25 @@ def monomial_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return T, np.take_along_axis(c, T[..., None], axis=2)[..., 0]
 
 
+def _scatter_add(index: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """out[index[r]] += w[r] for r in order, into a complex vector of
+    length size: one `np.bincount` per part."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, w.real, size)
+    out.imag = np.bincount(index, w.imag, size)
+    return out
+
+
+def _monomial_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(P, m) with M[:, i] = m[i] e_P[i] when every column of M has at most
+    one nonzero (sigma, S and K of groups, groupoids and doubles); else
+    None."""
+    if not (np.count_nonzero(M, axis=0) <= 1).all():
+        return None
+    P = np.abs(M).argmax(axis=0)
+    return P, M[P, np.arange(M.shape[1])]
+
+
 def _monomial_gap(at_a, a, at_b, b) -> np.ndarray:
     """max |a e_at_a - b e_at_b| over the coordinates, elementwise: |a - b|
     where the positions agree, max(|a|, |b|) where they differ."""
@@ -226,6 +363,29 @@ def _ragged(counts: np.ndarray, rows: np.ndarray
     starts, lengths = ptr.take(rows), counts.take(rows)
     skip = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
     return lengths, np.arange(len(skip)) + skip
+
+
+def _coo_sum(i, j, v, size: int) -> tuple[np.ndarray, ...]:
+    """The coordinate list (i, j, v), every index below size, with the
+    values at equal (i, j) summed, in row-major order."""
+    key = i * size + j
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    key = key[start]
+    return key // size, key % size, np.add.reduceat(v[order], start)
+
+
+def _coo_gap(a: tuple, b: tuple, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, |a - b|) at every (i, j) of either coordinate list (i, j, value),
+    in row-major order: `_coo_sum` of a and of minus b, so where each list
+    holds (i, j) once the gap is |x - y| where both do and |x| or |y|
+    where one does, as in a dense difference."""
+    i, _, gap = _coo_sum(*map(np.concatenate, zip(a, (b[0], b[1], -b[2]))),
+                         size)
+    return i, np.abs(gap)
 
 
 def table_associator_residual(table: tuple[np.ndarray, np.ndarray]
@@ -292,11 +452,12 @@ def associator_residual(c: np.ndarray, table: tuple | None = None
     """max over i, j, k, l of |associator(c)[i, j, k, l]|, and the first
     (i, j, k), in row-major order, where it is reached.
 
-    `table` is `monomial_table(c)`, computed here when not given.  When c is
-    monomial, `table_associator_residual` reads both products off the index
-    table, only on the triples where one of them is nonzero (n^2 of the n^3
-    for a Drinfeld double, all n^3 for a group algebra); any other c goes
-    through the dense associator, one n^3 slab associator(c)[i] at a time.
+    `table` is `monomial_table(c)`, computed here when not given; c is not
+    read when it is given.  When c is monomial, `table_associator_residual`
+    reads both products off the index table, only on the triples where one
+    of them is nonzero (n^2 of the n^3 for a Drinfeld double, all n^3 for
+    a group algebra); any other c goes through the dense associator, one
+    n^3 slab associator(c)[i] at a time.
     """
     table = monomial_table(c) if table is None else table
     if table is not None:
@@ -319,11 +480,9 @@ def product_map_residual(A: FDStarAlgebra, M: np.ndarray, conj: bool = False,
     when conj), (a, b) = (j, i) if reverse else (i, j).  Read off index arrays
     in O(n^2) when A.table exists and M(e_i) = m[i] e_P[i] (one nonzero per
     column: sigma, S and K of groups, groupoids, doubles); else dense GEMMs."""
-    n = A.dim
-    if A.table is not None and (np.count_nonzero(M, axis=0) <= 1).all():
-        T, v = A.table
-        P = np.abs(M).argmax(axis=0)
-        m = M[P, np.arange(n)]
+    n, columns = A.dim, _monomial_columns(M)
+    if A.table is not None and columns is not None:
+        (T, v), (P, m) = A.table, columns
         a, b = np.ogrid[:n, :n][::-1] if reverse else np.ogrid[:n, :n]
         return _monomial_gap(P[T], (np.conj(v) if conj else v) * m[T],
                              T[P[a], P[b]], m[b] * (m[a] * v[P[a], P[b]]))
@@ -331,6 +490,15 @@ def product_map_residual(A: FDStarAlgebra, M: np.ndarray, conj: bool = False,
     lhs = np.conj(A.of_products(np.conj(M.T))) if conj else A.of_products(M.T)
     rhs = A.products(M, M)
     return np.abs(lhs - (rhs.transpose(1, 0, 2) if reverse else rhs)).max(axis=2)
+
+
+def star_residual(rho: np.ndarray, sigma: np.ndarray, H: np.ndarray) -> float:
+    """max |rho(e_i)^dagger H - H rho(e_i*)| over i and entries, where
+    rho(e_i*) = sum_k sigma[k, i] rho(e_k): the star check of a
+    representation with gram H, as batched products."""
+    star_rho = np.tensordot(sigma, rho, axes=(0, 0))
+    lhs = np.conj(rho).transpose(0, 2, 1) @ H
+    return float(np.abs(lhs - H @ star_rho).max(initial=0.0))
 
 
 def build_algebra(structure, unit, star,
@@ -474,17 +642,41 @@ class SeparabilityIdempotent:
     def residuals(self) -> tuple[float, np.ndarray]:
         """|m(E) - 1| and, per e_i, max |(e_i x_m) (x) y_m - x_m (x) (y_m e_i)|:
         the one kernel of both identities, run on first use and kept."""
-        A, Z, c = self.algebra, self.tensor, self.algebra.structure
-        lhs = np.tensordot(c, Z, axes=(1, 0))                      # (e_i x) (x) y
-        rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)   # x (x) (y e_i)
+        A, Z = self.algebra, self.tensor
         return (float(np.abs(A.multiply(Z) - A.unit).max()),
-                np.abs(lhs - rhs).reshape(A.dim, -1).max(axis=1))
+                _centrality_residual(A, Z))
 
     def verify(self, eps: float = 1e-8) -> None:
         unit_gap, central = self.residuals
         require(BadDualStructure, "sum x_m y_m misses the unit", unit_gap, eps)
         require(BadDualStructure, "centrality identity fails at basis e{}",
                 central, eps)
+
+
+def _centrality_residual(A: FDStarAlgebra, Z: np.ndarray) -> np.ndarray:
+    """Per e_i, max |(e_i x_m) (x) y_m - x_m (x) (y_m e_i)| over the
+    entries of the two n x n coefficient matrices.  Read off the table, as
+    two coordinate lists of at most n^2 entries, when it is injective
+    (`A._injective`) and Z is monomial (one nonzero per row, at Zr[j], and
+    per column, at Zc[m]): the left matrix holds v[i, j] Z[j, Zr[j]] at
+    (T[i, j], Zr[j]), the right one Z[Zc[m], m] v[m, i] at
+    (Zc[m], T[m, i]).  Each is the one product of the dense entry, so the
+    residuals are the dense ones bit for bit."""
+    n = A.dim
+    columns = [_monomial_columns(M) for M in (Z, Z.T)]
+    if A.table is None or not A._injective or any(x is None for x in columns):
+        c = A.structure
+        lhs = np.tensordot(c, Z, axes=(1, 0))                      # (e_i x) (x) y
+        rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)   # x (x) (y e_i)
+        return np.abs(lhs - rhs).reshape(n, -1).max(axis=1)
+    (T, v), ((Zc, zc), (Zr, zr)) = A.table, columns
+    i, j = np.nonzero(v)
+    k = T[i, j]
+    at, gap = _coo_gap((i, k * n + Zr[j], v[i, j] * zr[j]),
+                       (j, Zc[i] * n + k, zc[i] * v[i, j]), n * n)
+    out = np.zeros(n)
+    np.maximum.at(out, at, gap)
+    return out
 
 
 def central_sum(A: FDStarAlgebra, a: np.ndarray) -> np.ndarray:

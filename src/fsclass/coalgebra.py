@@ -41,15 +41,21 @@ class FDStarCoalgebra:
     n), counit, dagger(star), tol), whose checks are the coalgebra axioms
     entry for entry (see `dualize`): coassociativity fails as
     `NotAssociative`, the counit laws as `BadUnit`, the co-star's
-    involution and reversal of Delta as `BadStar`.  The other attributes
-    are read-only views of it."""
+    involution and reversal of Delta as `BadStar`.  Delta may also be given
+    as that algebra's index table (T, v), Delta(e_k) = sum v[i, j]
+    e_i (x) e_j over T[i, j] = k: the dual algebra is then stored as its
+    table, and `Delta` is built on first read.  The other attributes are
+    read-only views of it."""
 
-    def __init__(self, Delta: np.ndarray, counit: np.ndarray,
-                 star: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, Delta: np.ndarray | tuple[np.ndarray, np.ndarray],
+                 counit: np.ndarray, star: np.ndarray,
+                 tol: Tolerance = DEFAULT_TOL):
         counit = np.asarray(counit, dtype=complex)
         n = dense_dim(counit.shape[0])
+        if not isinstance(Delta, tuple):
+            Delta = np.asarray(Delta, dtype=complex).reshape(n, n, n)
         self.algebra = FDStarAlgebra(
-            np.asarray(Delta, dtype=complex).reshape(n, n, n), counit,
+            Delta, counit,
             dagger(np.asarray(star, dtype=complex).reshape(n, n)), tol)
 
     Delta = property(lambda self: self.algebra.structure.reshape(

@@ -3,7 +3,10 @@ schemes, groupoid algebras with their weak Hopf structure, and Drinfeld
 doubles of finite groups.
 
 All constructors return an FDStarAlgebra plus whatever extra structure the
-family carries (antipode, distinguished element, coalgebra).  Weak Hopf
+family carries (antipode, distinguished element, coalgebra).  Group,
+groupoid and double algebras, and the dual algebras their coalgebras are
+stored as, are handed their index tables (T, v), e_i e_j = v[i, j]
+e_T[i, j]: no dense structure tensor is built.  Weak Hopf
 data is an algebra and an `FDStarCoalgebra` on the same basis, each
 checked by its own axioms, plus what joins them: a multiplicative Delta
 and the antipode.  `cqg_indicator`, the compact quantum group indicator,
@@ -17,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      _ragged, central_positive_invertible)
+                      _coo_gap, _coo_sum, _ragged, central_positive_invertible)
 from .coalgebra import (CompactDecomposition, FDStarCoalgebra, dualize,
                         gamma_full)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar, NotHopf,
@@ -109,13 +112,12 @@ def group_algebra(G: GroupTable, tol: Tolerance = DEFAULT_TOL
     distinguished element g = 1; the kept `A.separability_idempotent`, whose
     residuals are measured once, is (1/n) sum_g g^{-1} (x) g."""
     n = G.order
-    c = np.zeros((n, n, n), dtype=complex)
-    c[np.arange(n)[:, None], np.arange(n)[None, :], G.table] = 1.0
     sigma = np.zeros((n, n), dtype=complex)
     sigma[G.inverse, np.arange(n)] = 1.0
     unit = np.zeros(n, dtype=complex)
     unit[0] = 1.0
-    A = FDStarAlgebra(c, unit, sigma, tol)
+    A = FDStarAlgebra((G.table, np.ones((n, n), dtype=complex)), unit, sigma,
+                      tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
     return A, DualStructureData.validated(A, S, unit)
 
@@ -125,9 +127,8 @@ def group_weak_hopf(G: GroupTable, tol: Tolerance = DEFAULT_TOL
     """C[G] as a Hopf algebra: Delta(e_g) = e_g (x) e_g, eps = 1."""
     A, dual = group_algebra(G, tol)
     n = G.order
-    Delta = np.zeros((n * n, n), dtype=complex)
-    Delta[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    return _weak_hopf(A, Delta, np.ones(n, dtype=complex), dual.S), dual
+    return _weak_hopf(A, _diagonal_coproduct(n), np.ones(n, dtype=complex),
+                      dual.S), dual
 
 
 # --- table algebras and association schemes ---
@@ -339,19 +340,6 @@ def disjoint_union_groupoid(groups: list[GroupTable]) -> GroupoidData:
 
 # --- weak Hopf algebras ---
 
-def _coo_sum(i, j, v, size: int) -> tuple[np.ndarray, ...]:
-    """The coordinate list (i, j, v), every index below size, with the
-    values at equal (i, j) summed, in row-major order."""
-    key = i * size + j
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    key = key[start]
-    return key // size, key % size, np.add.reduceat(v[order], start)
-
-
 def _coo_product(a: tuple, b: tuple, size: int) -> tuple[np.ndarray, ...]:
     """The product of two matrices given as coordinate lists (i, j, v),
     every index below size, as a coordinate list with repeated (i, j):
@@ -401,8 +389,7 @@ def _multiplicativity_residual(A: FDStarAlgebra, D: tuple) -> float:
     X = summed(cd(cj, ck, ci, dj, di, dk), (1, 2, 3, 0))
     Yt = summed(cd(ci, ck, cj, dk, di, dj), (0, 3, 1, 2))
     i, j, r = _regroup(_coo_product(X, Yt, size), n, (1, 3, 0, 2))
-    gap = _coo_sum(*map(np.concatenate, zip(lhs, (i, j, -r))), size)[2]
-    return float(np.abs(gap).max(initial=0.0))
+    return float(_coo_gap(lhs, (i, j, r), size)[1].max(initial=0.0))
 
 
 @dataclass
@@ -412,10 +399,12 @@ class WeakHopfData:
     The coalgebra is an `FDStarCoalgebra`, checked when it was built as its
     dual algebra: coassociativity fails as `NotAssociative`, the counit
     laws as `BadUnit`, the co-star's involution and reversal of Delta as
-    `BadStar`.  The constructors below give it the co-star c -> S(c)*.
-    `Delta`, an n^2 x n matrix whose column i is vec(Delta(e_i)) with
-    tensor index (j, k) flattened to j*n + k, and `counit` are read-only
-    views of it.
+    `BadStar`.  The constructors below give it the co-star c -> S(c)*
+    and hand it Delta as the index table of its dual algebra.  `Delta`, an
+    n^2 x n matrix whose column i is vec(Delta(e_i)) with tensor index
+    (j, k) flattened to j*n + k, and `counit` are read-only views of it;
+    `delta_of` reads the dual algebra's products, so nothing on the way
+    from a constructor to the Haar integral forms Delta densely.
 
     Construction checks what joins the two: multiplicativity of Delta, by
     `_multiplicativity_residual`: products of coordinate lists of the
@@ -439,9 +428,9 @@ class WeakHopfData:
         return self.algebra.dim
 
     def delta_of(self, x: np.ndarray) -> np.ndarray:
-        """Delta(x) as an n x n coefficient matrix."""
-        n = self.dim
-        return (self.Delta @ x).reshape(n, n)
+        """Delta(x) as an n x n coefficient matrix: x on the products of
+        the coalgebra's dual algebra."""
+        return self.coalgebra.algebra.of_products(x)
 
     def _validate(self):
         A, C = self.algebra, self.coalgebra
@@ -477,7 +466,7 @@ class WeakHopfData:
             raise NoHaar("regular trace form is singular") from exc
         EL, ER = self.counit_target_maps()
         # row i of X is e_i Lam, of EL.T @ X eps_L(e_i) Lam; Y likewise for R
-        X, Y = A.left_stack() @ lam, A.right_stack() @ lam
+        X, Y = A.right_mult(lam).T, A.left_mult(lam).T
         resid = np.max([np.abs(d).max() for d in (
             EL @ lam - A.unit, ER @ lam - A.unit, X - EL.T @ X, Y - ER.T @ Y)])
         require(NoHaar, "Haar integral identities fail", resid,
@@ -499,9 +488,15 @@ class WeakHopfData:
         return _round_indicator(raw, A.tol.eps_round), raw
 
 
-def _weak_hopf(A: FDStarAlgebra, Delta: np.ndarray, counit: np.ndarray,
+def _diagonal_coproduct(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delta(e_a) = e_a (x) e_a, as the index table of its dual algebra."""
+    return np.diag(np.arange(n)), np.eye(n, dtype=complex)
+
+
+def _weak_hopf(A: FDStarAlgebra, Delta, counit: np.ndarray,
                S: AntiAlgebraMap) -> WeakHopfData:
-    """A with the coalgebra (Delta, counit) and the co-star c -> S(c)*."""
+    """A with the coalgebra (Delta, counit), Delta a matrix or an index
+    table as `FDStarCoalgebra` takes it, and the co-star c -> S(c)*."""
     star = A.star_matrix @ np.conj(S.matrix)
     return WeakHopfData(A, FDStarCoalgebra(Delta, counit, star, A.tol), S)
 
@@ -525,18 +520,17 @@ def groupoid_weak_hopf(Gd: GroupoidData,
     """Groupoid algebra with Delta(e_a) = e_a (x) e_a, eps = 1,
     S(e_a) = e_{a^{-1}}; the unit is the sum of object identities."""
     n = Gd.n_arrows
-    c = np.zeros((n, n, n), dtype=complex)
+    T = np.zeros((n, n), dtype=int)
+    v = np.zeros((n, n), dtype=complex)
     for (a, b), ab in Gd.compose.items():
-        c[a, b, ab] = 1.0
+        T[a, b], v[a, b] = ab, 1.0
     unit = np.zeros(n, dtype=complex)
     unit[Gd.identity] = 1.0
     sigma = np.zeros((n, n), dtype=complex)
     sigma[Gd.inverse, np.arange(n)] = 1.0
-    A = FDStarAlgebra(c, unit, sigma, tol)
+    A = FDStarAlgebra((T, v), unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
-    Delta = np.zeros((n * n, n), dtype=complex)
-    Delta[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    W = _weak_hopf(A, Delta, np.ones(n, dtype=complex), S)
+    W = _weak_hopf(A, _diagonal_coproduct(n), np.ones(n, dtype=complex), S)
     return W, DualStructureData.validated(A, S, unit)
 
 
@@ -561,10 +555,6 @@ def drinfeld_double(G: GroupTable,
     m = G.order
     n = m * m
     t, inv = G.table, G.inverse
-    T, v = double_product_table(G)
-    i, j = np.nonzero(v)
-    c = np.zeros((n, n, n), dtype=complex)
-    c[i, j, T[i, j]] = v[i, j]
     g, h = np.ix_(np.arange(m), np.arange(m))
     sigma = np.zeros((n, n), dtype=complex)
     sigma[t[t[inv[h], g], h] * m + inv[h], g * m + h] = 1.0
@@ -572,11 +562,13 @@ def drinfeld_double(G: GroupTable,
     S_mat[t[t[inv[h], inv[g]], h] * m + inv[h], g * m + h] = 1.0
     unit = np.zeros(n, dtype=complex)
     unit[np.arange(m) * m] = 1.0
-    A = FDStarAlgebra(c, unit, sigma, tol)
+    A = FDStarAlgebra(double_product_table(G), unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, S_mat)
-    a = np.arange(m)[:, None, None]                 # a b = g for b = a^-1 g
-    Delta = np.zeros((n * n, n), dtype=complex)
-    Delta[(a * m + h) * n + t[inv[a], g] * m + h, g * m + h] = 1.0
+    # (delta_a x h) (x) (delta_b x h) is a term of Delta(delta_ab x h)
+    a, h, b, h2 = np.ix_(*[np.arange(m)] * 4)
+    same = np.broadcast_to(h == h2, (m,) * 4)
+    Delta = (np.where(same, t[a, b] * m + h, 0).reshape(n, n),
+             same.reshape(n, n).astype(complex))
     counit = np.zeros(n, dtype=complex)
     counit[:m] = 1.0
     W = _weak_hopf(A, Delta, counit, S)
@@ -597,7 +589,7 @@ def cqg_indicator(H: WeakHopfData, dec: CompactDecomposition) -> list[float]:
                              "star S(c)*")
     gamma_vec, dual, B = gamma_full(C, H.S.matrix, parts=dec.irreps)
     h = WeakHopfData(B, dualize(A), dual.S).haar_integral()
-    w = A.of_products(h).ravel() @ H.Delta
+    w = C.algebra.multiply(A.of_products(h))
     t = np.array([V.character() for V in dec.blocks])
     vals = (t @ gamma_vec) / (t @ H.counit) * (t @ w)
     return [float(v) for v in _real_indicator(vals, A.tol.eps_round)]

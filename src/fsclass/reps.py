@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum
+from .algebra import (AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum,
+                      star_residual)
 from .errors import DegenerateSplit, NotCStar, NotStarRep, require
 from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
                      gram_basis, kron_system, make_rng, nullspace,
@@ -81,18 +82,17 @@ class Representation:
         require(NotStarRep, "gram is not positive definite",
                 -np.linalg.eigvalsh((H + dagger(H)) / 2).min(initial=np.inf),
                 -np.nextafter(0.0, 1.0))
-        # star compatibility: rho(a)^dagger H = H rho(a*), where
-        # rho(e_i*) = sum_k sigma[k, i] rho(e_k)
-        star_rho = np.tensordot(A.star_matrix, self.rho, axes=(0, 0))
-        lhs = np.conj(self.rho).transpose(0, 2, 1) @ H
-        rhs = H @ star_rho
         require(NotStarRep, "rho(a)^dagger H != H rho(a*)",
-                np.abs(lhs - rhs).max(initial=0.0), eps * h_scale)
+                self._star_residual(), eps * h_scale)
         self.validated = True
 
     def _hom_residual(self) -> float:
         """`hom_residual` of rho over the product of its algebra."""
         return hom_residual(self.rho, self.algebra.of_products)
+
+    def _star_residual(self) -> float:
+        """`star_residual`: star compatibility rho(a)^dagger H = H rho(a*)."""
+        return star_residual(self.rho, self.algebra.star_matrix, self.gram)
 
     def commutant(self) -> np.ndarray:
         """Basis of End_A(V) = {M : M rho(e_i) = rho(e_i) M}, as a (k, d, d)
@@ -120,11 +120,16 @@ class RegularRepresentation(Representation):
     rho(e_i) rho(e_j) - rho(e_i e_j) is, entry for entry, minus the
     associator (e_i e_j) e_b - e_i (e_j e_b) at e_a, so its homomorphism
     residual is the associativity residual the algebra measured when it
-    was built.  Every other axiom is checked as for any representation.
+    was built.  Its star check is `FDStarAlgebra.regular_star_residual`,
+    read off the index table when A has one.  Every other axiom is
+    checked as for any representation.
     """
 
     def _hom_residual(self) -> float:
         return self.algebra.associativity_residual
+
+    def _star_residual(self) -> float:
+        return self.algebra.regular_star_residual(self.gram)
 
     @property
     def orthonormal_basis(self) -> np.ndarray:   # the trace form's, kept on A

@@ -293,6 +293,68 @@ def test_decomposition_engine_double_s3():
         assert other == multiset
 
 
+def _closure(G, elements) -> set:
+    """The subgroup of G generated by elements."""
+    group, frontier = {0}, {0}
+    while frontier:
+        frontier = {int(G.table[x, y]) for x in frontier
+                    for y in elements} - group
+        group |= frontier
+    return group
+
+
+def _dpr_dimensions(G) -> list[int]:
+    """Sorted dimensions [G : C_G(a)] dim pi of the irreducibles of D(G),
+    one per conjugacy class a of G and irreducible pi of the centralizer
+    C_G(a) (Dijkgraaf-Pasquier-Roche 1990), from the group table.  A
+    centralizer H of order at most 8 has [H : H'] linear characters, H' its
+    derived subgroup, and its other k(H) - [H : H'] irreducibles share one
+    dimension d with (k(H) - [H : H']) d^2 = |H| - [H : H']."""
+    t, inv, n = G.table, G.inverse, G.order
+    seen, dims = set(), []
+    for a in range(n):
+        if a in seen:
+            continue
+        seen |= {G.conjugate(h, a) for h in range(n)}
+        H = [h for h in range(n) if t[h, a] == t[a, h]]
+        assert len(H) <= 8
+        k = len({frozenset(G.conjugate(h, x) for h in H) for x in H})
+        derived = _closure(G, {int(t[t[x, y], t[inv[x], inv[y]]])
+                               for x in H for y in H})
+        linear = len(H) // len(derived)
+        d = 1
+        if k > linear:
+            d2, rest = divmod(len(H) - linear, k - linear)
+            d = int(round(d2 ** 0.5))
+            assert rest == 0 and d * d == d2
+        dims += [n // len(H) * x for x in [1] * linear + [d] * (k - linear)]
+    return sorted(dims)
+
+
+@pytest.mark.parametrize("name, count", [("s3", 8), ("q8", 22), ("d4", 22)])
+def test_drinfeld_double_matches_dpr(name, count):
+    """D(G) against oracles read off the group table alone: as many
+    irreducibles as pairwise-commuting triples over |G|, the
+    Dijkgraaf-Pasquier-Roche dimensions, and sum_V nu(V) dim V = Tr(S),
+    the number of basis elements delta_g x h that S fixes (h^2 = 1 and
+    h g^-1 h^-1 = g)."""
+    G = load_group(name)
+    t, inv, n = G.table, G.inverse, G.order
+    commute = (t == t.T).astype(int)
+    triples = int(np.einsum("ab,ac,bc->", commute, commute, commute))
+    assert divmod(triples, n) == (count, 0)
+    fixed = sum(1 for g in range(n) for h in range(n)
+                if t[h, h] == 0 and G.conjugate(h, inv[g]) == g)
+    W, dual = drinfeld_double(G)
+    A = W.algebra
+    parts = decompose(regular_representation(A))
+    assert len(parts) == count
+    assert sorted(V.dim for V, _ in parts) == _dpr_dimensions(G)
+    report = full_report(A, dual, parts, A.separability_idempotent)
+    assert sum(r.nu_formula * r.dim for r in report.rows) == fixed
+    assert np.trace(dual.S.matrix) == fixed
+
+
 def test_witness_validity(corpus):
     instances, _ = corpus
     for inst in instances:

@@ -576,3 +576,37 @@ def test_perfbench_trace_mode_leaves_the_cli_output_unchanged():
     assert [code for code, _ in got["plain"]] == [0, 0]
     assert got["traced"] == got["plain"]
     assert "constructors.build" in got["spans"]
+
+
+MONOMIAL_RUNS = """
+import contextlib, io, json, sys
+from fsclass import algebra, cli
+
+built = []
+dense = algebra.FDStarAlgebra.structure.func
+algebra.FDStarAlgebra.structure.func = lambda A: built.append(A.dim) or dense(A)
+codes = []
+for path, kind in json.loads(sys.argv[1]):
+    for command in ("verify", "indicators", "classify", "duality"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main([command, path, "--kind", kind]))
+print(json.dumps({"codes": codes, "built": built,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_monomial_commands_read_the_index_table_only():
+    """verify, indicators, classify and duality on D(S3), then on C[Q8]
+    and a groupoid, in one new process: no algebra, and no dual algebra of
+    a coalgebra, builds its dense n^3 tensor, and numpy.ma, whose first
+    import costs more than these kernels, is never imported."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    inputs = [(data_path("s3.json"), "double"), (data_path("q8.json"), "group"),
+              (data_path("pair3_groupoid.json"), "groupoid")]
+    proc = subprocess.run(
+        [sys.executable, "-c", MONOMIAL_RUNS, json.dumps(inputs)], env=env,
+        check=True, capture_output=True, text=True)
+    assert json.loads(proc.stdout) == {"codes": [0] * 12, "built": [],
+                                       "numpy.ma": False}

@@ -40,14 +40,15 @@ def test_dualize_co_is_built_once_per_coalgebra():
         FDStarCoalgebra(np.zeros(0), np.zeros(129), np.zeros(0))
 
 
-def test_group_coalgebra_delta_is_diagonal():
+def test_group_coalgebra_delta_sums_over_factorizations():
+    """On the dual of C[Z3], Delta(e_g) = sum_(hk = g) e_h (x) e_k: the
+    transpose of the product, read off the group table."""
+    G = load_group("z3")
     A, _, C = group_coalgebra("z3")
-    Dt = C.delta_tensor()
+    Dt = C.delta_tensor()            # Dt[g, h, k]: coefficient of e_h (x) e_k
     for g in range(3):
-        expect = np.zeros((3, 3))
-        expect[g, g] = 1.0
-        # Delta on the dual of C[G] restricted through the pairing
-        assert np.allclose(Dt[:, :, g].sum(), Dt[:, :, g].sum())
+        expect = (G.table == g).astype(float)
+        assert np.array_equal(Dt[g], expect), g
 
 
 def test_compact_decompose_blocks_partition_dimension():

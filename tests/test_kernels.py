@@ -7,8 +7,8 @@ single kernel:
   `reps.hom_residual` forms as one GEMM;
 - `delta_contraction_residual`: the corepresentation check's own Delta
   contraction, now `hom_residual` of the dual module the corepresentation
-  is stored as, over the dual algebra, whose `of_products` is the same
-  GEMM as Delta.dot;
+  is stored as, over the dual algebra, whose `of_products` is Delta.dot
+  (a gather when the dual algebra has an index table);
 - `coseparability_contraction_residuals`: the coseparability check's own
   counit and centrality contractions, now `SeparabilityIdempotent.residuals`
   over the dual algebra;
@@ -17,7 +17,11 @@ single kernel:
   beside the kept one;
 - `two_contraction_functional`: the duality functional w of
   `corep_indicators` as its own two n^3 contractions on Delta, now
-  `formula_element` over the dual algebra.
+  `formula_element` over the dual algebra;
+- `dense_*`: the kernels that read the dense structure tensor before
+  monomial algebras were stored as their index table (T, v): the product
+  map and its transpose, left and right multiplication, the unit check,
+  the regular representation's star check and the centrality residuals.
 """
 import re
 
@@ -29,17 +33,22 @@ from fsclass import (CoseparabilityIdempotent, FDStarAlgebra,
                      FDStarCoalgebra, Representation,
                      SeparabilityIdempotent, compact_decompose, decompose,
                      drinfeld_double, dualize, dualize_co, group_algebra,
+                     groupoid_weak_hopf, pair_groupoid,
                      regular_representation, scheme_from_matrices,
                      table_algebra)
 from fsclass import io as fio
 from fsclass.coalgebra import corep_indicators
-from fsclass.errors import AxiomViolation
+from fsclass.errors import (AxiomViolation, BadDualStructure, BadUnit,
+                            FSClassError, require)
 from fsclass.indicators import formula_element
-from fsclass.reps import hom_residual
+from fsclass.linalg import DEFAULT_TOL as TOL
+from fsclass.linalg import Tolerance
+from fsclass.reps import RegularRepresentation, hom_residual
 
 from conftest import (GROUP_FILES, bundled_runs, count_centrality_kernels,
-                      data_path, haar_separability, load_group,
-                      m2_dual_structures, table_separability)
+                      data_path, diagonal_rescaling, haar_separability,
+                      load_group, m2_dual_structures, rescaled,
+                      table_separability)
 
 
 def batched_hom_residual(V) -> float:
@@ -217,3 +226,246 @@ def test_duality_functional_matches_the_two_contractions(monkeypatch):
         for block, (V, _) in zip(cd.blocks, run.parts, strict=True):
             assert np.abs(block.character() - V.character()).max() <= \
                 1e-13, name
+
+
+# --- kernels on the index table against the dense forms they replaced ---
+#
+# Each dense_* function below is the code that read the dense structure
+# tensor c before monomial algebras were stored as their index table.
+
+def dense_multiply(c, Z):
+    n = len(c)
+    return Z.reshape(-1) @ c.reshape(n * n, n)
+
+
+def dense_of_products(c, X):
+    n = len(c)
+    return (c.reshape(n * n, n) @ X.reshape(n, -1)).reshape(n, n, *X.shape[1:])
+
+
+def dense_left_mult(c, x):
+    return np.tensordot(x, np.ascontiguousarray(c.transpose(0, 2, 1)),
+                        axes=(0, 0))
+
+
+def dense_right_mult(c, y):
+    n = len(c)
+    left = np.ascontiguousarray(c.transpose(0, 2, 1))
+    return (left.reshape(n * n, n) @ y).reshape(n, n).T
+
+
+def dense_unit_residual(c, u):
+    n, eye = len(c), np.eye(len(c))
+    return np.maximum(
+        np.abs((u @ c.reshape(n, n * n)).reshape(n, n) - eye).max(axis=1),
+        np.abs(np.einsum("ijk,j->ik", c, u) - eye).max(axis=1))
+
+
+def dense_star_residual(c, sigma, H):
+    """The star check of the regular representation with gram H."""
+    rho = np.ascontiguousarray(c.transpose(0, 2, 1))
+    star_rho = np.tensordot(sigma, rho, axes=(0, 0))
+    lhs = np.conj(rho).transpose(0, 2, 1) @ H
+    return float(np.abs(lhs - H @ star_rho).max(initial=0.0))
+
+
+def dense_centrality(c, Z):
+    lhs = np.tensordot(c, Z, axes=(1, 0))
+    rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)
+    return np.abs(lhs - rhs).reshape(len(c), -1).max(axis=1)
+
+
+def dense_verify(c, unit, Z, eps):
+    """`SeparabilityIdempotent.verify` on the dense forms."""
+    require(BadDualStructure, "sum x_m y_m misses the unit",
+            float(np.abs(dense_multiply(c, Z) - unit).max()), eps)
+    require(BadDualStructure, "centrality identity fails at basis e{}",
+            dense_centrality(c, Z), eps)
+
+
+LOOSE = Tolerance(eps_rank=0.5)
+
+
+def _table_algebras():
+    """D(S3), the pair groupoid on 3 objects (whose products are partly
+    zero) and C[Q8], each stored as its index table."""
+    return {"D(S3)": drinfeld_double(load_group("s3"))[0].algebra,
+            "pair(3)": groupoid_weak_hopf(pair_groupoid(3))[0].algebra,
+            "C[Q8]": group_algebra(load_group("q8"))[0]}
+
+
+def _seeded_tables(A, rng):
+    """A, then A rebuilt from its table, at a tolerance loose enough to
+    accept it, with one product's coefficient wrong and with one product
+    zeroed.  Its coefficients stay real, as every constructor's are, so
+    each product is rounded once on either path (see
+    `test_table_kernels_on_complex_coefficients`)."""
+    T, v = A.table
+    out = [("clean", A)]
+    for label, value in (("wrong v", 1.5), ("zeroed", 0.0)):
+        i, j = np.argwhere(v != 0)[rng.integers(np.count_nonzero(v))]
+        bad = v.copy()
+        bad[i, j] = value
+        out.append((f"{label} at ({i}, {j})",
+                    FDStarAlgebra((T, bad), A.unit, A.star_matrix, LOOSE)))
+    return out
+
+
+def _perturbed(M, rng, scale):
+    """M; M with one nonzero entry, on the diagonal if M has any there,
+    times scale; and M plus 1e-3 at a symmetric pair of zero entries.  The
+    first two are monomial, the third is not."""
+    nz = np.argwhere(M != 0)
+    on_diagonal = nz[nz[:, 0] == nz[:, 1]]
+    nz = on_diagonal if len(on_diagonal) else nz
+    i, j = nz[rng.integers(len(nz))]
+    scaled = M.copy()
+    scaled[i, j] *= scale
+    a, b = np.argwhere(M == 0)[0]
+    off = M.copy()
+    off[a, b] += 1e-3
+    off[b, a] += 1e-3
+    return [M, scaled, off]
+
+
+def _message(fn, *args):
+    """The type and text of the check that fn(*args) fails, or None."""
+    try:
+        fn(*args)
+    except FSClassError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def test_table_kernels_match_their_dense_forms():
+    """On D(S3), a groupoid and C[Q8], clean and with a seeded wrong or
+    zeroed product: every entry of of_products, left_mult, right_mult and
+    the L and R stacks is one product, so the table forms equal the dense
+    ones bit for bit, as do the unit residuals and the regular trace
+    (whose sums of these coefficients are exact).  multiply sums several
+    products per coordinate, in another order, so it agrees within a few
+    ulps.  None of them builds the dense tensor."""
+    rng = np.random.default_rng(80)
+    for name, A in _table_algebras().items():
+        for label, B in _seeded_tables(A, rng):
+            n = B.dim
+            x = rng.standard_normal((4, n, 2)) @ [1, 1j]
+            X, Z = x[0].reshape(n, 1) * x[1], x[2].reshape(n, 1) * x[3]
+            got = {"of_products vector": B.of_products(x[0]),
+                   "of_products map": B.of_products(X),
+                   "left_mult": B.left_mult(x[1]),
+                   "right_mult": B.right_mult(x[2]),
+                   "regular_trace": B.regular_trace(),
+                   "left_stack": B.left_stack(), "right_stack": B.right_stack(),
+                   "multiply": B.multiply(Z)}
+            assert "structure" not in vars(B), (name, label)
+            c = B.structure
+            want = {"of_products vector": dense_of_products(c, x[0]),
+                    "of_products map": dense_of_products(c, X),
+                    "left_mult": dense_left_mult(c, x[1]),
+                    "right_mult": dense_right_mult(c, x[2]),
+                    "regular_trace": np.einsum("iaa->i", c.transpose(0, 2, 1)),
+                    "left_stack": c.transpose(0, 2, 1),
+                    "right_stack": c.transpose(1, 2, 0),
+                    "multiply": dense_multiply(c, Z)}
+            for kernel, value in want.items():
+                if kernel == "multiply":
+                    bound = 8 * n * np.finfo(float).eps * np.abs(Z).max() \
+                        * np.abs(c).max()
+                    assert np.abs(got[kernel] - value).max() <= bound
+                else:
+                    assert np.array_equal(got[kernel], value), \
+                        (name, label, kernel)
+            bad_unit = B.unit.copy()
+            bad_unit[n - 1] += 100.0
+            eps = LOOSE.eps_rank * max(1.0, np.abs(c).max()) ** 2 * n
+            assert _message(FDStarAlgebra, B.table, bad_unit, B.star_matrix,
+                            LOOSE) == _message(
+                require, BadUnit, "unit axiom fails on basis element e{}",
+                dense_unit_residual(c, bad_unit), eps) is not None, \
+                (name, label)
+
+
+def test_star_and_centrality_checks_match_their_dense_forms():
+    """The regular representation's star check and the centrality
+    residuals of a separability idempotent, on the table, against their
+    n^4 dense forms: residuals equal bit for bit, hence equal first
+    violations and messages.  Inputs are D(S3), a groupoid and C[Q8],
+    clean and with a seeded wrong or zeroed product, each with the clean
+    trace-form gram and E tensor, and with one of their entries scaled
+    (still monomial) or a Hermitian pair added off their pattern (the
+    dense path)."""
+    rng = np.random.default_rng(81)
+    for name, A in _table_algebras().items():
+        G = A.trace_form[0]
+        Z0 = A.separability_idempotent.tensor
+        grams = _perturbed(G, rng, 1.001)
+        tensors = _perturbed(Z0, rng, 1.001 - 0.002j)
+        for label, B in _seeded_tables(A, rng):
+            for H in grams:
+                got = B.regular_star_residual(H)
+                assert got == dense_star_residual(
+                    B.structure, B.star_matrix, H), (name, label)
+                assert (got == 0) == (label == "clean" and H is G)
+            for Z in tensors:
+                E = SeparabilityIdempotent(B, Z)
+                unit_gap, central = E.residuals
+                want = dense_centrality(B.structure, Z)
+                assert np.array_equal(central, want), (name, label)
+                assert unit_gap == float(np.abs(
+                    dense_multiply(B.structure, Z) - B.unit).max())
+                eps = TOL.eps_eig * 100
+                assert _message(E.verify, eps) == _message(
+                    dense_verify, B.structure, B.unit, Z, eps), (name, label)
+        for H in grams[1:]:    # the messages of a rejected gram
+            rho = A.left_stack()
+            assert _message(RegularRepresentation, A, rho, H) \
+                == _message(Representation, A, rho, H) is not None, name
+
+
+def test_rebased_and_scheme_algebras_keep_the_dense_path():
+    """C[Q8] on a complex unitary basis and the Petersen scheme have no
+    index table: the kernels read the dense tensor, as they always did."""
+    rng = np.random.default_rng(82)
+    algebras = _algebras()
+    for name in ("C[Q8] rebased", "Petersen"):
+        A = algebras[name]
+        assert A.table is None, name
+        c, n = A.structure, A.dim
+        Z = A.separability_idempotent.tensor
+        x = rng.standard_normal((n, 2)) @ [1, 1j]
+        assert np.array_equal(A.of_products(x), dense_of_products(c, x))
+        assert np.array_equal(A.multiply(Z), dense_multiply(c, Z))
+        assert np.array_equal(A.left_mult(x), dense_left_mult(c, x))
+        assert np.array_equal(A.right_mult(x), dense_right_mult(c, x))
+        assert A.regular_star_residual(A.trace_form[0]) == \
+            dense_star_residual(c, A.star_matrix, A.trace_form[0])
+        assert np.array_equal(SeparabilityIdempotent(A, Z).residuals[1],
+                              dense_centrality(c, Z))
+
+
+def test_table_kernels_on_complex_coefficients():
+    """D(S3) on a basis rescaled by seeded complex factors is monomial with
+    complex coefficients.  A complex coefficient times a complex operand
+    may round differently in the fused products of BLAS than in numpy's,
+    so there the table kernels and checks agree with the dense forms
+    within a few ulps of their scale rather than bit for bit; the
+    regular representation and E pass their checks."""
+    A = drinfeld_double(load_group("s3"))[0].algebra
+    B = rescaled(A, diagonal_rescaling(A.dim, 83))
+    c, n = B.structure, B.dim
+    assert B.table is not None and np.iscomplex(B.table[1]).any()
+    x = np.random.default_rng(84).standard_normal((n, 2)) @ [1, 1j]
+    G, Z = B.trace_form[0], B.separability_idempotent.tensor
+    regular_representation(B)
+    pairs = [(B.of_products(x), dense_of_products(c, x), x),
+             (B.left_mult(x), dense_left_mult(c, x), x),
+             (B.right_mult(x), dense_right_mult(c, x), x),
+             (B.regular_star_residual(G),
+              dense_star_residual(c, B.star_matrix, G), G),
+             (SeparabilityIdempotent(B, Z).residuals[1],
+              dense_centrality(c, Z), Z)]
+    for got, want, operand in pairs:
+        bound = 4 * np.finfo(float).eps * np.abs(c).max() * np.abs(
+            operand).max() * max(1.0, np.abs(operand).max())
+        assert np.abs(np.asarray(got) - want).max() <= bound
