@@ -44,35 +44,34 @@ class FDStarAlgebra:
     - dense (`table` is None): the n x n x n tensor `structure`, c, with
       e_i e_j = sum_k c[i, j, k] e_k.
 
-    Only this module reads the storage (`structure`, `table`, `_left`);
-    other modules use the methods: the contraction kernels `multiply` (the
-    product map m: A (x) A -> A) and `of_products` (its transpose), the L
-    and R stacks, `coordinates`, the multiplications below and
-    `regular_star_residual`.  With a table, `of_products` is a gather,
-    v X[T]; `multiply`, `left_mult` and `right_mult` are O(n^2) scatters;
-    `regular_trace` and `coordinates` are read off it and the L stack is
-    filled from it.  Associativity is checked on the triples where a
-    product is nonzero (`table_associator_residual`).  The star-reversal
-    check, the regular representation's star check and the centrality
-    residuals of a separability idempotent compare coordinate lists of
-    O(n^2) entries when their other operand (sigma, the gram, E's tensor)
-    is monomial too; otherwise they run the dense forms.  Each entry they
-    compare is one product, as in the dense contractions, so with real
-    coefficients (every constructor's) the residuals are the dense ones
-    bit for bit.  Only `products`, which serves a non-monomial map, always
-    reads c.
+    Only this module reads the storage (`structure`, `table`); other
+    modules use the methods: the contraction kernels `multiply` (the
+    product map m: A (x) A -> A) and `of_products` (its transpose),
+    `coordinates`, the multiplications below, `regular_trace` and
+    `regular_star_residual`: all the regular representation reads, so no
+    stack of its matrices L(e_i) is stored.  With a table, `of_products` is
+    a gather, v X[T]; `multiply`, `left_mult` and `right_mult` are O(n^2)
+    scatters; `regular_trace` and `coordinates` are read off it.
+    Associativity is checked on the triples where a product is nonzero
+    (`table_associator_residual`).  The star-reversal check, the regular
+    representation's star check and the centrality residuals of a
+    separability idempotent compare coordinate lists of O(n^2) entries when
+    their other operand (sigma, the gram, E's tensor) is monomial too;
+    otherwise they run the dense forms.  Each entry they compare is one
+    product, as in the dense contractions, so with real coefficients (every
+    constructor's) the residuals are the dense ones bit for bit.  Only
+    `products`, which serves a non-monomial map, always reads c.
 
     Construction validates associativity, the unit and the star axioms.
     The associativity residual max |(e_i e_j) e_k - e_i (e_j e_k)| is kept
-    as `associativity_residual`: the regular representation reuses it as
-    its homomorphism residual.  The star-reversal residual
+    as `associativity_residual` and max |c| as `max_coefficient`: the
+    regular representation reuses them as its homomorphism residual and
+    its largest entry.  The star-reversal residual
     max |(e_i e_j)* - e_j* e_i*| is kept as `star_reversal_residual`: the
     dual coalgebra reuses it.  `trace_form` is `check_cstar(A)`, kept, and
     `orthonormal_basis` its factored form.  Immutable after construction
-    (`_left`, the trace-form Gram and its basis are read-only, so the
-    regular representation shares them); all methods are pure.  `_left`
-    is built on first use, so an algebra whose L stack nothing reads, such
-    as the dual algebra a weak Hopf coalgebra is stored as, never forms it.
+    (the trace-form Gram and its basis are read-only, so the regular
+    representation shares them); all methods are pure.
     """
 
     def __init__(self, structure: np.ndarray | tuple[np.ndarray, np.ndarray],
@@ -107,28 +106,10 @@ class FDStarAlgebra:
     @cached_property
     def structure(self) -> np.ndarray:
         """The dense tensor c, built from the table on first read when the
-        algebra was given one; read-only."""
-        T, v = self.table
-        n = self.dim
-        c = np.zeros((n, n, n), dtype=complex)
-        i, j = np.nonzero(v)
-        c[i, j, T[i, j]] = v[i, j]
+        algebra was given one (c[i, j] = v[i, j] e_T[i, j]); read-only."""
+        c = self.of_products(np.eye(self.dim))
         c.flags.writeable = False
         return c
-
-    @cached_property
-    def _left(self) -> np.ndarray:
-        """The left-multiplication matrices L_i = L(e_i), read-only."""
-        if self.table is None:
-            left = np.ascontiguousarray(self.structure.transpose(0, 2, 1))
-        else:
-            T, v = self.table
-            n = self.dim
-            left = np.zeros((n, n, n), dtype=complex)
-            i, j = np.nonzero(v)
-            left[i, T[i, j], j] = v[i, j]
-        left.flags.writeable = False
-        return left
 
     @cached_property
     def _injective(self) -> bool:
@@ -164,14 +145,11 @@ class FDStarAlgebra:
         return flat.reshape(n, n, *X.shape[1:])
 
     def left_stack(self) -> np.ndarray:
-        """L(e_i) for every i: A's own read-only (n, n, n) stack."""
-        return self._left
-
-    def right_stack(self) -> np.ndarray:
-        """R(e_j)[k, i] = c[i, j, k] for every j, as an (n, n, n) view."""
-        if self.table is None:
-            return self.structure.transpose(1, 2, 0)
-        return self._left.transpose(2, 1, 0)
+        """L(e_i)[k, j] = c[i, j, k] for every i: a read-only (n, n, n) view
+        of `structure`, for tests and generic callers."""
+        view = self.structure.transpose(0, 2, 1)
+        view.flags.writeable = False
+        return view
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """(i, j, k, c[i, j, k]) over the nonzero entries of the structure
@@ -183,9 +161,6 @@ class FDStarAlgebra:
         T, v = self.table
         i, j = np.nonzero(v)
         return i, j, T[i, j], v[i, j]
-
-    def mult(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.left_mult(x) @ y
 
     def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """P[p, q] = X[:, p] Y[:, q]: every product of a column of X with a
@@ -199,8 +174,8 @@ class FDStarAlgebra:
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x y over the basis."""
-        if self.table is None:
-            return np.tensordot(x, self._left, axes=(0, 0))
+        if self.table is None:   # sum_i x_i c[i, j, k] at (k, j)
+            return np.tensordot(x, self.structure, axes=(0, 0)).T
         T, v = self.table   # x_i v[i, j] at (T[i, j], j)
         n = self.dim
         return _scatter_add((T * n + np.arange(n)).ravel(),
@@ -208,25 +183,20 @@ class FDStarAlgebra:
 
     def right_mult(self, y: np.ndarray) -> np.ndarray:
         """Matrix of x -> x y over the basis."""
-        n = self.dim
-        if self.table is None:
-            return (self._left.reshape(n * n, n) @ y).reshape(n, n).T
+        if self.table is None:   # sum_j c[i, j, k] y_j at (k, i)
+            return np.tensordot(self.structure, y, axes=(1, 0)).T
         T, v = self.table   # v[i, j] y_j at (T[i, j], i)
+        n = self.dim
         return _scatter_add((T * n + np.arange(n)[:, None]).ravel(),
                             (v * y).ravel(), n * n).reshape(n, n)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.left_mult(x), self.unit)
 
-    def basis_element(self, i: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=complex)
-        e[i] = 1.0
-        return e
-
     def regular_trace(self) -> np.ndarray:
         """Vector t with tau(x) = t . x, tau = trace of left multiplication."""
         if self.table is None:
-            return np.einsum("iaa->i", self._left)
+            return np.einsum("iaa->i", self.structure)
         T, v = self.table
         return np.where(T == np.arange(self.dim), v, 0).sum(axis=1)
 
@@ -242,7 +212,8 @@ class FDStarAlgebra:
         residual is the dense one bit for bit."""
         columns = [_monomial_columns(M) for M in (self.star_matrix, H, H.T)]
         if self.table is None or any(x is None for x in columns):
-            return star_residual(self._left, self.star_matrix, H)
+            return star_residual(self.structure.transpose(0, 2, 1),
+                                 self.star_matrix, H)
         (T, v), ((P, s), (Qc, hc), (Qr, hr)) = self.table, columns
         n = self.dim
         i, j = np.divmod(np.arange(n * n), n)
@@ -278,14 +249,11 @@ class FDStarAlgebra:
         n, table = self.dim, self.table
         eye, u = np.eye(n), self.unit
         # row j of left and of right: 1 e_j and e_j 1
-        if table is None:
-            c = coeffs = self.structure
-            left = (u @ c.reshape(n, n * n)).reshape(n, n)
-            right = np.einsum("ijk,j->ik", c, u)
-        else:   # the largest |c| is the largest |v|
-            c, coeffs = None, table[1]
-            left, right = self.left_mult(u).T, self.right_mult(u).T
-        eps = self.tol.eps_rank * max(1.0, np.abs(coeffs).max(initial=0.0)) ** 2 * n
+        left, right = self.left_mult(u).T, self.right_mult(u).T
+        c = self.structure if table is None else None   # max |c| = max |v|
+        self.max_coefficient = np.abs(c if table is None else table[1]).max(
+            initial=0.0)
+        eps = self.tol.eps_rank * max(1.0, self.max_coefficient) ** 2 * n
         bad, (i, j, k) = associator_residual(c, table)
         self.associativity_residual = bad
         require(NotAssociative, f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})",

@@ -170,7 +170,8 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     for V, mult in _dual_parts(C, parts, seed):
         # unitarize: rho' = Q^dagger H rho Q in V's orthonormal basis Q
         Q = V.orthonormal_basis
-        irreps.append((Representation(B, dagger(Q) @ V.gram @ V.rho @ Q), mult))
+        irreps.append((Representation(B, V.compressed(dagger(Q) @ V.gram, Q)),
+                       mult))
     if sum(W.dim ** 2 for W, _ in irreps) != C.dim:
         raise InternalConsistency("matrix elements do not span the dual")
     E = CoseparabilityIdempotent(C, B.separability_idempotent)

@@ -48,6 +48,8 @@ class GroupTable:
             raise BadGroup("table must be order x order, inverse length order")
         if t.min(initial=0) < 0 or t.max(initial=0) >= n:
             raise BadGroup("table entries out of range")
+        if inv.min(initial=0) < 0 or inv.max(initial=0) >= n:
+            raise BadGroup("inverse entries out of range")
         if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
             raise BadGroup("element 0 is not the identity")
         for i in range(n):

@@ -152,6 +152,7 @@ def load_scheme_v1(path: str) -> dict:
     r = doc["classes"]
     if type(r) is not int or r < 1:
         raise SchemaError("classes must be a positive integer")
+    dense_dim(r)
     if "matrices" in doc:
         mats = [_integers(m, "matrices")
                 for m in _list(doc["matrices"], "matrices")]
@@ -183,7 +184,7 @@ def load_groupoid_v1(path: str) -> dict:
             raise SchemaError(f"arrows[{idx}] must have fields src, tgt")
         arrows.append(tuple(_index(a[k], m, f"arrows[{idx}].{k}")
                             for k in ("src", "tgt")))
-    n = len(arrows)
+    n = dense_dim(len(arrows))
     triples = []
     for idx, t in enumerate(_list(doc["compose"], "compose")):
         if not isinstance(t, dict) or set(t) != {"a", "b", "ab"}:

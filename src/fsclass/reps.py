@@ -7,6 +7,7 @@ gram H making it a *-representation: rho(a*) = H^{-1} rho(a)^dagger H.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property
 
 import numpy as np
@@ -59,16 +60,14 @@ class Representation:
         return complex(self.character() @ x)
 
     def fingerprint(self) -> tuple:
-        chi = self.character() / self.algebra.tol.eps_round
-        return (self.dim,) + tuple(
-            (int(round(z.real)), int(round(z.imag))) for z in chi)
+        """(dim, chi / eps_round rounded half to even, as `round` does)."""
+        chi = np.rint(self.character() / self.algebra.tol.eps_round)
+        return (self.dim,) + tuple(zip(chi.real.astype(np.int64).tolist(),
+                                       chi.imag.astype(np.int64).tolist()))
 
     def _validate(self):
-        A, n, d = self.algebra, self.algebra.dim, self.dim
-        tol = A.tol
-        if self.rho.shape != (n, d, d):
-            raise NotStarRep("matrix block must have shape (dim_A, d, d)")
-        scale = max(1.0, float(np.abs(self.rho).max(initial=0.0))) ** 2
+        A, d, tol = self.algebra, self.dim, self.algebra.tol
+        scale = max(1.0, self._max_entry()) ** 2
         eps = tol.eps_eig * scale * max(1, d)
         require(NotStarRep, "rho(e_i e_j) != rho(e_i) rho(e_j)",
                 self._hom_residual(), eps)
@@ -86,6 +85,11 @@ class Representation:
                 self._star_residual(), eps * h_scale)
         self.validated = True
 
+    def _max_entry(self) -> float:   # max |rho(e_i)[a, b]|, rho (n, d, d)
+        if self.rho.shape != (self.algebra.dim, self.dim, self.dim):
+            raise NotStarRep("matrix block must have shape (dim_A, d, d)")
+        return float(np.abs(self.rho).max(initial=0.0))
+
     def _hom_residual(self) -> float:
         """`hom_residual` of rho over the product of its algebra."""
         return hom_residual(self.rho, self.algebra.of_products)
@@ -94,11 +98,15 @@ class Representation:
         """`star_residual`: star compatibility rho(a)^dagger H = H rho(a*)."""
         return star_residual(self.rho, self.algebra.star_matrix, self.gram)
 
-    def commutant(self) -> np.ndarray:
-        """Basis of End_A(V) = {M : M rho(e_i) = rho(e_i) M}, as a (k, d, d)
-        stack, solved from the full intertwiner system.  Subclasses that
-        know it in closed form override this."""
-        return np.array(intertwiners(self.rho, self.rho, self.algebra.tol))
+    def commutant_map(self) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+        """(k, r -> sum_j r_j M_j) for a basis M_1..M_k of End_A(V), solved
+        from the full intertwiner system, unless a subclass knows it."""
+        comm = np.array(intertwiners(self.rho, self.rho, self.algebra.tol))
+        return len(comm), lambda r: np.einsum("k,kab->ab", r, comm)
+
+    def compressed(self, P: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """P rho(e_i) B for every i, as an (n, rows P, cols B) stack."""
+        return P @ self.rho @ B
 
 
 def hom_residual(rho: np.ndarray, of_products) -> float:
@@ -115,7 +123,8 @@ def hom_residual(rho: np.ndarray, of_products) -> float:
 
 class RegularRepresentation(Representation):
     """Left regular representation rho(e_i) = L(e_i), with the regular
-    trace form as gram.
+    trace form as gram.  It stores no matrices: it runs its algebra's
+    kernels, and `rho`, `A.left_stack()`, is for tests and generic callers.
 
     rho(e_i) rho(e_j) - rho(e_i e_j) is, entry for entry, minus the
     associator (e_i e_j) e_b - e_i (e_j e_b) at e_a, so its homomorphism
@@ -125,37 +134,56 @@ class RegularRepresentation(Representation):
     checked as for any representation.
     """
 
+    def __init__(self, algebra: FDStarAlgebra, gram: np.ndarray):
+        self.algebra, self.dim, self.gram = algebra, algebra.dim, gram
+        self._validate()
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.algebra.left_stack()
+
+    @property
+    def orthonormal_basis(self) -> np.ndarray:   # the trace form's, kept on A
+        return self.algebra.orthonormal_basis
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.algebra.left_mult(x)
+
+    def character(self) -> np.ndarray:
+        return self.algebra.regular_trace()
+
+    def _max_entry(self) -> float:   # L(e_i)[k, j] = c[i, j, k]
+        return float(self.algebra.max_coefficient)
+
     def _hom_residual(self) -> float:
         return self.algebra.associativity_residual
 
     def _star_residual(self) -> float:
         return self.algebra.regular_star_residual(self.gram)
 
-    @property
-    def orthonormal_basis(self) -> np.ndarray:   # the trace form's, kept on A
-        return self.algebra.orthonormal_basis
+    def commutant_map(self) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+        """End_A(A) is right multiplication: sum_j r_j R(e_j) = R(r)."""
+        return self.dim, self.algebra.right_mult
 
-    def commutant(self) -> np.ndarray:
-        """End_A(A) is right multiplication: R(e_j)[k, i] = c[i, j, k]."""
-        return self.algebra.right_stack()
+    def compressed(self, P: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(P L(e_i))[a, j] = P[a] (e_i e_j): one `of_products` of P^T (a
+        gather on a table), then one batched GEMM with B."""
+        return self.algebra.of_products(P.T).transpose(0, 2, 1) @ B
 
 
 def regular_representation(A: FDStarAlgebra) -> RegularRepresentation:
-    """The left regular *-representation; its rho is A's own read-only
-    stack of left-multiplication matrices, shared, not copied."""
+    """The left regular *-representation of A, checked."""
     G, ok = A.trace_form
     if not ok:
         raise NotStarRep("regular representation is not a *-representation: "
                          "trace form is not positive definite")
-    return RegularRepresentation(A, A.left_stack(), G)
+    return RegularRepresentation(A, G)
 
 
 def restrict(V: Representation, basis: np.ndarray) -> Representation:
     """Subrepresentation on the column span of basis (columns must be
     gram-orthonormal so that the restricted gram is the identity)."""
-    B = basis
-    P = dagger(B) @ V.gram
-    rho = P @ V.rho @ B
+    rho = V.compressed(dagger(basis) @ V.gram, basis)
     return Representation(V.algebra, rho, None, check=False)
 
 
@@ -187,13 +215,14 @@ def decompose(V: Representation,
     multiplicities, sorted by (dimension, character fingerprint).  V is
     validated here unless it already was.
 
-    The commutant is taken once, from `V.commutant()`; when it is
+    The commutant is taken once, from `V.commutant_map()`; when it is
     one-dimensional V is irreducible.  Otherwise each attempt draws a
     central z = `central_sum` of a random self-adjoint a over the
     trace-form orthonormal basis b_j (a reducible V needs a positive
-    definite trace form) and a random M in the commutant.  Each eigenspace
-    of Q^dagger H rho(z) Q, Q = `V.orthonormal_basis`, mapped back by Q is
-    an H-orthonormal basis of a block W, which gives the piece L, the first
+    definite trace form) and a random M = sum_k r_k M_k in the commutant
+    (R(r) for the regular representation).  Each eigenspace of Q^dagger H
+    rho(z) Q, Q = `V.orthonormal_basis`, mapped back by Q is an
+    H-orthonormal basis of a block W, which gives the piece L, the first
     eigenspace of M compressed onto W.  The pairing <x, y> =
     sum_j x(b_j) y(b_j^*) makes irreducible characters orthonormal, so
     <chi_L, chi_L> = 1 and <chi_V, chi_L> = dim W / dim L, each within
@@ -202,8 +231,8 @@ def decompose(V: Representation,
     """
     if not V.validated:
         V._validate()
-    comm = V.commutant()
-    if len(comm) == 1:
+    k, commutant_element = V.commutant_map()
+    if k == 1:
         return [(V, 1)]
     A, H, tol = V.algebra, V.gram, V.algebra.tol
     if not A.trace_form[1]:
@@ -220,9 +249,7 @@ def decompose(V: Representation,
     for _ in range(SPLIT_TRIES + 1):
         r = random_complex(rng, A.dim)
         z = central_sum(A, r + A.star(r))
-        # the commutant of a regular representation is a transposed view,
-        # which einsum reads in place
-        HM = H @ np.einsum("k,kab->ab", random_complex(rng, len(comm)), comm)
+        HM = H @ commutant_element(random_complex(rng, k))
         result = []
         for W in _eigenspaces(QH @ V.apply(z) @ Q, tol):
             BW = Q @ W
@@ -237,7 +264,7 @@ def decompose(V: Representation,
             return sorted(result, key=lambda p: p[0].fingerprint())
     raise DegenerateSplit(
         f"could not split a {V.dim}-dim representation with commutant "
-        f"dimension {len(comm)} in {SPLIT_TRIES} redraws")
+        f"dimension {k} in {SPLIT_TRIES} redraws")
 
 
 def dual_representation(V: Representation, S: AntiAlgebraMap,

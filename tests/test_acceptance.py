@@ -128,12 +128,12 @@ def test_canonical_g_properties(corpus):
         dual = canonical_g(A, S, inst.irreps)
         g = dual.g
         # S(g) = g^{-1} and S^2 = conjugation by g
-        assert np.abs(A.mult(S.apply(g), g) - A.unit).max() < 1e-8
+        assert np.abs(A.left_mult(S.apply(g)) @ g - A.unit).max() < 1e-8
         S2 = S.squared()
         ginv = A.inverse(g)
-        for i in range(A.dim):
-            lhs = S2 @ A.basis_element(i)
-            rhs = A.mult(A.mult(g, A.basis_element(i)), ginv)
+        for e in np.eye(A.dim):
+            lhs = S2 @ e
+            rhs = A.left_mult(A.left_mult(g) @ e) @ ginv
             assert np.abs(lhs - rhs).max() < 1e-8
         assert check_cstar(A)[1] and is_positive_element(A, g)
         for V in inst.irreps:

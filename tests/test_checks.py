@@ -100,7 +100,7 @@ def test_a_strict_lower_bound_fails_at_equality():
 
 def _s3_regular_rho():
     A = group_algebra(load_group("s3"))[0]
-    return A, A.left_stack().copy()
+    return A, np.array([A.left_mult(e) for e in np.eye(A.dim)])
 
 
 def test_a_nan_in_rho_is_not_a_star_representation():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fsclass.cli
-from fsclass import cyclic_group
+from fsclass import FDStarAlgebra, cyclic_group
 from fsclass.cli import main
 
 from conftest import count_centrality_kernels, data_path
@@ -97,6 +97,46 @@ def test_broken_input_exits_2(tmp_path, capsys):
     assert code == 2
     msg = json.loads(err)
     assert msg["error"] == "BadGroup"
+
+
+@pytest.mark.parametrize("inverse", [[0, 2], [0, -1]])
+@pytest.mark.parametrize("kind", ["group", "double"])
+def test_an_out_of_range_group_inverse_exits_2(tmp_path, capsys, inverse,
+                                               kind):
+    """An inverse past the order is not an IndexError, and a negative one
+    is not read from the end by numpy indexing."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 0]],
+                                "inverse": inverse}))
+    code, out, err = run(capsys, "verify", str(path), "--kind", kind)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "BadGroup",
+                               "message": "inverse entries out of range"}
+
+
+def test_commands_never_read_the_left_stack(capsys, monkeypatch):
+    """The regular representation runs on its algebra's kernels: no irreps,
+    indicators, classify or duality command forms the stack of L(e_i), on
+    monomial or dense inputs.  M2 as a bare algebra has no dual structure,
+    so only irreps decomposes it."""
+    calls = []
+    left_stack = FDStarAlgebra.left_stack
+
+    def counted(self):
+        calls.append(self.dim)
+        return left_stack(self)
+    monkeypatch.setattr(FDStarAlgebra, "left_stack", counted)
+    decomposed = _count_calls(monkeypatch, "decompose")
+    inputs = [("s3.json", "double"), ("q8.json", "group"),
+              ("petersen_scheme.json", "scheme"),
+              ("m2_algebra.json", "algebra")]
+    for name, kind in inputs:
+        for command in ("irreps", "indicators", "classify", "duality"):
+            code, _, _ = run(capsys, command, data_path(name), "--kind", kind)
+            want = 2 if kind == "algebra" and command != "irreps" else 0
+            assert code == want, (name, command)
+    assert len(decomposed) == 13
+    assert calls == []
 
 
 def test_unsupported_dual_exits_2(capsys):
@@ -286,6 +326,35 @@ def test_group_and_double_orders_past_the_dense_cap_exit_2_before_allocating(
             "error": "ValueError",
             "message": f"dimension {dim} exceeds the dense cap 128"}
         assert peak - base < 10 * 2**20, (kind, peak - base)
+
+
+def test_loaders_apply_the_dense_cap_before_validating(tmp_path, capsys,
+                                                      monkeypatch):
+    """A groupoid with more arrows, or a scheme with more classes, than the
+    cap is refused by its loader, with the message FDStarAlgebra gives,
+    before the O(n^3) validators run."""
+    def never(*args):
+        raise AssertionError("a validator ran past the dense cap")
+    monkeypatch.setattr(fsclass.cli.GroupoidData, "validated", never)
+    monkeypatch.setattr(fsclass.cli.TableAlgebraData, "validated", never)
+    monkeypatch.setattr(fsclass.cli, "scheme_from_matrices", never)
+    m = 14                                   # the pair groupoid: m^2 arrows
+    groupoid = {"objects": m,
+                "arrows": [{"src": j, "tgt": i}
+                           for i in range(m) for j in range(m)],
+                "compose": [{"a": i * m + j, "b": j * m + k, "ab": i * m + k}
+                            for i in range(m) for j in range(m)
+                            for k in range(m)]}
+    scheme = {"classes": 129, "matrices": [[[0]]] * 129}
+    for kind, doc, dim in [("groupoid", groupoid, 196),
+                           ("scheme", scheme, 129)]:
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), "--kind", kind)
+        assert (code, out) == (2, ""), kind
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"dimension {dim} exceeds the dense cap 128"}
 
 
 def _count_calls(monkeypatch, name: str) -> list:

@@ -44,7 +44,8 @@ def solved_haar(W: WeakHopfData) -> np.ndarray:
     A, n = W.algebra, W.dim
     EL, ER = W.counit_target_maps()
     # L(e_i) - L(eps_L(e_i)) and R(e_i) - R(eps_R(e_i)), row blocks by i
-    Ls, Rs = A.left_stack(), A.right_stack()
+    Ls = np.array([A.left_mult(e) for e in np.eye(n)])
+    Rs = np.array([A.right_mult(e) for e in np.eye(n)])
     L = Ls - np.tensordot(EL, Ls, axes=(0, 0))
     R = Rs - np.tensordot(ER, Rs, axes=(0, 0))
     M = np.vstack((EL, ER, np.stack((L, R), axis=1).reshape(-1, n)))

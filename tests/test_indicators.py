@@ -131,8 +131,9 @@ def test_formula_element_matches_the_per_pair_sum():
                     (M2, canonical_g(M2, S2, irreps))):
         E = separability_idempotent(A)
         for V, _ in decompose(regular_representation(A)):
-            loop = sum(V.char_value(A.mult(A.mult(dual.S.apply(x), dual.g), y))
-                       for x, y in zip(np.eye(A.dim), E.tensor))
+            xg = (A.left_mult(A.left_mult(dual.S.apply(x)) @ dual.g)
+                  for x in np.eye(A.dim))
+            loop = sum(V.char_value(L @ y) for L, y in zip(xg, E.tensor))
             nu, raw = fs_indicator_formula(V, dual.S, dual.g, E)
             assert abs(raw - loop) < 1e-12
             assert nu == round(loop.real)

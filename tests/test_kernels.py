@@ -340,11 +340,12 @@ def _message(fn, *args):
 def test_table_kernels_match_their_dense_forms():
     """On D(S3), a groupoid and C[Q8], clean and with a seeded wrong or
     zeroed product: every entry of of_products, left_mult, right_mult and
-    the L and R stacks is one product, so the table forms equal the dense
-    ones bit for bit, as do the unit residuals and the regular trace
-    (whose sums of these coefficients are exact).  multiply sums several
-    products per coordinate, in another order, so it agrees within a few
-    ulps.  None of them builds the dense tensor."""
+    the matrices L(e_i) and R(e_j) is one product, so the table forms equal
+    the dense ones bit for bit, as do the unit residuals and the regular
+    trace (whose sums of these coefficients are exact).  multiply sums
+    several products per coordinate, in another order, so it agrees within
+    a few ulps.  None of them builds the dense tensor, which, built by
+    of_products on first read, equals the scatter of the table."""
     rng = np.random.default_rng(80)
     for name, A in _table_algebras().items():
         for label, B in _seeded_tables(A, rng):
@@ -356,17 +357,22 @@ def test_table_kernels_match_their_dense_forms():
                    "left_mult": B.left_mult(x[1]),
                    "right_mult": B.right_mult(x[2]),
                    "regular_trace": B.regular_trace(),
-                   "left_stack": B.left_stack(), "right_stack": B.right_stack(),
+                   "L(e_i)": np.array([B.left_mult(e) for e in np.eye(n)]),
+                   "R(e_j)": np.array([B.right_mult(e) for e in np.eye(n)]),
                    "multiply": B.multiply(Z)}
             assert "structure" not in vars(B), (name, label)
-            c = B.structure
+            T, v = B.table
+            c = np.zeros((n, n, n), dtype=complex)
+            i, j = np.nonzero(v)
+            c[i, j, T[i, j]] = v[i, j]
+            assert np.array_equal(B.structure, c), (name, label)
             want = {"of_products vector": dense_of_products(c, x[0]),
                     "of_products map": dense_of_products(c, X),
                     "left_mult": dense_left_mult(c, x[1]),
                     "right_mult": dense_right_mult(c, x[2]),
                     "regular_trace": np.einsum("iaa->i", c.transpose(0, 2, 1)),
-                    "left_stack": c.transpose(0, 2, 1),
-                    "right_stack": c.transpose(1, 2, 0),
+                    "L(e_i)": c.transpose(0, 2, 1),
+                    "R(e_j)": c.transpose(1, 2, 0),
                     "multiply": dense_multiply(c, Z)}
             for kernel, value in want.items():
                 if kernel == "multiply":
@@ -419,7 +425,7 @@ def test_star_and_centrality_checks_match_their_dense_forms():
                     dense_verify, B.structure, B.unit, Z, eps), (name, label)
         for H in grams[1:]:    # the messages of a rejected gram
             rho = A.left_stack()
-            assert _message(RegularRepresentation, A, rho, H) \
+            assert _message(RegularRepresentation, A, H) \
                 == _message(Representation, A, rho, H) is not None, name
 
 

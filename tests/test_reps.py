@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fsclass import (FDStarAlgebra, decompose, drinfeld_double, full_report,
-                     group_algebra, intertwiners, regular_representation,
+                     group_algebra, groupoid_weak_hopf, intertwiners,
+                     pair_groupoid, regular_representation,
                      scheme_from_matrices, separability_idempotent,
                      table_algebra)
 from fsclass import io as fio
@@ -181,7 +182,7 @@ def test_decompose_does_not_revalidate_a_checked_input(monkeypatch):
 
 
 def _left_mult_stack(A):
-    return np.stack([A.left_mult(A.basis_element(i)) for i in range(A.dim)])
+    return np.stack([A.left_mult(e) for e in np.eye(A.dim)])
 
 
 def test_regular_representation_is_the_left_mult_stack():
@@ -193,13 +194,19 @@ def test_regular_representation_is_the_left_mult_stack():
 
 
 def test_regular_representation_shares_the_read_only_left_mult_stack():
+    """The regular representation stores no matrices: its rho is
+    `A.left_stack()`, a read-only view of the structure tensor, not a
+    copy."""
     A = drinfeld_double(load_group("s3"))[0].algebra
     V = regular_representation(A)
-    assert V.rho is A._left
+    assert "rho" not in vars(V)
+    assert not any(isinstance(x, np.ndarray) and x.ndim == 3
+                   for x in vars(V).values())
+    assert np.shares_memory(V.rho, A.structure)
     with pytest.raises(ValueError, match="read-only"):
         V.rho[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        A._left += 1.0
+        A.structure[0, 0, 0] = 1.0
     assert np.array_equal(V.rho, _left_mult_stack(A))
 
 
@@ -266,15 +273,87 @@ def _commutant_inputs():
             "petersen": _petersen()}
 
 
-def test_regular_commutant_is_right_multiplication():
+def test_regular_commutant_is_right_multiplication(monkeypatch):
+    """The commutant `decompose` draws from is right multiplication: the
+    element for r is A.right_mult(r), from a draw of dim A numbers, and
+    the basis R(e_j) commutes with every L(e_i) and is independent.  No
+    intertwiner system is solved for it."""
+    def unsolved(*args):
+        raise AssertionError("the intertwiner system was solved")
+    monkeypatch.setattr(reps, "intertwiners", unsolved)
+    rng = np.random.default_rng(23)
     for name, A in _commutant_inputs().items():
         V = regular_representation(A)
-        comm = V.commutant()
-        scale = np.abs(V.rho).max() * np.abs(comm).max()
+        k, element = V.commutant_map()
+        assert k == A.dim, name
+        r = rng.standard_normal((k, 2)) @ [1, 1j]
+        assert np.array_equal(element(r), A.right_mult(r)), name
+        comm = np.array([A.right_mult(e) for e in np.eye(A.dim)])
+        assert np.abs(element(r) - np.tensordot(r, comm, axes=(0, 0))).max() \
+            < 1e-12 * np.abs(r).max() * np.abs(comm).max(), name
+        rho = _left_mult_stack(A)
+        scale = np.abs(rho).max() * np.abs(comm).max()
         for M in comm:
-            assert np.abs(M @ V.rho - V.rho @ M).max() < 1e-12 * scale, name
+            assert np.abs(M @ rho - rho @ M).max() < 1e-12 * scale, name
         s = np.linalg.svd(comm.reshape(A.dim, -1), compute_uv=False)
         assert s[-1] > 1e-6 * s[0], name
+
+
+def test_regular_restriction_is_the_left_stack_sandwich(monkeypatch):
+    """`restrict` on the regular representation forms P L(e_i) B, P =
+    B^dagger H, from `of_products` of P^T and one batched GEMM, never
+    from the L stack.  On the bases `decompose` restricts to it equals
+    P @ A.left_stack() @ B bit for bit where A is an index table with
+    real coefficients (each entry of P L(e_i) is one exact product), and
+    within a few ulps of the operands' scale on dense tensors."""
+    eps = np.finfo(float).eps
+    algebras = {"D(S3)": (drinfeld_double(load_group("s3"))[0].algebra, 0),
+                "pair(3)": (groupoid_weak_hopf(pair_groupoid(3))[0].algebra,
+                            0),
+                "C[Q8]": (group_algebra(load_group("q8"))[0], 0),
+                "C[Q8] rebased": (_rebased_q8(seed=5)[2], 8),
+                "Petersen": (_petersen(), 8)}
+    for name, (A, ulps) in algebras.items():
+        assert (A.table is not None) == (ulps == 0), name
+        V = regular_representation(A)
+        bases = []
+
+        def recorded(W, basis):
+            assert W is V
+            bases.append(basis)
+            return restrict(W, basis)
+        with monkeypatch.context() as m:
+            m.setattr(reps, "restrict", recorded)
+            m.setattr(FDStarAlgebra, "left_stack", None)
+            decompose(V)
+        assert bases, name
+        c = A.structure
+        for B in bases:
+            P = np.conj(B.T) @ V.gram
+            got = restrict(V, B).rho
+            want = P @ A.left_stack() @ B
+            bound = ulps * A.dim * eps * np.abs(c).max() \
+                * np.abs(P).max() * np.abs(B).max()
+            assert np.abs(got - want).max() <= bound, name
+
+
+def test_fingerprint_rounds_half_to_even_as_round_does():
+    """The fingerprint rounds every chi(e_i) / eps_round in one call; on
+    exact .5 ties and negative values its key is the per-value `round`
+    key, ints included."""
+    tol = Tolerance(eps_round=0.5)      # chi / eps_round is exact
+    halves = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 3.2, -3.7])
+    chi = (halves + 1j * halves[::-1]) * tol.eps_round
+    n = len(chi)
+    c = np.zeros((n, n, n))
+    c[np.arange(n), np.arange(n), np.arange(n)] = 1.0   # C^n
+    A = FDStarAlgebra(c, np.ones(n), np.eye(n), tol)
+    V = Representation(A, chi.reshape(n, 1, 1), check=False)
+    key = V.fingerprint()
+    assert key == (1,) + tuple((int(round(z.real)), int(round(z.imag)))
+                               for z in chi / tol.eps_round)
+    assert [re for re, _ in key[1:]] == [0, 2, 2, 0, -2, -2, 3, -4]
+    assert all(type(x) is int for pair in key[1:] for x in pair)
 
 
 def _attempts(monkeypatch) -> list[dict]:
@@ -431,7 +510,7 @@ def test_a_reducible_representation_needs_a_positive_trace_form():
     one = Representation(A, [[[1.0]], [[0.0]]])
     assert decompose(one) == [(one, 1)]
     two = Representation(A, np.stack([np.eye(2), np.zeros((2, 2))]))
-    assert len(two.commutant()) == 4
+    assert two.commutant_map()[0] == 4
     with pytest.raises(NotCStar):
         decompose(two)
 
@@ -448,7 +527,7 @@ def test_decompose_a_non_regular_representation():
     gram = np.zeros((8, 8), dtype=complex)
     gram[:6, :6], gram[6:, 6:] = R.gram, X.gram
     V = Representation(A, rho, gram)
-    assert len(V.commutant()) == 1 + 1 + 3 * 3
+    assert V.commutant_map()[0] == 1 + 1 + 3 * 3
     parts = decompose(V)
     assert [V.dim for V, _ in parts] == [1, 1, 2]
     assert [m for _, m in parts] == [1, 1, 3]

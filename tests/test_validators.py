@@ -107,7 +107,7 @@ def loop_separability(A, pairs, eps=1e-8):
         return (f"sum x_m y_m misses the unit "
                 f"(residual {gap:.3e}, threshold {eps:.3e})")
     for i in range(A.dim):
-        e = A.basis_element(i)
+        e = np.eye(A.dim)[i]
         lhs = sum(np.outer(_mult(c, e, x), y) for x, y in pairs)
         rhs = sum(np.outer(x, _mult(c, y, e)) for x, y in pairs)
         if np.abs(lhs - rhs).max() > eps:
