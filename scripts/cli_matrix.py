@@ -17,7 +17,11 @@ stderr and output fields (dims, multiplicities, nu, sigma, labels, verify
 lines, duality counts), except that characters and `nu_formula_raw` need
 only agree within TOL and a changed classify witness (`real_basis`,
 `quaternion_map`) is listed, not failed: a witness is one valid choice
-among many.  It exits 1 on any other difference.
+among many, and a change to `decompose` may change the basis of V.  Each
+changed witness is counted as "equivalent" when it is the first file's
+times a phase times a real invertible matrix (`real_basis`) or times a
+unit scalar (`quaternion_map`), within TOL, and as "other" otherwise.
+It exits 1 on any other difference.
 """
 import contextlib
 import io
@@ -80,9 +84,41 @@ NUMERIC = {"character", "nu_formula_raw"}
 WITNESSES = {"real_basis", "quaternion_map"}
 
 
+def _matrix(rows) -> np.ndarray:   # `cli._cmat` rows of [re, im] pairs
+    m = np.asarray(rows, dtype=float)
+    return m[..., 0] + 1j * m[..., 1]
+
+
+def witness_equivalent(key: str, a, b) -> bool:
+    """Whether witness b is witness a times a phase times a real invertible
+    matrix (`real_basis`) or times a unit scalar (`quaternion_map`), within
+    TOL relative to the largest entry of b."""
+    try:
+        x, y = _matrix(a), _matrix(b)
+        if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
+            return False
+        if key == "real_basis":
+            m = np.linalg.solve(x, y)
+            big = m.flat[np.abs(m).argmax()]
+            phase = big / abs(big)
+            m = phase * (m / phase).real
+            if np.linalg.cond(m) > 1 / TOL:
+                return False
+        else:
+            u = np.vdot(x, y) / np.vdot(x, x)
+            if abs(abs(u) - 1) > TOL:
+                return False
+            m = u * np.eye(len(x))
+        gap = np.abs(x @ m - y).max()
+    except (ValueError, np.linalg.LinAlgError):
+        return False
+    return bool(gap <= TOL * max(1.0, np.abs(y).max()))
+
+
 def _differences(a, b, path: str, out: dict) -> None:
     """Walks two parsed outputs and files every difference under out:
-    "numeric" (the largest deviation per key), "witness" or "fail"."""
+    "numeric" (the largest deviation per key), "equivalent" or "other"
+    (changed witnesses) or "fail"."""
     key = path.rsplit(".", 1)[-1]
     if key in NUMERIC:
         x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -95,7 +131,8 @@ def _differences(a, b, path: str, out: dict) -> None:
             out["fail"].append(f"{path} off by {worst:.2e}")
     elif key in WITNESSES:
         if a != b:
-            out["witness"].append(path)
+            kind = "equivalent" if witness_equivalent(key, a, b) else "other"
+            out[kind].append(path)
     elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for k in sorted(a):
             _differences(a[k], b[k], f"{path}.{k}", out)
@@ -111,7 +148,7 @@ def compare(a_path: str, b_path: str) -> int:
         a = json.load(fh)
     with open(b_path) as fh:
         b = json.load(fh)
-    out = {"numeric": {}, "witness": [], "fail": []}
+    out = {"numeric": {}, "equivalent": [], "other": [], "fail": []}
     for run in sorted(a.keys() | b.keys()):
         if run not in a or run not in b:
             out["fail"].append(f"{run}: only in one file")
@@ -127,8 +164,11 @@ def compare(a_path: str, b_path: str) -> int:
     print(f"{len(a)} runs, {same} byte-identical")
     for key, dev in sorted(out["numeric"].items()):
         print(f"largest {key} deviation: {dev:.2e}")
-    for path in out["witness"]:
-        print(f"witness changed: {path}")
+    print(f"changed witnesses: {len(out['equivalent'])} equivalent, "
+          f"{len(out['other'])} other")
+    for kind in ("equivalent", "other"):
+        for path in out[kind]:
+            print(f"witness changed ({kind}): {path}")
     for path in out["fail"]:
         print(f"FAIL: {path}")
     return 1 if out["fail"] else 0

@@ -511,6 +511,12 @@ class RealForm:
     conj_matrix: np.ndarray          # K with abar = K conj(a)
     real_basis: np.ndarray           # complex columns spanning A0 over R
 
+    @cached_property
+    def anti_matrix(self) -> np.ndarray:
+        """sigma conj(K), for sigma the star matrix: the anti-algebra map S
+        with abar = S(a)*, whose real form this is."""
+        return self.algebra.star_matrix @ np.conj(self.conj_matrix)
+
     def conjugate(self, x: np.ndarray) -> np.ndarray:
         return self.conj_matrix @ np.conj(x)
 

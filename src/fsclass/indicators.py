@@ -5,7 +5,8 @@ pair (S, g).
 Two independent indicator computations are provided: a closed formula over
 a separability idempotent, and the trace of the canonical involution on the
 morphism space Hom(V, D(V)).  The classification sigma comes from an
-antilinear self-intertwiner and must agree with the indicator.
+antilinear self-intertwiner, the Riesz image of the same Hom(V, D(V)), and
+must agree with the indicator.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension, require)
 from .linalg import dagger, fixed_space_of_antilinear
-from .reps import Representation, dual_representation, intertwiners
+from .reps import Representation, intertwiners
 
 
 def _real_indicator(raw, eps_round: float):
@@ -59,7 +60,7 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
     S2 = S.squared()
     blocks = []
     for V in irreps:
-        rho_s2 = np.einsum("ji,jab->iab", S2, V.rho)
+        rho_s2 = np.tensordot(S2, V.rho, axes=(0, 0))
         hom = intertwiners(V.rho, rho_s2, A.tol)
         if len(hom) == 0:
             raise NoTwistedMap(
@@ -119,14 +120,25 @@ def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
     return _nu_formula(V, formula_element(V.algebra, S.matrix, g, E.tensor))
 
 
+def dual_hom(V: Representation, S: np.ndarray) -> list[np.ndarray]:
+    """Basis of Hom(V, D(V)) = {F : F rho(a) = rho(S a)^T F} for the matrix
+    S of an anti-algebra map, each of shape (d, d).  rho_D is one
+    tensordot; D(V)'s gram is not needed here, so it is not built."""
+    rho_d = np.tensordot(S, V.rho, axes=(0, 0)).transpose(0, 2, 1)
+    return intertwiners(V.rho, rho_d, V.algebra.tol)
+
+
 def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
                        g: np.ndarray) -> int:
     """nu(V) as the trace of the involution F -> F^T rho(g) on Hom(V, D(V))."""
-    A = V.algebra
-    D = dual_representation(V, S, g)
-    hom = intertwiners(V.rho, D.rho, A.tol)
+    return _nu_trace(V, dual_hom(V, S.matrix), g)
+
+
+def _nu_trace(V: Representation, hom: list[np.ndarray], g: np.ndarray) -> int:
+    """`fs_indicator_trace` on a basis hom of Hom(V, D(V))."""
     if not hom:
         return 0
+    A = V.algebra
     rho_g = V.apply(g)
     basis = np.stack([F.reshape(-1) for F in hom], axis=1)
     images = np.stack([(F.T @ rho_g).reshape(-1) for F in hom], axis=1)
@@ -153,19 +165,27 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
     An intertwiner F for the conjugation satisfies F conj(F) = alpha I with
     alpha real; sigma is its sign, and j = |alpha|^{-1/2} F squares to
     sigma id as an antilinear map.  No intertwiner means complex type.
+    The intertwiners are read off Hom(V, D(V)) for S = `R.anti_matrix`.
     """
+    return _sigma(V, R, dual_hom(V, R.anti_matrix))
+
+
+def _sigma(V: Representation, R: RealForm,
+           hom: list[np.ndarray]) -> SigmaResult:
+    """`classify_sigma` on a basis hom of Hom(V, D(V)) for R's S.  By
+    rho(b)^dagger = H rho(b*) H^{-1}, the conjugate of F rho(a) = rho(S a)^T F
+    is H^{-1} conj(F) conj(rho(a)) = rho(abar) H^{-1} conj(F), abar = S(a)*:
+    the antilinear self-intertwiners are the Riesz images H^{-1} conj(F)."""
     A = V.algebra
     d = V.dim
-    # basis of {F : F conj(rho(a)) = rho(abar) F for all a}
-    rho_bar = np.einsum("ji,jab->iab", R.conj_matrix, V.rho)
-    hom = intertwiners(np.conj(V.rho), rho_bar, A.tol)
     if not hom:
         return SigmaResult(0, None, None, None)
     if len(hom) > 1:
         raise UnexpectedDimension(
             "antilinear self-intertwiner space has dim > 1; "
             "representation is not irreducible")
-    F = hom[0]
+    F = np.linalg.solve(V.gram, np.conj(hom[0]))
+    F = F / np.linalg.norm(F)   # unit norm, so alpha's scale is not H's
     FFbar = F @ np.conj(F)
     alpha = complex(np.trace(FFbar)) / d
     require(InconsistentAlpha, "F conj(F) has non-real trace",
@@ -259,8 +279,9 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
     rows = []
     for idx, (V, mult) in enumerate(parts):
         nu_f, raw = _nu_formula(V, z)
-        nu_t = fs_indicator_trace(V, dual.S, dual.g)
-        sig = classify_sigma(V, R)
+        hom = dual_hom(V, dual.S.matrix)
+        nu_t = _nu_trace(V, hom, dual.g)
+        sig = _sigma(V, R, hom)
         if nu_f != nu_t:
             raise AgreementFailure(
                 f"irrep {idx}: formula indicator {nu_f} != trace indicator {nu_t}")

@@ -273,7 +273,7 @@ def dual_representation(V: Representation, S: AntiAlgebraMap,
     by the pairing, H_D = (rho(g) H^{-1})^T.  Built unchecked: it is a
     *-representation whenever V is one and (S, g) is a dual structure."""
     A = V.algebra
-    rho_d = np.einsum("ji,jab->iba", S.matrix, V.rho)
+    rho_d = np.tensordot(S.matrix, V.rho, axes=(0, 0)).transpose(0, 2, 1)
     H_d = (V.apply(g) @ np.linalg.inv(V.gram)).T
     return Representation(A, rho_d, H_d, check=False)
 
@@ -286,6 +286,6 @@ def conjugate_representation(V: Representation, R: RealForm,
     A = V.algebra
     if g is None:
         g = A.unit
-    rho_j = np.einsum("ji,jab->iab", np.conj(R.conj_matrix), np.conj(V.rho))
+    rho_j = np.tensordot(np.conj(R.conj_matrix), np.conj(V.rho), axes=(0, 0))
     H_j = (V.gram @ V.apply(g)).T
     return Representation(A, rho_j, H_j)

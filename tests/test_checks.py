@@ -26,7 +26,7 @@ STRUCTURAL = {
     ("constructors.py", "validated", "BadGroupoid"),       # identities, inverses
     ("constructors.py", "scheme_from_matrices", "AxiomViolation"),  # star[i] < 0
     ("indicators.py", "canonical_g", "InternalConsistency"),    # len(hom) > 1
-    ("indicators.py", "classify_sigma", "UnexpectedDimension"),  # len(hom) > 1
+    ("indicators.py", "_sigma", "UnexpectedDimension"),  # len(hom) > 1
 }
 ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 

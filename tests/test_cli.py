@@ -76,6 +76,26 @@ def test_duality_agreement(capsys):
     assert out.strip() == "algebra/coalgebra indicators agree: 3/3"
 
 
+def test_a_duality_disagreement_exits_3(capsys, monkeypatch):
+    # flipping one coalgebra indicator reaches the AgreementFailure handler
+    corep = fsclass.cli.corep_indicators
+
+    def flipped(*args):
+        values = list(corep(*args))
+        values[-1] = -values[-1]
+        return values
+    monkeypatch.setattr(fsclass.cli, "corep_indicators", flipped)
+    code, out, err = run(capsys, "duality", data_path("z3.json"),
+                         "--kind", "group")
+    assert (code, out) == (3, "")
+    report = json.loads(err)
+    assert report["error"] == "AgreementFailure"
+    assert report["message"].startswith(
+        "algebra/coalgebra indicators agree on 2/3 irreducibles")
+    assert report["message"].endswith(
+        "(residual 2.000e+00, threshold 1.000e-06)")
+
+
 def test_groupoid_and_double_kinds(capsys):
     code, out, _ = run(capsys, "indicators", data_path("pair3_groupoid.json"),
                        "--kind", "groupoid", "--format", "json")

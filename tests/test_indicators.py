@@ -16,7 +16,8 @@ from fsclass import (Representation,
 from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
                              real_form_from_S, separability_idempotent)
-from fsclass.indicators import _real_indicator, _round_indicator
+from fsclass.indicators import _real_indicator, _round_indicator, dual_hom
+from fsclass.linalg import dagger
 
 from conftest import (GROUP_FILES, classical_oracle, data_path,
                       diagonal_rescaling, haar_separability, load_group,
@@ -176,6 +177,44 @@ def test_sigma_witnesses_are_valid():
                 assert res.j_matrix is None
 
 
+@pytest.mark.parametrize("name, dim, sigma", [("s3", 2, 1), ("z3", 1, 0),
+                                              ("q8", 2, -1)])
+def test_sigma_through_a_non_identity_gram(name, dim, sigma):
+    # V' = B^-1 V B with gram H' = B^dagger B for a seeded invertible B:
+    # the antilinear intertwiner is H'^-1 conj(F') for F' spanning
+    # Hom(V', D(V')), where conj(F') alone is not one
+    _, A, dual, E, parts = pipeline(name)
+    R = real_form_from_S(A, dual.S)
+    V = next(V for V, _ in parts
+             if V.dim == dim and classify_sigma(V, R).sigma == sigma)
+    rng = np.random.default_rng(25)
+    B = rng.standard_normal((dim, dim, 2)) @ [1, 1j] + 2 * np.eye(dim)
+    Vb = Representation(A, np.linalg.inv(B) @ V.rho @ B, dagger(B) @ B)
+    assert np.abs(Vb.gram - np.eye(dim)).max() > 0.5
+    res = classify_sigma(Vb, R)
+    hom = dual_hom(Vb, R.anti_matrix)
+    assert (res.sigma, len(hom)) == (sigma, abs(sigma))
+    if sigma == 0:
+        assert res.j_matrix is None and res.witness is None
+        return
+    j = res.j_matrix
+    riesz = np.linalg.solve(Vb.gram, np.conj(hom[0]))
+    c = np.vdot(riesz, j) / np.vdot(riesz, riesz)
+    assert np.abs(j - c * riesz).max() <= 1e-12 * np.abs(j).max()
+    rho_bar = np.tensordot(R.conj_matrix, Vb.rho, axes=(0, 0))
+
+    def gap(F):   # max |F conj(rho'(e_i)) - rho'(conj e_i) F|
+        return np.abs(F @ np.conj(Vb.rho) - rho_bar @ F).max()
+    assert gap(j) < 1e-9
+    assert gap(np.conj(hom[0]) * c) > 1e-2
+    if sigma == 1:
+        m = np.linalg.inv(res.witness) @ np.tensordot(
+            R.real_basis, Vb.rho, axes=(0, 0)) @ res.witness
+        assert np.abs(m.imag).max() < 1e-9
+    else:
+        assert np.abs(j @ np.conj(j) + np.eye(dim)).max() < 1e-9
+
+
 def test_endo_real_dimension_by_type():
     _, A, dual, E, parts = pipeline("q8")
     for row in full_report(A, dual, parts, E).rows:
@@ -239,9 +278,10 @@ def test_answers_do_not_depend_on_basis_rescaling(name, double):
         _answers(A, dual, E)
 
 
-def test_full_report_solves_twice_per_irreducible(monkeypatch):
-    # Hom(V, D(V)) and the antilinear self-intertwiners; End_A(V) is not
-    # solved and D(V) is not validated again
+def test_full_report_solves_once_per_irreducible(monkeypatch):
+    # one Hom(V, D(V)) solve feeds both the trace indicator and sigma;
+    # End_A(V) is not solved and D(V) is not validated again.
+    # classify_sigma on its own solves one system per call too
     W, dual = drinfeld_double(load_group("s3"))
     A = W.algebra
     parts = decompose(regular_representation(A))
@@ -261,6 +301,10 @@ def test_full_report_solves_twice_per_irreducible(monkeypatch):
     monkeypatch.setattr(Representation, "_validate", counted_validate)
     rows = full_report(A, dual, parts, E).rows
     assert len(rows) == 8
+    assert calls == {"solve": 8, "validate": 0}
+    R = real_form_from_S(A, dual.S)
+    assert [classify_sigma(V, R).sigma for V, _ in parts] == \
+        [r.sigma for r in rows]
     assert calls == {"solve": 16, "validate": 0}
 
 

@@ -18,6 +18,10 @@ single kernel:
 - `two_contraction_functional`: the duality functional w of
   `corep_indicators` as its own two n^3 contractions on Delta, now
   `formula_element` over the dual algebra;
+- `twisted_antilinear_intertwiners`: `classify_sigma`'s own solve of the
+  antilinear self-intertwiners against the K-twisted stack rho(abar), now
+  the Riesz images H^{-1} conj(F) of the Hom(V, D(V)) basis that the trace
+  indicator reads;
 - `dense_*`: the kernels that read the dense structure tensor before
   monomial algebras were stored as their index table (T, v): the product
   map and its transpose, left and right multiplication, the unit check,
@@ -40,10 +44,11 @@ from fsclass import io as fio
 from fsclass.coalgebra import corep_indicators
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadUnit,
                             FSClassError, require)
-from fsclass.indicators import formula_element
+from fsclass.algebra import real_form_from_S
+from fsclass.indicators import classify_sigma, formula_element
 from fsclass.linalg import DEFAULT_TOL as TOL
 from fsclass.linalg import Tolerance
-from fsclass.reps import RegularRepresentation, hom_residual
+from fsclass.reps import RegularRepresentation, hom_residual, intertwiners
 
 from conftest import (GROUP_FILES, bundled_runs, count_centrality_kernels,
                       data_path, diagonal_rescaling, haar_separability,
@@ -226,6 +231,34 @@ def test_duality_functional_matches_the_two_contractions(monkeypatch):
         for block, (V, _) in zip(cd.blocks, run.parts, strict=True):
             assert np.abs(block.character() - V.character()).max() <= \
                 1e-13, name
+
+
+def twisted_antilinear_intertwiners(V, R) -> list[np.ndarray]:
+    """Basis of {F : F conj(rho(e_i)) = rho(K e_i) F}, K = R.conj_matrix."""
+    rho_bar = np.einsum("ji,jab->iab", R.conj_matrix, V.rho)
+    return intertwiners(np.conj(V.rho), rho_bar, V.algebra.tol)
+
+
+def test_sigma_intertwiner_matches_the_twisted_antilinear_solve():
+    """On every bundled input with a dual structure, classify_sigma and
+    full_report give the sigma of the K-twisted solve, and j spans the
+    same complex line as its intertwiner."""
+    runs = [(name, run) for name, run in bundled_runs()
+            if run._dual is not None]
+    assert len(runs) == 24
+    for name, run in runs:
+        R = real_form_from_S(run.A, run.dual.S)
+        for (V, _), row in zip(run.parts, run.report.rows, strict=True):
+            old = twisted_antilinear_intertwiners(V, R)
+            res = classify_sigma(V, R)
+            assert len(old) == abs(res.sigma) == abs(row.sigma), name
+            if not old:
+                continue
+            F, j = old[0], res.j_matrix
+            alpha = np.trace(F @ np.conj(F)).real
+            assert res.sigma == row.sigma == np.sign(alpha), name
+            c = np.vdot(F, j) / np.vdot(F, F)
+            assert np.abs(j - c * F).max() <= 1e-12 * np.abs(j).max(), name
 
 
 # --- kernels on the index table against the dense forms they replaced ---
