@@ -24,5 +24,8 @@ from .indicators import (IndicatorReport, canonical_g, classify_sigma,
 from .linalg import DEFAULT_TOL, Tolerance
 from .reps import (Representation, conjugate_representation, decompose,
                    dual_representation, intertwiners, regular_representation)
+# the command path (cli and its loaders in io) loads with the package, so a
+# process that imports fsclass runs a command on modules already compiled
+from . import cli
 
 __version__ = "0.1.0"

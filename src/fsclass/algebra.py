@@ -476,7 +476,7 @@ def build_algebra(structure, unit, star,
     return FDStarAlgebra(structure, unit, star, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntiAlgebraMap:
     """Linear map S with S(ab) = S(b)S(a) and S(S(a)*)* = a."""
 
@@ -502,7 +502,7 @@ class AntiAlgebraMap:
         return self.matrix @ self.matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealForm:
     """A real form, stored through its conjugation a -> conj_matrix @ conj(a),
     together with a real basis of the fixed subalgebra."""
@@ -577,7 +577,7 @@ def is_positive_element(A: FDStarAlgebra, x: np.ndarray) -> bool:
     return bool(vals.min() >= -A.tol.eps_eig * scale * 10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualStructureData:
     """Pair (S, g): anti-algebra map with S(g) = g^{-1} and
     S^2(a) = g a g^{-1}."""
@@ -604,7 +604,7 @@ class DualStructureData:
         return DualStructureData(S, g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparabilityIdempotent:
     """E = sum_jk tensor[j, k] e_j (x) e_k = sum_m x_m (x) y_m, with m(E) = 1
     and the centrality identity sum (a x_m) (x) y_m = sum x_m (x) (y_m a)."""

@@ -235,24 +235,23 @@ COMMANDS = {"verify": _cmd_verify, "irreps": _cmd_irreps,
             "duality": _cmd_duality}
 
 
-def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fsclass", description=__doc__)
-    ap.add_argument("command", choices=sorted(COMMANDS))
-    ap.add_argument("input", help="path to the input JSON file")
-    ap.add_argument("--kind", required=True,
+# built once, at import: every command parses with the same parser
+PARSER = argparse.ArgumentParser(prog="fsclass", description=__doc__)
+PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("input", help="path to the input JSON file")
+PARSER.add_argument("--kind", required=True,
                     choices=["algebra", "group", "scheme", "groupoid",
                              "double", "coalgebra"])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol-rank", type=float, default=None)
-    ap.add_argument("--tol-round", type=float, default=None)
-    ap.add_argument("--format", choices=["json", "csv", "text"],
+PARSER.add_argument("--seed", type=int, default=0)
+PARSER.add_argument("--tol-rank", type=float, default=None)
+PARSER.add_argument("--tol-round", type=float, default=None)
+PARSER.add_argument("--format", choices=["json", "csv", "text"],
                     default="text")
-    ap.add_argument("--output", default=None)
-    return ap
+PARSER.add_argument("--output", default=None)
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         # an overflow shows as an inf or NaN residual, which its check
         # refuses; numpy's warnings about it would only garble stderr

@@ -95,7 +95,7 @@ def dualize_co(C: FDStarCoalgebra) -> FDStarAlgebra:
     return C.algebra
 
 
-@dataclass
+@dataclass(eq=False)
 class CoseparabilityIdempotent:
     """Bilinear form E[i, j] = E(e_i, e_j) on C, held as the
     `SeparabilityIdempotent` of dualize_co(C) whose tensor it is: its counit
@@ -128,7 +128,7 @@ class CoseparabilityIdempotent:
                     C.tol.eps_eig * max(1.0, np.abs(Q).max()), np.inf))
 
 
-@dataclass
+@dataclass(eq=False)
 class CompactDecomposition:
     irreps: Parts   # of dualize_co(E.coalgebra), unitarized: the blocks
     E: CoseparabilityIdempotent

@@ -31,7 +31,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 
 # --- finite groups ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupTable:
     """Finite group by its multiplication table; element 0 is the identity."""
 
@@ -135,7 +135,7 @@ def group_weak_hopf(G: GroupTable, tol: Tolerance = DEFAULT_TOL
 
 # --- table algebras and association schemes ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableAlgebraData:
     """Standard basis b_0 = 1, b_1, ..., with real nonnegative structure
     constants and a basis involution i -> i*."""
@@ -249,7 +249,7 @@ def scheme_from_matrices(mats: list[np.ndarray]) -> TableAlgebraData:
 
 # --- groupoids ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupoidData:
     """Finite groupoid: arrows with source and target objects, partial
     composition, identities and inverses derived from the data."""
@@ -394,7 +394,7 @@ def _multiplicativity_residual(A: FDStarAlgebra, D: tuple) -> float:
     return float(_coo_gap(lhs, (i, j, r), size)[1].max(initial=0.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class WeakHopfData:
     """A *-algebra, a *-coalgebra on the same basis and an antipode.
 

@@ -151,7 +151,7 @@ def _nu_trace(V: Representation, hom: list[np.ndarray], g: np.ndarray) -> int:
     return _round_indicator(complex(np.trace(T)), A.tol.eps_round)
 
 
-@dataclass
+@dataclass(eq=False)
 class SigmaResult:
     sigma: int
     alpha: float | None

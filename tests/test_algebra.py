@@ -6,7 +6,7 @@ from fsclass import (build_algebra, check_cstar, is_positive_element,
 from fsclass.algebra import AntiAlgebraMap, DualStructureData
 from fsclass.errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
                             NotAssociative, NotCStar)
-from conftest import build_m2, load_group, m2_dual_structures
+from conftest import build_m2, check_text, load_group, m2_dual_structures
 
 from fsclass import group_algebra
 
@@ -53,6 +53,24 @@ def test_anti_map_rejects_identity_on_noncommutative():
     A = build_m2()
     with pytest.raises(NotAntiMap):
         AntiAlgebraMap.validated(A, np.eye(4))
+
+
+def test_anti_map_rejects_a_phase_that_the_star_does_not_undo():
+    """On C[Z3], S(e_k) = w^k e_k reverses products, but
+    S(S(e_k)*)* = w^{2k} e_k."""
+    A, _ = group_algebra(load_group("z3"))
+    w = np.exp(2j * np.pi / 3)
+    with pytest.raises(NotAntiMap) as exc:
+        AntiAlgebraMap.validated(A, np.diag(w ** np.arange(3)))
+    assert check_text(str(exc.value)) == "S(S(a)*)* != a on the basis"
+
+
+def test_dual_structure_rejects_g_with_s_of_g_not_its_inverse():
+    """On C[Z3], S(2 * 1) = 2 * 1, but g^{-1} = 1/2 * 1."""
+    A, dual = group_algebra(load_group("z3"))
+    with pytest.raises(BadDualStructure) as exc:
+        DualStructureData.validated(A, dual.S, 2 * A.unit)
+    assert check_text(str(exc.value)) == "S(g) != g^{-1}"
 
 
 def test_real_form_of_group_algebra_is_real_span():

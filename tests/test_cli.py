@@ -213,14 +213,24 @@ def test_an_overflowing_algebra_exits_2_as_not_associative(
     assert json.loads(err) == OVERFLOW_ERROR
 
 
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _cli_process(*argv) -> subprocess.CompletedProcess:
-    """`python -m fsclass.cli argv` in a new process, on this checkout's
-    src."""
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "fsclass.cli", *argv],
-                          env=env, capture_output=True, text=True)
+    """`python -m fsclass argv` in a new process, on this checkout's src."""
+    return subprocess.run([sys.executable, "-m", "fsclass", *argv],
+                          env=_src_env(), capture_output=True, text=True)
+
+
+def test_python_m_fsclass_runs_the_cli():
+    proc = _cli_process("verify", data_path("z3.json"), "--kind", "group")
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_an_overflowing_algebra_writes_one_json_line_to_stderr(tmp_path):
@@ -609,16 +619,48 @@ def test_non_numbers_and_non_finite_values_exit_2(tmp_path, capsys):
 
 
 def test_importing_fsclass_and_its_cli_loads_no_scipy():
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     code = ("import sys, fsclass, fsclass.cli; print(fsclass.__file__); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
-    assert out[0].startswith(src)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert out[0].startswith(SRC)
     assert out[1] == "[]"
+
+
+PRELOADED_RUNS = """
+import argparse, contextlib, io, json, sys
+import fsclass
+loaded = {m for m in sys.modules if m.split(".")[0] == "fsclass"}
+from fsclass import cli
+parsers = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    parsers.append(args)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+codes = []
+for command in ("verify", "irreps", "indicators", "classify", "duality"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main([command, sys.argv[1], "--kind", "group"]))
+added = {m for m in sys.modules if m.split(".")[0] == "fsclass"} - loaded
+print(json.dumps({"preloaded": sorted({"fsclass.cli", "fsclass.io"} & loaded),
+                  "codes": codes, "added": sorted(added),
+                  "parsers": len(parsers)}))
+"""
+
+
+def test_import_fsclass_preloads_the_command_path():
+    """After `import fsclass` a command imports no fsclass module and
+    builds no argument parser: each of the five runs only its own work."""
+    out = subprocess.run([sys.executable, "-c", PRELOADED_RUNS,
+                          data_path("s3.json")], env=_src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == {"preloaded": ["fsclass.cli", "fsclass.io"],
+                               "codes": [0] * 5, "added": [], "parsers": 0}
 
 
 TRACED_RUNS = """

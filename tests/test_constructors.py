@@ -1,11 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
-from fsclass import (FDStarAlgebra, GroupTable, WeakHopfData, cyclic_group,
-                     decompose, drinfeld_double, dualize, group_algebra,
+from fsclass import (FDStarAlgebra, GroupTable, WeakHopfData, classify_sigma,
+                     compact_decompose, cyclic_group, decompose,
+                     drinfeld_double, dualize, group_algebra,
                      group_from_permutations, group_weak_hopf,
                      groupoid_weak_hopf, pair_groupoid,
-                     regular_representation,
+                     real_form_from_S, regular_representation,
                      scheme_from_matrices, table_algebra, table_indicator,
                      twisted_indicator)
 from fsclass.constructors import (TableAlgebraData, check_involution_perm,
@@ -29,6 +32,24 @@ def test_cyclic_group_table():
 def test_group_from_permutations_generates_s3():
     G = group_from_permutations([[1, 0, 2], [0, 2, 1]])
     assert G.order == 6
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    """`==` and `hash` on the eleven records that hold arrays raise no
+    error: a record equals itself only, not a copy."""
+    G = cyclic_group(3)
+    A, dual = group_algebra(G)
+    R = real_form_from_S(A, dual.S)
+    cd = compact_decompose(dualize(A))
+    V = decompose(regular_representation(A))[0][0]
+    records = [G, dual.S, R, dual, A.separability_idempotent, cd.E, cd,
+               scheme_from_matrices([np.eye(2), 1 - np.eye(2)]),
+               pair_groupoid(2), group_weak_hopf(G)[0], classify_sigma(V, R)]
+    assert len({type(x) for x in records}) == 11
+    for x in records:
+        y = copy.copy(x)
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
 
 
 def test_bad_group_table_rejected():

@@ -36,6 +36,16 @@ def test_representation_rejects_non_homomorphism():
         Representation(A, rho)
 
 
+def test_rep_rejects_a_gram_that_is_not_hermitian():
+    """The regular representation of C[Z2], with a gram that is not."""
+    A, _ = group_algebra(load_group("z2"))
+    rho = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+    Representation(A, rho)
+    with pytest.raises(NotStarRep) as exc:
+        Representation(A, rho, np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert check_text(str(exc.value)) == "gram is not Hermitian"
+
+
 def test_character_of_regular_rep_is_dim_at_unit():
     A, _ = group_algebra(load_group("z4"))
     V = regular_representation(A)
