@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      SeparabilityIdempotent, dense_dim)
+                      SeparabilityIdempotent, dense_dim, star_residual)
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, NotStarRep, require)
 from .indicators import _real_indicator, canonical_g, formula_element
 from .linalg import DEFAULT_TOL, Tolerance, dagger
-from .reps import (Representation, decompose, intertwiners,
-                   regular_representation)
+from .reps import Representation, decompose, regular_representation
 
 Parts = list[tuple[Representation, int]]
 
@@ -225,20 +224,16 @@ def corep_indicators(C: FDStarCoalgebra, blocks: list[Representation],
 
 
 def invariant_gram(A: FDStarAlgebra, rho: np.ndarray) -> np.ndarray:
-    """Hermitian positive H with rho(a)^dagger H = H rho(a*); requires the
-    solution space to contain a definite element (dim 1 when irreducible)."""
-    rho_star = np.tensordot(A.star_matrix, rho, axes=(0, 0))
-    for K in intertwiners(rho_star, np.conj(rho).transpose(0, 2, 1), A.tol):
-        H = (K + dagger(K)) / 2.0
-        vals = np.linalg.eigvalsh(H)
-        if vals.min() > A.tol.eps_eig:
-            return H
-        if vals.max() < -A.tol.eps_eig:
-            return -H
-        Hi = (K - dagger(K)) / 2j
-        vals = np.linalg.eigvalsh(Hi)
-        if vals.min() > A.tol.eps_eig:
-            return Hi
-        if vals.max() < -A.tol.eps_eig:
-            return -Hi
-    raise NotStarRep("no positive invariant gram found")
+    """Hermitian positive H = sum_j rho(b_j)^dagger rho(b_j) over the
+    trace-form orthonormal basis b_j = `A.orthonormal_basis`, with
+    rho(a)^dagger H = H rho(a*) checked, `NotStarRep` otherwise.  It holds
+    whenever rho is multiplicative: right multiplications by a and by a*
+    are adjoint for the tracial inner product, so sum_j (b_j a)^* (x) b_j
+    = sum_j b_j^* (x) b_j a*."""
+    R = np.tensordot(A.orthonormal_basis, rho, axes=(0, 0))   # rho(b_j)
+    H = np.einsum("jba,jbc->ac", np.conj(R), R)
+    scale = max(1.0, float(np.abs(rho).max(initial=0.0))) ** 2
+    require(NotStarRep, "rho(a)^dagger H != H rho(a*)",
+            star_residual(rho, A.star_matrix, H),
+            A.tol.eps_eig * scale * len(H) * max(1.0, np.abs(H).max()))
+    return H

@@ -61,7 +61,7 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
     blocks = []
     for V in irreps:
         rho_s2 = np.tensordot(S2, V.rho, axes=(0, 0))
-        hom = intertwiners(V.rho, rho_s2, A.tol)
+        hom = intertwiners(A, V.rho, rho_s2)
         if len(hom) == 0:
             raise NoTwistedMap(
                 f"no twisted intertwiner for a {V.dim}-dim irreducible")
@@ -125,7 +125,7 @@ def dual_hom(V: Representation, S: np.ndarray) -> list[np.ndarray]:
     S of an anti-algebra map, each of shape (d, d).  rho_D is one
     tensordot; D(V)'s gram is not needed here, so it is not built."""
     rho_d = np.tensordot(S, V.rho, axes=(0, 0)).transpose(0, 2, 1)
-    return intertwiners(V.rho, rho_d, V.algebra.tol)
+    return intertwiners(V.algebra, V.rho, rho_d)
 
 
 def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,

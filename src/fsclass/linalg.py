@@ -1,7 +1,6 @@
-"""Dense complex matrix kernel: nullspaces and numerical rank, the
-Kronecker system of intertwiner-type identities, fixed spaces of antilinear
-maps, the orthonormal basis of a positive definite gram, eigenvalue
-clustering and seeded randomness.
+"""Dense complex matrix kernel: nullspaces and numerical rank, fixed spaces
+of antilinear maps, the orthonormal basis of a positive definite gram,
+eigenvalue clustering and seeded randomness.
 
 All functions are pure; matrices are numpy complex arrays and are never
 mutated in place.  `gram_basis` is the one Cholesky factorization: the
@@ -72,23 +71,6 @@ def svd_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     number above eps_rank times max(1, largest).  The absolute floor keeps
     a numerically-zero matrix from reading as full rank."""
     return int(np.sum(s > tol.eps_rank * max(1.0, s[0])))
-
-
-def kron_system(a, b, c, d) -> np.ndarray:
-    """The blocks kron(a_i, b_i) - kron(c_i, d_i) stacked over i, one block
-    of rows per i: the linear system of a Sylvester-type identity such as
-    F x_i = y_i F, in the row-major vec(F) coordinates.  Each operand is a
-    stack of matrices indexed by i or a single matrix shared by every i.
-    Entry for entry, the products and the difference are those np.kron
-    gives, so the matrix is the same as the per-i stack built with it.
-    """
-    def kron(x, y):
-        p = x[..., :, None, :, None] * y[..., None, :, None, :]
-        *lead, r, s, t, u = p.shape
-        return p.reshape(*lead, r * s, t * u)
-    out = kron(a, b)
-    out -= kron(c, d)
-    return out.reshape(-1, out.shape[-1])
 
 
 def gram_basis(H: np.ndarray) -> np.ndarray:

@@ -14,10 +14,10 @@ import numpy as np
 
 from .algebra import (AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum,
                       star_residual)
-from .errors import DegenerateSplit, NotCStar, NotStarRep, require
-from .linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues, dagger,
-                     gram_basis, kron_system, make_rng, nullspace,
-                     random_complex)
+from .errors import (DegenerateSplit, InternalConsistency, NotCStar,
+                     NotStarRep, require)
+from .linalg import (Tolerance, cluster_eigenvalues, dagger, gram_basis,
+                     make_rng, random_complex)
 
 
 class Representation:
@@ -99,9 +99,9 @@ class Representation:
         return star_residual(self.rho, self.algebra.star_matrix, self.gram)
 
     def commutant_map(self) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-        """(k, r -> sum_j r_j M_j) for a basis M_1..M_k of End_A(V), solved
-        from the full intertwiner system, unless a subclass knows it."""
-        comm = np.array(intertwiners(self.rho, self.rho, self.algebra.tol))
+        """(k, r -> sum_j r_j M_j) for a basis M_1..M_k of End_A(V), the
+        `intertwiners` of V with itself, unless a subclass knows it."""
+        comm = np.array(intertwiners(self.algebra, self.rho, self.rho))
         return len(comm), lambda r: np.einsum("k,kab->ab", r, comm)
 
     def compressed(self, P: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -187,15 +187,29 @@ def restrict(V: Representation, basis: np.ndarray) -> Representation:
     return Representation(V.algebra, rho, None, check=False)
 
 
-def intertwiners(
-        rho_v: np.ndarray, rho_w: np.ndarray,
-        tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Basis of {F : F rho_v(e_i) = rho_w(e_i) F}, each of shape (dW, dV)."""
+def intertwiners(A: FDStarAlgebra, rho_v: np.ndarray,
+                 rho_w: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal basis of Hom_A(V, W) = {F : F rho_v(e_i) = rho_w(e_i) F},
+    each of shape (dW, dV).  With A's kept E = sum_m x_m (x) y_m (Aguiar
+    2000), P(X) = sum_m rho_w(x_m) X rho_v(y_m) projects onto it: sum a x_m
+    (x) y_m = sum x_m (x) y_m a puts the range there, sum x_m y_m = 1 fixes
+    every F.  Its trace, the dimension k, is chi_W^T E chi_V, an integer.
+    In the row-major vec of X, P = sum_jk E[j, k] rho_w(e_j) (x)
+    rho_v(e_k)^T; the basis is its top k left singular vectors, since the
+    nonzero singular values of an idempotent are >= 1."""
     dv, dw = rho_v.shape[1], rho_w.shape[1]
-    system = kron_system(np.eye(dw), rho_v.transpose(0, 2, 1),
-                         rho_w, np.eye(dv))
-    ker = nullspace(system, tol)
-    return [ker[:, j].reshape(dw, dv) for j in range(ker.shape[1])]
+    E = A.separability_idempotent.tensor
+    trace = np.einsum("iaa->i", rho_w) @ E @ np.einsum("iaa->i", rho_v)
+    k = max(0, round(trace.real))
+    require(InternalConsistency, "dim Hom_A(V, W) = tr P is not an integer",
+            abs(trace - k), A.tol.eps_round * max(1, k))
+    if k == 0:
+        return []
+    y = np.tensordot(E, rho_v, axes=(1, 0))           # sum_k E[j, k] rho_v(e_k)
+    P = np.tensordot(rho_w, y, axes=(0, 0))           # [a, c, d, b]
+    P = P.transpose(0, 3, 1, 2).reshape(dw * dv, dw * dv)
+    U = np.linalg.svd(P)[0]
+    return [U[:, j].reshape(dw, dv) for j in range(k)]
 
 
 SPLIT_TRIES = 8
@@ -215,15 +229,16 @@ def decompose(V: Representation,
     multiplicities, sorted by (dimension, character fingerprint).  V is
     validated here unless it already was.
 
-    The commutant is taken once, from `V.commutant_map()`; when it is
-    one-dimensional V is irreducible.  Otherwise each attempt draws a
-    central z = `central_sum` of a random self-adjoint a over the
-    trace-form orthonormal basis b_j (a reducible V needs a positive
-    definite trace form) and a random M = sum_k r_k M_k in the commutant
-    (R(r) for the regular representation).  Each eigenspace of Q^dagger H
-    rho(z) Q, Q = `V.orthonormal_basis`, mapped back by Q is an
-    H-orthonormal basis of a block W, which gives the piece L, the first
-    eigenspace of M compressed onto W.  The pairing <x, y> =
+    A 1-dim V is irreducible.  Any other V needs a positive definite trace
+    form, whose E the commutant is read with: it is taken once, from
+    `V.commutant_map()`; when it is one-dimensional V is irreducible.
+    Otherwise each attempt draws a central z = `central_sum` of a random
+    self-adjoint a over the trace-form orthonormal basis b_j and a random
+    M = sum_k r_k M_k in the commutant (R(r) for the regular
+    representation).  Each eigenspace of Q^dagger H rho(z) Q, Q =
+    `V.orthonormal_basis`, mapped back by Q is an H-orthonormal basis of a
+    block W, which gives the piece L, the first eigenspace of M compressed
+    onto W.  The pairing <x, y> =
     sum_j x(b_j) y(b_j^*) makes irreducible characters orthonormal, so
     <chi_L, chi_L> = 1 and <chi_V, chi_L> = dim W / dim L, each within
     eps_round times the integer, prove W = L^m with L irreducible;
@@ -231,13 +246,15 @@ def decompose(V: Representation,
     """
     if not V.validated:
         V._validate()
-    k, commutant_element = V.commutant_map()
-    if k == 1:
+    if V.dim == 1:
         return [(V, 1)]
     A, H, tol = V.algebra, V.gram, V.algebra.tol
     if not A.trace_form[1]:
-        raise NotCStar("cannot split a reducible representation: the trace "
-                       "form of its algebra is not positive definite")
+        raise NotCStar("cannot read the commutant: the trace form of its "
+                       "algebra is not positive definite")
+    k, commutant_element = V.commutant_map()
+    if k == 1:
+        return [(V, 1)]
     B, Q = A.orthonormal_basis, V.orthonormal_basis
     Bs, QH = A.star(B), dagger(Q) @ H
     chi_V = V.character()

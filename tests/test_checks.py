@@ -12,9 +12,15 @@ import pytest
 
 import fsclass
 import fsclass.errors
-from fsclass import FDStarAlgebra, Representation, dualize, group_algebra
-from fsclass.errors import (AxiomViolation, BadUnit, FSClassError, NotStarRep,
-                            SchemaError, require)
+from fsclass import (FDStarAlgebra, Representation, decompose, dualize,
+                     group_algebra, regular_representation)
+from fsclass.algebra import real_form_from_S
+from fsclass.coalgebra import invariant_gram
+from fsclass.errors import (AxiomViolation, BadUnit, FSClassError,
+                            InconsistentAlpha, InternalConsistency,
+                            NotStarRep, SchemaError, require)
+from fsclass.indicators import _nu_trace, _sigma, dual_hom
+from fsclass.reps import intertwiners
 
 from conftest import COREP_CHECKS, check_text, load_group
 
@@ -134,6 +140,49 @@ def test_a_nan_corep_coefficient_is_refused():
         COREP_CHECKS["Delta(c_ij) != sum_k c_ik (x) c_kj"]
 
 
+def _s3_two_dim_irreducible():
+    A, dual = group_algebra(load_group("s3"))
+    V = next(V for V, _ in decompose(regular_representation(A)) if V.dim == 2)
+    return A, dual, V
+
+
+def _raised_text(error, call) -> str:
+    with pytest.raises(error) as info:
+        call()
+    return check_text(str(info.value))
+
+
+def test_a_hom_dimension_off_an_integer_is_refused():
+    """W = 1.1 V is no representation: tr P = chi_W^T E chi_V = 1.1."""
+    A, _, V = _s3_two_dim_irreducible()
+    with pytest.raises(InternalConsistency, match=r"not an integer "
+                       r"\(residual 1\.000e-01,"):
+        intertwiners(A, V.rho, 1.1 * V.rho)
+
+
+def test_the_checks_on_the_hom_v_dv_basis_fire():
+    """A g that doubles F^T rho(g) makes the involution square to 4; a
+    random g moves F^T rho(g) off Hom(V, D(V)); a random F is no
+    intertwiner, so F conj(F) is not scalar; a perturbed rho has no
+    invariant gram."""
+    A, dual, V = _s3_two_dim_irreducible()
+    hom = dual_hom(V, dual.S.matrix)
+    rng = np.random.default_rng(75)
+    assert _raised_text(InternalConsistency, lambda: _nu_trace(
+        V, hom, 2 * A.unit)) == \
+        "duality map on Hom(V, D(V)) does not square to the identity"
+    assert _raised_text(InternalConsistency, lambda: _nu_trace(
+        V, hom, rng.standard_normal(A.dim))) == \
+        "involution does not preserve Hom(V, D(V))"
+    F = rng.standard_normal((2, 2, 2)) @ [1, 1j]
+    assert _raised_text(InconsistentAlpha, lambda: _sigma(
+        V, real_form_from_S(A, dual.S), [F])) == \
+        "F conj(F) is not a scalar matrix"
+    noisy = V.rho + 0.01 * rng.standard_normal(V.rho.shape)
+    assert _raised_text(NotStarRep, lambda: invariant_gram(A, noisy)) == \
+        "rho(a)^dagger H != H rho(a*)"
+
+
 def _callers(path: str, name: str) -> set[tuple[str, str]]:
     """(module, enclosing Class.function) of every call of `name` in the
     module at path."""
@@ -164,6 +213,25 @@ def test_the_homomorphism_kernel_has_one_caller():
     for path in glob.glob(os.path.join(src, "*.py")):
         found |= _callers(path, "hom_residual")
     assert found == {("reps.py", "Representation._hom_residual")}
+
+
+def test_no_kronecker_system_and_one_nullspace_caller():
+    """Every Hom_A(V, W) is the range of the separability idempotent's
+    average: no module defines or imports `kron_system`, and the one
+    `nullspace` left is the fixed space of an antilinear map."""
+    src = os.path.dirname(fsclass.__file__)
+    named, callers = [], set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        named += [path for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "kron_system"
+                  or isinstance(node, ast.ImportFrom)
+                  and "kron_system" in [a.name for a in node.names]]
+        callers |= _callers(path, "nullspace")
+    assert named == []
+    assert callers == {("linalg.py", "fixed_space_of_antilinear")}
 
 
 def test_a_right_unit_failure_names_its_basis_element():

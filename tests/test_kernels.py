@@ -18,6 +18,12 @@ single kernel:
 - `two_contraction_functional`: the duality functional w of
   `corep_indicators` as its own two n^3 contractions on Delta, now
   `formula_element` over the dual algebra;
+- `kron_system` and `kron_intertwiners`: every Hom_A(V, W) as the null
+  space, under an eps_rank SVD cutoff, of the n d_V d_W x d_V d_W
+  Kronecker system of F rho_V(e_i) = rho_W(e_i) F, now the range of the
+  separability idempotent's average that `reps.intertwiners` projects
+  with; the gram `invariant_gram` read off the same solve, now an average
+  over the trace-form orthonormal basis;
 - `twisted_antilinear_intertwiners`: `classify_sigma`'s own solve of the
   antilinear self-intertwiners against the K-twisted stack rho(abar), now
   the Riesz images H^{-1} conj(F) of the Hom(V, D(V)) basis that the trace
@@ -41,13 +47,13 @@ from fsclass import (CoseparabilityIdempotent, FDStarAlgebra,
                      regular_representation, scheme_from_matrices,
                      table_algebra)
 from fsclass import io as fio
-from fsclass.coalgebra import corep_indicators
+from fsclass.coalgebra import corep_indicators, invariant_gram
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadUnit,
                             FSClassError, require)
 from fsclass.algebra import real_form_from_S
 from fsclass.indicators import classify_sigma, formula_element
 from fsclass.linalg import DEFAULT_TOL as TOL
-from fsclass.linalg import Tolerance
+from fsclass.linalg import Tolerance, dagger, nullspace
 from fsclass.reps import RegularRepresentation, hom_residual, intertwiners
 
 from conftest import (GROUP_FILES, bundled_runs, count_centrality_kernels,
@@ -233,10 +239,125 @@ def test_duality_functional_matches_the_two_contractions(monkeypatch):
                 1e-13, name
 
 
+def kron_system(a, b, c, d) -> np.ndarray:
+    """The blocks kron(a_i, b_i) - kron(c_i, d_i) stacked over i, one block
+    of rows per i: the linear system of a Sylvester-type identity such as
+    F x_i = y_i F, in the row-major vec(F) coordinates.  Each operand is a
+    stack of matrices indexed by i or a single matrix shared by every i.
+    Entry for entry, the products and the difference are those np.kron
+    gives, so the matrix is the same as the per-i stack built with it.
+    """
+    def kron(x, y):
+        p = x[..., :, None, :, None] * y[..., None, :, None, :]
+        *lead, r, s, t, u = p.shape
+        return p.reshape(*lead, r * s, t * u)
+    out = kron(a, b)
+    out -= kron(c, d)
+    return out.reshape(-1, out.shape[-1])
+
+
+def kron_intertwiners(rho_v, rho_w, tol=TOL) -> list[np.ndarray]:
+    """Basis of {F : F rho_v(e_i) = rho_w(e_i) F}, each of shape (dW, dV):
+    the null space of the Kronecker system, for any stacks rho_v, rho_w."""
+    dv, dw = rho_v.shape[1], rho_w.shape[1]
+    system = kron_system(np.eye(dw), rho_v.transpose(0, 2, 1),
+                         rho_w, np.eye(dv))
+    ker = nullspace(system, tol)
+    return [ker[:, j].reshape(dw, dv) for j in range(ker.shape[1])]
+
+
+def kron_invariant_gram(A, rho) -> np.ndarray:
+    """The invariant gram of an irreducible rho, trace 1, from the one
+    solution K of K rho(a*) = rho(a)^dagger K that the Kronecker solve
+    gives: K is a phase times a positive definite H."""
+    rho_star = np.tensordot(A.star_matrix, rho, axes=(0, 0))
+    [K] = kron_intertwiners(rho_star, np.conj(rho).transpose(0, 2, 1), A.tol)
+    return K / np.trace(K)
+
+
+def test_kron_system_matches_the_per_index_kron_stack():
+    rng = np.random.default_rng(9)
+    n, dv, dw = 5, 3, 4
+
+    def stack(k):
+        shape = (n, k, k)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rv, rw, rb = stack(dv), stack(dw), stack(dv)
+    ev, ew = np.eye(dv), np.eye(dw)
+    # intertwiners (F rho_v = rho_w F), the same system for the antilinear
+    # self-intertwiners, and the identity operands in the other places
+    cases = [
+        ((ew, rv.transpose(0, 2, 1), rw, ev),
+         [np.kron(ew, rv[i].T) - np.kron(rw[i], ev) for i in range(n)]),
+        ((ev, np.conj(rv).transpose(0, 2, 1), rb, ev),
+         [np.kron(ev, np.conj(rv[i]).T) - np.kron(rb[i], ev)
+          for i in range(n)]),
+        ((np.conj(rw).transpose(0, 2, 1), ew, ew, rw.transpose(0, 2, 1)),
+         [np.kron(dagger(rw[i]), ew) - np.kron(ew, rw[i].T)
+          for i in range(n)]),
+    ]
+    for args, blocks in cases:
+        got = kron_system(*args)
+        want = np.vstack(blocks)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def averaging_projection(A, rho_v, rho_w) -> np.ndarray:
+    """P = sum_m kron(rho_w(b_m), rho_v(b_m^*)^T) over the trace-form
+    orthonormal basis b_m, one np.kron per m: the average with the
+    symmetric separability idempotent sum_m b_m (x) b_m^*."""
+    B = A.orthonormal_basis
+    x = np.tensordot(B, rho_w, axes=(0, 0))
+    y = np.tensordot(A.star(B), rho_v, axes=(0, 0))
+    return sum(np.kron(xm, ym.T) for xm, ym in zip(x, y))
+
+
+def test_averaged_hom_spaces_match_the_kronecker_solve():
+    """On every bundled input with a dual structure and for every
+    irreducible V, Hom(V, D(V)), Hom(V, V o S^2) and End_A(V) from the
+    average have the Kronecker solve's dimension and span, within 1e-12;
+    the k-th singular value of the averaging projection is >= 1 - 1e-12.
+    The averaged invariant gram of V conjugated by a non-unitary matrix is
+    the Kronecker solve's, up to scale, within 1e-12."""
+    runs = [(name, run) for name, run in bundled_runs()
+            if run._dual is not None]
+    assert len(runs) == 24
+    rng = np.random.default_rng(74)
+    for name, run in runs:
+        A, S = run.A, run.dual.S
+        S2 = S.squared()
+        for V, _ in run.parts:
+            d = V.dim
+            targets = [np.tensordot(S.matrix, V.rho, axes=(0, 0))
+                       .transpose(0, 2, 1),
+                       np.tensordot(S2, V.rho, axes=(0, 0)), V.rho]
+            for rho_w in targets:
+                new = intertwiners(A, V.rho, rho_w)
+                old = kron_intertwiners(V.rho, rho_w, A.tol)
+                assert len(new) == len(old), name
+                if not old:
+                    continue
+                span_new, span_old = (
+                    np.stack([F.reshape(-1) for F in hom], axis=1)
+                    for hom in (new, old))
+                gap = (span_new @ dagger(span_new)
+                       - span_old @ dagger(span_old))
+                assert np.abs(gap).max() <= 1e-12, name
+                s = np.linalg.svd(averaging_projection(A, V.rho, rho_w),
+                                  compute_uv=False)
+                assert s[len(new) - 1] >= 1 - 1e-12, name
+            P = np.eye(d) + 0.3 * np.triu(rng.standard_normal((d, d)))
+            rho = np.linalg.inv(P) @ V.rho @ P
+            H = invariant_gram(A, rho)
+            gap = H / np.trace(H) - kron_invariant_gram(A, rho)
+            assert np.abs(gap).max() <= 1e-12, name
+
+
 def twisted_antilinear_intertwiners(V, R) -> list[np.ndarray]:
     """Basis of {F : F conj(rho(e_i)) = rho(K e_i) F}, K = R.conj_matrix."""
     rho_bar = np.einsum("ji,jab->iab", R.conj_matrix, V.rho)
-    return intertwiners(np.conj(V.rho), rho_bar, V.algebra.tol)
+    return kron_intertwiners(np.conj(V.rho), rho_bar, V.algebra.tol)
 
 
 def test_sigma_intertwiner_matches_the_twisted_antilinear_solve():

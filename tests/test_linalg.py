@@ -4,7 +4,7 @@ import scipy.linalg
 
 from fsclass.linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues,
                             dagger, fixed_space_of_antilinear, gram_basis,
-                            kron_system, make_rng, nullspace)
+                            make_rng, nullspace)
 
 
 def test_tolerance_defaults():
@@ -103,34 +103,6 @@ def test_thin_svd_nullspace_matches_full_svd(name, complex_):
     assert np.allclose(dagger(ker) @ ker, np.eye(ker.shape[1]), atol=1e-12)
     resid = m @ ker
     assert (np.linalg.norm(resid, 2) if resid.size else 0.0) <= cutoff
-
-
-def test_kron_system_matches_the_per_index_kron_stack():
-    rng = np.random.default_rng(9)
-    n, dv, dw = 5, 3, 4
-
-    def stack(k):
-        shape = (n, k, k)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rv, rw, rb = stack(dv), stack(dw), stack(dv)
-    ev, ew = np.eye(dv), np.eye(dw)
-    # intertwiners (F rho_v = rho_w F), the same system for the antilinear
-    # self-intertwiners, and the identity operands in the other places
-    cases = [
-        ((ew, rv.transpose(0, 2, 1), rw, ev),
-         [np.kron(ew, rv[i].T) - np.kron(rw[i], ev) for i in range(n)]),
-        ((ev, np.conj(rv).transpose(0, 2, 1), rb, ev),
-         [np.kron(ev, np.conj(rv[i]).T) - np.kron(rb[i], ev)
-          for i in range(n)]),
-        ((np.conj(rw).transpose(0, 2, 1), ew, ew, rw.transpose(0, 2, 1)),
-         [np.kron(dagger(rw[i]), ew) - np.kron(ew, rw[i].T)
-          for i in range(n)]),
-    ]
-    for args, blocks in cases:
-        got = kron_system(*args)
-        want = np.vstack(blocks)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _hermitian_pencil(rng, n, cond):
