@@ -1,6 +1,6 @@
 """Finite-dimensional *-algebras over the complex numbers, given by structure
-constants, together with anti-algebra maps, real forms, dual-structure data
-and separability idempotents.
+constants, together with anti-algebra maps, real forms (each stored as its
+conjugation), dual-structure data and separability idempotents.
 
 Elements are coordinate vectors over the distinguished basis e_0..e_{n-1}
 with e_i e_j = sum_k c[i,j,k] e_k.  An algebra is stored either as that
@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
                      NotAssociative, NotCStar, require)
-from .linalg import (DEFAULT_TOL, Tolerance, dagger, fixed_space_of_antilinear,
-                     gram_basis)
+from .linalg import DEFAULT_TOL, Tolerance, dagger, gram_basis
 
 DENSE_DIM_CAP = 128
 
@@ -504,12 +503,11 @@ class AntiAlgebraMap:
 
 @dataclass(frozen=True, eq=False)
 class RealForm:
-    """A real form, stored through its conjugation a -> conj_matrix @ conj(a),
-    together with a real basis of the fixed subalgebra."""
+    """A real form A0 = {a : abar = a}, stored as its conjugation
+    a -> conj_matrix @ conj(a) alone: A0 enters only through abar."""
 
     algebra: FDStarAlgebra
     conj_matrix: np.ndarray          # K with abar = K conj(a)
-    real_basis: np.ndarray           # complex columns spanning A0 over R
 
     @cached_property
     def anti_matrix(self) -> np.ndarray:
@@ -517,17 +515,12 @@ class RealForm:
         with abar = S(a)*, whose real form this is."""
         return self.algebra.star_matrix @ np.conj(self.conj_matrix)
 
-    def conjugate(self, x: np.ndarray) -> np.ndarray:
-        return self.conj_matrix @ np.conj(x)
-
-    def contains(self, x: np.ndarray, eps: float | None = None) -> bool:
-        eps = self.algebra.tol.eps_eig if eps is None else eps
-        return bool(np.abs(self.conjugate(x) - x).max() <= eps * (1 + np.abs(x).max()))
-
 
 def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
     """Real form fixed by the antilinear map a -> K conj(a), which must be
-    an involutive algebra conjugation."""
+    an involutive algebra conjugation.  Its fixed space then has real
+    dimension n: x = (x + K conj x)/2 + i (x - K conj x)/(2i), both parts
+    fixed."""
     K = np.asarray(K, dtype=complex)
     n = A.dim
     eps = A.tol.eps_eig * max(1.0, np.abs(K).max()) ** 2 * n
@@ -535,12 +528,7 @@ def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
             np.abs(K @ np.conj(K) - np.eye(n)).max(), eps)
     require(NotAntiMap, "conjugation is not multiplicative at (e{}, e{})",
             product_map_residual(A, K, conj=True, reverse=False), eps)
-    basis = fixed_space_of_antilinear(K, A.tol)
-    if basis.shape[1] != n:
-        raise NotAntiMap(
-            f"fixed space of the conjugation has real dimension {basis.shape[1]}, "
-            f"expected {n}")
-    return RealForm(A, K, basis)
+    return RealForm(A, K)
 
 
 def real_form_from_S(A: FDStarAlgebra, S: AntiAlgebraMap | np.ndarray) -> RealForm:

@@ -187,10 +187,8 @@ def _sigma(V: Representation, R: RealForm,
     F = np.linalg.solve(V.gram, np.conj(hom[0]))
     F = F / np.linalg.norm(F)   # unit norm, so alpha's scale is not H's
     FFbar = F @ np.conj(F)
-    alpha = complex(np.trace(FFbar)) / d
-    require(InconsistentAlpha, "F conj(F) has non-real trace",
-            abs(alpha.imag), A.tol.eps_round * (1 + abs(alpha)))
-    alpha = alpha.real
+    # tr(F conj F) is real for any square F: its conjugate is tr(conj F F)
+    alpha = np.trace(FFbar).real / d
     require(InconsistentAlpha, "F conj(F) is not a scalar matrix",
             np.abs(FFbar - alpha * np.eye(d)).max(),
             A.tol.eps_round * (1 + abs(alpha)))
@@ -204,10 +202,14 @@ def _sigma(V: Representation, R: RealForm,
         if W.shape[1] != d:
             raise InternalConsistency("fixed space of j has the wrong dimension")
         witness = W
-        # m[k] = W^-1 rho(r_k) W for every real basis vector r_k of A0
-        m = np.linalg.inv(W) @ np.tensordot(R.real_basis, V.rho, axes=(0, 0)) @ W
+        # m[i] = W^-1 rho(e_i) W.  j conj(rho(a)) = rho(abar) j and
+        # j conj(W) = W give m(abar) = conj(m(a)), so m is real on A0 exactly
+        # when sum_k K[k, i] m[k] = conj(m[i]) for every basis element e_i
+        m = np.linalg.inv(W) @ V.rho @ W
         require(InternalConsistency, "real form does not act by real "
-                "matrices in the j-fixed basis", np.abs(m.imag).max(axis=(1, 2)),
+                "matrices in the j-fixed basis",
+                np.abs(np.tensordot(R.conj_matrix, m, axes=(0, 0))
+                       - np.conj(m)).max(axis=(1, 2)),
                 A.tol.eps_round * (1 + np.abs(m).max(axis=(1, 2))))
     else:
         require(InternalConsistency, "j conj(j) != -I for sigma = -1",

@@ -22,7 +22,8 @@ from fsclass.algebra import (SeparabilityIdempotent, real_form_from_conjugation,
                              real_form_from_S)
 from fsclass.coalgebra import gamma_full
 from fsclass.constructors import disjoint_union_groupoid
-from fsclass.linalg import make_rng
+from fsclass.linalg import DEFAULT_TOL as TOL
+from fsclass.linalg import fixed_space_of_antilinear, make_rng
 
 from conftest import (GROUP_FILES, classical_oracle, haar_separability,
                       load_group, m2_dual_structures)
@@ -363,7 +364,7 @@ def test_witness_validity(corpus):
             res = classify_sigma(V, R)
             if res.sigma == 1:
                 B = res.witness
-                for x in R.real_basis.T:
+                for x in fixed_space_of_antilinear(R.conj_matrix, TOL).T:
                     M = np.linalg.solve(B, V.apply(x) @ B)
                     assert np.abs(M.imag).max() < 1e-7
             elif res.sigma == -1:

@@ -12,8 +12,10 @@ import pytest
 
 import fsclass
 import fsclass.errors
-from fsclass import (FDStarAlgebra, Representation, decompose, dualize,
-                     group_algebra, regular_representation)
+import fsclass.indicators
+from fsclass import (FDStarAlgebra, Representation, classify_sigma,
+                     decompose, dualize, group_algebra,
+                     regular_representation)
 from fsclass.algebra import real_form_from_S
 from fsclass.coalgebra import invariant_gram
 from fsclass.errors import (AxiomViolation, BadUnit, FSClassError,
@@ -181,6 +183,19 @@ def test_the_checks_on_the_hom_v_dv_basis_fire():
     noisy = V.rho + 0.01 * rng.standard_normal(V.rho.shape)
     assert _raised_text(NotStarRep, lambda: invariant_gram(A, noisy)) == \
         "rho(a)^dagger H != H rho(a*)"
+
+
+def test_a_witness_basis_that_is_not_real_is_refused(monkeypatch):
+    """A complex change of the j-fixed basis W of a 2-dim real irreducible
+    makes m(abar) = conj(m(a)) fail for m = W^-1 rho W."""
+    A, dual, V = _s3_two_dim_irreducible()
+    fixed = fsclass.indicators.fixed_space_of_antilinear
+    C = np.array([[1, 0.5j], [0.3, 1]])
+    monkeypatch.setattr(fsclass.indicators, "fixed_space_of_antilinear",
+                        lambda j, tol: fixed(j, tol) @ C)
+    assert _raised_text(InternalConsistency, lambda: classify_sigma(
+        V, real_form_from_S(A, dual.S))) == \
+        "real form does not act by real matrices in the j-fixed basis"
 
 
 def _callers(path: str, name: str) -> set[tuple[str, str]]:

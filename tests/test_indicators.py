@@ -5,6 +5,7 @@ import pytest
 
 import fsclass.constructors
 import fsclass.indicators
+import fsclass.linalg
 from fsclass import (Representation,
                      canonical_g, classify_sigma, compact_decompose,
                      corep_indicator, cqg_indicator, decompose,
@@ -17,7 +18,8 @@ from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
                              real_form_from_S, separability_idempotent)
 from fsclass.indicators import _real_indicator, _round_indicator, dual_hom
-from fsclass.linalg import dagger
+from fsclass.linalg import DEFAULT_TOL as TOL
+from fsclass.linalg import dagger, fixed_space_of_antilinear
 
 from conftest import (GROUP_FILES, classical_oracle, data_path,
                       diagonal_rescaling, haar_separability, load_group,
@@ -167,7 +169,7 @@ def test_sigma_witnesses_are_valid():
                 assert B is not None
                 # the real-structure basis makes the real form act by
                 # real matrices
-                for x in R.real_basis.T:
+                for x in fixed_space_of_antilinear(R.conj_matrix, TOL).T:
                     M = np.linalg.solve(B, V.apply(x) @ B)
                     assert np.abs(M.imag).max() < 1e-7
             elif res.sigma == -1:
@@ -209,7 +211,8 @@ def test_sigma_through_a_non_identity_gram(name, dim, sigma):
     assert gap(np.conj(hom[0]) * c) > 1e-2
     if sigma == 1:
         m = np.linalg.inv(res.witness) @ np.tensordot(
-            R.real_basis, Vb.rho, axes=(0, 0)) @ res.witness
+            fixed_space_of_antilinear(R.conj_matrix, TOL), Vb.rho,
+            axes=(0, 0)) @ res.witness
         assert np.abs(m.imag).max() < 1e-9
     else:
         assert np.abs(j @ np.conj(j) + np.eye(dim)).max() < 1e-9
@@ -306,6 +309,31 @@ def test_full_report_solves_once_per_irreducible(monkeypatch):
     assert [classify_sigma(V, R).sigma for V, _ in parts] == \
         [r.sigma for r in rows]
     assert calls == {"solve": 16, "validate": 0}
+
+
+def test_no_nullspace_grows_with_the_algebra(monkeypatch):
+    """full_report and classify_sigma solve no system wider than 2 d for
+    an irreducible of dim d: the real form is its conjugation K, and the
+    only SVD left is the fixed space of a d x d antilinear map j."""
+    widths = []
+    nullspace = fsclass.linalg.nullspace
+
+    def recorded(m, *args):
+        widths.append(np.shape(m)[1])
+        return nullspace(m, *args)
+    monkeypatch.setattr(fsclass.linalg, "nullspace", recorded)
+    for name in ("s3", "q8"):
+        W, dual = drinfeld_double(load_group(name))
+        A = W.algebra
+        parts = decompose(regular_representation(A))
+        E = separability_idempotent(A)
+        widths.clear()
+        full_report(A, dual, parts, E)
+        R = real_form_from_S(A, dual.S)
+        for V, _ in parts:
+            classify_sigma(V, R)
+        assert widths, name
+        assert max(widths) <= 2 * max(V.dim for V, _ in parts), name
 
 
 def test_canonical_g_for_group_algebra_is_unit():

@@ -28,6 +28,9 @@ single kernel:
   antilinear self-intertwiners against the K-twisted stack rho(abar), now
   the Riesz images H^{-1} conj(F) of the Hom(V, D(V)) basis that the trace
   indicator reads;
+- `real_basis_residuals`: `classify_sigma`'s own witness check on a real
+  basis of A0, the fixed space of the conjugation K under a 2n x 2n SVD,
+  now m(abar) = conj(m(a)) through K on the basis elements;
 - `dense_*`: the kernels that read the dense structure tensor before
   monomial algebras were stored as their index table (T, v): the product
   map and its transpose, left and right multiplication, the unit check,
@@ -53,7 +56,8 @@ from fsclass.errors import (AxiomViolation, BadDualStructure, BadUnit,
 from fsclass.algebra import real_form_from_S
 from fsclass.indicators import classify_sigma, formula_element
 from fsclass.linalg import DEFAULT_TOL as TOL
-from fsclass.linalg import Tolerance, dagger, nullspace
+from fsclass.linalg import (Tolerance, dagger, fixed_space_of_antilinear,
+                            nullspace)
 from fsclass.reps import RegularRepresentation, hom_residual, intertwiners
 
 from conftest import (GROUP_FILES, bundled_runs, count_centrality_kernels,
@@ -380,6 +384,53 @@ def test_sigma_intertwiner_matches_the_twisted_antilinear_solve():
             assert res.sigma == row.sigma == np.sign(alpha), name
             c = np.vdot(F, j) / np.vdot(F, F)
             assert np.abs(j - c * F).max() <= 1e-12 * np.abs(j).max(), name
+
+
+def real_basis_residuals(V, R, W) -> np.ndarray:
+    """max |Im W^-1 rho(r) W| / (1 + max |W^-1 rho(r) W|) for each vector r
+    of a real basis of A0 = {a : K conj(a) = a}."""
+    basis = fixed_space_of_antilinear(R.conj_matrix, TOL)
+    assert basis.shape[1] == V.algebra.dim
+    m = np.linalg.inv(W) @ np.tensordot(basis, V.rho, axes=(0, 0)) @ W
+    return np.abs(m.imag).max(axis=(1, 2)) / (1 + np.abs(m).max(axis=(1, 2)))
+
+
+def conjugation_residuals(V, R, W) -> np.ndarray:
+    """max |sum_k K[k, i] m_k - conj(m_i)| / (1 + max |m_i|) for each basis
+    element e_i, m_i = W^-1 rho(e_i) W: the check `classify_sigma` makes."""
+    m = np.linalg.inv(W) @ V.rho @ W
+    gap = np.tensordot(R.conj_matrix, m, axes=(0, 0)) - np.conj(m)
+    return np.abs(gap).max(axis=(1, 2)) / (1 + np.abs(m).max(axis=(1, 2)))
+
+
+def test_witness_check_through_k_matches_the_real_basis_check():
+    """On every real irreducible of every bundled input with a dual
+    structure, the witness passes both forms of the check.  Under a seeded
+    complex change of basis C both fail where d >= 2; for d = 1,
+    W^-1 rho W = rho whatever W is, so both still pass."""
+    runs = [(name, run) for name, run in bundled_runs()
+            if run._dual is not None]
+    assert len(runs) == 24
+    rng = np.random.default_rng(29)
+    dims = []
+    for name, run in runs:
+        R = real_form_from_S(run.A, run.dual.S)
+        for V, _ in run.parts:
+            res = classify_sigma(V, R)
+            if res.sigma != 1:
+                continue
+            dims.append(V.dim)
+            W = res.witness
+            assert conjugation_residuals(V, R, W).max() <= 1e-12, name
+            assert real_basis_residuals(V, R, W).max() <= 1e-12, name
+            C = np.eye(V.dim) + 0.5j * rng.standard_normal((V.dim, V.dim))
+            k_form = conjugation_residuals(V, R, W @ C).max()
+            basis_form = real_basis_residuals(V, R, W @ C).max()
+            if V.dim == 1:
+                assert max(k_form, basis_form) <= 1e-12, name
+            else:
+                assert min(k_form, basis_form) > TOL.eps_round, name
+    assert (len(dims), sum(d > 1 for d in dims)) == (95, 34)
 
 
 # --- kernels on the index table against the dense forms they replaced ---
