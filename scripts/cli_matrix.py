@@ -8,8 +8,8 @@ files.
 <src-dir> is the directory that holds the `fsclass` package (`src` of a
 checkout).  The matrix is the commands verify, irreps, indicators, classify
 and duality, each with `--format json`, over every file in data/ as its own
-kind plus the Drinfeld doubles of z2, z3, z4, s3 and q8, under seeds 0
-and 5: 260 runs.  BLAS is pinned to one thread so that repeated runs agree
+kind plus the Drinfeld doubles of z2, z3, z4, s3, q8 and d4, under seeds 0
+and 5: 270 runs.  BLAS is pinned to one thread so that repeated runs agree
 to the last bit.
 
 `compare` checks that both files hold the same runs, with equal exit codes,
@@ -36,7 +36,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
 COMMANDS = ["verify", "irreps", "indicators", "classify", "duality"]
-DOUBLES = ["z2", "z3", "z4", "s3", "q8"]
+DOUBLES = ["z2", "z3", "z4", "s3", "q8", "d4"]
 SEEDS = [0, 5]
 
 

@@ -307,10 +307,20 @@ def _monomial_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(P, m) with M[:, i] = m[i] e_P[i] when every column of M has at most
     one nonzero (sigma, S and K of groups, groupoids and doubles); else
     None."""
-    if not (np.count_nonzero(M, axis=0) <= 1).all():
-        return None
-    P = np.abs(M).argmax(axis=0)
-    return P, M[P, np.arange(M.shape[1])]
+    P = (M != 0).argmax(axis=0)
+    m = M[P, np.arange(M.shape[1])]   # each nonzero of M is one of m exactly
+    return (P, m) if np.count_nonzero(M) == np.count_nonzero(m) else None
+
+
+def transpose_times(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M^T X for an n x n M and an X of n rows: the gather m[i] X[P[i]]
+    when M[:, i] = m[i] e_P[i] (sigma, S, K and E on table inputs), each
+    entry the one product of the dense sum, bit for bit on real entries."""
+    columns = _monomial_columns(M)
+    if columns is None:
+        return M.T @ X
+    P, m = columns
+    return m[:, None] * X[P]
 
 
 def _monomial_gap(at_a, a, at_b, b) -> np.ndarray:
@@ -504,38 +514,37 @@ class AntiAlgebraMap:
 @dataclass(frozen=True, eq=False)
 class RealForm:
     """A real form A0 = {a : abar = a}, stored as its conjugation
-    a -> conj_matrix @ conj(a) alone: A0 enters only through abar."""
+    a -> conj_matrix @ conj(a) and the S it comes from, no real basis."""
 
     algebra: FDStarAlgebra
     conj_matrix: np.ndarray          # K with abar = K conj(a)
-
-    @cached_property
-    def anti_matrix(self) -> np.ndarray:
-        """sigma conj(K), for sigma the star matrix: the anti-algebra map S
-        with abar = S(a)*, whose real form this is."""
-        return self.algebra.star_matrix @ np.conj(self.conj_matrix)
+    anti_matrix: np.ndarray          # S = sigma conj(K): abar = S(a)*
 
 
-def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
+def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray,
+                               S: np.ndarray | None = None) -> RealForm:
     """Real form fixed by the antilinear map a -> K conj(a), which must be
     an involutive algebra conjugation.  Its fixed space then has real
     dimension n: x = (x + K conj x)/2 + i (x - K conj x)/(2i), both parts
-    fixed."""
+    fixed.  Its anti_matrix is S, sigma conj(K) when not given; products
+    with K are gathers when K is monomial (`transpose_times`)."""
     K = np.asarray(K, dtype=complex)
     n = A.dim
     eps = A.tol.eps_eig * max(1.0, np.abs(K).max()) ** 2 * n
-    require(NotAntiMap, "conjugation is not involutive",
-            np.abs(K @ np.conj(K) - np.eye(n)).max(), eps)
+    require(NotAntiMap, "conjugation is not involutive", np.abs(
+        transpose_times(np.conj(K), K.T).T - np.eye(n)).max(), eps)
     require(NotAntiMap, "conjugation is not multiplicative at (e{}, e{})",
             product_map_residual(A, K, conj=True, reverse=False), eps)
-    return RealForm(A, K)
+    return RealForm(A, K, transpose_times(np.conj(K), A.star_matrix.T).T
+                    if S is None else S)
 
 
 def real_form_from_S(A: FDStarAlgebra, S: AntiAlgebraMap | np.ndarray) -> RealForm:
-    """Real form {a : S(a)* = a} of the anti-algebra map S."""
+    """Real form {a : S(a)* = a} of the anti-algebra map S, which it keeps."""
     if not isinstance(S, AntiAlgebraMap):
         S = AntiAlgebraMap.validated(A, S)
-    return real_form_from_conjugation(A, A.star_matrix @ np.conj(S.matrix))
+    K = transpose_times(np.conj(S.matrix), A.star_matrix.T).T   # sigma conj(S)
+    return real_form_from_conjugation(A, K, S.matrix)
 
 
 def check_cstar(A: FDStarAlgebra) -> tuple[np.ndarray, bool]:

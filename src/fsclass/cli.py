@@ -25,7 +25,7 @@ from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            drinfeld_double, group_algebra, groupoid_weak_hopf,
                            scheme_from_matrices, table_algebra)
 from .errors import AgreementFailure, FSClassError, SchemaError, require
-from .indicators import IndicatorReport, classify_sigma, full_report
+from .indicators import IndicatorReport, classify_sigmas, full_report
 from .linalg import Tolerance
 from .reps import decompose, regular_representation
 
@@ -190,10 +190,10 @@ def _cmd_indicators(args, run: Run) -> str:
 
 def _cmd_classify(args, run: Run) -> str:
     dual, parts = run.dual, run.parts
-    R = real_form_from_S(run.A, dual.S)
+    results = classify_sigmas([V for V, _ in parts],
+                              real_form_from_S(run.A, dual.S))
     rows = []
-    for i, (V, m) in enumerate(parts):
-        res = classify_sigma(V, R)
+    for i, ((V, m), res) in enumerate(zip(parts, results)):
         label = {1: "real", 0: "complex", -1: "quaternionic"}[res.sigma]
         row = {"index": i, "dim": V.dim, "sigma": res.sigma, "label": label}
         if res.sigma == 1:

@@ -6,7 +6,7 @@ Two independent indicator computations are provided: a closed formula over
 a separability idempotent, and the trace of the canonical involution on the
 morphism space Hom(V, D(V)).  The classification sigma comes from an
 antilinear self-intertwiner, the Riesz image of the same Hom(V, D(V)), and
-must agree with the indicator.
+must agree with the indicator.  All three run on one stack per dimension.
 """
 from __future__ import annotations
 
@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      RealForm, SeparabilityIdempotent, real_form_from_S)
+                      RealForm, SeparabilityIdempotent, real_form_from_S,
+                      transpose_times)
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension, require)
-from .linalg import dagger, fixed_space_of_antilinear
-from .reps import Representation, intertwiners
+from .linalg import dagger, fixed_spaces_of_antilinear
+from .reps import Representation, hom_spaces, intertwiners
 
 
 def _real_indicator(raw, eps_round: float):
@@ -35,16 +36,18 @@ def _real_indicator(raw, eps_round: float):
     return np.real(raw)
 
 
-def _round_indicator(raw: complex, eps_round: float) -> int:
-    """The one rule that turns a raw indicator value into nu: nu =
-    round(Re raw) when |raw - nu| <= eps_round, else `ComplexResult`;
-    `UnexpectedDimension` when nu is not -1, 0 or +1."""
-    nu = np.rint(_real_indicator(raw, eps_round))
+def _round_indicator(raw, eps_round: float):
+    """The one rule that turns a raw indicator value into nu, entry by
+    entry for an array of them: nu = round(Re raw) when |raw - nu| <=
+    eps_round, else `ComplexResult`; `UnexpectedDimension` when nu is not
+    -1, 0 or +1.  An int, or a list of ints."""
+    nu = np.rint(np.asarray(_real_indicator(raw, eps_round)))
     require(ComplexResult, "indicator value is not near an integer",
             abs(raw - nu), eps_round)
-    if nu not in (-1, 0, 1):
-        raise UnexpectedDimension(f"indicator {nu:.0f} outside {{-1, 0, +1}}")
-    return int(nu)
+    bad = nu[(nu != 0) & (abs(nu) != 1)]
+    if bad.size:
+        raise UnexpectedDimension(f"indicator {bad[0]:.0f} outside {{-1, 0, +1}}")
+    return nu.astype(int).tolist()
 
 
 def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
@@ -102,13 +105,35 @@ def formula_element(A: FDStarAlgebra, S: np.ndarray, g: np.ndarray,
     """z = m((R_g S (x) id) E) = sum_m S(x_m) g y_m for the matrix S of an
     anti-algebra map and the tensor E = sum_m x_m (x) y_m of a separability
     idempotent, so that nu(V) = chi_V(z) for every V.  Over a coalgebra's
-    dual algebra it is the duality functional of `corep_indicators`."""
-    return A.multiply(A.right_mult(g) @ S @ E)
+    dual algebra it is the duality functional of `corep_indicators`.
+    (R_g S E)^T = E^T S^T R_g^T: two gathers when S and E are monomial."""
+    return A.multiply(transpose_times(E, transpose_times(
+        S, A.right_mult(g).T)).T)
 
 
-def _nu_formula(V: Representation, z: np.ndarray) -> tuple[int, complex]:
-    total = V.char_value(z)
-    return _round_indicator(total, V.algebra.tol.eps_round), total
+def _stacked(A: FDStarAlgebra, S: np.ndarray, Vs: list[Representation],
+             kernel) -> list:
+    """kernel(at, rho, gram, F) per dimension d among the irreducibles Vs:
+    on those whose Hom(V, D(V)) under S is a line, with F a unit in each
+    (`dual_hom`), and on the rest with F None.  at: their positions in Vs;
+    rho (n, m, d, d), gram (m, d, d): theirs, stacked.  Results by Vs."""
+    out = {}
+    for d in dict.fromkeys(V.dim for V in Vs):
+        at = np.array([i for i, V in enumerate(Vs) if V.dim == d])
+        rho = np.stack([Vs[i].rho for i in at], axis=1)
+        gram = np.stack([Vs[i].gram for i in at])
+        line, F = dual_hom(A, S, rho, at)
+        for part, F in ((line, F), (~line, None)):
+            if part.any():
+                out.update(zip(at[part], kernel(at[part], rho[:, part],
+                                                gram[part], F)))
+    return [out[i] for i in range(len(Vs))]
+
+
+def _nu_formula(rho: np.ndarray, z: np.ndarray, eps_round: float) -> list:
+    """(nu, raw) for each V of a stack: raw = chi_V(z), rounded."""
+    raw = np.einsum("jvaa->vj", rho) @ z
+    return list(zip(_round_indicator(raw, eps_round), raw.tolist()))
 
 
 def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
@@ -117,38 +142,45 @@ def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
 
     Returns (rounded indicator, raw value).
     """
-    return _nu_formula(V, formula_element(V.algebra, S.matrix, g, E.tensor))
+    z = formula_element(V.algebra, S.matrix, g, E.tensor)
+    return _nu_formula(V.rho[:, None], z, V.algebra.tol.eps_round)[0]
 
 
-def dual_hom(V: Representation, S: np.ndarray) -> list[np.ndarray]:
-    """Basis of Hom(V, D(V)) = {F : F rho(a) = rho(S a)^T F} for the matrix
-    S of an anti-algebra map, each of shape (d, d).  rho_D is one
-    tensordot; D(V)'s gram is not needed here, so it is not built."""
-    rho_d = np.tensordot(S, V.rho, axes=(0, 0)).transpose(0, 2, 1)
-    return intertwiners(V.algebra, V.rho, rho_d)
+def dual_hom(A: FDStarAlgebra, S: np.ndarray, rho: np.ndarray,
+             at) -> tuple[np.ndarray, np.ndarray | None]:
+    """Hom(V, D(V)) = {F : F rho(a) = rho(S a)^T F}, S the matrix of an
+    anti-algebra map, for a stack of irreducibles: the mask where it is a
+    line (elsewhere it is 0) and a unit F in each; rho_D is one product."""
+    n, m, d, _ = rho.shape
+    rho_d = transpose_times(S, rho.reshape(n, -1)).reshape(rho.shape)
+    k, U = hom_spaces(A, rho, rho_d.transpose(0, 1, 3, 2), at)
+    if (k > 1).any():
+        raise UnexpectedDimension(f"irrep {at[np.argmax(k > 1)]}: Hom(V, "
+                                  "D(V)) has dim > 1; V is not irreducible")
+    return k == 1, None if U is None else U[k == 1, :, 0].reshape(-1, d, d)
 
 
 def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
                        g: np.ndarray) -> int:
     """nu(V) as the trace of the involution F -> F^T rho(g) on Hom(V, D(V))."""
-    return _nu_trace(V, dual_hom(V, S.matrix), g)
+    return _stacked(V.algebra, S.matrix, [V], lambda at, rho, _, F: _nu_trace(
+        V.algebra, rho, at, g, F))[0]
 
 
-def _nu_trace(V: Representation, hom: list[np.ndarray], g: np.ndarray) -> int:
-    """`fs_indicator_trace` on a basis hom of Hom(V, D(V))."""
-    if not hom:
-        return 0
-    A = V.algebra
-    rho_g = V.apply(g)
-    basis = np.stack([F.reshape(-1) for F in hom], axis=1)
-    images = np.stack([(F.T @ rho_g).reshape(-1) for F in hom], axis=1)
-    T, res, *_ = np.linalg.lstsq(basis, images, rcond=None)
+def _nu_trace(A: FDStarAlgebra, rho: np.ndarray, at, g: np.ndarray,
+              F: np.ndarray | None) -> list[int]:
+    """`fs_indicator_trace` on a stack (`_stacked`): T, F^T rho(g) = T F."""
+    if F is None:
+        return [0] * len(at)
+    image = F.transpose(0, 2, 1) @ (g @ rho.reshape(len(rho), -1)).reshape(
+        F.shape)
+    T = np.einsum("vab,vab->v", np.conj(F), image)   # F has unit norm
     require(InternalConsistency, "involution does not preserve Hom(V, D(V))",
-            res.max(initial=0.0), A.tol.eps_eig * 100)
+            (np.abs(image - T[:, None, None] * F) ** 2).sum(axis=(1, 2)),
+            A.tol.eps_eig * 100, at)
     require(InternalConsistency, "duality map on Hom(V, D(V)) does not square "
-            "to the identity", np.abs(T @ T - np.eye(len(hom))).max(),
-            A.tol.eps_round * 10)
-    return _round_indicator(complex(np.trace(T)), A.tol.eps_round)
+            "to the identity", abs(T * T - 1), A.tol.eps_round * 10, at)
+    return _round_indicator(T, A.tol.eps_round)
 
 
 @dataclass(eq=False)
@@ -167,54 +199,57 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
     sigma id as an antilinear map.  No intertwiner means complex type.
     The intertwiners are read off Hom(V, D(V)) for S = `R.anti_matrix`.
     """
-    return _sigma(V, R, dual_hom(V, R.anti_matrix))
+    return classify_sigmas([V], R)[0]
 
 
-def _sigma(V: Representation, R: RealForm,
-           hom: list[np.ndarray]) -> SigmaResult:
-    """`classify_sigma` on a basis hom of Hom(V, D(V)) for R's S.  By
-    rho(b)^dagger = H rho(b*) H^{-1}, the conjugate of F rho(a) = rho(S a)^T F
-    is H^{-1} conj(F) conj(rho(a)) = rho(abar) H^{-1} conj(F), abar = S(a)*:
+def classify_sigmas(Vs: list[Representation], R: RealForm
+                    ) -> list[SigmaResult]:
+    """`classify_sigma` of each irreducible of Vs, stacked by dimension."""
+    return _stacked(R.algebra, R.anti_matrix, Vs,
+                    lambda at, rho, gram, F: _sigma(R, rho, gram, at, F))
+
+
+def _sigma(R: RealForm, rho: np.ndarray, gram: np.ndarray, at,
+           F: np.ndarray | None) -> list[SigmaResult]:
+    """`classify_sigma` on a stack (`_stacked`) under R's S.  Conjugating
+    F rho(a) = rho(S a)^T F with rho(b)^dagger = H rho(b*) H^{-1} gives
+    H^{-1} conj(F) conj(rho(a)) = rho(abar) H^{-1} conj(F), abar = S(a)*:
     the antilinear self-intertwiners are the Riesz images H^{-1} conj(F)."""
-    A = V.algebra
-    d = V.dim
-    if not hom:
-        return SigmaResult(0, None, None, None)
-    if len(hom) > 1:
-        raise UnexpectedDimension(
-            "antilinear self-intertwiner space has dim > 1; "
-            "representation is not irreducible")
-    F = np.linalg.solve(V.gram, np.conj(hom[0]))
-    F = F / np.linalg.norm(F)   # unit norm, so alpha's scale is not H's
-    FFbar = F @ np.conj(F)
+    if F is None:
+        return [SigmaResult(0, None, None, None)] * len(at)
+    (n, _, d, _), tol, eye = rho.shape, R.algebra.tol, np.eye(rho.shape[-1])
+    F = np.linalg.solve(gram, np.conj(F))
+    F /= np.sqrt(np.einsum("vab,vab->v", F, np.conj(F)).real)[:, None, None]
+    FFbar = F @ np.conj(F)   # F has unit norm, so alpha's scale is not H's
     # tr(F conj F) is real for any square F: its conjugate is tr(conj F F)
-    alpha = np.trace(FFbar).real / d
+    alpha = np.einsum("vaa->v", FFbar).real / d
     require(InconsistentAlpha, "F conj(F) is not a scalar matrix",
-            np.abs(FFbar - alpha * np.eye(d)).max(),
-            A.tol.eps_round * (1 + abs(alpha)))
+            np.abs(FFbar - alpha[:, None, None] * eye).max(axis=(1, 2)),
+            tol.eps_round * (1 + abs(alpha)), at)
     require(InconsistentAlpha, "F conj(F) vanishes for a nonzero intertwiner",
-            -abs(alpha), -A.tol.eps_rank)
-    sigma = 1 if alpha > 0 else -1
-    j = F / np.sqrt(abs(alpha))
-    witness = None
-    if sigma == 1:
-        W = fixed_space_of_antilinear(j, A.tol)
-        if W.shape[1] != d:
-            raise InternalConsistency("fixed space of j has the wrong dimension")
-        witness = W
-        # m[i] = W^-1 rho(e_i) W.  j conj(rho(a)) = rho(abar) j and
-        # j conj(W) = W give m(abar) = conj(m(a)), so m is real on A0 exactly
-        # when sum_k K[k, i] m[k] = conj(m[i]) for every basis element e_i
-        m = np.linalg.inv(W) @ V.rho @ W
-        require(InternalConsistency, "real form does not act by real "
-                "matrices in the j-fixed basis",
-                np.abs(np.tensordot(R.conj_matrix, m, axes=(0, 0))
-                       - np.conj(m)).max(axis=(1, 2)),
-                A.tol.eps_round * (1 + np.abs(m).max(axis=(1, 2))))
-    else:
-        require(InternalConsistency, "j conj(j) != -I for sigma = -1",
-                np.abs(j @ np.conj(j) + np.eye(d)).max(), A.tol.eps_round * 10)
-    return SigmaResult(sigma, float(alpha), j, witness)
+            -abs(alpha), -tol.eps_rank, at)
+    j, real, witness = F / np.sqrt(abs(alpha))[:, None, None], alpha > 0, {}
+    if real.any():
+        dims, W = fixed_spaces_of_antilinear(j[real], tol)
+        require(InternalConsistency, "fixed space of j has the wrong "
+                "dimension", abs(dims - d), 0, at[real])
+        # m[i] = W^-1 rho(e_i) W.  j conj(rho(a)) = rho(abar) j and j conj(W)
+        # = W give m(abar) = conj(m(a)), so m is real on A0 exactly when
+        # sum_k K[k, i] m[k] = conj(m[i]) for every basis element e_i
+        r = len(W)   # m[i, v] = W_v^-1 rho_v(e_i) W_v, two batched GEMMs
+        m = (np.linalg.inv(W) @ rho[:, real].transpose(1, 2, 0, 3).reshape(
+            r, d, n * d)).reshape(r, d * n, d) @ W
+        m = m.reshape(r, d, n, d).transpose(2, 0, 1, 3).reshape(n, r, d * d)
+        gap = transpose_times(R.conj_matrix, m.reshape(n, -1)).reshape(m.shape)
+        require(InternalConsistency, "real form does not act by real matrices "
+                "in the j-fixed basis", np.abs(gap - np.conj(m)).max(2).T,
+                tol.eps_round * (1 + np.abs(m).max(2).T), at[real])
+        witness = dict(zip(np.flatnonzero(real), W))
+    require(InternalConsistency, "j conj(j) != -I for sigma = -1",
+            np.abs(j[~real] @ np.conj(j[~real]) + eye).max(axis=(1, 2)),
+            tol.eps_round * 10, at[~real])
+    return [SigmaResult(1 if real[r] else -1, float(alpha[r]), j[r],
+                        witness.get(r)) for r in range(len(at))]
 
 
 @dataclass
@@ -271,19 +306,21 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
                 parts: list[tuple[Representation, int]],
                 E: SeparabilityIdempotent) -> IndicatorReport:
     """Indicators and classification for each irreducible, with the
-    agreement sigma = nu enforced.
+    agreement sigma = nu enforced, stacked by dimension: one Hom(V, D(V))
+    solve per dimension feeds both the trace indicator and sigma.
 
     endo_real_dim is the real dimension of the commutant of the real form
     on V: the complex scalars (End_A(V) for an irreducible V) plus, when
     sigma != 0, the antilinear self-intertwiners, one more complex line."""
     R = real_form_from_S(A, dual.S)
     z = formula_element(A, dual.S.matrix, dual.g, E.tensor)
+    cols = _stacked(A, R.anti_matrix, [V for V, _ in parts],
+                    lambda at, rho, gram, F: zip(
+                        _nu_formula(rho, z, A.tol.eps_round),
+                        _nu_trace(A, rho, at, dual.g, F),
+                        _sigma(R, rho, gram, at, F)))
     rows = []
-    for idx, (V, mult) in enumerate(parts):
-        nu_f, raw = _nu_formula(V, z)
-        hom = dual_hom(V, dual.S.matrix)
-        nu_t = _nu_trace(V, hom, dual.g)
-        sig = _sigma(V, R, hom)
+    for idx, ((V, mult), ((nu_f, raw), nu_t, sig)) in enumerate(zip(parts, cols)):
         if nu_f != nu_t:
             raise AgreementFailure(
                 f"irrep {idx}: formula indicator {nu_f} != trace indicator {nu_t}")

@@ -1,6 +1,6 @@
-"""Dense complex matrix kernel: nullspaces and numerical rank, fixed spaces
-of antilinear maps, the orthonormal basis of a positive definite gram,
-eigenvalue clustering and seeded randomness.
+"""Dense complex matrix kernel: fixed spaces of antilinear maps, the
+orthonormal basis of a positive definite gram, eigenvalue clustering and
+seeded randomness.
 
 All functions are pure; matrices are numpy complex arrays and are never
 mutated in place.  `gram_basis` is the one Cholesky factorization: the
@@ -49,30 +49,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ker(m), as the columns of the returned matrix.
-
-    The rank is `svd_rank` of the singular values.  The zero and empty
-    matrices are handled.  When m has at least as many rows as columns the
-    thin SVD is used: its right factor is still square, and the unused left
-    factor shrinks to rows x columns.  Real input is solved in real
-    arithmetic and gives a real basis; complex input a complex one.
-    """
-    m = np.asarray(m)
-    m = m.astype(np.result_type(m, float), copy=False)
-    if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
-        return np.eye(m.shape[1], dtype=m.dtype)
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vh[svd_rank(s, tol):].conj().T
-
-
-def svd_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank from non-empty descending singular values s: the
-    number above eps_rank times max(1, largest).  The absolute floor keeps
-    a numerically-zero matrix from reading as full rank."""
-    return int(np.sum(s > tol.eps_rank * max(1.0, s[0])))
-
-
 def gram_basis(H: np.ndarray) -> np.ndarray:
     """Read-only Q = L^{-dagger}, H = L L^dagger, so Q^dagger H Q = I.  The
     pencil X v = lam H v is the standard problem for Q^dagger X Q, v = Q w
@@ -97,16 +73,22 @@ def cluster_eigenvalues(vals: np.ndarray, eps: float) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def antilinear_real_matrix(k: np.ndarray) -> np.ndarray:
-    """Realification of the antilinear map x -> k @ conj(x) acting on
-    stacked (Re x, Im x) coordinates."""
-    kr, ki = k.real, k.imag
-    return np.block([[kr, ki], [ki, -kr]])
-
-
 def fixed_space_of_antilinear(k: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Real basis (complex columns) of {x : k @ conj(x) = x}."""
-    n = k.shape[0]
-    big = antilinear_real_matrix(k) - np.eye(2 * n)
-    basis = nullspace(big, tol)
-    return basis[:n] + 1j * basis[n:]
+    dims, W = fixed_spaces_of_antilinear(k[None], tol)
+    return W[0][:, len(k) - dims[0]:]
+
+
+def fixed_spaces_of_antilinear(k: np.ndarray, tol: Tolerance = DEFAULT_TOL
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed spaces of a stack k (m, d, d), one batched SVD of (Re x, Im x)
+    realifications minus I: their real dimensions dims, the nullities
+    (singular values <= eps_rank max(1, largest)), at most d, and the last
+    d right singular vectors as complex columns, the last dims spanning it."""
+    d, kr, ki = k.shape[-1], k.real, k.imag
+    real = np.concatenate((np.concatenate((kr, ki), axis=-1),
+                           np.concatenate((ki, -kr), axis=-1)), axis=-2)
+    _, s, vh = np.linalg.svd(real - np.eye(2 * d))
+    dims = 2 * d - np.sum(s > tol.eps_rank * np.maximum(1.0, s[:, :1]), axis=1)
+    basis = vh[:, d:].conj().transpose(0, 2, 1)
+    return dims, basis[:, :d] + 1j * basis[:, d:]

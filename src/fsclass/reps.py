@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, FDStarAlgebra, RealForm, central_sum,
-                      star_residual)
+                      star_residual, transpose_times)
 from .errors import (DegenerateSplit, InternalConsistency, NotCStar,
                      NotStarRep, require)
 from .linalg import (Tolerance, cluster_eigenvalues, dagger, gram_basis,
@@ -190,26 +190,35 @@ def restrict(V: Representation, basis: np.ndarray) -> Representation:
 def intertwiners(A: FDStarAlgebra, rho_v: np.ndarray,
                  rho_w: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of Hom_A(V, W) = {F : F rho_v(e_i) = rho_w(e_i) F},
-    each of shape (dW, dV).  With A's kept E = sum_m x_m (x) y_m (Aguiar
-    2000), P(X) = sum_m rho_w(x_m) X rho_v(y_m) projects onto it: sum a x_m
-    (x) y_m = sum x_m (x) y_m a puts the range there, sum x_m y_m = 1 fixes
-    every F.  Its trace, the dimension k, is chi_W^T E chi_V, an integer.
-    In the row-major vec of X, P = sum_jk E[j, k] rho_w(e_j) (x)
-    rho_v(e_k)^T; the basis is its top k left singular vectors, since the
-    nonzero singular values of an idempotent are >= 1."""
-    dv, dw = rho_v.shape[1], rho_w.shape[1]
+    each of shape (dW, dV): `hom_spaces` of a stack of one."""
+    k, U = hom_spaces(A, rho_v[:, None], rho_w[:, None], None)
+    return [U[0, :, j].reshape(rho_w.shape[1], -1) for j in range(k[0])]
+
+
+def hom_spaces(A: FDStarAlgebra, rho_v: np.ndarray, rho_w: np.ndarray,
+               at) -> tuple[np.ndarray, np.ndarray | None]:
+    """Hom_A(V, W) for stacked pairs rho_v (n, m, dV, dV), rho_w (n, m, dW,
+    dW): the dimension k of each, and the left singular vectors of its
+    averaging projection P, (m, dW dV, dW dV), the first k of which span it
+    (None when every k is 0).  With A's kept E = sum_m x_m (x) y_m (Aguiar
+    2000), P(X) = sum_m rho_w(x_m) X rho_v(y_m): sum a x_m (x) y_m = sum
+    x_m (x) y_m a puts its range in Hom_A(V, W), sum x_m y_m = 1 fixes
+    every F, and an idempotent's nonzero singular values are >= 1.  k = tr
+    P = chi_W^T E chi_V.  A failed check names at[r] (`require`)."""
+    (n, m, dv, _), dw = rho_v.shape, rho_w.shape[-1]
     E = A.separability_idempotent.tensor
-    trace = np.einsum("iaa->i", rho_w) @ E @ np.einsum("iaa->i", rho_v)
-    k = max(0, round(trace.real))
+    chi_w, chi_v = (np.einsum("jvaa->vj", rho) for rho in (rho_w, rho_v))
+    trace = np.einsum("vj,vj->v", chi_w @ E, chi_v)
+    k = np.maximum(0, np.rint(trace.real)).astype(int)
     require(InternalConsistency, "dim Hom_A(V, W) = tr P is not an integer",
-            abs(trace - k), A.tol.eps_round * max(1, k))
-    if k == 0:
-        return []
-    y = np.tensordot(E, rho_v, axes=(1, 0))           # sum_k E[j, k] rho_v(e_k)
-    P = np.tensordot(rho_w, y, axes=(0, 0))           # [a, c, d, b]
-    P = P.transpose(0, 3, 1, 2).reshape(dw * dv, dw * dv)
-    U = np.linalg.svd(P)[0]
-    return [U[:, j].reshape(dw, dv) for j in range(k)]
+            abs(trace - k), A.tol.eps_round * np.maximum(1, k), at)
+    if not k.any():
+        return k, None
+    y = transpose_times(E.T, rho_v.reshape(n, -1))   # sum_k E[j, k] rho_v(e_k)
+    P = (rho_w.transpose(1, 2, 3, 0).reshape(m, dw * dw, n)     # [v, (a, c), j]
+         @ y.reshape(n, m, dv * dv).transpose(1, 0, 2))         # [v, j, (d, b)]
+    P = P.reshape(m, dw, dw, dv, dv).transpose(0, 1, 4, 2, 3)
+    return k, np.linalg.svd(P.reshape(m, dw * dv, dw * dv))[0]
 
 
 SPLIT_TRIES = 8

@@ -19,6 +19,28 @@ GROUP_FILES = ["z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8",
 DOUBLES = ["z2", "z3", "z4", "s3", "q8", "d4"]
 
 
+def nullspace(m: np.ndarray, tol=TOL) -> np.ndarray:
+    """Orthonormal basis of ker(m), as the columns of the returned matrix:
+    the oracle the package read null spaces with before every Hom space
+    became an average and the fixed spaces of antilinear maps one batched
+    SVD (`linalg.fixed_spaces_of_antilinear`).
+
+    The rank counts the singular values above eps_rank times max(1,
+    largest); the absolute floor keeps a numerically-zero matrix from
+    reading as full rank.  The zero and empty matrices are handled.  When
+    m has at least as many rows as columns the thin SVD is used: its right
+    factor is still square, and the unused left factor shrinks to rows x
+    columns.  Real input is solved in real arithmetic and gives a real
+    basis; complex input a complex one.
+    """
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, float), copy=False)
+    if m.size == 0 or not np.abs(m).max(initial=0.0) > 0:
+        return np.eye(m.shape[1], dtype=m.dtype)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return vh[int(np.sum(s > tol.eps_rank * max(1.0, s[0]))):].conj().T
+
+
 CHECK_SUFFIX = re.compile(r"(.*) \(residual (\S+), threshold (\S+)\)", re.S)
 
 

@@ -5,26 +5,30 @@ them in a cycle."""
 import ast
 import glob
 import graphlib
+import json
 import os
 
 import numpy as np
 import pytest
 
 import fsclass
+import fsclass.cli
 import fsclass.errors
 import fsclass.indicators
-from fsclass import (FDStarAlgebra, Representation, classify_sigma,
-                     decompose, dualize, group_algebra,
-                     regular_representation)
+import test_kernels
+from fsclass import (FDStarAlgebra, Representation, decompose, dualize,
+                     full_report, group_algebra, regular_representation)
 from fsclass.algebra import real_form_from_S
+from fsclass.cli import Run
 from fsclass.coalgebra import invariant_gram
 from fsclass.errors import (AxiomViolation, BadUnit, FSClassError,
                             InconsistentAlpha, InternalConsistency,
                             NotStarRep, SchemaError, require)
-from fsclass.indicators import _nu_trace, _sigma, dual_hom
+from fsclass.indicators import classify_sigmas
 from fsclass.reps import intertwiners
 
-from conftest import COREP_CHECKS, check_text, load_group
+from conftest import COREP_CHECKS, TOL, check_text, data_path, load_group
+from test_kernels import loop_dual_hom, loop_nu_trace, loop_sigma
 
 # (module, function, error) of each raise under an ordering comparison that
 # guards structure, not a residual: integer ranges and counts and the
@@ -34,7 +38,7 @@ STRUCTURAL = {
     ("constructors.py", "validated", "BadGroupoid"),       # identities, inverses
     ("constructors.py", "scheme_from_matrices", "AxiomViolation"),  # star[i] < 0
     ("indicators.py", "canonical_g", "InternalConsistency"),    # len(hom) > 1
-    ("indicators.py", "_sigma", "UnexpectedDimension"),  # len(hom) > 1
+    ("indicators.py", "dual_hom", "UnexpectedDimension"),  # Hom dim > 1
 }
 ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
@@ -162,40 +166,103 @@ def test_a_hom_dimension_off_an_integer_is_refused():
         intertwiners(A, V.rho, 1.1 * V.rho)
 
 
-def test_the_checks_on_the_hom_v_dv_basis_fire():
-    """A g that doubles F^T rho(g) makes the involution square to 4; a
-    random g moves F^T rho(g) off Hom(V, D(V)); a random F is no
-    intertwiner, so F conj(F) is not scalar; a perturbed rho has no
-    invariant gram."""
-    A, dual, V = _s3_two_dim_irreducible()
-    hom = dual_hom(V, dual.S.matrix)
+# D(S3) has four 2-dim irreducibles, all real, at 2..5 of its parts; the
+# one at parts index 3 is entry 1 of their stack, so a message that names
+# its stack position instead reads "irrep 1"
+STACKED = 3
+
+
+def _s3_double_run() -> Run:
+    return Run("double", data_path("s3.json"), TOL, 0)
+
+
+def _fires_as_the_loop_does(capsys, command, error, text, loop_call,
+                            stacked_call) -> None:
+    """The per-irreducible loop raises error with text; the stacked pass
+    raises it too, naming irrep STACKED, and so does the CLI command,
+    which exits 2 with it on stderr."""
+    assert _raised_text(error, loop_call) == text
+    assert _raised_text(error, stacked_call) == f"irrep {STACKED}: {text}"
+    code = fsclass.cli.main([command, data_path("s3.json"), "--kind", "double"])
+    err = json.loads(capsys.readouterr().err)
+    assert (code, err["error"]) == (2, error.__name__)
+    assert check_text(err["message"]) == f"irrep {STACKED}: {text}"
+
+
+def test_the_checks_on_the_hom_v_dv_basis_fire(capsys, monkeypatch):
+    """Inside the stack of D(S3)'s four 2-dim irreducibles, one is
+    corrupted: g plus its central idempotent e doubles rho(g) there, so
+    its involution squares to 4; g plus e times a random element moves
+    F^T rho(g) off Hom(V, D(V)); a random F in place of its Hom basis is no
+    intertwiner, so F conj(F) is not scalar.  Each check raises what the
+    per-irreducible loop raises (`test_kernels.loop_*`) and names that
+    irreducible.  A perturbed rho has no invariant gram."""
+    run = _s3_double_run()
+    A, dual, parts = run.A, run.dual, run.parts
+    V = parts[STACKED][0]
+    assert [W.dim for W, _ in parts].count(2) == 4 and V.dim == 2
+    e = V.dim * (A.separability_idempotent.tensor @ V.character())
     rng = np.random.default_rng(75)
-    assert _raised_text(InternalConsistency, lambda: _nu_trace(
-        V, hom, 2 * A.unit)) == \
-        "duality map on Hom(V, D(V)) does not square to the identity"
-    assert _raised_text(InternalConsistency, lambda: _nu_trace(
-        V, hom, rng.standard_normal(A.dim))) == \
-        "involution does not preserve Hom(V, D(V))"
+    hom = loop_dual_hom(V, dual.S.matrix)
+    nu_trace, hom_of = fsclass.indicators._nu_trace, fsclass.indicators.dual_hom
+    for g, text in [(dual.g + e, "duality map on Hom(V, D(V)) does not "
+                     "square to the identity"),
+                    (dual.g + A.left_mult(e) @ rng.standard_normal(A.dim),
+                     "involution does not preserve Hom(V, D(V))")]:
+        monkeypatch.setattr(fsclass.indicators, "_nu_trace",
+                            lambda A, rho, at, _, F, g=g: nu_trace(
+                                A, rho, at, g, F))
+        _fires_as_the_loop_does(
+            capsys, "indicators", InternalConsistency, text,
+            lambda: loop_nu_trace(V, hom, g),
+            lambda: full_report(A, dual, parts, A.separability_idempotent))
+    monkeypatch.setattr(fsclass.indicators, "_nu_trace", nu_trace)
     F = rng.standard_normal((2, 2, 2)) @ [1, 1j]
-    assert _raised_text(InconsistentAlpha, lambda: _sigma(
-        V, real_form_from_S(A, dual.S), [F])) == \
-        "F conj(F) is not a scalar matrix"
+
+    def random_f(A, S, rho, at):
+        line, hom = hom_of(A, S, rho, at)
+        if STACKED in at[line]:
+            hom = hom.copy()
+            hom[np.flatnonzero(at[line] == STACKED)[0]] = F
+        return line, hom
+    monkeypatch.setattr(fsclass.indicators, "dual_hom", random_f)
+    R = real_form_from_S(A, dual.S)
+    _fires_as_the_loop_does(
+        capsys, "classify", InconsistentAlpha,
+        "F conj(F) is not a scalar matrix", lambda: loop_sigma(V, R, [F]),
+        lambda: classify_sigmas([V for V, _ in parts], R))
     noisy = V.rho + 0.01 * rng.standard_normal(V.rho.shape)
     assert _raised_text(NotStarRep, lambda: invariant_gram(A, noisy)) == \
         "rho(a)^dagger H != H rho(a*)"
 
 
-def test_a_witness_basis_that_is_not_real_is_refused(monkeypatch):
-    """A complex change of the j-fixed basis W of a 2-dim real irreducible
-    makes m(abar) = conj(m(a)) fail for m = W^-1 rho W."""
-    A, dual, V = _s3_two_dim_irreducible()
-    fixed = fsclass.indicators.fixed_space_of_antilinear
+def test_a_witness_basis_that_is_not_real_is_refused(capsys, monkeypatch):
+    """A complex change C of the j-fixed basis W of one 2-dim real
+    irreducible inside D(S3)'s stack of four makes m(abar) = conj(m(a))
+    fail for m = W^-1 rho W; the stacked check names it, as the loop's
+    refuses it."""
+    run = _s3_double_run()
+    A, dual, parts = run.A, run.dual, run.parts
+    V, R = parts[STACKED][0], real_form_from_S(A, dual.S)
     C = np.array([[1, 0.5j], [0.3, 1]])
-    monkeypatch.setattr(fsclass.indicators, "fixed_space_of_antilinear",
-                        lambda j, tol: fixed(j, tol) @ C)
-    assert _raised_text(InternalConsistency, lambda: classify_sigma(
-        V, real_form_from_S(A, dual.S))) == \
-        "real form does not act by real matrices in the j-fixed basis"
+    fixed, fixed_one = (fsclass.indicators.fixed_spaces_of_antilinear,
+                        test_kernels.fixed_space_of_antilinear)
+
+    def changed(j, tol):   # the 2-dim stack holds parts 2..5, all real
+        dims, W = fixed(j, tol)
+        if W.shape[-1] == 2:
+            W = W.copy()
+            W[STACKED - 2] = W[STACKED - 2] @ C
+        return dims, W
+    monkeypatch.setattr(fsclass.indicators, "fixed_spaces_of_antilinear",
+                        changed)
+    monkeypatch.setattr(test_kernels, "fixed_space_of_antilinear",
+                        lambda j, tol: fixed_one(j, tol) @ C)
+    _fires_as_the_loop_does(
+        capsys, "classify", InternalConsistency,
+        "real form does not act by real matrices in the j-fixed basis",
+        lambda: loop_sigma(V, R, loop_dual_hom(V, dual.S.matrix)),
+        lambda: classify_sigmas([V for V, _ in parts], R))
 
 
 def _callers(path: str, name: str) -> set[tuple[str, str]]:
@@ -230,10 +297,12 @@ def test_the_homomorphism_kernel_has_one_caller():
     assert found == {("reps.py", "Representation._hom_residual")}
 
 
-def test_no_kronecker_system_and_one_nullspace_caller():
+def test_no_kronecker_system_and_no_nullspace():
     """Every Hom_A(V, W) is the range of the separability idempotent's
-    average: no module defines or imports `kron_system`, and the one
-    `nullspace` left is the fixed space of an antilinear map."""
+    average and every fixed space of an antilinear map is read off one
+    batched SVD: no module defines or imports `kron_system` or `nullspace`
+    (test oracles now), and the singular vectors the package reads are
+    those of `hom_spaces` and `fixed_spaces_of_antilinear`."""
     src = os.path.dirname(fsclass.__file__)
     named, callers = [], set()
     for path in glob.glob(os.path.join(src, "*.py")):
@@ -241,12 +310,14 @@ def test_no_kronecker_system_and_one_nullspace_caller():
             tree = ast.parse(fh.read())
         named += [path for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef)
-                  and node.name == "kron_system"
+                  and node.name in ("kron_system", "nullspace")
                   or isinstance(node, ast.ImportFrom)
-                  and "kron_system" in [a.name for a in node.names]]
-        callers |= _callers(path, "nullspace")
+                  and {"kron_system", "nullspace"} & {a.name for a in node.names}]
+        callers |= _callers(path, "svd")
     assert named == []
-    assert callers == {("linalg.py", "fixed_space_of_antilinear")}
+    assert callers == {("reps.py", "hom_spaces"),
+                       ("linalg.py", "fixed_spaces_of_antilinear"),
+                       ("algebra.py", "central_positive_invertible")}
 
 
 def test_a_right_unit_failure_names_its_basis_element():

@@ -18,10 +18,9 @@ from fsclass.cli import Run
 from fsclass.coalgebra import FDStarCoalgebra, gamma_full
 from fsclass.constructors import _weak_hopf
 from fsclass.errors import NoHaar
-from fsclass.linalg import nullspace
 
 from conftest import (DOUBLES, GROUP_FILES, TOL, bundled_runs, data_path,
-                      load_group)
+                      load_group, nullspace)
 
 def matrix_unit_coseparability(dec) -> np.ndarray:
     """E(e^(a)_ij, e^(b)_kl) = d_ab d_il d_jk / n_a in the basis P of the

@@ -17,7 +17,8 @@ from fsclass import (Representation,
 from fsclass import io as fio
 from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
                              real_form_from_S, separability_idempotent)
-from fsclass.indicators import _real_indicator, _round_indicator, dual_hom
+from fsclass.indicators import (_real_indicator, _round_indicator,
+                                classify_sigmas, dual_hom)
 from fsclass.linalg import DEFAULT_TOL as TOL
 from fsclass.linalg import dagger, fixed_space_of_antilinear
 
@@ -194,7 +195,8 @@ def test_sigma_through_a_non_identity_gram(name, dim, sigma):
     Vb = Representation(A, np.linalg.inv(B) @ V.rho @ B, dagger(B) @ B)
     assert np.abs(Vb.gram - np.eye(dim)).max() > 0.5
     res = classify_sigma(Vb, R)
-    hom = dual_hom(Vb, R.anti_matrix)
+    line, F = dual_hom(A, R.anti_matrix, Vb.rho[:, None], np.zeros(1, int))
+    hom = list(F) if line[0] else []
     assert (res.sigma, len(hom)) == (sigma, abs(sigma))
     if sigma == 0:
         assert res.j_matrix is None and res.witness is None
@@ -281,16 +283,18 @@ def test_answers_do_not_depend_on_basis_rescaling(name, double):
         _answers(A, dual, E)
 
 
-def test_full_report_solves_once_per_irreducible(monkeypatch):
-    # one Hom(V, D(V)) solve feeds both the trace indicator and sigma;
-    # End_A(V) is not solved and D(V) is not validated again.
-    # classify_sigma on its own solves one system per call too
+def test_full_report_solves_once_per_dimension(monkeypatch):
+    # one stacked Hom(V, D(V)) solve per irreducible dimension feeds both
+    # the trace indicator and sigma: D(S3) has irreducibles of dims 1, 2
+    # and 3, so 3 solves for its 8.  End_A(V) is not solved and D(V) is
+    # not validated again.  classify_sigmas stacks the same way, and
+    # classify_sigma, a stack of one, solves once per call
     W, dual = drinfeld_double(load_group("s3"))
     A = W.algebra
     parts = decompose(regular_representation(A))
     E = separability_idempotent(A)
     calls = {"solve": 0, "validate": 0}
-    solve = fsclass.indicators.intertwiners
+    solve = fsclass.indicators.hom_spaces
     validate = Representation._validate
 
     def counted_solve(*args):
@@ -300,28 +304,33 @@ def test_full_report_solves_once_per_irreducible(monkeypatch):
     def counted_validate(self):
         calls["validate"] += 1
         return validate(self)
-    monkeypatch.setattr(fsclass.indicators, "intertwiners", counted_solve)
+    monkeypatch.setattr(fsclass.indicators, "hom_spaces", counted_solve)
     monkeypatch.setattr(Representation, "_validate", counted_validate)
     rows = full_report(A, dual, parts, E).rows
-    assert len(rows) == 8
-    assert calls == {"solve": 8, "validate": 0}
+    assert [r.dim for r in rows] == [1, 1, 2, 2, 2, 2, 3, 3]
+    assert calls == {"solve": 3, "validate": 0}
     R = real_form_from_S(A, dual.S)
+    assert [res.sigma for res in classify_sigmas([V for V, _ in parts], R)] \
+        == [r.sigma for r in rows]
+    assert calls == {"solve": 6, "validate": 0}
     assert [classify_sigma(V, R).sigma for V, _ in parts] == \
         [r.sigma for r in rows]
-    assert calls == {"solve": 16, "validate": 0}
+    assert calls == {"solve": 14, "validate": 0}
 
 
 def test_no_nullspace_grows_with_the_algebra(monkeypatch):
-    """full_report and classify_sigma solve no system wider than 2 d for
-    an irreducible of dim d: the real form is its conjugation K, and the
-    only SVD left is the fixed space of a d x d antilinear map j."""
+    """full_report and classify_sigma take no SVD wider than 2 d for an
+    irreducible of dim d: the real form is its conjugation K, and the one
+    SVD of a fixed space is the batched one of the d x d antilinear maps j,
+    whose realifications are 2d x 2d."""
     widths = []
-    nullspace = fsclass.linalg.nullspace
+    fixed = fsclass.indicators.fixed_spaces_of_antilinear
 
-    def recorded(m, *args):
-        widths.append(np.shape(m)[1])
-        return nullspace(m, *args)
-    monkeypatch.setattr(fsclass.linalg, "nullspace", recorded)
+    def recorded(j, *args):
+        widths.append(2 * np.shape(j)[-1])
+        return fixed(j, *args)
+    monkeypatch.setattr(fsclass.indicators, "fixed_spaces_of_antilinear",
+                        recorded)
     for name in ("s3", "q8"):
         W, dual = drinfeld_double(load_group(name))
         A = W.algebra

@@ -4,7 +4,9 @@ import scipy.linalg
 
 from fsclass.linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues,
                             dagger, fixed_space_of_antilinear, gram_basis,
-                            make_rng, nullspace)
+                            make_rng)
+
+from conftest import nullspace
 
 
 def test_tolerance_defaults():
