@@ -307,9 +307,10 @@ def _monomial_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(P, m) with M[:, i] = m[i] e_P[i] when every column of M has at most
     one nonzero (sigma, S and K of groups, groupoids and doubles); else
     None."""
-    P = (M != 0).argmax(axis=0)
+    nz = M != 0   # one pass over M; bools count faster than complex entries
+    P = nz.argmax(axis=0)
     m = M[P, np.arange(M.shape[1])]   # each nonzero of M is one of m exactly
-    return (P, m) if np.count_nonzero(M) == np.count_nonzero(m) else None
+    return (P, m) if np.count_nonzero(nz) == np.count_nonzero(m) else None
 
 
 def transpose_times(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -514,20 +515,24 @@ class AntiAlgebraMap:
 @dataclass(frozen=True, eq=False)
 class RealForm:
     """A real form A0 = {a : abar = a}, stored as its conjugation
-    a -> conj_matrix @ conj(a) and the S it comes from, no real basis."""
+    a -> conj_matrix @ conj(a) alone: A0 enters only through abar."""
 
     algebra: FDStarAlgebra
     conj_matrix: np.ndarray          # K with abar = K conj(a)
-    anti_matrix: np.ndarray          # S = sigma conj(K): abar = S(a)*
+
+    @cached_property
+    def anti_matrix(self) -> np.ndarray:
+        """sigma conj(K), sigma the star matrix, by gather when K is monomial:
+        the anti-algebra map S with abar = S(a)*, whose real form this is."""
+        return transpose_times(np.conj(self.conj_matrix),
+                               self.algebra.star_matrix.T).T
 
 
-def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray,
-                               S: np.ndarray | None = None) -> RealForm:
+def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
     """Real form fixed by the antilinear map a -> K conj(a), which must be
-    an involutive algebra conjugation.  Its fixed space then has real
-    dimension n: x = (x + K conj x)/2 + i (x - K conj x)/(2i), both parts
-    fixed.  Its anti_matrix is S, sigma conj(K) when not given; products
-    with K are gathers when K is monomial (`transpose_times`)."""
+    an involutive algebra conjugation, applied by gather when monomial.  Its
+    fixed space has real dimension n: x = (x + K conj x)/2 + i (x - K conj
+    x)/(2i), both parts fixed."""
     K = np.asarray(K, dtype=complex)
     n = A.dim
     eps = A.tol.eps_eig * max(1.0, np.abs(K).max()) ** 2 * n
@@ -535,16 +540,15 @@ def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray,
         transpose_times(np.conj(K), K.T).T - np.eye(n)).max(), eps)
     require(NotAntiMap, "conjugation is not multiplicative at (e{}, e{})",
             product_map_residual(A, K, conj=True, reverse=False), eps)
-    return RealForm(A, K, transpose_times(np.conj(K), A.star_matrix.T).T
-                    if S is None else S)
+    return RealForm(A, K)
 
 
 def real_form_from_S(A: FDStarAlgebra, S: AntiAlgebraMap | np.ndarray) -> RealForm:
-    """Real form {a : S(a)* = a} of the anti-algebra map S, which it keeps."""
+    """Real form {a : S(a)* = a} of the anti-algebra map S."""
     if not isinstance(S, AntiAlgebraMap):
         S = AntiAlgebraMap.validated(A, S)
     K = transpose_times(np.conj(S.matrix), A.star_matrix.T).T   # sigma conj(S)
-    return real_form_from_conjugation(A, K, S.matrix)
+    return real_form_from_conjugation(A, K)
 
 
 def check_cstar(A: FDStarAlgebra) -> tuple[np.ndarray, bool]:

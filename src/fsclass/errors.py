@@ -12,23 +12,23 @@ class FSClassError(Exception):
 
 
 def require(error: type[FSClassError], text: str, residual,
-            threshold, at=None) -> None:
+            threshold, names=None) -> None:
     """Raise error unless residual <= threshold, so NaN fails.
 
     Arrays are compared entry by entry, so an array residual passes when its
     maximum does.  Only on failure is text formatted: its `{}` fields take
     the first failing index in row-major order, and ` (residual R,
-    threshold T)`, the two numbers there, follows.  With at, the first axis
-    runs over a stack whose entry r is irreducible at[r] of a list: the
-    message opens "irrep {at[r]}: " and the fields take the rest of the
-    index.  A lower bound value >= bound is passed as -value against
-    -bound, value > bound as -value against -np.nextafter(bound, np.inf)."""
+    threshold T)`, the two numbers there, follows.  With names, the first
+    axis runs over a stack, the message opens with names[r] of its entry r
+    ("irrep 3: ") and the fields take the rest of the index.  A lower bound
+    value >= bound is passed as -value against -bound, value > bound as
+    -value against -np.nextafter(bound, np.inf)."""
     ok = np.asarray(residual) <= threshold
     if not ok.all():
         first = tuple(int(k) for k in np.argwhere(~ok)[0])
         r, t = np.broadcast_arrays(residual, threshold)
-        head = "" if at is None else f"irrep {at[first[0]]}: "
-        raise error(f"{head}{text.format(*first[at is not None:])} "
+        head = "" if names is None else names[first[0]]
+        raise error(f"{head}{text.format(*first[names is not None:])} "
                     f"(residual {r[first]:.3e}, threshold {t[first]:.3e})")
 
 

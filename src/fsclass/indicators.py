@@ -27,26 +27,25 @@ from .linalg import dagger, fixed_spaces_of_antilinear
 from .reps import Representation, hom_spaces, intertwiners
 
 
-def _real_indicator(raw, eps_round: float):
+def _real_indicator(raw, eps_round: float, names=None):
     """Re raw, for raw values of any shape; `ComplexResult` when some
     |Im raw| > eps_round.  The realness half of `_round_indicator`, for the
     indicators that return raw reals."""
     require(ComplexResult, "indicator value is not real", np.abs(np.imag(raw)),
-            eps_round)
+            eps_round, names)
     return np.real(raw)
 
 
-def _round_indicator(raw, eps_round: float):
+def _round_indicator(raw, eps_round: float, names=None):
     """The one rule that turns a raw indicator value into nu, entry by
     entry for an array of them: nu = round(Re raw) when |raw - nu| <=
     eps_round, else `ComplexResult`; `UnexpectedDimension` when nu is not
-    -1, 0 or +1.  An int, or a list of ints."""
-    nu = np.rint(np.asarray(_real_indicator(raw, eps_round)))
+    -1, 0 or +1.  An int, or a list of ints (names: `require`'s)."""
+    nu = np.rint(np.asarray(_real_indicator(raw, eps_round, names)))
     require(ComplexResult, "indicator value is not near an integer",
-            abs(raw - nu), eps_round)
-    bad = nu[(nu != 0) & (abs(nu) != 1)]
-    if bad.size:
-        raise UnexpectedDimension(f"indicator {bad[0]:.0f} outside {{-1, 0, +1}}")
+            abs(raw - nu), eps_round, names)
+    require(UnexpectedDimension, "indicator outside {{-1, 0, +1}}", abs(nu),
+            1, names)
     return nu.astype(int).tolist()
 
 
@@ -113,27 +112,28 @@ def formula_element(A: FDStarAlgebra, S: np.ndarray, g: np.ndarray,
 
 def _stacked(A: FDStarAlgebra, S: np.ndarray, Vs: list[Representation],
              kernel) -> list:
-    """kernel(at, rho, gram, F) per dimension d among the irreducibles Vs:
-    on those whose Hom(V, D(V)) under S is a line, with F a unit in each
-    (`dual_hom`), and on the rest with F None.  at: their positions in Vs;
-    rho (n, m, d, d), gram (m, d, d): theirs, stacked.  Results by Vs."""
+    """kernel(names, rho, gram, F) per dimension d among the irreducibles
+    Vs: with F a unit in Hom(V, D(V)) under S where that is a line, else F
+    None (`dual_hom`).  rho (n, m, d, d), gram (m, d, d): theirs, stacked;
+    names: "irrep i: " for Vs[i], "" for a lone V.  Results by Vs."""
     out = {}
     for d in dict.fromkeys(V.dim for V in Vs):
         at = np.array([i for i, V in enumerate(Vs) if V.dim == d])
+        names = np.array([f"irrep {i}: " if len(Vs) > 1 else "" for i in at])
         rho = np.stack([Vs[i].rho for i in at], axis=1)
         gram = np.stack([Vs[i].gram for i in at])
-        line, F = dual_hom(A, S, rho, at)
+        line, F = dual_hom(A, S, rho, names)
         for part, F in ((line, F), (~line, None)):
             if part.any():
-                out.update(zip(at[part], kernel(at[part], rho[:, part],
+                out.update(zip(at[part], kernel(names[part], rho[:, part],
                                                 gram[part], F)))
     return [out[i] for i in range(len(Vs))]
 
 
-def _nu_formula(rho: np.ndarray, z: np.ndarray, eps_round: float) -> list:
+def _nu_formula(rho: np.ndarray, z: np.ndarray, eps_round, names) -> list:
     """(nu, raw) for each V of a stack: raw = chi_V(z), rounded."""
     raw = np.einsum("jvaa->vj", rho) @ z
-    return list(zip(_round_indicator(raw, eps_round), raw.tolist()))
+    return list(zip(_round_indicator(raw, eps_round, names), raw.tolist()))
 
 
 def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
@@ -143,44 +143,46 @@ def fs_indicator_formula(V: Representation, S: AntiAlgebraMap, g: np.ndarray,
     Returns (rounded indicator, raw value).
     """
     z = formula_element(V.algebra, S.matrix, g, E.tensor)
-    return _nu_formula(V.rho[:, None], z, V.algebra.tol.eps_round)[0]
+    return _nu_formula(V.rho[:, None], z, V.algebra.tol.eps_round, None)[0]
 
 
 def dual_hom(A: FDStarAlgebra, S: np.ndarray, rho: np.ndarray,
-             at) -> tuple[np.ndarray, np.ndarray | None]:
+             names) -> tuple[np.ndarray, np.ndarray | None]:
     """Hom(V, D(V)) = {F : F rho(a) = rho(S a)^T F}, S the matrix of an
-    anti-algebra map, for a stack of irreducibles: the mask where it is a
-    line (elsewhere it is 0) and a unit F in each; rho_D is one product."""
+    anti-algebra map, for a stack of irreducibles named by names: the mask
+    where it is a line (elsewhere 0) and a unit F in each; rho_D is one
+    product."""
     n, m, d, _ = rho.shape
     rho_d = transpose_times(S, rho.reshape(n, -1)).reshape(rho.shape)
-    k, U = hom_spaces(A, rho, rho_d.transpose(0, 1, 3, 2), at)
+    k, U = hom_spaces(A, rho, rho_d.transpose(0, 1, 3, 2), names)
     if (k > 1).any():
-        raise UnexpectedDimension(f"irrep {at[np.argmax(k > 1)]}: Hom(V, "
-                                  "D(V)) has dim > 1; V is not irreducible")
+        raise UnexpectedDimension(f"{names[np.argmax(k > 1)]}Hom(V, D(V)) "
+                                  "has dim > 1; V is not irreducible")
     return k == 1, None if U is None else U[k == 1, :, 0].reshape(-1, d, d)
 
 
 def fs_indicator_trace(V: Representation, S: AntiAlgebraMap,
                        g: np.ndarray) -> int:
-    """nu(V) as the trace of the involution F -> F^T rho(g) on Hom(V, D(V))."""
-    return _stacked(V.algebra, S.matrix, [V], lambda at, rho, _, F: _nu_trace(
-        V.algebra, rho, at, g, F))[0]
+    """nu(V) as the trace of the involution F -> F^T rho(g) on Hom(V, D(V));
+    `UnexpectedDimension` when that has dim > 1, as for no irreducible V."""
+    return _stacked(V.algebra, S.matrix, [V], lambda names, rho, _, F:
+                    _nu_trace(V.algebra, rho, names, g, F))[0]
 
 
-def _nu_trace(A: FDStarAlgebra, rho: np.ndarray, at, g: np.ndarray,
+def _nu_trace(A: FDStarAlgebra, rho: np.ndarray, names, g: np.ndarray,
               F: np.ndarray | None) -> list[int]:
     """`fs_indicator_trace` on a stack (`_stacked`): T, F^T rho(g) = T F."""
     if F is None:
-        return [0] * len(at)
+        return [0] * len(names)
     image = F.transpose(0, 2, 1) @ (g @ rho.reshape(len(rho), -1)).reshape(
         F.shape)
     T = np.einsum("vab,vab->v", np.conj(F), image)   # F has unit norm
     require(InternalConsistency, "involution does not preserve Hom(V, D(V))",
             (np.abs(image - T[:, None, None] * F) ** 2).sum(axis=(1, 2)),
-            A.tol.eps_eig * 100, at)
+            A.tol.eps_eig * 100, names)
     require(InternalConsistency, "duality map on Hom(V, D(V)) does not square "
-            "to the identity", abs(T * T - 1), A.tol.eps_round * 10, at)
-    return _round_indicator(T, A.tol.eps_round)
+            "to the identity", abs(T * T - 1), A.tol.eps_round * 10, names)
+    return _round_indicator(T, A.tol.eps_round, names)
 
 
 @dataclass(eq=False)
@@ -205,18 +207,18 @@ def classify_sigma(V: Representation, R: RealForm) -> SigmaResult:
 def classify_sigmas(Vs: list[Representation], R: RealForm
                     ) -> list[SigmaResult]:
     """`classify_sigma` of each irreducible of Vs, stacked by dimension."""
-    return _stacked(R.algebra, R.anti_matrix, Vs,
-                    lambda at, rho, gram, F: _sigma(R, rho, gram, at, F))
+    return _stacked(R.algebra, R.anti_matrix, Vs, lambda names, rho, gram, F:
+                    _sigma(R, rho, gram, names, F))
 
 
-def _sigma(R: RealForm, rho: np.ndarray, gram: np.ndarray, at,
+def _sigma(R: RealForm, rho: np.ndarray, gram: np.ndarray, names,
            F: np.ndarray | None) -> list[SigmaResult]:
     """`classify_sigma` on a stack (`_stacked`) under R's S.  Conjugating
     F rho(a) = rho(S a)^T F with rho(b)^dagger = H rho(b*) H^{-1} gives
     H^{-1} conj(F) conj(rho(a)) = rho(abar) H^{-1} conj(F), abar = S(a)*:
     the antilinear self-intertwiners are the Riesz images H^{-1} conj(F)."""
     if F is None:
-        return [SigmaResult(0, None, None, None)] * len(at)
+        return [SigmaResult(0, None, None, None)] * len(names)
     (n, _, d, _), tol, eye = rho.shape, R.algebra.tol, np.eye(rho.shape[-1])
     F = np.linalg.solve(gram, np.conj(F))
     F /= np.sqrt(np.einsum("vab,vab->v", F, np.conj(F)).real)[:, None, None]
@@ -225,14 +227,14 @@ def _sigma(R: RealForm, rho: np.ndarray, gram: np.ndarray, at,
     alpha = np.einsum("vaa->v", FFbar).real / d
     require(InconsistentAlpha, "F conj(F) is not a scalar matrix",
             np.abs(FFbar - alpha[:, None, None] * eye).max(axis=(1, 2)),
-            tol.eps_round * (1 + abs(alpha)), at)
+            tol.eps_round * (1 + abs(alpha)), names)
     require(InconsistentAlpha, "F conj(F) vanishes for a nonzero intertwiner",
-            -abs(alpha), -tol.eps_rank, at)
+            -abs(alpha), -tol.eps_rank, names)
     j, real, witness = F / np.sqrt(abs(alpha))[:, None, None], alpha > 0, {}
     if real.any():
         dims, W = fixed_spaces_of_antilinear(j[real], tol)
         require(InternalConsistency, "fixed space of j has the wrong "
-                "dimension", abs(dims - d), 0, at[real])
+                "dimension", abs(dims - d), 0, names[real])
         # m[i] = W^-1 rho(e_i) W.  j conj(rho(a)) = rho(abar) j and j conj(W)
         # = W give m(abar) = conj(m(a)), so m is real on A0 exactly when
         # sum_k K[k, i] m[k] = conj(m[i]) for every basis element e_i
@@ -243,13 +245,13 @@ def _sigma(R: RealForm, rho: np.ndarray, gram: np.ndarray, at,
         gap = transpose_times(R.conj_matrix, m.reshape(n, -1)).reshape(m.shape)
         require(InternalConsistency, "real form does not act by real matrices "
                 "in the j-fixed basis", np.abs(gap - np.conj(m)).max(2).T,
-                tol.eps_round * (1 + np.abs(m).max(2).T), at[real])
+                tol.eps_round * (1 + np.abs(m).max(2).T), names[real])
         witness = dict(zip(np.flatnonzero(real), W))
     require(InternalConsistency, "j conj(j) != -I for sigma = -1",
             np.abs(j[~real] @ np.conj(j[~real]) + eye).max(axis=(1, 2)),
-            tol.eps_round * 10, at[~real])
+            tol.eps_round * 10, names[~real])
     return [SigmaResult(1 if real[r] else -1, float(alpha[r]), j[r],
-                        witness.get(r)) for r in range(len(at))]
+                        witness.get(r)) for r in range(len(names))]
 
 
 @dataclass
@@ -315,10 +317,10 @@ def full_report(A: FDStarAlgebra, dual: DualStructureData,
     R = real_form_from_S(A, dual.S)
     z = formula_element(A, dual.S.matrix, dual.g, E.tensor)
     cols = _stacked(A, R.anti_matrix, [V for V, _ in parts],
-                    lambda at, rho, gram, F: zip(
-                        _nu_formula(rho, z, A.tol.eps_round),
-                        _nu_trace(A, rho, at, dual.g, F),
-                        _sigma(R, rho, gram, at, F)))
+                    lambda names, rho, gram, F: zip(
+                        _nu_formula(rho, z, A.tol.eps_round, names),
+                        _nu_trace(A, rho, names, dual.g, F),
+                        _sigma(R, rho, gram, names, F)))
     rows = []
     for idx, ((V, mult), ((nu_f, raw), nu_t, sig)) in enumerate(zip(parts, cols)):
         if nu_f != nu_t:

@@ -73,12 +73,6 @@ def cluster_eigenvalues(vals: np.ndarray, eps: float) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def fixed_space_of_antilinear(k: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Real basis (complex columns) of {x : k @ conj(x) = x}."""
-    dims, W = fixed_spaces_of_antilinear(k[None], tol)
-    return W[0][:, len(k) - dims[0]:]
-
-
 def fixed_spaces_of_antilinear(k: np.ndarray, tol: Tolerance = DEFAULT_TOL
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed spaces of a stack k (m, d, d), one batched SVD of (Re x, Im x)

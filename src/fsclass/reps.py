@@ -196,7 +196,7 @@ def intertwiners(A: FDStarAlgebra, rho_v: np.ndarray,
 
 
 def hom_spaces(A: FDStarAlgebra, rho_v: np.ndarray, rho_w: np.ndarray,
-               at) -> tuple[np.ndarray, np.ndarray | None]:
+               names) -> tuple[np.ndarray, np.ndarray | None]:
     """Hom_A(V, W) for stacked pairs rho_v (n, m, dV, dV), rho_w (n, m, dW,
     dW): the dimension k of each, and the left singular vectors of its
     averaging projection P, (m, dW dV, dW dV), the first k of which span it
@@ -204,14 +204,14 @@ def hom_spaces(A: FDStarAlgebra, rho_v: np.ndarray, rho_w: np.ndarray,
     2000), P(X) = sum_m rho_w(x_m) X rho_v(y_m): sum a x_m (x) y_m = sum
     x_m (x) y_m a puts its range in Hom_A(V, W), sum x_m y_m = 1 fixes
     every F, and an idempotent's nonzero singular values are >= 1.  k = tr
-    P = chi_W^T E chi_V.  A failed check names at[r] (`require`)."""
+    P = chi_W^T E chi_V.  A failed check opens with names[r] (`require`)."""
     (n, m, dv, _), dw = rho_v.shape, rho_w.shape[-1]
     E = A.separability_idempotent.tensor
     chi_w, chi_v = (np.einsum("jvaa->vj", rho) for rho in (rho_w, rho_v))
     trace = np.einsum("vj,vj->v", chi_w @ E, chi_v)
     k = np.maximum(0, np.rint(trace.real)).astype(int)
     require(InternalConsistency, "dim Hom_A(V, W) = tr P is not an integer",
-            abs(trace - k), A.tol.eps_round * np.maximum(1, k), at)
+            abs(trace - k), A.tol.eps_round * np.maximum(1, k), names)
     if not k.any():
         return k, None
     y = transpose_times(E.T, rho_v.reshape(n, -1))   # sum_k E[j, k] rho_v(e_k)

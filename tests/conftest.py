@@ -11,6 +11,7 @@ from fsclass import io as fio
 from fsclass.cli import Run
 from fsclass.errors import BadStar, BadUnit, NotAssociative
 from fsclass.linalg import DEFAULT_TOL as TOL
+from fsclass.linalg import fixed_spaces_of_antilinear
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -39,6 +40,16 @@ def nullspace(m: np.ndarray, tol=TOL) -> np.ndarray:
         return np.eye(m.shape[1], dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vh[int(np.sum(s > tol.eps_rank * max(1.0, s[0]))):].conj().T
+
+
+def fixed_space_of_antilinear(k: np.ndarray, tol=TOL) -> np.ndarray:
+    """Real basis (complex columns) of {x : k @ conj(x) = x}: the package's
+    batched `linalg.fixed_spaces_of_antilinear` on a stack of one, as the
+    loop oracle and the witness tests read it.  The fixed space W meets iW
+    in 0, so its real dimension is at most d."""
+    dims, W = fixed_spaces_of_antilinear(k[None], tol)
+    assert dims[0] <= len(k), f"fixed space of real dimension {dims[0]}"
+    return W[0][:, len(k) - dims[0]:]
 
 
 CHECK_SUFFIX = re.compile(r"(.*) \(residual (\S+), threshold (\S+)\)", re.S)

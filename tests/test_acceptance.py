@@ -23,10 +23,10 @@ from fsclass.algebra import (SeparabilityIdempotent, real_form_from_conjugation,
 from fsclass.coalgebra import gamma_full
 from fsclass.constructors import disjoint_union_groupoid
 from fsclass.linalg import DEFAULT_TOL as TOL
-from fsclass.linalg import fixed_space_of_antilinear, make_rng
+from fsclass.linalg import make_rng
 
-from conftest import (GROUP_FILES, classical_oracle, haar_separability,
-                      load_group, m2_dual_structures)
+from conftest import (GROUP_FILES, classical_oracle, fixed_space_of_antilinear,
+                      haar_separability, load_group, m2_dual_structures)
 
 
 class Instance:

@@ -210,8 +210,8 @@ def test_the_checks_on_the_hom_v_dv_basis_fire(capsys, monkeypatch):
                     (dual.g + A.left_mult(e) @ rng.standard_normal(A.dim),
                      "involution does not preserve Hom(V, D(V))")]:
         monkeypatch.setattr(fsclass.indicators, "_nu_trace",
-                            lambda A, rho, at, _, F, g=g: nu_trace(
-                                A, rho, at, g, F))
+                            lambda A, rho, names, _, F, g=g: nu_trace(
+                                A, rho, names, g, F))
         _fires_as_the_loop_does(
             capsys, "indicators", InternalConsistency, text,
             lambda: loop_nu_trace(V, hom, g),
@@ -219,11 +219,12 @@ def test_the_checks_on_the_hom_v_dv_basis_fire(capsys, monkeypatch):
     monkeypatch.setattr(fsclass.indicators, "_nu_trace", nu_trace)
     F = rng.standard_normal((2, 2, 2)) @ [1, 1j]
 
-    def random_f(A, S, rho, at):
-        line, hom = hom_of(A, S, rho, at)
-        if STACKED in at[line]:
+    def random_f(A, S, rho, names):
+        line, hom = hom_of(A, S, rho, names)
+        hit = names[line] == f"irrep {STACKED}: "
+        if hit.any():
             hom = hom.copy()
-            hom[np.flatnonzero(at[line] == STACKED)[0]] = F
+            hom[np.flatnonzero(hit)[0]] = F
         return line, hom
     monkeypatch.setattr(fsclass.indicators, "dual_hom", random_f)
     R = real_form_from_S(A, dual.S)

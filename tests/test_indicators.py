@@ -20,11 +20,12 @@ from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
 from fsclass.indicators import (_real_indicator, _round_indicator,
                                 classify_sigmas, dual_hom)
 from fsclass.linalg import DEFAULT_TOL as TOL
-from fsclass.linalg import dagger, fixed_space_of_antilinear
+from fsclass.linalg import dagger
 
-from conftest import (GROUP_FILES, classical_oracle, data_path,
-                      diagonal_rescaling, haar_separability, load_group,
-                      m2_dual_structures, rescaled)
+from conftest import (GROUP_FILES, check_text, classical_oracle, data_path,
+                      diagonal_rescaling, fixed_space_of_antilinear,
+                      haar_separability, load_group, m2_dual_structures,
+                      rescaled)
 
 
 def pipeline(name):
@@ -57,6 +58,47 @@ def test_the_rule_measures_the_complex_distance():
     assert _real_indicator(0.5 + 0.9e-6j, 1e-6) == 0.5
     with pytest.raises(ComplexResult, match="not real"):
         _real_indicator(np.array([1.0, 0.5 + 2e-6j]), 1e-6)
+
+
+def test_the_rule_names_the_irreducible_of_a_stack():
+    """With names, each of the rule's checks opens with the name of the
+    first failing entry of the stack; without them, with none."""
+    from fsclass.errors import ComplexResult, UnexpectedDimension
+    names = np.array(["irrep 0: ", "irrep 5: "])
+    for raw, error, text in [
+            ([1.0, 2.0], UnexpectedDimension, "indicator outside {-1, 0, +1}"),
+            ([0.5, 1.0], ComplexResult, "indicator value is not near an "
+             "integer"),
+            ([1.0, 1j], ComplexResult, "indicator value is not real")]:
+        bad = "irrep 5: " if raw[0] == 1.0 else "irrep 0: "
+        with pytest.raises(error) as info:
+            _round_indicator(np.array(raw), 1e-6, names)
+        assert check_text(str(info.value)) == bad + text
+        with pytest.raises(error) as info:
+            _round_indicator(np.array(raw), 1e-6)
+        assert check_text(str(info.value)) == text
+
+
+def test_a_hom_v_dv_plane_is_refused_unnamed():
+    """On the sum V of a 1-dim irreducible of Q8 (real) and its 2-dim one
+    (quaternionic), Hom(V, D(V)) is a plane: fs_indicator_trace and
+    classify_sigma take one V, not a stack, and raise UnexpectedDimension
+    with no irreducible named."""
+    from fsclass.errors import UnexpectedDimension
+    _, A, dual, _, parts = pipeline("q8")
+    one, two = (next(V for V, _ in parts if V.dim == d) for d in (1, 2))
+    rho = np.zeros((A.dim, 3, 3), dtype=complex)
+    rho[:, :1, :1], rho[:, 1:, 1:] = one.rho, two.rho
+    gram = np.zeros((3, 3), dtype=complex)
+    gram[:1, :1], gram[1:, 1:] = one.gram, two.gram
+    V = Representation(A, rho, gram)
+    R = real_form_from_S(A, dual.S)
+    for call in (lambda: fs_indicator_trace(V, dual.S, dual.g),
+                 lambda: classify_sigma(V, R)):
+        with pytest.raises(UnexpectedDimension) as info:
+            call()
+        assert str(info.value) == ("Hom(V, D(V)) has dim > 1; V is not "
+                                   "irreducible")
 
 
 def _scaled(V, factor):
@@ -195,7 +237,7 @@ def test_sigma_through_a_non_identity_gram(name, dim, sigma):
     Vb = Representation(A, np.linalg.inv(B) @ V.rho @ B, dagger(B) @ B)
     assert np.abs(Vb.gram - np.eye(dim)).max() > 0.5
     res = classify_sigma(Vb, R)
-    line, F = dual_hom(A, R.anti_matrix, Vb.rho[:, None], np.zeros(1, int))
+    line, F = dual_hom(A, R.anti_matrix, Vb.rho[:, None], np.array([""]))
     hom = list(F) if line[0] else []
     assert (res.sigma, len(hom)) == (sigma, abs(sigma))
     if sigma == 0:

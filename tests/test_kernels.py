@@ -62,13 +62,13 @@ from fsclass.cli import _cmat
 from fsclass.indicators import (SigmaResult, _round_indicator, classify_sigma,
                                 classify_sigmas, formula_element)
 from fsclass.linalg import DEFAULT_TOL as TOL
-from fsclass.linalg import Tolerance, dagger, fixed_space_of_antilinear
+from fsclass.linalg import Tolerance, dagger
 from fsclass.reps import RegularRepresentation, hom_residual, intertwiners
 
 from conftest import (GROUP_FILES, bundled_runs, count_centrality_kernels,
-                      data_path, diagonal_rescaling, haar_separability,
-                      load_group, m2_dual_structures, nullspace, rescaled,
-                      table_separability)
+                      data_path, diagonal_rescaling, fixed_space_of_antilinear,
+                      haar_separability, load_group, m2_dual_structures,
+                      nullspace, rescaled, table_separability)
 
 
 def batched_hom_residual(V) -> float:
@@ -567,8 +567,9 @@ def test_monomial_products_are_gathers_equal_to_the_dense_ones():
     """On every bundled input stored as an index table (groups, groupoids
     and doubles: S and E are monomial), z = `formula_element` equals
     A.multiply(R_g S E) formed by dense n x n products bit for bit, and so
-    do the real form's K = sigma conj(S), K conj(K) and sigma conj(K);
-    `real_form_from_S` keeps the S it was given as its anti_matrix."""
+    do the real form's K = sigma conj(S), K conj(K) and sigma conj(K),
+    which is `R.anti_matrix` and equals the S the real form was built
+    from."""
     runs = [(name, run) for name, run in bundled_runs()
             if run._dual is not None and run.A.table is not None]
     assert len(runs) == 22
@@ -580,7 +581,7 @@ def test_monomial_products_are_gathers_equal_to_the_dense_ones():
                               A.multiply(A.right_mult(g) @ S @ E)), name
         R = real_form_from_S(A, run.dual.S)
         K = R.conj_matrix
-        assert R.anti_matrix is S
+        assert np.array_equal(R.anti_matrix, S), name
         assert np.array_equal(K, sigma @ np.conj(S)), name
         assert np.array_equal(_times_conj(K, K), K @ np.conj(K)), name
         assert np.array_equal(real_form_from_conjugation(A, K).anti_matrix,

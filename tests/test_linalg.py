@@ -3,10 +3,9 @@ import pytest
 import scipy.linalg
 
 from fsclass.linalg import (DEFAULT_TOL, Tolerance, cluster_eigenvalues,
-                            dagger, fixed_space_of_antilinear, gram_basis,
-                            make_rng)
+                            dagger, gram_basis, make_rng)
 
-from conftest import nullspace
+from conftest import fixed_space_of_antilinear, nullspace
 
 
 def test_tolerance_defaults():
