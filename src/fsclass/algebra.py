@@ -22,6 +22,8 @@ from .errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
 from .linalg import DEFAULT_TOL, Tolerance, dagger, gram_basis
 
 DENSE_DIM_CAP = 128
+CENTRAL_EPS = 1e-8   # central_positive_invertible's centrality threshold
+GENERATOR_DIM = 64   # tables from this dimension on find `generators` rows
 
 
 def dense_dim(n: int) -> int:
@@ -132,16 +134,16 @@ class FDStarAlgebra:
         return _scatter_add(T.ravel(), (Z.reshape(v.shape) * v).ravel(),
                             self.dim)
 
-    def of_products(self, X: np.ndarray) -> np.ndarray:
-        """X(e_i e_j) for every pair (i, j), as (n, n, ...), for X a vector
-        or an (n, ...) map: the transpose of `multiply`."""
+    def of_products(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """X(e_i e_j) for the i of rows (all by default) and every j, for X a
+        vector or an (n, ...) map: the transpose of `multiply`."""
         n = self.dim
         if self.table is None:
-            flat = self.structure.reshape(n * n, n) @ X.reshape(n, -1)
+            flat = self.structure[rows].reshape(-1, n) @ X.reshape(n, -1)
         else:
-            T, v = self.table
-            flat = v.reshape(n * n, 1) * X.reshape(n, -1)[T.ravel()]
-        return flat.reshape(n, n, *X.shape[1:])
+            T, v = (x[rows] for x in self.table)
+            flat = v.reshape(-1, 1) * X.reshape(n, -1)[T.ravel()]
+        return flat.reshape(-1, n, *X.shape[1:])
 
     def left_stack(self) -> np.ndarray:
         """L(e_i)[k, j] = c[i, j, k] for every i: a read-only (n, n, n) view
@@ -242,6 +244,32 @@ class FDStarAlgebra:
         E.tensor.flags.writeable = False
         return E
 
+    @cached_property
+    def generators(self) -> tuple[np.ndarray | slice, int, float]:
+        """(S, L, m): basis rows S with every basis element in S or e_k =
+        s e_k' / v[s, k'], s in S, e_k' a step nearer S, in at most L steps,
+        and m = min |v| over the nonzero v, by a greedy closure on the table:
+        S takes the unreached row whose left products reach most unreached
+        elements.  Every row, L = 1, when dense or n < GENERATOR_DIM: there
+        the n^2 products cost less than the closure (D(S3), n = 36)."""
+        if self.table is None or self.dim < GENERATOR_DIM:
+            return slice(None), 1, 1.0
+        (T, v), n = self.table, self.dim
+        T = np.where(v != 0, T, n)   # a zero product lands on n, never new
+        depth, S = np.zeros(n + 1, int), []
+        while not depth[:n].all():
+            R = np.flatnonzero(depth[:n])
+            gain = np.count_nonzero(depth[T[:, R]] == 0, axis=1)
+            S.append(int(np.where(depth[:n] > 0, -1, gain).argmax()))
+            rows = np.array(S)
+            depth[:n], depth[n], front, level = 0, -1, rows, 1
+            while len(front):   # breadth first: level letters reach e_k
+                depth[front] = level
+                hit = np.zeros(n + 1, bool)
+                hit[T[rows[:, None], front]] = True
+                front, level = np.flatnonzero(hit & (depth == 0)), level + 1
+        return rows, level - 1, float(np.abs(v[v != 0]).min())
+
     # --- validation ---
 
     def _validate(self):
@@ -268,18 +296,6 @@ class FDStarAlgebra:
         resid = product_map_residual(self, sig, conj=True)
         self.star_reversal_residual = float(resid.max(initial=0.0))
         require(BadStar, "(e{0} e{1})* != e{1}* e{0}*", resid, eps)
-
-
-def associator(c: np.ndarray) -> np.ndarray:
-    """a[i, j, k, :] = (e_i e_j) e_k - e_i (e_j e_k) for the structure
-    tensor c, as two GEMMs on c.reshape(n*n, n)."""
-    n = c.shape[0]
-    flat = c.reshape(n * n, n)
-    a = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
-    # sum_m c[j,k,m] c[i,m,l], computed in (j, k, i, l) order
-    a -= (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(
-        n, n, n, n).transpose(2, 0, 1, 3)
-    return a
 
 
 def monomial_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -427,15 +443,15 @@ def table_associator_residual(table: tuple[np.ndarray, np.ndarray]
 
 def associator_residual(c: np.ndarray, table: tuple | None = None
                         ) -> tuple[float, tuple[int, int, int]]:
-    """max over i, j, k, l of |associator(c)[i, j, k, l]|, and the first
-    (i, j, k), in row-major order, where it is reached.
+    """max over i, j, k, l of |((e_i e_j) e_k - e_i (e_j e_k))_l|, and the
+    first (i, j, k), in row-major order, where it is reached.
 
     `table` is `monomial_table(c)`, computed here when not given; c is not
     read when it is given.  When c is monomial, `table_associator_residual`
     reads both products off the index table, only on the triples where one
     of them is nonzero (n^2 of the n^3 for a Drinfeld double, all n^3 for
     a group algebra); any other c goes through the dense associator, one
-    n^3 slab associator(c)[i] at a time.
+    n^3 slab (fixed i) at a time.
     """
     table = monomial_table(c) if table is None else table
     if table is not None:
@@ -444,7 +460,7 @@ def associator_residual(c: np.ndarray, table: tuple | None = None
     flat, wide = c.reshape(n * n, n), c.reshape(n, n * n)
     resid = np.empty((n, n, n))
     for i in range(n):
-        # (e_i e_j) e_k - e_i (e_j e_k) at [j, k, :], as in `associator`
+        # (e_i e_j) e_k - e_i (e_j e_k) at [j, k, :]
         slab = (c[i] @ wide).reshape(n, n, n)
         slab -= (flat @ c[i]).reshape(n, n, n)
         resid[i] = np.abs(slab).max(axis=2)
@@ -675,12 +691,11 @@ def separability_idempotent(A: FDStarAlgebra) -> SeparabilityIdempotent:
     return E
 
 
-def central_positive_invertible(A: FDStarAlgebra, v: np.ndarray,
-                                eps: float = 1e-8) -> bool:
+def central_positive_invertible(A: FDStarAlgebra, v: np.ndarray) -> bool:
     """Check that v is central, positive in the regular *-representation
     and invertible."""
     comm = A.left_mult(v) - A.right_mult(v)
-    if np.abs(comm).max() > eps * (1 + np.abs(v).max()):
+    if np.abs(comm).max() > CENTRAL_EPS * (1 + np.abs(v).max()):
         return False
     if not is_positive_element(A, v):
         return False

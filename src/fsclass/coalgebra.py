@@ -4,8 +4,8 @@ Everything is computed through the dual algebra B = dualize_co(C).  A
 coalgebra is stored as B and checked by B's axioms.  A corepresentation
 with matrix elements c_ij in C is stored as its dual module, the
 `Representation` of B with rho(e_m)[i, j] = c_ij[m], and checked by that
-module's axioms, entry for entry the corepresentation axioms at the
-threshold eps_eig max(1, d) max(1, |c|)^2:
+module's axioms when it is built, entry for entry the corepresentation
+axioms at the threshold eps_eig max(1, d) max(1, |c|)^2:
 
 - Delta(c_ij) = sum_k c_ik (x) c_kj is rho(e_a e_b) = rho(e_a) rho(e_b);
 - eps(c_ij) = d_ij is rho(1) = I;
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      SeparabilityIdempotent, dense_dim, star_residual)
+                      SeparabilityIdempotent, dense_dim)
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
-                     NotAntiMap, NotCompact, NotStarRep, require)
+                     NotAntiMap, NotCompact, require)
 from .indicators import _real_indicator, canonical_g, formula_element
 from .linalg import DEFAULT_TOL, Tolerance, dagger
 from .reps import Representation, decompose, regular_representation
@@ -63,13 +63,6 @@ class FDStarCoalgebra:
     star_matrix = property(lambda self: dagger(self.algebra.star_matrix))
     dim = property(lambda self: self.algebra.dim)
     tol = property(lambda self: self.algebra.tol)
-
-    def delta_tensor(self) -> np.ndarray:
-        n = self.dim
-        return self.Delta.T.reshape(n, n, n)  # Dt[i, j, k] coeff of e_j (x) e_k
-
-    def star(self, c: np.ndarray) -> np.ndarray:
-        return self.star_matrix @ np.conj(c)
 
 
 def dualize(A: FDStarAlgebra) -> FDStarCoalgebra:
@@ -145,7 +138,7 @@ def _dual_parts(C: FDStarCoalgebra, parts: Parts | None, seed: int) -> Parts:
     B = dualize_co(C)
     if parts is None:
         return decompose(regular_representation(B), seed=seed)
-    if parts[0][0].algebra is not B:
+    if not parts or any(V.algebra is not B for V, _ in parts):
         raise AxiomViolation("parts do not decompose the dual algebra of C")
     return parts
 
@@ -157,20 +150,20 @@ def compact_decompose(C: FDStarCoalgebra, seed: int = 0,
     the kept separability idempotent of dualize_co(C), A for dualize(A).
 
     parts is as for `_dual_parts`.  Each block is an irreducible
-    corepresentation of C stored as its dual module: the unitarized rho_u,
-    with c_ij[m] = rho_u(e_m)[i, j], checked once as a *-representation of
-    B, whose checks are the corepresentation axioms (see the module
-    docstring).  E holds B's kept separability idempotent, whose residuals
-    E.verify() reads."""
+    corepresentation of C stored as its dual module, a unitary rho_u with
+    c_ij[m] = rho_u(e_m)[i, j]: a part with the identity gram (as from
+    `decompose`) is its own, any other is unitarized into a new one, each
+    checked once, where built, as a *-representation of B (see the module
+    docstring).  E holds B's kept separability idempotent, for E.verify()."""
     B = dualize_co(C)
     if not B.trace_form[1]:
         raise NotCompact("dual algebra admits no C*-norm")
     irreps = []
     for V, mult in _dual_parts(C, parts, seed):
-        # unitarize: rho' = Q^dagger H rho Q in V's orthonormal basis Q
-        Q = V.orthonormal_basis
-        irreps.append((Representation(B, V.compressed(dagger(Q) @ V.gram, Q)),
-                       mult))
+        if not np.array_equal(V.gram, np.eye(V.dim)):
+            Q = V.orthonormal_basis   # unitarize: rho' = Q^dagger H rho Q
+            V = Representation(B, V.compressed(dagger(Q) @ V.gram, Q))
+        irreps.append((V, mult))
     if sum(W.dim ** 2 for W, _ in irreps) != C.dim:
         raise InternalConsistency("matrix elements do not span the dual")
     E = CoseparabilityIdempotent(C, B.separability_idempotent)
@@ -208,7 +201,8 @@ def corep_indicators(C: FDStarCoalgebra, blocks: list[Representation],
     """`corep_indicator` of each block, in order: nu(V) = t . w for the
     character t and w the duality functional
     w[i] = sum Dt[i, m, c] Dt[m, a, b] gamma_b (varsigma^T E)[a, c],
-    Dt = C.delta_tensor(): `formula_element` over the dual algebra
+    Dt[i, j, k] the coefficient of e_j (x) e_k in Delta(e_i) (the dual
+    algebra's structure tensor): `formula_element` over the dual algebra
     B = dualize_co(C), with varsigma^T as S, gamma as g and E as B's
     separability idempotent.  w is formed once and Delta^2(t) never.
 
@@ -222,18 +216,3 @@ def corep_indicators(C: FDStarCoalgebra, blocks: list[Representation],
     t = np.array([V.character() for V in blocks])
     return [float(v) for v in _real_indicator(t @ w, C.tol.eps_round)]
 
-
-def invariant_gram(A: FDStarAlgebra, rho: np.ndarray) -> np.ndarray:
-    """Hermitian positive H = sum_j rho(b_j)^dagger rho(b_j) over the
-    trace-form orthonormal basis b_j = `A.orthonormal_basis`, with
-    rho(a)^dagger H = H rho(a*) checked, `NotStarRep` otherwise.  It holds
-    whenever rho is multiplicative: right multiplications by a and by a*
-    are adjoint for the tracial inner product, so sum_j (b_j a)^* (x) b_j
-    = sum_j b_j^* (x) b_j a*."""
-    R = np.tensordot(A.orthonormal_basis, rho, axes=(0, 0))   # rho(b_j)
-    H = np.einsum("jba,jbc->ac", np.conj(R), R)
-    scale = max(1.0, float(np.abs(rho).max(initial=0.0))) ** 2
-    require(NotStarRep, "rho(a)^dagger H != H rho(a*)",
-            star_residual(rho, A.star_matrix, H),
-            A.tol.eps_eig * scale * len(H) * max(1.0, np.abs(H).max()))
-    return H

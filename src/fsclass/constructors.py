@@ -142,13 +142,15 @@ class TableAlgebraData:
 
     p: np.ndarray             # p[i, j, k] real, >= 0
     involution: np.ndarray    # permutation i -> i*
+    EPS = 1e-9                # the threshold of each axiom in `validated`
 
     @property
     def rank(self) -> int:
         return self.p.shape[0]
 
     @staticmethod
-    def validated(p, involution, eps: float = 1e-9) -> "TableAlgebraData":
+    def validated(p, involution) -> "TableAlgebraData":
+        eps = TableAlgebraData.EPS
         p = np.asarray(p, dtype=float)
         star = np.asarray(involution, dtype=int)
         r = p.shape[0]

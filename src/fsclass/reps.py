@@ -21,26 +21,19 @@ from .linalg import (Tolerance, cluster_eigenvalues, dagger, gram_basis,
 
 
 class Representation:
-    """Matrices rho(e_i) plus an invariant Hermitian positive gram.
-
-    `validated` records whether the axioms have been checked: construction
-    with check=True checks them, check=False leaves that to the caller.
-    """
+    """Matrices rho(e_i) plus an invariant Hermitian positive gram, checked
+    as a *-representation when built (`_validate`), `NotStarRep` if not."""
 
     def __init__(self, algebra: FDStarAlgebra, rho: np.ndarray,
-                 gram: np.ndarray | None = None, check: bool = True):
-        rho = np.asarray(rho, dtype=complex)
-        self.algebra = algebra
-        self.rho = rho
-        self.dim = rho.shape[1]
+                 gram: np.ndarray | None = None):
+        self.algebra, self.rho = algebra, np.asarray(rho, dtype=complex)
+        self.dim = self.rho.shape[1]
         if gram is None:   # the identity is its own orthonormal basis
             gram = np.eye(self.dim, dtype=complex)
             gram.flags.writeable = False
             self.orthonormal_basis = gram
         self.gram = np.asarray(gram, dtype=complex)
-        self.validated = False
-        if check:
-            self._validate()
+        self._validate()
 
     @cached_property
     def orthonormal_basis(self) -> np.ndarray:
@@ -50,7 +43,7 @@ class Representation:
         return gram_basis(self.gram)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.tensordot(x, self.rho, axes=(0, 0))
+        return (x @ self.rho.reshape(len(x), -1)).reshape(self.dim, self.dim)
 
     def character(self) -> np.ndarray:
         """chi(e_i) for every basis element, as a vector."""
@@ -69,30 +62,48 @@ class Representation:
         A, d, tol = self.algebra, self.dim, self.algebra.tol
         scale = max(1.0, self._max_entry()) ** 2
         eps = tol.eps_eig * scale * max(1, d)
-        require(NotStarRep, "rho(e_i e_j) != rho(e_i) rho(e_j)",
-                self._hom_residual(), eps)
+        resid, factor = self._hom_residual()
+        require(NotStarRep, "rho(e_i e_j) != rho(e_i) rho(e_j)", resid,
+                eps / factor)
         require(NotStarRep, "rho(1) != I",
                 np.abs(self.apply(A.unit) - np.eye(d)).max(), eps)
-        H = self.gram
-        h_scale = max(1.0, float(np.abs(H).max(initial=0.0)))
-        require(NotStarRep, "gram is not Hermitian",
-                np.abs(H - dagger(H)).max(initial=0.0), tol.eps_eig * h_scale)
-        # smallest eigenvalue > 0 (none when d = 0)
-        require(NotStarRep, "gram is not positive definite",
-                -np.linalg.eigvalsh((H + dagger(H)) / 2).min(initial=np.inf),
-                -np.nextafter(0.0, 1.0))
+        H, h_scale = self.gram, 1.0
+        if not np.array_equal(H, np.eye(d)):   # the identity needs no check
+            h_scale = max(1.0, float(np.abs(H).max(initial=0.0)))
+            require(NotStarRep, "gram is not Hermitian", np.abs(
+                H - dagger(H)).max(initial=0.0), tol.eps_eig * h_scale)
+            # smallest eigenvalue > 0 (none when d = 0)
+            low = np.linalg.eigvalsh((H + dagger(H)) / 2).min(initial=np.inf)
+            require(NotStarRep, "gram is not positive definite", -low,
+                    -np.nextafter(0.0, 1.0))
         require(NotStarRep, "rho(a)^dagger H != H rho(a*)",
                 self._star_residual(), eps * h_scale)
-        self.validated = True
 
     def _max_entry(self) -> float:   # max |rho(e_i)[a, b]|, rho (n, d, d)
         if self.rho.shape != (self.algebra.dim, self.dim, self.dim):
             raise NotStarRep("matrix block must have shape (dim_A, d, d)")
         return float(np.abs(self.rho).max(initial=0.0))
 
-    def _hom_residual(self) -> float:
-        """`hom_residual` of rho over the product of its algebra."""
-        return hom_residual(self.rho, self.algebra.of_products)
+    def _hom_residual(self) -> tuple[float, float]:
+        """(r, F): r the `hom_residual` of rho on the rows S of
+        `A.generators` = (S, L, m), F with |D(e_i, e_j)| <= F r for all i, j,
+        D(a, b) = rho(ab) - rho(a) rho(b): so r <= eps / F implies eps on all
+        n^2 products.  A is associative, so e_k = s e_k' / v gives D(e_k, x)
+        = (rho(s) D(e_k', x) + D(s, e_k' x) - D(s, e_k') rho(x)) / v.  In the
+        operator norm, with a = max_i |rho(e_i)| and m <= |v| <= max |c|,
+        the bound f_l of |D(e_k, x)| / r at depth l has f_1 = d (|X| <=
+        d max |X_ab|) and f_l = (a f_(l-1) + d (max |c| + a)) / m; F = f_L.
+        With S every row, F = 1: all products, bit for bit."""
+        A, d = self.algebra, self.dim
+        rows, depth, least = A.generators
+        r = hom_residual(self.rho, lambda X: A.of_products(X, rows), rows)
+        if depth == 1 or not np.isfinite(r):   # every row, or r fails anyway
+            return r, 1.0
+        a = float(np.linalg.norm(self.rho, 2, axis=(1, 2)).max())
+        f = d
+        for _ in range(depth - 1):
+            f = (a * f + d * (A.max_coefficient + a)) / least
+        return r, f
 
     def _star_residual(self) -> float:
         """`star_residual`: star compatibility rho(a)^dagger H = H rho(a*)."""
@@ -109,15 +120,19 @@ class Representation:
         return P @ self.rho @ B
 
 
-def hom_residual(rho: np.ndarray, of_products) -> float:
-    """max |rho(e_i) rho(e_j) - rho(e_i e_j)| over all i, j, the n^2 products
-    as one GEMM.  of_products(X) = X(e_i e_j) for X (n, d^2): `A.of_products`.
-    A corepresentation is stored as its dual module, so over the dual
-    algebra this is also its comultiplication check."""
+def hom_residual(rho: np.ndarray, of_products, rows=slice(None)) -> float:
+    """max |rho(e_i) rho(e_j) - rho(e_i e_j)| over the i of rows (all by
+    default) and all j, as one GEMM; of_products(X) = X(e_i e_j) for those
+    i, X (n, d^2).  On the rows of `A.generators` it bounds all n^2 products
+    (`Representation._hom_residual`).  A corepresentation is stored as its
+    dual module, so over the dual algebra this is also its
+    comultiplication check."""
     n, d = rho.shape[:2]
-    prod = rho.reshape(n * d, d) @ rho.transpose(1, 0, 2).reshape(d, n * d)
-    via = of_products(rho.reshape(n, d * d)).reshape(n, n, d, d)
-    gap = prod.reshape(n, d, n, d).transpose(0, 2, 1, 3) - via
+    left = rho[rows]
+    r = len(left)
+    prod = left.reshape(r * d, d) @ rho.transpose(1, 0, 2).reshape(d, n * d)
+    via = of_products(rho.reshape(n, d * d)).reshape(r, n, d, d)
+    gap = prod.reshape(r, d, n, d).transpose(0, 2, 1, 3) - via
     return float(np.abs(gap).max(initial=0.0))
 
 
@@ -155,8 +170,8 @@ class RegularRepresentation(Representation):
     def _max_entry(self) -> float:   # L(e_i)[k, j] = c[i, j, k]
         return float(self.algebra.max_coefficient)
 
-    def _hom_residual(self) -> float:
-        return self.algebra.associativity_residual
+    def _hom_residual(self) -> tuple[float, float]:
+        return self.algebra.associativity_residual, 1.0
 
     def _star_residual(self) -> float:
         return self.algebra.regular_star_residual(self.gram)
@@ -178,13 +193,6 @@ def regular_representation(A: FDStarAlgebra) -> RegularRepresentation:
         raise NotStarRep("regular representation is not a *-representation: "
                          "trace form is not positive definite")
     return RegularRepresentation(A, G)
-
-
-def restrict(V: Representation, basis: np.ndarray) -> Representation:
-    """Subrepresentation on the column span of basis (columns must be
-    gram-orthonormal so that the restricted gram is the identity)."""
-    rho = V.compressed(dagger(basis) @ V.gram, basis)
-    return Representation(V.algebra, rho, None, check=False)
 
 
 def intertwiners(A: FDStarAlgebra, rho_v: np.ndarray,
@@ -235,8 +243,7 @@ def _eigenspaces(X: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
 def decompose(V: Representation,
               seed: int = 0) -> list[tuple[Representation, int]]:
     """Full decomposition into pairwise inequivalent irreducibles with
-    multiplicities, sorted by (dimension, character fingerprint).  V is
-    validated here unless it already was.
+    multiplicities, sorted by (dimension, character fingerprint).
 
     A 1-dim V is irreducible.  Any other V needs a positive definite trace
     form, whose E the commutant is read with: it is taken once, from
@@ -247,14 +254,13 @@ def decompose(V: Representation,
     representation).  Each eigenspace of Q^dagger H rho(z) Q, Q =
     `V.orthonormal_basis`, mapped back by Q is an H-orthonormal basis of a
     block W, which gives the piece L, the first eigenspace of M compressed
-    onto W.  The pairing <x, y> =
+    onto W, kept as arrays with the identity gram.  The pairing <x, y> =
     sum_j x(b_j) y(b_j^*) makes irreducible characters orthonormal, so
     <chi_L, chi_L> = 1 and <chi_V, chi_L> = dim W / dim L, each within
-    eps_round times the integer, prove W = L^m with L irreducible;
-    otherwise z and M are redrawn, at most SPLIT_TRIES times.
+    eps_round times the integer, prove W = L^m with L irreducible; then each
+    L is built, so checked, once.  Otherwise z and M are redrawn (building
+    nothing), at most SPLIT_TRIES times.
     """
-    if not V.validated:
-        V._validate()
     if V.dim == 1:
         return [(V, 1)]
     A, H, tol = V.algebra, V.gram, V.algebra.tol
@@ -276,18 +282,19 @@ def decompose(V: Representation,
         r = random_complex(rng, A.dim)
         z = central_sum(A, r + A.star(r))
         HM = H @ commutant_element(random_complex(rng, k))
-        result = []
+        pieces = []
         for W in _eigenspaces(QH @ V.apply(z) @ Q, tol):
             BW = Q @ W
             BL = BW @ _eigenspaces(dagger(BW) @ HM @ BW, tol)[0]
-            L = restrict(V, BL)
-            chi = L.character()
-            m, rest = divmod(BW.shape[1], L.dim)
+            rho = V.compressed(dagger(BL) @ H, BL)
+            chi = np.einsum("iaa->i", rho)
+            m, rest = divmod(BW.shape[1], BL.shape[1])
             if rest or not (pairs_to(chi, chi, 1) and pairs_to(chi_V, chi, m)):
                 break
-            result.append((L, m))
+            pieces.append((rho, m))
         else:
-            return sorted(result, key=lambda p: p[0].fingerprint())
+            parts = [(Representation(A, rho), m) for rho, m in pieces]
+            return sorted(parts, key=lambda p: p[0].fingerprint())
     raise DegenerateSplit(
         f"could not split a {V.dim}-dim representation with commutant "
         f"dimension {k} in {SPLIT_TRIES} redraws")
@@ -296,12 +303,11 @@ def decompose(V: Representation,
 def dual_representation(V: Representation, S: AntiAlgebraMap,
                         g: np.ndarray) -> Representation:
     """D(V): rho_D(a) = rho(S(a))^T on the dual space, with the gram induced
-    by the pairing, H_D = (rho(g) H^{-1})^T.  Built unchecked: it is a
-    *-representation whenever V is one and (S, g) is a dual structure."""
-    A = V.algebra
+    by the pairing, H_D = (rho(g) H^{-1})^T: a *-representation whenever V
+    is one and (S, g) is a dual structure, checked as any other."""
     rho_d = np.tensordot(S.matrix, V.rho, axes=(0, 0)).transpose(0, 2, 1)
     H_d = (V.apply(g) @ np.linalg.inv(V.gram)).T
-    return Representation(A, rho_d, H_d, check=False)
+    return Representation(V.algebra, rho_d, H_d)
 
 
 def conjugate_representation(V: Representation, R: RealForm,
@@ -309,9 +315,7 @@ def conjugate_representation(V: Representation, R: RealForm,
     """J(V): rho_J(a) = conj(rho(abar)) on the conjugate space.  The gram
     H_J = (H rho(g))^T makes the Riesz map H^T a unitary isomorphism onto
     the dual representation; g defaults to the unit."""
-    A = V.algebra
-    if g is None:
-        g = A.unit
+    g = V.algebra.unit if g is None else g
     rho_j = np.tensordot(np.conj(R.conj_matrix), np.conj(V.rho), axes=(0, 0))
     H_j = (V.gram @ V.apply(g)).T
-    return Representation(A, rho_j, H_j)
+    return Representation(V.algebra, rho_j, H_j)

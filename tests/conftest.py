@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fsclass import (FDStarAlgebra, AntiAlgebraMap, GroupTable,
-                     SeparabilityIdempotent, group_algebra)
+                     Representation, SeparabilityIdempotent, group_algebra)
 from fsclass import io as fio
 from fsclass.cli import Run
 from fsclass.errors import BadStar, BadUnit, NotAssociative
@@ -63,6 +63,21 @@ def check_text(message: str) -> str:
     assert m, f"no residual suffix: {message!r}"
     assert not float(m[2]) <= float(m[3]), message
     return m[1]
+
+
+def unchecked(A, rho, gram=None) -> Representation:
+    """rho as a `Representation` of A without the check that building one
+    runs: values the library can no longer make (a scaled part, a character
+    that is no homomorphism), for the code that runs after the check."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Representation, "_validate", lambda self: None)
+        return Representation(A, rho, gram)
+
+
+def delta_tensor(C) -> np.ndarray:
+    """Dt[i, j, k], the coefficient of e_j (x) e_k in Delta(e_i)."""
+    n = C.dim
+    return C.Delta.T.reshape(n, n, n)
 
 
 def einsum_coalgebra(Delta, counit, star):

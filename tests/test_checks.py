@@ -20,7 +20,6 @@ from fsclass import (FDStarAlgebra, Representation, decompose, dualize,
                      full_report, group_algebra, regular_representation)
 from fsclass.algebra import real_form_from_S
 from fsclass.cli import Run
-from fsclass.coalgebra import invariant_gram
 from fsclass.errors import (AxiomViolation, BadUnit, FSClassError,
                             InconsistentAlpha, InternalConsistency,
                             NotStarRep, SchemaError, require)
@@ -28,7 +27,8 @@ from fsclass.indicators import classify_sigmas
 from fsclass.reps import intertwiners
 
 from conftest import COREP_CHECKS, TOL, check_text, data_path, load_group
-from test_kernels import loop_dual_hom, loop_nu_trace, loop_sigma
+from test_kernels import (invariant_gram, loop_dual_hom, loop_nu_trace,
+                          loop_sigma)
 
 # (module, function, error) of each raise under an ordering comparison that
 # guards structure, not a residual: integer ranges and counts and the

@@ -13,7 +13,7 @@ import fsclass.cli
 from fsclass import FDStarAlgebra, cyclic_group
 from fsclass.cli import main
 
-from conftest import count_centrality_kernels, data_path
+from conftest import check_text, count_centrality_kernels, data_path
 
 
 def run(capsys, *argv):
@@ -461,16 +461,16 @@ def test_each_command_evaluates_the_centrality_identity_at_most_once(
 
 def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
     """A part scaled by 1.1 keeps the star axiom but is no homomorphism, so
-    its block is no corepresentation; a copy of the kept E off by 1e-3 in
-    one entry fails the coseparability check.  Both make duality exit 2 and
-    name the failed check."""
+    no corepresentation: building it fails its check; a copy of the kept E
+    off by 1e-3 in one entry fails the coseparability check.  Both make
+    duality exit 2 and name the failed check."""
     from fsclass import Representation, SeparabilityIdempotent
     from fsclass.coalgebra import CoseparabilityIdempotent
     compact_decompose = fsclass.cli.compact_decompose
 
     def scaled_first_part(C, parts):
         (V, m), *rest = parts
-        bad = Representation(V.algebra, 1.1 * V.rho, V.gram, check=False)
+        bad = Representation(V.algebra, 1.1 * V.rho, V.gram)
         return compact_decompose(C, parts=[(bad, m)] + rest)
     monkeypatch.setattr(fsclass.cli, "compact_decompose", scaled_first_part)
     code, out, err = run(capsys, "duality", data_path("s3.json"),
@@ -494,6 +494,58 @@ def test_duality_exits_2_on_a_corrupted_part_or_e(capsys, monkeypatch):
     assert json.loads(err) == {"error": "AxiomViolation",
                                "message": "E(c_(1), c_(2)) != eps(c) "
                                "(residual 1.000e-03, threshold 1.000e-06)"}
+
+
+def test_a_part_off_by_1e_7_exits_2_on_every_command_that_decomposes(
+        capsys, monkeypatch):
+    """One entry of one part's rho(e_5), off by 1e-7, passes the character
+    pairings that accept the split, but not the part's check, which
+    decompose runs where it builds the part: irreps, indicators, classify
+    and duality exit 2 with NotStarRep."""
+    from fsclass.reps import RegularRepresentation
+    compressed = RegularRepresentation.compressed
+
+    def corrupted(V, P, B):
+        rho = compressed(V, P, B)
+        if rho.shape[1] == 2:
+            rho[5, 0, 1] += 1e-7
+        return rho
+    monkeypatch.setattr(RegularRepresentation, "compressed", corrupted)
+    for command in ("irreps", "indicators", "classify", "duality"):
+        code, out, err = run(capsys, command, data_path("s3.json"),
+                             "--kind", "double")
+        assert (code, out) == (2, ""), command
+        err = json.loads(err)
+        assert err["error"] == "NotStarRep", command
+        assert err["message"].startswith("rho(e_i e_j) != rho(e_i) rho(e_j) "
+                                         "(residual 1.0"), command
+
+
+@pytest.mark.parametrize("at, value, text", [
+    ((1, 1, 1), -0.5, "negative structure constant"),
+    ((0, 1, 2), 0.5, "b_0 is not the identity"),
+    ((1, 2, 0), 5e-10, "p_(i i*)^0 must be positive, i = 1")])
+def test_verify_refuses_a_corrupted_table(capsys, tmp_path, at, value, text):
+    """C[Z3] as a `--kind scheme` file of intersection numbers p, with one
+    entry corrupted where the basis involution can still be derived from p
+    (one positive coefficient of b_0 per row): verify exits 2 and names
+    the table algebra axiom that fails.  The clean file verifies."""
+    p = np.zeros((3, 3, 3))
+    i, j = np.divmod(np.arange(9), 3)
+    p[i, j, (i + j) % 3] = 1.0
+    for q, want in ((p, None), (p.copy(), text)):
+        if want:
+            q[at] = value
+        path = tmp_path / "z3_p.json"
+        path.write_text(json.dumps({"classes": 3, "p": q.tolist()}))
+        code, out, err = run(capsys, "verify", str(path), "--kind", "scheme")
+        if want is None:
+            assert code == 0 and "table algebra axioms: ok" in out
+            continue
+        assert (code, out) == (2, "")
+        err = json.loads(err)
+        assert err["error"] == "AxiomViolation"
+        assert check_text(err["message"]) == text
 
 
 def test_each_command_factors_the_trace_form_once(capsys, monkeypatch):

@@ -5,12 +5,14 @@ from fsclass import (Representation, compact_decompose, corep_indicator,
                      cqg_indicator, decompose, drinfeld_double, dualize,
                      dualize_co, group_algebra, group_weak_hopf,
                      regular_representation)
-from fsclass.coalgebra import FDStarCoalgebra, gamma_full, invariant_gram
+from fsclass.coalgebra import FDStarCoalgebra, gamma_full
 from fsclass.errors import (AxiomViolation, BadVarsigma, NotCompact, NotHopf,
                             NotStarRep)
+from fsclass.reps import hom_residual
 
 from conftest import (GROUP_FILES, build_m2, count_centrality_kernels,
-                      data_path, load_group)
+                      data_path, delta_tensor, load_group)
+from test_kernels import invariant_gram
 
 
 def group_coalgebra(name):
@@ -45,7 +47,7 @@ def test_group_coalgebra_delta_sums_over_factorizations():
     transpose of the product, read off the group table."""
     G = load_group("z3")
     A, _, C = group_coalgebra("z3")
-    Dt = C.delta_tensor()            # Dt[g, h, k]: coefficient of e_h (x) e_k
+    Dt = delta_tensor(C)   # Dt[g, h, k]: coefficient of e_h (x) e_k
     for g in range(3):
         expect = (G.table == g).astype(float)
         assert np.array_equal(Dt[g], expect), g
@@ -186,14 +188,15 @@ def test_cqg_indicator_requires_hopf():
 
 
 def test_each_block_is_a_unitary_star_rep_of_the_dual_algebra():
-    # a block is a corepresentation stored as its dual module: a validated
+    # a block is a corepresentation stored as its dual module: a checked
     # *-representation of dualize_co(C) whose invariant gram is a positive
-    # multiple of the identity
+    # multiple of the identity, and a homomorphism on all n^2 products
     A, _, C = group_coalgebra("s3")
     dec = compact_decompose(C)
     assert dec.blocks == [W for W, _ in dec.irreps]
     for b in dec.blocks:
-        assert b.algebra is dualize_co(C) and b.validated
+        assert b.algebra is dualize_co(C)
+        assert hom_residual(b.rho, b.algebra.of_products) < 1e-12
         np.testing.assert_array_equal(b.gram, np.eye(b.dim))
         H = invariant_gram(b.algebra, b.rho)
         assert np.allclose(H / H[0, 0], np.eye(b.dim), atol=1e-12)
@@ -210,17 +213,52 @@ def test_invariant_gram_of_a_non_unitary_irrep():
     assert np.allclose(H / np.trace(H), want / np.trace(want), atol=1e-12)
 
 
-def test_compact_decompose_checks_the_star_of_each_block():
-    # a gram that is not invariant unitarizes the 2-dim irreducible of C[S3]
-    # into a rho_u that is still a homomorphism (so a corepresentation) but
-    # not a *-representation
+def test_compact_decompose_checks_the_star_of_each_block(monkeypatch):
+    # decompose's parts have the identity gram and are their own blocks,
+    # checked where they were built and not again.  A part W = P^-1 V P of
+    # the 2-dim irreducible V of C[S3], with its invariant gram P^dagger P,
+    # is unitarized back into V, and that new block is checked as it is
+    # built: given a rho_u that is still a homomorphism (so a
+    # corepresentation) but not a *-representation, it is refused.  A gram
+    # that is not invariant is refused where the part is built.
     A = group_algebra(load_group("s3"))[0]
     parts = decompose(regular_representation(A))
     V, mult = parts[-1]
     assert V.dim == 2
-    bent = Representation(A, V.rho, np.diag([1.0, 4.0]), check=False)
     with pytest.raises(NotStarRep, match=r"rho\(a\)\^dagger H"):
-        compact_decompose(dualize(A), parts=parts[:-1] + [(bent, mult)])
+        Representation(A, V.rho, np.diag([1.0, 4.0]))
+    P = np.diag([1.0, 2.0])
+    W = Representation(A, np.linalg.inv(P) @ V.rho @ P, P.T @ P)
+    built = []
+    validate = Representation._validate
+    monkeypatch.setattr(Representation, "_validate",
+                        lambda self: built.append(self) or validate(self))
+    assert compact_decompose(dualize(A), parts=parts).blocks == \
+        [U for U, _ in parts] and built == []
+    blocks = compact_decompose(dualize(A),
+                               parts=parts[:-1] + [(W, mult)]).blocks
+    assert blocks[:-1] == [U for U, _ in parts[:-1]] and built == blocks[-1:]
+    assert np.abs(blocks[-1].rho - V.rho).max() < 1e-12
+    W.compressed = lambda *_: np.linalg.inv(P) @ V.rho @ P
+    with pytest.raises(NotStarRep, match=r"rho\(a\)\^dagger H"):
+        compact_decompose(dualize(A), parts=parts[:-1] + [(W, mult)])
+
+
+def test_parts_must_all_decompose_the_dual_algebra():
+    # every part's algebra is checked, not only the first's, and an empty
+    # list is refused, by compact_decompose and gamma_full alike
+    A, dual, C = group_coalgebra("s3")
+    parts = decompose(regular_representation(A))
+    B = group_algebra(load_group("s3"))[0]   # equal to A, another object
+    other = decompose(regular_representation(B))
+    assert other[0][0].algebra is not A
+    for bad in ([], parts[:1] + other[1:]):
+        with pytest.raises(AxiomViolation,
+                           match="parts do not decompose the dual algebra"):
+            compact_decompose(C, parts=bad)
+        with pytest.raises(AxiomViolation,
+                           match="parts do not decompose the dual algebra"):
+            gamma_full(C, dual.S.matrix.T, parts=bad)
 
 
 @pytest.mark.parametrize("name", GROUP_FILES)
@@ -247,11 +285,11 @@ def test_sum_of_corep_indicators_is_the_trace_of_the_antipode(name):
 
 def test_duality_checks_each_coalgebra_axiom_once(monkeypatch, capsys):
     # on D(S3): associativity for the algebra and for the dual algebra of
-    # its weak Hopf coalgebra, none for dualize; compact_decompose checks
-    # each unitarized block once, as a representation, with one run of the
-    # homomorphism kernel, and keeps that representation as the block; the
-    # centrality kernel runs once, for the kept E, and the coseparability
-    # check reads its result
+    # its weak Hopf coalgebra, none for dualize; decompose checks each part
+    # once, as a representation, with one run of the homomorphism kernel,
+    # and compact_decompose keeps each part, of the identity gram, as its
+    # block without a second check; the centrality kernel runs once, for
+    # the kept E, and the coseparability check reads its result
     import fsclass.algebra
     import fsclass.reps
     from fsclass.cli import main

@@ -30,13 +30,14 @@ from fsclass.linalg import DEFAULT_TOL as TOL
 from fsclass.linalg import dagger
 
 from conftest import (COREP_CHECKS, DUAL_ERRORS, check_text, data_path,
-                      einsum_coalgebra, load_group, m2_dual_structures)
+                      delta_tensor, einsum_coalgebra, load_group,
+                      m2_dual_structures)
 
 
 def einsum_corep_indicator(C, V, varsigma, gamma_vec, E):
     """gamma(t_(2)) E(varsigma(t_(1)), t_(3)) through the n^3 array
     Delta^2(t)."""
-    Dt = C.delta_tensor()
+    Dt = delta_tensor(C)
     T = np.einsum("i,imc,mab->abc", V.character(), Dt, Dt, optimize=True)
     return complex(np.einsum("abc,ma,mc,b->", T, varsigma, E.matrix,
                              gamma_vec, optimize=True))
@@ -45,7 +46,7 @@ def einsum_corep_indicator(C, V, varsigma, gamma_vec, E):
 def einsum_corep(C, coeff):
     d = coeff.shape[0]
     eps = TOL.eps_eig * max(1, d) * max(1.0, np.abs(coeff).max()) ** 2
-    lhs = np.einsum("ijm,mab->ijab", coeff, C.delta_tensor())
+    lhs = np.einsum("ijm,mab->ijab", coeff, delta_tensor(C))
     rhs = np.einsum("ika,kjb->ijab", coeff, coeff)
     if np.abs(lhs - rhs).max() > eps:
         return "Delta(c_ij) != sum_k c_ik (x) c_kj"
@@ -59,7 +60,7 @@ def einsum_corep(C, coeff):
 
 
 def einsum_coseparability(C, E):
-    Dt = C.delta_tensor()
+    Dt = delta_tensor(C)
     eps = TOL.eps_eig * 100 * max(1.0, np.abs(E).max())
     if np.abs(np.einsum("ijk,jk->i", Dt, E) - C.counit).max() > eps:
         return "E(c_(1), c_(2)) != eps(c)"
@@ -295,7 +296,7 @@ def test_dualize_reuses_the_associativity_residual(monkeypatch):
 def einsum_star_reversal(C):
     """max |Delta(e_a*) - (e_a(2))* (x) (e_a(1))*| from the einsum forms of
     `einsum_coalgebra`."""
-    Dt, st = C.delta_tensor(), C.star_matrix
+    Dt, st = delta_tensor(C), C.star_matrix
     lhs = np.einsum("ij,iab->jab", st, Dt)
     rhs = np.einsum("pb,iab,qa->ipq", st, np.conj(Dt), st)
     return float(np.abs(lhs - rhs).max())

@@ -16,8 +16,8 @@ from fsclass.constructors import (TableAlgebraData, check_involution_perm,
                                   table_central_element)
 from fsclass.errors import AxiomViolation, BadGroup, NotInvolution
 
-from conftest import (classical_oracle, haar_separability, load_group,
-                      table_separability)
+from conftest import (check_text, classical_oracle, haar_separability,
+                      load_group, table_separability)
 
 
 # --- groups ---
@@ -133,6 +133,29 @@ def test_table_central_element_of_group_case():
     T = TableAlgebraData.validated(p, G.inverse)
     v = table_central_element(T)
     assert np.allclose(v, np.array([3.0, 0, 0]))
+
+
+def test_each_table_algebra_axiom_fires():
+    """C[Z3] by its intersection numbers, b_1* = b_2, with one corruption
+    per axiom of `TableAlgebraData.validated`.  The CLI, which derives the
+    involution from p, cannot reach the b_0 coefficient check: the identity
+    involution here puts b_0 in b_1 b_2 with 2 != 1*."""
+    G = load_group("z3")
+    p = np.zeros((3, 3, 3))
+    p[np.arange(3)[:, None], np.arange(3), G.table] = 1.0
+    TableAlgebraData.validated(p, G.inverse)
+    cases = [((1, 1, 1), -0.5, G.inverse, "negative structure constant"),
+             ((0, 1, 2), 0.5, G.inverse, "b_0 is not the identity"),
+             ((0, 0, 0), 1.0, np.arange(3), "coefficient of b_0 in b_i b_j "
+              "must vanish unless j = i*"),
+             ((1, 2, 0), 5e-10, G.inverse,
+              "p_(i i*)^0 must be positive, i = 1")]
+    for at, value, star, text in cases:
+        bad = p.copy()
+        bad[at] = value
+        with pytest.raises(AxiomViolation) as info:
+            TableAlgebraData.validated(bad, star)
+        assert check_text(str(info.value)) == text
 
 
 # --- groupoids and weak Hopf ---

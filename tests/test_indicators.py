@@ -25,7 +25,7 @@ from fsclass.linalg import dagger
 from conftest import (GROUP_FILES, check_text, classical_oracle, data_path,
                       diagonal_rescaling, fixed_space_of_antilinear,
                       haar_separability, load_group, m2_dual_structures,
-                      rescaled)
+                      rescaled, unchecked)
 
 
 def pipeline(name):
@@ -103,7 +103,7 @@ def test_a_hom_v_dv_plane_is_refused_unnamed():
 
 def _scaled(V, factor):
     """V with every rho(e_i) times factor, unchecked: character factor chi_V."""
-    return Representation(V.algebra, V.rho * factor, V.gram, check=False)
+    return unchecked(V.algebra, V.rho * factor, V.gram)
 
 
 @pytest.mark.parametrize("factor, message", [(1.1, "not near an integer"),

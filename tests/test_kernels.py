@@ -43,6 +43,7 @@ import re
 import numpy as np
 import pytest
 
+import fsclass.algebra
 import fsclass.coalgebra
 from fsclass import (CoseparabilityIdempotent, FDStarAlgebra,
                      FDStarCoalgebra, Representation,
@@ -52,12 +53,14 @@ from fsclass import (CoseparabilityIdempotent, FDStarAlgebra,
                      regular_representation, scheme_from_matrices,
                      table_algebra)
 from fsclass import io as fio
-from fsclass.coalgebra import corep_indicators, invariant_gram
+from fsclass.coalgebra import corep_indicators
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadUnit,
                             FSClassError, InconsistentAlpha,
-                            InternalConsistency, UnexpectedDimension, require)
-from fsclass.algebra import (_monomial_columns, real_form_from_conjugation,
-                             real_form_from_S, transpose_times)
+                            InternalConsistency, NotStarRep,
+                            UnexpectedDimension, require)
+from fsclass.algebra import (GENERATOR_DIM, _monomial_columns,
+                             real_form_from_conjugation, real_form_from_S,
+                             star_residual, transpose_times)
 from fsclass.cli import _cmat
 from fsclass.indicators import (SigmaResult, _round_indicator, classify_sigma,
                                 classify_sigmas, formula_element)
@@ -68,7 +71,7 @@ from fsclass.reps import RegularRepresentation, hom_residual, intertwiners
 from conftest import (GROUP_FILES, bundled_runs, count_centrality_kernels,
                       data_path, diagonal_rescaling, fixed_space_of_antilinear,
                       haar_separability, load_group, m2_dual_structures,
-                      nullspace, rescaled, table_separability)
+                      nullspace, rescaled, table_separability, unchecked)
 
 
 def batched_hom_residual(V) -> float:
@@ -135,13 +138,57 @@ def test_hom_kernel_matches_the_batched_products(algebras):
     for name, A in algebras.items():
         R = regular_representation(A)
         for V in [R] + [V for V, _ in decompose(R)]:
-            bad = Representation(A, _corrupted(V.rho, rng), check=False)
+            bad = unchecked(A, _corrupted(V.rho, rng))
             for W in (V, bad):
-                # the base method: the regular representation overrides it
-                got = Representation._hom_residual(W)
+                # every row: the n^2 products
+                got = hom_residual(W.rho, A.of_products)
                 bound = 1e-15 * max(1.0, np.abs(W.rho).max()) ** 2
                 assert abs(got - batched_hom_residual(W)) <= bound, name
-            assert Representation._hom_residual(bad) > 0.1, name
+            assert hom_residual(bad.rho, A.of_products) > 0.1, name
+
+
+def test_the_generator_rows_bound_every_product(monkeypatch):
+    """A representation's homomorphism check runs on the generator rows S
+    of its algebra: its residual r is at most the n^2 one of the batched
+    oracle, and that is at most F r, F the factor `_hom_residual` states.
+    So one entry of one part's rho(e_i) off by 1e-7 is refused, for an e_i
+    in S and for one outside it.  A dense algebra's S is every row, F = 1,
+    and r is the n^2 residual bit for bit.  Tables of dimension below
+    GENERATOR_DIM (all of these) keep every row too, so it is lowered."""
+    assert max(A.dim for A in _algebras().values()) < GENERATOR_DIM
+    monkeypatch.setattr(fsclass.algebra, "GENERATOR_DIM", 1)
+    cases = _algebras()
+    D = cases["D(S3)"]
+    cases["D(S3) rescaled"] = rescaled(D, diagonal_rescaling(D.dim, seed=16))
+    for name, A in cases.items():
+        rows, depth, _ = A.generators
+        if A.table is None:
+            assert (rows, depth) == (slice(None), 1), name
+            corrupt = [0, A.dim - 1]
+        else:
+            assert 1 < len(rows) < A.dim and depth > 1, name
+            corrupt = [int(rows[-1]),
+                       int(np.setdiff1d(np.arange(A.dim), rows)[0])]
+        for V, _ in decompose(regular_representation(A)):
+            for i in [None] + corrupt:
+                rho = V.rho.copy()
+                if i is not None:
+                    rho[i, 0, 0] += 1e-7
+                r, F = Representation._hom_residual(unchecked(A, rho))
+                full = batched_hom_residual(unchecked(A, rho))
+                if A.table is None:
+                    assert (r, F) == (hom_residual(rho, A.of_products), 1.0)
+                else:   # f_1 = d, f_l = (a f_(l-1) + d (max |c| + a)) / m
+                    a = np.linalg.svd(rho, compute_uv=False).max()
+                    f, d, m = V.dim, V.dim, A.generators[2]
+                    for _ in range(depth - 1):
+                        f = (a * f + d * (A.max_coefficient + a)) / m
+                    assert F == pytest.approx(f, rel=1e-12), name
+                ulps = 1e-14 * max(1.0, np.abs(rho).max()) ** 2
+                assert r <= full + ulps and full <= F * r + ulps, name
+                if i is not None:
+                    with pytest.raises(NotStarRep, match=r"^rho\(e_i e_j\) "):
+                        Representation(A, rho)
 
 
 def test_corepresentation_check_matches_the_delta_contraction(algebras):
@@ -273,6 +320,23 @@ def kron_intertwiners(rho_v, rho_w, tol=TOL) -> list[np.ndarray]:
                          rho_w, np.eye(dv))
     ker = nullspace(system, tol)
     return [ker[:, j].reshape(dw, dv) for j in range(ker.shape[1])]
+
+
+def invariant_gram(A, rho: np.ndarray) -> np.ndarray:
+    """Hermitian positive H = sum_j rho(b_j)^dagger rho(b_j) over the
+    trace-form orthonormal basis b_j = `A.orthonormal_basis`, with
+    rho(a)^dagger H = H rho(a*) checked, `NotStarRep` otherwise.  It holds
+    whenever rho is multiplicative: right multiplications by a and by a*
+    are adjoint for the tracial inner product, so sum_j (b_j a)^* (x) b_j
+    = sum_j b_j^* (x) b_j a*.  The gram by averaging, as the library
+    formed it before every part came out of `decompose` unitary."""
+    R = np.tensordot(A.orthonormal_basis, rho, axes=(0, 0))   # rho(b_j)
+    H = np.einsum("jba,jbc->ac", np.conj(R), R)
+    scale = max(1.0, float(np.abs(rho).max(initial=0.0))) ** 2
+    require(NotStarRep, "rho(a)^dagger H != H rho(a*)",
+            star_residual(rho, A.star_matrix, H),
+            A.tol.eps_eig * scale * len(H) * max(1.0, np.abs(H).max()))
+    return H
 
 
 def kron_invariant_gram(A, rho) -> np.ndarray:

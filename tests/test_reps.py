@@ -13,11 +13,11 @@ from fsclass import reps
 from fsclass.algebra import AntiAlgebraMap, DualStructureData, check_cstar
 from fsclass.errors import DegenerateSplit, NotCStar, NotStarRep
 from fsclass.linalg import Tolerance
-from fsclass.reps import (Representation, conjugate_representation,
-                          dual_representation, restrict)
+from fsclass.reps import (RegularRepresentation, Representation,
+                          conjugate_representation, dual_representation)
 
 from conftest import (build_m2, check_text, classical_oracle, data_path,
-                      load_group, m2_dual_structures)
+                      load_group, m2_dual_structures, unchecked)
 
 
 def test_regular_representation_is_a_star_rep():
@@ -102,13 +102,19 @@ def test_intertwiners_between_inequivalent_irreps_vanish():
             assert len(hom) == (1 if i == j else 0)
 
 
-def test_restrict_orthonormalizes_gram():
-    A, _ = group_algebra(load_group("z2"))
-    V = regular_representation(A)
-    basis = np.array([[1.0], [1.0]], dtype=complex)
-    W = restrict(V, basis)
-    assert W.dim == 1
-    assert np.allclose(W.gram, np.eye(1))
+def test_decompose_gives_each_part_the_identity_gram():
+    """Each part is compressed onto an H-orthonormal basis of its piece, so
+    it is unitary: its gram is the identity, which compact_decompose takes
+    as it is."""
+    for A in (group_algebra(load_group("z2"))[0],
+              drinfeld_double(load_group("s3"))[0].algebra):
+        V = regular_representation(A)
+        assert not np.array_equal(V.gram, np.eye(A.dim))
+        for W, _ in decompose(V):
+            assert np.array_equal(W.gram, np.eye(W.dim))
+            # rho(e_i*) = rho(e_i)^dagger
+            assert np.allclose(np.tensordot(A.star_matrix, W.rho, (0, 0)),
+                               np.conj(W.rho.transpose(0, 2, 1)))
 
 
 def test_dual_representation_is_valid_and_antiequivalent():
@@ -167,17 +173,19 @@ def test_complex_star_regression_rebased_q8():
         assert row.nu_formula == round(classical_oracle(G, chi).real)
 
 
-def test_decompose_validates_an_unchecked_input():
+def test_a_corrupted_representation_is_refused_where_it_is_built():
+    """Building a representation checks it: no unchecked one can reach
+    `decompose`."""
     A, _ = group_algebra(load_group("s3"))
     rho = regular_representation(A).rho.copy()
     rho[1, 0, 0] += 0.5
-    V = Representation(A, rho, check=False)
-    assert not V.validated
     with pytest.raises(NotStarRep):
-        decompose(V)
+        Representation(A, rho)
 
 
-def test_decompose_does_not_revalidate_a_checked_input(monkeypatch):
+def test_decompose_checks_each_part_once(monkeypatch):
+    """The regular representation is checked when it is built, and each
+    part once, when decompose builds it: a rejected draw builds none."""
     calls = []
     validate = Representation._validate
 
@@ -187,7 +195,7 @@ def test_decompose_does_not_revalidate_a_checked_input(monkeypatch):
     monkeypatch.setattr(Representation, "_validate", counted)
     A, _ = group_algebra(load_group("s3"))
     parts = decompose(regular_representation(A))
-    assert calls == [6]
+    assert calls[0] == 6 and sorted(calls[1:]) == [1, 1, 2]
     assert sorted(V.dim for V, _ in parts) == [1, 1, 2]
 
 
@@ -310,12 +318,12 @@ def test_regular_commutant_is_right_multiplication(monkeypatch):
 
 
 def test_regular_restriction_is_the_left_stack_sandwich(monkeypatch):
-    """`restrict` on the regular representation forms P L(e_i) B, P =
-    B^dagger H, from `of_products` of P^T and one batched GEMM, never
-    from the L stack.  On the bases `decompose` restricts to it equals
-    P @ A.left_stack() @ B bit for bit where A is an index table with
-    real coefficients (each entry of P L(e_i) is one exact product), and
-    within a few ulps of the operands' scale on dense tensors."""
+    """The piece `decompose` compresses from the regular representation,
+    P L(e_i) B with P = B^dagger H, comes from `of_products` of P^T and one
+    batched GEMM, never from the L stack.  On the bases `decompose` uses it
+    equals P @ A.left_stack() @ B bit for bit where A is an index table
+    with real coefficients (each entry of P L(e_i) is one exact product),
+    and within a few ulps of the operands' scale on dense tensors."""
     eps = np.finfo(float).eps
     algebras = {"D(S3)": (drinfeld_double(load_group("s3"))[0].algebra, 0),
                 "pair(3)": (groupoid_weak_hopf(pair_groupoid(3))[0].algebra,
@@ -326,21 +334,21 @@ def test_regular_restriction_is_the_left_stack_sandwich(monkeypatch):
     for name, (A, ulps) in algebras.items():
         assert (A.table is not None) == (ulps == 0), name
         V = regular_representation(A)
-        bases = []
+        pieces = []
+        compressed = RegularRepresentation.compressed
 
-        def recorded(W, basis):
+        def recorded(W, P, B):
             assert W is V
-            bases.append(basis)
-            return restrict(W, basis)
+            pieces.append((P, B, compressed(W, P, B)))
+            return pieces[-1][2]
         with monkeypatch.context() as m:
-            m.setattr(reps, "restrict", recorded)
+            m.setattr(RegularRepresentation, "compressed", recorded)
             m.setattr(FDStarAlgebra, "left_stack", None)
             decompose(V)
-        assert bases, name
+        assert pieces, name
         c = A.structure
-        for B in bases:
-            P = np.conj(B.T) @ V.gram
-            got = restrict(V, B).rho
+        for P, B, got in pieces:
+            assert np.array_equal(P, np.conj(B.T) @ V.gram), name
             want = P @ A.left_stack() @ B
             bound = ulps * A.dim * eps * np.abs(c).max() \
                 * np.abs(P).max() * np.abs(B).max()
@@ -358,7 +366,7 @@ def test_fingerprint_rounds_half_to_even_as_round_does():
     c = np.zeros((n, n, n))
     c[np.arange(n), np.arange(n), np.arange(n)] = 1.0   # C^n
     A = FDStarAlgebra(c, np.ones(n), np.eye(n), tol)
-    V = Representation(A, chi.reshape(n, 1, 1), check=False)
+    V = unchecked(A, chi.reshape(n, 1, 1))
     key = V.fingerprint()
     assert key == (1,) + tuple((int(round(z.real)), int(round(z.imag)))
                                for z in chi / tol.eps_round)
@@ -367,10 +375,11 @@ def test_fingerprint_rounds_half_to_even_as_round_does():
 
 
 def _attempts(monkeypatch) -> list[dict]:
-    """Records each attempt of `decompose`: its central element z, the
-    dimensions of the eigenspaces of rho(z) and the pieces restricted from
-    them."""
-    central, eig, restrict = reps.central_sum, reps._eigenspaces, reps.restrict
+    """Records each attempt of `decompose` on a regular representation: its
+    central element z, the dimensions of the eigenspaces of rho(z) and the
+    pieces compressed from them, unchecked (a rejected draw builds none)."""
+    central, eig = reps.central_sum, reps._eigenspaces
+    compressed = RegularRepresentation.compressed
     attempts = []
 
     def central_recorded(A, a):
@@ -383,12 +392,14 @@ def _attempts(monkeypatch) -> list[dict]:
         attempts[-1].setdefault("blocks", [W.shape[1] for W in spaces])
         return spaces
 
-    def restrict_recorded(V, basis):
-        attempts[-1]["pieces"].append(restrict(V, basis))
-        return attempts[-1]["pieces"][-1]
+    def compressed_recorded(V, P, B):
+        rho = compressed(V, P, B)
+        attempts[-1]["pieces"].append(unchecked(V.algebra, rho))
+        return rho
     monkeypatch.setattr(reps, "central_sum", central_recorded)
     monkeypatch.setattr(reps, "_eigenspaces", eig_recorded)
-    monkeypatch.setattr(reps, "restrict", restrict_recorded)
+    monkeypatch.setattr(RegularRepresentation, "compressed",
+                        compressed_recorded)
     return attempts
 
 
@@ -430,8 +441,8 @@ def test_the_central_split_gives_the_isotypic_blocks(monkeypatch):
 
 
 def test_restrict_runs_once_per_irreducible(monkeypatch):
-    """Only the piece kept in each block is restricted from V: no block is
-    restricted whole."""
+    """Only the piece kept in each block is compressed from V: no block is
+    compressed whole."""
     attempts = _attempts(monkeypatch)
     for A in (drinfeld_double(load_group("s3"))[0].algebra,
               _rebased_q8(seed=5)[2]):

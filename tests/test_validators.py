@@ -25,10 +25,9 @@ from fsclass import (FDStarAlgebra, GroupoidData, GroupTable, cyclic_group,
                      table_algebra)
 from fsclass import io as fio
 from fsclass.algebra import (DENSE_DIM_CAP, AntiAlgebraMap,
-                             SeparabilityIdempotent, associator,
-                             associator_residual, product_map_residual,
-                             real_form_from_conjugation, real_form_from_S,
-                             table_associator_residual)
+                             SeparabilityIdempotent, associator_residual,
+                             product_map_residual, real_form_from_conjugation,
+                             real_form_from_S, table_associator_residual)
 from fsclass.constructors import (_coo_product, _coo_sum,
                                   _multiplicativity_residual, _weak_hopf,
                                   double_product_table)
@@ -37,8 +36,8 @@ from fsclass.errors import (AxiomViolation, BadDualStructure, BadGroup,
 from fsclass.linalg import DEFAULT_TOL as TOL
 
 from conftest import (DUAL_ERRORS, build_m2, check_text, data_path,
-                      diagonal_rescaling, einsum_coalgebra, load_group,
-                      m2_dual_structures, rescaled)
+                      delta_tensor, diagonal_rescaling, einsum_coalgebra,
+                      load_group, m2_dual_structures, rescaled)
 
 
 def _mult(c, x, y):
@@ -241,7 +240,7 @@ def _rebased_hopf(W, P):
     n, A = W.dim, W.algebra
     c = np.einsum("ia,jb,ijk,ck->abc", P, P, A.structure, Pinv, optimize=True)
     B = FDStarAlgebra(c, Pinv @ A.unit, Pinv @ A.star_matrix @ np.conj(P))
-    Dt = np.einsum("ia,ijk,bj,ck->abc", P, W.coalgebra.delta_tensor(), Pinv,
+    Dt = np.einsum("ia,ijk,bj,ck->abc", P, delta_tensor(W.coalgebra), Pinv,
                    Pinv, optimize=True)
     S = AntiAlgebraMap.validated(B, Pinv @ W.S.matrix @ P)
     return B, Dt.reshape(n, n * n).T, P.T @ W.counit, S
@@ -502,6 +501,19 @@ def test_multiplicativity_residual_matches_the_sparse_products():
         expected = sparse_multiplicativity_residual(A, Delta)
         assert abs(got - expected) <= 1e-15, k
         assert (expected > 1e-6) == (k >= 4), k
+
+
+def associator(c: np.ndarray) -> np.ndarray:
+    """a[i, j, k, :] = (e_i e_j) e_k - e_i (e_j e_k) for the structure
+    tensor c, as two GEMMs on c.reshape(n*n, n): the whole n^4 tensor that
+    `associator_residual` forms one n^3 slab at a time."""
+    n = c.shape[0]
+    flat = c.reshape(n * n, n)
+    a = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
+    # sum_m c[j,k,m] c[i,m,l], computed in (j, k, i, l) order
+    a -= (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(
+        n, n, n, n).transpose(2, 0, 1, 3)
+    return a
 
 
 def dense_residual(c):
