@@ -78,11 +78,12 @@ def petersen_classes():
 
 
 def groupoid_doc(Gd):
+    a, b = np.nonzero(Gd.table >= 0)     # row-major
     return {"objects": int(Gd.n_objects),
             "arrows": [{"src": int(s), "tgt": int(t)}
                        for s, t in zip(Gd.src, Gd.tgt)],
-            "compose": [{"a": int(a), "b": int(b), "ab": int(ab)}
-                        for (a, b), ab in sorted(Gd.compose.items())]}
+            "compose": [{"a": int(x), "b": int(y), "ab": int(Gd.table[x, y])}
+                        for x, y in zip(a, b)]}
 
 
 def m2_algebra_doc():

@@ -253,14 +253,15 @@ def scheme_from_matrices(mats: list[np.ndarray]) -> TableAlgebraData:
 
 @dataclass(frozen=True, eq=False)
 class GroupoidData:
-    """Finite groupoid: arrows with source and target objects, partial
-    composition, identities and inverses derived from the data."""
+    """Finite groupoid by its composition table: arrows with source and
+    target objects, the partial composition, and the identities and
+    inverses derived from them."""
 
     n_objects: int
     src: np.ndarray
     tgt: np.ndarray
-    compose: dict            # (a, b) -> a after b, defined iff src[a] == tgt[b]
-    identity: np.ndarray     # identity arrow at each object
+    table: np.ndarray       # table[a, b] = a after b, -1 unless src[a] == tgt[b]
+    identity: np.ndarray    # identity arrow at each object
     inverse: np.ndarray
 
     @property
@@ -269,77 +270,69 @@ class GroupoidData:
 
     @staticmethod
     def validated(n_objects: int, arrows, compose_triples) -> "GroupoidData":
-        src = np.array([a[0] for a in arrows], dtype=int)
-        tgt = np.array([a[1] for a in arrows], dtype=int)
+        src, tgt = np.asarray(arrows, dtype=int).reshape(-1, 2).T
         n = len(src)
-        comp = {}
-        for a, b, ab in compose_triples:
-            if (a, b) in comp:
-                raise BadGroupoid(f"composite of ({a}, {b}) is given twice")
-            comp[(a, b)] = ab
-        for a in range(n):
-            for b in range(n):
-                defined = (a, b) in comp
-                if defined != (src[a] == tgt[b]):
-                    raise BadGroupoid(
-                        f"composability of ({a}, {b}) disagrees with src/tgt")
-                if defined:
-                    ab = comp[(a, b)]
-                    if src[ab] != src[b] or tgt[ab] != tgt[a]:
-                        raise BadGroupoid(f"composite of ({a}, {b}) has wrong ends")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if (a, b) in comp and (b, c) in comp:
-                        if comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])]:
-                            raise BadGroupoid("composition is not associative")
-        ident = np.full(n_objects, -1, dtype=int)
-        for e in range(n):
-            if src[e] == tgt[e] and all(
-                    comp.get((e, b)) == b for b in range(n) if tgt[b] == src[e]):
-                if all(comp.get((a, e)) == a for a in range(n) if src[a] == src[e]):
-                    ident[src[e]] = e
+        triples = np.asarray(compose_triples, dtype=int).reshape(-1, 3)
+        out = ((triples < 0) | (triples >= n)).any(axis=1)
+        if out.any():
+            raise BadGroupoid("triple ({}, {}, {}) names an arrow outside "
+                              "0..{}".format(*triples[out.argmax()], n - 1))
+        a, b, ab = triples.T
+        # the first triple whose (a, b) came before: stable sort by (a, b)
+        key = a * n + b
+        order = np.argsort(key, kind="stable")
+        again = order[1:][key[order[1:]] == key[order[:-1]]]
+        if len(again):
+            raise BadGroupoid("composite of ({}, {}) is given twice".format(
+                *triples[again.min(), :2]))
+        t = np.full((n, n), -1)
+        t[a, b] = ab
+        defined = t >= 0
+        # the first failing (a, b) in row-major order, composability first
+        loose = defined != (src[:, None] == tgt)
+        ends = defined & ((src[t] != src) | (tgt[t] != tgt[:, None]))
+        if (loose | ends).any():
+            i, j = divmod(int((loose | ends).argmax()), n)
+            raise BadGroupoid(
+                f"composability of ({i}, {j}) disagrees with src/tgt"
+                if loose[i, j] else f"composite of ({i}, {j}) has wrong ends")
+        # (x b) c = x (b c) wherever b c is defined, a row x at a time;
+        # the ends checked above make both sides defined there
+        for x in range(n):
+            bc = t[defined[x]]                      # b c for each b after x
+            if ((t[t[x, defined[x]]] != t[x, bc]) & (bc >= 0)).any():
+                raise BadGroupoid("composition is not associative")
+        # e is the identity at src[e] if e b = b and a e = a where defined
+        idx = np.arange(n)
+        unit = (src == tgt) & ((tgt != src[:, None]) | (t == idx)).all(axis=1) \
+            & ((src[:, None] != src) | (t == idx[:, None])).all(axis=0)
+        ident = np.full(n_objects, -1)
+        ident[src[unit]] = idx[unit]
         if (ident < 0).any():
             raise BadGroupoid("some object has no identity arrow")
-        inv = np.full(n, -1, dtype=int)
-        for a in range(n):
-            for b in range(n):
-                if comp.get((a, b)) == ident[tgt[a]] and \
-                        comp.get((b, a)) == ident[src[a]]:
-                    inv[a] = b
-        if (inv < 0).any():
+        # a b = 1 for all a makes b two-sided: b c = 1 gives a = a b c = c
+        inverts = t == ident[tgt][:, None]
+        if not inverts.any(axis=1).all():
             raise BadGroupoid("some arrow has no inverse")
-        return GroupoidData(n_objects, src, tgt, comp, ident, inv)
+        return GroupoidData(n_objects, src, tgt, t, ident,
+                            inverts.argmax(axis=1))
 
 
 def pair_groupoid(m: int) -> GroupoidData:
-    """Arrows (i, j) : j -> i for all pairs of m objects."""
-    idx = {(i, j): i * m + j for i in range(m) for j in range(m)}
-    triples = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                # (i <- j) after (j <- k) = (i <- k)
-                triples.append((idx[(i, j)], idx[(j, k)], idx[(i, k)]))
-    arrows_sd = [(j, i) for i in range(m) for j in range(m)]
-    return GroupoidData.validated(m, arrows_sd, triples)
+    """Arrows (i, j) : j -> i, index i m + j, for all pairs of m objects:
+    (i <- j) after (j <- k) = (i <- k)."""
+    i, j, k = np.indices((m, m, m)).reshape(3, -1)
+    return GroupoidData.validated(m, np.c_[j, i][k == 0],
+                                  np.c_[i * m + j, j * m + k, i * m + k])
 
 
 def disjoint_union_groupoid(groups: list[GroupTable]) -> GroupoidData:
     """One object per group, arrows the group elements."""
-    n_obj = len(groups)
-    arrows = []
-    triples = []
-    offs = []
-    off = 0
-    for o, G in enumerate(groups):
-        offs.append(off)
-        arrows.extend([(o, o)] * G.order)
-        for i in range(G.order):
-            for j in range(G.order):
-                triples.append((off + i, off + j, off + G.table[i, j]))
-        off += G.order
-    return GroupoidData.validated(n_obj, arrows, triples)
+    offs = np.cumsum([0] + [G.order for G in groups])
+    arrows = [(o, o) for o, G in enumerate(groups) for _ in range(G.order)]
+    triples = [off + np.c_[np.indices(G.table.shape).reshape(2, -1).T,
+                           G.table.ravel()] for G, off in zip(groups, offs)]
+    return GroupoidData.validated(len(groups), arrows, np.concatenate(triples))
 
 
 # --- weak Hopf algebras ---
@@ -524,15 +517,11 @@ def groupoid_weak_hopf(Gd: GroupoidData,
     """Groupoid algebra with Delta(e_a) = e_a (x) e_a, eps = 1,
     S(e_a) = e_{a^{-1}}; the unit is the sum of object identities."""
     n = Gd.n_arrows
-    T = np.zeros((n, n), dtype=int)
-    v = np.zeros((n, n), dtype=complex)
-    for (a, b), ab in Gd.compose.items():
-        T[a, b], v[a, b] = ab, 1.0
     unit = np.zeros(n, dtype=complex)
     unit[Gd.identity] = 1.0
     sigma = np.zeros((n, n), dtype=complex)
     sigma[Gd.inverse, np.arange(n)] = 1.0
-    A = FDStarAlgebra((T, v), unit, sigma, tol)
+    A = FDStarAlgebra((Gd.table, Gd.table >= 0), unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
     W = _weak_hopf(A, _diagonal_coproduct(n), np.ones(n, dtype=complex), S)
     return W, DualStructureData.validated(A, S, unit)

@@ -67,9 +67,10 @@ class Representation:
                 eps / factor)
         require(NotStarRep, "rho(1) != I",
                 np.abs(self.apply(A.unit) - np.eye(d)).max(), eps)
-        H, h_scale = self.gram, 1.0
-        if not np.array_equal(H, np.eye(d)):   # the identity needs no check
-            h_scale = max(1.0, float(np.abs(H).max(initial=0.0)))
+        H = self.gram
+        h_scale = max(1.0, float(np.abs(H).max(initial=0.0)))
+        # the identity, or a gram known positive, needs no check
+        if not (np.array_equal(H, np.eye(d)) or self._gram_checked()):
             require(NotStarRep, "gram is not Hermitian", np.abs(
                 H - dagger(H)).max(initial=0.0), tol.eps_eig * h_scale)
             # smallest eigenvalue > 0 (none when d = 0)
@@ -83,6 +84,9 @@ class Representation:
         if self.rho.shape != (self.algebra.dim, self.dim, self.dim):
             raise NotStarRep("matrix block must have shape (dim_A, d, d)")
         return float(np.abs(self.rho).max(initial=0.0))
+
+    def _gram_checked(self) -> bool:   # H known Hermitian positive definite
+        return False
 
     def _hom_residual(self) -> tuple[float, float]:
         """(r, F): r the `hom_residual` of rho on the rows S of
@@ -145,8 +149,10 @@ class RegularRepresentation(Representation):
     associator (e_i e_j) e_b - e_i (e_j e_b) at e_a, so its homomorphism
     residual is the associativity residual the algebra measured when it
     was built.  Its star check is `FDStarAlgebra.regular_star_residual`,
-    read off the index table when A has one.  Every other axiom is
-    checked as for any representation.
+    read off the index table when A has one.  A gram that is the trace
+    form `check_cstar` passed is not checked again: the same Hermitian
+    threshold, and eigenvalues above eps_eig times its scale, not above 0.
+    Every other axiom is checked as for any representation.
     """
 
     def __init__(self, algebra: FDStarAlgebra, gram: np.ndarray):
@@ -169,6 +175,10 @@ class RegularRepresentation(Representation):
 
     def _max_entry(self) -> float:   # L(e_i)[k, j] = c[i, j, k]
         return float(self.algebra.max_coefficient)
+
+    def _gram_checked(self) -> bool:   # by check_cstar, with a stronger bound
+        G, ok = self.algebra.trace_form
+        return ok and self.gram is G
 
     def _hom_residual(self) -> tuple[float, float]:
         return self.algebra.associativity_residual, 1.0

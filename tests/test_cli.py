@@ -233,6 +233,35 @@ def test_python_m_fsclass_runs_the_cli():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+# one command per kind, csv output once: run after the imports a forked
+# benchmark command starts from, none may import a module
+IMPORT_FREE_COMMANDS = [
+    ("duality", "s3.json", "group"), ("duality", "c5_scheme.json", "scheme"),
+    ("duality", "pair3_groupoid.json", "groupoid"),
+    ("duality", "z3.json", "double"), ("irreps", "m2_algebra.json", "algebra"),
+    ("verify", "m2_coalgebra.json", "coalgebra"),
+    ("indicators", "q8.json", "group", "--format", "csv")]
+
+
+@pytest.mark.parametrize("command", IMPORT_FREE_COMMANDS,
+                         ids=lambda c: " ".join(c))
+def test_a_command_imports_no_module(command, tmp_path):
+    """A lazy import inside a command is paid by every forked command: the
+    first `np.unique` of a process imports `numpy.ma` on numpy 2.4, 9-14 ms
+    each time, about a whole small command."""
+    name, path, kind, *rest = command
+    script = ("import json, sys, fsclass, numpy.random, fsclass.cli\n"
+              "before = set(sys.modules)\n"
+              "code = fsclass.cli.main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, name, data_path(path), "--kind", kind,
+         *rest, "--output", str(tmp_path / "out")],
+        env=_src_env(), capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, []]
+
+
 def test_an_overflowing_algebra_writes_one_json_line_to_stderr(tmp_path):
     """In a real process, where numpy's warnings reach stderr, the whole of
     stderr is the one JSON error line."""

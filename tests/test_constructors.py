@@ -1,4 +1,7 @@
 import copy
+import importlib.util
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +19,11 @@ from fsclass.constructors import (TableAlgebraData, check_involution_perm,
                                   table_central_element)
 from fsclass.errors import AxiomViolation, BadGroup, NotInvolution
 
-from conftest import (check_text, classical_oracle, haar_separability,
+from conftest import (DATA, check_text, classical_oracle, haar_separability,
                       load_group, table_separability)
+
+GENERATOR = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                         "generate_corpus.py")
 
 
 # --- groups ---
@@ -306,3 +312,18 @@ def test_weak_hopf_indicator_forms_the_haar_product_once(monkeypatch):
         assert abs(raw - want) < 1e-12
     assert len(parts) == 8
     assert len(formed) == 1
+
+
+def test_the_corpus_regenerates_byte_for_byte(tmp_path, monkeypatch):
+    """scripts/generate_corpus.py, pointed at tmp_path, writes every file
+    of data/ and nothing else, each equal to it byte for byte."""
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the script extends it
+    spec = importlib.util.spec_from_file_location("generate_corpus", GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", str(tmp_path))
+    module.main()
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(DATA))
+    for name in os.listdir(tmp_path):
+        with open(os.path.join(DATA, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

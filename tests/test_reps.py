@@ -28,6 +28,28 @@ def test_regular_representation_is_a_star_rep():
     assert np.allclose(V.apply(A.unit), np.eye(6))
 
 
+def test_the_regular_gram_is_checked_once(monkeypatch):
+    """`check_cstar` passed the trace form with the same Hermitian
+    threshold and a stronger positivity bound, so the regular
+    representation built on it runs no second eigvalsh; a copy of it, or
+    a trace form that did not pass, is checked as any gram is."""
+    A, _ = group_algebra(load_group("s3"))
+    G = A.trace_form[0]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda H: calls.append(H) or eigvalsh(H))
+    regular_representation(A)
+    assert calls == []
+    RegularRepresentation(A, G.copy())
+    assert len(calls) == 1
+    A.__dict__["trace_form"] = (-G, False)     # as if check_cstar failed
+    with pytest.raises(NotStarRep) as exc:
+        RegularRepresentation(A, A.trace_form[0])
+    assert check_text(str(exc.value)) == "gram is not positive definite"
+    assert len(calls) == 2
+
+
 def test_representation_rejects_non_homomorphism():
     A = build_m2()
     rho = np.stack([np.eye(3)] * 4)

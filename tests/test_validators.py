@@ -21,8 +21,8 @@ import scipy.sparse as sp
 import fsclass.algebra
 from fsclass import (FDStarAlgebra, GroupoidData, GroupTable, cyclic_group,
                      drinfeld_double, group_algebra, group_from_permutations,
-                     group_weak_hopf, groupoid_weak_hopf, scheme_from_matrices,
-                     table_algebra)
+                     group_weak_hopf, groupoid_weak_hopf, pair_groupoid,
+                     scheme_from_matrices, table_algebra)
 from fsclass import io as fio
 from fsclass.algebra import (DENSE_DIM_CAP, AntiAlgebraMap,
                              SeparabilityIdempotent, associator_residual,
@@ -346,13 +346,19 @@ def test_groupoid_validation_rejects_each_broken_axiom():
     groupoid on two objects with one composite dropped or sent to an arrow
     with other ends, and one-object compositions that are not associative
     (a b = -a - b mod 3), have no identity (a b = a) or have a non-invertible
-    arrow (a b = max(a, b))."""
+    arrow (a b = max(a, b)); and Z2's table with a triple naming an arrow
+    out of range, refused before a repeated pair is looked for."""
     d = fio.load_groupoid_v1(data_path("pair2_groupoid.json"))
     arrows, compose = d["arrows"], d["compose"]
     a, b, ab = compose[0]
     wrong = next(x for x in range(len(arrows)) if arrows[x] != arrows[ab])
     loop = [(0, 0)] * 3
+    z2 = _one_object([[0, 1], [1, 0]])
     cases = [
+        (loop[:2], z2 + [(7, 0, 1)], "triple (7, 0, 1) names an arrow outside"
+         " 0..1"),
+        (loop[:2], [z2[0], z2[0], (1, 1, 5)], "triple (1, 1, 5) names"),
+        (loop[:2], z2[:3] + [(1, 1, -2)], "triple (1, 1, -2) names"),
         (arrows, compose[1:], f"composability of ({a}, {b}) disagrees"),
         (arrows, [(a, b, wrong)] + compose[1:], f"composite of ({a}, {b}) "
          "has wrong ends"),
@@ -365,6 +371,168 @@ def test_groupoid_validation_rejects_each_broken_axiom():
     for arr, triples, message in cases:
         with pytest.raises(BadGroupoid, match=re.escape(message)):
             GroupoidData.validated(1 + max(max(x) for x in arr), arr, triples)
+
+
+def loop_groupoid(n_objects, arrows, triples):
+    """The per-pair and per-triple loops GroupoidData.validated ran on its
+    composition dict: the message it raised first, or None."""
+    src = [s for s, _ in arrows]
+    tgt = [t for _, t in arrows]
+    n = len(arrows)
+    comp = {}
+    for a, b, ab in triples:
+        if (a, b) in comp:
+            return f"composite of ({a}, {b}) is given twice"
+        comp[(a, b)] = ab
+    for a in range(n):
+        for b in range(n):
+            defined = (a, b) in comp
+            if defined != (src[a] == tgt[b]):
+                return f"composability of ({a}, {b}) disagrees with src/tgt"
+            if defined:
+                ab = comp[(a, b)]
+                if src[ab] != src[b] or tgt[ab] != tgt[a]:
+                    return f"composite of ({a}, {b}) has wrong ends"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if (a, b) in comp and (b, c) in comp:
+                    if comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])]:
+                        return "composition is not associative"
+    ident = [-1] * n_objects
+    for e in range(n):
+        if src[e] == tgt[e] and all(
+                comp.get((e, b)) == b for b in range(n) if tgt[b] == src[e]):
+            if all(comp.get((a, e)) == a for a in range(n) if src[a] == src[e]):
+                ident[src[e]] = e
+    if min(ident) < 0:
+        return "some object has no identity arrow"
+    for a in range(n):
+        if not any(comp.get((a, b)) == ident[tgt[a]] and
+                   comp.get((b, a)) == ident[src[a]] for b in range(n)):
+            return "some arrow has no inverse"
+    return None
+
+
+def _with_object(g, table):
+    """g with one more object whose arrows compose by the one-object
+    table, numbered after g's arrows."""
+    m, arrows, triples = g
+    off = len(arrows)
+    return (m + 1, arrows + [(m, m)] * len(table),
+            triples + [(off + a, off + b, off + ab)
+                       for a, b, ab in _one_object(table)])
+
+
+def _groupoid_bases():
+    """pair2, pair3, pair4, two_z2 and the one-object tables of Z3, S3
+    and Q8, as (objects, arrows, triples)."""
+    for name in ("pair2", "pair3", "pair4", "two_z2"):
+        d = fio.load_groupoid_v1(data_path(f"{name}_groupoid.json"))
+        yield d["objects"], d["arrows"], d["compose"]
+    for G in (cyclic_group(3), load_group("s3"), load_group("q8")):
+        yield 1, [(0, 0)] * G.order, _one_object(G.table.tolist())
+
+
+def _relabelled(g, rng):
+    """g with its arrows renumbered and its triples shuffled."""
+    m, arrows, triples = g
+    p = rng.permutation(len(arrows))
+    moved = [None] * len(arrows)
+    for x, y in enumerate(p):
+        moved[y] = arrows[x]
+    out = [(int(p[a]), int(p[b]), int(p[ab])) for a, b, ab in triples]
+    return m, moved, [out[i] for i in rng.permutation(len(out))]
+
+
+# associative tables on a new object: no identity, or one but no inverse
+SEMIGROUPS = {"x y = x": [[0, 0], [1, 1]], "x y = y": [[0, 1], [0, 1]],
+              "x y = max": [[0, 1], [1, 1]]}
+
+
+def _groupoid_corruption(g, kind, rng):
+    """g with one seeded corruption of the kind given, or None when g has
+    no room for it: no arrow with other ends, or none other with the
+    same ends."""
+    m, arrows, triples = g
+    triples = list(triples)
+    i = int(rng.integers(len(triples)))
+    a, b, ab = triples[i]
+    ends = [x for x in range(len(arrows)) if arrows[x] == arrows[ab]]
+    if kind == "drop":
+        del triples[i]
+    elif kind == "ends":
+        if len(ends) == len(arrows):
+            return None
+        triples[i] = (a, b, int(rng.choice(
+            [x for x in range(len(arrows)) if x not in ends])))
+    elif kind == "extra":   # a composite of a pair that does not compose
+        loose = [(x, y) for x in range(len(arrows)) for y in range(len(arrows))
+                 if arrows[x][0] != arrows[y][1]]
+        if not loose:
+            return None
+        x, y = loose[int(rng.integers(len(loose)))]
+        triples.insert(int(rng.integers(len(triples) + 1)),
+                       (x, y, int(rng.integers(len(arrows)))))
+    elif kind == "repeat":
+        triples.insert(int(rng.integers(len(triples) + 1)),
+                       (a, b, int(rng.integers(len(arrows)))))
+    elif kind == "swap":    # same ends: composable, but not a groupoid
+        if len(ends) == 1:
+            return None
+        triples[i] = (a, b, int(rng.choice([x for x in ends if x != ab])))
+    elif kind in SEMIGROUPS:
+        return _relabelled(_with_object(g, SEMIGROUPS[kind]), rng)
+    return m, arrows, triples
+
+
+def test_groupoid_table_reports_the_loop_check():
+    """On every base groupoid, renumbered and shuffled, the table checks
+    raise what the loops raised first: the same message, so the same
+    first failing pair (a, b) in row-major order, also when a dropped
+    composite and one with wrong ends compete, and the first repeated
+    pair in the order given."""
+    rng = np.random.default_rng(32)
+    seen = set()
+    for base in _groupoid_bases():
+        for _ in range(3):
+            g = _relabelled(base, rng)
+            assert loop_groupoid(*g) is None
+            Gd = GroupoidData.validated(*g)
+            a, b, ab = np.array(g[2]).T
+            assert (Gd.table[a, b] == ab).all()
+            assert (Gd.table >= 0).sum() == len(g[2])
+            for kind in ("drop", "extra", "ends", "repeat", "swap",
+                         *SEMIGROUPS, "drop, ends", "repeat, repeat"):
+                bad = g
+                for k in kind.split(", "):   # two: the first one fails
+                    bad = bad and _groupoid_corruption(bad, k, rng)
+                if bad is None:
+                    continue
+                expected = loop_groupoid(*bad)
+                seen.add(re.sub(r"\(\d+, \d+\)", "(a, b)", expected))
+                assert_same(BadGroupoid, expected, GroupoidData.validated, *bad)
+    assert seen == {
+        "composite of (a, b) is given twice",
+        "composability of (a, b) disagrees with src/tgt",
+        "composite of (a, b) has wrong ends",
+        "composition is not associative",
+        "some object has no identity arrow",
+        "some arrow has no inverse"}
+
+
+def test_groupoid_validation_has_no_arrows_cubed_temporary():
+    """Associativity is checked a row at a time: pair_groupoid(11), 121
+    arrows, costs a few n^2 arrays and its triples, not the 14 MB of an
+    n^3 int64 array."""
+    tracemalloc.start()
+    try:
+        Gd = pair_groupoid(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Gd.n_arrows == 121
+    assert peak < 2 * 2**20
 
 
 def _delta_corruptions(Delta, kinds, seed):
