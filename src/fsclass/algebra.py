@@ -184,8 +184,8 @@ class FDStarAlgebra:
 
     def right_mult(self, y: np.ndarray) -> np.ndarray:
         """Matrix of x -> x y over the basis."""
-        if self.table is None:   # sum_j c[i, j, k] y_j at (k, i)
-            return np.tensordot(self.structure, y, axes=(1, 0)).T
+        if self.table is None:   # sum_j c[i, j, k] y_j at (k, i), no copy of c
+            return (self.structure.transpose(0, 2, 1) @ y).T
         T, v = self.table   # v[i, j] y_j at (T[i, j], i)
         n = self.dim
         return _scatter_add((T * n + np.arange(n)[:, None]).ravel(),

@@ -39,17 +39,6 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(**kw)
 
 
-def _derive_scheme_star(p: np.ndarray) -> np.ndarray:
-    r = p.shape[0]
-    star = np.full(r, -1, dtype=int)
-    for i in range(r):
-        nz = np.nonzero(p[i, :, 0] > 1e-12)[0]
-        if len(nz) != 1:
-            raise SchemaError("cannot derive the basis involution from p")
-        star[i] = nz[0]
-    return star
-
-
 class Run:
     """One command's pipeline over one input.  The constructor loads and
     validates the input and builds whatever the kind supports: the algebra
@@ -78,13 +67,11 @@ class Run:
                 ck.append("scheme axioms (partition, transpose-closure, "
                           "intersection numbers)")
             else:
-                T = TableAlgebraData.validated(d["p"], _derive_scheme_star(d["p"]))
+                T = TableAlgebraData.validated(d["p"])
                 ck.append("table algebra axioms")
-            self.A, S, _ = table_algebra(T, tol)
-            ck += ["algebra axioms", "star axioms", "central element v"]
-            # S(b_i) = b_{i*} squares to the identity: the canonical g is 1
-            self._dual = DualStructureData.validated(self.A, S, self.A.unit)
-            ck.append("dual structure (S, g)")
+            self.A, self._dual = table_algebra(T, tol)
+            ck += ["algebra axioms", "star axioms", "central element v",
+                   "dual structure (S, g)"]
         elif kind == "groupoid":
             d = fio.load_groupoid_v1(path)
             Gd = GroupoidData.validated(d["objects"], d["arrows"], d["compose"])

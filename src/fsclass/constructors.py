@@ -79,33 +79,21 @@ def cyclic_group(n: int) -> GroupTable:
 
 
 def group_from_permutations(gens: list[list[int]]) -> GroupTable:
-    """Group generated by permutations, as a multiplication table.  The
-    identity ends up at index 0."""
-    deg = len(gens[0])
-    ident = tuple(range(deg))
-    elems = [ident]
-    seen = {ident}
-    frontier = [ident]
-    gen_t = [tuple(g) for g in gens]
+    """Group generated by permutations, as a multiplication table: the
+    elements in lexicographic order, so the identity first, and g_i g_j
+    the permutation k -> g_j[g_i[k]]."""
+    ident = tuple(range(len(gens[0])))
+    seen, frontier = {ident}, {ident}
     while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gen_t:
-                q = tuple(p[g[i]] for i in range(deg))
-                if q not in seen:
-                    seen.add(q)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    elems.sort(key=lambda p: (p != ident, p))
+        frontier = {tuple(p[k] for k in g) for p in frontier for g in gens}
+        frontier -= seen
+        seen |= frontier
+    elems = sorted(seen)
     index = {p: i for i, p in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=int)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[tuple(q[p[k]] for k in range(deg))]
-    inv = np.array([table[i].tolist().index(0) for i in range(n)])
-    return GroupTable.validated(n, table, inv)
+    P, n = np.array(elems), len(elems)
+    products = P[np.arange(n)[:, None], P[:, None]].reshape(n * n, -1)
+    table = np.reshape([index[tuple(q)] for q in products.tolist()], (n, n))
+    return GroupTable.validated(n, table, (table == 0).argmax(axis=1))
 
 
 def group_algebra(G: GroupTable, tol: Tolerance = DEFAULT_TOL
@@ -138,7 +126,7 @@ def group_weak_hopf(G: GroupTable, tol: Tolerance = DEFAULT_TOL
 @dataclass(frozen=True, eq=False)
 class TableAlgebraData:
     """Standard basis b_0 = 1, b_1, ..., with real nonnegative structure
-    constants and a basis involution i -> i*."""
+    constants and the basis involution i -> i* they determine."""
 
     p: np.ndarray             # p[i, j, k] real, >= 0
     involution: np.ndarray    # permutation i -> i*
@@ -149,37 +137,41 @@ class TableAlgebraData:
         return self.p.shape[0]
 
     @staticmethod
-    def validated(p, involution) -> "TableAlgebraData":
+    def validated(p) -> "TableAlgebraData":
+        """Checks the axioms on p and reads the involution off it: b_0
+        occurs in b_i b_j exactly when j = i* (Arad-Blau), so i* is the j
+        of the largest p_ij^0, which must be the only one above EPS."""
         eps = TableAlgebraData.EPS
         p = np.asarray(p, dtype=float)
-        star = np.asarray(involution, dtype=int)
         r = p.shape[0]
         if p.shape != (r, r, r):
             raise AxiomViolation("structure constants must be rank^3")
-        if not np.array_equal(np.sort(star), np.arange(r)):
-            raise AxiomViolation("basis involution is not a permutation")
-        if not np.array_equal(star[star], np.arange(r)):
-            raise AxiomViolation("basis involution does not square to identity")
         require(AxiomViolation, "negative structure constant", -p.min(), eps)
         # b_0 is the unit
         require(AxiomViolation, "b_0 is not the identity", np.maximum(
             np.abs(p[0] - np.eye(r)).max(), np.abs(p[:, 0, :] - np.eye(r)).max()),
             eps)
-        for i in range(r):
-            want = np.where(np.arange(r) == star[i], p[i, star[i], 0], 0.0)
-            require(AxiomViolation, "coefficient of b_0 in b_i b_j must vanish "
-                    "unless j = i*", np.abs(p[i, :, 0] - want), eps)
-            require(AxiomViolation, f"p_(i i*)^0 must be positive, i = {i}",
-                    -p[i, star[i], 0], -np.nextafter(eps, np.inf))
+        b0, idx = p[:, :, 0], np.arange(r)
+        star = b0.argmax(axis=1)
+        require(AxiomViolation, "coefficient of b_0 in b_i b_j must vanish "
+                "unless j = i*", np.where(idx == star[:, None], 0.0,
+                                          np.abs(b0)), eps)
+        require(AxiomViolation, "p_(i i*)^0 must be positive, i = {}",
+                -b0[idx, star], -np.nextafter(eps, np.inf))
+        if not np.array_equal(np.sort(star), idx):
+            raise AxiomViolation("basis involution is not a permutation")
+        if not np.array_equal(star[star], idx):
+            raise AxiomViolation("basis involution does not square to identity")
         return TableAlgebraData(p, star)
 
 
 def table_algebra(T: TableAlgebraData, tol: Tolerance = DEFAULT_TOL
-                  ) -> tuple[FDStarAlgebra, AntiAlgebraMap, np.ndarray]:
-    """The table algebra with (b_i)* = b_{i*}, the linear antipode
-    S(b_i) = b_{i*} and the central element v = sum_i (1/p_(i i*)^0) b_{i*} b_i;
-    the kept `A.separability_idempotent`, whose residuals are measured once,
-    is sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1}."""
+                  ) -> tuple[FDStarAlgebra, DualStructureData]:
+    """The table algebra with (b_i)* = b_{i*} and its dual structure: the
+    linear antipode S(b_i) = b_{i*}, which squares to the identity, and
+    g = 1.  The kept `A.separability_idempotent` is
+    sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1}, for v the central element
+    `table_central_element(T)`."""
     r = T.rank
     sigma = np.zeros((r, r), dtype=complex)
     sigma[T.involution, np.arange(r)] = 1.0
@@ -187,10 +179,10 @@ def table_algebra(T: TableAlgebraData, tol: Tolerance = DEFAULT_TOL
     unit[0] = 1.0
     A = FDStarAlgebra(T.p.astype(complex), unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
-    v = table_central_element(T)
-    if not A.trace_form[1] or not central_positive_invertible(A, v):
+    if not A.trace_form[1] or not central_positive_invertible(
+            A, table_central_element(T)):
         raise AxiomViolation("v is not central positive invertible")
-    return A, S, v
+    return A, DualStructureData.validated(A, S, A.unit)
 
 
 def _basis_sum(T: TableAlgebraData, tau: np.ndarray) -> np.ndarray:
@@ -219,34 +211,46 @@ def table_indicator(T: TableAlgebraData, chi: np.ndarray,
 
 def scheme_from_matrices(mats: list[np.ndarray]) -> TableAlgebraData:
     """Intersection numbers of an association scheme given by its 0/1
-    adjacency matrices (class 0 must be the identity)."""
-    mats = [np.asarray(m, dtype=int) for m in mats]
-    r = len(mats)
-    n = mats[0].shape[0]
-    total = sum(mats)
-    if not np.array_equal(total, np.ones((n, n), dtype=int)):
+    adjacency matrices M_0 = I, M_1, ..., read off its class-index matrix
+    C: (x, y) lies in class C[x, y]."""
+    M = np.asarray(mats, dtype=int)
+    r, n = M.shape[:2]
+    if M.min() < 0 or not (M.sum(axis=0) == 1).all():
         raise AxiomViolation("adjacency matrices do not partition the pairs")
-    if not np.array_equal(mats[0], np.eye(n, dtype=int)):
+    if not np.array_equal(M[0], np.eye(n, dtype=int)):
         raise AxiomViolation("class 0 is not the identity relation")
-    star = np.full(r, -1, dtype=int)
-    for i in range(r):
-        for j in range(r):
-            if np.array_equal(mats[i].T, mats[j]):
-                star[i] = j
-                break
-        if star[i] < 0:
-            raise AxiomViolation(f"transpose of class {i} is not a class")
-    p = np.zeros((r, r, r), dtype=float)
-    for i in range(r):
-        for j in range(r):
-            prod = mats[i] @ mats[j]
-            for k in range(r):
-                x, y = np.argwhere(mats[k])[0]
-                p[i, j, k] = prod[x, y]
-                if np.abs(prod * mats[k] - p[i, j, k] * mats[k]).max() != 0:
-                    raise AxiomViolation(
-                        f"product of classes {i}, {j} is not constant on class {k}")
-    return TableAlgebraData.validated(p, star)
+    C, size = M.argmax(axis=0), M.sum(axis=(1, 2))
+    # M_i^T = M_star[i], star[i] the class of (y0, x0) for the first pair
+    # (x0, y0) of class i, when every pair of i turns into one of star[i]
+    # and star[i] is no larger; an empty class passes, to be refused next
+    x0, y0 = np.divmod(M.reshape(r, -1).argmax(axis=1), n)
+    star = np.where(size > 0, C[y0, x0], np.arange(r))
+    loose = size[star] != size
+    loose[C[C.T != star[C]]] = True
+    if loose.any():
+        raise AxiomViolation(
+            f"transpose of class {loose.argmax()} is not a class")
+    if (size == 0).any():
+        raise AxiomViolation(f"class {(size == 0).argmax()} is empty")
+    # p[i, j, k] counts the z with C[x, z] = i and C[z, y] = j at the first
+    # pair (x, y) of class k; M_i M_j is constant on class k when the
+    # counts at every (x, y) equal p[:, :, C[x, y]], checked a row x at a
+    # time (N r^2 counts per row); the first failing (i, j, k) is reported
+    p = np.bincount(((C[x0] * r + C[:, y0].T) * r + np.arange(r)[:, None])
+                    .ravel(), minlength=r ** 3).reshape(r, r, r)
+    per_class = np.ascontiguousarray(p.transpose(2, 0, 1))
+    bad = np.zeros((r, r, r), dtype=bool)
+    for x in range(n):
+        got = np.bincount(((np.arange(n) * r + C[x][:, None]) * r + C).ravel(),
+                          minlength=n * r * r).reshape(n, r, r)
+        wrong = got != per_class[C[x]]
+        if wrong.any():
+            y, i, j = np.nonzero(wrong)
+            bad[i, j, C[x, y]] = True
+    if bad.any():
+        raise AxiomViolation("product of classes {}, {} is not constant on "
+                             "class {}".format(*np.argwhere(bad)[0]))
+    return TableAlgebraData.validated(p)
 
 
 # --- groupoids ---
@@ -272,6 +276,10 @@ class GroupoidData:
     def validated(n_objects: int, arrows, compose_triples) -> "GroupoidData":
         src, tgt = np.asarray(arrows, dtype=int).reshape(-1, 2).T
         n = len(src)
+        out = (np.minimum(src, tgt) < 0) | (np.maximum(src, tgt) >= n_objects)
+        if out.any():
+            raise BadGroupoid(f"arrow {out.argmax()} has an end outside "
+                              f"0..{n_objects - 1}")
         triples = np.asarray(compose_triples, dtype=int).reshape(-1, 3)
         out = ((triples < 0) | (triples >= n)).any(axis=1)
         if out.any():

@@ -8,6 +8,7 @@ import pytest
 from fsclass import (FDStarAlgebra, AntiAlgebraMap, GroupTable,
                      Representation, SeparabilityIdempotent, group_algebra)
 from fsclass import io as fio
+from fsclass.constructors import table_central_element
 from fsclass.cli import Run
 from fsclass.errors import BadStar, BadUnit, NotAssociative
 from fsclass.linalg import DEFAULT_TOL as TOL
@@ -208,10 +209,11 @@ def haar_separability(A):
     return E
 
 
-def table_separability(A, T, v):
+def table_separability(A, T):
     """sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1} = (sigma / kappa) R(v^-1)^T
     on the table algebra A of T with central element v, the closed form
     `table_algebra` once built beside the kept E, verified."""
+    v = table_central_element(T)
     kappa = T.p[np.arange(T.rank), T.involution, 0]
     # column i of sigma is b_{i*}, column i of R(v^{-1}) is b_i v^{-1}
     E = SeparabilityIdempotent(
@@ -252,6 +254,25 @@ def scheme_mats():
         d = fio.load_scheme_v1(data_path(name + ".json"))
         out[name] = d["matrices"]
     return out
+
+
+def thin_scheme(G) -> list[np.ndarray]:
+    """The adjacency matrices of G acting on itself: (x, y) lies in class
+    x^-1 y, so the scheme's table algebra is C[G] on the basis of group
+    elements, p[i, j, k] = 1 where g_i g_j = g_k."""
+    C = G.table[G.inverse]
+    return list((C == np.arange(G.order)[:, None, None]).astype(int))
+
+
+def s4_on_twelve_points() -> list[np.ndarray]:
+    """S4 on the 12 ordered pairs (a, b) of distinct points of {0, 1, 2,
+    3}, which are the cosets of <(01)>, the stabiliser of (2, 3).  The
+    orbital of ((a, b), (c, d)) is its pattern of equalities among a = c,
+    a = d, b = c and b = d: 7 classes, the identity (a = c, b = d) first."""
+    pts = np.array([(a, b) for a in range(4) for b in range(4) if a != b])
+    (a, b), (c, d) = pts.T[:, :, None], pts.T[:, None, :]
+    pattern = (a == c) + 2 * (a == d) + 4 * (b == c) + 8 * (b == d)
+    return [(pattern == k).astype(int) for k in (9, 0, 1, 2, 4, 6, 8)]
 
 
 def diagonal_rescaling(n, seed):

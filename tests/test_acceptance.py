@@ -67,9 +67,9 @@ def _build_corpus():
     for sname in ("c5_scheme", "petersen_scheme"):
         d = fio.load_scheme_v1(data_path(sname + ".json"))
         T = scheme_from_matrices(d["matrices"])
-        A, S, _ = table_algebra(T)
+        A, dual = table_algebra(T)
         parts = decompose(regular_representation(A))
-        dual = canonical_g(A, S, [V for V, _ in parts])
+        dual = canonical_g(A, dual.S, [V for V, _ in parts])
         out.append(Instance(sname, A, dual, parts, T=T))
     A, S1, S2 = m2_dual_structures()
     parts = decompose(regular_representation(A))

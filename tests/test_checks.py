@@ -36,7 +36,7 @@ from test_kernels import (invariant_gram, loop_dual_hom, loop_nu_trace,
 STRUCTURAL = {
     ("constructors.py", "validated", "BadGroup"),          # entries in range
     ("constructors.py", "validated", "BadGroupoid"),       # identities, inverses
-    ("constructors.py", "scheme_from_matrices", "AxiomViolation"),  # star[i] < 0
+    ("constructors.py", "scheme_from_matrices", "AxiomViolation"),  # M.min() < 0
     ("indicators.py", "canonical_g", "InternalConsistency"),    # len(hom) > 1
     ("indicators.py", "dual_hom", "UnexpectedDimension"),  # Hom dim > 1
 }

@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 import fsclass.cli
-from fsclass import FDStarAlgebra, cyclic_group
+from fsclass import (FDStarAlgebra, TableAlgebraData, cyclic_group,
+                     group_from_permutations)
+from fsclass import io as fio
 from fsclass.cli import main
 
-from conftest import check_text, count_centrality_kernels, data_path
+from conftest import (check_text, count_centrality_kernels, data_path,
+                      load_group, s4_on_twelve_points, thin_scheme)
 
 
 def run(capsys, *argv):
@@ -550,31 +553,134 @@ def test_a_part_off_by_1e_7_exits_2_on_every_command_that_decomposes(
                                          "(residual 1.0"), command
 
 
+def _z_p(n: int) -> np.ndarray:
+    """C[Z_n] as intersection numbers: p[i, j, (i + j) % n] = 1."""
+    p = np.zeros((n, n, n))
+    i, j = np.divmod(np.arange(n * n), n)
+    p[i, j, (i + j) % n] = 1.0
+    return p
+
+
+def _verify_p(capsys, tmp_path, p) -> tuple[int, str, str]:
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"classes": len(p), "p": p.tolist()}))
+    return run(capsys, "verify", str(path), "--kind", "scheme")
+
+
 @pytest.mark.parametrize("at, value, text", [
     ((1, 1, 1), -0.5, "negative structure constant"),
     ((0, 1, 2), 0.5, "b_0 is not the identity"),
-    ((1, 2, 0), 5e-10, "p_(i i*)^0 must be positive, i = 1")])
+    ((1, 2, 0), 5e-10, "p_(i i*)^0 must be positive, i = 1"),
+    ((1, 2, 0), 0.0, "p_(i i*)^0 must be positive, i = 1"),
+    ((1, 1, 0), 0.5, "coefficient of b_0 in b_i b_j must vanish unless "
+     "j = i*"),
+    (([2, 2], [1, 2], [0, 0]), [0.0, 1.0],
+     "basis involution is not a permutation")])
 def test_verify_refuses_a_corrupted_table(capsys, tmp_path, at, value, text):
-    """C[Z3] as a `--kind scheme` file of intersection numbers p, with one
-    entry corrupted where the basis involution can still be derived from p
-    (one positive coefficient of b_0 per row): verify exits 2 and names
-    the table algebra axiom that fails.  The clean file verifies."""
-    p = np.zeros((3, 3, 3))
-    i, j = np.divmod(np.arange(9), 3)
-    p[i, j, (i + j) % 3] = 1.0
+    """C[Z3] as a `--kind scheme` file of intersection numbers p, with
+    entries at `at` corrupted: verify exits 2 and names the table algebra
+    axiom that fails.  The involution is read off p, so a row of b_0
+    coefficients with none above the threshold, or several, fails the
+    check of its own, and a b_0 moved within row 2 leaves 2* = 2 beside
+    1* = 2.  The clean file verifies."""
+    p = _z_p(3)
     for q, want in ((p, None), (p.copy(), text)):
         if want:
             q[at] = value
-        path = tmp_path / "z3_p.json"
-        path.write_text(json.dumps({"classes": 3, "p": q.tolist()}))
-        code, out, err = run(capsys, "verify", str(path), "--kind", "scheme")
+        code, out, err = _verify_p(capsys, tmp_path, q)
         if want is None:
             assert code == 0 and "table algebra axioms: ok" in out
             continue
         assert (code, out) == (2, "")
         err = json.loads(err)
         assert err["error"] == "AxiomViolation"
-        assert check_text(err["message"]) == text
+        got = err["message"]      # structural checks carry no residual
+        assert (check_text(got) if " (residual " in got else got) == text
+
+
+def _write(tmp_path, name: str, doc: dict) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _scheme_file(tmp_path, name: str, mats) -> str:
+    return _write(tmp_path, name, {"classes": len(mats),
+                                   "matrices": [m.tolist() for m in mats]})
+
+
+def _irreducibles(capsys, path: str, kind: str) -> list[dict]:
+    code, out, err = run(capsys, "indicators", path, "--kind", kind,
+                         "--format", "json")
+    assert code == 0, err
+    return [{k: v for k, v in row.items() if k != "nu_formula_raw"}
+            for row in json.loads(out)["irreps"]]
+
+
+def test_thin_schemes_answer_as_their_groups(capsys, tmp_path):
+    """G acting on itself, written as `--kind scheme` adjacency matrices,
+    has the table algebra C[G] on the basis of group elements: its
+    irreducibles, in the same order, have the dims, multiplicities, nu
+    and sigma of `--kind group` on G.  Z3 and A4 reach sigma = 0 and Q8
+    sigma = -1 on the table path."""
+    sigmas = set()
+    a4 = group_from_permutations([[1, 2, 0, 3], [0, 2, 3, 1]])
+    for name, G in (("z3", load_group("z3")), ("s3", load_group("s3")),
+                    ("q8", load_group("q8")), ("a4", a4)):
+        group = _write(tmp_path, f"{name}.json", {
+            "order": G.order, "table": G.table.tolist(),
+            "inverse": G.inverse.tolist()})
+        scheme = _scheme_file(tmp_path, f"{name}_thin.json", thin_scheme(G))
+        rows = _irreducibles(capsys, scheme, "scheme")
+        assert rows == _irreducibles(capsys, group, "group"), name
+        sigmas |= {row["sigma"] for row in rows}
+    assert a4.order == 12 and sigmas == {1, 0, -1}
+
+
+def test_s4_on_twelve_points_has_a_two_dim_irreducible(capsys, tmp_path):
+    """S4 on the cosets of <(01)>: a rank-7 non-commutative scheme whose
+    irreducibles have dims 1, 1, 1 and 2."""
+    mats = s4_on_twelve_points()
+    rows = _irreducibles(capsys, _scheme_file(tmp_path, "s4_12.json", mats),
+                         "scheme")
+    assert len(mats) == 7
+    assert sorted(row["dim"] for row in rows) == [1, 1, 1, 2]
+
+
+def test_an_empty_scheme_class_exits_2(capsys, tmp_path):
+    """An all-zero adjacency matrix is an empty class: verify exits 2 with
+    an `AxiomViolation` naming it, where the counts raised IndexError."""
+    mats = fio.load_scheme_v1(data_path("c5_scheme.json"))["matrices"]
+    path = _scheme_file(tmp_path, "empty.json",
+                        mats + [np.zeros_like(mats[0])])
+    code, out, err = run(capsys, "verify", path, "--kind", "scheme")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "AxiomViolation",
+                               "message": "class 3 is empty"}
+
+
+def test_verify_refuses_a_table_involution_of_order_three(capsys, tmp_path):
+    """C[Z4] with b_0 moved so that 1* = 2, 2* = 3 and 3* = 1: a
+    permutation, but no involution."""
+    p = _z_p(4)
+    p[[1, 1, 2, 2], [3, 2, 2, 3], 0] = [0.0, 1.0, 0.0, 1.0]
+    code, out, err = _verify_p(capsys, tmp_path, p)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "AxiomViolation",
+        "message": "basis involution does not square to identity"}
+
+
+def test_verify_reads_the_involution_within_the_axiom_threshold(
+        capsys, tmp_path):
+    """b_0 coefficients off the involution up to `TableAlgebraData.EPS`
+    (1e-9) are within the axiom's threshold, so the involution read off p
+    ignores them, and the file verifies as the library accepts its p."""
+    p = _z_p(3)
+    p[1, 1, 0] = p[2, 2, 0] = 5e-10
+    code, out, _ = _verify_p(capsys, tmp_path, p)
+    assert code == 0 and "table algebra axioms: ok" in out
+    assert list(TableAlgebraData.validated(p).involution) == [0, 2, 1]
 
 
 def test_each_command_factors_the_trace_form_once(capsys, monkeypatch):

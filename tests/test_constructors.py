@@ -20,7 +20,7 @@ from fsclass.constructors import (TableAlgebraData, check_involution_perm,
 from fsclass.errors import AxiomViolation, BadGroup, NotInvolution
 
 from conftest import (DATA, check_text, classical_oracle, haar_separability,
-                      load_group, table_separability)
+                      load_group, table_separability, thin_scheme)
 
 GENERATOR = os.path.join(os.path.dirname(__file__), "..", "scripts",
                          "generate_corpus.py")
@@ -89,9 +89,9 @@ def test_weak_hopf_data_refuses_a_coalgebra_of_another_dimension():
 
 def test_c5_scheme_table_algebra(scheme_mats):
     T = scheme_from_matrices(scheme_mats["c5_scheme"])
-    A, S, v = table_algebra(T)
+    A = table_algebra(T)[0]
     A.separability_idempotent.verify()
-    table_separability(A, T, v)
+    table_separability(A, T)
     parts = decompose(regular_representation(A))
     assert sorted(p.dim for p, _ in parts) == [1, 1, 1]
     raws = []
@@ -105,7 +105,7 @@ def test_c5_scheme_table_algebra(scheme_mats):
 
 def test_petersen_scheme_all_real(scheme_mats):
     T = scheme_from_matrices(scheme_mats["petersen_scheme"])
-    A, S, v = table_algebra(T)
+    A = table_algebra(T)[0]
     parts = decompose(regular_representation(A))
     for V, _ in parts:
         s, _ = table_indicator(T, V.character())
@@ -115,18 +115,34 @@ def test_petersen_scheme_all_real(scheme_mats):
 def test_one_dim_table_characters_never_quaternionic(scheme_mats):
     for name in ("c5_scheme", "petersen_scheme"):
         T = scheme_from_matrices(scheme_mats[name])
-        A, _, _ = table_algebra(T)
+        A = table_algebra(T)[0]
         for V, _ in decompose(regular_representation(A)):
             if V.dim == 1:
                 s, _ = table_indicator(T, V.character())
                 assert s in (0, 1)
 
 
+def test_thin_s5_scheme_is_its_group_table():
+    """S5 acting on itself is a rank-120 scheme on 120 points: p[i, j, k]
+    is 1 exactly where g_i g_j = g_k, and i* is the inverse of g_i."""
+    G = group_from_permutations([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    T = scheme_from_matrices(thin_scheme(G))
+    assert T.rank == G.order == 120
+    assert np.array_equal(T.p, G.table[:, :, None] == np.arange(120))
+    assert np.array_equal(T.involution, G.inverse)
+
+
 def test_scheme_from_matrices_rejects_bad_partition():
+    """Overlapping classes, and matrices that sum to all ones but are not
+    0/1 (a 2 in class 1 and a -1 in class 2 at the same pair)."""
     eye = np.eye(3, dtype=int)
     bad = np.ones((3, 3), dtype=int)    # overlaps the identity class
-    with pytest.raises(AxiomViolation):
-        scheme_from_matrices([eye, bad])
+    corner = np.zeros((3, 3), dtype=int)
+    corner[0, 1] = 1
+    for mats in ([eye, bad], [eye, 1 - eye + corner, -corner]):
+        with pytest.raises(AxiomViolation, match="^adjacency matrices do not "
+                           "partition the pairs$"):
+            scheme_from_matrices(mats)
 
 
 def test_table_central_element_of_group_case():
@@ -136,32 +152,51 @@ def test_table_central_element_of_group_case():
     for i in range(3):
         for j in range(3):
             p[i, j, G.table[i, j]] = 1.0
-    T = TableAlgebraData.validated(p, G.inverse)
+    T = TableAlgebraData.validated(p)
+    assert np.array_equal(T.involution, G.inverse)
     v = table_central_element(T)
     assert np.allclose(v, np.array([3.0, 0, 0]))
 
 
+def _group_p(G: GroupTable) -> np.ndarray:
+    """C[G] as a table algebra: p[i, j, k] = 1 where g_i g_j = g_k."""
+    p = np.zeros((G.order,) * 3)
+    i, j = np.indices(G.table.shape)
+    p[i, j, G.table] = 1.0
+    return p
+
+
 def test_each_table_algebra_axiom_fires():
-    """C[Z3] by its intersection numbers, b_1* = b_2, with one corruption
-    per axiom of `TableAlgebraData.validated`.  The CLI, which derives the
-    involution from p, cannot reach the b_0 coefficient check: the identity
-    involution here puts b_0 in b_1 b_2 with 2 != 1*."""
-    G = load_group("z3")
-    p = np.zeros((3, 3, 3))
-    p[np.arange(3)[:, None], np.arange(3), G.table] = 1.0
-    TableAlgebraData.validated(p, G.inverse)
-    cases = [((1, 1, 1), -0.5, G.inverse, "negative structure constant"),
-             ((0, 1, 2), 0.5, G.inverse, "b_0 is not the identity"),
-             ((0, 0, 0), 1.0, np.arange(3), "coefficient of b_0 in b_i b_j "
-              "must vanish unless j = i*"),
-             ((1, 2, 0), 5e-10, G.inverse,
-              "p_(i i*)^0 must be positive, i = 1")]
-    for at, value, star, text in cases:
-        bad = p.copy()
-        bad[at] = value
+    """C[Z3] by its intersection numbers, whose involution read off p is
+    b_1* = b_2, with one corruption per check of
+    `TableAlgebraData.validated`: a second coefficient of b_0 in row 1, or
+    none above EPS, is refused by the check that names the involution's
+    defect, and a row whose b_0 moves to another column leaves no
+    permutation.  An involution that is a permutation but no involution
+    needs four classes: C[Z4] with 1* = 2, 2* = 3, 3* = 1."""
+    z3, z4 = load_group("z3"), load_group("z4")
+    p = _group_p(z3)
+    assert np.array_equal(TableAlgebraData.validated(p).involution, z3.inverse)
+    cases = [(p[:, :, :2], {}, "structure constants must be rank^3"),
+             (p, {(1, 1, 1): -0.5}, "negative structure constant"),
+             (p, {(0, 1, 2): 0.5}, "b_0 is not the identity"),
+             (p, {(1, 1, 0): 0.5}, "coefficient of b_0 in b_i b_j must "
+              "vanish unless j = i*"),
+             (p, {(1, 2, 0): 5e-10}, "p_(i i*)^0 must be positive, i = 1"),
+             (p, {(1, 2, 0): 0.0}, "p_(i i*)^0 must be positive, i = 1"),
+             (p, {(2, 1, 0): 0.0, (2, 2, 0): 1.0},
+              "basis involution is not a permutation"),
+             (_group_p(z4), {(1, 3, 0): 0.0, (1, 2, 0): 1.0, (2, 2, 0): 0.0,
+                             (2, 3, 0): 1.0},
+              "basis involution does not square to identity")]
+    for base, changes, text in cases:
+        bad = base.copy()
+        for at, value in changes.items():
+            bad[at] = value
         with pytest.raises(AxiomViolation) as info:
-            TableAlgebraData.validated(bad, star)
-        assert check_text(str(info.value)) == text
+            TableAlgebraData.validated(bad)
+        got = str(info.value)     # structural checks carry no residual
+        assert (check_text(got) if " (residual " in got else got) == text
 
 
 # --- groupoids and weak Hopf ---

@@ -398,9 +398,9 @@ def test_canonical_g_for_a_table_algebra_is_unit():
     scheme without decomposing it; the solved canonical g agrees."""
     for name in ("c5_scheme.json", "petersen_scheme.json"):
         mats = fio.load_scheme_v1(data_path(name))["matrices"]
-        A, S, _ = table_algebra(scheme_from_matrices(mats))
+        A, dual = table_algebra(scheme_from_matrices(mats))
         parts = decompose(regular_representation(A))
-        got = canonical_g(A, S, [V for V, _ in parts])
+        got = canonical_g(A, dual.S, [V for V, _ in parts])
         assert np.abs(got.g - A.unit).max() < 1e-12, name
 
 

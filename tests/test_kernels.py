@@ -39,6 +39,7 @@ single kernel:
 import importlib.util
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,9 +48,10 @@ import fsclass.algebra
 import fsclass.coalgebra
 from fsclass import (CoseparabilityIdempotent, FDStarAlgebra,
                      FDStarCoalgebra, Representation,
-                     SeparabilityIdempotent, compact_decompose, decompose,
-                     drinfeld_double, dualize, dualize_co, group_algebra,
-                     groupoid_weak_hopf, pair_groupoid,
+                     SeparabilityIdempotent, compact_decompose,
+                     cyclic_group, decompose, drinfeld_double, dualize,
+                     dualize_co, group_algebra, groupoid_weak_hopf,
+                     pair_groupoid,
                      regular_representation, scheme_from_matrices,
                      table_algebra)
 from fsclass import io as fio
@@ -252,8 +254,8 @@ def test_closed_form_separability_idempotents_equal_the_kept_one(scheme_mats):
         assert gap <= 1e-15, name
     for name, mats in scheme_mats.items():
         T = scheme_from_matrices(mats)
-        A, _, v = table_algebra(T)
-        gap = np.abs(table_separability(A, T, v).tensor
+        A = table_algebra(T)[0]
+        gap = np.abs(table_separability(A, T).tensor
                      - A.separability_idempotent.tensor).max()
         assert gap <= 1e-15, name
 
@@ -860,7 +862,10 @@ def test_star_and_centrality_checks_match_their_dense_forms():
 
 def test_rebased_and_scheme_algebras_keep_the_dense_path():
     """C[Q8] on a complex unitary basis and the Petersen scheme have no
-    index table: the kernels read the dense tensor, as they always did."""
+    index table: the kernels read the dense tensor, as they always did.
+    `right_mult` sums c[i, j, k] y_j over j on c itself, not on a copy
+    in (i, k, j) order, so BLAS may order the sum differently: it agrees
+    within the dot-product bound 4 n eps sum_j |c[i, j, k] y_j|."""
     rng = np.random.default_rng(82)
     algebras = _algebras()
     for name in ("C[Q8] rebased", "Petersen"):
@@ -872,11 +877,37 @@ def test_rebased_and_scheme_algebras_keep_the_dense_path():
         assert np.array_equal(A.of_products(x), dense_of_products(c, x))
         assert np.array_equal(A.multiply(Z), dense_multiply(c, Z))
         assert np.array_equal(A.left_mult(x), dense_left_mult(c, x))
-        assert np.array_equal(A.right_mult(x), dense_right_mult(c, x))
+        bound = 4 * n * np.finfo(float).eps * dense_right_mult(
+            np.abs(c), np.abs(x))
+        assert (np.abs(A.right_mult(x) - dense_right_mult(c, x))
+                <= bound).all(), name
         assert A.regular_star_residual(A.trace_form[0]) == \
             dense_star_residual(c, A.star_matrix, A.trace_form[0])
         assert np.array_equal(SeparabilityIdempotent(A, Z).residuals[1],
                               dense_centrality(c, Z))
+
+
+def test_dense_right_mult_copies_no_structure_tensor():
+    """C[Z64] on a real orthogonal basis is dense: `right_mult` reads c
+    in place, so one call allocates its n x n result, not the 4 MB of a
+    copy of c."""
+    A0 = group_algebra(cyclic_group(64))[0]
+    n = A0.dim
+    Q = np.linalg.qr(np.random.default_rng(85).standard_normal((n, n)))[0]
+    c = np.einsum("ia,jb,ijk,kc->abc", Q, Q, A0.structure, Q, optimize=True)
+    A = FDStarAlgebra(c, Q.T @ A0.unit, Q.T @ A0.star_matrix @ Q)
+    assert A.table is None
+    y = np.random.default_rng(86).standard_normal(n).astype(complex)
+    tracemalloc.start()
+    try:
+        got = A.right_mult(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c.nbytes / 16
+    bound = 4 * n * np.finfo(float).eps * dense_right_mult(
+        np.abs(c), np.abs(y))
+    assert (np.abs(got - dense_right_mult(c, y)) <= bound).all()
 
 
 def test_table_kernels_on_complex_coefficients():

@@ -37,7 +37,8 @@ from fsclass.linalg import DEFAULT_TOL as TOL
 
 from conftest import (DUAL_ERRORS, build_m2, check_text, data_path,
                       delta_tensor, diagonal_rescaling, einsum_coalgebra,
-                      load_group, m2_dual_structures, rescaled)
+                      load_group, m2_dual_structures, rescaled,
+                      s4_on_twelve_points, thin_scheme)
 
 
 def _mult(c, x, y):
@@ -373,6 +374,24 @@ def test_groupoid_validation_rejects_each_broken_axiom():
             GroupoidData.validated(1 + max(max(x) for x in arr), arr, triples)
 
 
+def test_groupoid_arrow_ends_must_name_objects():
+    """An arrow end outside 0..n_objects-1 is refused, naming the arrow,
+    before any triple is read: past the last object it escaped as
+    IndexError, and -1 named the last object."""
+    z2 = _one_object([[0, 1], [1, 0]])
+    with pytest.raises(BadGroupoid,
+                       match=r"^arrow 1 has an end outside 0\.\.1$"):
+        GroupoidData.validated(2, [(0, 0), (3, 3)], [(0, 0, 0), (1, 1, 1)])
+    with pytest.raises(BadGroupoid,
+                       match=r"^arrow 1 has an end outside 0\.\.1$"):
+        GroupoidData.validated(2, [(0, 0), (0, -1), (1, 1)],
+                               [(9, 9, 9)])
+    with pytest.raises(BadGroupoid,
+                       match=r"^arrow 0 has an end outside 0\.\.0$"):
+        GroupoidData.validated(1, [(-1, -1), (-1, -1)], z2)
+    GroupoidData.validated(1, [(0, 0), (0, 0)], z2)
+
+
 def loop_groupoid(n_objects, arrows, triples):
     """The per-pair and per-triple loops GroupoidData.validated ran on its
     composition dict: the message it raised first, or None."""
@@ -519,6 +538,136 @@ def test_groupoid_table_reports_the_loop_check():
         "composition is not associative",
         "some object has no identity arrow",
         "some arrow has no inverse"}
+
+
+def loop_scheme(mats):
+    """The per-class-triple loop scheme_from_matrices ran, with an N x N
+    product per class pair: the message it raised first, or the
+    intersection numbers and the involution it found.  An empty class
+    escapes as IndexError."""
+    mats = [np.asarray(m, dtype=int) for m in mats]
+    r = len(mats)
+    n = mats[0].shape[0]
+    if not np.array_equal(sum(mats), np.ones((n, n), dtype=int)):
+        return "adjacency matrices do not partition the pairs"
+    if not np.array_equal(mats[0], np.eye(n, dtype=int)):
+        return "class 0 is not the identity relation"
+    star = np.full(r, -1, dtype=int)
+    for i in range(r):
+        for j in range(r):
+            if np.array_equal(mats[i].T, mats[j]):
+                star[i] = j
+                break
+        if star[i] < 0:
+            return f"transpose of class {i} is not a class"
+    p = np.zeros((r, r, r), dtype=float)
+    for i in range(r):
+        for j in range(r):
+            prod = mats[i] @ mats[j]
+            for k in range(r):
+                x, y = np.argwhere(mats[k])[0]
+                p[i, j, k] = prod[x, y]
+                if np.abs(prod * mats[k] - p[i, j, k] * mats[k]).max() != 0:
+                    return (f"product of classes {i}, {j} is not constant "
+                            f"on class {k}")
+    return p, star
+
+
+def _scheme_bases():
+    """c5, Petersen, the thin schemes of Q8 and S3 and S4 on 12 points,
+    as lists of adjacency matrices."""
+    for name in ("c5_scheme", "petersen_scheme"):
+        yield fio.load_scheme_v1(data_path(f"{name}.json"))["matrices"]
+    for name in ("q8", "s3"):
+        yield thin_scheme(load_group(name))
+    yield s4_on_twelve_points()
+
+
+def _reclassed(mats, rng):
+    """mats with classes 1.. in a seeded order."""
+    return [mats[0]] + [mats[k] for k in 1 + rng.permutation(len(mats) - 1)]
+
+
+def _scheme_corruption(mats, kind, rng):
+    """mats with one seeded corruption of the kind given: an off-diagonal
+    pair moved to another class ("move"), moved together with its
+    transpose ("pair"), a pair moved into or out of class 0 ("class 0"),
+    or a pair put in a second class ("overlap")."""
+    C = np.argmax(mats, axis=0)
+    r, n = len(mats), len(C)
+    x, y = rng.choice(n, 2, replace=False)
+    k = int(rng.choice([k for k in range(1, r) if k != C[x, y]]))
+    moves = {"move": [(x, y, k)], "overlap": []}
+    if kind == "pair":
+        # the transpose of class k: the class of (b, a) for a pair (a, b) of k
+        a, b = np.argwhere(C == k)[0]
+        moves["pair"] = [(x, y, k), (y, x, C[b, a])]
+    if kind == "class 0":
+        moves["class 0"] = [(x, y, 0)] if rng.integers(2) else [(x, x, k)]
+    for a, b, c in moves[kind]:
+        C[a, b] = c
+    out = [(C == c).astype(int) for c in range(r)]
+    if kind == "overlap":
+        out[k][x, y] = 1
+    return out
+
+
+def test_scheme_checks_report_the_loop_check():
+    """On every base scheme, with its classes reordered, the array checks
+    of `scheme_from_matrices` raise what the loop raised first: the same
+    message, so the same first failing class or (i, j, k), also when two
+    corruptions compete; where the loop accepts, p and the involution
+    are the loop's."""
+    rng = np.random.default_rng(33)
+    seen = set()
+    for base in _scheme_bases():
+        for _ in range(3):
+            mats = _reclassed(base, rng)
+            p, star = loop_scheme(mats)
+            T = scheme_from_matrices(mats)
+            assert np.array_equal(T.p, p)
+            assert np.array_equal(T.involution, star)
+            for kind in ("move", "pair", "class 0", "overlap", "move, move",
+                         "pair, move", "pair, pair"):
+                bad = mats
+                for k in kind.split(", "):
+                    bad = _scheme_corruption(bad, k, rng)
+                expected = loop_scheme(bad)
+                if not isinstance(expected, str):
+                    T = scheme_from_matrices(bad)
+                    assert np.array_equal(T.p, expected[0])
+                    assert np.array_equal(T.involution, expected[1])
+                    continue
+                seen.add(re.sub(r"\d+", "i", expected))
+                with pytest.raises(AxiomViolation) as info:
+                    scheme_from_matrices(bad)
+                assert str(info.value) == expected
+    assert seen == {
+        "adjacency matrices do not partition the pairs",
+        "class i is not the identity relation",
+        "transpose of class i is not a class",
+        "product of classes i, i is not constant on class i"}
+
+
+def test_an_empty_scheme_class_is_refused():
+    """An all-zero adjacency matrix is refused as an empty class, after
+    the transpose check and before the counts, where the loop raised
+    IndexError; a class that is not closed under transposition is still
+    reported first."""
+    mats = fio.load_scheme_v1(data_path("c5_scheme.json"))["matrices"]
+    empty = np.zeros_like(mats[0])
+    for at in (1, 3):
+        bad = mats[:at] + [empty] + mats[at:]
+        with pytest.raises(IndexError):
+            loop_scheme(bad)
+        with pytest.raises(AxiomViolation, match=f"^class {at} is empty$"):
+            scheme_from_matrices(bad)
+    open_ = _scheme_corruption(mats, "move", np.random.default_rng(0))
+    bad = open_ + [empty]
+    assert loop_scheme(bad) == "transpose of class 1 is not a class"
+    with pytest.raises(AxiomViolation,
+                       match="^transpose of class 1 is not a class$"):
+        scheme_from_matrices(bad)
 
 
 def test_groupoid_validation_has_no_arrows_cubed_temporary():
