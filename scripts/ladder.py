@@ -8,10 +8,12 @@ its own, which raises `fsclass.algebra.DENSE_DIM_CAP` past the double's
 dimension (only there: the CLI keeps refusing these inputs) and pins BLAS
 to one thread.  The child runs build, regular representation, decompose,
 the separability idempotent, full_report, compact_decompose and
-corep_indicators, the stages of `fsclass duality`, and reports the seconds
-of each, sum nu(V) dim V against Tr(S) (Linchenko-Montgomery), whether the
-coalgebra indicators agree with nu, and its own max RSS.  Exit 1 when an
-instance fails, disagrees or its sum misses Tr(S).
+corep_indicators, the stages of `fsclass duality`, then `canonical_g` from
+the irreducibles (which the CLI does not run: a double's g is the unit).
+It reports the seconds of each, sum nu(V) dim V against Tr(S)
+(Linchenko-Montgomery), whether the coalgebra indicators agree with nu,
+and its own max RSS.  Exit 1 when an instance fails, disagrees or its sum
+misses Tr(S).
 """
 import json
 import os
@@ -25,16 +27,16 @@ GROUPS = {"A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
           "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [7, 6, 5, 4, 3, 2, 1, 0]],
           "S4": [[1, 2, 3, 0], [1, 0, 2, 3]]}
 STAGES = ["build", "regular_rep", "decompose", "separability", "full_report",
-          "compact_decompose", "corep_indicators"]
+          "compact_decompose", "corep_indicators", "canonical_g"]
 
 
 def child(name: str) -> dict:
     sys.path.insert(0, SRC)
     import numpy as np
     import fsclass.algebra
-    from fsclass import (compact_decompose, decompose, drinfeld_double,
-                         dualize, full_report, group_from_permutations,
-                         regular_representation)
+    from fsclass import (canonical_g, compact_decompose, decompose,
+                         drinfeld_double, dualize, full_report,
+                         group_from_permutations, regular_representation)
     from fsclass.coalgebra import corep_indicators
     G = group_from_permutations(GROUPS[name])
     fsclass.algebra.DENSE_DIM_CAP = G.order ** 2
@@ -60,6 +62,8 @@ def child(name: str) -> dict:
     lap("compact_decompose")
     co = corep_indicators(C, cd.blocks, dual.S.matrix.T, dual.g, cd.E)
     lap("corep_indicators")
+    canonical_g(A, dual.S, [V for V, _ in parts])
+    lap("canonical_g")
     return {"n": A.dim, "irreps": len(rows), "seconds": seconds,
             "sum_nu_dim": sum(r.nu_formula * r.dim for r in rows),
             "trace_S": float(np.trace(dual.S.matrix).real),

@@ -22,7 +22,6 @@ from .errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
 from .linalg import DEFAULT_TOL, Tolerance, dagger, gram_basis
 
 DENSE_DIM_CAP = 128
-CENTRAL_EPS = 1e-8   # central_positive_invertible's centrality threshold
 GENERATOR_DIM = 64   # tables from this dimension on find `generators` rows
 
 
@@ -291,7 +290,7 @@ class FDStarAlgebra:
         # a** = a
         sig = self.star_matrix
         require(BadStar, "star is not involutive on the basis",
-                np.abs(sig @ np.conj(sig) - eye).max(), eps)
+                np.abs(transpose_times(sig.T, np.conj(sig)) - eye).max(), eps)
         # (ab)* = b* a*: (e_i e_j)* = sigma conj(c[i, j]), e_j* = sigma[:, j]
         resid = product_map_residual(self, sig, conj=True)
         self.star_reversal_residual = float(resid.max(initial=0.0))
@@ -515,17 +514,17 @@ class AntiAlgebraMap:
         eps = A.tol.eps_eig * max(1.0, np.abs(S).max()) ** 2 * n
         require(NotAntiMap, "S(e{0} e{1}) != S(e{1}) S(e{0})",
                 product_map_residual(A, S), eps)
-        # S(S(a)*)* = a, i.e. sigma conj(S) conj(sigma) S = id
-        comp = A.star_matrix @ np.conj(S) @ np.conj(A.star_matrix) @ S
+        # S(S(a)*)* = a, i.e. K conj(K) = id for K = sigma conj(S)
+        K = transpose_times(np.conj(S), A.star_matrix.T).T
         require(NotAntiMap, "S(S(a)*)* != a on the basis",
-                np.abs(comp - np.eye(n)).max(), eps)
+                np.abs(transpose_times(K.T, np.conj(K)) - np.eye(n)).max(), eps)
         return AntiAlgebraMap(S)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
     def squared(self) -> np.ndarray:
-        return self.matrix @ self.matrix
+        return transpose_times(self.matrix.T, self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -690,14 +689,3 @@ def separability_idempotent(A: FDStarAlgebra) -> SeparabilityIdempotent:
     E.verify(eps=A.tol.eps_eig * 100)
     return E
 
-
-def central_positive_invertible(A: FDStarAlgebra, v: np.ndarray) -> bool:
-    """Check that v is central, positive in the regular *-representation
-    and invertible."""
-    comm = A.left_mult(v) - A.right_mult(v)
-    if np.abs(comm).max() > CENTRAL_EPS * (1 + np.abs(v).max()):
-        return False
-    if not is_positive_element(A, v):
-        return False
-    s = np.linalg.svd(A.left_mult(v), compute_uv=False)
-    return bool(s[-1] > A.tol.eps_rank * max(1.0, s[0]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      SeparabilityIdempotent, dense_dim)
+                      SeparabilityIdempotent, dense_dim, transpose_times)
 from .errors import (AxiomViolation, BadVarsigma, InternalConsistency,
                      NotAntiMap, NotCompact, require)
 from .indicators import _real_indicator, canonical_g, formula_element
@@ -109,11 +109,11 @@ class CoseparabilityIdempotent:
         require(AxiomViolation, "coseparability centrality identity fails",
                 central.max(initial=0.0), eps)
         st = C.star_matrix
-        sym = st.T @ E @ st   # entry (i, j) = E(e_i*, e_j*)
+        Q = transpose_times(st, E)   # Q[i, j] = E(e_i*, e_j)
+        sym = transpose_times(st, Q.T).T   # entry (i, j) = E(e_i*, e_j*)
         require(AxiomViolation, "E(c*, d*) != conj(E(d, c))",
                 np.abs(sym - np.conj(E).T).max(initial=0.0), eps)
-        Q = st.T @ E     # Q[i, j] = E(e_i*, e_j), Hermitian for the form above
-        Q = (Q + dagger(Q)) / 2.0
+        Q = (Q + dagger(Q)) / 2.0   # Hermitian for the form above
         # smallest eigenvalue > eps_eig * max(1, max |Q|)
         require(AxiomViolation, "compactness form E(c*, c) is not positive",
                 -np.linalg.eigvalsh(Q).min(), -np.nextafter(

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      _coo_gap, _coo_sum, _ragged, central_positive_invertible)
+                      _coo_gap, _coo_sum, _ragged)
 from .coalgebra import (CompactDecomposition, FDStarCoalgebra, dualize,
                         gamma_full)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar, NotHopf,
@@ -67,9 +67,6 @@ class GroupTable:
                 raise BadGroup(
                     f"associativity fails at ({i}, {int(assoc_bad.argmax())})")
         return GroupTable(n, t, inv)
-
-    def conjugate(self, h: int, g: int) -> int:
-        return self.table[self.table[h, g], self.inverse[h]]
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -139,8 +136,9 @@ class TableAlgebraData:
     @staticmethod
     def validated(p) -> "TableAlgebraData":
         """Checks the axioms on p and reads the involution off it: b_0
-        occurs in b_i b_j exactly when j = i* (Arad-Blau), so i* is the j
-        of the largest p_ij^0, which must be the only one above EPS."""
+        occurs in b_i b_j exactly when j = i*, with p_(i i*)^0 = p_(i* i)^0
+        > 0 (Arad-Blau), so i* is the j of the largest p_ij^0, alone above
+        EPS."""
         eps = TableAlgebraData.EPS
         p = np.asarray(p, dtype=float)
         r = p.shape[0]
@@ -162,6 +160,8 @@ class TableAlgebraData:
             raise AxiomViolation("basis involution is not a permutation")
         if not np.array_equal(star[star], idx):
             raise AxiomViolation("basis involution does not square to identity")
+        require(AxiomViolation, "p_(i i*)^0 != p_(i* i)^0, i = {}",
+                np.abs(b0[idx, star] - b0[star, idx]), eps)
         return TableAlgebraData(p, star)
 
 
@@ -171,7 +171,11 @@ def table_algebra(T: TableAlgebraData, tol: Tolerance = DEFAULT_TOL
     linear antipode S(b_i) = b_{i*}, which squares to the identity, and
     g = 1.  The kept `A.separability_idempotent` is
     sum_i (1/p_(i i*)^0) b_{i*} (x) b_i v^{-1}, for v the central element
-    `table_central_element(T)`."""
+    `table_central_element(T)`.  v needs no check of its own: with
+    p_(i i*)^0 = p_(i* i)^0 the b_0 coefficient is a symmetric trace, whose
+    dual basis to b_i is b_{i*} / p_(i i*)^0, so v is its Casimir element,
+    central; and v = sum_i b_i* b_i / p_(i i*)^0 >= b_0* b_0 = 1 once the
+    trace form is positive definite, so v is positive and invertible."""
     r = T.rank
     sigma = np.zeros((r, r), dtype=complex)
     sigma[T.involution, np.arange(r)] = 1.0
@@ -179,9 +183,9 @@ def table_algebra(T: TableAlgebraData, tol: Tolerance = DEFAULT_TOL
     unit[0] = 1.0
     A = FDStarAlgebra(T.p.astype(complex), unit, sigma, tol)
     S = AntiAlgebraMap.validated(A, sigma.copy())
-    if not A.trace_form[1] or not central_positive_invertible(
-            A, table_central_element(T)):
-        raise AxiomViolation("v is not central positive invertible")
+    if not A.trace_form[1]:
+        raise AxiomViolation("trace form is not positive definite, so v is "
+                             "not positive invertible")
     return A, DualStructureData.validated(A, S, A.unit)
 
 

@@ -23,8 +23,8 @@ from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
 from .errors import (AgreementFailure, BadDualStructure, ComplexResult,
                      InconsistentAlpha, InternalConsistency, NoTwistedMap,
                      UnexpectedDimension, require)
-from .linalg import dagger, fixed_spaces_of_antilinear
-from .reps import Representation, hom_spaces, intertwiners
+from .linalg import fixed_spaces_of_antilinear
+from .reps import Representation, hom_spaces
 
 
 def _real_indicator(raw, eps_round: float, names=None):
@@ -51,51 +51,51 @@ def _round_indicator(raw, eps_round: float, names=None):
 
 def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
                 irreps: list[Representation]) -> DualStructureData:
-    """The distinguished positive group-like-style element g for S.
-
-    Per irreducible X: the twisted intertwiner space
-    {t : t rho(a) = rho(S^2(a)) t} is one-dimensional; its generator is
-    phase-fixed to be positive in the invariant metric and rescaled so
-    tr(g_X) = tr(g_X^{-1}).  The blocks are then glued into a single
-    algebra element.
-    """
-    S2 = S.squared()
-    blocks = []
-    for V in irreps:
-        rho_s2 = np.tensordot(S2, V.rho, axes=(0, 0))
-        hom = intertwiners(A, V.rho, rho_s2)
-        if len(hom) == 0:
-            raise NoTwistedMap(
-                f"no twisted intertwiner for a {V.dim}-dim irreducible")
-        if len(hom) > 1:
-            raise InternalConsistency("twisted intertwiner space has dim > 1")
-        gt = hom[0]
-        M = V.gram @ gt
-        phase = np.trace(M)
+    """The distinguished positive group-like-style element g for S, from
+    the complete set of irreducibles (sum of dim^2 = dim A), one stack per
+    dimension (`_stacks`).  Per irreducible X, Hom(V, V o S^2) = {t : t
+    rho(a) = rho(S^2(a)) t} is a line; its generator is phase-fixed to be
+    positive in the invariant metric and rescaled so tr(g_X) =
+    tr(g_X^{-1}).  The blocks glue exactly through the kept E = sum_m x_m
+    (x) y_m: a = sum_m x_m tau(y_m a), tau = sum_X dim X chi_X, so g = E t
+    for t[q] = sum_X dim X tr(rho_X(e_q) g_X), checked by rho_X(g) = g_X."""
+    n, tol = A.dim, A.tol
+    if (total := sum(V.dim ** 2 for V in irreps)) != n:
+        raise InternalConsistency("irreducibles do not span A: sum of dim^2 "
+                                  f"is {total}, not {n}")
+    S2, stacks, t = S.squared(), [], np.zeros(n, dtype=complex)
+    for at, names, rho, gram in _stacks(irreps):
+        (_, m, d, _), flat = rho.shape, rho.reshape(n, -1)
+        k, U = hom_spaces(A, rho, transpose_times(S2, flat).reshape(rho.shape),
+                          names)
+        if not k.all():
+            raise NoTwistedMap(f"{names[k.argmin()]}no twisted intertwiner "
+                               f"for a {d}-dim irreducible")
+        if (k > 1).any():
+            raise InternalConsistency(f"{names[k.argmax()]}twisted "
+                                      "intertwiner space has dim > 1")
+        gX = U[:, :, 0].reshape(m, d, d)
+        phase = np.einsum("vaa->v", gram @ gX)
         require(BadDualStructure, "twisted intertwiner has trace zero in the "
-                "invariant metric", -abs(phase), -A.tol.eps_rank)
-        gt = gt * (np.conj(phase) / abs(phase))
-        M = V.gram @ gt
-        M = (M + dagger(M)) / 2.0
-        Q = V.orthonormal_basis
-        vals = np.linalg.eigvalsh(dagger(Q) @ M @ Q)
+                "invariant metric", -abs(phase), -tol.eps_rank, names)
+        M = gram @ gX * (np.conj(phase) / abs(phase))[:, None, None]
+        M = (M + M.conj().transpose(0, 2, 1)) / 2.0
+        Q = np.stack([irreps[i].orthonormal_basis for i in at])
+        vals = np.linalg.eigvalsh(Q.conj().transpose(0, 2, 1) @ M @ Q)
         require(BadDualStructure, "twisted intertwiner is not positive in the "
-                "invariant metric", -vals.min(),
-                -np.nextafter(A.tol.eps_eig * max(1.0, vals.max()), np.inf))
-        gt = np.linalg.inv(V.gram) @ M
-        scale = np.sqrt(np.trace(np.linalg.inv(gt)).real / np.trace(gt).real)
-        blocks.append(scale * gt)
-    # glue: one g in A with rho_X(g) = g_X for every X
-    rows, rhs = [], []
-    for V, gX in zip(irreps, blocks):
-        rows.append(V.rho.reshape(A.dim, V.dim * V.dim).T)
-        rhs.append(gX.reshape(-1))
-    M = np.vstack(rows)
-    b = np.concatenate(rhs)
-    g, *_ = np.linalg.lstsq(M, b, rcond=None)
-    require(InternalConsistency, "block element does not glue",
-            np.abs(M @ g - b).max(initial=0.0),
-            A.tol.eps_eig * 100 * max(1.0, np.abs(b).max(initial=0.0)))
+                "invariant metric", -vals.min(axis=1), -np.nextafter(
+                    tol.eps_eig * np.maximum(1.0, vals.max(axis=1)), np.inf),
+                names)
+        gX = np.linalg.solve(gram, M)
+        gX *= np.sqrt(np.einsum("vaa->v", np.linalg.inv(gX)).real
+                      / np.einsum("vaa->v", gX).real)[:, None, None]
+        t += d * (flat @ gX.transpose(0, 2, 1).reshape(-1))
+        stacks.append((names, flat, gX))
+    g = A.separability_idempotent.tensor @ t
+    eps = tol.eps_eig * 100 * max([1.0] + [np.abs(b).max() for *_, b in stacks])
+    for names, flat, gX in stacks:
+        require(InternalConsistency, "block element does not glue", np.abs(
+            (g @ flat).reshape(gX.shape) - gX).max(axis=(1, 2)), eps, names)
     return DualStructureData.validated(A, S, g)
 
 
@@ -110,18 +110,25 @@ def formula_element(A: FDStarAlgebra, S: np.ndarray, g: np.ndarray,
         S, A.right_mult(g).T)).T)
 
 
-def _stacked(A: FDStarAlgebra, S: np.ndarray, Vs: list[Representation],
-             kernel) -> list:
-    """kernel(names, rho, gram, F) per dimension d among the irreducibles
-    Vs: with F a unit in Hom(V, D(V)) under S where that is a line, else F
-    None (`dual_hom`).  rho (n, m, d, d), gram (m, d, d): theirs, stacked;
-    names: "irrep i: " for Vs[i], "" for a lone V.  Results by Vs."""
-    out = {}
+def _stacks(Vs: list[Representation]):
+    """(at, names, rho, gram) per dimension d among the irreducibles Vs, in
+    order of first appearance: at the positions in Vs of those of dim d,
+    rho (n, m, d, d) and gram (m, d, d) theirs, stacked; names "irrep i: "
+    for Vs[i], "" for a lone V."""
     for d in dict.fromkeys(V.dim for V in Vs):
         at = np.array([i for i, V in enumerate(Vs) if V.dim == d])
-        names = np.array([f"irrep {i}: " if len(Vs) > 1 else "" for i in at])
-        rho = np.stack([Vs[i].rho for i in at], axis=1)
-        gram = np.stack([Vs[i].gram for i in at])
+        yield (at, np.array([f"irrep {i}: " if len(Vs) > 1 else "" for i in at]),
+               np.stack([Vs[i].rho for i in at], axis=1),
+               np.stack([Vs[i].gram for i in at]))
+
+
+def _stacked(A: FDStarAlgebra, S: np.ndarray, Vs: list[Representation],
+             kernel) -> list:
+    """kernel(names, rho, gram, F) per stack of `_stacks(Vs)`: with F a unit
+    in Hom(V, D(V)) under S where that is a line, else F None
+    (`dual_hom`).  Results by Vs."""
+    out = {}
+    for at, names, rho, gram in _stacks(Vs):
         line, F = dual_hom(A, S, rho, names)
         for part, F in ((line, F), (~line, None)):
             if part.any():

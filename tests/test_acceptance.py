@@ -304,6 +304,11 @@ def _closure(G, elements) -> set:
     return group
 
 
+def _conjugate(G, h: int, g: int) -> int:
+    """h g h^-1, read off the group table."""
+    return int(G.table[G.table[h, g], G.inverse[h]])
+
+
 def _dpr_dimensions(G) -> list[int]:
     """Sorted dimensions [G : C_G(a)] dim pi of the irreducibles of D(G),
     one per conjugacy class a of G and irreducible pi of the centralizer
@@ -316,10 +321,10 @@ def _dpr_dimensions(G) -> list[int]:
     for a in range(n):
         if a in seen:
             continue
-        seen |= {G.conjugate(h, a) for h in range(n)}
+        seen |= {_conjugate(G, h, a) for h in range(n)}
         H = [h for h in range(n) if t[h, a] == t[a, h]]
         assert len(H) <= 8
-        k = len({frozenset(G.conjugate(h, x) for h in H) for x in H})
+        k = len({frozenset(_conjugate(G, h, x) for h in H) for x in H})
         derived = _closure(G, {int(t[t[x, y], t[inv[x], inv[y]]])
                                for x in H for y in H})
         linear = len(H) // len(derived)
@@ -345,7 +350,7 @@ def test_drinfeld_double_matches_dpr(name, count):
     triples = int(np.einsum("ab,ac,bc->", commute, commute, commute))
     assert divmod(triples, n) == (count, 0)
     fixed = sum(1 for g in range(n) for h in range(n)
-                if t[h, h] == 0 and G.conjugate(h, inv[g]) == g)
+                if t[h, h] == 0 and _conjugate(G, h, inv[g]) == g)
     W, dual = drinfeld_double(G)
     A = W.algebra
     parts = decompose(regular_representation(A))

@@ -16,8 +16,9 @@ import fsclass.cli
 import fsclass.errors
 import fsclass.indicators
 import test_kernels
-from fsclass import (FDStarAlgebra, Representation, decompose, dualize,
-                     full_report, group_algebra, regular_representation)
+from fsclass import (FDStarAlgebra, Representation, canonical_g, decompose,
+                     dualize, full_report, group_algebra,
+                     regular_representation)
 from fsclass.algebra import real_form_from_S
 from fsclass.cli import Run
 from fsclass.errors import (AxiomViolation, BadUnit, FSClassError,
@@ -37,7 +38,7 @@ STRUCTURAL = {
     ("constructors.py", "validated", "BadGroup"),          # entries in range
     ("constructors.py", "validated", "BadGroupoid"),       # identities, inverses
     ("constructors.py", "scheme_from_matrices", "AxiomViolation"),  # M.min() < 0
-    ("indicators.py", "canonical_g", "InternalConsistency"),    # len(hom) > 1
+    ("indicators.py", "canonical_g", "InternalConsistency"),  # Hom dim > 1
     ("indicators.py", "dual_hom", "UnexpectedDimension"),  # Hom dim > 1
 }
 ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
@@ -317,8 +318,29 @@ def test_no_kronecker_system_and_no_nullspace():
         callers |= _callers(path, "svd")
     assert named == []
     assert callers == {("reps.py", "hom_spaces"),
-                       ("linalg.py", "fixed_spaces_of_antilinear"),
-                       ("algebra.py", "central_positive_invertible")}
+                       ("linalg.py", "fixed_spaces_of_antilinear")}
+
+
+def test_no_least_squares_and_one_twisted_hom_per_dimension(monkeypatch):
+    """`canonical_g` glues its blocks exactly through the kept E, so no
+    module calls `lstsq`, and it reads Hom(V, V o S^2) with one
+    `hom_spaces` call per distinct dimension: on D(S3), stacks of 2, 4 and
+    2 irreducibles of dims 1, 2 and 3."""
+    src = os.path.dirname(fsclass.__file__)
+    callers = set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        callers |= _callers(path, "lstsq")
+    assert callers == set()
+    run, calls = _s3_double_run(), []
+    hom_spaces = fsclass.indicators.hom_spaces
+
+    def counted(A, rho_v, rho_w, names):
+        calls.append(rho_v.shape[1:3])
+        return hom_spaces(A, rho_v, rho_w, names)
+    monkeypatch.setattr(fsclass.indicators, "hom_spaces", counted)
+    dual = canonical_g(run.A, run.dual.S, [V for V, _ in run.parts])
+    assert calls == [(2, 1), (4, 2), (2, 3)]
+    assert np.abs(dual.g - run.A.unit).max() < 1e-12
 
 
 def test_a_right_unit_failure_names_its_basis_element():

@@ -575,14 +575,17 @@ def _verify_p(capsys, tmp_path, p) -> tuple[int, str, str]:
     ((1, 1, 0), 0.5, "coefficient of b_0 in b_i b_j must vanish unless "
      "j = i*"),
     (([2, 2], [1, 2], [0, 0]), [0.0, 1.0],
-     "basis involution is not a permutation")])
+     "basis involution is not a permutation"),
+    ((1, 2, 0), 2.0, "p_(i i*)^0 != p_(i* i)^0, i = 1")])
 def test_verify_refuses_a_corrupted_table(capsys, tmp_path, at, value, text):
     """C[Z3] as a `--kind scheme` file of intersection numbers p, with
     entries at `at` corrupted: verify exits 2 and names the table algebra
     axiom that fails.  The involution is read off p, so a row of b_0
     coefficients with none above the threshold, or several, fails the
     check of its own, and a b_0 moved within row 2 leaves 2* = 2 beside
-    1* = 2.  The clean file verifies."""
+    1* = 2.  p_(1 2)^0 = 2 beside p_(2 1)^0 = 1 is refused before any
+    algebra is built: the b_0 coefficient is then no symmetric trace, the
+    premise of the central element v.  The clean file verifies."""
     p = _z_p(3)
     for q, want in ((p, None), (p.copy(), text)):
         if want:

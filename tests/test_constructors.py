@@ -173,7 +173,8 @@ def test_each_table_algebra_axiom_fires():
     none above EPS, is refused by the check that names the involution's
     defect, and a row whose b_0 moves to another column leaves no
     permutation.  An involution that is a permutation but no involution
-    needs four classes: C[Z4] with 1* = 2, 2* = 3, 3* = 1."""
+    needs four classes: C[Z4] with 1* = 2, 2* = 3, 3* = 1.  Doubling
+    p_(1 2)^0 leaves p_(2 1)^0 = 1 behind it."""
     z3, z4 = load_group("z3"), load_group("z4")
     p = _group_p(z3)
     assert np.array_equal(TableAlgebraData.validated(p).involution, z3.inverse)
@@ -188,7 +189,8 @@ def test_each_table_algebra_axiom_fires():
               "basis involution is not a permutation"),
              (_group_p(z4), {(1, 3, 0): 0.0, (1, 2, 0): 1.0, (2, 2, 0): 0.0,
                              (2, 3, 0): 1.0},
-              "basis involution does not square to identity")]
+              "basis involution does not square to identity"),
+             (p, {(1, 2, 0): 2.0}, "p_(i i*)^0 != p_(i* i)^0, i = 1")]
     for base, changes, text in cases:
         bad = base.copy()
         for at, value in changes.items():

@@ -421,6 +421,73 @@ def test_canonical_g_ignores_irrep_presentation():
     assert np.abs(g1 - g2).max() < 1e-8
 
 
+def test_canonical_g_needs_the_complete_set_of_irreducibles():
+    """The glue reads tau = sum_X dim X chi_X off the irreducibles, so a
+    list whose dims squared do not sum to dim A is refused by name: C[S3]
+    with its 2-dim irreducible twice (the least-squares glue accepted it)
+    or with the trivial one missing (it failed later, as S(g) != g^-1)."""
+    from fsclass.errors import InternalConsistency
+    _, A, dual, _, parts = pipeline("s3")
+    sign, triv, two = [V for V, _ in parts]
+    assert [V.dim for V in (sign, triv, two)] == [1, 1, 2]
+    assert np.allclose(triv.character(), 1) and sign.character()[1] == -1
+    for irreps, total in (([sign, triv, two, two], 10), ([sign, two], 5)):
+        with pytest.raises(InternalConsistency, match=r"^irreducibles do not "
+                           rf"span A: sum of dim\^2 is {total}, not 6$"):
+            canonical_g(A, dual.S, irreps)
+
+
+def _m2_twisted_by(w):
+    """S(a) = w a^T w^-1 on M_2(C), not validated: anti-multiplicative, with
+    S^2 = Ad(w w^-T), but S(S(a)*)* = a only when w conj(w) is scalar."""
+    A = m2_dual_structures()[0]
+    cols = [w @ np.eye(4)[k].reshape(2, 2).T @ np.linalg.inv(w)
+            for k in range(4)]
+    return A, AntiAlgebraMap(np.array(cols).reshape(4, 4).T)
+
+
+def test_each_canonical_g_check_fires():
+    """One named corruption per check of `canonical_g`, each an input that
+    skips the check that would refuse it first:
+    - S^2 = Ad(diag(1, -1)) on M_2 (w = [[0, i], [1, 0]]): the twisted
+      intertwiner is traceless in the invariant metric;
+    - S^2 = Ad(diag(1, -2)) (w = [[0, i / sqrt 2], [1, 0]]): after the
+      phase fix it is indefinite;
+    - C[S3] with its sign irreducible in place of the trivial one: dims
+      squared sum to 6, but tau is wrong, so rho_sign(g) = 2 g_sign;
+    - S(e_g) = w^g e_g on C[Z3], w = exp(2 pi i / 3): V o S^2 is another
+      irreducible, so Hom(V, V o S^2) = 0;
+    - the trivial irreducible of C[Z4] twice, as one 2-dim V: its twisted
+      intertwiners span all 2 x 2 matrices."""
+    from fsclass.errors import (BadDualStructure, InternalConsistency,
+                                NoTwistedMap)
+    A, S = _m2_twisted_by(np.array([[0, 1j], [1, 0]]))
+    parts = [V for V, _ in decompose(regular_representation(A))]
+    with pytest.raises(BadDualStructure) as info:
+        canonical_g(A, S, parts)
+    assert check_text(str(info.value)) == \
+        "twisted intertwiner has trace zero in the invariant metric"
+    A, S = _m2_twisted_by(np.array([[0, 1j / np.sqrt(2)], [1, 0]]))
+    with pytest.raises(BadDualStructure, match=r"^twisted intertwiner is not "
+                       r"positive in the invariant metric \(residual 4\.472e-01,"):
+        canonical_g(A, S, parts)   # eigenvalues (-1, 2) / sqrt 5
+    _, A, dual, _, parts = pipeline("s3")
+    sign, _, two = [V for V, _ in parts]
+    with pytest.raises(InternalConsistency, match=r"^irrep 0: block element "
+                       r"does not glue \(residual 1\.000e\+00,"):
+        canonical_g(A, dual.S, [sign, sign, two])
+    _, A, _, _, parts = pipeline("z3")
+    twist = AntiAlgebraMap(np.diag(np.exp(2j * np.pi / 3) ** np.arange(3)))
+    with pytest.raises(NoTwistedMap, match=r"^irrep 0: no twisted "
+                       r"intertwiner for a 1-dim irreducible$"):
+        canonical_g(A, twist, [V for V, _ in parts])
+    _, A, dual, _, _ = pipeline("z4")
+    V = Representation(A, np.ones((4, 1, 1)) * np.eye(2))
+    with pytest.raises(InternalConsistency, match=r"^twisted intertwiner "
+                       r"space has dim > 1$"):
+        canonical_g(A, dual.S, [V])
+
+
 def test_full_report_rows_and_agreement():
     _, A, dual, E, parts = pipeline("q8")
     rep = full_report(A, dual, parts, E)
