@@ -29,6 +29,14 @@ from .indicators import _real_indicator, _round_indicator
 from .linalg import DEFAULT_TOL, Tolerance
 
 
+def _indices(x, error: type, what: str) -> np.ndarray:
+    """x as an int array; a float, bool or string x is refused, not cut."""
+    a = np.asarray(x)
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{what} must hold integers, not {a.dtype}")
+    return a.astype(int, copy=False)
+
+
 # --- finite groups ---
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +49,8 @@ class GroupTable:
 
     @staticmethod
     def validated(order: int, table, inverse) -> "GroupTable":
-        t = np.asarray(table, dtype=int)
-        inv = np.asarray(inverse, dtype=int)
+        t = _indices(table, BadGroup, "table")
+        inv = _indices(inverse, BadGroup, "inverse")
         n = order
         if t.shape != (n, n) or inv.shape != (n,):
             raise BadGroup("table must be order x order, inverse length order")
@@ -52,9 +60,9 @@ class GroupTable:
             raise BadGroup("inverse entries out of range")
         if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
             raise BadGroup("element 0 is not the identity")
-        for i in range(n):
-            if t[i, inv[i]] != 0 or t[inv[i], i] != 0:
-                raise BadGroup(f"inverse of element {i} is wrong")
+        wrong = (t[:, inv].diagonal() != 0) | (t[inv].diagonal() != 0)
+        if wrong.any():   # t[i, inv[i]] or t[inv[i], i] is not 0
+            raise BadGroup(f"inverse of element {wrong.argmax()} is wrong")
         # rows must be permutations and (ij)k = i(jk), checked row by row
         # (n^2 per row); the first failing row i is reported, its
         # permutation test before its (i, j)
@@ -217,7 +225,7 @@ def scheme_from_matrices(mats: list[np.ndarray]) -> TableAlgebraData:
     """Intersection numbers of an association scheme given by its 0/1
     adjacency matrices M_0 = I, M_1, ..., read off its class-index matrix
     C: (x, y) lies in class C[x, y]."""
-    M = np.asarray(mats, dtype=int)
+    M = _indices(mats, AxiomViolation, "adjacency matrices")
     r, n = M.shape[:2]
     if M.min() < 0 or not (M.sum(axis=0) == 1).all():
         raise AxiomViolation("adjacency matrices do not partition the pairs")
@@ -278,13 +286,14 @@ class GroupoidData:
 
     @staticmethod
     def validated(n_objects: int, arrows, compose_triples) -> "GroupoidData":
-        src, tgt = np.asarray(arrows, dtype=int).reshape(-1, 2).T
+        src, tgt = _indices(arrows, BadGroupoid, "arrows").reshape(-1, 2).T
         n = len(src)
         out = (np.minimum(src, tgt) < 0) | (np.maximum(src, tgt) >= n_objects)
         if out.any():
             raise BadGroupoid(f"arrow {out.argmax()} has an end outside "
                               f"0..{n_objects - 1}")
-        triples = np.asarray(compose_triples, dtype=int).reshape(-1, 3)
+        triples = _indices(compose_triples, BadGroupoid,
+                           "compose triples").reshape(-1, 3)
         out = ((triples < 0) | (triples >= n)).any(axis=1)
         if out.any():
             raise BadGroupoid("triple ({}, {}, {}) names an arrow outside "
@@ -512,7 +521,7 @@ def _weak_hopf(A: FDStarAlgebra, Delta, counit: np.ndarray,
 
 def check_involution_perm(G: GroupTable, perm) -> np.ndarray:
     """An involutive automorphism of G given as a permutation of elements."""
-    p = np.asarray(perm, dtype=int)
+    p = _indices(perm, NotInvolution, "permutation")
     n = G.order
     if not np.array_equal(np.sort(p), np.arange(n)):
         raise NotInvolution("not a permutation")

@@ -91,7 +91,7 @@ def canonical_g(A: FDStarAlgebra, S: AntiAlgebraMap,
                       / np.einsum("vaa->v", gX).real)[:, None, None]
         t += d * (flat @ gX.transpose(0, 2, 1).reshape(-1))
         stacks.append((names, flat, gX))
-    g = A.separability_idempotent.tensor @ t
+    g = transpose_times(A.separability_idempotent.tensor.T, t)   # E t
     eps = tol.eps_eig * 100 * max([1.0] + [np.abs(b).max() for *_, b in stacks])
     for names, flat, gX in stacks:
         require(InternalConsistency, "block element does not glue", np.abs(

@@ -3,7 +3,8 @@ import pytest
 
 from fsclass import (build_algebra, check_cstar, is_positive_element,
                      real_form_from_S, separability_idempotent)
-from fsclass.algebra import AntiAlgebraMap, DualStructureData
+from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
+                             product_map_residual, real_form_from_conjugation)
 from fsclass.errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
                             NotAssociative, NotCStar)
 from conftest import build_m2, check_text, load_group, m2_dual_structures
@@ -66,11 +67,29 @@ def test_anti_map_rejects_a_phase_that_the_star_does_not_undo():
 
 
 def test_dual_structure_rejects_g_with_s_of_g_not_its_inverse():
-    """On C[Z3], S(2 * 1) = 2 * 1, but g^{-1} = 1/2 * 1."""
+    """On C[Z3], S(2 * 1) = 2 * 1, so S(g) g = 4 * 1, not 1; the singular
+    idempotent e = (1 + x + x^2)/3 has S(e) e = e, and fails the same
+    check (no inverse is solved for)."""
     A, dual = group_algebra(load_group("z3"))
-    with pytest.raises(BadDualStructure) as exc:
-        DualStructureData.validated(A, dual.S, 2 * A.unit)
-    assert check_text(str(exc.value)) == "S(g) != g^{-1}"
+    for g in (2 * A.unit, np.ones(3) / 3):
+        with pytest.raises(BadDualStructure) as exc:
+            DualStructureData.validated(A, dual.S, g)
+        assert check_text(str(exc.value)) == "S(g) g != 1"
+
+
+def test_real_form_refuses_a_conjugation_that_is_not_involutive():
+    """On C[Z7], x -> 2x is an automorphism, so K e_x = e_2x is a
+    multiplicative conjugation, but K conj(K) e_x = e_4x: the involution
+    check fails first, with residual 1."""
+    A, _ = group_algebra(load_group("z7"))
+    x = np.arange(7)
+    K = np.zeros((7, 7))
+    K[2 * x % 7, x] = 1.0
+    assert product_map_residual(A, K, conj=True, reverse=False).max() == 0
+    with pytest.raises(NotAntiMap) as exc:
+        real_form_from_conjugation(A, K)
+    assert check_text(str(exc.value)) == "conjugation is not involutive"
+    assert "(residual 1.000e+00," in str(exc.value)
 
 
 def test_real_form_of_group_algebra_is_real_span():
@@ -138,7 +157,8 @@ def test_dual_structure_validation():
     A, S1, S2 = m2_dual_structures()
     g = np.array([0.25, 0, 0, 4.0], dtype=complex)
     DualStructureData.validated(A, S2, g)
-    with pytest.raises(BadDualStructure):
+    with pytest.raises(BadDualStructure, match=r"^S\^2\(a\) g != g a on the "
+                       r"basis \(residual"):
         DualStructureData.validated(A, S2, A.unit)   # S2^2 != id
     DualStructureData.validated(A, S1, A.unit)       # S1^2 = id
 

@@ -343,6 +343,17 @@ def test_no_least_squares_and_one_twisted_hom_per_dimension(monkeypatch):
     assert np.abs(dual.g - run.A.unit).max() < 1e-12
 
 
+def test_the_loaders_have_no_python_loop():
+    """`io.py` reads every input as arrays: it has no `for` or `while`
+    statement and no comprehension, so its per-entry work runs in `map`,
+    `np.fromiter` and array operations."""
+    with open(os.path.join(os.path.dirname(fsclass.__file__), "io.py")) as fh:
+        tree = ast.parse(fh.read())
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, loops)] == []
+
+
 def test_a_right_unit_failure_names_its_basis_element():
     """e0 e0 = e0, e0 e1 = e1, all other products zero: associative, and
     e0 is a left unit but e1 e0 = 0, so only the right unit law fails, at

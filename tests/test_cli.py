@@ -302,6 +302,29 @@ def test_a_groupoid_pair_given_twice_exits_2(tmp_path, capsys, first):
                                "composite of (0, 0) is given twice"}
 
 
+def test_a_groupoid_index_out_of_range_exits_2(tmp_path, capsys):
+    """The loader reads arrow ends and composites as JSON integers; their
+    ranges are checked once, by `GroupoidData.validated`, so an arrow end
+    past the last object or below 0, or a composite that names no arrow,
+    exits 2 with a `BadGroupoid` naming the arrow or the triple."""
+    with open(data_path("pair2_groupoid.json")) as fh:
+        doc = json.load(fh)
+    cases = [("arrows", 2, "tgt", 2, "arrow 2 has an end outside 0..1"),
+             ("arrows", 0, "src", -1, "arrow 0 has an end outside 0..1"),
+             ("compose", 1, "ab", 4,
+              "triple (0, 1, 4) names an arrow outside 0..3"),
+             ("compose", 2, "a", -3,
+              "triple (-3, 2, 0) names an arrow outside 0..3")]
+    for idx, (field, at, key, value, message) in enumerate(cases):
+        entries = [dict(e) for e in doc[field]]
+        entries[at][key] = value
+        path = tmp_path / f"{idx}.json"
+        path.write_text(json.dumps({**doc, field: entries}))
+        code, out, err = run(capsys, "verify", str(path), "--kind", "groupoid")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "BadGroupoid", "message": message}
+
+
 def test_irreps_of_a_coalgebra_exits_2(capsys):
     code, out, err = run(capsys, "irreps", data_path("m2_coalgebra.json"),
                          "--kind", "coalgebra")
@@ -653,7 +676,7 @@ def test_s4_on_twelve_points_has_a_two_dim_irreducible(capsys, tmp_path):
 def test_an_empty_scheme_class_exits_2(capsys, tmp_path):
     """An all-zero adjacency matrix is an empty class: verify exits 2 with
     an `AxiomViolation` naming it, where the counts raised IndexError."""
-    mats = fio.load_scheme_v1(data_path("c5_scheme.json"))["matrices"]
+    mats = list(fio.load_scheme_v1(data_path("c5_scheme.json"))["matrices"])
     path = _scheme_file(tmp_path, "empty.json",
                         mats + [np.zeros_like(mats[0])])
     code, out, err = run(capsys, "verify", path, "--kind", "scheme")

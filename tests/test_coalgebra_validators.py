@@ -178,6 +178,32 @@ def test_coseparability_verify_reports_the_einsum_message(decomposed):
                             coseparability(C, E).verify)
 
 
+def test_an_asymmetric_coseparability_idempotent_is_refused():
+    """On the dual of M2 (data/m2_algebra.json, e_ij at 2i + j), E_w =
+    sum_ipq w_pq e_ip (x) e_qi is a separability idempotent of M2 for
+    every w of trace 1, so its counit and centrality residuals are 0.  With
+    w = [[1/2, 1/4], [0, 1/2]] it fails the symmetry E(c*, d*) =
+    conj(E(d, c)) by |w_01 - w_10| = 1/4, before positivity is read; with
+    w = e_11 it is symmetric and fails positivity instead."""
+    d = fio.load_algebra_v1(data_path("m2_algebra.json"))
+    C = dualize(FDStarAlgebra(d["structure"], d["unit"], d["star"]))
+    i, p, q = np.indices((2, 2, 2)).reshape(3, -1)
+    for w, text, residual in (
+            ([[0.5, 0.25], [0, 0.5]], "E(c*, d*) != conj(E(d, c))",
+             "2.500e-01"),
+            ([[1, 0], [0, 0]], "compactness form E(c*, c) is not positive",
+             "-0.000e+00")):
+        E = np.zeros((4, 4), dtype=complex)
+        np.add.at(E, (2 * i + p, 2 * q + i), np.asarray(w)[p, q])
+        cosep = coseparability(C, E)
+        unit_gap, central = cosep.idempotent.residuals
+        assert unit_gap == 0 and not central.any()
+        with pytest.raises(AxiomViolation) as info:
+            cosep.verify()
+        assert check_text(str(info.value)) == text
+        assert f"(residual {residual}," in str(info.value)
+
+
 def test_corepresentation_reports_the_einsum_message(decomposed):
     for seed, (name, (C, _, cd)) in enumerate(decomposed.items()):
         for block in cd.blocks:

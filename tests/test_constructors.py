@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from fsclass import (FDStarAlgebra, GroupTable, WeakHopfData, classify_sigma,
-                     compact_decompose, cyclic_group, decompose,
+from fsclass import (FDStarAlgebra, GroupoidData, GroupTable, WeakHopfData,
+                     classify_sigma, compact_decompose, cyclic_group,
+                     decompose,
                      drinfeld_double, dualize, group_algebra,
                      group_from_permutations, group_weak_hopf,
                      groupoid_weak_hopf, pair_groupoid,
@@ -17,7 +18,8 @@ from fsclass import (FDStarAlgebra, GroupTable, WeakHopfData, classify_sigma,
 from fsclass.constructors import (TableAlgebraData, check_involution_perm,
                                   disjoint_union_groupoid,
                                   table_central_element)
-from fsclass.errors import AxiomViolation, BadGroup, NotInvolution
+from fsclass.errors import (AxiomViolation, BadGroup, BadGroupoid,
+                            NotInvolution)
 
 from conftest import (DATA, check_text, classical_oracle, haar_separability,
                       load_group, table_separability, thin_scheme)
@@ -49,7 +51,8 @@ def test_records_holding_arrays_compare_and_hash_by_identity():
     cd = compact_decompose(dualize(A))
     V = decompose(regular_representation(A))[0][0]
     records = [G, dual.S, R, dual, A.separability_idempotent, cd.E, cd,
-               scheme_from_matrices([np.eye(2), 1 - np.eye(2)]),
+               scheme_from_matrices([np.eye(2, dtype=int),
+                                     1 - np.eye(2, dtype=int)]),
                pair_groupoid(2), group_weak_hopf(G)[0], classify_sigma(V, R)]
     assert len({type(x) for x in records}) == 11
     for x in records:
@@ -62,6 +65,41 @@ def test_bad_group_table_rejected():
     t = np.zeros((2, 2), dtype=int)   # constant rows, not a Latin square
     with pytest.raises(BadGroup):
         GroupTable.validated(2, t, np.array([0, 0]))
+
+
+def test_a_wrong_inverse_is_named():
+    """inverse[i] must be a two-sided inverse of element i: Z3 with 1 and 2
+    taken as their own inverses fails at 1, and so do a table where
+    1 * 2 = 0 but 2 * 1 = 1, on the right side only, and its transpose, on
+    the left side only."""
+    one_sided = np.array([[0, 1, 2], [1, 1, 0], [2, 1, 2]])
+    for t, inv in (([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [0, 1, 2]),
+                   (one_sided, [0, 2, 1]), (one_sided.T, [0, 2, 1])):
+        with pytest.raises(BadGroup, match="^inverse of element 1 is wrong$"):
+            GroupTable.validated(3, t, inv)
+
+
+def test_index_tables_must_be_integers():
+    """A float, bool or string index table is refused by its validator,
+    not truncated: each of these was once accepted as Z2, as a one-arrow
+    groupoid or as a rank-2 scheme."""
+    cases = [(BadGroup, GroupTable.validated, (2, [[0, 1.9], [1.2, 0]],
+                                               [0, 1.7])),
+             (BadGroup, GroupTable.validated, (2, [[0, 1], [1, 0]],
+                                               [False, True])),
+             (BadGroupoid, GroupoidData.validated, (1, [(0, 0.6)],
+                                                    [(0, 0, 0.3)])),
+             (BadGroupoid, GroupoidData.validated, (1, [(0, 0)],
+                                                    [("0", "0", "0")])),
+             (AxiomViolation, scheme_from_matrices,
+              ([[[1, 0], [0, 1]], [[0, 1.7], [1.2, 0]]],)),
+             (NotInvolution, check_involution_perm,
+              (load_group("z2"), [0.0, 1.0]))]
+    for error, validator, args in cases:
+        with pytest.raises(error, match=r" must hold integers, not "):
+            validator(*args)
+    assert GroupoidData.validated(1, [(0, 0)], [(0, 0, 0)]).n_arrows == 1
+    assert GroupTable.validated(2, [[0, 1], [1, 0]], [0, 1]).order == 2
 
 
 def test_group_algebra_idempotent_verifies():

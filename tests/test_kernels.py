@@ -63,7 +63,7 @@ from fsclass.errors import (AxiomViolation, BadDualStructure, BadUnit,
 from fsclass.algebra import (GENERATOR_DIM, _monomial_columns,
                              real_form_from_conjugation, real_form_from_S,
                              star_residual, transpose_times)
-from fsclass.cli import _cmat
+from fsclass.cli import Run, _cmat
 from fsclass.indicators import (SigmaResult, _round_indicator, classify_sigma,
                                 classify_sigmas, formula_element)
 from fsclass.linalg import DEFAULT_TOL as TOL
@@ -652,6 +652,20 @@ def test_monomial_products_are_gathers_equal_to_the_dense_ones():
         assert np.array_equal(_times_conj(K, K), K @ np.conj(K)), name
         assert np.array_equal(real_form_from_conjugation(A, K).anti_matrix,
                               sigma @ np.conj(K)), name
+
+
+def test_transpose_times_takes_a_vector_and_a_matrix():
+    """On D(S3), where S, E and sigma are monomial, `transpose_times(M, X)`
+    is the dense M^T X, in X's shape, for a vector X as for a matrix (a
+    vector once came back n x n)."""
+    run = Run("double", data_path("s3.json"), TOL, 0)
+    A = run.A
+    X = np.random.default_rng(35).standard_normal((A.dim, 3))
+    for M in (run.dual.S.matrix, A.separability_idempotent.tensor,
+              A.star_matrix):
+        assert _monomial_columns(M) is not None
+        for Y in (X[:, 0], X):
+            assert np.array_equal(transpose_times(M, Y), M.T @ Y)
 
 
 def _times_conj(M, N):

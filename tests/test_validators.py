@@ -8,9 +8,15 @@ kernel and the product-map kernel are also compared with their dense
 forms, on monomial inputs (index-table path) and on dense ones, and the
 index-table kernel past the dense cap with a sparse reference.  The
 coordinate-list multiplicativity kernel is compared with the `scipy.sparse`
-products it replaced.
+products it replaced.  The array loaders of `fsclass.io` are compared with
+the per-entry loaders they replaced, `loop_load_*`, on every input and on
+seeded corruptions of every field.
 """
+import copy
+import json
+import os
 import re
+import sys
 import time
 import tracemalloc
 
@@ -32,12 +38,13 @@ from fsclass.constructors import (_coo_product, _coo_sum,
                                   _multiplicativity_residual, _weak_hopf,
                                   double_product_table)
 from fsclass.errors import (AxiomViolation, BadDualStructure, BadGroup,
-                            BadGroupoid, BadStar, NotAntiMap, NotAssociative)
+                            BadGroupoid, BadStar, NotAntiMap, NotAssociative,
+                            SchemaError)
 from fsclass.linalg import DEFAULT_TOL as TOL
 
-from conftest import (DUAL_ERRORS, build_m2, check_text, data_path,
+from conftest import (DATA, DUAL_ERRORS, build_m2, check_text, data_path,
                       delta_tensor, diagonal_rescaling, einsum_coalgebra,
-                      load_group, m2_dual_structures, rescaled,
+                      kind_of, load_group, m2_dual_structures, rescaled,
                       s4_on_twelve_points, thin_scheme)
 
 
@@ -337,6 +344,12 @@ def _pair3_weak_hopf():
         GroupoidData.validated(d["objects"], d["arrows"], d["compose"]))[0]
 
 
+def _tuples(rows: np.ndarray) -> list[tuple]:
+    """A loader's (m, k) groupoid array as the list of tuples the
+    corruptions below edit."""
+    return list(map(tuple, rows.tolist()))
+
+
 def _one_object(table):
     """Triples (a, b, table[a][b]) of a one-object groupoid."""
     return [(a, b, ab) for a, row in enumerate(table) for b, ab in enumerate(row)]
@@ -350,7 +363,7 @@ def test_groupoid_validation_rejects_each_broken_axiom():
     arrow (a b = max(a, b)); and Z2's table with a triple naming an arrow
     out of range, refused before a repeated pair is looked for."""
     d = fio.load_groupoid_v1(data_path("pair2_groupoid.json"))
-    arrows, compose = d["arrows"], d["compose"]
+    arrows, compose = _tuples(d["arrows"]), _tuples(d["compose"])
     a, b, ab = compose[0]
     wrong = next(x for x in range(len(arrows)) if arrows[x] != arrows[ab])
     loop = [(0, 0)] * 3
@@ -448,7 +461,7 @@ def _groupoid_bases():
     and Q8, as (objects, arrows, triples)."""
     for name in ("pair2", "pair3", "pair4", "two_z2"):
         d = fio.load_groupoid_v1(data_path(f"{name}_groupoid.json"))
-        yield d["objects"], d["arrows"], d["compose"]
+        yield d["objects"], _tuples(d["arrows"]), _tuples(d["compose"])
     for G in (cyclic_group(3), load_group("s3"), load_group("q8")):
         yield 1, [(0, 0)] * G.order, _one_object(G.table.tolist())
 
@@ -654,7 +667,7 @@ def test_an_empty_scheme_class_is_refused():
     the transpose check and before the counts, where the loop raised
     IndexError; a class that is not closed under transposition is still
     reported first."""
-    mats = fio.load_scheme_v1(data_path("c5_scheme.json"))["matrices"]
+    mats = list(fio.load_scheme_v1(data_path("c5_scheme.json"))["matrices"])
     empty = np.zeros_like(mats[0])
     for at in (1, 3):
         bad = mats[:at] + [empty] + mats[at:]
@@ -668,6 +681,391 @@ def test_an_empty_scheme_class_is_refused():
     with pytest.raises(AxiomViolation,
                        match="^transpose of class 1 is not a class$"):
         scheme_from_matrices(bad)
+
+
+# --- the loaders against the per-entry loops they replaced ---
+#
+# loop_load_* are the loaders `fsclass.io` had before it read its inputs as
+# arrays, as they were: one Python step per entry, SchemaError naming the
+# first bad one.
+
+
+def _loop_load(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be a JSON object")
+    return doc
+
+
+def _loop_require_fields(doc: dict, required: set[str]) -> None:
+    missing, unknown = required - set(doc), set(doc) - required
+    if missing:
+        raise SchemaError(f"missing fields: {sorted(missing)}")
+    if unknown:
+        raise SchemaError(f"unknown fields: {sorted(unknown)}")
+
+
+def _loop_index(v, n: int, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+        raise SchemaError(f"{what} must be an integer in [0, {n})")
+    return v
+
+
+def _loop_number(v, what: str) -> float:
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise SchemaError(f"{what} must be a finite number")
+    return float(v)
+
+
+def _loop_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(f"{what} must be a list")
+    return x
+
+
+def _loop_integers(x, what: str) -> np.ndarray:
+    a = np.asarray(x, dtype=object)
+    if not all(type(v) is int for v in a.flat):
+        raise SchemaError(f"{what} must hold integers only")
+    return a.astype(int)
+
+
+def _loop_complex_vector(entries, n: int, what: str) -> np.ndarray:
+    if not isinstance(entries, list) or len(entries) != n:
+        raise SchemaError(f"{what} must be a list of {n} [re, im] pairs")
+    out = np.zeros(n, dtype=complex)
+    for idx, pair in enumerate(entries):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaError(f"{what}[{idx}] must be an [re, im] pair")
+        out[idx] = complex(*(_loop_number(x, f"{what}[{idx}]") for x in pair))
+    return out
+
+
+def _loop_sparse_entries(entries, keys: tuple[str, ...], n: int, what: str):
+    for idx, ent in enumerate(_loop_list(entries, what)):
+        if not isinstance(ent, dict):
+            raise SchemaError(f"{what}[{idx}] must be an object")
+        want = set(keys) | {"re", "im"}
+        if set(ent) != want:
+            raise SchemaError(f"{what}[{idx}] must have fields {sorted(want)}")
+        pos = [_loop_index(ent[k], n, f"{what}[{idx}].{k}") for k in keys]
+        yield (*pos, complex(*(_loop_number(ent[k], f"{what}[{idx}].{k}")
+                               for k in ("re", "im"))))
+
+
+def _loop_load_structure(path: str, unit: str, tensor: str, place):
+    doc = _loop_load(path)
+    _loop_require_fields(doc, {"dim", unit, tensor, "star"})
+    n = doc["dim"]
+    if type(n) is not int or n < 1:
+        raise SchemaError("dim must be a positive integer")
+    fsclass.algebra.dense_dim(n)
+    u = _loop_complex_vector(doc[unit], n, unit)
+    c = np.zeros((n, n, n), dtype=complex)
+    for i, j, k, v in _loop_sparse_entries(doc[tensor], ("i", "j", "k"), n,
+                                           tensor):
+        c[place(i, j, k)] += v
+    sigma = np.zeros((n, n), dtype=complex)
+    for i, k, v in _loop_sparse_entries(doc["star"], ("i", "k"), n, "star"):
+        sigma[k, i] += v
+    return n, u, c, sigma
+
+
+def loop_load_algebra(path: str) -> dict:
+    n, unit, c, sigma = _loop_load_structure(path, "unit", "structure",
+                                             lambda i, j, k: (i, j, k))
+    return {"dim": n, "structure": c, "unit": unit, "star": sigma}
+
+
+def loop_load_coalgebra(path: str) -> dict:
+    n, counit, c, sigma = _loop_load_structure(path, "counit", "Delta",
+                                               lambda i, j, k: (j, k, i))
+    return {"dim": n, "Delta": c.reshape(n * n, n), "counit": counit,
+            "star": sigma}
+
+
+def loop_load_group(path: str) -> dict:
+    doc = _loop_load(path)
+    _loop_require_fields(doc, {"order", "table", "inverse"})
+    n = doc["order"]
+    if type(n) is not int or n < 1:
+        raise SchemaError("order must be a positive integer")
+    table = _loop_integers(doc["table"], "table")
+    if table.shape != (n, n):
+        raise SchemaError("table must be order x order")
+    inverse = _loop_integers(doc["inverse"], "inverse")
+    if inverse.shape != (n,):
+        raise SchemaError("inverse must be a list of length order")
+    return {"order": n, "table": table, "inverse": inverse}
+
+
+def loop_load_scheme(path: str) -> dict:
+    doc = _loop_load(path)
+    if "matrices" in doc:
+        _loop_require_fields(doc, {"classes", "matrices"})
+    else:
+        _loop_require_fields(doc, {"classes", "p"})
+    r = doc["classes"]
+    if type(r) is not int or r < 1:
+        raise SchemaError("classes must be a positive integer")
+    fsclass.algebra.dense_dim(r)
+    if "matrices" in doc:
+        mats = [_loop_integers(m, "matrices")
+                for m in _loop_list(doc["matrices"], "matrices")]
+        if len(mats) != r:
+            raise SchemaError("number of matrices must equal classes")
+        size = mats[0].shape
+        for m in mats:
+            if m.shape != size or m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise SchemaError("matrices must all be square of one size")
+            if not np.isin(m, (0, 1)).all():
+                raise SchemaError("matrices must be 0/1")
+        return {"classes": r, "matrices": mats}
+    p = np.asarray(doc["p"], dtype=object)
+    if p.shape != (r, r, r):
+        raise SchemaError("p must be classes^3 nested lists")
+    return {"classes": r, "p": np.array(
+        [_loop_number(v, "p") for v in p.flat]).reshape(p.shape)}
+
+
+def loop_load_groupoid(path: str) -> dict:
+    doc = _loop_load(path)
+    _loop_require_fields(doc, {"objects", "arrows", "compose"})
+    m = doc["objects"]
+    if type(m) is not int or m < 1:
+        raise SchemaError("objects must be a positive integer")
+    arrows = []
+    for idx, a in enumerate(_loop_list(doc["arrows"], "arrows")):
+        if not isinstance(a, dict) or set(a) != {"src", "tgt"}:
+            raise SchemaError(f"arrows[{idx}] must have fields src, tgt")
+        arrows.append(tuple(_loop_index(a[k], m, f"arrows[{idx}].{k}")
+                            for k in ("src", "tgt")))
+    n = fsclass.algebra.dense_dim(len(arrows))
+    triples = []
+    for idx, t in enumerate(_loop_list(doc["compose"], "compose")):
+        if not isinstance(t, dict) or set(t) != {"a", "b", "ab"}:
+            raise SchemaError(f"compose[{idx}] must have fields a, b, ab")
+        triples.append(tuple(_loop_index(t[k], n, f"compose[{idx}].{k}")
+                             for k in ("a", "b", "ab")))
+    return {"objects": m, "arrows": arrows, "compose": triples}
+
+
+# kind -> (the loader, its loop oracle)
+LOADERS = {"algebra": (fio.load_algebra_v1, loop_load_algebra),
+           "coalgebra": (fio.load_coalgebra_v1, loop_load_coalgebra),
+           "group": (fio.load_group_v1, loop_load_group),
+           "scheme": (fio.load_scheme_v1, loop_load_scheme),
+           "groupoid": (fio.load_groupoid_v1, loop_load_groupoid)}
+
+
+def _rebased_s3_file(tmp_path) -> str:
+    """C[S3] on a seeded complex diagonal rebasing, as an algebra file whose
+    every nonzero structure and star value is split over two entries, in
+    shuffled order: the loaders must add them up in file order alike."""
+    A = rescaled(group_algebra(load_group("s3"))[0], diagonal_rescaling(6, 35))
+    rng = np.random.default_rng(35)
+
+    def entries(keys, index, values):
+        part = values * rng.uniform(0.2, 0.8, len(values))
+        rows = [dict(zip(keys, (*map(int, at), float(v.real), float(v.imag))))
+                for at, v in zip(np.repeat(index, 2, axis=0),
+                                 np.ravel([part, values - part], order="F"))]
+        return [rows[i] for i in rng.permutation(len(rows))]
+    c, sigma = A.structure, A.star_matrix
+    doc = {"dim": 6, "unit": [[z.real, z.imag] for z in A.unit],
+           "structure": entries(("i", "j", "k", "re", "im"),
+                                np.argwhere(c), c[c != 0]),
+           "star": entries(("i", "k", "re", "im"),
+                           np.argwhere(sigma.T), sigma.T[sigma.T != 0])}
+    path = tmp_path / "s3_rebased_algebra.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _same_arrays(new: dict, old: dict) -> None:
+    """new and old have the same keys, and equal values: arrays of one
+    dtype and shape, bit for bit (old's lists of tuples as arrays)."""
+    assert new.keys() == old.keys()
+    for key, value in new.items():
+        want = np.asarray(old[key])
+        assert (np.asarray(value).dtype, np.shape(value)) == \
+            (want.dtype, want.shape), key
+        assert np.asarray(value).tobytes() == want.tobytes(), key
+
+
+def test_loaders_read_every_input_as_the_loops_did(tmp_path):
+    """On every bundled input, intersection numbers p of both bundled
+    schemes and a rebased C[S3] whose values are split over repeated
+    entries, each loader returns the loop oracle's result: the same
+    arrays, bit for bit."""
+    paths = [(kind_of(name), data_path(name)) for name in sorted(os.listdir(
+        DATA)) if name != "z3_inversion.json"]
+    for name in ("c5_scheme", "petersen_scheme"):
+        T = scheme_from_matrices(fio.load_scheme_v1(
+            data_path(f"{name}.json"))["matrices"])
+        path = tmp_path / f"{name}_p.json"
+        path.write_text(json.dumps({"classes": T.rank, "p": T.p.tolist()}))
+        paths.append(("scheme", str(path)))
+    paths.append(("algebra", _rebased_s3_file(tmp_path)))
+    assert len(paths) == 23
+    for kind, path in paths:
+        load, loop_load = LOADERS[kind]
+        _same_arrays(load(path), loop_load(path))
+
+
+# one-entry corruptions, by what a field holds: numbers, integers
+# (indices included) and counts
+NUMBER_VALUES = [True, "1", float("nan"), float("inf"), -float("inf"),
+                 10 ** 400, [1], {}, None]
+INTEGER_VALUES = [True, 1.0, 1.5, "1", float("nan"), float("inf"),
+                  10 ** 400, [1], None]
+COUNT_VALUES = [True, 1.0, "1", float("nan"), 0, -1, None]
+CONTAINER_VALUES = [5, {"a": 1}, "x"]
+DELETE = object()
+# (kind, input) -> field -> "count", nested lists of "integers" or
+# "numbers", or the fields of each entry of a list: "number", or the count
+# n of an index in range(n)
+_NUMBERS = {"re": "number", "im": "number"}
+LOADER_FIELDS = {
+    ("algebra", "m2_algebra"): {
+        "dim": "count", "unit": {0: "number", 1: "number"},
+        "structure": {"i": 4, "j": 4, "k": 4, **_NUMBERS},
+        "star": {"i": 4, "k": 4, **_NUMBERS}},
+    ("coalgebra", "m2_coalgebra"): {
+        "dim": "count", "counit": {0: "number", 1: "number"},
+        "Delta": {"i": 4, "j": 4, "k": 4, **_NUMBERS},
+        "star": {"i": 4, "k": 4, **_NUMBERS}},
+    ("group", "s3"): {"order": "count", "table": "integers",
+                      "inverse": "integers"},
+    ("scheme", "c5_scheme"): {"classes": "count", "matrices": "integers"},
+    ("scheme", "petersen p"): {"classes": "count", "p": "numbers"},
+    ("groupoid", "pair3_groupoid"): {
+        "objects": "count", "arrows": {"src": 3, "tgt": 3},
+        "compose": {"a": 9, "b": 9, "ab": 9}},
+}
+
+
+def _loader_doc(name: str) -> dict:
+    if name == "petersen p":
+        T = scheme_from_matrices(fio.load_scheme_v1(
+            data_path("petersen_scheme.json"))["matrices"])
+        return {"classes": T.rank, "p": T.p.tolist()}
+    with open(data_path(name + ".json")) as fh:
+        return json.load(fh)
+
+
+def _nested_position(x, rng) -> tuple:
+    """A seeded position of a scalar inside the nested lists x."""
+    at = ()
+    while isinstance(x, list):
+        at += (int(rng.integers(len(x))),)
+        x = x[at[-1]]
+    return at
+
+
+def _corruptions(doc: dict, fields: dict, rng):
+    """(path, value) of each corruption of doc: a missing and an unknown
+    field, each value of a field's kind at a seeded entry, a container
+    that is no list, an entry that is no object or pair, or a missing or
+    extra key in it, a short row, an index out of range."""
+    yield (next(iter(fields)),), DELETE
+    yield ("extra",), 0
+    for field, spec in fields.items():
+        if spec == "count":
+            yield from (((field,), v) for v in COUNT_VALUES)
+            continue
+        yield from (((field,), v) for v in CONTAINER_VALUES)
+        if spec in ("integers", "numbers"):
+            at = _nested_position(doc[field], rng)
+            row = doc[field]
+            for k in at[:-1]:
+                row = row[k]
+            yield (field, *at[:-1]), row[:-1]
+            yield from (((field, *at), v) for v in (
+                INTEGER_VALUES if spec == "integers" else NUMBER_VALUES))
+            continue
+        e = int(rng.integers(len(doc[field])))
+        yield from (((field, e), v) for v in CONTAINER_VALUES)
+        if isinstance(doc[field][e], list):
+            yield (field, e), [0.0]
+            yield (field, e), [0.0, 0.0, 0.0]
+        else:
+            yield (field, e, next(iter(spec))), DELETE
+            yield (field, e, "x"), 0
+        for key, what in spec.items():
+            yield from (((field, e, key), v) for v in (
+                NUMBER_VALUES if what == "number"
+                else INTEGER_VALUES + [-1, what]))
+
+
+def _outcome(load, path):
+    """What load returns, or the SchemaError (or, from a loop oracle, the
+    OverflowError) it raises."""
+    try:
+        return load(path)
+    except (SchemaError, OverflowError) as exc:
+        return exc
+
+
+def _place(message: str) -> str:
+    """The field and entry a loader's message names: its first word."""
+    return message.split(" ", 1)[0]
+
+
+def test_loaders_refuse_each_corruption_as_the_loops_did(tmp_path):
+    """On seeded one-entry corruptions of every field of every kind, the
+    loader and its loop oracle both refuse with a SchemaError naming the
+    same field and entry; the loader may name the position inside it too
+    (table[1][2] for table, unit[3][1] for unit[3]).  Two exceptions, by
+    design: an arrow end or a composite out of range loads, and
+    `GroupoidData.validated`, which checks every range of a groupoid,
+    refuses it with BadGroupoid; an integer past 64 bits in a group table
+    or an adjacency matrix, on which the loop crashed with OverflowError,
+    is a SchemaError naming its entry."""
+    rng = np.random.default_rng(35)
+    validated, overflowed, cases = [], [], 0
+    for (kind, name), fields in LOADER_FIELDS.items():
+        doc = _loader_doc(name)
+        load, loop_load = LOADERS[kind]
+        for path, value in _corruptions(doc, fields, rng):
+            bad = copy.deepcopy(doc)
+            target = bad
+            for k in path[:-1]:
+                target = target[k]
+            if value is DELETE:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+            file = tmp_path / f"{cases}.json"
+            file.write_text(json.dumps(bad))
+            cases += 1
+            new, old = _outcome(load, file), _outcome(loop_load, file)
+            label = (name, path, value)
+            if isinstance(new, dict):
+                validated.append(label)
+                assert isinstance(old, SchemaError), label
+                with pytest.raises(BadGroupoid, match=r"^(arrow|triple) "):
+                    GroupoidData.validated(new["objects"], new["arrows"],
+                                           new["compose"])
+                continue
+            assert isinstance(new, SchemaError), (label, new)
+            if isinstance(old, OverflowError):
+                overflowed.append(label)
+                assert _place(str(new)).startswith(f"{path[0]}["), label
+                continue
+            assert isinstance(old, SchemaError), (label, old)
+            assert _place(str(new)) == _place(str(old)) or _place(str(
+                new)).startswith(_place(str(old)) + "["), (label, new, old)
+    assert cases == 443
+    assert sorted((path[0], value) for _, path, value in validated) == \
+        sorted([("arrows", -1), ("arrows", 3)] * 2
+               + [("compose", -1), ("compose", 9)] * 3)
+    assert sorted(name for name, *_ in overflowed) == \
+        ["c5_scheme", "s3", "s3"]
 
 
 def test_groupoid_validation_has_no_arrows_cubed_temporary():
