@@ -6,10 +6,13 @@ CLI's dense cap: D(A4) (dim 144), D(D8) (256) and D(S4) (576).
 With no names it runs all three.  Each instance runs in a child process of
 its own, which raises `fsclass.algebra.DENSE_DIM_CAP` past the double's
 dimension (only there: the CLI keeps refusing these inputs) and pins BLAS
-to one thread.  The child runs build, regular representation, decompose,
-the separability idempotent, full_report, compact_decompose and
+to one thread.  The child runs build, regular representation, the
+separability idempotent, decompose, full_report, compact_decompose and
 corep_indicators, the stages of `fsclass duality`, then `canonical_g` from
 the irreducibles (which the CLI does not run: a double's g is the unit).
+`decompose` reads its central element and its pairing off the kept E, so
+E is built first, as a stage of its own: otherwise its cost would land in
+`decompose` and the separability column would read 0.
 It reports the seconds of each, sum nu(V) dim V against Tr(S)
 (Linchenko-Montgomery), whether the coalgebra indicators agree with nu,
 and its own max RSS.  Exit 1 when an instance fails, disagrees or its sum
@@ -26,7 +29,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 GROUPS = {"A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
           "D8": [[1, 2, 3, 4, 5, 6, 7, 0], [7, 6, 5, 4, 3, 2, 1, 0]],
           "S4": [[1, 2, 3, 0], [1, 0, 2, 3]]}
-STAGES = ["build", "regular_rep", "decompose", "separability", "full_report",
+STAGES = ["build", "regular_rep", "separability", "decompose", "full_report",
           "compact_decompose", "corep_indicators", "canonical_g"]
 
 
@@ -51,10 +54,10 @@ def child(name: str) -> dict:
     lap("build")
     V = regular_representation(A)
     lap("regular_rep")
-    parts = decompose(V)
-    lap("decompose")
     E = A.separability_idempotent
     lap("separability")
+    parts = decompose(V)
+    lap("decompose")
     rows = full_report(A, dual, parts, E).rows
     lap("full_report")
     C = dualize(A)

@@ -170,7 +170,7 @@ class FDStarAlgebra:
         return Y.T @ XC
 
     def star(self, x: np.ndarray) -> np.ndarray:
-        return self.star_matrix @ np.conj(x)
+        return transpose_times(self.star_matrix.T, np.conj(x))
 
     def left_mult(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x y over the basis."""
@@ -290,7 +290,7 @@ class FDStarAlgebra:
         # a** = a
         sig = self.star_matrix
         require(BadStar, "star is not involutive on the basis",
-                np.abs(transpose_times(sig.T, np.conj(sig)) - eye).max(), eps)
+                np.abs(self.star(sig) - eye).max(), eps)
         # (ab)* = b* a*: (e_i e_j)* = sigma conj(c[i, j]), e_j* = sigma[:, j]
         resid = product_map_residual(self, sig, conj=True)
         self.star_reversal_residual = float(resid.max(initial=0.0))
@@ -489,9 +489,9 @@ def star_residual(rho: np.ndarray, sigma: np.ndarray, H: np.ndarray) -> float:
     """max |rho(e_i)^dagger H - H rho(e_i*)| over i and entries, where
     rho(e_i*) = sum_k sigma[k, i] rho(e_k): the star check of a
     representation with gram H, as batched products."""
-    star_rho = np.tensordot(sigma, rho, axes=(0, 0))
-    lhs = np.conj(rho).transpose(0, 2, 1) @ H
-    return float(np.abs(lhs - H @ star_rho).max(initial=0.0))
+    star_rho = transpose_times(sigma, rho.reshape(len(rho), -1))
+    gap = np.conj(rho).transpose(0, 2, 1) @ H - H @ star_rho.reshape(rho.shape)
+    return float(np.abs(gap).max(initial=0.0))
 
 
 def build_algebra(structure, unit, star,
@@ -515,7 +515,7 @@ class AntiAlgebraMap:
         require(NotAntiMap, "S(e{0} e{1}) != S(e{1}) S(e{0})",
                 product_map_residual(A, S), eps)
         # S(S(a)*)* = a, i.e. K conj(K) = id for K = sigma conj(S)
-        K = transpose_times(np.conj(S), A.star_matrix.T).T
+        K = A.star(S)
         require(NotAntiMap, "S(S(a)*)* != a on the basis",
                 np.abs(transpose_times(K.T, np.conj(K)) - np.eye(n)).max(), eps)
         return AntiAlgebraMap(S)
@@ -537,10 +537,9 @@ class RealForm:
 
     @cached_property
     def anti_matrix(self) -> np.ndarray:
-        """sigma conj(K), sigma the star matrix, by gather when K is monomial:
-        the anti-algebra map S with abar = S(a)*, whose real form this is."""
-        return transpose_times(np.conj(self.conj_matrix),
-                               self.algebra.star_matrix.T).T
+        """sigma conj(K) = `star` of K's columns: the anti-algebra map S
+        with abar = S(a)*, whose real form this is."""
+        return self.algebra.star(self.conj_matrix)
 
 
 def real_form_from_conjugation(A: FDStarAlgebra, K: np.ndarray) -> RealForm:
@@ -562,15 +561,14 @@ def real_form_from_S(A: FDStarAlgebra, S: AntiAlgebraMap | np.ndarray) -> RealFo
     """Real form {a : S(a)* = a} of the anti-algebra map S."""
     if not isinstance(S, AntiAlgebraMap):
         S = AntiAlgebraMap.validated(A, S)
-    K = transpose_times(np.conj(S.matrix), A.star_matrix.T).T   # sigma conj(S)
+    K = A.star(S.matrix)   # sigma conj(S)
     return real_form_from_conjugation(A, K)
 
 
 def check_cstar(A: FDStarAlgebra) -> tuple[np.ndarray, bool]:
     """Gram matrix G[i,j] = tau(e_i* e_j) of the regular trace form, and
     whether it is Hermitian positive definite (iff A admits a C*-norm)."""
-    t = A.regular_trace()
-    G = A.star_matrix.T @ A.of_products(t)
+    G = transpose_times(A.star_matrix, A.of_products(A.regular_trace()))
     scale = max(1.0, np.abs(G).max(initial=0.0))
     if np.abs(G - dagger(G)).max(initial=0.0) > A.tol.eps_eig * scale:
         return G, False
@@ -670,11 +668,10 @@ def _centrality_residual(A: FDStarAlgebra, Z: np.ndarray) -> np.ndarray:
 
 
 def central_sum(A: FDStarAlgebra, a: np.ndarray) -> np.ndarray:
-    """sum_j b_j a b_j^* over the trace-form orthonormal basis
-    `A.orthonormal_basis`: central, since sum_j b_j (x) b_j^* commutes with
-    every element of A."""
-    B = A.orthonormal_basis
-    return A.multiply(A.right_mult(a) @ B @ A.star(B).T)
+    """m((R_a (x) id) E) = sum_m x_m a y_m for the kept E = sum_m x_m (x)
+    y_m: central, by the centrality identity E's check passed."""
+    E = A.separability_idempotent.tensor
+    return A.multiply(transpose_times(E, A.right_mult(a).T).T)
 
 
 def separability_idempotent(A: FDStarAlgebra) -> SeparabilityIdempotent:
@@ -685,7 +682,7 @@ def separability_idempotent(A: FDStarAlgebra) -> SeparabilityIdempotent:
     if not A.trace_form[1]:
         raise NotCStar("no separability idempotent: algebra is not C*-able")
     B = A.orthonormal_basis
-    E = SeparabilityIdempotent(A, B @ A.star(B).T)
+    E = SeparabilityIdempotent(A, transpose_times(B.T, A.star(B).T))
     E.verify(eps=A.tol.eps_eig * 100)
     return E
 

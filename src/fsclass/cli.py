@@ -246,16 +246,11 @@ def main(argv=None) -> int:
             run = Run(args.kind, args.input, _tolerance(args), args.seed)
             text = COMMANDS[args.command](args, run)
         _emit(args, text)
-    except AgreementFailure as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 3
     except (FSClassError, ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")
-        return 2
+        return 3 if isinstance(exc, AgreementFailure) else 2
     return 0
 
 

@@ -288,6 +288,8 @@ class GroupoidData:
     def validated(n_objects: int, arrows, compose_triples) -> "GroupoidData":
         src, tgt = _indices(arrows, BadGroupoid, "arrows").reshape(-1, 2).T
         n = len(src)
+        if n_objects > n:   # each object needs an identity arrow of its own
+            raise BadGroupoid("some object has no identity arrow")
         out = (np.minimum(src, tgt) < 0) | (np.maximum(src, tgt) >= n_objects)
         if out.any():
             raise BadGroupoid(f"arrow {out.argmax()} has an end outside "

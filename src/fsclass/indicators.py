@@ -240,6 +240,8 @@ def _sigma(R: RealForm, rho: np.ndarray, gram: np.ndarray, names,
     j, real, witness = F / np.sqrt(abs(alpha))[:, None, None], alpha > 0, {}
     if real.any():
         dims, W = fixed_spaces_of_antilinear(j[real], tol)
+        # the scalar check gives |j conj(j) - I| <= eps_round (1 + |alpha|) /
+        # |alpha| (>= 2 eps_round); dims is read at eps_rank: not implied
         require(InternalConsistency, "fixed space of j has the wrong "
                 "dimension", abs(dims - d), 0, names[real])
         # m[i] = W^-1 rho(e_i) W.  j conj(rho(a)) = rho(abar) j and j conj(W)
@@ -254,6 +256,9 @@ def _sigma(R: RealForm, rho: np.ndarray, gram: np.ndarray, names,
                 "in the j-fixed basis", np.abs(gap - np.conj(m)).max(2).T,
                 tol.eps_round * (1 + np.abs(m).max(2).T), names[real])
         witness = dict(zip(np.flatnonzero(real), W))
+    # implied by the scalar check, |j conj(j) + I| <= eps_round (1 + |alpha|)
+    # / |alpha|, when |alpha| >= 1/9; |alpha| = 1/d for a unitary V (gram
+    # I, as `decompose` builds), so for d <= 9
     require(InternalConsistency, "j conj(j) != -I for sigma = -1",
             np.abs(j[~real] @ np.conj(j[~real]) + eye).max(axis=(1, 2)),
             tol.eps_round * 10, names[~real])

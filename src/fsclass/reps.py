@@ -256,20 +256,20 @@ def decompose(V: Representation,
     multiplicities, sorted by (dimension, character fingerprint).
 
     A 1-dim V is irreducible.  Any other V needs a positive definite trace
-    form, whose E the commutant is read with: it is taken once, from
-    `V.commutant_map()`; when it is one-dimensional V is irreducible.
-    Otherwise each attempt draws a central z = `central_sum` of a random
-    self-adjoint a over the trace-form orthonormal basis b_j and a random
-    M = sum_k r_k M_k in the commutant (R(r) for the regular
+    form, whose kept E = sum_m x_m (x) y_m the commutant and the split are
+    read with: the commutant is taken once, from `V.commutant_map()`; when
+    it is one-dimensional V is irreducible.  Otherwise each attempt draws a
+    central z = `central_sum` = m((R_a (x) id) E) of a random self-adjoint
+    a and a random M = sum_k r_k M_k in the commutant (R(r) for the regular
     representation).  Each eigenspace of Q^dagger H rho(z) Q, Q =
     `V.orthonormal_basis`, mapped back by Q is an H-orthonormal basis of a
     block W, which gives the piece L, the first eigenspace of M compressed
     onto W, kept as arrays with the identity gram.  The pairing <x, y> =
-    sum_j x(b_j) y(b_j^*) makes irreducible characters orthonormal, so
-    <chi_L, chi_L> = 1 and <chi_V, chi_L> = dim W / dim L, each within
-    eps_round times the integer, prove W = L^m with L irreducible; then each
-    L is built, so checked, once.  Otherwise z and M are redrawn (building
-    nothing), at most SPLIT_TRIES times.
+    x^T E y makes irreducible characters orthonormal, so <chi_L, chi_L> = 1
+    and <chi_V, chi_L> = dim W / dim L, each within eps_round times the
+    integer, prove W = L^m with L irreducible; then each L is built, so
+    checked, once.  Otherwise z and M are redrawn (building nothing), at
+    most SPLIT_TRIES times.  Q, H and E enter products by `transpose_times`.
     """
     if V.dim == 1:
         return [(V, 1)]
@@ -280,21 +280,22 @@ def decompose(V: Representation,
     k, commutant_element = V.commutant_map()
     if k == 1:
         return [(V, 1)]
-    B, Q = A.orthonormal_basis, V.orthonormal_basis
-    Bs, QH = A.star(B), dagger(Q) @ H
+    E, Q = A.separability_idempotent.tensor, V.orthonormal_basis
+    QH = transpose_times(np.conj(Q), H)
     chi_V = V.character()
 
     def pairs_to(x: np.ndarray, y: np.ndarray, k: int) -> bool:
-        return abs((x @ B) @ (y @ Bs) - k) <= tol.eps_round * k
+        return abs(transpose_times(E, x) @ y - k) <= tol.eps_round * k
 
     rng = make_rng(seed)
     for _ in range(SPLIT_TRIES + 1):
         r = random_complex(rng, A.dim)
         z = central_sum(A, r + A.star(r))
-        HM = H @ commutant_element(random_complex(rng, k))
+        HM = transpose_times(H.T, commutant_element(random_complex(rng, k)))
         pieces = []
-        for W in _eigenspaces(QH @ V.apply(z) @ Q, tol):
-            BW = Q @ W
+        QHz = transpose_times(QH.T, V.apply(z))
+        for W in _eigenspaces(transpose_times(Q, QHz.T).T, tol):
+            BW = transpose_times(Q.T, W)
             BL = BW @ _eigenspaces(dagger(BW) @ HM @ BW, tol)[0]
             rho = V.compressed(dagger(BL) @ H, BL)
             chi = np.einsum("iaa->i", rho)

@@ -238,6 +238,21 @@ def test_the_checks_on_the_hom_v_dv_basis_fire(capsys, monkeypatch):
         "rho(a)^dagger H != H rho(a*)"
 
 
+def test_a_nilpotent_intertwiner_is_refused(monkeypatch):
+    """F with F[0, 1] = 1 in place of the Hom(V, D(V)) basis of C[S3]'s
+    2-dim irreducible: F conj(F) = 0 is a scalar matrix, so only the
+    vanishing check refuses it."""
+    A, dual, V = _s3_two_dim_irreducible()
+    F = np.zeros((1, 2, 2), dtype=complex)
+    F[0, 0, 1] = 1
+    monkeypatch.setattr(fsclass.indicators, "dual_hom",
+                        lambda A, S, rho, names: (np.ones(1, bool), F))
+    with pytest.raises(InconsistentAlpha) as info:
+        classify_sigmas([V], real_form_from_S(A, dual.S))
+    assert str(info.value) == "F conj(F) vanishes for a nonzero intertwiner " \
+        "(residual -0.000e+00, threshold -1.000e-09)"
+
+
 def test_a_witness_basis_that_is_not_real_is_refused(capsys, monkeypatch):
     """A complex change C of the j-fixed basis W of one 2-dim real
     irreducible inside D(S3)'s stack of four makes m(abar) = conj(m(a))
@@ -267,26 +282,57 @@ def test_a_witness_basis_that_is_not_real_is_refused(capsys, monkeypatch):
         lambda: classify_sigmas([V for V, _ in parts], R))
 
 
-def _callers(path: str, name: str) -> set[tuple[str, str]]:
-    """(module, enclosing Class.function) of every call of `name` in the
-    module at path."""
+def _scopes(path: str, match) -> set[tuple[str, str]]:
+    """(module, enclosing Class.function) of every node of the module at
+    path that match accepts."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(
-                func, "attr", None)
-            if called == name:
-                found.add((os.path.basename(path), ".".join(scope)))
+        if match(node):
+            found.add((os.path.basename(path), ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
     with open(path) as fh:
         visit(ast.parse(fh.read()), ())
     return found
+
+
+def _callers(path: str, name: str) -> set[tuple[str, str]]:
+    """`_scopes` of every call of `name` in the module at path."""
+    def called(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name)
+                else getattr(func, "attr", None)) == name
+    return _scopes(path, called)
+
+
+def _readers(path: str, attr: str, receivers: set[str]
+             ) -> set[tuple[str, str]]:
+    """`_scopes` of every read of `attr` on one of the receivers (source
+    text, as `A` or `self.algebra`) in the module at path."""
+    return _scopes(path, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == attr
+                   and ast.unparse(node.value) in receivers)
+
+
+def test_only_e_reads_the_trace_form_basis():
+    """The trace-form orthonormal basis of an algebra is contracted in one
+    place, E = sum_j b_j (x) b_j^* (`separability_idempotent`), and handed
+    on as the regular representation's Q; `central_sum` and `decompose`
+    read E instead."""
+    src = os.path.dirname(fsclass.__file__)
+    basis, e = set(), set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        basis |= _readers(path, "orthonormal_basis", {"A", "self.algebra"})
+        e |= _readers(path, "separability_idempotent", {"A"})
+    assert basis == {("algebra.py", "separability_idempotent"),
+                     ("reps.py", "RegularRepresentation.orthonormal_basis")}
+    assert {("algebra.py", "central_sum"), ("reps.py", "decompose")} <= e
 
 
 def test_the_homomorphism_kernel_has_one_caller():

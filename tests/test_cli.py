@@ -325,6 +325,21 @@ def test_a_groupoid_index_out_of_range_exits_2(tmp_path, capsys):
         assert json.loads(err) == {"error": "BadGroupoid", "message": message}
 
 
+def test_a_groupoid_with_more_objects_than_arrows_exits_2(tmp_path, capsys):
+    """An object count past the arrow count, 10**400 included, is refused
+    as a groupoid with an object that has no identity arrow; numpy's
+    "Maximum allowed dimension exceeded" no longer escapes."""
+    with open(data_path("pair2_groupoid.json")) as fh:
+        doc = json.load(fh)
+    for objects in (5, 10**400):
+        path = tmp_path / "objects.json"
+        path.write_text(json.dumps({**doc, "objects": objects}))
+        code, out, err = run(capsys, "verify", str(path), "--kind", "groupoid")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "BadGroupoid", "message":
+                                   "some object has no identity arrow"}
+
+
 def test_irreps_of_a_coalgebra_exits_2(capsys):
     code, out, err = run(capsys, "irreps", data_path("m2_coalgebra.json"),
                          "--kind", "coalgebra")
@@ -497,11 +512,11 @@ def test_duality_builds_one_separability_idempotent(capsys, monkeypatch, name,
                                         ("s3.json", "double")])
 def test_each_command_evaluates_the_centrality_identity_at_most_once(
         capsys, monkeypatch, name, kind):
-    """verify and irreps build no E; classify, indicators and duality build
-    the kept one and run the centrality kernel once, which the
-    coseparability check of duality reads instead of running it again, and
-    whose average each Hom(V, D(V)) of classify and indicators is read
-    with."""
+    """verify builds no E; irreps, classify, indicators and duality build
+    the kept one and run the centrality kernel once: `decompose` reads its
+    central element and pairing off it, the coseparability check of duality
+    reads it instead of running the kernel again, and each Hom(V, D(V)) of
+    classify and indicators is read with its average."""
     built, kernels = count_centrality_kernels(monkeypatch)
     counts = {}
     for command in ("verify", "irreps", "classify", "indicators", "duality"):
@@ -510,7 +525,7 @@ def test_each_command_evaluates_the_centrality_identity_at_most_once(
         counts[command] = (len(built), len(kernels))
         built.clear()
         kernels.clear()
-    assert counts == {"verify": (0, 0), "irreps": (0, 0), "classify": (1, 1),
+    assert counts == {"verify": (0, 0), "irreps": (1, 1), "classify": (1, 1),
                       "indicators": (1, 1), "duality": (1, 1)}
 
 
@@ -711,10 +726,11 @@ def test_verify_reads_the_involution_within_the_axiom_threshold(
 
 def test_each_command_factors_the_trace_form_once(capsys, monkeypatch):
     """The algebra keeps the orthonormal basis of its trace form, which
-    the split of `decompose`, its central element and E all read, and a
-    part of the decomposition, whose gram is the identity, keeps that as
-    its basis: the 36 x 36 trace-form Gram of D(S3) is the one gram each
-    command factors."""
+    the split of `decompose` and E read (and the central element and the
+    pairing of `decompose` only through E), and a part of the
+    decomposition, whose gram is the identity, keeps that as its basis:
+    the 36 x 36 trace-form Gram of D(S3) is the one gram each command
+    factors."""
     factored, cholesky = [], np.linalg.cholesky
 
     def counted(a):

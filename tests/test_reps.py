@@ -16,8 +16,9 @@ from fsclass.linalg import Tolerance
 from fsclass.reps import (RegularRepresentation, Representation,
                           conjugate_representation, dual_representation)
 
-from conftest import (build_m2, check_text, classical_oracle, data_path,
-                      load_group, m2_dual_structures, unchecked)
+from conftest import (build_m2, bundled_runs, check_text, classical_oracle,
+                      data_path, diagonal_rescaling, load_group,
+                      m2_dual_structures, rescaled, unchecked)
 
 
 def test_regular_representation_is_a_star_rep():
@@ -436,6 +437,78 @@ def _same_parts(parts, expected):
         [(W.fingerprint(), m) for W, m in expected]
     for (W, _), (X, _) in zip(parts, expected):
         assert np.abs(W.character() - X.character()).max() < 1e-10
+
+
+def _dense_star(A, x):
+    """x^* as the dense product sigma conj(x)."""
+    return A.star_matrix @ np.conj(x)
+
+
+def _oracle_inputs():
+    """`_commutant_inputs`, D(S3) rescaled, and C[S3] skewed by a complex
+    matrix, whose trace form is complex and not a multiple of I."""
+    inputs = _commutant_inputs()
+    D = inputs["double_s3"]
+    inputs["double_s3_rescaled"] = rescaled(D, diagonal_rescaling(D.dim, 16))
+    skew = np.random.default_rng(8).standard_normal((6, 6, 2)) @ [1, 1j]
+    inputs["s3_complex_skewed"] = _rebase(inputs["s3"], np.eye(6) + 0.3 * skew)
+    return inputs
+
+
+def test_the_central_element_and_the_pairing_are_read_off_e(monkeypatch):
+    """`decompose` reads its central element as m((R_a (x) id) E) and its
+    pairing as x^T E y, with E the kept separability idempotent.  For the
+    a of each of its draws, z is sum_j b_j a b_j^* over the trace-form
+    orthonormal basis b_j, and x^T E y is `_pairing`, within 1e-13 of
+    their scale, on skewed, rebased, rescaled and dense inputs.  On the
+    complex skew, H^T != H, so H M is formed with the right transpose."""
+    drawn, central = [], reps.central_sum
+
+    def recorded(A, a):
+        drawn.append((a, central(A, a)))
+        return drawn[-1][1]
+    monkeypatch.setattr(reps, "central_sum", recorded)
+    rng = np.random.default_rng(29)
+    for name, A in _oracle_inputs().items():
+        drawn.clear()
+        parts = decompose(regular_representation(A))
+        assert drawn, name
+        B = A.orthonormal_basis
+        for a, z in drawn:
+            want = A.multiply(A.right_mult(a) @ B @ _dense_star(A, B).T)
+            assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max(), name
+        E = A.separability_idempotent.tensor
+        chis = [V.character() for V, _ in parts]
+        chis += [regular_representation(A).character(),
+                 rng.standard_normal((A.dim, 2)) @ [1, 1j]]
+        for x in chis:
+            for y in chis:
+                want = complex((x @ B) @ (y @ _dense_star(A, B)))
+                got = complex(reps.transpose_times(E, x) @ y)
+                scale = np.abs(x).max() * np.abs(y).max()
+                assert abs(got - want) <= 1e-13 * scale, name
+                assert abs(_pairing(A, x, y) - want) <= 1e-13 * scale, name
+
+
+def test_trace_form_and_e_on_tables_are_the_dense_products_exactly():
+    """On every bundled input whose algebra is an index table with real
+    coefficients, the gathers that form G = sigma^T tau(e_i e_j) and E =
+    B (sigma conj B)^T give the dense GEMMs bit for bit: each entry is
+    one product."""
+    seen = 0
+    for name, run in bundled_runs():
+        A = run.A
+        if A is None or A.table is None or np.imag(A.table[1]).any() \
+                or np.imag(A.star_matrix).any():
+            continue
+        seen += 1
+        t = A.regular_trace()
+        assert np.array_equal(A.trace_form[0],
+                              A.star_matrix.T @ A.of_products(t)), name
+        B = A.orthonormal_basis
+        assert np.array_equal(A.separability_idempotent.tensor,
+                              B @ _dense_star(A, B).T), name
+    assert seen >= 20
 
 
 def test_the_central_split_gives_the_isotypic_blocks(monkeypatch):

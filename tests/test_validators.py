@@ -405,6 +405,27 @@ def test_groupoid_arrow_ends_must_name_objects():
     GroupoidData.validated(1, [(0, 0), (0, 0)], z2)
 
 
+def test_more_objects_than_arrows_is_refused_before_any_table():
+    """Each object needs an identity arrow of its own, so more objects than
+    arrows is refused first, with the identity message and nothing sized
+    by the object count (an int64 array of 10**6 entries is 8 MB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadGroupoid,
+                           match=r"^some object has no identity arrow$"):
+            GroupoidData.validated(10**6, [(0, 0)], [(0, 0, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(BadGroupoid,
+                       match=r"^some object has no identity arrow$"):
+        GroupoidData.validated(10**400, [(0, 0)], [(0, 0, 0)])
+    with pytest.raises(BadGroupoid,
+                       match=r"^some object has no identity arrow$"):
+        GroupoidData.validated(3, [(0, 0), (1, 1)], [(0, 0, 0), (1, 1, 1)])
+
+
 def loop_groupoid(n_objects, arrows, triples):
     """The per-pair and per-triple loops GroupoidData.validated ran on its
     composition dict: the message it raised first, or None."""
