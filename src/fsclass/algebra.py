@@ -111,18 +111,6 @@ class FDStarAlgebra:
         c.flags.writeable = False
         return c
 
-    @cached_property
-    def _injective(self) -> bool:
-        """Whether every row and every column of T is injective on the
-        support of v: then each entry of e_i Z and of Z e_i, for Z in
-        A (x) A, is one product."""
-        T, v = self.table
-        n = self.dim
-        i, j = np.nonzero(v)
-        k = T[i, j]
-        return all(np.bincount(key, minlength=n * n).max(initial=0) <= 1
-                   for key in (i * n + k, j * n + k))
-
     # --- arithmetic ---
 
     def multiply(self, Z: np.ndarray) -> np.ndarray:
@@ -189,9 +177,6 @@ class FDStarAlgebra:
         n = self.dim
         return _scatter_add((T * n + np.arange(n)[:, None]).ravel(),
                             (v * y).ravel(), n * n).reshape(n, n)
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.left_mult(x), self.unit)
 
     def regular_trace(self) -> np.ndarray:
         """Vector t with tau(x) = t . x, tau = trace of left multiplication."""
@@ -644,15 +629,17 @@ class SeparabilityIdempotent:
 def _centrality_residual(A: FDStarAlgebra, Z: np.ndarray) -> np.ndarray:
     """Per e_i, max |(e_i x_m) (x) y_m - x_m (x) (y_m e_i)| over the
     entries of the two n x n coefficient matrices.  Read off the table, as
-    two coordinate lists of at most n^2 entries, when it is injective
-    (`A._injective`) and Z is monomial (one nonzero per row, at Zr[j], and
-    per column, at Zc[m]): the left matrix holds v[i, j] Z[j, Zr[j]] at
-    (T[i, j], Zr[j]), the right one Z[Zc[m], m] v[m, i] at
-    (Zc[m], T[m, i]).  Each is the one product of the dense entry, so the
-    residuals are the dense ones bit for bit."""
+    two coordinate lists of at most n^2 entries, when Z is monomial (one
+    nonzero per row, at Zr[j], and per column, at Zc[m]): the left matrix
+    holds v[i, j] Z[j, Zr[j]] at (T[i, j], Zr[j]), the right one
+    Z[Zc[m], m] v[m, i] at (Zc[m], T[m, i]).  Each is the one product of
+    the dense entry on any table, injective or not: the dense sum at
+    column b of e_i Z runs over the one row of Z with a nonzero in column
+    b, and likewise for Z e_i, so the residuals are the dense ones bit for
+    bit."""
     n = A.dim
     columns = [_monomial_columns(M) for M in (Z, Z.T)]
-    if A.table is None or not A._injective or any(x is None for x in columns):
+    if A.table is None or any(x is None for x in columns):
         c = A.structure
         lhs = np.tensordot(c, Z, axes=(1, 0))                      # (e_i x) (x) y
         rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)   # x (x) (y e_i)

@@ -25,7 +25,8 @@ from .constructors import (GroupTable, GroupoidData, TableAlgebraData,
                            drinfeld_double, group_algebra, groupoid_weak_hopf,
                            scheme_from_matrices, table_algebra)
 from .errors import AgreementFailure, FSClassError, SchemaError, require
-from .indicators import IndicatorReport, classify_sigmas, full_report
+from .indicators import (IndicatorReport, IndicatorRow, classify_sigmas,
+                         full_report)
 from .linalg import Tolerance
 from .reps import decompose, regular_representation
 
@@ -181,8 +182,8 @@ def _cmd_classify(args, run: Run) -> str:
                               real_form_from_S(run.A, dual.S))
     rows = []
     for i, ((V, m), res) in enumerate(zip(parts, results)):
-        label = {1: "real", 0: "complex", -1: "quaternionic"}[res.sigma]
-        row = {"index": i, "dim": V.dim, "sigma": res.sigma, "label": label}
+        row = {"index": i, "dim": V.dim, "sigma": res.sigma,
+               "label": IndicatorRow.TYPES[res.sigma]}
         if res.sigma == 1:
             row["real_basis"] = _cmat(res.witness)
         elif res.sigma == -1:
@@ -240,6 +241,9 @@ PARSER.add_argument("--output", default=None)
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
+        if args.format == "csv" and args.command not in ("irreps", "indicators"):
+            raise SchemaError(f"{args.command} writes json or text; only "
+                              "irreps and indicators write csv")
         # an overflow shows as an inf or NaN residual, which its check
         # refuses; numpy's warnings about it would only garble stderr
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
-                      _coo_gap, _coo_sum, _ragged)
+                      _coo_gap, _coo_sum, _ragged, transpose_times)
 from .coalgebra import (CompactDecomposition, FDStarCoalgebra, dualize,
                         gamma_full)
 from .errors import (AxiomViolation, BadGroup, BadGroupoid, NoHaar, NotHopf,
@@ -466,29 +466,34 @@ class WeakHopfData:
         A = self.algebra
         D1 = self.delta_of(A.unit)           # D1[j, k]
         eps_jk = A.of_products(self.counit)  # eps(e_j e_i) at [j, i]
-        return D1.T @ eps_jk, D1 @ eps_jk.T
+        return transpose_times(D1, eps_jk), transpose_times(D1.T, eps_jk.T)
 
     def haar_integral(self) -> np.ndarray:
         """The unique two-sided Haar integral: eps_L(Lam) = eps_R(Lam) = 1,
         a Lam = eps_L(a) Lam and Lam a = Lam eps_R(a) for all a, checked
         (else `NoHaar`) on the Lam with tau(y Lam) = eps(y), tau the regular
-        trace (Larson-Sweedler 1969).  Any Lam' that passes equals it:
-        Lam' Lam = eps_L(Lam') Lam = Lam and Lam' Lam = Lam' eps_R(Lam) = Lam'.
-        Computed on first use and kept, read-only."""
+        trace (Larson-Sweedler 1969), read off the kept E as in `_haar`.
+        Any Lam' that passes equals it: Lam' Lam = eps_L(Lam') Lam = Lam
+        and Lam' Lam = Lam' eps_R(Lam) = Lam'.  Computed on first use and
+        kept, read-only."""
         return self._haar
 
     @cached_property
     def _haar(self) -> np.ndarray:
+        """Lam = (id (x) eps)(E), no solve: E's tensor G^-1 sigma^T, for the
+        trace form G = sigma^T M, M[i, j] = tau(e_i e_j), is M^-1.  No E,
+        and `NoHaar`, when G is not positive definite."""
         A = self.algebra
-        try:
-            lam = np.linalg.solve(A.of_products(A.regular_trace()), self.counit)
-        except np.linalg.LinAlgError as exc:
-            raise NoHaar("regular trace form is singular") from exc
+        if not A.trace_form[1]:
+            raise NoHaar("regular trace form is not positive definite")
+        lam = transpose_times(A.separability_idempotent.tensor.T, self.counit)
         EL, ER = self.counit_target_maps()
         # row i of X is e_i Lam, of EL.T @ X eps_L(e_i) Lam; Y likewise for R
         X, Y = A.right_mult(lam).T, A.left_mult(lam).T
         resid = np.max([np.abs(d).max() for d in (
-            EL @ lam - A.unit, ER @ lam - A.unit, X - EL.T @ X, Y - ER.T @ Y)])
+            transpose_times(EL.T, lam) - A.unit,
+            transpose_times(ER.T, lam) - A.unit,
+            X - transpose_times(EL, X), Y - transpose_times(ER, Y))])
         require(NoHaar, "Haar integral identities fail", resid,
                 A.tol.eps_eig * 100)
         lam.flags.writeable = False
@@ -516,9 +521,10 @@ def _diagonal_coproduct(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _weak_hopf(A: FDStarAlgebra, Delta, counit: np.ndarray,
                S: AntiAlgebraMap) -> WeakHopfData:
     """A with the coalgebra (Delta, counit), Delta a matrix or an index
-    table as `FDStarCoalgebra` takes it, and the co-star c -> S(c)*."""
-    star = A.star_matrix @ np.conj(S.matrix)
-    return WeakHopfData(A, FDStarCoalgebra(Delta, counit, star, A.tol), S)
+    table as `FDStarCoalgebra` takes it, and the co-star c -> S(c)*:
+    `A.star` of S's columns, a gather when sigma is monomial."""
+    return WeakHopfData(A, FDStarCoalgebra(Delta, counit, A.star(S.matrix),
+                                           A.tol), S)
 
 
 def check_involution_perm(G: GroupTable, perm) -> np.ndarray:

@@ -276,6 +276,7 @@ class IndicatorRow:
     nu_trace: int
     sigma: int
     endo_real_dim: int
+    TYPES = {1: "real", 0: "complex", -1: "quaternionic"}   # by sigma
 
     def as_dict(self) -> dict:
         return {
@@ -287,7 +288,7 @@ class IndicatorRow:
             "nu_trace": self.nu_trace,
             "sigma": self.sigma,
             "endo_real_dim": self.endo_real_dim,
-            "type": {1: "real", 0: "complex", -1: "quaternionic"}[self.sigma],
+            "type": self.TYPES[self.sigma],
         }
 
 

@@ -214,10 +214,11 @@ def table_separability(A, T):
     on the table algebra A of T with central element v, the closed form
     `table_algebra` once built beside the kept E, verified."""
     v = table_central_element(T)
+    v_inv = np.linalg.solve(A.left_mult(v), A.unit)
     kappa = T.p[np.arange(T.rank), T.involution, 0]
     # column i of sigma is b_{i*}, column i of R(v^{-1}) is b_i v^{-1}
     E = SeparabilityIdempotent(
-        A, (A.star_matrix / kappa) @ A.right_mult(A.inverse(v)).T)
+        A, (A.star_matrix / kappa) @ A.right_mult(v_inv).T)
     E.verify()
     return E
 

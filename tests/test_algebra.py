@@ -3,8 +3,9 @@ import pytest
 
 from fsclass import (build_algebra, check_cstar, is_positive_element,
                      real_form_from_S, separability_idempotent)
-from fsclass.algebra import (AntiAlgebraMap, DualStructureData,
-                             product_map_residual, real_form_from_conjugation)
+from fsclass.algebra import (AntiAlgebraMap, DualStructureData, FDStarAlgebra,
+                             _centrality_residual, product_map_residual,
+                             real_form_from_conjugation)
 from fsclass.errors import (BadDualStructure, BadStar, BadUnit, NotAntiMap,
                             NotAssociative, NotCStar)
 from conftest import build_m2, check_text, load_group, m2_dual_structures
@@ -21,12 +22,6 @@ def test_mult_and_star_roundtrip():
     e00, e01, e10, _ = np.eye(4)      # e11, e12, e21, e22
     assert np.allclose(A.left_mult(e01) @ e10, e00)
     assert np.allclose(A.star(A.star(e01)), e01)
-
-
-def test_inverse():
-    A = build_m2()
-    x = np.array([2.0, 0, 0, 0.5], dtype=complex)
-    assert np.allclose(A.left_mult(x) @ A.inverse(x), A.unit)
 
 
 def test_build_rejects_non_associative():
@@ -240,3 +235,24 @@ def test_product_kernels_match_einsum(scheme_mats):
         close(A.multiply(Z), np.einsum("jk,jkl->l", Z, c), Z)
         for X in (rand(n), rand(n, 3), rand(n, 2, 2)):
             close(A.of_products(X), np.einsum("ijk,k...->ij...", c, X), X)
+
+
+def test_the_centrality_residual_of_a_non_injective_table_is_the_dense_one():
+    """C + C on the basis {1, p}, p^2 = p, identity star: row p of the
+    table sends both 1 and p to p, so the table is not injective.  For a
+    monomial Z each entry of e_i Z and of Z e_i is still one product, so
+    the coordinate lists give the dense residual max |e_i Z - Z e_i| bit
+    for bit."""
+    A = FDStarAlgebra((np.array([[0, 1], [1, 1]]), np.ones((2, 2))),
+                      np.array([1, 0]), np.eye(2))
+    c = A.structure
+    for Z, want in ((np.eye(2), [0, 1]),
+                    (np.array([[0, 2], [3j, 0]]), [0, np.sqrt(13)]),
+                    (np.diag([1.5, -0.25]), [0, 1.5])):
+        Z = Z.astype(complex)
+        lhs = np.tensordot(c, Z, axes=(1, 0))
+        rhs = np.tensordot(Z, c, axes=(1, 0)).transpose(1, 0, 2)
+        dense = np.abs(lhs - rhs).reshape(2, -1).max(axis=1)
+        got = _centrality_residual(A, Z)
+        assert np.array_equal(got, dense)
+        assert np.abs(got - want).max() <= 1e-15

@@ -389,6 +389,34 @@ def test_no_least_squares_and_one_twisted_hom_per_dimension(monkeypatch):
     assert np.abs(dual.g - run.A.unit).max() < 1e-12
 
 
+def test_the_weak_hopf_layer_runs_no_linear_algebra_of_its_own():
+    """The Haar integral is read off the kept E and the co-star is
+    `A.star(S)`: `constructors.py` calls no `np.linalg` function, the only
+    `np.linalg.solve` calls are the per-stack d x d solves of
+    `canonical_g` and `_sigma`, and tau(e_i e_j) is formed only by
+    `check_cstar`."""
+    src = os.path.dirname(fsclass.__file__)
+
+    def linalg(node, name=None) -> bool:
+        return isinstance(node, ast.Attribute) \
+            and ast.unparse(node.value) == "np.linalg" \
+            and name in (None, node.attr)
+
+    def trace_form(node) -> bool:   # X.of_products(Y.regular_trace())
+        return isinstance(node, ast.Call) \
+            and getattr(node.func, "attr", None) == "of_products" \
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call) \
+            and getattr(node.args[0].func, "attr", None) == "regular_trace"
+    solves, forms = set(), set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        solves |= _scopes(path, lambda node: linalg(node, "solve"))
+        forms |= _scopes(path, trace_form)
+    assert _scopes(os.path.join(src, "constructors.py"), linalg) == set()
+    assert solves == {("indicators.py", "canonical_g"),
+                      ("indicators.py", "_sigma")}
+    assert forms == {("algebra.py", "check_cstar")}
+
+
 def test_the_loaders_have_no_python_loop():
     """`io.py` reads every input as arrays: it has no `for` or `while`
     statement and no comprehension, so its per-entry work runs in `map`,

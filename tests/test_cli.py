@@ -15,7 +15,7 @@ from fsclass import (FDStarAlgebra, TableAlgebraData, cyclic_group,
 from fsclass import io as fio
 from fsclass.cli import main
 
-from conftest import (check_text, count_centrality_kernels, data_path,
+from conftest import (TOL, check_text, count_centrality_kernels, data_path,
                       load_group, s4_on_twelve_points, thin_scheme)
 
 
@@ -50,6 +50,24 @@ def test_indicators_csv_q8(capsys):
     assert sigmas == [-1, 1, 1, 1, 1]
     types = sorted(r["type"] for r in rows)
     assert types.count("quaternionic") == 1
+
+
+def test_csv_is_refused_where_no_command_writes_it(capsys):
+    """Only irreps and indicators write csv: verify, classify and duality
+    refuse it with exit 2 before the input is read, so a missing file says
+    the same, and indicators writes its report's csv as before."""
+    for command in ("verify", "classify", "duality"):
+        for name in ("petersen_scheme.json", "missing.json"):
+            code, out, err = run(capsys, command, data_path(name),
+                                 "--kind", "scheme", "--format", "csv")
+            assert (code, out, err.count("\n")) == (2, "", 1)
+            assert json.loads(err) == {
+                "error": "SchemaError", "message": f"{command} writes json "
+                "or text; only irreps and indicators write csv"}
+    code, out, _ = run(capsys, "indicators", data_path("q8.json"),
+                       "--kind", "group", "--format", "csv")
+    report = fsclass.cli.Run("group", data_path("q8.json"), TOL, 0).report
+    assert (code, out) == (0, report.to_csv())
 
 
 def test_indicators_scheme(capsys):
@@ -512,8 +530,9 @@ def test_duality_builds_one_separability_idempotent(capsys, monkeypatch, name,
                                         ("s3.json", "double")])
 def test_each_command_evaluates_the_centrality_identity_at_most_once(
         capsys, monkeypatch, name, kind):
-    """verify builds no E; irreps, classify, indicators and duality build
-    the kept one and run the centrality kernel once: `decompose` reads its
+    """verify builds E only for weak Hopf data, whose Haar integral is
+    read off it, once; irreps, classify, indicators and duality build the
+    kept E and run the centrality kernel once: `decompose` reads its
     central element and pairing off it, the coseparability check of duality
     reads it instead of running the kernel again, and each Hom(V, D(V)) of
     classify and indicators is read with its average."""
@@ -525,7 +544,8 @@ def test_each_command_evaluates_the_centrality_identity_at_most_once(
         counts[command] = (len(built), len(kernels))
         built.clear()
         kernels.clear()
-    assert counts == {"verify": (0, 0), "irreps": (1, 1), "classify": (1, 1),
+    verify = (1, 1) if kind in ("groupoid", "double") else (0, 0)
+    assert counts == {"verify": verify, "irreps": (1, 1), "classify": (1, 1),
                       "indicators": (1, 1), "duality": (1, 1)}
 
 

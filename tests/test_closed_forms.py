@@ -13,7 +13,7 @@ import pytest
 
 from fsclass import (FDStarAlgebra, WeakHopfData, compact_decompose,
                      dualize, group_weak_hopf)
-from fsclass.algebra import AntiAlgebraMap
+from fsclass.algebra import AntiAlgebraMap, SeparabilityIdempotent
 from fsclass.cli import Run
 from fsclass.coalgebra import FDStarCoalgebra, gamma_full
 from fsclass.constructors import _weak_hopf
@@ -80,12 +80,18 @@ def test_coseparability_idempotent_is_the_matrix_unit_form(coalgebras):
         assert np.abs(dec.E.matrix - want).max() <= 1e-14, name
 
 
-def test_haar_integral_is_the_solved_one():
-    """Groupoids, doubles, C[G] as a Hopf algebra, and the dual Hopf
-    algebras `cqg_indicator` builds from their coalgebras."""
+def bundled_groupoids() -> list[tuple[str, WeakHopfData]]:
     groupoids = [(name, run.W) for name, run in bundled_runs()
                  if run.W is not None and name.startswith("groupoid")]
     assert len(groupoids) == 4
+    return groupoids
+
+
+def test_haar_integral_is_the_solved_one():
+    """Groupoids, doubles, C[G] as a Hopf algebra, and the dual Hopf
+    algebras `cqg_indicator` builds from their coalgebras, whose Haar
+    integrals are read off the kept E of each dual algebra."""
+    groupoids = bundled_groupoids()
     hopf, duals = hopf_inputs(), []
     for name, H in hopf:
         C = H.coalgebra
@@ -97,11 +103,22 @@ def test_haar_integral_is_the_solved_one():
         assert np.abs(lam - solved_haar(W)).max() <= 1e-14, name
 
 
+def test_the_co_star_is_the_dense_product():
+    """c -> S(c)* is `A.star` of S's columns: on every groupoid, double and
+    C[G] as a Hopf algebra, the dense sigma conj(S) bit for bit."""
+    for name, W in bundled_groupoids() + hopf_inputs():
+        A = W.algebra
+        assert np.array_equal(W.coalgebra.star_matrix,
+                              A.star_matrix @ np.conj(W.S.matrix)), name
+
+
 def sweedler() -> WeakHopfData:
     """Sweedler's 4-dim Hopf algebra on the basis 1, g, x, gx (g^a x^b at
     a + 2b): g^2 = 1, x^2 = 0, xg = -gx, g* = g, x* = x,
     Delta(x) = x (x) 1 + g (x) x, eps(x) = 0, S(x) = -gx.  It is not
-    semisimple: its regular trace form has rank 2 of 4."""
+    semisimple: its regular trace form has rank 2 of 4, so it is not
+    positive definite and A has no separability idempotent E to read the
+    Haar integral off."""
     n = 4
     c = np.zeros((n, n, n), dtype=complex)
     for a, b, p, q in np.ndindex(2, 2, 2, 2):
@@ -126,15 +143,18 @@ def test_a_non_semisimple_hopf_algebra_has_no_haar_integral():
     W = sweedler()
     assert np.linalg.matrix_rank(W.algebra.of_products(
         W.algebra.regular_trace())) == 2
-    with pytest.raises(NoHaar, match="regular trace form is singular"):
+    with pytest.raises(NoHaar, match="^regular trace form is not positive "
+                       "definite$"):
         W.haar_integral()
 
 
-def test_a_haar_integral_that_fails_its_identities_raises(monkeypatch):
-    """Twice the regular trace gives Lam / 2, with eps_L(Lam / 2) = 1/2."""
+def test_a_haar_integral_that_fails_its_identities_raises():
+    """A kept E replaced by 2E, unchecked, gives 2 Lam, with
+    eps_L(2 Lam) = 2: the identities fail by 1."""
     W, _ = group_weak_hopf(load_group("s3"))
-    trace = FDStarAlgebra.regular_trace
-    monkeypatch.setattr(FDStarAlgebra, "regular_trace",
-                        lambda self: 2 * trace(self))
-    with pytest.raises(NoHaar, match="residual 5.000e-01"):
+    A = W.algebra
+    A.separability_idempotent = SeparabilityIdempotent(
+        A, 2 * A.separability_idempotent.tensor)
+    with pytest.raises(NoHaar, match=r"^Haar integral identities fail "
+                       r"\(residual 1\.000e\+00, "):
         W.haar_integral()

@@ -306,28 +306,30 @@ def test_twisted_indicator_z3_inversion_all_real():
         assert s == 1
 
 
-def _count_regular_traces(monkeypatch) -> list:
-    """One entry per call of FDStarAlgebra.regular_trace, which the closed
-    form of the Haar integral reads once."""
+def _count_calls(monkeypatch, cls, name: str) -> list:
+    """One entry per call of the method cls.name."""
     calls = []
-    regular_trace = FDStarAlgebra.regular_trace
-    monkeypatch.setattr(FDStarAlgebra, "regular_trace",
-                        lambda self: calls.append(1) or regular_trace(self))
+    method = getattr(cls, name)
+    monkeypatch.setattr(cls, name,
+                        lambda self: calls.append(1) or method(self))
     return calls
 
 
 def test_weak_hopf_indicator_solves_for_the_haar_integral_once(monkeypatch):
     """The Haar integral depends on W alone: over the 8 irreducibles of
-    D(S3) its closed form, one n x n solve, is computed once, and every
-    value equals the one a fresh W (a fresh solve) gives."""
+    D(S3) it is read off the kept E and checked once (one call of
+    `counit_target_maps`, which in the package only `_haar` makes), the
+    trace form is not formed again, and every value equals the one a
+    fresh W gives."""
     W, dual = drinfeld_double(load_group("s3"))
     parts = decompose(regular_representation(W.algebra))
     fresh = [WeakHopfData(W.algebra, W.coalgebra, W.S).indicator(V, dual.g)
              for V, _ in parts]
-    traces = _count_regular_traces(monkeypatch)
+    traces = _count_calls(monkeypatch, FDStarAlgebra, "regular_trace")
+    checked = _count_calls(monkeypatch, WeakHopfData, "counit_target_maps")
     values = [W.indicator(V, dual.g) for V, _ in parts]
     assert len(parts) == 8
-    assert len(traces) == 1
+    assert (len(checked), len(traces)) == (1, 0)
     assert values == fresh
 
 
@@ -342,7 +344,7 @@ def test_twisted_indicator_builds_no_weak_hopf_data(monkeypatch):
     validate = WeakHopfData._validate
     monkeypatch.setattr(WeakHopfData, "_validate",
                         lambda self: built.append(1) or validate(self))
-    traces = _count_regular_traces(monkeypatch)
+    traces = _count_calls(monkeypatch, FDStarAlgebra, "regular_trace")
     for V, _ in parts:
         s, _ = twisted_indicator(G, np.arange(G.order), V)
         assert s == round(classical_oracle(G, V.character()).real)
